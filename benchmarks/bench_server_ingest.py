@@ -20,7 +20,10 @@ least 3x smaller on the wire than the b64-JSON frames (see ``--check`` and
 the assertions in ``main``), or — against the committed
 ``BENCH_baseline.json`` reference (``--check ... --baseline ...``) — if
 ingest throughput drops more than 40% below baseline (engine numbers are
-gated the same way via ``--engine``).
+gated the same way via ``--engine``).  The same payload carries a
+``finalize`` section: PrivateExpanderSketch's server finalize at n=400k,
+D=2^20, ε=1, in decoded stage-1 cells per second, gated by the same
+``max_drop`` rule against the baseline's ``finalize`` floor.
 
 Client-side encoding and frame serialization are done *before* the clock
 starts (a deployment's clients encode on their own devices); the timed path
@@ -56,6 +59,11 @@ WIRE_FORMATS = ("json", "binary")
 #: CI gate: binary frames must be at least this many times smaller on the
 #: wire than the b64-JSON frames for the same batches
 MIN_WIRE_SHRINK = 3.0
+#: the finalize floor's shape: PrivateExpanderSketch with planted heavy hitters
+FINALIZE_USERS = 400_000
+FINALIZE_DOMAIN = 1 << 20
+FINALIZE_EPSILON = 1.0
+FINALIZE_HEAVY_FRACTIONS = (0.2, 0.1, 0.05)
 
 
 def run_server_ingest_bench(protocols: Sequence[str] = ("hashtogram",),
@@ -164,6 +172,37 @@ def run_server_ingest_bench(protocols: Sequence[str] = ("hashtogram",),
     }
 
 
+def run_finalize_bench(repeats: int = 3) -> Dict[str, object]:
+    """Time ``ExpanderSketchAggregator.finalize`` in decoded cells/s.
+
+    The aggregate is built once (``run_simulation``, untimed); each repeat
+    finalizes it from scratch and ``finalize_s`` is the best of
+    ``repeats``.  Decoded cells are the Hadamard outputs of every stage-1
+    coordinate accumulator (``num_coordinates * num_cells``), the work
+    that dominates finalize.
+    """
+    from repro.core.heavy_hitters import PrivateExpanderSketch
+    from repro.engine import run_simulation
+    from repro.workloads.distributions import planted_workload
+
+    gen = np.random.default_rng(SEED)
+    values = planted_workload(FINALIZE_USERS, FINALIZE_DOMAIN,
+                              FINALIZE_HEAVY_FRACTIONS, rng=gen).values
+    params = PrivateExpanderSketch(FINALIZE_DOMAIN, FINALIZE_EPSILON
+                                   ).public_params(FINALIZE_USERS, rng=gen)
+    aggregator = run_simulation(params, values, rng=gen).aggregator
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        start = time.perf_counter()
+        aggregator.finalize()
+        best = min(best, time.perf_counter() - start)
+    cells = params.params.num_coordinates * params.num_cells
+    return {"protocol": "expander_sketch", "num_users": FINALIZE_USERS,
+            "domain_size": FINALIZE_DOMAIN, "epsilon": FINALIZE_EPSILON,
+            "decoded_cells": int(cells), "finalize_s": round(best, 4),
+            "cells_per_s": int(cells / max(best, 1e-9))}
+
+
 def _report_rows(payload: Dict[str, object]) -> List[Dict[str, object]]:
     return list(payload["results"])
 
@@ -229,6 +268,32 @@ def check_engine_regression(payload: Dict[str, object],
                 f"engine/{protocol}: 1-worker throughput regressed to "
                 f"{got:,.0f} reports/s (< {floor:,.0f}; baseline "
                 f"{float(reference):,.0f}, max drop {max_drop:.0%})")
+    return failures
+
+
+def check_finalize_regression(payload: Dict[str, object],
+                              baseline: Dict[str, object],
+                              max_drop: float = None) -> List[str]:
+    """Gate the payload's ``finalize`` rows (decoded cells/s) against the
+    baseline's ``finalize`` floors.  A payload with no ``finalize`` section
+    is not gated on it; :func:`main` always writes one."""
+    if max_drop is None:
+        max_drop = float(baseline.get("max_drop", MAX_THROUGHPUT_DROP))
+    measured = dict(payload.get("finalize", {}))
+    if not measured:
+        return []
+    failures = []
+    for protocol, reference in dict(baseline.get("finalize", {})).items():
+        floor = (1.0 - max_drop) * float(reference)
+        row = measured.get(protocol)
+        if row is None:
+            failures.append(f"finalize/{protocol}: no measured row "
+                            f"(baseline {float(reference):,.0f} cells/s)")
+        elif float(row["cells_per_s"]) < floor:
+            failures.append(
+                f"finalize/{protocol}: finalize throughput regressed to "
+                f"{float(row['cells_per_s']):,.0f} cells/s (< {floor:,.0f}; "
+                f"baseline {float(reference):,.0f}, max drop {max_drop:.0%})")
     return failures
 
 
@@ -354,6 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.baseline is not None:
             baseline = json.loads(Path(args.baseline).read_text())
             failures += check_throughput_regression(payload, baseline)
+            failures += check_finalize_regression(payload, baseline)
             if args.engine is not None:
                 engine_payload = json.loads(Path(args.engine).read_text())
                 failures += check_engine_regression(engine_payload, baseline)
@@ -377,10 +443,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     payload = run_server_ingest_bench(
         protocols=[p.strip() for p in args.protocols.split(",") if p.strip()],
         num_users=args.num_users, repeats=args.repeats)
+    finalize = run_finalize_bench(repeats=args.repeats)
+    payload["finalize"] = {finalize["protocol"]: finalize}
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     print(format_table(_report_rows(payload),
                        title=f"server ingest, n={args.num_users}, "
                              f"cpu_count={payload['host']['cpu_count']}"))
+    print(format_table([finalize], title="expander-sketch finalize"))
     print(f"\nwrote {args.output}")
     if not all(row["identical_to_offline_engine"]
                for row in payload["results"]):

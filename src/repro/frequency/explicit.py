@@ -4,8 +4,9 @@ Each user randomizes her value *directly* over the domain with one of three
 interchangeable local randomizers, and the server debiases the aggregate:
 
 * ``"hadamard"`` (default) — Hadamard response: O(1) communication per user,
-  constant per-user variance, server decodes with a fast Walsh-Hadamard
-  transform.  This is what the heavy-hitters protocol uses internally.
+  constant per-user variance, server decodes the exact per-row counts with
+  the integer transform :func:`~repro.randomizers.hadamard.hadamard_outputs`.
+  This is what the heavy-hitters protocol uses internally.
 * ``"oue"`` — optimised unary encoding: k bits of communication, minimal
   variance among bit-flipping schemes.
 * ``"krr"`` — generalised (k-ary) randomized response: log k bits of
@@ -26,32 +27,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.frequency.base import FrequencyOracle
+from repro.randomizers.hadamard import fast_walsh_hadamard_transform
 from repro.utils.bits import next_power_of_two
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_domain_element, check_epsilon, check_positive_int
 
-
-def fast_walsh_hadamard_transform(vector: np.ndarray) -> np.ndarray:
-    """Fast Walsh-Hadamard transform (length must be a power of two).
-
-    The input is not modified; the butterflies are applied to a single working
-    copy with one length-n/2 temporary per level, so the transform of a
-    multi-million-entry accumulator stays allocation-light.
-    """
-    vec = np.array(vector, dtype=float, copy=True)
-    n = vec.shape[0]
-    if n & (n - 1):
-        raise ValueError("length must be a power of two")
-    h = 1
-    while h < n:
-        view = vec.reshape(-1, 2 * h)
-        left = view[:, :h]
-        right = view[:, h:]
-        difference = left - right          # one temporary per level
-        left += right                      # in-place: left + right
-        right[:] = difference
-        h *= 2
-    return vec
+__all__ = ["ExplicitHistogramOracle", "fast_walsh_hadamard_transform"]
 
 
 class ExplicitHistogramOracle(FrequencyOracle):

@@ -35,6 +35,7 @@ from repro.protocol.wire import (
     PublicParams,
     ReportBatch,
     ServerAggregator,
+    integer_state,
     kwise_hash_from_dict,
     kwise_hash_to_dict,
     register_protocol,
@@ -169,8 +170,8 @@ class CountMeanSketchAggregator(ServerAggregator):
                 "row_counts": self._row_counts.tolist()}
 
     def _load_state(self, state) -> None:
-        ones = np.asarray(state["ones"], dtype=np.int64)
-        row_counts = np.asarray(state["row_counts"], dtype=np.int64)
+        ones = integer_state(state["ones"])
+        row_counts = integer_state(state["row_counts"])
         if ones.shape != self._ones.shape or \
                 row_counts.shape != self._row_counts.shape:
             raise ValueError("snapshot table shape does not match the "

@@ -16,11 +16,12 @@ parameter/report format:
 
 **Server cost.** One integer accumulator of ``padded`` (hadamard) or ``k``
 (oue/krr) scalars regardless of n; ingestion is O(1) integer additions per
-report, and ``finalize()`` pays one FWHT / debias pass of O(k log k) or
-O(k).  Aggregation is exact integer accumulation (signed counts per
-Hadamard row, per-column one counts, or a value histogram); debiasing
-happens only in ``finalize()``, so shard merges and snapshot/restore are
-bit-exact.
+report.  ``finalize()`` pays O(k) for oue/krr, and O(k log k) for hadamard's
+exact int64 decode :func:`~repro.randomizers.hadamard.hadamard_outputs`,
+whose only float step is the final division by the attenuation.
+Aggregation is exact integer accumulation (signed counts per Hadamard row,
+per-column one counts, or a value histogram); debiasing happens only in
+``finalize()``, so shard merges and snapshot/restore are bit-exact.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ from repro.protocol.wire import (
     Report,
     ReportBatch,
     ServerAggregator,
+    integer_state,
     register_protocol,
 )
+from repro.randomizers.hadamard import hadamard_outputs
 from repro.utils.bits import next_power_of_two
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_epsilon, check_positive_int
@@ -189,7 +192,7 @@ class ExplicitHistogramAggregator(ServerAggregator):
         return {"accumulator": self._accumulator.tolist()}
 
     def _load_state(self, state) -> None:
-        accumulator = np.asarray(state["accumulator"], dtype=np.int64)
+        accumulator = integer_state(state["accumulator"])
         if accumulator.shape != self._accumulator.shape:
             raise ValueError(f"snapshot accumulator has shape "
                              f"{accumulator.shape}, expected "
@@ -203,11 +206,8 @@ class ExplicitHistogramAggregator(ServerAggregator):
         params = self.params
         n = self.num_reports
         if params.randomizer == "hadamard":
-            from repro.frequency.explicit import fast_walsh_hadamard_transform
-            transformed = fast_walsh_hadamard_transform(
-                self._accumulator.astype(float))
-            estimates = transformed / params.attenuation
-            return estimates[1: params.domain_size + 1]
+            return (hadamard_outputs(self._accumulator, params.domain_size)
+                    / params.attenuation)
         return (self._accumulator - n * params.q) / (params.p - params.q)
 
     def finalize(self):

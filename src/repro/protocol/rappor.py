@@ -29,6 +29,7 @@ from repro.protocol.wire import (
     PublicParams,
     ReportBatch,
     ServerAggregator,
+    integer_state,
     kwise_hash_from_dict,
     kwise_hash_to_dict,
     register_protocol,
@@ -147,7 +148,7 @@ class RapporAggregator(ServerAggregator):
         return {"bit_counts": self._bit_counts.tolist()}
 
     def _load_state(self, state) -> None:
-        bit_counts = np.asarray(state["bit_counts"], dtype=np.int64)
+        bit_counts = integer_state(state["bit_counts"])
         if bit_counts.shape != self._bit_counts.shape:
             raise ValueError(f"snapshot has {bit_counts.size} bit counts, "
                              f"expected {self._bit_counts.size}")

@@ -636,3 +636,16 @@ def load_child_state(aggregator: ServerAggregator,
     aggregator._load_state(dict(data["state"]))
     aggregator.num_reports = int(data["num_reports"])
     return aggregator
+
+
+def integer_state(values: object) -> np.ndarray:
+    """Snapshot counters as int64, rejecting (not truncating) ``1.5``-like
+    entries with ``ValueError``; integer input passes through uncopied."""
+    state = np.asarray(values)
+    if state.dtype.kind in "iu":
+        return state.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        exact = state.astype(np.int64)
+    if not np.array_equal(exact, state):
+        raise ValueError("snapshot state has a non-integral entry")
+    return exact

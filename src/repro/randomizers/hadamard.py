@@ -53,6 +53,72 @@ def hadamard_matrix(order: int) -> np.ndarray:
     return matrix
 
 
+def _butterflies(vec: np.ndarray) -> np.ndarray:
+    """In-place unnormalised Walsh-Hadamard transform of a power-of-two vector.
+
+    Radix-4: each pass applies two butterfly levels to the quadruples at
+    stride h, using one n/4 scratch buffer; an odd level count ends with
+    one radix-2 pass over the two halves.
+    """
+    n = vec.shape[0]
+    scratch = np.empty(n // 4, dtype=vec.dtype)
+    h = 1
+    while 4 * h <= n:
+        quad = vec.reshape(-1, 4, h)
+        x0, x1, x2, x3 = quad[:, 0], quad[:, 1], quad[:, 2], quad[:, 3]
+        # comments: the written slot's value in terms of the pass's inputs
+        diff01 = np.subtract(x0, x1, out=scratch.reshape(-1, h))
+        x0 += x1                        # x0 + x1
+        np.add(x2, x3, out=x1)          # x2 + x3
+        np.subtract(x2, x3, out=x3)     # x2 - x3
+        np.subtract(x0, x1, out=x2)     # x0 + x1 - x2 - x3 (final)
+        x0 += x1                        # x0 + x1 + x2 + x3 (final)
+        np.add(diff01, x3, out=x1)      # x0 - x1 + x2 - x3 (final)
+        np.subtract(diff01, x3, out=x3)  # x0 - x1 - x2 + x3 (final)
+        h *= 4
+    if 2 * h == n:
+        left, right = vec[:h], vec[h:]
+        left += right
+        right *= -2
+        right += left                   # (left + right) - 2 right
+    return vec
+
+
+def fast_walsh_hadamard_transform(vector: np.ndarray) -> np.ndarray:
+    """Fast Walsh-Hadamard transform (length must be a power of two).
+
+    Returns a new float array (the butterflies run in place on one copy).
+    """
+    vec = np.array(vector, dtype=float, copy=True)
+    n = vec.shape[0]
+    if n & (n - 1):
+        raise ValueError("length must be a power of two")
+    return _butterflies(vec)
+
+
+def hadamard_outputs(accumulator: np.ndarray, count: int) -> np.ndarray:
+    """Exact int64 outputs ``1..count`` of the Walsh-Hadamard transform.
+
+    ``accumulator`` (signed counts per Hadamard row) has length
+    P = ``next_power_of_two(count + 1)``.  With halves a, b and Q = P/2,
+    outputs 0..Q-1 are FWHT_Q(a + b), and outputs Q..count are FWHT_m of
+    (a - b) summed over blocks of length m = next_power_of_two(count + 1 - Q).
+    Every partial sum is an integer bounded by ``sum(|accumulator|)``, so
+    the result is exact in any summation order.
+    """
+    if accumulator.shape[0] != next_power_of_two(count + 1):
+        raise ValueError(f"accumulator length {accumulator.shape[0]} is not "
+                         f"next_power_of_two({count} + 1)")
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    half = accumulator.shape[0] // 2
+    a, b = accumulator[:half], accumulator[half:]
+    upper = count + 1 - half
+    tail = _butterflies((a - b).reshape(-1, next_power_of_two(upper)).sum(axis=0))
+    head = _butterflies(a + b)
+    return np.concatenate((head[1:], tail[:upper]))
+
+
 class HadamardResponse(LocalRandomizer):
     """Hadamard-response local randomizer over a domain of size k.
 
@@ -123,20 +189,17 @@ class HadamardResponse(LocalRandomizer):
         """Frequency estimates for the whole domain.
 
         The reports are first reduced to one exact signed count per Hadamard
-        row (all ±1 additions, so integer arithmetic is bit-identical to the
-        old per-value float accumulation), then hit with the Sylvester-built
-        matrix in one integer matmul: O(n + K²) instead of the old O(n · k)
-        per-value :meth:`unbiased_frequency` loop.  (K = ``padded_size``;
-        for large domains prefer the FWHT decoding path of
-        :mod:`repro.frequency.explicit`, which never materializes H.)
+        row (all ±1 additions), then decoded by :func:`hadamard_outputs`, the
+        exact integer transform the wire aggregator uses: O(n + K log K)
+        time and O(K) memory (K = ``padded_size``), never materializing H.
+        The integer totals equal the per-value :meth:`unbiased_frequency`
+        sums exactly.
         """
         counts = np.zeros(self.padded_size, dtype=np.int64)
         entries = np.asarray(list(reports), dtype=np.int64).reshape(-1, 2)
         if entries.size:
             np.add.at(counts, entries[:, 0], entries[:, 1])
-        matrix = hadamard_matrix(self.padded_size)
-        totals = counts @ matrix[:, 1:self.domain_size + 1]
-        return totals / self.attenuation
+        return hadamard_outputs(counts, self.domain_size) / self.attenuation
 
     @property
     def estimator_variance_per_user(self) -> float:

@@ -4,7 +4,8 @@ CI runs ``benchmarks/bench_server_ingest.py --check BENCH_server.json
 --baseline BENCH_baseline.json --engine BENCH_engine.json``; these tests
 pin down the gate logic itself — a payload matching baseline passes, a
 payload whose binary ingest throughput collapsed (or whose wire shrink
-regressed below 3×) fails — and run the actual ``--check`` entry point
+regressed below 3×, or whose expander-sketch finalize rate collapsed)
+fails — and run the actual ``--check`` entry point
 against a doctored file, exactly as the CI self-test step does.
 """
 
@@ -18,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 from bench_server_ingest import (  # noqa: E402 - path set up above
     check_engine_regression,
+    check_finalize_regression,
     check_throughput_regression,
     check_wire_shrink,
     main,
@@ -28,6 +30,7 @@ BASELINE = {
     "max_drop": 0.40,
     "server": {"hashtogram": {"binary": 20_000_000, "json": 5_000_000}},
     "engine": {"hashtogram": 4_000_000},
+    "finalize": {"expander_sketch": 14_000_000},
 }
 
 
@@ -95,6 +98,34 @@ class TestEngineGate:
         assert any("no measured 1-worker row" in f for f in failures)
 
 
+def _finalize_payload(rate=14_000_000):
+    return dict(_server_payload(), finalize={
+        "expander_sketch": {"protocol": "expander_sketch",
+                            "cells_per_s": rate}})
+
+
+class TestFinalizeGate:
+    def test_matching_baseline_passes(self):
+        assert check_finalize_regression(_finalize_payload(), BASELINE) == []
+
+    def test_collapsed_throughput_fails(self):
+        # the float transform this floor guards against ran ~2.5x slower
+        failures = check_finalize_regression(
+            _finalize_payload(rate=5_600_000), BASELINE)
+        assert len(failures) == 1
+        assert "finalize/expander_sketch" in failures[0]
+        assert "regressed" in failures[0]
+
+    def test_missing_protocol_row_fails(self):
+        payload = dict(_server_payload(), finalize={"other": {
+            "protocol": "other", "cells_per_s": 1}})
+        failures = check_finalize_regression(payload, BASELINE)
+        assert any("no measured row" in f for f in failures)
+
+    def test_payload_without_finalize_section_is_not_gated(self):
+        assert check_finalize_regression(_server_payload(), BASELINE) == []
+
+
 class TestWireShrinkGate:
     def test_healthy_shrink_passes(self):
         assert check_wire_shrink(_server_payload()) == []
@@ -121,6 +152,7 @@ class TestCheckEntryPoint:
         assert "hashtogram" in baseline["server"]
         assert "binary" in baseline["server"]["hashtogram"]
         assert "hashtogram" in baseline["engine"]
+        assert float(baseline["finalize"]["expander_sketch"]) > 0
 
     def test_doctored_payload_fails_check(self, tmp_path, committed_baseline,
                                           capsys):
@@ -143,6 +175,26 @@ class TestCheckEntryPoint:
         path.write_text(json.dumps(healthy))
         assert main(["--check", str(path),
                      "--baseline", str(committed_baseline)]) == 0
+
+    def test_doctored_finalize_fails_check(self, tmp_path, committed_baseline,
+                                           capsys):
+        baseline = json.loads(committed_baseline.read_text())
+        healthy = _server_payload(
+            binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])),
+            json_rate=int(float(baseline["server"]["hashtogram"]["json"])))
+        reference = float(baseline["finalize"]["expander_sketch"])
+        healthy["finalize"] = {"expander_sketch": {
+            "protocol": "expander_sketch", "cells_per_s": int(reference)}}
+        path = tmp_path / "BENCH_finalize.json"
+        path.write_text(json.dumps(healthy))
+        assert main(["--check", str(path),
+                     "--baseline", str(committed_baseline)]) == 0
+        healthy["finalize"]["expander_sketch"]["cells_per_s"] = int(
+            reference * 0.05)
+        path.write_text(json.dumps(healthy))
+        assert main(["--check", str(path),
+                     "--baseline", str(committed_baseline)]) == 1
+        assert "finalize/expander_sketch" in capsys.readouterr().err
 
     def test_engine_requires_baseline(self, tmp_path):
         path = tmp_path / "BENCH.json"

@@ -10,8 +10,12 @@ collects the invariants that tie several components together:
 * local randomizers never exceed their declared ε on enumerable spaces;
 * frequency-oracle estimates are finite and anchored near the truth for
   deterministic (single-value) databases;
-* heavy-hitter scoring is consistent with exhaustive recomputation.
+* heavy-hitter scoring is consistent with exhaustive recomputation;
+* the exact integer Hadamard decode equals the old float transform bit for
+  bit, on every padded length up to 2^12 and on the benchmarked shape.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,8 +26,11 @@ from repro.codes.list_recoverable import UniqueListRecoverableCode
 from repro.codes.reed_solomon import ReedSolomonCode
 from repro.frequency.explicit import ExplicitHistogramOracle
 from repro.hashing.kwise import KWiseHashFamily
+from repro.protocol.explicit import ExplicitHistogramParams
+from repro.randomizers.hadamard import hadamard_outputs
 from repro.randomizers.randomized_response import KaryRandomizedResponse
 from repro.structure.composed_rr import ApproximateComposedRandomizedResponse
+from repro.utils.bits import next_power_of_two
 
 
 RS_CODE = ReedSolomonCode.for_domain(domain_size=1 << 16, num_chunks=8, rate=0.5)
@@ -353,3 +360,88 @@ def test_elastic_membership_matches_offline_engine(name, params, data):
     # tombstones never shrink and never collide with live ids
     assert not set(final_map.retired) & set(final_map.shard_ids)
     assert final_map.next_id > max(final_map.shard_ids)
+
+
+# --------------------------------------------------------------------------------------
+# exact integer Hadamard decode == the old float transform, bit for bit
+# --------------------------------------------------------------------------------------
+
+def _reference_fwht(vector):
+    """Test-only oracle: the level-by-level float butterfly the decoder replaced."""
+    vec = np.array(vector, dtype=float, copy=True)
+    n = vec.shape[0]
+    h = 1
+    while h < n:
+        view = vec.reshape(-1, 2 * h)
+        left = view[:, :h]
+        right = view[:, h:]
+        difference = left - right
+        left += right
+        right[:] = difference
+        h *= 2
+    return vec
+
+
+def _assert_decode_bit_identical(accumulator, domain_size, epsilon=1.0):
+    """Old float decode vs ``hadamard_outputs`` and the aggregator's histogram."""
+    attenuation = (math.exp(epsilon) - 1.0) / (math.exp(epsilon) + 1.0)
+    old = _reference_fwht(accumulator)[1:domain_size + 1] / attenuation
+    new = hadamard_outputs(accumulator, domain_size) / attenuation
+    assert new.dtype == old.dtype and np.array_equal(new, old)
+    if domain_size:
+        aggregator = ExplicitHistogramParams(domain_size,
+                                             epsilon).make_aggregator()
+        aggregator._accumulator = accumulator
+        assert np.array_equal(aggregator.histogram(), old)
+
+
+def _accumulator(domain_size, seed, bits):
+    """Random signed counts with sum(|x|) < 2^53, as ``bits``-bit draws give."""
+    size = next_power_of_two(domain_size + 1)
+    bound = 1 << bits
+    return np.random.default_rng(seed).integers(-bound, bound + 1, size=size)
+
+
+@given(domain_size=st.integers(min_value=0, max_value=(1 << 12) - 1),
+       seed=st.integers(min_value=0, max_value=2**31 - 1),
+       bits=st.integers(min_value=0, max_value=40),
+       epsilon=st.floats(min_value=0.05, max_value=8.0))
+@settings(max_examples=200, deadline=None)
+def test_integer_hadamard_decode_is_bit_identical(domain_size, seed, bits,
+                                                  epsilon):
+    _assert_decode_bit_identical(_accumulator(domain_size, seed, bits),
+                                 domain_size, epsilon)
+
+
+def test_integer_hadamard_decode_every_shape_up_to_4096():
+    """Every P in 1..2^12 and every D with next_power_of_two(D+1) == P."""
+    for domain_size in range(1 << 12):
+        accumulator = _accumulator(domain_size, domain_size, 30)
+        old = _reference_fwht(accumulator)[1:domain_size + 1]
+        assert np.array_equal(hadamard_outputs(accumulator, domain_size), old)
+
+
+@pytest.mark.parametrize("domain_size", [
+    0, 1,                                # P < 4 (P = 1, 2)
+    3, 7, 15, 1023, 4095,                # D+1 == P: a fold of width P/2
+    2, 4, 8, 16, 1024, 2048,             # D+1 == P/2+1: a one-output fold
+])
+@pytest.mark.parametrize("zero", [False, True], ids=["random", "all_zero"])
+def test_integer_hadamard_decode_edge_shapes(domain_size, zero):
+    accumulator = _accumulator(domain_size, 11, 35)
+    if zero:
+        accumulator[:] = 0
+    _assert_decode_bit_identical(accumulator, domain_size)
+
+
+def test_integer_hadamard_decode_expander_sketch_shape():
+    """One 2^21-row accumulator at D = 7*16*256*37, the benchmarked shape."""
+    domain_size = 7 * 16 * 256 * 37
+    accumulator = _accumulator(domain_size, 5, 20)
+    assert accumulator.size == 1 << 21
+    _assert_decode_bit_identical(accumulator, domain_size)
+
+
+def test_integer_hadamard_decode_rejects_wrong_length():
+    with pytest.raises(ValueError, match="next_power_of_two"):
+        hadamard_outputs(np.zeros(16, dtype=np.int64), 7)

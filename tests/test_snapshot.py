@@ -141,6 +141,54 @@ class TestAggregatorSnapshotRoundTrip:
             ServerAggregator.from_snapshot(payload)
 
 
+def _with_fraction(payload, key):
+    """``payload`` with one entry of ``state[key]`` made non-integral."""
+    values = list(payload["state"][key])
+    values[0] = values[0] + 1.5
+    payload["state"][key] = values
+    return payload
+
+
+class TestRestoreRejectsNonIntegralState:
+    """A restore must not truncate ``1.5`` to ``1``: the state is exact counts."""
+
+    @pytest.mark.parametrize("randomizer", ["hadamard", "oue", "krr"])
+    def test_explicit(self, randomizer):
+        params = ExplicitHistogramParams(16, 1.0, randomizer)
+        payload = _with_fraction(params.make_aggregator().snapshot(),
+                                 "accumulator")
+        with pytest.raises(ValueError, match="non-integral"):
+            ServerAggregator.from_snapshot(payload)
+
+    def test_rappor(self):
+        params = RapporParams.create(64, 2.0, num_bits=16, rng=0)
+        payload = _with_fraction(params.make_aggregator().snapshot(),
+                                 "bit_counts")
+        with pytest.raises(ValueError, match="non-integral"):
+            ServerAggregator.from_snapshot(payload)
+
+    @pytest.mark.parametrize("key", ["ones", "row_counts"])
+    def test_count_mean_sketch(self, key):
+        params = CountMeanSketchParams.create(DOMAIN, 1.0, num_hashes=4,
+                                              num_buckets=16, rng=0)
+        payload = params.make_aggregator().snapshot()
+        state = payload["state"]
+        state[key] = (np.asarray(state[key], dtype=float) + 0.25).tolist()
+        with pytest.raises(ValueError, match="non-integral"):
+            ServerAggregator.from_snapshot(payload)
+
+    def test_integral_floats_still_restore(self):
+        params = ExplicitHistogramParams(16, 1.0)
+        aggregator = params.make_aggregator()
+        aggregator.absorb_batch(params.make_encoder().encode_batch(
+            np.arange(16), np.random.default_rng(0)))
+        payload = aggregator.snapshot()
+        payload["state"]["accumulator"] = [
+            float(x) for x in payload["state"]["accumulator"]]
+        restored = ServerAggregator.from_snapshot(payload)
+        assert np.array_equal(restored.histogram(), aggregator.histogram())
+
+
 class TestWindowedAggregator:
     def _params(self):
         return ExplicitHistogramParams(64, 1.0, "krr")
