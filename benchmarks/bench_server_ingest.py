@@ -22,8 +22,11 @@ the assertions in ``main``), or — against the committed
 ingest throughput drops more than 40% below baseline (engine numbers are
 gated the same way via ``--engine``).  The same payload carries a
 ``finalize`` section: PrivateExpanderSketch's server finalize at n=400k,
-D=2^20, ε=1, in decoded stage-1 cells per second, gated by the same
-``max_drop`` rule against the baseline's ``finalize`` floor.
+D=2^20, ε=1, in decoded stage-1 cells per second, and a ``checkpoint``
+section: the body of a shard checkpoint on the same aggregate (windowed
+array capture plus ``pack_state``), in state cells per second.  Both are
+gated by the same ``max_drop`` rule against the baseline's ``finalize``
+and ``checkpoint`` floors.
 
 Client-side encoding and frame serialization are done *before* the clock
 starts (a deployment's clients encode on their own devices); the timed path
@@ -59,7 +62,8 @@ WIRE_FORMATS = ("json", "binary")
 #: CI gate: binary frames must be at least this many times smaller on the
 #: wire than the b64-JSON frames for the same batches
 MIN_WIRE_SHRINK = 3.0
-#: the finalize floor's shape: PrivateExpanderSketch with planted heavy hitters
+#: the finalize and checkpoint floors' shape: PrivateExpanderSketch with
+#: planted heavy hitters
 FINALIZE_USERS = 400_000
 FINALIZE_DOMAIN = 1 << 20
 FINALIZE_EPSILON = 1.0
@@ -172,17 +176,12 @@ def run_server_ingest_bench(protocols: Sequence[str] = ("hashtogram",),
     }
 
 
-def run_finalize_bench(repeats: int = 3) -> Dict[str, object]:
-    """Time ``ExpanderSketchAggregator.finalize`` in decoded cells/s.
-
-    The aggregate is built once (``run_simulation``, untimed); each repeat
-    finalizes it from scratch and ``finalize_s`` is the best of
-    ``repeats``.  Decoded cells are the Hadamard outputs of every stage-1
-    coordinate accumulator (``num_coordinates * num_cells``), the work
-    that dominates finalize.
-    """
+def _expander_aggregate():
+    """The finalize/checkpoint shape's params and windowed aggregate (one
+    epoch), built once by streaming the encoded reports (untimed)."""
     from repro.core.heavy_hitters import PrivateExpanderSketch
-    from repro.engine import run_simulation
+    from repro.engine import encode_stream
+    from repro.server.window import WindowedAggregator
     from repro.workloads.distributions import planted_workload
 
     gen = np.random.default_rng(SEED)
@@ -190,16 +189,53 @@ def run_finalize_bench(repeats: int = 3) -> Dict[str, object]:
                               FINALIZE_HEAVY_FRACTIONS, rng=gen).values
     params = PrivateExpanderSketch(FINALIZE_DOMAIN, FINALIZE_EPSILON
                                    ).public_params(FINALIZE_USERS, rng=gen)
-    aggregator = run_simulation(params, values, rng=gen).aggregator
+    windowed = WindowedAggregator(params)
+    for batch in encode_stream(params, values, rng=gen):
+        windowed.absorb_batch(batch)
+    return params, windowed
+
+
+def _best_s(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        aggregator.finalize()
+        fn()
         best = min(best, time.perf_counter() - start)
+    return best
+
+
+def run_finalize_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
+    """Time ``ExpanderSketchAggregator.finalize`` in decoded cells/s.
+
+    Each repeat finalizes the aggregate from scratch and ``finalize_s`` is
+    the best of ``repeats``.  Decoded cells are the Hadamard outputs of
+    every stage-1 coordinate accumulator (``num_coordinates *
+    num_cells``), the work that dominates finalize.
+    """
+    params, windowed = aggregate
+    best = _best_s(windowed.merged().finalize, repeats)
     cells = params.params.num_coordinates * params.num_cells
     return {"protocol": "expander_sketch", "num_users": FINALIZE_USERS,
             "domain_size": FINALIZE_DOMAIN, "epsilon": FINALIZE_EPSILON,
             "decoded_cells": int(cells), "finalize_s": round(best, 4),
+            "cells_per_s": int(cells / max(best, 1e-9))}
+
+
+def run_checkpoint_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
+    """Time a shard checkpoint's body in state cells/s.
+
+    The body is what the server runs per ``snapshot`` frame before the
+    disk write: the windowed array capture plus ``pack_state`` into the
+    binary container.  ``checkpoint_s`` is the best of ``repeats``.
+    """
+    from repro.protocol.binary import pack_state
+
+    _, windowed = aggregate
+    best = _best_s(lambda: pack_state(windowed.capture()), repeats)
+    cells = windowed.state_size
+    return {"protocol": "expander_sketch", "num_users": FINALIZE_USERS,
+            "domain_size": FINALIZE_DOMAIN, "epsilon": FINALIZE_EPSILON,
+            "state_cells": int(cells), "checkpoint_s": round(best, 4),
             "cells_per_s": int(cells / max(best, 1e-9))}
 
 
@@ -271,30 +307,44 @@ def check_engine_regression(payload: Dict[str, object],
     return failures
 
 
-def check_finalize_regression(payload: Dict[str, object],
-                              baseline: Dict[str, object],
-                              max_drop: float = None) -> List[str]:
-    """Gate the payload's ``finalize`` rows (decoded cells/s) against the
-    baseline's ``finalize`` floors.  A payload with no ``finalize`` section
-    is not gated on it; :func:`main` always writes one."""
+def _check_cells_regression(section: str, payload: Dict[str, object],
+                            baseline: Dict[str, object],
+                            max_drop: Optional[float]) -> List[str]:
+    """Gate the payload's ``section`` rows (cells/s) against the baseline's
+    ``section`` floors.  A payload without the section is not gated on it;
+    :func:`main` always writes one."""
     if max_drop is None:
         max_drop = float(baseline.get("max_drop", MAX_THROUGHPUT_DROP))
-    measured = dict(payload.get("finalize", {}))
+    measured = dict(payload.get(section, {}))
     if not measured:
         return []
     failures = []
-    for protocol, reference in dict(baseline.get("finalize", {})).items():
+    for protocol, reference in dict(baseline.get(section, {})).items():
         floor = (1.0 - max_drop) * float(reference)
         row = measured.get(protocol)
         if row is None:
-            failures.append(f"finalize/{protocol}: no measured row "
+            failures.append(f"{section}/{protocol}: no measured row "
                             f"(baseline {float(reference):,.0f} cells/s)")
         elif float(row["cells_per_s"]) < floor:
             failures.append(
-                f"finalize/{protocol}: finalize throughput regressed to "
+                f"{section}/{protocol}: {section} throughput regressed to "
                 f"{float(row['cells_per_s']):,.0f} cells/s (< {floor:,.0f}; "
                 f"baseline {float(reference):,.0f}, max drop {max_drop:.0%})")
     return failures
+
+
+def check_finalize_regression(payload: Dict[str, object],
+                              baseline: Dict[str, object],
+                              max_drop: float = None) -> List[str]:
+    """Gate the ``finalize`` rows (decoded stage-1 cells/s)."""
+    return _check_cells_regression("finalize", payload, baseline, max_drop)
+
+
+def check_checkpoint_regression(payload: Dict[str, object],
+                                baseline: Dict[str, object],
+                                max_drop: float = None) -> List[str]:
+    """Gate the ``checkpoint`` rows (captured and packed state cells/s)."""
+    return _check_cells_regression("checkpoint", payload, baseline, max_drop)
 
 
 def check_transport_regression(payload: Dict[str, object],
@@ -420,6 +470,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             baseline = json.loads(Path(args.baseline).read_text())
             failures += check_throughput_regression(payload, baseline)
             failures += check_finalize_regression(payload, baseline)
+            failures += check_checkpoint_regression(payload, baseline)
             if args.engine is not None:
                 engine_payload = json.loads(Path(args.engine).read_text())
                 failures += check_engine_regression(engine_payload, baseline)
@@ -443,13 +494,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     payload = run_server_ingest_bench(
         protocols=[p.strip() for p in args.protocols.split(",") if p.strip()],
         num_users=args.num_users, repeats=args.repeats)
-    finalize = run_finalize_bench(repeats=args.repeats)
+    aggregate = _expander_aggregate()
+    finalize = run_finalize_bench(aggregate, args.repeats)
+    checkpoint = run_checkpoint_bench(aggregate, args.repeats)
     payload["finalize"] = {finalize["protocol"]: finalize}
+    payload["checkpoint"] = {checkpoint["protocol"]: checkpoint}
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     print(format_table(_report_rows(payload),
                        title=f"server ingest, n={args.num_users}, "
                              f"cpu_count={payload['host']['cpu_count']}"))
     print(format_table([finalize], title="expander-sketch finalize"))
+    print(format_table([checkpoint], title="expander-sketch checkpoint"))
     print(f"\nwrote {args.output}")
     if not all(row["identical_to_offline_engine"]
                for row in payload["results"]):

@@ -401,7 +401,6 @@ def _cmd_serve(args) -> int:
             return 2
         server = AggregationServer.restore(args.restore,
                                            snapshot_dir=args.snapshot_dir,
-                                           snapshot_format=args.snapshot_format,
                                            wire_formats=wire_formats)
         if args.window is not None:
             # Operator override: tighten (or widen) retention on restart.
@@ -416,7 +415,6 @@ def _cmd_serve(args) -> int:
                                         rng=args.seed)
         server = AggregationServer(params, window=args.window,
                                    snapshot_dir=args.snapshot_dir,
-                                   snapshot_format=args.snapshot_format,
                                    wire_formats=wire_formats)
 
     shm_name = args.shm_name
@@ -486,7 +484,6 @@ def _cmd_serve_cluster(args) -> int:
     supervisor = ClusterSupervisor(params, args.shards, base_dir,
                                    window=args.window,
                                    wire_format=args.wire_format,
-                                   snapshot_format=args.snapshot_format,
                                    transport=args.transport)
     try:
         supervisor.start()
@@ -1226,11 +1223,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--snapshot-dir", default=None,
                               help="directory for durable snapshots "
                                    "(enables the snapshot frame)")
-    serve_parser.add_argument("--snapshot-format", default="json",
-                              choices=["json", "binary"],
-                              help="on-disk snapshot encoding (restore "
-                                   "sniffs the format, so either kind of "
-                                   "file restores)")
     serve_parser.add_argument("--wire-format", default="both",
                               choices=["json", "binary", "both"],
                               help="reports frame formats to accept "
@@ -1289,9 +1281,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="cluster home on disk (params file + "
                                      "one snapshot dir per shard; default: "
                                      "a fresh temp directory)")
-    cluster_parser.add_argument("--snapshot-format", default="json",
-                                choices=["json", "binary"],
-                                help="shard snapshot encoding")
     cluster_parser.add_argument("--wire-format", default="both",
                                 choices=["json", "binary", "both"],
                                 help="reports frame formats the router and "

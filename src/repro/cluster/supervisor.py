@@ -127,7 +127,7 @@ class ClusterSupervisor:
     base_dir:
         Home of the cluster on disk: the shared params file plus one
         ``shard-K`` snapshot directory per shard.
-    window / wire_format / snapshot_format:
+    window / wire_format:
         Passed through to every shard's ``serve`` invocation.
     transport:
         ``"tcp"`` (default) or ``"shm"``.  With ``"shm"`` every spawned
@@ -150,7 +150,6 @@ class ClusterSupervisor:
         *,
         window: Optional[int] = None,
         wire_format: str = "both",
-        snapshot_format: str = "json",
         transport: str = "tcp",
     ) -> None:
         if num_shards < 1:
@@ -163,7 +162,6 @@ class ClusterSupervisor:
         self.base_dir = Path(base_dir)
         self.window = window
         self.wire_format = wire_format
-        self.snapshot_format = snapshot_format
         self.transport = transport
         ClusterSupervisor._instances += 1
         #: shm ring-name prefix: unique per (process, supervisor) so stale
@@ -192,8 +190,6 @@ class ClusterSupervisor:
         args = [
             "--snapshot-dir",
             str(shard_dir),
-            "--snapshot-format",
-            self.snapshot_format,
             "--wire-format",
             self.wire_format,
         ]
@@ -215,8 +211,7 @@ class ClusterSupervisor:
         restored (:meth:`SnapshotStore.latest_valid`).
         """
         shard_dir = self.base_dir / f"shard-{index}"
-        store = SnapshotStore(shard_dir, format=self.snapshot_format)
-        latest = store.latest_valid()
+        latest = SnapshotStore(shard_dir).latest_valid()
         if latest is not None:
             extra = ["--restore", str(latest),
                      *self._serve_args(index, shard_dir)]

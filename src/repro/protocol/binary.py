@@ -529,14 +529,15 @@ def _extract_arrays(obj, columns: List[np.ndarray]):
 def pack_state(payload) -> bytes:
     """Serialize a (nested) state payload into one binary container.
 
-    The payload is any JSON-ready structure — the output of
-    ``ServerAggregator.snapshot()`` / ``WindowedAggregator.snapshot()`` or
-    a ``child_state`` record.  Integer arrays and integer lists are pulled
-    out into the binary column table (narrowed to their value range); the
-    remaining skeleton ships as compact JSON.  :func:`unpack_state`
-    restores the structure with ``int64`` arrays in place of the extracted
-    lists — every consumer (``restore``, ``_load_state``) normalizes
-    through ``np.asarray``, so the round trip is bit-exact.
+    The payload is any JSON-ready structure, integer state as arrays or
+    lists — a ``child_state`` record, ``WindowedAggregator.capture()``, or
+    a ``snapshot()``.  Integer arrays and integer lists are pulled out
+    into the binary column table (narrowed to their value range, so an
+    array and its ``tolist()`` pack alike); the remaining skeleton ships as
+    compact JSON.  :func:`unpack_state` restores the structure with
+    ``int64`` arrays in place of the extracted columns — every consumer
+    (``restore``, ``_load_state``) normalizes through ``np.asarray``, so
+    the round trip is bit-exact.
     """
     columns: List[np.ndarray] = []
     skeleton = json.dumps(_extract_arrays(payload, columns),

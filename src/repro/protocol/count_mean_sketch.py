@@ -166,8 +166,8 @@ class CountMeanSketchAggregator(ServerAggregator):
     # ----- snapshots ----------------------------------------------------------------
 
     def _state_dict(self):
-        return {"ones": self._ones.tolist(),
-                "row_counts": self._row_counts.tolist()}
+        return {"ones": self._ones.copy(),
+                "row_counts": self._row_counts.copy()}
 
     def _load_state(self, state) -> None:
         ones = integer_state(state["ones"])

@@ -189,7 +189,7 @@ class ExplicitHistogramAggregator(ServerAggregator):
     # ----- snapshots ----------------------------------------------------------------
 
     def _state_dict(self):
-        return {"accumulator": self._accumulator.tolist()}
+        return {"accumulator": self._accumulator.copy()}
 
     def _load_state(self, state) -> None:
         accumulator = integer_state(state["accumulator"])

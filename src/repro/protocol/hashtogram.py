@@ -41,6 +41,7 @@ from repro.protocol.wire import (
     PublicParams,
     ReportBatch,
     ServerAggregator,
+    check_assignment,
     child_state,
     kwise_hash_from_dict,
     kwise_hash_to_dict,
@@ -210,7 +211,8 @@ class HashtogramAggregator(ServerAggregator):
                        for _ in range(params.num_repetitions)]
 
     def _absorb_columns(self, batch: ReportBatch) -> None:
-        reps = np.asarray(batch.columns["repetition"], dtype=np.int64)
+        reps = check_assignment(batch.columns["repetition"],
+                                self.params.num_repetitions, "repetition")
         inner_columns = {key: col for key, col in batch.columns.items()
                          if key != "repetition"}
         for t in range(self.params.num_repetitions):
@@ -240,6 +242,12 @@ class HashtogramAggregator(ServerAggregator):
                              f"expected {len(self._inner)}")
         for aggregator, payload in zip(self._inner, inner, strict=True):
             load_child_state(aggregator, payload)
+
+    def _check_num_reports(self, num_reports: int) -> None:
+        inner = sum(agg.num_reports for agg in self._inner)
+        if inner != num_reports:
+            raise ValueError(f"snapshot repetitions hold {inner} reports, "
+                             f"expected num_reports={num_reports}")
 
     # ----- estimation ---------------------------------------------------------------
 

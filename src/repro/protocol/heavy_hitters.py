@@ -56,6 +56,7 @@ from repro.protocol.wire import (
     PublicParams,
     ReportBatch,
     ServerAggregator,
+    check_assignment,
     child_state,
     kwise_hash_from_dict,
     kwise_hash_to_dict,
@@ -103,6 +104,17 @@ def final_subbatch(batch: ReportBatch, final_protocol: str) -> ReportBatch:
                        {key[len(_FINAL_PREFIX):]: col
                         for key, col in batch.columns.items()
                         if key.startswith(_FINAL_PREFIX)})
+
+
+def _check_two_stage_counts(stage1: Sequence[ServerAggregator],
+                           final: ServerAggregator, num_reports: int) -> None:
+    """Every report lands in one stage-1 child and in the final oracle, so
+    a loaded two-stage state must hold ``num_reports`` in both stages."""
+    first = sum(agg.num_reports for agg in stage1)
+    if first != num_reports or final.num_reports != num_reports:
+        raise ValueError(f"snapshot stages hold {first} (stage 1) and "
+                         f"{final.num_reports} (final) reports, expected "
+                         f"num_reports={num_reports}")
 
 
 def append_coordinate_lists(oracle, group_size: int, coordinate: int,
@@ -368,7 +380,9 @@ class ExpanderSketchAggregator(ServerAggregator):
         self._final = params.final.make_aggregator()
 
     def _absorb_columns(self, batch: ReportBatch) -> None:
-        coordinates = np.asarray(batch.columns["coordinate"], dtype=np.int64)
+        coordinates = check_assignment(batch.columns["coordinate"],
+                                       self.params.params.num_coordinates,
+                                       "coordinate")
         for m in range(self.params.params.num_coordinates):
             mask = coordinates == m
             if mask.any():
@@ -400,6 +414,9 @@ class ExpanderSketchAggregator(ServerAggregator):
         for aggregator, payload in zip(self._stage1, stage1, strict=True):
             load_child_state(aggregator, payload)
         load_child_state(self._final, dict(state["final"]))
+
+    def _check_num_reports(self, num_reports: int) -> None:
+        _check_two_stage_counts(self._stage1, self._final, num_reports)
 
     # ----- finalization -------------------------------------------------------------
 
@@ -620,7 +637,8 @@ class SingleHashAggregator(ServerAggregator):
         self._final = params.final.make_aggregator()
 
     def _absorb_columns(self, batch: ReportBatch) -> None:
-        groups = np.asarray(batch.columns["group"], dtype=np.int64)
+        groups = check_assignment(batch.columns["group"],
+                                  self.params.num_groups, "group")
         for g in range(self.params.num_groups):
             mask = groups == g
             if mask.any():
@@ -651,6 +669,9 @@ class SingleHashAggregator(ServerAggregator):
         for aggregator, payload in zip(self._stage1, stage1, strict=True):
             load_child_state(aggregator, payload)
         load_child_state(self._final, dict(state["final"]))
+
+    def _check_num_reports(self, num_reports: int) -> None:
+        _check_two_stage_counts(self._stage1, self._final, num_reports)
 
     # ----- finalization -------------------------------------------------------------
 

@@ -145,7 +145,7 @@ class RapporAggregator(ServerAggregator):
     # ----- snapshots ----------------------------------------------------------------
 
     def _state_dict(self):
-        return {"bit_counts": self._bit_counts.tolist()}
+        return {"bit_counts": self._bit_counts.copy()}
 
     def _load_state(self, state) -> None:
         bit_counts = integer_state(state["bit_counts"])

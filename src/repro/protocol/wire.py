@@ -26,7 +26,8 @@ shard aggregators reproduces single-server aggregation *bit for bit*.  The
 same exact-integer state powers **durable snapshots**: ``snapshot()`` emits
 a JSON-safe checkpoint (parameters + report count + state) and
 ``from_snapshot()`` rebuilds an aggregator that finalizes bit-identically —
-the crash-recovery primitive of :mod:`repro.server`.
+the crash-recovery primitive of :mod:`repro.server`.  Internally the state
+stays int64 arrays; only ``snapshot()`` makes lists (:func:`json_safe`).
 
 The legacy one-shot ``FrequencyOracle.collect(values)`` /
 ``HeavyHitterProtocol.run(values)`` entry points are retained as thin
@@ -69,6 +70,7 @@ __all__ = [
     "kwise_hash_from_dict",
     "sign_hash_to_dict",
     "sign_hash_from_dict",
+    "json_safe",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
 ]
@@ -536,13 +538,13 @@ class ServerAggregator(abc.ABC):
         can write it to disk, crash, and rebuild an aggregator that
         finalizes **bit-identically** via :meth:`from_snapshot` — integers
         survive JSON exactly, and no floating-point value is ever part of
-        the state.
+        the state.  This is the one place the state arrays become lists.
         """
         return {"format": SNAPSHOT_FORMAT,
                 "version": SNAPSHOT_VERSION,
                 "params": self.params.to_dict(),
                 "num_reports": int(self.num_reports),
-                "state": self._state_dict()}
+                "state": json_safe(self._state_dict())}
 
     @staticmethod
     def from_snapshot(data: Dict[str, object]) -> "ServerAggregator":
@@ -551,17 +553,9 @@ class ServerAggregator(abc.ABC):
         Dispatches on the embedded parameters' ``protocol`` tag, so any
         registered protocol restores through this one entry point.
         """
-        if data.get("format") != SNAPSHOT_FORMAT:
-            raise ValueError(f"not an aggregator snapshot: "
-                             f"format={data.get('format')!r}")
-        version = int(data.get("version", 0))
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version} "
-                             f"(expected {SNAPSHOT_VERSION})")
-        params = PublicParams.from_dict(dict(data["params"]))
-        aggregator = params.make_aggregator()
-        aggregator.restore(data)
-        return aggregator
+        params = snapshot_params(data, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
+                                 "an aggregator")
+        return params.make_aggregator().restore(data)
 
     def restore(self, data: Dict[str, object]) -> "ServerAggregator":
         """Load a snapshot into this (freshly built) aggregator in place.
@@ -570,24 +564,24 @@ class ServerAggregator(abc.ABC):
         state produced under different public randomness would silently
         decode garbage.  Returns ``self``.
         """
-        if data.get("format") != SNAPSHOT_FORMAT:
-            raise ValueError(f"not an aggregator snapshot: "
-                             f"format={data.get('format')!r}")
-        snapshot_params = PublicParams.from_dict(dict(data["params"]))
-        if snapshot_params != self.params:
+        if snapshot_params(data, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
+                           "an aggregator") != self.params:
             raise ValueError("cannot restore a snapshot taken under different "
                              "public parameters")
-        self._load_state(dict(data["state"]))
-        self.num_reports = int(data["num_reports"])
-        return self
+        return _load_counted(self, data["state"], data["num_reports"])
 
     @abc.abstractmethod
     def _state_dict(self) -> Dict[str, object]:
-        """Subclass hook: JSON-safe dictionary of the exact integer state."""
+        """Subclass hook: the exact integer state as owned int64 array
+        copies — never views: a capture is packed later, absorbs go on."""
 
     @abc.abstractmethod
     def _load_state(self, state: Dict[str, object]) -> None:
         """Subclass hook: overwrite the state with :meth:`_state_dict` output."""
+
+    def _check_num_reports(self, num_reports: int) -> None:
+        """Hook: reject a loaded report count the loaded state contradicts
+        (composites: the children's counts must add up)."""
 
     # ----- finalization -------------------------------------------------------------
 
@@ -618,13 +612,27 @@ def merge_aggregators(aggregators: Sequence[ServerAggregator]) -> ServerAggregat
     return merged
 
 
+def snapshot_params(data: Dict[str, object], format: str, version: int,
+                    kind: str) -> PublicParams:
+    """The parameters of a snapshot payload, once its format tag and
+    version are checked (``ValueError`` otherwise)."""
+    if data.get("format") != format:
+        raise ValueError(f"not {kind} snapshot: "
+                         f"format={data.get('format')!r}")
+    found = int(data.get("version", 0))
+    if found != version:
+        raise ValueError(f"unsupported {kind} snapshot version {found} "
+                         f"(expected {version})")
+    return PublicParams.from_dict(dict(data["params"]))
+
+
 def child_state(aggregator: ServerAggregator) -> Dict[str, object]:
     """Snapshot payload of a *nested* aggregator (state + count, no params).
 
     Composite aggregators (Hashtogram's per-repetition inner accumulators,
     the heavy-hitters stage-1 arrays) embed their children with this helper:
     the children's parameters are derivable from the parent's, so only the
-    integer state and the report count are stored.
+    integer state (owned int64 array copies) and the report count are stored.
     """
     return {"num_reports": int(aggregator.num_reports),
             "state": aggregator._state_dict()}
@@ -633,9 +641,41 @@ def child_state(aggregator: ServerAggregator) -> Dict[str, object]:
 def load_child_state(aggregator: ServerAggregator,
                      data: Dict[str, object]) -> ServerAggregator:
     """Inverse of :func:`child_state`: load a nested payload in place."""
-    aggregator._load_state(dict(data["state"]))
-    aggregator.num_reports = int(data["num_reports"])
+    return _load_counted(aggregator, data["state"], data["num_reports"])
+
+
+def _load_counted(aggregator: ServerAggregator, state: object,
+                  num_reports: object) -> ServerAggregator:
+    """Load ``state`` and its report count into a fresh aggregator,
+    rejecting a negative count or one the state contradicts."""
+    count = int(num_reports)
+    if count < 0:
+        raise ValueError(f"snapshot num_reports={count} is negative")
+    aggregator._load_state(dict(state))
+    aggregator._check_num_reports(count)
+    aggregator.num_reports = count
     return aggregator
+
+
+def json_safe(payload: object) -> object:
+    """``payload`` with every numpy array turned into (nested) int lists."""
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {key: json_safe(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [json_safe(value) for value in payload]
+    return payload
+
+
+def check_assignment(column: object, count: int, name: str) -> np.ndarray:
+    """A composite's child-assignment column as int64, rejecting rows
+    outside ``0..count-1`` (the parent would count them, no child would)."""
+    assignment = np.asarray(column, dtype=np.int64)
+    if assignment.size and (assignment.min() < 0
+                            or assignment.max() >= count):
+        raise ValueError(f"{name} column has entries outside 0..{count - 1}")
+    return assignment
 
 
 def integer_state(values: object) -> np.ndarray:

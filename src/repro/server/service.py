@@ -25,9 +25,9 @@ protocol of :mod:`repro.server.framing` (``docs/wire-protocol.md`` §7):
   a client that needs every report it sent reflected first sends ``sync``,
   which completes only once the queue has fully drained.
 * **Durable snapshots** — ``snapshot`` frames drain the queue, then write
-  the full windowed state to the configured
-  :class:`~repro.server.snapshot.SnapshotStore`; a restarted server
-  restores from the newest file and finalizes bit-identically.
+  the windowed state's int64 arrays to the configured
+  :class:`~repro.server.snapshot.SnapshotStore` as a binary checkpoint; a
+  restarted server restores from the newest file bit-identically.
 
 The event loop is single-threaded: ``absorb_batch`` / ``finalize`` run
 atomically between awaits, so no locking is needed and queries can never
@@ -57,6 +57,9 @@ __all__ = ["AggregationServer", "ServerStats"]
 
 #: protocol identification string sent in every ``params`` reply
 SERVER_ID = "repro-aggregation-server/1"
+
+#: on-disk encoding of every checkpoint the server writes
+CHECKPOINT_FORMAT = "binary"
 
 
 @dataclass
@@ -105,13 +108,9 @@ class AggregationServer:
         Epoch retention of the underlying :class:`WindowedAggregator`
         (``None`` = unbounded).
     snapshot_dir:
-        Directory for durable snapshots; ``None`` disables the ``snapshot``
-        frame (it returns an error).
-    snapshot_format:
-        On-disk snapshot encoding: ``"json"`` (default, human-readable) or
-        ``"binary"`` (the columnar state container of
-        :mod:`repro.protocol.binary`; restore sniffs the format, so either
-        kind of file is a valid restore point).
+        Directory for durable snapshots, written in the binary state
+        container; ``None`` disables the ``snapshot`` frame (it returns an
+        error).
     wire_formats:
         ``reports`` frame formats this server accepts (any non-empty subset
         of ``("json", "binary")``; default both).  Advertised in the
@@ -127,7 +126,6 @@ class AggregationServer:
 
     def __init__(self, params: PublicParams, *, window: Optional[int] = None,
                  snapshot_dir: Optional[Union[str, Path]] = None,
-                 snapshot_format: str = "json",
                  wire_formats: Sequence[str] = WIRE_FORMATS,
                  queue_batches: int = 256,
                  drain_reports: int = 1 << 18) -> None:
@@ -143,7 +141,7 @@ class AggregationServer:
         self.params = params
         self.windowed = WindowedAggregator(params, window)
         self.stats = ServerStats()
-        self.store = (SnapshotStore(snapshot_dir, format=snapshot_format)
+        self.store = (SnapshotStore(snapshot_dir, format=CHECKPOINT_FORMAT)
                       if snapshot_dir is not None else None)
         self._queue_batches = queue_batches
         self._drain_reports = drain_reports
@@ -459,7 +457,7 @@ class AggregationServer:
                 # harmless by design, not by timing
                 self._draining = True
                 await self._queue.join()
-                blob = pack_state(self.windowed.snapshot())
+                blob = pack_state(self.windowed.capture())
                 self.stats.queries_answered += 1
                 await write_frame(writer, {
                     "type": "handoff_state",
@@ -499,9 +497,9 @@ class AggregationServer:
                                      "directory")
                 await self._queue.join()
                 async with self._snapshot_lock:
-                    # capture synchronously (atomic w.r.t. the drain loop),
-                    # then push the disk write off the event loop
-                    payload = self.windowed.snapshot()
+                    # capture array copies synchronously (atomic w.r.t. the
+                    # drain loop), then push pack + write off the event loop
+                    payload = self.windowed.capture()
                     if self._handoffs:
                         payload["handoffs"] = sorted(self._handoffs)
                     path = await asyncio.get_running_loop().run_in_executor(

@@ -1,16 +1,16 @@
 """Durable snapshot files for the aggregation service.
 
-A snapshot is the payload of
-:meth:`repro.server.window.WindowedAggregator.snapshot` written to disk in
+A snapshot is a windowed checkpoint payload
+(:meth:`repro.server.window.WindowedAggregator.capture`) written to disk in
 one of two encodings:
 
-* ``"json"`` (default) — the payload as one compact JSON document, exactly
-  as before: human-readable, diff-friendly, and integer-exact.
-* ``"binary"`` — the same payload through the columnar state container of
-  :mod:`repro.protocol.binary` (``pack_state``): the large integer
-  accumulator arrays ship as narrowed raw little-endian bytes behind a
-  struct header instead of million-element JSON lists, which makes
-  checkpointing large aggregators several times smaller and faster.
+* ``"binary"`` — the payload through the columnar state container of
+  :mod:`repro.protocol.binary` (``pack_state``): integer arrays ship as
+  narrowed raw little-endian bytes behind a struct header.  Every server
+  checkpoint uses it (:data:`repro.server.service.CHECKPOINT_FORMAT`).
+* ``"json"`` (library default; the cluster's shard map) — one compact JSON
+  document of a JSON-safe payload: human-readable and integer-exact, but
+  several times larger and slower for large aggregators.
 
 Because every aggregator keeps exact integer state and integers survive
 both encodings exactly, ``restore → absorb more → finalize`` is

@@ -30,8 +30,10 @@ from repro.protocol.wire import (
     ReportBatch,
     ServerAggregator,
     child_state,
+    json_safe,
     load_child_state,
     merge_aggregators,
+    snapshot_params,
 )
 
 __all__ = ["WindowedAggregator", "WINDOW_SNAPSHOT_FORMAT"]
@@ -186,8 +188,10 @@ class WindowedAggregator:
 
     # ----- durable snapshots --------------------------------------------------------
 
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-safe checkpoint of every retained epoch (see module docstring)."""
+    def capture(self) -> Dict[str, object]:
+        """Checkpoint of every retained epoch, its state as owned int64
+        array copies: later absorbs never change it, so it can be packed
+        and written off the event loop while ingestion continues."""
         return {"format": WINDOW_SNAPSHOT_FORMAT,
                 "version": _WINDOW_SNAPSHOT_VERSION,
                 "params": self.params.to_dict(),
@@ -195,6 +199,10 @@ class WindowedAggregator:
                 "epochs": [{"epoch": int(epoch),
                             **child_state(self._epochs[epoch])}
                            for epoch in sorted(self._epochs)]}
+
+    def snapshot(self) -> Dict[str, object]:
+        """JSON-safe form of :meth:`capture` (arrays become int lists)."""
+        return json_safe(self.capture())
 
     def merge_snapshot(self, data: Dict[str, object]) -> int:
         """Fold another windowed snapshot into this one, epoch by epoch.
@@ -204,24 +212,21 @@ class WindowedAggregator:
         commutative integer-sum merge queries use, so the union aggregate
         is bit-identical to one server that ingested both shards' reports.
         Epochs already outside this aggregator's retention window are
-        skipped — exactly what a single server would have pruned.  Returns
-        the number of reports folded in.
+        skipped — exactly what a single server would have pruned.  Every
+        epoch is loaded and checked before any is merged, so a rejected
+        payload leaves this aggregator unchanged.  Returns the number of
+        reports folded in.
         """
-        if data.get("format") != WINDOW_SNAPSHOT_FORMAT:
-            raise ValueError(f"not a windowed snapshot: "
-                             f"format={data.get('format')!r}")
-        version = int(data.get("version", 0))
-        if version != _WINDOW_SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported windowed snapshot version {version}")
-        params = PublicParams.from_dict(dict(data["params"]))
+        params = snapshot_params(data, WINDOW_SNAPSHOT_FORMAT,
+                                 _WINDOW_SNAPSHOT_VERSION, "a windowed")
         if params != self.params:
             raise ValueError("cannot merge a snapshot taken under different "
                              "public parameters")
+        loaded = [(int(entry["epoch"]),
+                   load_child_state(self.params.make_aggregator(), entry))
+                  for entry in data["epochs"]]
         absorbed = 0
-        for entry in data["epochs"]:
-            epoch = int(entry["epoch"])
-            incoming = self.params.make_aggregator()
-            load_child_state(incoming, entry)
+        for epoch, incoming in loaded:
             existing = self._epochs.get(epoch)
             if existing is None:
                 if self.window is not None and self._epochs and \
@@ -238,13 +243,8 @@ class WindowedAggregator:
     @staticmethod
     def from_snapshot(data: Dict[str, object]) -> "WindowedAggregator":
         """Rebuild a windowed collection from :meth:`snapshot` output."""
-        if data.get("format") != WINDOW_SNAPSHOT_FORMAT:
-            raise ValueError(f"not a windowed snapshot: "
-                             f"format={data.get('format')!r}")
-        version = int(data.get("version", 0))
-        if version != _WINDOW_SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported windowed snapshot version {version}")
-        params = PublicParams.from_dict(dict(data["params"]))
+        params = snapshot_params(data, WINDOW_SNAPSHOT_FORMAT,
+                                 _WINDOW_SNAPSHOT_VERSION, "a windowed")
         window = data.get("window")
         windowed = WindowedAggregator(
             params, int(window) if window is not None else None)

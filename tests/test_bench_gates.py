@@ -4,8 +4,8 @@ CI runs ``benchmarks/bench_server_ingest.py --check BENCH_server.json
 --baseline BENCH_baseline.json --engine BENCH_engine.json``; these tests
 pin down the gate logic itself — a payload matching baseline passes, a
 payload whose binary ingest throughput collapsed (or whose wire shrink
-regressed below 3×, or whose expander-sketch finalize rate collapsed)
-fails — and run the actual ``--check`` entry point
+regressed below 3×, or whose expander-sketch finalize or checkpoint rate
+collapsed) fails — and run the actual ``--check`` entry point
 against a doctored file, exactly as the CI self-test step does.
 """
 
@@ -18,6 +18,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 from bench_server_ingest import (  # noqa: E402 - path set up above
+    check_checkpoint_regression,
     check_engine_regression,
     check_finalize_regression,
     check_throughput_regression,
@@ -31,6 +32,7 @@ BASELINE = {
     "server": {"hashtogram": {"binary": 20_000_000, "json": 5_000_000}},
     "engine": {"hashtogram": 4_000_000},
     "finalize": {"expander_sketch": 14_000_000},
+    "checkpoint": {"expander_sketch": 80_000_000},
 }
 
 
@@ -126,6 +128,41 @@ class TestFinalizeGate:
         assert check_finalize_regression(_server_payload(), BASELINE) == []
 
 
+def _checkpoint_payload(rate=80_000_000):
+    return dict(_server_payload(), checkpoint={
+        "expander_sketch": {"protocol": "expander_sketch",
+                            "cells_per_s": rate}})
+
+
+class TestCheckpointGate:
+    def test_matching_baseline_passes(self):
+        assert check_checkpoint_regression(_checkpoint_payload(),
+                                           BASELINE) == []
+
+    def test_list_form_state_fails(self):
+        # the list-form capture this floor guards against ran ~10x slower
+        failures = check_checkpoint_regression(
+            _checkpoint_payload(rate=13_000_000), BASELINE)
+        assert len(failures) == 1
+        assert "checkpoint/expander_sketch" in failures[0]
+        assert "regressed" in failures[0]
+
+    def test_missing_protocol_row_fails(self):
+        payload = dict(_server_payload(), checkpoint={"other": {
+            "protocol": "other", "cells_per_s": 1}})
+        failures = check_checkpoint_regression(payload, BASELINE)
+        assert any("no measured row" in f for f in failures)
+
+    def test_payload_without_checkpoint_section_is_not_gated(self):
+        assert check_checkpoint_regression(_server_payload(), BASELINE) == []
+
+    def test_finalize_and_checkpoint_gates_are_independent(self):
+        payload = dict(_finalize_payload(rate=1),
+                       checkpoint=_checkpoint_payload()["checkpoint"])
+        assert check_checkpoint_regression(payload, BASELINE) == []
+        assert check_finalize_regression(payload, BASELINE) != []
+
+
 class TestWireShrinkGate:
     def test_healthy_shrink_passes(self):
         assert check_wire_shrink(_server_payload()) == []
@@ -153,6 +190,7 @@ class TestCheckEntryPoint:
         assert "binary" in baseline["server"]["hashtogram"]
         assert "hashtogram" in baseline["engine"]
         assert float(baseline["finalize"]["expander_sketch"]) > 0
+        assert float(baseline["checkpoint"]["expander_sketch"]) > 0
 
     def test_doctored_payload_fails_check(self, tmp_path, committed_baseline,
                                           capsys):
@@ -195,6 +233,26 @@ class TestCheckEntryPoint:
         assert main(["--check", str(path),
                      "--baseline", str(committed_baseline)]) == 1
         assert "finalize/expander_sketch" in capsys.readouterr().err
+
+    def test_doctored_checkpoint_fails_check(self, tmp_path,
+                                             committed_baseline, capsys):
+        baseline = json.loads(committed_baseline.read_text())
+        healthy = _server_payload(
+            binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])),
+            json_rate=int(float(baseline["server"]["hashtogram"]["json"])))
+        reference = float(baseline["checkpoint"]["expander_sketch"])
+        healthy["checkpoint"] = {"expander_sketch": {
+            "protocol": "expander_sketch", "cells_per_s": int(reference)}}
+        path = tmp_path / "BENCH_checkpoint.json"
+        path.write_text(json.dumps(healthy))
+        assert main(["--check", str(path),
+                     "--baseline", str(committed_baseline)]) == 0
+        healthy["checkpoint"]["expander_sketch"]["cells_per_s"] = int(
+            reference * 0.05)
+        path.write_text(json.dumps(healthy))
+        assert main(["--check", str(path),
+                     "--baseline", str(committed_baseline)]) == 1
+        assert "checkpoint/expander_sketch" in capsys.readouterr().err
 
     def test_engine_requires_baseline(self, tmp_path):
         path = tmp_path / "BENCH.json"

@@ -27,6 +27,7 @@ import pytest
 import repro
 from repro.engine import encode_stream, run_simulation
 from repro.protocol import ExplicitHistogramParams, HashtogramParams
+from repro.protocol.wire import json_safe
 from repro.server import (
     AggregationClient,
     AggregationServer,
@@ -125,6 +126,16 @@ def running_server(params, **kwargs):
 
 def _small_params():
     return HashtogramParams.create(1 << 10, 1.0, num_buckets=16, rng=0)
+
+
+def _state_leaves(payload):
+    """Every count of a ``child_state`` payload, in a fixed order, as arrays."""
+    if isinstance(payload, dict):
+        return [leaf for key in sorted(payload)
+                for leaf in _state_leaves(payload[key])]
+    if isinstance(payload, list) and payload and isinstance(payload[0], dict):
+        return [leaf for item in payload for leaf in _state_leaves(item)]
+    return [np.asarray(payload, dtype=np.int64)]
 
 
 class TestServerEndToEnd:
@@ -387,6 +398,41 @@ class TestServerEndToEnd:
         assert stats["reports_absorbed"] == len(good)
         assert np.array_equal(before, after)
 
+    def test_partial_batch_failure_rolls_back_nested_composite(self):
+        # The expander sketch absorbs every stage-1 coordinate before its
+        # final oracle, so out-of-range final-oracle rows fail the batch
+        # only after every stage-1 accumulator has already absorbed it.
+        from repro.core.heavy_hitters import PrivateExpanderSketch
+        params = PrivateExpanderSketch(domain_size=1 << 8, epsilon=4.0
+                                       ).public_params(
+            2_000, rng=np.random.default_rng(3))
+        encoder = params.make_encoder()
+        good = encoder.encode_batch(np.arange(500) % 50,
+                                    np.random.default_rng(0))
+        corrupt = encoder.encode_batch(np.arange(300) % 50,
+                                       np.random.default_rng(1),
+                                       first_user_index=500)
+        rows = np.array(corrupt.columns["fin_row"], copy=True)
+        rows[-1] = 1 << 40
+        corrupt.columns["fin_row"] = rows
+        assert set(corrupt.columns["coordinate"].tolist()) == \
+            set(range(params.params.num_coordinates))
+        with running_server(params) as (_, host, port):
+            with AggregationClient(host, port) as client:
+                client.send_batch(good)
+                client.sync()
+                before = client.pull_state()
+                client.send_batch(corrupt)
+                client.sync()
+                after = client.pull_state()
+                stats = client.stats()
+        assert stats["reports_rejected"] == len(corrupt)
+        assert stats["reports_absorbed"] == len(good)
+        assert after["num_reports"] == before["num_reports"] == len(good)
+        old, new = _state_leaves(before["state"]), _state_leaves(after["state"])
+        assert len(old) == len(new) > params.params.num_coordinates
+        assert all(np.array_equal(a, b) for a, b in zip(old, new))
+
     def test_sparse_epoch_query_window_is_value_based(self):
         params = ExplicitHistogramParams(16, 1.0, "krr")
         batch = params.make_encoder().encode_batch(
@@ -444,6 +490,29 @@ class TestServerEndToEnd:
         assert np.array_equal(
             restored.windowed.finalize().estimate_many(queries),
             straight.finalize().estimate_many(queries))
+
+    def test_checkpoints_are_binary_and_json_files_still_restore(self,
+                                                                 tmp_path):
+        from repro.server.snapshot import read_snapshot, write_snapshot
+        params = _small_params()
+        batch = params.make_encoder().encode_batch(
+            np.arange(2_000) % 1000, np.random.default_rng(3))
+        with running_server(params, snapshot_dir=tmp_path) as (_, host, port):
+            with AggregationClient(host, port) as client:
+                client.send_batch(batch)
+                client.sync()
+                binary_path = Path(client.snapshot())
+        assert binary_path.suffix == ".bin"
+        payload = read_snapshot(binary_path)
+        json_path = write_snapshot(tmp_path / "legacy.json",
+                                   json_safe(payload), "json")
+        queries = list(range(64))
+        answers = [AggregationServer.restore(path).windowed.finalize()
+                   .estimate_many(queries) for path in (binary_path, json_path)]
+        assert np.array_equal(answers[0], answers[1])
+        assert np.array_equal(
+            answers[0], params.make_aggregator().absorb_batch(batch)
+            .finalize().estimate_many(queries))
 
 
 # --------------------------------------------------------------------------------------

@@ -24,6 +24,13 @@ from repro.protocol import (
     RapporParams,
     ServerAggregator,
 )
+from repro.protocol.binary import pack_state
+from repro.protocol.wire import (
+    _PROTOCOL_REGISTRY,
+    child_state,
+    json_safe,
+    load_child_state,
+)
 from repro.server.snapshot import (
     SNAPSHOT_MAGIC,
     SnapshotCorruptError,
@@ -58,6 +65,13 @@ def _heavy_hitter_cases(num_users):
         ("single_hash",
          single.public_params(num_users, rng=np.random.default_rng(5))),
     ]
+
+
+def _all_cases():
+    """One parameter set per registered protocol (three explicit randomizers)."""
+    return [*_frequency_cases(),
+            ("rappor", RapporParams.create(512, 2.0, num_bits=64, rng=0)),
+            *_heavy_hitter_cases(2_000)]
 
 
 def _two_halves(params, num_users, rng):
@@ -110,11 +124,16 @@ class TestAggregatorSnapshotRoundTrip:
         assert restored.estimates == straight.estimates
         assert restored.candidates == straight.candidates
 
-    def test_snapshot_is_json_safe(self, rng):
-        params = HashtogramParams.create(DOMAIN, 1.0, num_buckets=16, rng=0)
+    @pytest.mark.parametrize("name,params", _all_cases(),
+                             ids=[name for name, _ in _all_cases()])
+    def test_snapshot_is_json_safe(self, rng, name, params):
         first, _ = _two_halves(params, 2_000, rng)
         payload = params.make_aggregator().absorb_batch(first).snapshot()
         assert payload == json.loads(json.dumps(payload))
+
+    def test_cases_cover_every_registered_protocol(self):
+        assert {params.protocol for _, params in _all_cases()} == \
+            set(_PROTOCOL_REGISTRY)
 
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError, match="not an aggregator snapshot"):
@@ -187,6 +206,147 @@ class TestRestoreRejectsNonIntegralState:
             float(x) for x in payload["state"]["accumulator"]]
         restored = ServerAggregator.from_snapshot(payload)
         assert np.array_equal(restored.histogram(), aggregator.histogram())
+
+
+class TestCapturedStateIsStableCopy:
+    """Captured state is owned: the server packs and writes it in an
+    executor thread while the drain keeps absorbing in place."""
+
+    @pytest.mark.parametrize("name,params", _all_cases(),
+                             ids=[name for name, _ in _all_cases()])
+    def test_child_state_survives_later_absorbs(self, rng, name, params):
+        first, second = _two_halves(params, 2_000, rng)
+        aggregator = params.make_aggregator().absorb_batch(first)
+        captured = child_state(aggregator)
+        frozen = json_safe(captured)
+        aggregator.absorb_batch(second)
+        assert json_safe(captured) == frozen
+        assert json_safe(child_state(aggregator)) != frozen
+
+    @pytest.mark.parametrize("name,params", _all_cases(),
+                             ids=[name for name, _ in _all_cases()])
+    def test_windowed_capture_survives_later_absorbs(self, rng, name, params):
+        first, second = _two_halves(params, 2_000, rng)
+        windowed = WindowedAggregator(params)
+        windowed.absorb_batch(first, atomic=True)
+        captured = windowed.capture()
+        frozen = json_safe(captured)
+        assert frozen == windowed.snapshot()
+        windowed.absorb_batch(second, atomic=True)
+        assert json_safe(captured) == frozen
+        assert windowed.snapshot() != frozen
+
+    @pytest.mark.parametrize("name,params", _all_cases(),
+                             ids=[name for name, _ in _all_cases()])
+    def test_array_state_packs_to_the_list_form_bytes(self, rng, name,
+                                                      params):
+        first, _ = _two_halves(params, 2_000, rng)
+        windowed = WindowedAggregator(params)
+        windowed.absorb_batch(first)
+        state = child_state(windowed.merged())
+        assert pack_state(state) == pack_state(json_safe(state))
+        assert pack_state(windowed.capture()) == \
+            pack_state(windowed.snapshot())
+
+
+def _bump(payload, *path, by=1):
+    """``payload`` with the ``num_reports`` found at ``path`` shifted by ``by``."""
+    node = payload
+    for key in path:
+        node = node[key]
+    node["num_reports"] += by
+    return payload
+
+
+class TestRestoreRejectsImpossibleCounts:
+    """A report count the state contradicts is corrupt, not a restore point."""
+
+    def _absorbed(self, params, rng):
+        first, _ = _two_halves(params, 2_000, rng)
+        return params.make_aggregator().absorb_batch(first).snapshot()
+
+    def test_negative_count(self):
+        payload = ExplicitHistogramParams(16, 1.0).make_aggregator().snapshot()
+        payload["num_reports"] = -1
+        with pytest.raises(ValueError, match="negative"):
+            ServerAggregator.from_snapshot(payload)
+
+    def test_negative_windowed_epoch_count(self):
+        params = ExplicitHistogramParams(16, 1.0, "krr")
+        windowed = WindowedAggregator(params)
+        windowed.absorb_batch(params.make_encoder().encode_batch(
+            np.arange(16), np.random.default_rng(0)))
+        payload = windowed.snapshot()
+        payload["epochs"][0]["num_reports"] = -3
+        with pytest.raises(ValueError, match="negative"):
+            WindowedAggregator.from_snapshot(payload)
+
+    def test_hashtogram_inner_counts_must_add_up(self, rng):
+        params = _frequency_cases()[3][1]
+        payload = _bump(self._absorbed(params, rng), "state", "inner", 0)
+        with pytest.raises(ValueError, match="repetitions hold"):
+            ServerAggregator.from_snapshot(payload)
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["expander", "single_hash"])
+    def test_stage1_counts_must_add_up(self, rng, index):
+        params = _heavy_hitter_cases(2_000)[index][1]
+        payload = _bump(self._absorbed(params, rng), "state", "stage1", 0)
+        with pytest.raises(ValueError, match="stages hold"):
+            ServerAggregator.from_snapshot(payload)
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["expander", "single_hash"])
+    def test_final_count_must_equal_the_parent(self, rng, index):
+        params = _heavy_hitter_cases(2_000)[index][1]
+        # a self-consistent final oracle holding one report too many
+        payload = _bump(self._absorbed(params, rng), "state", "final")
+        _bump(payload, "state", "final", "state", "inner", 0)
+        with pytest.raises(ValueError, match="stages hold"):
+            ServerAggregator.from_snapshot(payload)
+
+    def test_parent_count_must_match_its_children(self, rng):
+        params = _heavy_hitter_cases(2_000)[0][1]
+        payload = _bump(self._absorbed(params, rng), by=-1)
+        with pytest.raises(ValueError, match="stages hold"):
+            ServerAggregator.from_snapshot(payload)
+
+    def test_rejected_absorb_state_leaves_the_window_unchanged(self, rng):
+        params = _frequency_cases()[3][1]
+        first, second = _two_halves(params, 2_000, rng)
+        survivor = WindowedAggregator(params)
+        survivor.absorb_batch(first, epoch=0)
+        drained = WindowedAggregator(params)
+        drained.absorb_batch(first, epoch=0)
+        drained.absorb_batch(second, epoch=1)
+        payload = drained.capture()
+        _bump(payload, "epochs", 1, "state", "inner", 0)
+        before = survivor.snapshot()
+        with pytest.raises(ValueError, match="repetitions hold"):
+            survivor.merge_snapshot(payload)
+        assert survivor.snapshot() == before
+
+    def test_valid_counts_still_load(self, rng):
+        for _, params in _all_cases():
+            payload = self._absorbed(params, rng)
+            restored = ServerAggregator.from_snapshot(payload)
+            assert restored.snapshot() == payload
+            child = load_child_state(params.make_aggregator(),
+                                     child_state(restored))
+            assert child.num_reports == payload["num_reports"]
+
+    @pytest.mark.parametrize("column", ["repetition", "coordinate", "group"])
+    def test_absorb_rejects_rows_no_child_would_take(self, column):
+        params = {"repetition": _frequency_cases()[3][1],
+                  "coordinate": _heavy_hitter_cases(2_000)[0][1],
+                  "group": _heavy_hitter_cases(2_000)[1][1]}[column]
+        batch = params.make_encoder().encode_batch(
+            np.arange(50), np.random.default_rng(0))
+        bad = np.array(batch.columns[column], copy=True)
+        bad[-1] = -1
+        batch.columns[column] = bad
+        aggregator = params.make_aggregator()
+        with pytest.raises(ValueError, match=f"{column} column"):
+            aggregator.absorb_batch(batch)
+        assert aggregator.num_reports == 0
 
 
 class TestWindowedAggregator:
