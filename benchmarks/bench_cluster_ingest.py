@@ -1,7 +1,8 @@
 """Benchmark W4: sustained wire ingest through the sharded cluster tier.
 
 Measures what the router adds on top of a single server: the routing peek
-(a few header bytes per frame), the verbatim re-framed forward to the
+and a zero-copy check of each frame's column table, the verbatim
+re-framed forward to the
 owning shard, the per-shard journal append, and — on query — the
 state-pull/exact-merge round across every shard.  One row per shard count
 (1 = a plain ``serve`` process, the single-server reference; K > 1 = a
@@ -47,7 +48,6 @@ def run_cluster_ingest_bench(shard_counts: Sequence[int] = SHARD_COUNTS,
                              domain_size: int = 1 << 16,
                              epsilon: float = 1.0, seed: int = SEED,
                              chunk_size: int = CHUNK_SIZE,
-                             wire_format: str = "binary",
                              verify_queries: int = 64) -> Dict[str, object]:
     """Measure cluster wire ingest per shard count (1 = single server)."""
     from repro.cli import _spawn_server
@@ -72,7 +72,7 @@ def run_cluster_ingest_bench(shard_counts: Sequence[int] = SHARD_COUNTS,
               make_plan(params, num_users, rng=np.random.default_rng(plan_seed),
                         chunk_size=chunk_size)]
     frames = b"".join(
-        encode_reports_frame(batch, 0, wire_format, route=route)
+        encode_reports_frame(batch, 0, route=route)
         for batch, route in zip(batches, routes, strict=True))
     queries = [int(x) for x in np.random.default_rng(0).integers(
         0, domain_size, size=verify_queries)]
@@ -110,7 +110,6 @@ def run_cluster_ingest_bench(shard_counts: Sequence[int] = SHARD_COUNTS,
             "shards": int(shards),
             "num_users": int(num_users),
             "num_frames": len(batches),
-            "wire_format": wire_format,
             "ingest_s": round(ingest_s, 4),
             "reports_per_s": int(num_users / max(ingest_s, 1e-9)),
             "merged_query_s": round(query_s, 4),
@@ -130,7 +129,6 @@ def run_cluster_ingest_bench(shard_counts: Sequence[int] = SHARD_COUNTS,
             "epsilon": float(epsilon),
             "seed": int(seed),
             "chunk_size": int(chunk_size),
-            "wire_format": wire_format,
             "shard_counts": [int(s) for s in shard_counts],
         },
         "results": results,
@@ -247,7 +245,6 @@ def run_transport_matrix_bench(transports: Sequence[str] = TRANSPORTS,
                                domain_size: int = 1 << 16,
                                epsilon: float = 1.0, seed: int = SEED,
                                chunk_size: int = CHUNK_SIZE,
-                               wire_format: str = "binary",
                                target_wire_mb: float = 64.0,
                                repeats: int = 5,
                                verify_queries: int = 64) -> Dict[str, object]:
@@ -287,8 +284,7 @@ def run_transport_matrix_bench(transports: Sequence[str] = TRANSPORTS,
     batches = list(encode_stream(params, values,
                                  rng=np.random.default_rng(plan_seed),
                                  chunk_size=chunk_size))
-    frames = b"".join(encode_reports_frame(batch, 0, wire_format)
-                      for batch in batches)
+    frames = b"".join(encode_reports_frame(batch, 0) for batch in batches)
     queries = [int(x) for x in np.random.default_rng(0).integers(
         0, domain_size, size=verify_queries)]
     expected = run_simulation(
@@ -339,7 +335,6 @@ def run_transport_matrix_bench(transports: Sequence[str] = TRANSPORTS,
             "transport": transport,
             "num_users": int(num_users),
             "num_frames": len(batches) * copies,
-            "wire_format": wire_format,
             "wire_mb": round(len(blob) / 1e6, 2),
             "repeats": int(repeats),
             "wire_s": round(wire_s, 4),
@@ -361,7 +356,6 @@ def run_transport_matrix_bench(transports: Sequence[str] = TRANSPORTS,
             "epsilon": float(epsilon),
             "seed": int(seed),
             "chunk_size": int(chunk_size),
-            "wire_format": wire_format,
             "target_wire_mb": float(target_wire_mb),
             "repeats": int(repeats),
             "transports": [str(t) for t in transports],
@@ -404,8 +398,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--num-users", type=int, default=NUM_USERS)
     parser.add_argument("--shards", default="1,2,3",
                         help="comma-separated shard counts (1 = one server)")
-    parser.add_argument("--wire-format", default="binary",
-                        choices=["json", "binary"])
     parser.add_argument("--transport-matrix", action="store_true",
                         help="benchmark the transport data plane per backend "
                              "(tcp, shm) instead of shard counts; writes "
@@ -425,8 +417,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.transport_matrix:
         output = args.output or "BENCH_transport.json"
-        payload = run_transport_matrix_bench(num_users=args.num_users,
-                                             wire_format=args.wire_format)
+        payload = run_transport_matrix_bench(num_users=args.num_users)
         Path(output).write_text(json.dumps(payload, indent=2) + "\n")
         print(format_table(list(payload["results"]),
                            title=f"transport matrix, n={args.num_users}, "
@@ -447,8 +438,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     output = args.output or "BENCH_cluster.json"
     payload = run_cluster_ingest_bench(shard_counts=shard_counts,
-                                       num_users=args.num_users,
-                                       wire_format=args.wire_format)
+                                       num_users=args.num_users)
     Path(output).write_text(json.dumps(payload, indent=2) + "\n")
     print(format_table(list(payload["results"]),
                        title=f"cluster ingest, n={args.num_users}, "

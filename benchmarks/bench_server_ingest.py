@@ -2,31 +2,26 @@
 
 Measures what the service layer adds on top of raw ``absorb_batch``: a real
 TCP round through length-prefixed frames, the bounded ingestion queue, and
-the batched drain — in **both** ``reports`` wire formats:
-
-* ``json`` — the legacy b64-columnar JSON frames (one ``json.loads`` plus a
-  base64 pass per batch on the server);
-* ``binary`` — the zero-copy columnar frames of ``docs/wire-protocol.md``
-  §8 (raw narrowed little-endian columns behind a struct header, decoded
-  into read-only ``np.frombuffer`` views).
+the batched drain, over the binary ``reports`` frames of
+``docs/wire-protocol.md`` §8 (raw narrowed little-endian columns behind a
+struct header, decoded into read-only ``np.frombuffer`` views).
 
 The protocol under test is the paper's workhorse (Hashtogram); the measured
 quantity is **sustained ingest** — reports/s from the first byte sent to
 the server confirming, via a ``sync`` barrier, that every report has been
-absorbed into exact integer state.  One row per (protocol, wire format)
-records the wire bytes and the throughput, so ``BENCH_server.json`` shows
-the binary/json ratio directly; CI fails if the binary encoding is not at
-least 3x smaller on the wire than the b64-JSON frames (see ``--check`` and
-the assertions in ``main``), or — against the committed
-``BENCH_baseline.json`` reference (``--check ... --baseline ...``) — if
-ingest throughput drops more than 40% below baseline (engine numbers are
-gated the same way via ``--engine``).  The same payload carries a
-``finalize`` section: PrivateExpanderSketch's server finalize at n=400k,
-D=2^20, ε=1, in decoded stage-1 cells per second, and a ``checkpoint``
-section: the body of a shard checkpoint on the same aggregate (windowed
-array capture plus ``pack_state``), in state cells per second.  Both are
-gated by the same ``max_drop`` rule against the baseline's ``finalize``
-and ``checkpoint`` floors.
+absorbed into exact integer state.  One row per protocol records the exact
+wire bytes and the throughput.  Against the committed
+``BENCH_baseline.json`` (``--check ... --baseline ...``) CI fails if the
+frames carry more bytes per report than the baseline's
+``wire_bytes_per_report`` ceiling — the paper's "communication per user"
+column — or if ingest throughput drops more than 40% below baseline
+(engine numbers are gated the same way via ``--engine``).  The same
+payload carries a ``finalize`` section: PrivateExpanderSketch's server
+finalize at n=400k, D=2^20, ε=1, in decoded stage-1 cells per second, and
+a ``checkpoint`` section: the body of a shard checkpoint on the same
+aggregate (windowed array capture plus ``pack_state``), in state cells
+per second.  Both are gated by the same ``max_drop`` rule against the
+baseline's ``finalize`` and ``checkpoint`` floors.
 
 Client-side encoding and frame serialization are done *before* the clock
 starts (a deployment's clients encode on their own devices); the timed path
@@ -58,10 +53,6 @@ import numpy as np
 NUM_USERS = 1_000_000
 CHUNK_SIZE = 1 << 16
 SEED = 0
-WIRE_FORMATS = ("json", "binary")
-#: CI gate: binary frames must be at least this many times smaller on the
-#: wire than the b64-JSON frames for the same batches
-MIN_WIRE_SHRINK = 3.0
 #: the finalize and checkpoint floors' shape: PrivateExpanderSketch with
 #: planted heavy hitters
 FINALIZE_USERS = 400_000
@@ -76,10 +67,9 @@ def run_server_ingest_bench(protocols: Sequence[str] = ("hashtogram",),
                             epsilon: float = 1.0, seed: int = SEED,
                             chunk_size: int = CHUNK_SIZE,
                             repeats: int = 3,
-                            verify_queries: int = 64,
-                            wire_formats: Sequence[str] = WIRE_FORMATS
+                            verify_queries: int = 64
                             ) -> Dict[str, object]:
-    """Measure sustained wire ingest per (protocol, wire format).
+    """Measure sustained wire ingest per protocol.
 
     Each repeat spawns a fresh ``repro.cli serve`` subprocess, blasts the
     pre-encoded frames down one connection, and stops the clock when the
@@ -113,48 +103,46 @@ def run_server_ingest_bench(protocols: Sequence[str] = ("hashtogram",),
             params, values, rng=np.random.default_rng(plan_seed),
             chunk_size=chunk_size).finalize().estimate_many(queries)
 
-        for wire_format in wire_formats:
-            frames = b"".join(
-                encode_reports_frame(batch, 0, wire_format)
-                for batch in batches)
-            best: Optional[Dict[str, float]] = None
-            identical = True
-            for _ in range(max(1, repeats)):
-                proc, host, port = _spawn_server(params)
-                try:
-                    with AggregationClient(host, port) as client:
-                        start = time.perf_counter()
-                        client.send_raw(frames)
-                        absorbed = client.sync()
-                        elapsed = time.perf_counter() - start
-                        served = client.query(queries)
-                        stats = client.stats()
-                        client.shutdown()
+        frames = b"".join(encode_reports_frame(batch, 0) for batch in batches)
+        best: Optional[Dict[str, float]] = None
+        identical = True
+        for _ in range(max(1, repeats)):
+            proc, host, port = _spawn_server(params)
+            try:
+                with AggregationClient(host, port) as client:
+                    start = time.perf_counter()
+                    client.send_raw(frames)
+                    absorbed = client.sync()
+                    elapsed = time.perf_counter() - start
+                    served = client.query(queries)
+                    stats = client.stats()
+                    client.shutdown()
+                proc.wait(timeout=10)
+            finally:
+                if proc.poll() is None:
+                    proc.terminate()
                     proc.wait(timeout=10)
-                finally:
-                    if proc.poll() is None:
-                        proc.terminate()
-                        proc.wait(timeout=10)
-                    proc.stdout.close()
-                if absorbed != num_users:
-                    raise RuntimeError(f"server absorbed {absorbed} of "
-                                       f"{num_users} reports")
-                identical = identical and bool(np.array_equal(served, expected))
-                run = {"elapsed_s": elapsed, "drain_s": float(stats["drain_s"])}
-                if best is None or elapsed < best["elapsed_s"]:
-                    best = run
-            results.append({
-                "protocol": protocol,
-                "wire_format": wire_format,
-                "num_users": int(num_users),
-                "num_frames": len(batches),
-                "wire_mb": round(len(frames) / 1e6, 2),
-                "ingest_s": round(best["elapsed_s"], 4),
-                "reports_per_s": int(num_users / max(best["elapsed_s"], 1e-9)),
-                "drain_s": round(best["drain_s"], 4),
-                "absorb_reports_per_s": int(num_users / max(best["drain_s"], 1e-9)),
-                "identical_to_offline_engine": identical,
-            })
+                proc.stdout.close()
+            if absorbed != num_users:
+                raise RuntimeError(f"server absorbed {absorbed} of "
+                                   f"{num_users} reports")
+            identical = identical and bool(np.array_equal(served, expected))
+            run = {"elapsed_s": elapsed, "drain_s": float(stats["drain_s"])}
+            if best is None or elapsed < best["elapsed_s"]:
+                best = run
+        results.append({
+            "protocol": protocol,
+            "wire_format": "binary",
+            "num_users": int(num_users),
+            "num_frames": len(batches),
+            "wire_bytes": len(frames),
+            "wire_bytes_per_report": round(len(frames) / num_users, 4),
+            "ingest_s": round(best["elapsed_s"], 4),
+            "reports_per_s": int(num_users / max(best["elapsed_s"], 1e-9)),
+            "drain_s": round(best["drain_s"], 4),
+            "absorb_reports_per_s": int(num_users / max(best["drain_s"], 1e-9)),
+            "identical_to_offline_engine": identical,
+        })
     return {
         "benchmark": "server_ingest",
         "host": {
@@ -170,7 +158,6 @@ def run_server_ingest_bench(protocols: Sequence[str] = ("hashtogram",),
             "chunk_size": int(chunk_size),
             "repeats": int(max(1, repeats)),
             "protocols": list(protocols),
-            "wire_formats": list(wire_formats),
         },
         "results": results,
     }
@@ -256,16 +243,16 @@ def check_throughput_regression(payload: Dict[str, object],
     ``baseline`` is the committed ``BENCH_baseline.json``: per protocol, the
     reference ``reports_per_s`` for each wire format under ``"server"``.
     Only throughput *drops* fail — faster hosts pass trivially; the gate
-    exists so a change that tanks the zero-copy ingest path (the 4.3× win
-    of the binary format) cannot land silently.  Returns the violations
-    (empty = ok).
+    exists so a change that tanks the zero-copy ingest path (4.3× faster
+    than the JSON frames it replaced) cannot land silently.  Returns the
+    violations (empty = ok).
     """
     if max_drop is None:
         max_drop = float(baseline.get("max_drop", MAX_THROUGHPUT_DROP))
     measured: Dict[str, Dict[str, float]] = {}
     for row in payload["results"]:
         measured.setdefault(str(row["protocol"]), {})[
-            str(row.get("wire_format", "json"))] = float(row["reports_per_s"])
+            str(row.get("wire_format", "binary"))] = float(row["reports_per_s"])
     failures = []
     for protocol, formats in dict(baseline.get("server", {})).items():
         for wire_format, reference in dict(formats).items():
@@ -399,32 +386,37 @@ def check_transport_regression(payload: Dict[str, object],
 
 
 def check_wire_shrink(payload: Dict[str, object],
-                      min_shrink: float = MIN_WIRE_SHRINK) -> List[str]:
-    """CI gate: per protocol, binary wire bytes must be ≥ ``min_shrink``×
-    smaller than the b64-JSON frames.  Returns the violations (empty = ok)."""
-    by_protocol: Dict[str, Dict[str, float]] = {}
-    for row in payload["results"]:
-        by_protocol.setdefault(str(row["protocol"]), {})[
-            str(row.get("wire_format", "json"))] = float(row["wire_mb"])
+                      baseline: Dict[str, object]) -> List[str]:
+    """CI gate: per protocol, the frames may carry at most the baseline's
+    ``wire_bytes_per_report`` ceiling.  Returns the violations (empty = ok).
+
+    A report's wire size is deterministic for a fixed workload, so the
+    ceiling is absolute: no ``max_drop`` headroom applies.
+    """
+    measured = {str(row["protocol"]):
+                int(row["wire_bytes"]) / max(int(row["num_users"]), 1)
+                for row in payload["results"] if "wire_bytes" in row}
     failures = []
-    for protocol, sizes in by_protocol.items():
-        if "json" not in sizes or "binary" not in sizes:
-            failures.append(f"{protocol}: missing a wire format "
-                            f"(have {sorted(sizes)})")
-            continue
-        shrink = sizes["json"] / max(sizes["binary"], 1e-9)
-        if shrink < min_shrink:
+    for protocol, ceiling in dict(
+            baseline.get("wire_bytes_per_report", {})).items():
+        got = measured.get(protocol)
+        if got is None:
+            failures.append(f"{protocol}: no measured wire_bytes row "
+                            f"(ceiling {float(ceiling)} B per report)")
+        elif got > float(ceiling):
             failures.append(
-                f"{protocol}: binary frames are only {shrink:.2f}x smaller "
-                f"than b64-JSON ({sizes['binary']} MB vs {sizes['json']} MB; "
-                f"required >= {min_shrink}x)")
+                f"{protocol}: frames carry {got:.4f} B per report "
+                f"(ceiling {float(ceiling)} B)")
     return failures
 
 
 def test_server_ingest(benchmark):
-    """CI smoke: both formats must stay bit-identical, make progress, and
-    the binary frames must hold the ≥3× wire shrink."""
+    """CI smoke: served estimates stay bit-identical, ingest makes
+    progress, and the frames stay under the committed wire ceiling."""
     from conftest import report, run_once
+
+    baseline = json.loads((Path(__file__).resolve().parent.parent
+                           / "BENCH_baseline.json").read_text())
 
     payload = run_once(benchmark, run_server_ingest_bench,
                        num_users=200_000, repeats=1)
@@ -433,7 +425,7 @@ def test_server_ingest(benchmark):
     for row in rows:
         assert row["identical_to_offline_engine"], row
         assert row["reports_per_s"] > 0
-    assert not check_wire_shrink(payload)
+    assert not check_wire_shrink(payload, baseline)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -444,13 +436,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--output", default="BENCH_server.json")
     parser.add_argument("--check", metavar="BENCH_JSON", default=None,
                         help="do not run the benchmark; verify an existing "
-                             "payload against the wire-shrink gate (and, "
-                             "with --baseline, the throughput-regression "
-                             "gate) and exit")
+                             "payload against the gates of --baseline and "
+                             "exit")
     parser.add_argument("--baseline", metavar="BASELINE_JSON", default=None,
                         help="committed BENCH_baseline.json to gate --check "
-                             "throughput against (fails on a drop larger "
-                             "than the baseline's max_drop, default 40%%)")
+                             "against: the wire-bytes ceiling, and "
+                             "throughput (fails on a drop larger than the "
+                             "baseline's max_drop, default 40%%)")
     parser.add_argument("--engine", metavar="BENCH_ENGINE_JSON", default=None,
                         help="also gate this BENCH_engine.json payload "
                              "against the baseline's engine numbers "
@@ -464,25 +456,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.check is not None:
-        payload = json.loads(Path(args.check).read_text())
-        failures = check_wire_shrink(payload)
-        if args.baseline is not None:
-            baseline = json.loads(Path(args.baseline).read_text())
-            failures += check_throughput_regression(payload, baseline)
-            failures += check_finalize_regression(payload, baseline)
-            failures += check_checkpoint_regression(payload, baseline)
-            if args.engine is not None:
-                engine_payload = json.loads(Path(args.engine).read_text())
-                failures += check_engine_regression(engine_payload, baseline)
-            if args.transport_matrix is not None:
-                transport_payload = json.loads(
-                    Path(args.transport_matrix).read_text())
-                failures += check_transport_regression(transport_payload,
-                                                       baseline)
-        elif args.engine is not None or args.transport_matrix is not None:
-            print("bench_server_ingest --check: --engine and "
-                  "--transport-matrix require --baseline", file=sys.stderr)
+        if args.baseline is None:
+            print("bench_server_ingest --check: requires --baseline",
+                  file=sys.stderr)
             return 2
+        payload = json.loads(Path(args.check).read_text())
+        baseline = json.loads(Path(args.baseline).read_text())
+        failures = check_wire_shrink(payload, baseline)
+        failures += check_throughput_regression(payload, baseline)
+        failures += check_finalize_regression(payload, baseline)
+        failures += check_checkpoint_regression(payload, baseline)
+        if args.engine is not None:
+            engine_payload = json.loads(Path(args.engine).read_text())
+            failures += check_engine_regression(engine_payload, baseline)
+        if args.transport_matrix is not None:
+            transport_payload = json.loads(
+                Path(args.transport_matrix).read_text())
+            failures += check_transport_regression(transport_payload,
+                                                   baseline)
         for failure in failures:
             print(f"bench_server_ingest --check: {failure}", file=sys.stderr)
         print(f"bench_server_ingest --check: {args.check} "
@@ -511,10 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("bench_server_ingest: served estimates diverged from the "
               "offline engine", file=sys.stderr)
         return 1
-    failures = check_wire_shrink(payload)
-    for failure in failures:
-        print(f"bench_server_ingest: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return 0
 
 
 if __name__ == "__main__":

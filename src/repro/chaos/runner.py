@@ -171,7 +171,6 @@ class ChaosRunner:
         num_users: int = 12_000,
         num_shards: int = 3,
         seed: int = 7,
-        wire_format: str = "binary",
         schedule: Optional[FaultSchedule] = None,
         base_dir: Optional[Union[str, Path]] = None,
         request_timeout: float = 2.0,
@@ -187,7 +186,6 @@ class ChaosRunner:
         self.num_users = int(num_users)
         self.num_shards = int(num_shards)
         self.seed = int(seed)
-        self.wire_format = wire_format
         self.schedule = schedule
         self.base_dir = base_dir
         self.request_timeout = float(request_timeout)
@@ -220,8 +218,7 @@ class ChaosRunner:
         for _ in range(8):
             try:
                 self._client = await AsyncAggregationClient.connect(
-                    host, port, wire_format=self.wire_format,
-                    timeout=self.client_timeout,
+                    host, port, timeout=self.client_timeout,
                 )
                 return self._client
             except _RECOVERABLE as exc:

@@ -5,10 +5,11 @@ router↔shard — and forwards bytes untouched *except* at scheduled frame
 counts, where it injects one wire fault (``docs/chaos.md``).  It is
 frame-aware in the client→upstream direction: that leg is parsed with the
 production :func:`~repro.server.framing.read_frame_payload`, a monotone
-counter ticks once per ``reports`` frame (control frames pass through
-uncounted), and a :class:`~repro.chaos.schedule.FaultEvent` scheduled at
-count *n* fires exactly when frame *n* arrives — deterministic under a
-fixed schedule, independent of timing.  The upstream→client direction is a
+counter ticks once per ``reports`` frame — a binary payload, sniffed by
+its magic byte without a decode (control frames pass through uncounted),
+and a :class:`~repro.chaos.schedule.FaultEvent` scheduled at count *n*
+fires exactly when frame *n* arrives — deterministic under a fixed
+schedule, independent of timing.  The upstream→client direction is a
 raw byte pump; replies are never faulted.
 
 The proxy speaks :mod:`repro.transport` on both sides, so the leg it
@@ -31,10 +32,10 @@ Fault kinds on this leg:
 * ``reset``  — abort both directions mid-frame; the frame is lost.
 * ``truncate`` — forward only the first half of the framed bytes, then
   close; the upstream peer sees a mid-frame EOF.
-* ``corrupt`` — flip every bit of the payload's first byte (``0xB1`` and
-  ``0x7B`` both become invalid magics, so the peer *must* reject — data
-  bytes are not flipped because undetectable corruption is a documented
-  non-goal, see ``docs/chaos.md``).
+* ``corrupt`` — flip every bit of the payload's first byte (``0xB1``
+  becomes ``0x4E``, neither a binary magic nor a JSON object, so the peer
+  *must* reject — data bytes are not flipped because undetectable
+  corruption is a documented non-goal, see ``docs/chaos.md``).
 * ``stall``  — swallow the frame and black-hole the connection (both
   directions) while keeping it open: the peer's next exchange hangs until
   its own deadline fires, which is exactly the pathology the timeout
@@ -51,23 +52,13 @@ import asyncio
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.chaos.schedule import WIRE_KINDS, FaultEvent
+from repro.protocol.binary import is_binary_payload
 from repro.server.framing import FrameError, frame_bytes, read_frame_payload
 from repro.transport import Listener
 from repro.transport import dial as transport_dial
 from repro.transport import serve as transport_serve
 
 __all__ = ["FaultyTransport"]
-
-
-def _is_reports_payload(payload: bytes) -> bool:
-    """Frame-sniff without a decode: binary magic or an early JSON tag."""
-    if not payload:
-        return False
-    if payload[0] == 0xB1:
-        return True
-    return b'"type":"reports"' in payload[:64] or (
-        b'"type": "reports"' in payload[:64]
-    )
 
 
 class _Connection:
@@ -244,7 +235,7 @@ class FaultyTransport:
                 if conn.blackhole:
                     continue  # swallow everything after a stall
                 event: Optional[FaultEvent] = None
-                if _is_reports_payload(payload):
+                if is_binary_payload(payload):
                     self.frames += 1
                     event = self.faults.pop(self.frames, None)
                 if event is not None:

@@ -13,7 +13,6 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli serve --port 7071       # asyncio report-ingestion server
     python -m repro.cli serve-cluster --shards 3    # router + 3 shard servers
     python -m repro.cli load-test --users 100000 --workers 4
-    python -m repro.cli load-test --wire-format binary   # zero-copy frames
     python -m repro.cli load-test --cluster 3   # sharded cluster, bit-identical
     python -m repro.cli load-test --cluster 2 --transport shm  # shm shard links
     python -m repro.cli load-test --cluster 2 --epochs 4 \
@@ -54,9 +53,8 @@ checkpoints durable snapshots.  ``load-test`` spawns such a server, drives
 the engine's canonical chunk stream at it over ``--workers`` concurrent
 connections, and verifies the *served* estimates are bit-identical to the
 offline :func:`repro.engine.run_simulation` reference under the same seed.
-Both speak either ``reports`` wire format (``--wire-format``): the
-compatibility-default JSON frames or the zero-copy binary columnar frames
-of ``docs/wire-protocol.md`` §8 — bit-identical aggregates either way.
+Reports travel as the zero-copy binary columnar frames of
+``docs/wire-protocol.md`` §8.
 
 ``serve-cluster`` scales ``serve`` horizontally (:mod:`repro.cluster`): a
 router process hash-partitions ``reports`` frames across ``--shards``
@@ -355,16 +353,11 @@ def _cmd_bench(args) -> int:
               file=sys.stderr)
         return 2
 
-    # `--wire-format json` keeps the legacy object result channel (worker
-    # aggregators pickle whole, parameters travelling as their JSON payload);
-    # `binary` ships packed integer-state blobs (repro.protocol.binary).
-    result_format = "binary" if args.wire_format == "binary" else "pickle"
     payload = run_engine_bench(protocols=protocols, worker_counts=worker_counts,
                                num_users=args.num_users,
                                domain_size=args.domain_size,
                                epsilon=args.epsilon, seed=args.seed,
-                               repeats=args.repeats,
-                               result_format=result_format)
+                               repeats=args.repeats)
     output = Path(args.output)
     output.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -392,16 +385,13 @@ def _cmd_serve(args) -> int:
     if args.window is not None and args.window < 1:
         print("serve: --window must be at least 1", file=sys.stderr)
         return 2
-    wire_formats = (("json", "binary") if args.wire_format == "both"
-                    else (args.wire_format,))
     if args.restore is not None:
         if args.params_file is not None:
             print("serve: --restore carries its own parameters; it cannot be "
                   "combined with --params-file", file=sys.stderr)
             return 2
         server = AggregationServer.restore(args.restore,
-                                           snapshot_dir=args.snapshot_dir,
-                                           wire_formats=wire_formats)
+                                           snapshot_dir=args.snapshot_dir)
         if args.window is not None:
             # Operator override: tighten (or widen) retention on restart.
             server.windowed.set_window(args.window)
@@ -414,8 +404,7 @@ def _cmd_serve(args) -> int:
                                         args.epsilon, args.num_users,
                                         rng=args.seed)
         server = AggregationServer(params, window=args.window,
-                                   snapshot_dir=args.snapshot_dir,
-                                   wire_formats=wire_formats)
+                                   snapshot_dir=args.snapshot_dir)
 
     shm_name = args.shm_name
     if args.transport == "shm" and not shm_name:
@@ -432,7 +421,6 @@ def _cmd_serve(args) -> int:
         if not args.quiet:
             print(f"serve: protocol={server.params.protocol} "
                   f"window={server.windowed.window} "
-                  f"wire_formats={','.join(server.wire_formats)} "
                   f"transport={args.transport}"
                   + (f" shm_name={shm_name}" if shm_name else "") +
                   f" snapshot_dir={args.snapshot_dir} "
@@ -479,16 +467,12 @@ def _cmd_serve_cluster(args) -> int:
                                     rng=args.seed)
     ephemeral_base = args.base_dir is None
     base_dir = args.base_dir or tempfile.mkdtemp(prefix="repro-cluster-")
-    wire_formats = (("json", "binary") if args.wire_format == "both"
-                    else (args.wire_format,))
     supervisor = ClusterSupervisor(params, args.shards, base_dir,
                                    window=args.window,
-                                   wire_format=args.wire_format,
                                    transport=args.transport)
     try:
         supervisor.start()
         router = ClusterRouter(params, supervisor=supervisor, rng=args.seed,
-                               wire_formats=wire_formats,
                                checkpoint_reports=args.checkpoint_reports,
                                window=args.window,
                                transport=args.transport)
@@ -503,7 +487,6 @@ def _cmd_serve_cluster(args) -> int:
                                      for h, p in supervisor.endpoints())
                 print(f"serve-cluster: protocol={params.protocol} "
                       f"shards={args.shards} window={args.window} "
-                      f"wire_formats={','.join(wire_formats)} "
                       f"transport={args.transport} "
                       f"base_dir={base_dir} endpoints={endpoints}", flush=True)
             await router.serve_until_stopped()
@@ -698,9 +681,8 @@ def _cmd_load_test(args) -> int:
     server_stopped = False
     try:
         # hello doubles as wire-format negotiation: a server that does not
-        # accept this run's format fails here, not batch by silent batch.
-        with AggregationClient(host, port,
-                               wire_format=args.wire_format) as probe:
+        # accept binary frames fails here, not batch by silent batch.
+        with AggregationClient(host, port) as probe:
             published = probe.hello()
         if published != params:
             print("load-test: the server's published parameters do not match "
@@ -717,8 +699,7 @@ def _cmd_load_test(args) -> int:
 
         def send_span(worker: int) -> None:
             try:
-                with AggregationClient(host, port,
-                                       wire_format=args.wire_format) as client:
+                with AggregationClient(host, port) as client:
                     for i in range(worker, len(batches), workers):
                         client.send_batch(batches[i], epoch=i % args.epochs,
                                           route=routes[i])
@@ -744,8 +725,7 @@ def _cmd_load_test(args) -> int:
                 index = min(len(batches) - 1, int(fraction * len(batches)))
                 ops.setdefault(index, []).append((op, shard))
             try:
-                with AggregationClient(host, port,
-                                       wire_format=args.wire_format) as client:
+                with AggregationClient(host, port) as client:
                     for i in range(len(batches)):
                         for op, shard in ops.pop(i, []):
                             if op == "add":
@@ -807,8 +787,7 @@ def _cmd_load_test(args) -> int:
                   if args.cluster is not None else f"server {host}:{port}")
         print(format_table(rows, title=(
             f"load-test: {args.protocol} x {users} users over {workers} "
-            f"connection(s), {args.epochs} epoch(s), "
-            f"{args.wire_format} frames, {target}")))
+            f"connection(s), {args.epochs} epoch(s), {target}")))
         print(f"\nclient encoding: {encode_s:.3f}s; wire ingest+sync: "
               f"{ingest_s:.3f}s ({users / max(ingest_s, 1e-9):,.0f} reports/s "
               f"end-to-end); server drain: {stats['drain_s']:.3f}s "
@@ -898,7 +877,7 @@ def _cmd_chaos_test(args) -> int:
         protocol=args.protocol, domain_size=args.domain_size,
         epsilon=args.epsilon, num_users=args.users,
         num_shards=args.cluster, seed=args.seed,
-        wire_format=args.wire_format, schedule=schedule,
+        schedule=schedule,
         membership=args.membership, transport=args.transport,
         base_dir=args.base_dir)
     result = runner.run()
@@ -911,8 +890,7 @@ def _cmd_chaos_test(args) -> int:
             for event in result.fired]
     print(format_table(rows, title=(
         f"chaos-test: {args.protocol} x {result.num_users} users over "
-        f"{args.cluster} shard(s), seed {args.seed}, "
-        f"{args.wire_format} frames - faults fired")))
+        f"{args.cluster} shard(s), seed {args.seed} - faults fired")))
     print(f"\nschedule digest: {schedule.digest()} "
           f"(replay with --seed {args.seed})")
     print(f"fault kinds fired: {', '.join(result.fired_kinds)} "
@@ -1188,12 +1166,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("--seed", type=int, default=0)
     bench_parser.add_argument("--repeats", type=int, default=1,
                               help="timings keep the best of this many runs")
-    bench_parser.add_argument("--wire-format", default="binary",
-                              choices=["json", "binary"],
-                              help="worker->parent result channel: binary "
-                                   "packed-state blobs (default) or the "
-                                   "legacy pickled-aggregator channel whose "
-                                   "parameters travel as their JSON payload")
     bench_parser.add_argument("--output", default="BENCH_engine.json")
     bench_parser.set_defaults(func=_cmd_bench)
 
@@ -1223,11 +1195,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--snapshot-dir", default=None,
                               help="directory for durable snapshots "
                                    "(enables the snapshot frame)")
-    serve_parser.add_argument("--wire-format", default="both",
-                              choices=["json", "binary", "both"],
-                              help="reports frame formats to accept "
-                                   "(advertised in the hello reply; "
-                                   "default: both)")
     serve_parser.add_argument("--transport", default="tcp",
                               choices=["tcp", "shm"],
                               help="with 'shm', additionally bind a "
@@ -1281,10 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="cluster home on disk (params file + "
                                      "one snapshot dir per shard; default: "
                                      "a fresh temp directory)")
-    cluster_parser.add_argument("--wire-format", default="both",
-                                choices=["json", "binary", "both"],
-                                help="reports frame formats the router and "
-                                     "its shards accept")
     cluster_parser.add_argument("--transport", default="tcp",
                                 choices=["tcp", "shm"],
                                 help="router->shard transport: TCP loopback "
@@ -1312,12 +1275,6 @@ def build_parser() -> argparse.ArgumentParser:
     load_parser.add_argument("--domain-size", type=int, default=1 << 16)
     load_parser.add_argument("--epsilon", type=float, default=1.0)
     load_parser.add_argument("--seed", type=int, default=0)
-    load_parser.add_argument("--wire-format", default="json",
-                             choices=["json", "binary"],
-                             help="reports frame format the sender "
-                                  "connections use (binary: zero-copy "
-                                  "columnar frames, docs/wire-protocol.md "
-                                  "paragraph 8)")
     load_parser.add_argument("--epochs", type=int, default=1,
                              help="spread chunks over this many epoch tags")
     load_parser.add_argument("--queries", type=int, default=64,
@@ -1366,8 +1323,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="seed of the workload, the cluster "
                                    "partition, AND the fault schedule - one "
                                    "integer replays the whole run")
-    chaos_parser.add_argument("--wire-format", default="binary",
-                              choices=["json", "binary"])
     chaos_parser.add_argument("--schedule", default=None,
                               help="replay this saved fault-schedule JSON "
                                    "instead of generating one from --seed")

@@ -13,9 +13,11 @@ endpoint:
   shard-routing header (``docs/wire-protocol.md`` §8.1); frames without a
   routing key fall back to round-robin.  Either way the frame's *payload
   bytes are forwarded verbatim* (:func:`~repro.server.framing.frame_bytes`)
-  — the router peeks a few header bytes and never decodes a column, so the
-  zero-copy ingest pipeline of the binary wire format extends end-to-end
-  through the cluster tier.
+  — the router checks the column table against the payload (a zero-copy
+  decode that copies no column) and never re-encodes, so the zero-copy
+  ingest pipeline of the binary wire format extends end-to-end through
+  the cluster tier.  A payload the shard could not decode is rejected at
+  the router, never journaled.
 * **Exact merged queries** — ``query`` pulls every shard's packed
   exact-integer aggregator state (the ``state`` frame), merges the K states
   with the commutative integer-sum merge, and finalizes once.  A K-shard
@@ -106,7 +108,7 @@ from repro.cluster.journal import FrameJournal, MembershipJournal
 from repro.cluster.shardmap import ShardMap, ShardMapError, ShardMapStore
 from repro.engine.partition import ShardPartition
 from repro.protocol.binary import (
-    BinaryFormatError,
+    decode_reports_payload,
     is_binary_payload,
     pack_state,
     peek_reports_header,
@@ -123,6 +125,7 @@ from repro.protocol.wire import (
 from repro.server.client import ShardUnavailable
 from repro.server.snapshot import read_snapshot, write_snapshot
 from repro.server.framing import (
+    JSON_REPORTS_REJECTED,
     WIRE_FORMATS,
     FrameError,
     frame_bytes,
@@ -261,8 +264,6 @@ class ClusterRouter:
         The published routing partition; sampled from ``rng`` when omitted.
     rng:
         Seed/generator for sampling the default partition.
-    wire_formats:
-        ``reports`` formats accepted from clients (advertised in ``hello``).
     checkpoint_reports:
         Auto-checkpoint threshold: once a shard's journal holds at least
         this many reports, the router requests a shard snapshot and clears
@@ -310,7 +311,6 @@ class ClusterRouter:
         supervisor: Optional["ClusterSupervisor"] = None,
         partition: Optional[ShardPartition] = None,
         rng: RandomState = None,
-        wire_formats: Sequence[str] = WIRE_FORMATS,
         checkpoint_reports: int = 1 << 16,
         window: Optional[int] = None,
         transport: str = "tcp",
@@ -336,14 +336,6 @@ class ClusterRouter:
             raise ValueError(
                 "transport='shm' needs a supervisor started with "
                 "transport='shm' (it owns the shards' ring names)"
-            )
-        self.wire_formats = tuple(wire_formats)
-        if not self.wire_formats or any(
-            fmt not in WIRE_FORMATS for fmt in self.wire_formats
-        ):
-            raise ValueError(
-                f"wire_formats must be a non-empty subset of {WIRE_FORMATS}, "
-                f"got {wire_formats!r}"
             )
         if checkpoint_reports < 1:
             raise ValueError("checkpoint_reports must be >= 1")
@@ -788,7 +780,6 @@ class ClusterRouter:
         num_reports: int,
         route: Optional[int],
         epoch: int,
-        message: Optional[Dict[str, object]] = None,
     ) -> None:
         """Pick a shard under the current map and forward one payload.
 
@@ -807,8 +798,7 @@ class ClusterRouter:
             async with link.lock:
                 if not self._is_routable(link):
                     continue
-                await self._forward_locked(link, payload, num_reports,
-                                           message)
+                await self._forward_locked(link, payload, num_reports)
                 break
         else:  # pragma: no cover - needs 8 map changes in one forward
             raise ShardUnavailable(
@@ -823,27 +813,18 @@ class ClusterRouter:
         link: _ShardLink,
         payload: bytes,
         num_reports: int,
-        message: Optional[Dict[str, object]] = None,
     ) -> None:
         """Stamp, journal, and forward one ``reports`` payload to its shard.
 
         The payload is stamped with the link's next delivery sequence
-        number *before* journaling — binary frames in place via
+        number *before* journaling, via
         :func:`~repro.protocol.binary.stamp_sequence` (an 8-byte splice, no
-        column decode), JSON frames by setting ``"seq"`` on the parsed
-        ``message`` the dispatcher already has.  Journaling the stamped
-        bytes is what makes replay-after-fault idempotent (§7.1): the shard
-        dedupes redelivered frames on the sequence number.  Caller holds
-        ``link.lock``.
+        column decode).  Journaling the stamped bytes is what makes
+        replay-after-fault idempotent (§7.1): the shard dedupes redelivered
+        frames on the sequence number.  Caller holds ``link.lock``.
         """
         link.seq += 1
-        if message is None:
-            payload = stamp_sequence(payload, link.seq)
-        else:
-            message["seq"] = link.seq
-            payload = json.dumps(
-                message, separators=(",", ":")
-            ).encode("utf-8")
+        payload = stamp_sequence(payload, link.seq)
         link.journal.append((payload, num_reports))
         link.journal_reports += num_reports
         link.reports_forwarded += num_reports
@@ -918,14 +899,12 @@ class ClusterRouter:
         if is_binary_payload(payload):
             try:
                 header = peek_reports_header(payload)
-            except BinaryFormatError as exc:
+                # The shard decodes every column and closes the link on a
+                # frame it cannot decode; journaled, such a frame would
+                # fail every replay, so it must never be forwarded.
+                decode_reports_payload(payload)
+            except ValueError as exc:  # includes BinaryFormatError
                 self._reject(str(exc))
-                return True
-            if "binary" not in self.wire_formats:
-                self._reject(
-                    f"'binary' reports frames are disabled on this router "
-                    f"(accepted: {self.wire_formats})"
-                )
                 return True
             if header["protocol"] != self.params.protocol:
                 self._reject(
@@ -954,31 +933,7 @@ class ClusterRouter:
             )
             return False
         if message.get("type") == "reports":
-            batch = message.get("batch")
-            num_reports = (
-                int(batch.get("num_reports", 0)) if isinstance(batch, dict) else 0
-            )
-            if "json" not in self.wire_formats:
-                self._reject(
-                    f"'json' reports frames are disabled on this router "
-                    f"(accepted: {self.wire_formats})"
-                )
-                return True
-            protocol = batch.get("protocol") if isinstance(batch, dict) else None
-            if protocol != self.params.protocol:
-                self._reject(
-                    f"cannot route {protocol!r} reports through a "
-                    f"{self.params.protocol!r} cluster"
-                )
-                return True
-            route = message.get("route")
-            epoch = message.get("epoch")
-            await self._forward_routed(
-                payload, num_reports,
-                int(route) if route is not None else None,
-                int(epoch) if epoch is not None else 0,
-                message=message,
-            )
+            self._reject(JSON_REPORTS_REJECTED)
             return True
         try:
             return await self._dispatch_control(message, writer)
@@ -1007,7 +962,7 @@ class ClusterRouter:
                     "server": ROUTER_ID,
                     "params": self.params.to_dict(),
                     "window": self.window,
-                    "wire_formats": list(self.wire_formats),
+                    "wire_formats": list(WIRE_FORMATS),
                     "cluster": {
                         "num_shards": self.num_shards,
                         "partition": self.partition.to_dict(),

@@ -127,7 +127,7 @@ class ClusterSupervisor:
     base_dir:
         Home of the cluster on disk: the shared params file plus one
         ``shard-K`` snapshot directory per shard.
-    window / wire_format:
+    window:
         Passed through to every shard's ``serve`` invocation.
     transport:
         ``"tcp"`` (default) or ``"shm"``.  With ``"shm"`` every spawned
@@ -149,7 +149,6 @@ class ClusterSupervisor:
         base_dir: Union[str, Path],
         *,
         window: Optional[int] = None,
-        wire_format: str = "both",
         transport: str = "tcp",
     ) -> None:
         if num_shards < 1:
@@ -161,7 +160,6 @@ class ClusterSupervisor:
         self.num_shards = int(num_shards)
         self.base_dir = Path(base_dir)
         self.window = window
-        self.wire_format = wire_format
         self.transport = transport
         ClusterSupervisor._instances += 1
         #: shm ring-name prefix: unique per (process, supervisor) so stale
@@ -187,12 +185,7 @@ class ClusterSupervisor:
         return f"{self._shm_prefix}-s{index}g{restarts}"
 
     def _serve_args(self, index: int, shard_dir: Path) -> List[str]:
-        args = [
-            "--snapshot-dir",
-            str(shard_dir),
-            "--wire-format",
-            self.wire_format,
-        ]
+        args = ["--snapshot-dir", str(shard_dir)]
         if self.window is not None:
             args += ["--window", str(self.window)]
         if self.transport == "shm":

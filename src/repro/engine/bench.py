@@ -60,8 +60,7 @@ def run_engine_bench(protocols: Sequence[str] = ("hashtogram",),
                      num_users: int = 200_000, domain_size: int = 1 << 16,
                      epsilon: float = 1.0, seed: int = 0,
                      repeats: int = 1,
-                     chunk_size: Optional[int] = None,
-                     result_format: str = "binary") -> Dict[str, object]:
+                     chunk_size: Optional[int] = None) -> Dict[str, object]:
     """Run the scaling sweep and return the ``BENCH_engine.json`` payload.
 
     For each protocol the workload and the public parameters are sampled
@@ -95,8 +94,7 @@ def run_engine_bench(protocols: Sequence[str] = ("hashtogram",),
                 # A fresh generator per run: every run derives the same
                 # chunk seeds, so estimates must agree bit for bit.
                 result = run_simulation(params, values, rng=np.random.default_rng(seed),
-                                        workers=workers, chunk_size=chunk_size,
-                                        result_format=result_format)
+                                        workers=workers, chunk_size=chunk_size)
                 elapsed = time.perf_counter() - start
                 if best is None or elapsed < best["elapsed_s"]:
                     best = {"elapsed_s": elapsed,
@@ -134,7 +132,6 @@ def run_engine_bench(protocols: Sequence[str] = ("hashtogram",),
             "repeats": int(max(1, repeats)),
             "worker_counts": [int(w) for w in worker_counts],
             "protocols": list(protocols),
-            "result_format": str(result_format),
         },
         "results": results,
     }

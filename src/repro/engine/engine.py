@@ -20,13 +20,11 @@ Because the chunk plan and the chunk seeds never depend on the worker count,
 ``FrequencyOracle.collect`` / ``HeavyHitterProtocol.run`` shims, which stream
 the same plan through :func:`encode_stream`.
 
-The worker→parent result channel defaults to the binary state container of
-:mod:`repro.protocol.binary` (``result_format="binary"``): each worker
-returns one packed blob of its exact integer state and the parent rebuilds
-the shard aggregator from the parameters it already holds, instead of
-unpickling — and therefore re-deriving — a full parameter object per
-worker result.  ``result_format="pickle"`` keeps the legacy object channel;
-both merge bit-identically (``tests/test_wire_binary.py``).
+The worker→parent result channel is the binary state container of
+:mod:`repro.protocol.binary`: each worker returns one packed blob of its
+exact integer state and the parent rebuilds the shard aggregator from the
+parameters it already holds, instead of unpickling — and therefore
+re-deriving — a full parameter object per worker result.
 """
 
 from __future__ import annotations
@@ -50,11 +48,8 @@ from repro.protocol.wire import (
 )
 from repro.utils.rng import RandomState
 
-__all__ = ["EngineResult", "RESULT_FORMATS", "run_simulation",
-           "encode_stream", "encode_concat"]
-
-#: worker→parent result channel codecs accepted by :func:`run_simulation`
-RESULT_FORMATS = ("binary", "pickle")
+__all__ = ["EngineResult", "run_simulation", "encode_stream",
+           "encode_concat"]
 
 
 def _ingest_span(params: PublicParams, values_span: np.ndarray,
@@ -62,8 +57,7 @@ def _ingest_span(params: PublicParams, values_span: np.ndarray,
     """Worker body: encode+absorb a contiguous span of chunks locally.
 
     Module-level so it pickles; ``params`` round-trips through its
-    ``to_dict()`` payload (see ``PublicParams.__reduce__``) and the returned
-    aggregator ships its exact integer state back to the parent.
+    ``to_dict()`` payload (see ``PublicParams.__reduce__``).
     """
     encoder = params.make_encoder()
     aggregator = params.make_aggregator()
@@ -169,8 +163,7 @@ def encode_concat(params: PublicParams, values: Sequence[int],
 
 def run_simulation(params: PublicParams, values: Sequence[int],
                    rng: RandomState = None, workers: int = 1,
-                   chunk_size: Optional[int] = None,
-                   result_format: str = "binary") -> EngineResult:
+                   chunk_size: Optional[int] = None) -> EngineResult:
     """Simulate one full collection round, optionally across processes.
 
     Parameters
@@ -189,13 +182,6 @@ def run_simulation(params: PublicParams, values: Sequence[int],
     chunk_size:
         Rows per chunk; default
         :func:`repro.engine.partition.default_chunk_size`.
-    result_format:
-        Worker→parent result channel: ``"binary"`` (default) ships each
-        worker's exact integer state as one packed blob
-        (:mod:`repro.protocol.binary`) and rebuilds the shard aggregator
-        from the parent's own parameters; ``"pickle"`` is the legacy
-        object channel (the aggregator pickles whole, parameters included).
-        Both channels merge to bit-identical results.
 
     Returns
     -------
@@ -205,9 +191,6 @@ def run_simulation(params: PublicParams, values: Sequence[int],
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if result_format not in RESULT_FORMATS:
-        raise ValueError(f"result_format must be one of {RESULT_FORMATS}, "
-                         f"got {result_format!r}")
     values = np.asarray(values, dtype=np.int64)
     plan = make_plan(params, values.size, rng, chunk_size)
 
@@ -229,21 +212,16 @@ def run_simulation(params: PublicParams, values: Sequence[int],
     spans: List[List[Chunk]] = [list(part) for part in
                                 np.array_split(np.asarray(plan, dtype=object),
                                                num_tasks)]
-    worker = (_ingest_span_packed if result_format == "binary"
-              else _ingest_span)
     start = time.perf_counter()
     with ProcessPoolExecutor(max_workers=num_tasks) as executor:
         futures = []
         for span in spans:
             span_start, span_stop = span[0].start, span[-1].stop
             futures.append(executor.submit(
-                worker, params, values[span_start:span_stop], span,
-                span_start))
-        results = [future.result() for future in futures]
-    if result_format == "binary":
-        partials = [_unpack_span(params, result) for result in results]
-    else:
-        partials = results
+                _ingest_span_packed, params, values[span_start:span_stop],
+                span, span_start))
+        partials = [_unpack_span(params, future.result())
+                    for future in futures]
     ingest_s = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -31,7 +31,9 @@ class ConfigError(ValueError):
 #: kept literal so config validation does not import the engine stack)
 _PROTOCOLS = ("hashtogram", "explicit", "cms")
 _DISTRIBUTIONS = ("zipf", "uniform", "planted")
-_WIRE_FORMATS = ("json", "binary")
+#: reports frames are binary only (docs/wire-protocol.md §8); the axis stays
+#: because derive_cell_seed hashes every axis value
+_WIRE_FORMATS = ("binary",)
 _TRANSPORTS = ("tcp", "shm")
 
 #: hard ceiling on ``max_cells`` itself (a config cannot lift the lid off)

@@ -108,8 +108,7 @@ def _drive_live(params, cell: Cell, batches, routes,
     proc, host, port = _spawn(params, cell)
     stopped = False
     try:
-        with AggregationClient(host, port,
-                               wire_format=cell.wire_format) as client:
+        with AggregationClient(host, port) as client:
             published = client.hello()
             if published != params:
                 raise RuntimeError(

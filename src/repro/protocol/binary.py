@@ -1,18 +1,17 @@
 """Zero-copy binary columnar codec for report batches and aggregator state.
 
-The JSON wire form of :class:`~repro.protocol.wire.ReportBatch`
-(``to_dict("b64")``) pays three taxes per batch: a ``json.dumps`` pass, a
-base64 inflation of 4/3 on every column, and a ``json.loads`` + base64 pass
-on the server before a single report is absorbed.  At 1M hashtogram reports
-that is ~22.7 MB on the wire and the dominant cost of sustained ingest
-(``BENCH_server.json``), while ``absorb_batch`` itself runs an order of
-magnitude faster.  This module removes the serialization layer entirely:
+This is the only wire form of a :class:`~repro.protocol.wire.ReportBatch`.
+It replaced a JSON form (base64 columns inside a JSON object) that paid
+three taxes per batch: a ``json.dumps`` pass, a base64 inflation of 4/3 on
+every column, and a ``json.loads`` + base64 pass on the server before a
+single report was absorbed — 22.7 B per hashtogram report against 4.0 B
+here.  This module has no serialization layer at all:
 
 * **Encoding** writes each column as ``(name, dtype, shape, raw
   little-endian bytes)`` behind a fixed ``struct`` header — no JSON, no
   base64.  Integer columns are first narrowed to the smallest integer dtype
   that holds their value range (a hashtogram report shrinks from 17 raw
-  bytes to 4), which is what buys the ≥3× wire reduction over b64-JSON.
+  bytes to 4).
 * **Decoding** is a handful of ``struct.unpack_from`` calls plus one
   ``np.frombuffer`` per column: every decoded column is a **read-only
   zero-copy view** over the received buffer.  Aggregators absorb these
@@ -54,11 +53,10 @@ is how :mod:`repro.server.framing` tells the two frame classes apart
 without negotiation state.
 
 The write side validates the *announced* total frame size against the
-caller's limit **before serializing anything** (the legacy JSON path could
-only discover an oversized frame after materializing the full payload);
-the read side validates every announced offset, length, and shape before
-touching column data, so truncated or corrupted frames fail loudly with
-:class:`BinaryFormatError` rather than decoding garbage.
+caller's limit **before serializing anything**; the read side validates
+every announced offset, length, and shape before touching column data, so
+truncated or corrupted frames fail loudly with :class:`BinaryFormatError`
+rather than decoding garbage.
 """
 
 from __future__ import annotations

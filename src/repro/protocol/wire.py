@@ -38,7 +38,6 @@ simulation conveniences implemented exactly as
 from __future__ import annotations
 
 import abc
-import base64
 from typing import (
     Any,
     Callable,
@@ -156,7 +155,9 @@ class ReportBatch:
     fields become 1-D columns and vector fields become 2-D columns.  The
     columnar layout is what makes ``absorb_batch`` ingestion as fast as the
     legacy one-shot simulation while every row remains an honest standalone
-    :class:`Report`.
+    :class:`Report`.  On the wire a batch travels only as a binary
+    ``reports`` frame (:mod:`repro.protocol.binary`,
+    ``docs/wire-protocol.md`` §8).
     """
 
     __slots__ = ("protocol", "columns", "_num_reports")
@@ -232,68 +233,6 @@ class ReportBatch:
         columns = {key: np.stack([np.asarray(r.payload[key]) for r in reports])
                    for key in reports[0].payload}
         return cls(protocol, columns)
-
-    # ----- wire serialization -------------------------------------------------------
-
-    def to_dict(self, encoding: str = "b64") -> Dict[str, object]:
-        """JSON-safe columnar description of the batch.
-
-        Two column encodings are supported (both JSON-safe, see
-        ``docs/wire-protocol.md`` §3.1):
-
-        * ``"b64"`` (default) — each column ships its dtype, shape, and the
-          base64 of its little-endian C-order bytes.  This is the ingestion
-          fast path: decoding is one ``base64`` pass plus ``np.frombuffer``.
-        * ``"json"`` — each column ships its values as (nested) integer
-          lists; slower but human-readable and diff-friendly.
-
-        Either encoding round-trips through :meth:`from_dict` to a batch
-        whose columns compare equal element for element and dtype for dtype.
-        """
-        if encoding not in ("b64", "json"):
-            raise ValueError("encoding must be 'b64' or 'json'")
-        columns: Dict[str, object] = {}
-        for key, col in self.columns.items():
-            if encoding == "b64":
-                data = np.ascontiguousarray(col)
-                if data.dtype.byteorder == ">":  # pragma: no cover - BE hosts
-                    data = data.astype(data.dtype.newbyteorder("<"))
-                payload: object = base64.b64encode(data.tobytes()).decode("ascii")
-                dtype = data.dtype.str
-            else:
-                payload = col.tolist()
-                dtype = col.dtype.str
-            columns[key] = {"dtype": dtype,
-                            "shape": [int(s) for s in col.shape],
-                            "data": payload}
-        return {"protocol": self.protocol,
-                "encoding": encoding,
-                "num_reports": int(self._num_reports),
-                "columns": columns}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ReportBatch":
-        """Rebuild a batch from :meth:`to_dict` output (either encoding)."""
-        encoding = str(data.get("encoding", "json"))
-        if encoding not in ("b64", "json"):
-            raise ValueError(f"unknown batch encoding {encoding!r}; "
-                             f"expected 'b64' or 'json'")
-        columns: Dict[str, np.ndarray] = {}
-        for key, spec in dict(data["columns"]).items():
-            dtype = np.dtype(str(spec["dtype"]))
-            shape = tuple(int(s) for s in spec["shape"])
-            if encoding == "b64":
-                raw = base64.b64decode(str(spec["data"]))
-                col = np.frombuffer(raw, dtype=dtype).reshape(shape)
-            else:
-                col = np.asarray(spec["data"], dtype=dtype).reshape(shape)
-            columns[key] = col
-        batch = cls(str(data["protocol"]), columns)
-        declared = int(data.get("num_reports", len(batch)))
-        if declared != len(batch):
-            raise ValueError(f"declared num_reports={declared} does not match "
-                             f"the column length {len(batch)}")
-        return batch
 
     # ----- accounting ---------------------------------------------------------------
 

@@ -26,12 +26,10 @@ connect and to every request/reply exchange, so a stalled peer raises
 :class:`TimeoutError` instead of hanging the caller forever; pass
 ``timeout=None`` to opt back into unbounded blocking.
 
-Report batches ship in the client's ``wire_format``: ``"json"`` (default;
-the b64-columnar JSON frame) or ``"binary"`` (the zero-copy columnar frame
-of ``docs/wire-protocol.md`` §8 — no JSON, no base64, and typically several
-times smaller and faster to ingest).  ``hello`` doubles as format
-negotiation: the reply advertises the server's accepted formats and the
-client raises if its own format is not among them.
+Report batches ship as binary frames, the zero-copy columnar form of
+``docs/wire-protocol.md`` §8 and the only one a server accepts.  ``hello``
+doubles as format negotiation: the reply advertises the server's accepted
+formats and the client raises if ``"binary"`` is not among them.
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ import numpy as np
 from repro.protocol.binary import unpack_state
 from repro.protocol.wire import PublicParams, ReportBatch
 from repro.server.framing import (
-    WIRE_FORMATS,
     FrameError,
+    check_wire_format,
     encode_reports_frame,
     read_frame,
     read_frame_sync,
@@ -73,19 +71,11 @@ class ShardUnavailable(ServerError):
     from a silently partial merge."""
 
 
-def _check_wire_format(wire_format: str) -> str:
-    if wire_format not in WIRE_FORMATS:
-        raise ValueError(f"wire_format must be one of {WIRE_FORMATS}, "
-                         f"got {wire_format!r}")
-    return wire_format
-
-
-def _check_negotiated(reply: Dict[str, object], wire_format: str) -> tuple:
-    advertised = tuple(reply.get("wire_formats", ("json",)))
-    if wire_format not in advertised:
-        raise ServerError(f"server does not accept {wire_format!r} reports "
-                          f"frames (advertised: {advertised})")
-    return advertised
+def _check_negotiated(reply: Dict[str, object]) -> None:
+    advertised = tuple(reply.get("wire_formats", ()))
+    if "binary" not in advertised:
+        raise ServerError(f"server does not accept 'binary' reports frames "
+                          f"(advertised: {advertised})")
 
 
 def _check_reply(reply: Optional[Dict[str, object]],
@@ -103,16 +93,19 @@ def _check_reply(reply: Optional[Dict[str, object]],
 
 
 class AggregationClient:
-    """Blocking client for one server connection (usable as a context manager)."""
+    """Blocking client for one server connection (usable as a context manager).
+
+    ``wire_format`` accepts only ``"binary"`` (anything else raises
+    ``ValueError``); it remains for callers that name the format.
+    """
 
     def __init__(self, host: str, port: int,
                  timeout: Optional[float] = DEFAULT_TIMEOUT,
-                 wire_format: str = "json") -> None:
+                 wire_format: str = "binary") -> None:
+        check_wire_format(wire_format)
         self.host = host
         self.port = int(port)
         self.timeout = timeout
-        self.wire_format = _check_wire_format(wire_format)
-        self.server_wire_formats: Optional[tuple] = None
         # The timeout sticks to the socket: every subsequent send/recv
         # (not just connect) raises TimeoutError after `timeout` seconds
         # of stall, so a wedged server cannot hang the caller.
@@ -143,30 +136,23 @@ class AggregationClient:
     def hello(self) -> PublicParams:
         """Fetch the server's published parameters and negotiate the format.
 
-        The reply advertises the server's accepted ``wire_formats`` (stored
-        on ``self.server_wire_formats``); if this client's own format is
-        not among them a :class:`ServerError` is raised up front instead of
-        every later batch being silently rejected.
+        The reply advertises the server's accepted ``wire_formats``; if
+        ``"binary"`` is not among them a :class:`ServerError` is raised up
+        front instead of every later batch being silently rejected.
         """
         reply = self._request({"type": "hello"}, "params")
-        self.server_wire_formats = _check_negotiated(reply, self.wire_format)
+        _check_negotiated(reply)
         return PublicParams.from_dict(dict(reply["params"]))
 
     def send_batch(self, batch: ReportBatch, epoch: int = 0,
-                   encoding: str = "b64",
-                   wire_format: Optional[str] = None,
                    route: Optional[int] = None) -> None:
-        """Ship one report batch (fire-and-forget; no reply frame).
+        """Ship one report batch as a binary frame (fire-and-forget).
 
-        ``wire_format`` defaults to the connection's; ``encoding`` selects
-        the JSON column encoding and is ignored for binary frames.  A
-        non-``None`` ``route`` stamps the shard-routing header (used when
+        A non-``None`` ``route`` stamps the shard-routing header (used when
         the peer is a :class:`~repro.cluster.ClusterRouter`; a plain server
         ignores it).
         """
-        wire_format = _check_wire_format(wire_format or self.wire_format)
-        self._stream.write(encode_reports_frame(batch, epoch, wire_format,
-                                                encoding, route=route))
+        self._stream.write(encode_reports_frame(batch, epoch, route=route))
         self._stream.flush()
 
     def send_raw(self, frames: bytes) -> None:
@@ -261,17 +247,13 @@ class AsyncAggregationClient:
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter,
-                 wire_format: str = "json",
                  timeout: Optional[float] = DEFAULT_TIMEOUT) -> None:
         self._reader = reader
         self._writer = writer
-        self.wire_format = _check_wire_format(wire_format)
         self.timeout = timeout
-        self.server_wire_formats: Optional[tuple] = None
 
     @classmethod
     async def connect(cls, host: str, port: int,
-                      wire_format: str = "json",
                       timeout: Optional[float] = DEFAULT_TIMEOUT
                       ) -> "AsyncAggregationClient":
         open_conn = asyncio.open_connection(host, int(port))
@@ -286,11 +268,10 @@ class AsyncAggregationClient:
                 raise TimeoutError(
                     f"connect to {host}:{port} timed out after "
                     f"{timeout}s") from None
-        return cls(reader, writer, wire_format, timeout)
+        return cls(reader, writer, timeout)
 
     @classmethod
     async def dial(cls, address: str,
-                   wire_format: str = "json",
                    timeout: Optional[float] = DEFAULT_TIMEOUT
                    ) -> "AsyncAggregationClient":
         """Connect over any registered transport (``tcp://host:port``,
@@ -300,7 +281,7 @@ class AsyncAggregationClient:
         from repro.transport import dial as transport_dial
 
         conn = await transport_dial(address, timeout=timeout)
-        return cls(conn.reader, conn.writer, wire_format, timeout)
+        return cls(conn.reader, conn.writer, timeout)
 
     async def _deadline(self, awaitable, what: str):
         if self.timeout is None:
@@ -335,16 +316,12 @@ class AsyncAggregationClient:
 
     async def hello(self) -> PublicParams:
         reply = await self._request({"type": "hello"}, "params")
-        self.server_wire_formats = _check_negotiated(reply, self.wire_format)
+        _check_negotiated(reply)
         return PublicParams.from_dict(dict(reply["params"]))
 
     async def send_batch(self, batch: ReportBatch, epoch: int = 0,
-                         encoding: str = "b64",
-                         wire_format: Optional[str] = None,
                          route: Optional[int] = None) -> None:
-        wire_format = _check_wire_format(wire_format or self.wire_format)
-        self._writer.write(encode_reports_frame(batch, epoch, wire_format,
-                                                encoding, route=route))
+        self._writer.write(encode_reports_frame(batch, epoch, route=route))
         await self._deadline(self._writer.drain(), "reports send")
 
     async def send_raw(self, frames: bytes) -> None:
@@ -352,13 +329,11 @@ class AsyncAggregationClient:
         self._writer.write(frames)
         await self._deadline(self._writer.drain(), "raw send")
 
-    async def send_stream(self, batches, epoch: int = 0,
-                          encoding: str = "b64",
-                          wire_format: Optional[str] = None) -> int:
+    async def send_stream(self, batches, epoch: int = 0) -> int:
         """Ship an iterable of batches; returns the number of reports sent."""
         sent = 0
         for batch in batches:
-            await self.send_batch(batch, epoch, encoding, wire_format)
+            await self.send_batch(batch, epoch)
             sent += len(batch)
         return sent
 

@@ -14,19 +14,17 @@ classes share the prefix and are told apart by the payload's first byte:
 +----------------+---------------------------+
 ```
 
-JSON frames carry the full control vocabulary (``hello`` / ``reports`` /
-``sync`` / ``query`` / ``snapshot`` / ``stats`` / ``shutdown`` and their
-replies, specified in ``docs/wire-protocol.md`` §7).  Binary frames carry
-only ``reports``: the batch columns travel as raw little-endian bytes
-behind a fixed struct header (``docs/wire-protocol.md`` §8) and decode to
-**read-only zero-copy** numpy views — no JSON, no base64, no intermediate
-dict.  ``decode_frame`` normalizes both classes to the same message shape;
-a binary ``reports`` message carries an already-decoded
-:class:`~repro.protocol.wire.ReportBatch` under ``"batch"``.
-
-The JSON ``reports`` path remains the default and the compatibility/debug
-format; clients opt into binary per connection (``wire_format="binary"``)
-after ``hello`` advertises the server's accepted formats.
+JSON frames carry the control vocabulary (``hello`` / ``sync`` /
+``query`` / ``snapshot`` / ``stats`` / ``shutdown`` and their replies,
+specified in ``docs/wire-protocol.md`` §7).  Binary frames carry
+``reports``, the only form a report batch can take on the wire: the batch
+columns travel as raw little-endian bytes behind a fixed struct header
+(``docs/wire-protocol.md`` §8) and decode to **read-only zero-copy** numpy
+views — no JSON, no base64, no intermediate dict.  ``decode_frame``
+returns a binary ``reports`` message with an already-decoded
+:class:`~repro.protocol.wire.ReportBatch` under ``"batch"``.  A JSON frame
+of type ``reports`` (the retired pre-§8 form) still parses, and the
+server and router reject it with :data:`JSON_REPORTS_REJECTED`.
 
 Both an asyncio flavor (:func:`read_frame` / :func:`write_frame`, used by
 the server and the async client) and a blocking flavor
@@ -53,6 +51,7 @@ from repro.protocol.wire import ReportBatch
 
 __all__ = [
     "FrameError",
+    "JSON_REPORTS_REJECTED",
     "MAX_FRAME_BYTES",
     "WIRE_FORMATS",
     "encode_frame",
@@ -72,8 +71,12 @@ __all__ = [
 #: a single column byte.
 MAX_FRAME_BYTES = 1 << 30
 
-#: the wire formats a `reports` frame can travel in
-WIRE_FORMATS = ("json", "binary")
+#: the wire formats a `reports` frame can travel in (advertised by `hello`)
+WIRE_FORMATS = ("binary",)
+
+#: why a JSON `reports` frame is dropped (accounted, never answered)
+JSON_REPORTS_REJECTED = ("JSON reports frames are no longer accepted; send "
+                         "binary reports frames (docs/wire-protocol.md §8)")
 
 _HEADER = struct.Struct("!I")
 
@@ -93,37 +96,23 @@ def encode_frame(message: Dict[str, object]) -> bytes:
 
 
 def encode_reports_frame(batch: ReportBatch, epoch: int = 0,
-                         wire_format: str = "json",
-                         encoding: str = "b64",
+                         wire_format: str = "binary",
                          route: Optional[int] = None,
                          seq: Optional[int] = None) -> bytes:
-    """Serialize one ``reports`` frame in the chosen wire format.
+    """Serialize one binary ``reports`` frame (``docs/wire-protocol.md`` §8).
 
-    ``wire_format="json"`` produces the legacy JSON frame with the given
-    column ``encoding`` (``"b64"`` or ``"json"``); ``"binary"`` produces a
-    binary frame whose announced size is validated against
+    ``wire_format`` accepts only ``"binary"`` (anything else raises
+    ``ValueError``).  The announced size is validated against
     :data:`MAX_FRAME_BYTES` *before* any column is serialized.
 
-    A non-``None`` ``route`` stamps the shard-routing header onto the frame
-    (JSON: a top-level ``"route"`` key; binary: the ``FLAG_ROUTED`` header
-    field) — a cluster router partitions on it without decoding columns,
-    and a plain :class:`~repro.server.service.AggregationServer` ignores it.
-    A non-``None`` ``seq`` stamps the delivery sequence number (JSON: a
-    top-level ``"seq"`` key; binary: the ``FLAG_SEQUENCED`` header field)
-    used for exact redelivery detection on journal replay (§7.1); normal
-    clients leave it to the router.
+    A non-``None`` ``route`` stamps the shard-routing header field
+    (``FLAG_ROUTED``) — a cluster router partitions on it without decoding
+    columns, and a plain :class:`~repro.server.service.AggregationServer`
+    ignores it.  A non-``None`` ``seq`` stamps the delivery sequence number
+    (``FLAG_SEQUENCED``) used for exact redelivery detection on journal
+    replay (§7.1); normal clients leave it to the router.
     """
-    if wire_format == "json":
-        message = {"type": "reports", "epoch": int(epoch),
-                   "batch": batch.to_dict(encoding)}
-        if route is not None:
-            message["route"] = int(route)
-        if seq is not None:
-            message["seq"] = int(seq)
-        return encode_frame(message)
-    if wire_format != "binary":
-        raise ValueError(f"wire_format must be one of {WIRE_FORMATS}, "
-                         f"got {wire_format!r}")
+    check_wire_format(wire_format)
     try:
         payload = encode_reports_payload(batch, epoch,
                                          max_bytes=MAX_FRAME_BYTES,
@@ -131,6 +120,15 @@ def encode_reports_frame(batch: ReportBatch, epoch: int = 0,
     except BinaryFormatError as exc:
         raise FrameError(str(exc)) from exc
     return _HEADER.pack(len(payload)) + payload
+
+
+def check_wire_format(wire_format: str) -> str:
+    """``wire_format`` if it names an accepted ``reports`` frame format,
+    else ``ValueError``."""
+    if wire_format not in WIRE_FORMATS:
+        raise ValueError(f"wire_format must be one of {WIRE_FORMATS}, "
+                         f"got {wire_format!r}")
+    return wire_format
 
 
 def frame_bytes(payload: bytes) -> bytes:
@@ -150,12 +148,11 @@ def decode_frame(payload: bytes) -> Dict[str, object]:
     """Parse a frame payload of either class into one message dictionary.
 
     JSON payloads must be JSON objects and are returned as-is.  Binary
-    payloads decode to ``{"type": "reports", "epoch": e, "batch": <batch>,
-    "wire_format": "binary"}`` where ``batch`` is a ready
-    :class:`~repro.protocol.wire.ReportBatch` whose columns are read-only
-    zero-copy views over ``payload``; a routed/sequenced payload also
-    carries its ``"route"`` / ``"seq"`` header fields, mirroring the JSON
-    top-level keys.
+    payloads decode to ``{"type": "reports", "epoch": e, "batch": <batch>}``
+    where ``batch`` is a ready :class:`~repro.protocol.wire.ReportBatch`
+    whose columns are read-only zero-copy views over ``payload``; a
+    routed/sequenced payload also carries its ``"route"`` / ``"seq"``
+    header fields.
     """
     if is_binary_payload(payload):
         try:
@@ -164,8 +161,7 @@ def decode_frame(payload: bytes) -> Dict[str, object]:
         except ValueError as exc:  # includes BinaryFormatError
             raise FrameError(f"invalid binary frame: {exc}") from exc
         message: Dict[str, object] = {"type": "reports", "epoch": epoch,
-                                      "batch": batch,
-                                      "wire_format": "binary"}
+                                      "batch": batch}
         if header["route"] is not None:
             message["route"] = header["route"]
         if header["seq"] is not None:

@@ -10,12 +10,11 @@ protocol of :mod:`repro.server.framing` (``docs/wire-protocol.md`` §7):
   :class:`~repro.protocol.wire.ReportBatch` objects and pushed onto a
   *bounded* queue; a connection that outruns the server suspends inside
   ``queue.put`` and the unread bytes back up the TCP window — natural
-  backpressure, no dropped reports.  Binary ``reports`` frames
-  (``docs/wire-protocol.md`` §8) arrive from the frame layer as
+  backpressure, no dropped reports.  ``reports`` frames are binary
+  (``docs/wire-protocol.md`` §8) and arrive from the frame layer as
   already-decoded batches backed by zero-copy views, so the drain absorbs
-  their columns without ever materializing a dict payload; ``hello``
-  advertises the accepted formats (``wire_formats``) and batches in a
-  disabled format are rejected and accounted like any other bad batch.
+  their columns without ever materializing a dict payload; a JSON
+  ``reports`` frame is dropped unanswered and named in ``last_rejection``.
 * **Batched drain** — one drain task pops everything queued (up to
   ``drain_reports`` rows), concatenates per epoch, and calls
   ``absorb_batch`` once per epoch — large-batch ingestion is what keeps the
@@ -40,11 +39,12 @@ import asyncio
 import base64
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.protocol.binary import pack_state, unpack_state
 from repro.protocol.wire import PublicParams, ReportBatch, child_state
 from repro.server.framing import (
+    JSON_REPORTS_REJECTED,
     WIRE_FORMATS,
     FrameError,
     read_frame,
@@ -111,11 +111,6 @@ class AggregationServer:
         Directory for durable snapshots, written in the binary state
         container; ``None`` disables the ``snapshot`` frame (it returns an
         error).
-    wire_formats:
-        ``reports`` frame formats this server accepts (any non-empty subset
-        of ``("json", "binary")``; default both).  Advertised in the
-        ``hello`` reply; batches arriving in a disabled format are dropped
-        and accounted.
     queue_batches:
         Bound of the ingestion queue, in batches.  Full queue = ingestion
         backpressure on every sending connection.
@@ -126,18 +121,12 @@ class AggregationServer:
 
     def __init__(self, params: PublicParams, *, window: Optional[int] = None,
                  snapshot_dir: Optional[Union[str, Path]] = None,
-                 wire_formats: Sequence[str] = WIRE_FORMATS,
                  queue_batches: int = 256,
                  drain_reports: int = 1 << 18) -> None:
         if queue_batches < 1:
             raise ValueError("queue_batches must be >= 1")
         if drain_reports < 1:
             raise ValueError("drain_reports must be >= 1")
-        self.wire_formats = tuple(wire_formats)
-        if not self.wire_formats or \
-                any(fmt not in WIRE_FORMATS for fmt in self.wire_formats):
-            raise ValueError(f"wire_formats must be a non-empty subset of "
-                             f"{WIRE_FORMATS}, got {wire_formats!r}")
         self.params = params
         self.windowed = WindowedAggregator(params, window)
         self.stats = ServerStats()
@@ -358,19 +347,12 @@ class AggregationServer:
             # reply slot and desynchronize the connection forever.
             self.stats.batches_received += 1
             try:
-                payload = frame["batch"]
-                if isinstance(payload, ReportBatch):
-                    # Binary frame: the frame layer already decoded the
-                    # columns as zero-copy views — no dict, no re-parse.
-                    wire_format, batch = "binary", payload
-                else:
-                    wire_format = "json"
-                    batch = ReportBatch.from_dict(dict(payload))
-                if wire_format not in self.wire_formats:
-                    self.stats.reports_rejected += len(batch)
-                    raise ValueError(
-                        f"{wire_format!r} reports frames are disabled on "
-                        f"this server (accepted: {self.wire_formats})")
+                # A binary frame arrives with its columns already decoded
+                # as zero-copy views; only a JSON frame can carry anything
+                # else here, and that form is retired.
+                batch = frame.get("batch")
+                if not isinstance(batch, ReportBatch):
+                    raise ValueError(JSON_REPORTS_REJECTED)
                 if batch.protocol != self.params.protocol:
                     self.stats.reports_rejected += len(batch)
                     raise ValueError(
@@ -408,7 +390,7 @@ class AggregationServer:
                     "server": SERVER_ID,
                     "params": self.params.to_dict(),
                     "window": self.windowed.window,
-                    "wire_formats": list(self.wire_formats)})
+                    "wire_formats": list(WIRE_FORMATS)})
                 return True
             if kind == "sync":
                 await self._queue.join()

@@ -3,9 +3,9 @@
 CI runs ``benchmarks/bench_server_ingest.py --check BENCH_server.json
 --baseline BENCH_baseline.json --engine BENCH_engine.json``; these tests
 pin down the gate logic itself — a payload matching baseline passes, a
-payload whose binary ingest throughput collapsed (or whose wire shrink
-regressed below 3×, or whose expander-sketch finalize or checkpoint rate
-collapsed) fails — and run the actual ``--check`` entry point
+payload whose binary ingest throughput collapsed (or whose frames grew past
+the wire-bytes-per-report ceiling, or whose expander-sketch finalize or
+checkpoint rate collapsed) fails — and run the actual ``--check`` entry point
 against a doctored file, exactly as the CI self-test step does.
 """
 
@@ -29,20 +29,19 @@ from bench_server_ingest import (  # noqa: E402 - path set up above
 BASELINE = {
     "baseline": "bench-regression-baseline",
     "max_drop": 0.40,
-    "server": {"hashtogram": {"binary": 20_000_000, "json": 5_000_000}},
+    "server": {"hashtogram": {"binary": 20_000_000}},
+    "wire_bytes_per_report": {"hashtogram": 4.1},
     "engine": {"hashtogram": 4_000_000},
     "finalize": {"expander_sketch": 14_000_000},
     "checkpoint": {"expander_sketch": 80_000_000},
 }
 
 
-def _server_payload(binary_rate=20_000_000, json_rate=5_000_000,
-                    binary_mb=4.0, json_mb=22.0):
+def _server_payload(binary_rate=20_000_000, wire_bytes=4_002_368):
     return {"results": [
-        {"protocol": "hashtogram", "wire_format": "json",
-         "reports_per_s": json_rate, "wire_mb": json_mb},
         {"protocol": "hashtogram", "wire_format": "binary",
-         "reports_per_s": binary_rate, "wire_mb": binary_mb},
+         "num_users": 1_000_000, "reports_per_s": binary_rate,
+         "wire_bytes": wire_bytes},
     ]}
 
 
@@ -71,7 +70,7 @@ class TestThroughputGate:
         assert "regressed" in failures[0]
 
     def test_missing_measured_row_fails(self):
-        payload = {"results": [_server_payload()["results"][0]]}  # json only
+        payload = {"results": []}
         failures = check_throughput_regression(payload, BASELINE)
         assert any("no measured row" in f for f in failures)
 
@@ -165,12 +164,21 @@ class TestCheckpointGate:
 
 class TestWireShrinkGate:
     def test_healthy_shrink_passes(self):
-        assert check_wire_shrink(_server_payload()) == []
+        assert check_wire_shrink(_server_payload(), BASELINE) == []
 
     def test_regressed_shrink_fails(self):
-        payload = _server_payload(binary_mb=10.0, json_mb=22.0)  # 2.2x
-        failures = check_wire_shrink(payload)
-        assert any("smaller" in f for f in failures)
+        payload = _server_payload(wire_bytes=10_000_000)  # 10 B per report
+        failures = check_wire_shrink(payload, BASELINE)
+        assert len(failures) == 1
+        assert "10.0000 B per report" in failures[0]
+
+    def test_ceiling_has_no_max_drop_headroom(self):
+        payload = _server_payload(wire_bytes=4_100_001)  # just over 4.1 B
+        assert check_wire_shrink(payload, BASELINE) != []
+
+    def test_missing_wire_bytes_row_fails(self):
+        failures = check_wire_shrink({"results": []}, BASELINE)
+        assert any("no measured wire_bytes row" in f for f in failures)
 
 
 class TestCheckEntryPoint:
@@ -187,7 +195,8 @@ class TestCheckEntryPoint:
         assert baseline["baseline"] == "bench-regression-baseline"
         assert 0.0 < float(baseline["max_drop"]) < 1.0
         assert "hashtogram" in baseline["server"]
-        assert "binary" in baseline["server"]["hashtogram"]
+        assert set(baseline["server"]["hashtogram"]) == {"binary"}
+        assert float(baseline["wire_bytes_per_report"]["hashtogram"]) == 4.1
         assert "hashtogram" in baseline["engine"]
         assert float(baseline["finalize"]["expander_sketch"]) > 0
         assert float(baseline["checkpoint"]["expander_sketch"]) > 0
@@ -207,8 +216,7 @@ class TestCheckEntryPoint:
     def test_healthy_payload_passes_check(self, tmp_path, committed_baseline):
         baseline = json.loads(committed_baseline.read_text())
         healthy = _server_payload(
-            binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])),
-            json_rate=int(float(baseline["server"]["hashtogram"]["json"])))
+            binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])))
         path = tmp_path / "BENCH_healthy.json"
         path.write_text(json.dumps(healthy))
         assert main(["--check", str(path),
@@ -218,8 +226,7 @@ class TestCheckEntryPoint:
                                            capsys):
         baseline = json.loads(committed_baseline.read_text())
         healthy = _server_payload(
-            binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])),
-            json_rate=int(float(baseline["server"]["hashtogram"]["json"])))
+            binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])))
         reference = float(baseline["finalize"]["expander_sketch"])
         healthy["finalize"] = {"expander_sketch": {
             "protocol": "expander_sketch", "cells_per_s": int(reference)}}
@@ -238,8 +245,7 @@ class TestCheckEntryPoint:
                                              committed_baseline, capsys):
         baseline = json.loads(committed_baseline.read_text())
         healthy = _server_payload(
-            binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])),
-            json_rate=int(float(baseline["server"]["hashtogram"]["json"])))
+            binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])))
         reference = float(baseline["checkpoint"]["expander_sketch"])
         healthy["checkpoint"] = {"expander_sketch": {
             "protocol": "expander_sketch", "cells_per_s": int(reference)}}
@@ -258,3 +264,16 @@ class TestCheckEntryPoint:
         path = tmp_path / "BENCH.json"
         path.write_text(json.dumps(_server_payload()))
         assert main(["--check", str(path), "--engine", str(path)]) == 2
+
+    def test_check_requires_baseline(self, tmp_path):
+        path = tmp_path / "BENCH.json"
+        path.write_text(json.dumps(_server_payload()))
+        assert main(["--check", str(path)]) == 2
+
+    def test_doctored_wire_bytes_fail_check(self, tmp_path,
+                                            committed_baseline, capsys):
+        path = tmp_path / "BENCH_wire.json"
+        path.write_text(json.dumps(_server_payload(wire_bytes=22_670_000)))
+        assert main(["--check", str(path),
+                     "--baseline", str(committed_baseline)]) == 1
+        assert "B per report" in capsys.readouterr().err

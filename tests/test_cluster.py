@@ -8,11 +8,13 @@ every registered protocol, through any frame interleaving, and through a
 ``SIGKILL``-ed shard that is restarted from its snapshot and replayed from
 the router's journal.  Also covered: the published pairwise-independent
 :class:`~repro.engine.partition.ShardPartition`, the shard-routing header
-in both wire formats, and the ``state`` (state-pull) frame the router's
-query path is built on.
+of binary ``reports`` frames, the router's refusal of frames a shard could
+not decode (JSON ``reports`` frames among them), and the ``state``
+(state-pull) frame the router's query path is built on.
 """
 
 import asyncio
+import struct
 import threading
 import time
 from contextlib import contextmanager
@@ -46,8 +48,10 @@ from repro.server import (
     ShardUnavailable,
     decode_frame,
 )
-from repro.server.framing import encode_reports_frame
+from repro.server.framing import encode_reports_frame, frame_bytes
 from repro.server.window import WindowedAggregator
+
+from test_server import legacy_json_reports_frame
 
 DOMAIN = 1 << 12
 
@@ -133,10 +137,9 @@ class TestRoutedFrames:
         with pytest.raises(BinaryFormatError, match="unknown header flags"):
             peek_reports_header(bytes(payload))
 
-    def test_json_route_field(self):
+    def test_decoded_frame_carries_route_field(self):
         _, batch = _small_batch()
-        frame = encode_reports_frame(batch, epoch=3, wire_format="json",
-                                     route=11)
+        frame = encode_reports_frame(batch, epoch=3, route=11)
         message = decode_frame(frame[4:])
         assert message["type"] == "reports"
         assert message["route"] == 11
@@ -275,8 +278,7 @@ class TestClusterBitIdentity:
         batches, routes = _routed_stream(params, values, plan_seed, 128)
         queries = list(range(40))
         with running_cluster(params, 3, tmp_path) as (_, router, host, port):
-            with AggregationClient(host, port,
-                                   wire_format="binary") as client:
+            with AggregationClient(host, port) as client:
                 client.hello()
                 for batch, route in zip(batches, routes, strict=True):
                     client.send_batch(batch, route=route)
@@ -343,6 +345,59 @@ class TestClusterBitIdentity:
                 stats = client.stats()
         assert stats["router"]["frames_rejected"] == 1
         assert other.protocol in stats["router"]["last_rejection"]
+
+
+def _cut_data(payload):
+    """The frame with its last 8 data bytes cut off (header intact)."""
+    return payload[:-8]
+
+
+def _false_count(payload):
+    """The frame with a header ``num_reports`` of 2^20 (columns intact)."""
+    out = bytearray(payload)
+    struct.pack_into("<Q", out, 12, 1 << 20)  # after magic..flags + epoch
+    return bytes(out)
+
+
+@pytest.mark.cluster
+class TestRouterRejectsUndecodableFrames:
+    """A frame the shard could not decode is rejected at the router: once
+    journaled it would fail every replay and take the shard down."""
+
+    @pytest.mark.parametrize("corrupt", [_cut_data, _false_count],
+                             ids=["cut_data", "false_count"])
+    def test_corrupt_frame_rejected_shard_stays_up(self, tmp_path, corrupt):
+        params = _cluster_case("hashtogram")
+        values = _workload(params, 600)
+        offline = run_simulation(params, values,
+                                 rng=np.random.default_rng(19),
+                                 chunk_size=600).finalize()
+        (batch,), _ = _routed_stream(params, values, 19, 600)
+        payload = encode_reports_payload(batch, route=0)
+        peek_reports_header(corrupt(payload))  # the header alone looks fine
+        queries = list(range(32))
+        with running_cluster(params, 2, tmp_path) as (_, _router, host, port):
+            with AggregationClient(host, port) as client:
+                client.send_raw(frame_bytes(corrupt(payload)))
+                client.send_raw(frame_bytes(payload))
+                assert client.sync() == len(values)
+                served = client.query(queries)
+                stats = client.stats()
+        assert np.array_equal(served, offline.estimate_many(queries))
+        assert stats["router"]["frames_rejected"] == 1
+        assert stats["router"]["shard_restarts"] == 0
+
+    def test_json_reports_frame_refused(self, tmp_path):
+        params, batch = _small_batch()
+        with running_cluster(params, 2, tmp_path) as (_, _router, host, port):
+            with AggregationClient(host, port) as client:
+                client.send_raw(legacy_json_reports_frame(batch))
+                client.send_batch(batch, route=0)
+                assert client.sync() == len(batch)
+                stats = client.stats()
+        assert stats["router"]["frames_rejected"] == 1
+        assert stats["router"]["frames_forwarded"] == 1
+        assert "JSON reports frames" in stats["router"]["last_rejection"]
 
 
 # --------------------------------------------------------------------------------------

@@ -86,6 +86,11 @@ def test_invalid_axis_value_rejected(tmp_path):
             matrix:
               epsilon: [-1.0]
         """))
+    with pytest.raises(ConfigError, match="matrix.wire_format"):
+        load_config(write_config(tmp_path, """
+            matrix:
+              wire_format: [json, binary]
+        """))
 
 
 def test_unknown_axis_rejected(tmp_path):

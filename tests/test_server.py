@@ -9,6 +9,7 @@ into a fresh process finishing the collection bit-identically.
 """
 
 import asyncio
+import base64
 import io
 import json
 import os
@@ -27,7 +28,7 @@ import pytest
 import repro
 from repro.engine import encode_stream, run_simulation
 from repro.protocol import ExplicitHistogramParams, HashtogramParams
-from repro.protocol.wire import json_safe
+from repro.protocol.wire import ReportBatch, json_safe
 from repro.server import (
     AggregationClient,
     AggregationServer,
@@ -128,6 +129,20 @@ def _small_params():
     return HashtogramParams.create(1 << 10, 1.0, num_buckets=16, rng=0)
 
 
+def legacy_json_reports_frame(batch, epoch=0):
+    """A ``reports`` frame in the retired JSON form (base64 columns)."""
+    columns = {key: {"dtype": col.dtype.str,
+                     "shape": [int(n) for n in col.shape],
+                     "data": base64.b64encode(
+                         np.ascontiguousarray(col).tobytes()).decode("ascii")}
+               for key, col in batch.columns.items()}
+    return encode_frame({"type": "reports", "epoch": epoch,
+                         "batch": {"protocol": batch.protocol,
+                                   "encoding": "b64",
+                                   "num_reports": len(batch),
+                                   "columns": columns}})
+
+
 def _state_leaves(payload):
     """Every count of a ``child_state`` payload, in a fixed order, as arrays."""
     if isinstance(payload, dict):
@@ -155,57 +170,39 @@ class TestServerEndToEnd:
                 served = client.query(queries)
         assert np.array_equal(served, offline.estimate_many(queries))
 
-    def test_json_and_b64_batch_encodings_agree(self):
-        params = ExplicitHistogramParams(64, 1.0, "krr")
-        values = np.random.default_rng(0).integers(0, 64, size=2_000)
-        batch = params.make_encoder().encode_batch(values,
-                                                   np.random.default_rng(1))
-        queries = list(range(64))
-        results = {}
-        for encoding in ("b64", "json"):
-            with running_server(params) as (_, host, port):
-                with AggregationClient(host, port) as client:
-                    client.send_batch(batch, encoding=encoding)
-                    client.sync()
-                    results[encoding] = client.query(queries)
-        assert np.array_equal(results["b64"], results["json"])
-
-    def test_binary_wire_format_bit_identical_to_json(self):
-        params = _small_params()
-        values = np.random.default_rng(21).integers(0, 1 << 10, size=6_000)
-        batches = list(encode_stream(params, values,
-                                     rng=np.random.default_rng(22)))
-        queries = list(range(128))
-        results = {}
-        for wire_format in ("json", "binary"):
-            with running_server(params) as (_, host, port):
-                with AggregationClient(host, port,
-                                       wire_format=wire_format) as client:
-                    assert client.hello() == params  # negotiates the format
-                    assert "binary" in client.server_wire_formats
-                    for batch in batches:
-                        client.send_batch(batch)
-                    assert client.sync() == values.size
-                    results[wire_format] = client.query(queries)
-        assert np.array_equal(results["binary"], results["json"])
-
-    def test_binary_frames_rejected_when_disabled(self):
+    def test_json_reports_frame_refused_connection_stays_usable(self):
         params = _small_params()
         batch = params.make_encoder().encode_batch(
             [1, 2, 3], np.random.default_rng(0))
-        with running_server(params, wire_formats=("json",)) as (_, host, port):
-            with AggregationClient(host, port,
-                                   wire_format="binary") as client:
-                with pytest.raises(ServerError, match="does not accept"):
-                    client.hello()  # negotiation fails up front
-                client.send_batch(batch)  # forced anyway: dropped + accounted
-                assert client.sync() == 0
+        with running_server(params) as (_, host, port):
+            with AggregationClient(host, port) as client:
+                client.hello()
+                client.send_raw(legacy_json_reports_frame(batch))
+                assert client.sync() == 0  # dropped, and never answered
                 stats = client.stats()
-                assert stats["reports_rejected"] == len(batch)
-                assert "disabled" in stats["last_rejection"]
-                # json frames on the same connection still land
-                client.send_batch(batch, wire_format="json")
+                assert stats["batches_received"] == 1
+                assert stats["reports_absorbed"] == 0
+                assert "JSON reports frames" in stats["last_rejection"]
+                # binary frames on the same connection still land
+                client.send_batch(batch)
                 assert client.sync() == len(batch)
+                served = client.query(list(range(8)))
+        expected = params.make_aggregator().absorb_batch(batch).finalize()
+        assert np.array_equal(served, expected.estimate_many(list(range(8))))
+
+    def test_hello_advertises_binary_only(self):
+        with running_server(_small_params()) as (_, host, port):
+            with AggregationClient(host, port) as client:
+                write_frame_sync(client._stream, {"type": "hello"})
+                reply = read_frame_sync(client._stream)
+        assert reply["wire_formats"] == ["binary"]
+
+    def test_client_accepts_only_binary_wire_format(self):
+        with pytest.raises(ValueError, match="wire_format"):
+            AggregationClient("127.0.0.1", 1, wire_format="json")
+        with pytest.raises(ValueError, match="wire_format"):
+            encode_reports_frame(_small_params().make_encoder().encode_batch(
+                [1], np.random.default_rng(0)), 0, "json")
 
     def test_windowed_queries_over_epochs(self):
         params = ExplicitHistogramParams(32, 1.0, "krr")
@@ -332,13 +329,9 @@ class TestServerEndToEnd:
         params = _small_params()
         with running_server(params) as (_, host, port):
             with AggregationClient(host, port) as client:
-                write_frame_sync(client._stream, {
-                    "type": "reports", "epoch": 0,
-                    "batch": {"protocol": params.protocol,
-                              "encoding": "json", "num_reports": 2,
-                              "columns": {"bogus": {"dtype": "<i8",
-                                                    "shape": [2],
-                                                    "data": [1, 2]}}}})
+                bogus = ReportBatch(params.protocol,
+                                    {"bogus": np.array([1, 2])})
+                client.send_raw(encode_reports_frame(bogus))
                 assert client.sync() == 0
                 stats = client.stats()
                 assert stats["reports_rejected"] == 2
@@ -448,12 +441,6 @@ class TestServerEndToEnd:
         # epoch 0 is 50 epochs old: a last-24-epochs query must exclude it.
         assert reply["epochs"] == [50]
         assert reply["num_reports"] == len(batch)
-
-    def test_unknown_batch_encoding_rejected(self):
-        from repro.protocol import ReportBatch
-        with pytest.raises(ValueError, match="unknown batch encoding"):
-            ReportBatch.from_dict({"protocol": "x", "encoding": "base64",
-                                   "num_reports": 0, "columns": {}})
 
     def test_snapshot_without_store_errors(self):
         with running_server(_small_params()) as (_, host, port):
@@ -662,18 +649,16 @@ class TestAsyncSafetyRegressions:
 class TestSequencingAndHealth:
     """Spec §7.1: a not-larger ``seq`` is an exact redelivery — drop it."""
 
-    def _stamped(self, params, seed, seq, wire_format):
+    def _stamped(self, params, seed, seq):
         values = np.random.default_rng(seed).integers(0, 1 << 10, size=1_200)
         batch = params.make_encoder().encode_batch(values,
                                                    np.random.default_rng(seed))
-        return batch, encode_reports_frame(batch, wire_format=wire_format,
-                                           seq=seq)
+        return batch, encode_reports_frame(batch, seq=seq)
 
-    @pytest.mark.parametrize("wire_format", ["json", "binary"])
-    def test_sequenced_redelivery_dropped_exactly(self, wire_format):
+    def test_sequenced_redelivery_dropped_exactly(self):
         params = _small_params()
-        batch1, frame1 = self._stamped(params, 3, 1, wire_format)
-        batch2, frame2 = self._stamped(params, 4, 2, wire_format)
+        batch1, frame1 = self._stamped(params, 3, 1)
+        batch2, frame2 = self._stamped(params, 4, 2)
         queries = list(range(64))
         expected = (params.make_aggregator().absorb_batch(batch1)
                     .absorb_batch(batch2).finalize().estimate_many(queries))
@@ -693,7 +678,7 @@ class TestSequencingAndHealth:
     def test_unsequenced_frames_never_deduped(self):
         # Plain clients don't stamp seq; identical frames must all absorb.
         params = _small_params()
-        batch, _ = self._stamped(params, 5, 1, "json")
+        batch, _ = self._stamped(params, 5, 1)
         frame = encode_reports_frame(batch)  # no seq field
         with running_server(params) as (_, host, port):
             with AggregationClient(host, port) as client:
@@ -704,7 +689,7 @@ class TestSequencingAndHealth:
 
     def test_health_probe_reports_watermark(self):
         params = _small_params()
-        batch, frame = self._stamped(params, 6, 7, "binary")
+        batch, frame = self._stamped(params, 6, 7)
         with running_server(params) as (_, host, port):
             with AggregationClient(host, port) as client:
                 reply = client.health()

@@ -292,7 +292,7 @@ class TestServerContract:
         """§7.1 redelivery: the same seq-stamped frame lands exactly once."""
         params = _params()
         batch = _batch(params)
-        frame = encode_reports_frame(batch, wire_format="binary", seq=7)
+        frame = encode_reports_frame(batch, seq=7)
 
         async def main():
             async with _serving(case, params) as address:
@@ -332,8 +332,8 @@ class TestServerContract:
 
         async def main():
             async with _serving(case, params) as address:
-                client = await AsyncAggregationClient.dial(
-                    address, wire_format="binary", timeout=15.0)
+                client = await AsyncAggregationClient.dial(address,
+                                                           timeout=15.0)
                 replies = []
 
                 async def ingest():

@@ -1,16 +1,15 @@
-"""Cross-format equivalence of the binary columnar wire codec.
+"""Equivalence of the binary columnar wire codec with the in-memory batch.
 
 The contract under test (``docs/wire-protocol.md`` §3.1 and §8): for every
-registered protocol, a batch encoded as ``json`` columns, ``b64`` columns,
-or a binary frame decodes to the same reports, absorbs to the same exact
-integer state, and finalizes to the same estimates — bit for bit.  Also
-covered: byte-level binary round trips, the oversized-frame error path on
+registered protocol, a batch sent as a binary frame decodes to the same
+reports, absorbs to the same exact integer state, and finalizes to the
+same estimates as the in-memory batch it was encoded from — bit for bit.
+Also covered: byte-level binary round trips, the oversized-frame error path on
 both the write and the read side, truncated/corrupted-frame fuzzing, the
 binary snapshot container, and the engine's binary worker-result channel.
 """
 
 import io
-import json
 import struct
 
 import numpy as np
@@ -85,29 +84,19 @@ def _batch(params, n=1_500):
 
 
 class TestCrossFormatMatrix:
-    """json columns == b64 columns == binary frame, end to end."""
+    """binary frame == in-memory batch, end to end."""
 
     @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
     def test_all_formats_round_trip_and_absorb_identically(self, name, params):
         batch = _batch(params)
-        decoded = {
-            "json": ReportBatch.from_dict(
-                json.loads(json.dumps(batch.to_dict("json")))),
-            "b64": ReportBatch.from_dict(
-                json.loads(json.dumps(batch.to_dict("b64")))),
-            "binary": decode_reports_payload(
-                encode_reports_payload(batch, epoch=0))[1],
-        }
-        snapshots = {}
-        for fmt, copy in decoded.items():
-            assert copy.protocol == batch.protocol
-            assert set(copy.columns) == set(batch.columns)
-            for key, col in batch.columns.items():
-                assert np.array_equal(copy.columns[key], col), (fmt, key)
-            aggregator = params.make_aggregator().absorb_batch(copy)
-            snapshots[fmt] = aggregator.snapshot()
-        # identical exact integer state across every wire form
-        assert snapshots["json"] == snapshots["b64"] == snapshots["binary"]
+        decoded = decode_reports_payload(encode_reports_payload(batch))[1]
+        assert decoded.protocol == batch.protocol
+        assert set(decoded.columns) == set(batch.columns)
+        for key, col in batch.columns.items():
+            assert np.array_equal(decoded.columns[key], col), key
+        # identical exact integer state from the wire and from memory
+        assert (params.make_aggregator().absorb_batch(decoded).snapshot()
+                == params.make_aggregator().absorb_batch(batch).snapshot())
 
     @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
     def test_binary_round_trip_is_byte_identical(self, name, params):
@@ -126,13 +115,12 @@ class TestCrossFormatMatrix:
         params = HashtogramParams.create(DOMAIN, 1.0, num_buckets=16, rng=0)
         batch = _batch(params)
         queries = np.arange(256)
-        via_json = params.make_aggregator().absorb_batch(
-            ReportBatch.from_dict(batch.to_dict("b64"))
-        ).finalize().estimate_many(queries)
+        in_memory = params.make_aggregator().absorb_batch(
+            batch).finalize().estimate_many(queries)
         via_binary = params.make_aggregator().absorb_batch(
             decode_reports_payload(encode_reports_payload(batch))[1]
         ).finalize().estimate_many(queries)
-        assert np.array_equal(via_json, via_binary)
+        assert np.array_equal(in_memory, via_binary)
 
     def test_empty_batch_round_trips(self):
         params = ExplicitHistogramParams(64, 1.0, "krr")
@@ -215,7 +203,7 @@ class TestBinaryErrorPaths:
         framing.MAX_FRAME_BYTES = 64
         try:
             with pytest.raises(FrameError, match="limit"):
-                encode_reports_frame(batch, wire_format="binary")
+                encode_reports_frame(batch)
         finally:
             framing.MAX_FRAME_BYTES = original
 
@@ -351,21 +339,15 @@ class TestStateContainer:
 
 
 class TestEngineResultChannel:
-    def test_binary_channel_matches_pickle_channel(self):
+    def test_binary_channel_matches_in_process_run(self):
         params = HashtogramParams.create(DOMAIN, 1.0, num_buckets=16, rng=0)
         values = np.random.default_rng(1).integers(0, DOMAIN, size=6_000)
         queries = np.arange(256)
         estimates = {}
-        for result_format in ("binary", "pickle"):
+        for workers in (1, 2):  # 1 runs in-process: no result channel
             result = run_simulation(params, values,
-                                    rng=np.random.default_rng(2), workers=2,
-                                    chunk_size=1_500,
-                                    result_format=result_format)
+                                    rng=np.random.default_rng(2),
+                                    workers=workers, chunk_size=1_500)
             assert result.num_users == values.size
-            estimates[result_format] = result.finalize().estimate_many(queries)
-        assert np.array_equal(estimates["binary"], estimates["pickle"])
-
-    def test_unknown_result_format_rejected(self):
-        params = ExplicitHistogramParams(16, 1.0)
-        with pytest.raises(ValueError, match="result_format"):
-            run_simulation(params, [1, 2, 3], result_format="msgpack")
+            estimates[workers] = result.finalize().estimate_many(queries)
+        assert np.array_equal(estimates[2], estimates[1])
