@@ -86,7 +86,7 @@ class CountMeanSketchOracle(FrequencyOracle):
         self.num_buckets = params.num_buckets
         self._hashes = list(params.hashes)
         self._debiased = aggregator.debiased()
-        self._row_counts = aggregator._row_counts.copy()
+        self._row_counts = aggregator.row_counts.copy()
         self._num_users = aggregator.num_reports
         self._report_bits = params.report_bits
         self._server_state_size = aggregator.state_size

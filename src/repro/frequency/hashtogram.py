@@ -101,8 +101,10 @@ class HashtogramOracle(FrequencyOracle):
         self.num_buckets = params.num_buckets
         self._bucket_hashes = list(params.bucket_hashes)
         self._sign_hashes = list(params.sign_hashes)
-        self._inner_oracles = [inner.finalize() for inner in aggregator._inner]
-        self._rep_sizes = aggregator.repetition_sizes
+        repetitions = [aggregator.repetition(t)
+                       for t in range(params.num_repetitions)]
+        self._inner_oracles = [inner.finalize() for inner in repetitions]
+        self._rep_sizes = [inner.num_reports for inner in repetitions]
         self._num_users = aggregator.num_reports
         self._report_bits = params.report_bits
         self._server_state_size = aggregator.state_size

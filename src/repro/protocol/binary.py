@@ -43,7 +43,9 @@ Frame layout (normative; also specified in ``docs/wire-protocol.md`` §8)::
 
     kind=2 (state) body:
         skeleton_len (u32) num_columns (u32)
-        skeleton (utf-8 JSON; arrays replaced by {"__repro_column__": i})
+        skeleton (utf-8 JSON; arrays replaced by {"__repro_column__": i},
+                  or {"__repro_column__": i, "__repro_patch__": [j, k]}:
+                  column i with entries at indices j set to values k)
         column table (as above, without names)
         data region (as above)
 
@@ -211,8 +213,9 @@ def _write_columns(out: bytearray, pos: int, specs: Sequence[_ColumnSpec],
             pos += 8
         struct.pack_into("<QQ", out, pos, spec.offset, spec.nbytes)
         pos += 16
-        data = np.ascontiguousarray(spec.array, dtype=spec.dtype)
-        out[spec.offset:spec.offset + spec.nbytes] = data.tobytes()
+        # cast straight into the payload: no narrowed copy, no bytes copy
+        np.frombuffer(out, dtype=spec.dtype, count=spec.array.size,
+                      offset=spec.offset)[...] = spec.array.reshape(-1)
 
 
 class _Reader:
@@ -477,7 +480,12 @@ def decode_reports_payload(payload: bytes) -> Tuple[int, ReportBatch]:
 # --------------------------------------------------------------------------------------
 
 _COLUMN_KEY = "__repro_column__"
+_PATCH_KEY = "__repro_patch__"
 _INT64_MAX = np.iinfo(np.int64).max
+
+#: 1-D integer arrays at least this long may ship patched (see _column_ref)
+_PATCH_MIN_SIZE = 1 << 12
+_PATCH_SLICE = 1 << 16
 
 
 def _fits_int64(arr: np.ndarray) -> bool:
@@ -493,19 +501,53 @@ def _fits_int64(arr: np.ndarray) -> bool:
     return arr.size == 0 or int(arr.max()) <= _INT64_MAX
 
 
+def _column_ref(arr: np.ndarray, columns: List[np.ndarray]) -> dict:
+    """Append integer array ``arr`` to ``columns``; its skeleton reference.
+
+    A few wide entries would widen a whole narrowed column — a flat
+    aggregator state is millions of small counters plus a few report
+    counts.  So a long 1-D array whose entries all but a 1/256 share fit
+    int8 (or int16) ships as that narrow column, its wide entries wrapped,
+    plus a patch: their indices and exact values, restored on unpack.
+    """
+    columns.append(arr)
+    ref: Dict[str, object] = {_COLUMN_KEY: len(columns) - 1}
+    if arr.ndim != 1 or arr.size < _PATCH_MIN_SIZE:
+        return ref
+    for candidate in (np.dtype("i1"), np.dtype("<i2")):
+        if candidate.itemsize >= arr.dtype.itemsize:
+            break
+        narrow = np.empty(arr.shape, dtype=candidate)
+        found = []
+        # in cache-sized slices: faster, and no array-sized mask
+        for start in range(0, arr.size, _PATCH_SLICE):
+            part = arr[start:start + _PATCH_SLICE]
+            narrow[start:start + part.size] = part  # wide entries wrap
+            found.append(start + np.flatnonzero(
+                narrow[start:start + part.size] != part))
+        wide = np.concatenate(found)
+        if not wide.size:
+            break  # fits outright: plain narrowing does it
+        if wide.size <= arr.size >> 8:
+            columns[-1] = narrow
+            columns.extend([wide, arr[wide]])
+            ref[_PATCH_KEY] = [len(columns) - 2, len(columns) - 1]
+            break
+    return ref
+
+
 def _extract_arrays(obj, columns: List[np.ndarray]):
     """Replace every integer array (or int list) with a column reference."""
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "iu" and _fits_int64(obj):
-            columns.append(np.ascontiguousarray(obj))
-            return {_COLUMN_KEY: len(columns) - 1}
+            return _column_ref(np.ascontiguousarray(obj), columns)
         return obj.tolist()
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, dict):
-        if _COLUMN_KEY in obj:
-            raise ValueError(f"state payloads must not use the reserved key "
-                             f"{_COLUMN_KEY!r}")
+        if _COLUMN_KEY in obj or _PATCH_KEY in obj:
+            raise ValueError(f"state payloads must not use the reserved "
+                             f"keys {_COLUMN_KEY!r} and {_PATCH_KEY!r}")
         return {str(key): _extract_arrays(value, columns)
                 for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -517,9 +559,8 @@ def _extract_arrays(obj, columns: List[np.ndarray]):
                 arr = None
             if arr is not None and arr.dtype.kind in "iu" \
                     and _fits_int64(arr):
-                columns.append(np.ascontiguousarray(arr.astype(np.int64,
-                                                               copy=False)))
-                return {_COLUMN_KEY: len(columns) - 1}
+                return _column_ref(np.ascontiguousarray(
+                    arr.astype(np.int64, copy=False)), columns)
         return [_extract_arrays(item, columns) for item in items]
     raise TypeError(f"cannot pack {type(obj).__name__} into a state payload")
 
@@ -530,12 +571,12 @@ def pack_state(payload) -> bytes:
     The payload is any JSON-ready structure, integer state as arrays or
     lists — a ``child_state`` record, ``WindowedAggregator.capture()``, or
     a ``snapshot()``.  Integer arrays and integer lists are pulled out
-    into the binary column table (narrowed to their value range, so an
-    array and its ``tolist()`` pack alike); the remaining skeleton ships as
-    compact JSON.  :func:`unpack_state` restores the structure with
-    ``int64`` arrays in place of the extracted columns — every consumer
-    (``restore``, ``_load_state``) normalizes through ``np.asarray``, so
-    the round trip is bit-exact.
+    into the binary column table (narrowed to their value range, a few
+    wide entries patched, so an array and its ``tolist()`` pack alike);
+    the remaining skeleton ships as compact JSON.  :func:`unpack_state`
+    restores the structure with ``int64`` arrays in place of the extracted
+    columns — every consumer (``restore``, ``load_child_state``)
+    normalizes through ``np.asarray``, so the round trip is bit-exact.
     """
     columns: List[np.ndarray] = []
     skeleton = json.dumps(_extract_arrays(payload, columns),
@@ -573,14 +614,29 @@ def unpack_state(payload: bytes):
     except UnicodeDecodeError as exc:
         raise BinaryFormatError(f"malformed binary payload: {exc}") from exc
 
+    def _column(index: object) -> np.ndarray:
+        if not isinstance(index, int) or not 0 <= index < len(columns):
+            raise BinaryFormatError(f"state skeleton references unknown "
+                                    f"column {index!r}")
+        return columns[index]
+
     def _hook(obj: dict):
-        if len(obj) == 1 and _COLUMN_KEY in obj:
-            index = obj[_COLUMN_KEY]
-            if not isinstance(index, int) or not 0 <= index < len(columns):
-                raise BinaryFormatError(f"state skeleton references unknown "
-                                        f"column {index!r}")
-            return columns[index]
-        return obj
+        if _COLUMN_KEY not in obj or not set(obj) <= {_COLUMN_KEY,
+                                                     _PATCH_KEY}:
+            return obj
+        column = _column(obj[_COLUMN_KEY])
+        if _PATCH_KEY in obj:
+            patch = obj[_PATCH_KEY]
+            if not isinstance(patch, list) or len(patch) != 2:
+                raise BinaryFormatError(f"malformed column patch {patch!r}")
+            where, values = _column(patch[0]), _column(patch[1])
+            if column.ndim != 1 or where.shape != values.shape or (
+                    where.size and (where.min() < 0
+                                    or where.max() >= column.size)):
+                raise BinaryFormatError("column patch does not fit its "
+                                        "column")
+            column[where] = values
+        return column
 
     try:
         return json.loads(skeleton, object_hook=_hook)

@@ -25,17 +25,18 @@ report counts; debiasing and the collision correction happen in
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.hashing.kwise import KWiseHash, KWiseHashFamily
 from repro.protocol.wire import (
     ClientEncoder,
+    CountLayout,
     PublicParams,
     ReportBatch,
     ServerAggregator,
-    integer_state,
+    int_column,
     kwise_hash_from_dict,
     kwise_hash_to_dict,
     register_protocol,
@@ -111,6 +112,13 @@ class CountMeanSketchParams(PublicParams):
         """Cached at construction; see the hashtogram note."""
         return self._public_randomness_bits
 
+    @property
+    def layout(self) -> CountLayout:
+        """``ones[k·m] ++ row_counts[k]``: the (row, bucket) one-counts,
+        then one report-count cell per hash row."""
+        return (CountLayout(self.num_hashes * self.num_buckets)
+                + CountLayout.blocks(self.num_hashes, "row"))
+
 
 class CountMeanSketchEncoder(ClientEncoder):
     """Stateless CMS client: pick a row, hash, flip every bucket bit."""
@@ -144,47 +152,30 @@ class CountMeanSketchAggregator(ServerAggregator):
 
     params: CountMeanSketchParams
 
-    def __init__(self, params: CountMeanSketchParams) -> None:
-        super().__init__(params)
-        self._ones = np.zeros((params.num_hashes, params.num_buckets),
-                              dtype=np.int64)
-        self._row_counts = np.zeros(params.num_hashes, dtype=np.int64)
+    def _report_cells(self, columns) -> List[Tuple[np.ndarray, np.ndarray]]:
+        k, m = self.params.num_hashes, self.params.num_buckets
+        rows = int_column(columns, "row", 0, k)
+        bits = int_column(columns, "bits", 0, 2, width=m)
+        # a leaf, never nested: ship this batch's summed table as one part
+        ones = np.zeros((k, m), dtype=np.int64)
+        np.add.at(ones, rows, bits.astype(np.int64))
+        return [(np.arange(k * m + k)[:, None],
+                 np.concatenate([ones.ravel(),
+                                 np.bincount(rows, minlength=k)])[:, None])]
 
-    def _absorb_columns(self, batch: ReportBatch) -> None:
-        rows = np.asarray(batch.columns["row"], dtype=np.int64)
-        bits = np.asarray(batch.columns["bits"], dtype=np.int64)
-        np.add.at(self._ones, rows, bits)
-        self._row_counts += np.bincount(rows, minlength=self.params.num_hashes)
-
-    def _merge_impl(self, other: "CountMeanSketchAggregator"
-                    ) -> "CountMeanSketchAggregator":
-        merged = CountMeanSketchAggregator(self.params)
-        merged._ones = self._ones + other._ones
-        merged._row_counts = self._row_counts + other._row_counts
-        return merged
-
-    # ----- snapshots ----------------------------------------------------------------
-
-    def _state_dict(self):
-        return {"ones": self._ones.copy(),
-                "row_counts": self._row_counts.copy()}
-
-    def _load_state(self, state) -> None:
-        ones = integer_state(state["ones"])
-        row_counts = integer_state(state["row_counts"])
-        if ones.shape != self._ones.shape or \
-                row_counts.shape != self._row_counts.shape:
-            raise ValueError("snapshot table shape does not match the "
-                             "configured (num_hashes, num_buckets)")
-        self._ones = ones
-        self._row_counts = row_counts
+    @property
+    def row_counts(self) -> np.ndarray:
+        """Reports per hash row (a view of ``counts``)."""
+        return self.counts[self.params.num_hashes * self.params.num_buckets:]
 
     # ----- estimation ---------------------------------------------------------------
 
     def debiased(self) -> np.ndarray:
         """Per-row debiased bucket counts (the CMS table before row averaging)."""
         params = self.params
-        return ((self._ones - self._row_counts[:, None] * params.q)
+        ones = self.counts[:params.num_hashes * params.num_buckets].reshape(
+            params.num_hashes, params.num_buckets)
+        return ((ones - self.row_counts[:, None] * params.q)
                 / (params.p - params.q))
 
     def finalize(self):
@@ -196,8 +187,3 @@ class CountMeanSketchAggregator(ServerAggregator):
                                        num_buckets=self.params.num_buckets)
         oracle._load_wire_aggregate(self)
         return oracle
-
-    @property
-    def state_size(self) -> int:
-        # The sketch table dominates; the k per-row counts are bookkeeping.
-        return int(self._ones.size)

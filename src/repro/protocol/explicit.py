@@ -27,17 +27,17 @@ per-column one counts, or a value histogram); debiasing happens only in
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.protocol.wire import (
     ClientEncoder,
+    CountLayout,
     PublicParams,
-    Report,
     ReportBatch,
     ServerAggregator,
-    integer_state,
+    int_column,
     register_protocol,
 )
 from repro.randomizers.hadamard import hadamard_outputs
@@ -109,9 +109,11 @@ class ExplicitHistogramParams(PublicParams):
         return max(math.log2(self.domain_size), 1.0)     # the reported value
 
     @property
-    def state_size(self) -> int:
-        """Number of scalars a server retains for these parameters."""
-        return self.padded if self.randomizer == "hadamard" else self.domain_size
+    def layout(self) -> CountLayout:
+        """One accumulator: signed counts per Hadamard row (hadamard),
+        per-column one counts (oue), or a value histogram (krr)."""
+        return CountLayout(self.padded if self.randomizer == "hadamard"
+                           else self.domain_size)
 
 
 class ExplicitHistogramEncoder(ClientEncoder):
@@ -159,45 +161,20 @@ class ExplicitHistogramAggregator(ServerAggregator):
 
     params: ExplicitHistogramParams
 
-    def __init__(self, params: ExplicitHistogramParams) -> None:
-        super().__init__(params)
+    def _report_cells(self, columns) -> List[Tuple[np.ndarray, np.ndarray]]:
+        params = self.params
         if params.randomizer == "hadamard":
-            self._accumulator = np.zeros(params.padded, dtype=np.int64)
-        elif params.randomizer == "oue":
-            self._accumulator = np.zeros(params.domain_size, dtype=np.int64)
-        else:
-            self._accumulator = np.zeros(params.domain_size, dtype=np.int64)
-
-    def _absorb_columns(self, batch: ReportBatch) -> None:
-        if self.params.randomizer == "hadamard":
-            np.add.at(self._accumulator,
-                      np.asarray(batch.columns["row"], dtype=np.int64),
-                      np.asarray(batch.columns["bit"], dtype=np.int64))
-        elif self.params.randomizer == "oue":
-            self._accumulator += batch.columns["bits"].sum(axis=0, dtype=np.int64)
-        else:
-            self._accumulator += np.bincount(
-                np.asarray(batch.columns["value"], dtype=np.int64),
-                minlength=self.params.domain_size)
-
-    def _merge_impl(self, other: "ExplicitHistogramAggregator"
-                    ) -> "ExplicitHistogramAggregator":
-        merged = ExplicitHistogramAggregator(self.params)
-        merged._accumulator = self._accumulator + other._accumulator
-        return merged
-
-    # ----- snapshots ----------------------------------------------------------------
-
-    def _state_dict(self):
-        return {"accumulator": self._accumulator.copy()}
-
-    def _load_state(self, state) -> None:
-        accumulator = integer_state(state["accumulator"])
-        if accumulator.shape != self._accumulator.shape:
-            raise ValueError(f"snapshot accumulator has shape "
-                             f"{accumulator.shape}, expected "
-                             f"{self._accumulator.shape}")
-        self._accumulator = accumulator
+            rows = int_column(columns, "row", 0, params.padded)
+            bits = int_column(columns, "bit", -1, 2)
+            if not bits.all():
+                raise ValueError("bit column has entries outside {-1, +1}")
+            return [(rows[None, :], bits[None, :])]
+        k = params.domain_size
+        if params.randomizer == "oue":
+            return [(np.arange(k)[:, None],
+                     int_column(columns, "bits", 0, 2, width=k).T)]
+        values = int_column(columns, "value", 0, k)[None, :]
+        return [(values, np.ones_like(values))]
 
     # ----- estimation ---------------------------------------------------------------
 
@@ -206,9 +183,9 @@ class ExplicitHistogramAggregator(ServerAggregator):
         params = self.params
         n = self.num_reports
         if params.randomizer == "hadamard":
-            return (hadamard_outputs(self._accumulator, params.domain_size)
+            return (hadamard_outputs(self.counts, params.domain_size)
                     / params.attenuation)
-        return (self._accumulator - n * params.q) / (params.p - params.q)
+        return (self.counts - n * params.q) / (params.p - params.q)
 
     def finalize(self):
         """Fitted :class:`~repro.frequency.explicit.ExplicitHistogramOracle`."""
@@ -219,7 +196,3 @@ class ExplicitHistogramAggregator(ServerAggregator):
         oracle._load_wire_aggregate(self.histogram(), self.num_reports,
                                     self.state_size)
         return oracle
-
-    @property
-    def state_size(self) -> int:
-        return int(self._accumulator.size)

@@ -29,23 +29,27 @@ repetition locally and ship it alongside the report.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.hashing.kwise import KWiseHash, KWiseHashFamily, SignHash, sign_hash
-from repro.protocol.explicit import ExplicitHistogramParams
+from repro.protocol.explicit import (
+    ExplicitHistogramAggregator,
+    ExplicitHistogramParams,
+)
 from repro.protocol.wire import (
     ClientEncoder,
+    CountLayout,
     PublicParams,
     ReportBatch,
     ServerAggregator,
-    check_assignment,
-    child_state,
+    int_column,
     kwise_hash_from_dict,
     kwise_hash_to_dict,
-    load_child_state,
+    nest_cells,
     register_protocol,
     sign_hash_from_dict,
     sign_hash_to_dict,
@@ -154,6 +158,13 @@ class HashtogramParams(PublicParams):
         (computed once at construction)."""
         return self._public_randomness_bits
 
+    @functools.cached_property
+    def layout(self) -> CountLayout:
+        """``R × [n_t, inner accumulator]``: one counted small-domain block
+        per repetition."""
+        return CountLayout.blocks(self.num_repetitions, "repetition",
+                                  self.inner.layout)
+
     # ----- helpers ---------------------------------------------------------------
 
     def cells_for(self, values: np.ndarray, repetition: int) -> np.ndarray:
@@ -201,60 +212,25 @@ class HashtogramEncoder(ClientEncoder):
 
 
 class HashtogramAggregator(ServerAggregator):
-    """One inner small-domain aggregator per repetition."""
+    """One counted small-domain block per repetition."""
 
     params: HashtogramParams
 
-    def __init__(self, params: HashtogramParams) -> None:
-        super().__init__(params)
-        self._inner = [params.inner.make_aggregator()
-                       for _ in range(params.num_repetitions)]
-
-    def _absorb_columns(self, batch: ReportBatch) -> None:
-        reps = check_assignment(batch.columns["repetition"],
-                                self.params.num_repetitions, "repetition")
-        inner_columns = {key: col for key, col in batch.columns.items()
-                         if key != "repetition"}
-        for t in range(self.params.num_repetitions):
-            mask = reps == t
-            if mask.any():
-                sub = ReportBatch(self.params.inner.protocol,
-                                  {key: col[mask]
-                                   for key, col in inner_columns.items()})
-                self._inner[t].absorb_batch(sub)
-
-    def _merge_impl(self, other: "HashtogramAggregator") -> "HashtogramAggregator":
-        merged = HashtogramAggregator(self.params)
-        merged._inner = [mine.merge(theirs)
-                         for mine, theirs
-                         in zip(self._inner, other._inner, strict=True)]
-        return merged
-
-    # ----- snapshots ----------------------------------------------------------------
-
-    def _state_dict(self):
-        return {"inner": [child_state(agg) for agg in self._inner]}
-
-    def _load_state(self, state) -> None:
-        inner = list(state["inner"])
-        if len(inner) != len(self._inner):
-            raise ValueError(f"snapshot has {len(inner)} repetitions, "
-                             f"expected {len(self._inner)}")
-        for aggregator, payload in zip(self._inner, inner, strict=True):
-            load_child_state(aggregator, payload)
-
-    def _check_num_reports(self, num_reports: int) -> None:
-        inner = sum(agg.num_reports for agg in self._inner)
-        if inner != num_reports:
-            raise ValueError(f"snapshot repetitions hold {inner} reports, "
-                             f"expected num_reports={num_reports}")
+    def _report_cells(self, columns) -> List[Tuple[np.ndarray, np.ndarray]]:
+        params = self.params
+        repetition = int_column(columns, "repetition", 0,
+                                params.num_repetitions)
+        inner = {key: col for key, col in columns.items()
+                 if key != "repetition"}
+        return nest_cells(params.layout.count_cells("repetition"), repetition,
+                          self.repetition(0)._report_cells(inner))
 
     # ----- estimation ---------------------------------------------------------------
 
-    @property
-    def repetition_sizes(self) -> List[int]:
-        """Number of reports absorbed into each repetition."""
-        return [agg.num_reports for agg in self._inner]
+    def repetition(self, t: int) -> ExplicitHistogramAggregator:
+        """Zero-copy view of repetition ``t``'s inner aggregator."""
+        return self._block(ExplicitHistogramAggregator, self.params.inner,
+                           self.params.layout.count_cells("repetition")[t])
 
     def finalize(self):
         """Fitted :class:`~repro.frequency.hashtogram.HashtogramOracle`."""
@@ -265,7 +241,3 @@ class HashtogramAggregator(ServerAggregator):
                                   inner_randomizer=self.params.inner_randomizer)
         oracle._load_wire_aggregate(self)
         return oracle
-
-    @property
-    def state_size(self) -> int:
-        return int(sum(agg.state_size for agg in self._inner))

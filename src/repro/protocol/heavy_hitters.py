@@ -12,19 +12,11 @@ total with the default Hadamard randomizers (the exact width is
 ``params.report_bits``).
 
 **Server cost.** One small-domain integer accumulator per coordinate /
-(repetition, symbol) group plus the final Hashtogram state; the incremental
+(repetition, symbol) group plus the final Hashtogram state, all blocks of
+one flat count vector (:class:`_TwoStageParams`); the incremental
 aggregators below hold all of them simultaneously (mergeable, snapshotable),
 while the one-shot simulation path in :mod:`repro.core.heavy_hitters`
 streams one coordinate at a time to keep the paper's peak-memory profile.
-
-Both the paper's :class:`PrivateExpanderSketch` (Section 3.3) and the
-single-hash baseline of Bassily et al. [3] decompose into the same wire
-shape: every user sends one stage-1 report (a small-domain report on a
-derived cell, privacy ε/2) concatenated with one stage-2 report (a Hashtogram
-report on the original value, privacy ε/2).  The server's aggregate is a
-collection of exact integer small-domain accumulators — one per coordinate or
-per (repetition, symbol) group — plus the final Hashtogram accumulator, so
-shard aggregators merge bit-exactly.
 
 Coordinate/group assignment is a published pairwise-independent hash of the
 public user index — the stateless counterpart of the paper's random user
@@ -37,8 +29,9 @@ payloads.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,18 +42,21 @@ from repro.codes.list_recoverable import (
 from repro.core.params import ProtocolParameters
 from repro.core.results import HeavyHitterResult
 from repro.hashing.kwise import KWiseHash, KWiseHashFamily
-from repro.protocol.explicit import ExplicitHistogramParams
-from repro.protocol.hashtogram import HashtogramParams
+from repro.protocol.explicit import (
+    ExplicitHistogramAggregator,
+    ExplicitHistogramParams,
+)
+from repro.protocol.hashtogram import HashtogramAggregator, HashtogramParams
 from repro.protocol.wire import (
     ClientEncoder,
+    CountLayout,
     PublicParams,
     ReportBatch,
     ServerAggregator,
-    check_assignment,
-    child_state,
+    int_column,
     kwise_hash_from_dict,
     kwise_hash_to_dict,
-    load_child_state,
+    nest_cells,
     register_protocol,
 )
 from repro.utils.rng import RandomState, as_generator
@@ -89,32 +85,103 @@ def _sample_assignment_hash(num_groups: int, gen) -> KWiseHash:
 # shared helpers (also used by the streaming simulation paths in core/ and baselines/)
 # --------------------------------------------------------------------------------------
 
+def _stage_columns(columns: Dict[str, np.ndarray],
+                   prefix: str) -> Dict[str, np.ndarray]:
+    """One stage's report columns, their stage prefix stripped."""
+    return {key[len(prefix):]: col for key, col in columns.items()
+            if key.startswith(prefix)}
+
+
 def stage1_subbatch(batch: ReportBatch, mask: np.ndarray,
                     stage1_protocol: str) -> ReportBatch:
     """Extract the stage-1 report columns of the masked users."""
     return ReportBatch(stage1_protocol,
-                       {key[len(_STAGE1_PREFIX):]: col[mask]
-                        for key, col in batch.columns.items()
-                        if key.startswith(_STAGE1_PREFIX)})
+                       {key: col[mask] for key, col in _stage_columns(
+                           batch.columns, _STAGE1_PREFIX).items()})
 
 
 def final_subbatch(batch: ReportBatch, final_protocol: str) -> ReportBatch:
     """Extract the stage-2 (final-oracle) report columns of every user."""
     return ReportBatch(final_protocol,
-                       {key[len(_FINAL_PREFIX):]: col
-                        for key, col in batch.columns.items()
-                        if key.startswith(_FINAL_PREFIX)})
+                       _stage_columns(batch.columns, _FINAL_PREFIX))
 
 
-def _check_two_stage_counts(stage1: Sequence[ServerAggregator],
-                           final: ServerAggregator, num_reports: int) -> None:
-    """Every report lands in one stage-1 child and in the final oracle, so
-    a loaded two-stage state must hold ``num_reports`` in both stages."""
-    first = sum(agg.num_reports for agg in stage1)
-    if first != num_reports or final.num_reports != num_reports:
-        raise ValueError(f"snapshot stages hold {first} (stage 1) and "
-                         f"{final.num_reports} (final) reports, expected "
-                         f"num_reports={num_reports}")
+class _TwoStageParams(PublicParams):
+    """What both heavy-hitter wire protocols share: every report is one
+    stage-1 small-domain report in one of ``num_groups`` groups (named by
+    its ``group_column``) plus one final-stage Hashtogram report."""
+
+    group_column = ""
+
+    @property
+    def report_bits(self) -> float:
+        """Stage-1 small-domain report plus stage-2 Hashtogram report."""
+        return self.stage1.report_bits + self.final.report_bits
+
+    @property
+    def public_randomness_bits(self) -> int:
+        """Cached at construction; see the hashtogram note."""
+        return self._public_randomness_bits
+
+    @functools.cached_property
+    def layout(self) -> CountLayout:
+        """``final(n, R × [n_t, acc_t]) ++ num_groups × [n_g, acc_g]``:
+        every report lands in the final oracle and in one stage-1 block."""
+        return (CountLayout.blocks(1, "final", self.final.layout)
+                + CountLayout.blocks(self.num_groups, self.group_column,
+                                     self.stage1.layout))
+
+
+class _TwoStageAggregator(ServerAggregator):
+    """Shared state of both heavy-hitter wire protocols: one counted
+    stage-1 block per group, behind one counted final Hashtogram block."""
+
+    params: _TwoStageParams
+
+    def stage1(self, group: int) -> ExplicitHistogramAggregator:
+        """Zero-copy view of stage-1 group ``group``'s accumulator."""
+        starts = self.params.layout.count_cells(self.params.group_column)
+        return self._block(ExplicitHistogramAggregator, self.params.stage1,
+                           starts[group])
+
+    def final(self) -> HashtogramAggregator:
+        """Zero-copy view of the final-stage Hashtogram aggregator."""
+        return self._block(HashtogramAggregator, self.params.final,
+                           self.params.layout.count_cells("final")[0])
+
+    def _report_cells(self, columns) -> List[Tuple[np.ndarray, np.ndarray]]:
+        params = self.params
+        groups = int_column(columns, params.group_column, 0, params.num_groups)
+        stage1 = self.stage1(0)._report_cells(
+            _stage_columns(columns, _STAGE1_PREFIX))
+        final = self.final()._report_cells(
+            _stage_columns(columns, _FINAL_PREFIX))
+        return (nest_cells(params.layout.count_cells("final"),
+                           np.zeros_like(groups), final)
+                + nest_cells(params.layout.count_cells(params.group_column),
+                             groups, stage1))
+
+    def _result(self, candidates: List[int], meter: ResourceMeter,
+                protocol: str, metadata: Dict[str, object]
+                ) -> HeavyHitterResult:
+        """Step 5: estimate every candidate on the final oracle."""
+        final_oracle = self.final().finalize()
+        estimates: Dict[int, float] = {}
+        if candidates:
+            estimated = final_oracle.estimate_many(candidates)
+            estimates = {int(x): float(a)
+                         for x, a in zip(candidates, estimated, strict=True)}
+        meter.observe_server_memory(self.state_size)
+        return HeavyHitterResult(
+            estimates=estimates,
+            protocol=protocol,
+            num_users=self.num_reports,
+            epsilon=self.params.epsilon,
+            meter=meter,
+            candidates=candidates,
+            oracle=final_oracle,
+            metadata=metadata,
+        )
 
 
 def append_coordinate_lists(oracle, group_size: int, coordinate: int,
@@ -194,7 +261,7 @@ def _default_final_buckets(num_users: int) -> int:
 # --------------------------------------------------------------------------------------
 
 @register_protocol
-class ExpanderSketchParams(PublicParams):
+class ExpanderSketchParams(_TwoStageParams):
     """Public randomness and configuration of one PrivateExpanderSketch run.
 
     Carries the random user partition policy (round-robin on the public user
@@ -204,6 +271,7 @@ class ExpanderSketchParams(PublicParams):
     """
 
     protocol = "expander_sketch"
+    group_column = "coordinate"
 
     def __init__(self, domain_size: int, epsilon: float,
                  params: ProtocolParameters, partition_hash: KWiseHash,
@@ -307,14 +375,9 @@ class ExpanderSketchParams(PublicParams):
                 * self.code.z_alphabet_size)
 
     @property
-    def report_bits(self) -> float:
-        """Stage-1 small-domain report plus stage-2 Hashtogram report."""
-        return self.stage1.report_bits + self.final.report_bits
-
-    @property
-    def public_randomness_bits(self) -> int:
-        """Cached at construction; see the hashtogram note."""
-        return self._public_randomness_bits
+    def num_groups(self) -> int:
+        """Stage-1 groups: one per code coordinate."""
+        return self.params.num_coordinates
 
 
 class ExpanderSketchEncoder(ClientEncoder):
@@ -362,7 +425,7 @@ class ExpanderSketchEncoder(ClientEncoder):
         return ReportBatch(params.protocol, columns)
 
 
-class ExpanderSketchAggregator(ServerAggregator):
+class ExpanderSketchAggregator(_TwoStageAggregator):
     """Mergeable server state: M stage-1 accumulators + the final Hashtogram.
 
     Holding every coordinate accumulator at once is what buys incremental,
@@ -372,51 +435,6 @@ class ExpanderSketchAggregator(ServerAggregator):
     """
 
     params: ExpanderSketchParams
-
-    def __init__(self, params: ExpanderSketchParams) -> None:
-        super().__init__(params)
-        self._stage1 = [params.stage1.make_aggregator()
-                        for _ in range(params.params.num_coordinates)]
-        self._final = params.final.make_aggregator()
-
-    def _absorb_columns(self, batch: ReportBatch) -> None:
-        coordinates = check_assignment(batch.columns["coordinate"],
-                                       self.params.params.num_coordinates,
-                                       "coordinate")
-        for m in range(self.params.params.num_coordinates):
-            mask = coordinates == m
-            if mask.any():
-                self._stage1[m].absorb_batch(
-                    stage1_subbatch(batch, mask, self.params.stage1.protocol))
-        self._final.absorb_batch(
-            final_subbatch(batch, self.params.final.protocol))
-
-    def _merge_impl(self, other: "ExpanderSketchAggregator"
-                    ) -> "ExpanderSketchAggregator":
-        merged = ExpanderSketchAggregator(self.params)
-        merged._stage1 = [mine.merge(theirs)
-                          for mine, theirs
-                          in zip(self._stage1, other._stage1, strict=True)]
-        merged._final = self._final.merge(other._final)
-        return merged
-
-    # ----- snapshots ----------------------------------------------------------------
-
-    def _state_dict(self):
-        return {"stage1": [child_state(agg) for agg in self._stage1],
-                "final": child_state(self._final)}
-
-    def _load_state(self, state) -> None:
-        stage1 = list(state["stage1"])
-        if len(stage1) != len(self._stage1):
-            raise ValueError(f"snapshot has {len(stage1)} coordinate "
-                             f"accumulators, expected {len(self._stage1)}")
-        for aggregator, payload in zip(self._stage1, stage1, strict=True):
-            load_child_state(aggregator, payload)
-        load_child_state(self._final, dict(state["final"]))
-
-    def _check_num_reports(self, num_reports: int) -> None:
-        _check_two_stage_counts(self._stage1, self._final, num_reports)
 
     # ----- finalization -------------------------------------------------------------
 
@@ -431,41 +449,21 @@ class ExpanderSketchAggregator(ServerAggregator):
             [[] for _ in range(pp.num_coordinates)]
             for _ in range(pp.num_buckets)]
         group_sizes: List[int] = []
-        for m, aggregator in enumerate(self._stage1):
+        for m in range(pp.num_coordinates):
+            aggregator = self.stage1(m)
             oracle = aggregator.finalize()
             group_sizes.append(aggregator.num_reports)
             append_coordinate_lists(oracle, aggregator.num_reports, m,
                                     params.code, pp, lists)
         candidates = decode_candidate_lists(params.code, lists, pp.num_buckets)
-        final_oracle = self._final.finalize()
-        estimates: Dict[int, float] = {}
-        if candidates:
-            estimated = final_oracle.estimate_many(candidates)
-            estimates = {int(x): float(a)
-                         for x, a in zip(candidates, estimated, strict=True)}
-        meter.observe_server_memory(self.state_size)
-        return HeavyHitterResult(
-            estimates=estimates,
-            protocol=protocol_name,
-            num_users=self.num_reports,
-            epsilon=params.epsilon,
-            meter=meter,
-            candidates=candidates,
-            oracle=final_oracle,
-            metadata={"parameters": pp.describe(),
-                      "group_sizes": group_sizes,
-                      "num_cells": params.num_cells,
-                      "report_bits": params.report_bits,
-                      "server_state_size": self.state_size,
-                      "list_sizes": [len(per_coord)
-                                     for per_bucket in lists
-                                     for per_coord in per_bucket]},
-        )
-
-    @property
-    def state_size(self) -> int:
-        return int(sum(agg.state_size for agg in self._stage1)
-                   + self._final.state_size)
+        return self._result(candidates, meter, protocol_name, {
+            "parameters": pp.describe(),
+            "group_sizes": group_sizes,
+            "num_cells": params.num_cells,
+            "report_bits": params.report_bits,
+            "server_state_size": self.state_size,
+            "list_sizes": [len(per_coord) for per_bucket in lists
+                           for per_coord in per_bucket]})
 
 
 # --------------------------------------------------------------------------------------
@@ -473,7 +471,7 @@ class ExpanderSketchAggregator(ServerAggregator):
 # --------------------------------------------------------------------------------------
 
 @register_protocol
-class SingleHashParams(PublicParams):
+class SingleHashParams(_TwoStageParams):
     """Public parameters of the single-hash baseline of Section 3.1.1.
 
     One shared hash per repetition, symbol-by-symbol reconstruction; users are
@@ -482,6 +480,7 @@ class SingleHashParams(PublicParams):
     """
 
     protocol = "single_hash_bnst"
+    group_column = "group"
 
     def __init__(self, domain_size: int, epsilon: float, repetitions: int,
                  num_symbols: int, symbol_bits: int, hash_range: int,
@@ -563,17 +562,6 @@ class SingleHashParams(PublicParams):
     def make_aggregator(self) -> "SingleHashAggregator":
         return SingleHashAggregator(self)
 
-    # ----- accounting ------------------------------------------------------------
-
-    @property
-    def report_bits(self) -> float:
-        return self.stage1.report_bits + self.final.report_bits
-
-    @property
-    def public_randomness_bits(self) -> int:
-        """Cached at construction; see the hashtogram note."""
-        return self._public_randomness_bits
-
     # ----- helpers ---------------------------------------------------------------
 
     def symbols_of(self, values: np.ndarray) -> np.ndarray:
@@ -625,53 +613,10 @@ class SingleHashEncoder(ClientEncoder):
         return ReportBatch(params.protocol, columns)
 
 
-class SingleHashAggregator(ServerAggregator):
+class SingleHashAggregator(_TwoStageAggregator):
     """One stage-1 accumulator per (repetition, symbol) group + final oracle."""
 
     params: SingleHashParams
-
-    def __init__(self, params: SingleHashParams) -> None:
-        super().__init__(params)
-        self._stage1 = [params.stage1.make_aggregator()
-                        for _ in range(params.num_groups)]
-        self._final = params.final.make_aggregator()
-
-    def _absorb_columns(self, batch: ReportBatch) -> None:
-        groups = check_assignment(batch.columns["group"],
-                                  self.params.num_groups, "group")
-        for g in range(self.params.num_groups):
-            mask = groups == g
-            if mask.any():
-                self._stage1[g].absorb_batch(
-                    stage1_subbatch(batch, mask, self.params.stage1.protocol))
-        self._final.absorb_batch(
-            final_subbatch(batch, self.params.final.protocol))
-
-    def _merge_impl(self, other: "SingleHashAggregator") -> "SingleHashAggregator":
-        merged = SingleHashAggregator(self.params)
-        merged._stage1 = [mine.merge(theirs)
-                          for mine, theirs
-                          in zip(self._stage1, other._stage1, strict=True)]
-        merged._final = self._final.merge(other._final)
-        return merged
-
-    # ----- snapshots ----------------------------------------------------------------
-
-    def _state_dict(self):
-        return {"stage1": [child_state(agg) for agg in self._stage1],
-                "final": child_state(self._final)}
-
-    def _load_state(self, state) -> None:
-        stage1 = list(state["stage1"])
-        if len(stage1) != len(self._stage1):
-            raise ValueError(f"snapshot has {len(stage1)} group accumulators, "
-                             f"expected {len(self._stage1)}")
-        for aggregator, payload in zip(self._stage1, stage1, strict=True):
-            load_child_state(aggregator, payload)
-        load_child_state(self._final, dict(state["final"]))
-
-    def _check_num_reports(self, num_reports: int) -> None:
-        _check_two_stage_counts(self._stage1, self._final, num_reports)
 
     # ----- finalization -------------------------------------------------------------
 
@@ -684,7 +629,7 @@ class SingleHashAggregator(ServerAggregator):
             reconstructed = np.zeros(params.hash_range, dtype=np.int64)
             passes_threshold = np.ones(params.hash_range, dtype=bool)
             for m in range(params.num_symbols):
-                aggregator = self._stage1[r * params.num_symbols + m]
+                aggregator = self.stage1(r * params.num_symbols + m)
                 oracle = aggregator.finalize()
                 size = aggregator.num_reports
                 cell_std = math.sqrt(max(size, 1)
@@ -708,34 +653,14 @@ class SingleHashAggregator(ServerAggregator):
                  ) -> HeavyHitterResult:
         params = self.params
         meter = meter if meter is not None else ResourceMeter()
-        candidates = self.reconstruct_candidates()
-        final_oracle = self._final.finalize()
-        estimates: Dict[int, float] = {}
-        if candidates:
-            estimated = final_oracle.estimate_many(candidates)
-            estimates = {int(x): float(a)
-                         for x, a in zip(candidates, estimated, strict=True)}
-        meter.observe_server_memory(self.state_size)
-        return HeavyHitterResult(
-            estimates=estimates,
-            protocol=params.protocol,
-            num_users=self.num_reports,
-            epsilon=params.epsilon,
-            meter=meter,
-            candidates=candidates,
-            oracle=final_oracle,
-            metadata={"repetitions": params.repetitions,
-                      "hash_range": params.hash_range,
-                      "num_symbols": params.num_symbols,
-                      "alphabet_size": params.alphabet_size,
-                      "report_bits": params.report_bits,
-                      "server_state_size": self.state_size},
-        )
-
-    @property
-    def state_size(self) -> int:
-        return int(sum(agg.state_size for agg in self._stage1)
-                   + self._final.state_size)
+        return self._result(self.reconstruct_candidates(), meter,
+                            params.protocol, {
+                                "repetitions": params.repetitions,
+                                "hash_range": params.hash_range,
+                                "num_symbols": params.num_symbols,
+                                "alphabet_size": params.alphabet_size,
+                                "report_bits": params.report_bits,
+                                "server_state_size": self.state_size})
 
 
 __all__ = [

@@ -20,16 +20,17 @@ one-counts; candidate-set regression decoding happens in ``finalize()``.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.protocol.wire import (
     ClientEncoder,
+    CountLayout,
     PublicParams,
     ReportBatch,
     ServerAggregator,
-    integer_state,
+    int_column,
     kwise_hash_from_dict,
     kwise_hash_to_dict,
     register_protocol,
@@ -98,6 +99,11 @@ class RapporParams(PublicParams):
         """Cached at construction; see the hashtogram note."""
         return self._public_randomness_bits
 
+    @property
+    def layout(self) -> CountLayout:
+        """One one-count per Bloom bit."""
+        return CountLayout(self.num_bits)
+
 
 class RapporEncoder(ClientEncoder):
     """Stateless RAPPOR client: Bloom-encode, flip every bit."""
@@ -130,36 +136,17 @@ class RapporAggregator(ServerAggregator):
 
     params: RapporParams
 
-    def __init__(self, params: RapporParams) -> None:
-        super().__init__(params)
-        self._bit_counts = np.zeros(params.num_bits, dtype=np.int64)
-
-    def _absorb_columns(self, batch: ReportBatch) -> None:
-        self._bit_counts += batch.columns["bits"].sum(axis=0, dtype=np.int64)
-
-    def _merge_impl(self, other: "RapporAggregator") -> "RapporAggregator":
-        merged = RapporAggregator(self.params)
-        merged._bit_counts = self._bit_counts + other._bit_counts
-        return merged
-
-    # ----- snapshots ----------------------------------------------------------------
-
-    def _state_dict(self):
-        return {"bit_counts": self._bit_counts.copy()}
-
-    def _load_state(self, state) -> None:
-        bit_counts = integer_state(state["bit_counts"])
-        if bit_counts.shape != self._bit_counts.shape:
-            raise ValueError(f"snapshot has {bit_counts.size} bit counts, "
-                             f"expected {self._bit_counts.size}")
-        self._bit_counts = bit_counts
+    def _report_cells(self, columns) -> List[Tuple[np.ndarray, np.ndarray]]:
+        num_bits = self.params.num_bits
+        return [(np.arange(num_bits)[:, None],
+                 int_column(columns, "bits", 0, 2, width=num_bits).T)]
 
     # ----- estimation ---------------------------------------------------------------
 
     def estimate_candidates(self, candidates: Sequence[int]) -> np.ndarray:
         """Regression-decode the aggregate against a known candidate set."""
         return self.params.randomizer.estimate_candidate_frequencies_from_counts(
-            self._bit_counts, self.num_reports, candidates)
+            self.counts, self.num_reports, candidates)
 
     def finalize(self) -> "RapporAggregate":
         """RAPPOR has no per-element oracle: decoding needs a candidate set.
@@ -167,12 +154,8 @@ class RapporAggregator(ServerAggregator):
         ``finalize`` therefore returns a :class:`RapporAggregate`, a small
         frozen view exposing ``estimate_candidates``.
         """
-        return RapporAggregate(self.params, self._bit_counts.copy(),
+        return RapporAggregate(self.params, self.counts.copy(),
                                self.num_reports)
-
-    @property
-    def state_size(self) -> int:
-        return int(self._bit_counts.size)
 
 
 class RapporAggregate:

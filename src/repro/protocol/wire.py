@@ -14,20 +14,19 @@ ever sees the aggregate.  This module makes that boundary explicit:
   :class:`Report`; ``encode_batch`` is the vectorized path used by
   simulations.
 * :class:`ServerAggregator` — incremental ingestion (``absorb`` /
-  ``absorb_batch``) into a compact integer state, plus a commutative and
-  associative ``merge`` so aggregation can be sharded across workers, and
-  ``finalize()`` which turns the aggregate into a fitted estimator
+  ``absorb_batch``) into one flat int64 count vector, plus a commutative
+  and associative ``merge`` so aggregation can be sharded across workers,
+  and ``finalize()`` which turns the aggregate into a fitted estimator
   (a :class:`~repro.frequency.base.FrequencyOracle` or a heavy-hitters
   result).
 
-All aggregator states are kept in exact integer arithmetic until
-``finalize()``, so splitting a report stream across K shards and merging the
-shard aggregators reproduces single-server aggregation *bit for bit*.  The
-same exact-integer state powers **durable snapshots**: ``snapshot()`` emits
-a JSON-safe checkpoint (parameters + report count + state) and
+The counts (laid out by the params' :class:`CountLayout`) stay exact
+integers until ``finalize()``, so splitting a report stream across K shards
+and merging the shard aggregators reproduces single-server aggregation *bit
+for bit*.  The same state powers **durable snapshots**: ``snapshot()`` emits
+a JSON-safe checkpoint (parameters + report count + ``{"counts": …}``) and
 ``from_snapshot()`` rebuilds an aggregator that finalizes bit-identically —
-the crash-recovery primitive of :mod:`repro.server`.  Internally the state
-stays int64 arrays; only ``snapshot()`` makes lists (:func:`json_safe`).
+the crash-recovery primitive of :mod:`repro.server`.
 
 The legacy one-shot ``FrequencyOracle.collect(values)`` /
 ``HeavyHitterProtocol.run(values)`` entry points are retained as thin
@@ -63,6 +62,7 @@ __all__ = [
     "PublicParams",
     "ClientEncoder",
     "ServerAggregator",
+    "CountLayout",
     "merge_aggregators",
     "register_protocol",
     "kwise_hash_to_dict",
@@ -77,7 +77,9 @@ __all__ = [
 #: identifying tag of an aggregator snapshot payload (see ``ServerAggregator.snapshot``)
 SNAPSHOT_FORMAT = "repro-aggregator-snapshot"
 #: snapshot payload version; bumped on any breaking change to the state layout
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+#: restorable versions: 1 is the nested per-protocol state (:func:`flatten_state`)
+READABLE_VERSIONS = (1, 2)
 
 
 # --------------------------------------------------------------------------------------
@@ -356,6 +358,11 @@ class PublicParams(abc.ABC):
     def report_bits(self) -> float:
         """Exact wire size of one encoded report, in bits."""
 
+    @property
+    @abc.abstractmethod
+    def layout(self) -> "CountLayout":
+        """The flat cell layout of an aggregator's ``counts`` vector."""
+
 
 class ClientEncoder(abc.ABC):
     """Stateless per-user encoder built from :class:`PublicParams`.
@@ -404,17 +411,82 @@ class ClientEncoder(abc.ABC):
         """Vectorized encoding of ``values[i]`` for users ``first_user_index + i``."""
 
 
+class CountLayout:
+    """The flat int64 cell layout of an aggregator's state.
+
+    ``size`` cells, some of them report counts: each ``(name, parent,
+    cells)`` of ``groups`` says the counts at ``cells`` sum to the count at
+    cell ``parent`` (``-1``: the aggregator's ``num_reports``).  Layouts
+    compose by ``+`` and :meth:`blocks` in the leaf order of the version-1
+    nested snapshot state, so :func:`flatten_state` maps v1 straight in.
+    """
+
+    def __init__(self, size: int,
+                 groups: Sequence[Tuple[str, int, np.ndarray]] = ()) -> None:
+        self.size = int(size)
+        self.groups = tuple(groups)
+
+    @classmethod
+    def blocks(cls, copies: int, name: str,
+               child: Optional["CountLayout"] = None) -> "CountLayout":
+        """``copies`` × [count cell, ``child`` cells]: every report lands in
+        one block, so the block counts sum to the parent's count."""
+        child = child if child is not None else CountLayout(0)
+        stride = child.size + 1
+        starts = np.arange(copies, dtype=np.int64) * stride
+        groups = [(name, -1, starts)]
+        for start in starts.tolist():
+            groups.extend((sub, start if parent < 0 else start + 1 + parent,
+                           start + 1 + cells)
+                          for sub, parent, cells in child.groups)
+        return cls(copies * stride, groups)
+
+    def __add__(self, other: "CountLayout") -> "CountLayout":
+        shift = self.size
+        return CountLayout(self.size + other.size, self.groups + tuple(
+            (name, parent if parent < 0 else parent + shift, cells + shift)
+            for name, parent, cells in other.groups))
+
+    def count_cells(self, name: str) -> np.ndarray:
+        """The report-count cells of the (first) group called ``name`` —
+        in a composite, where each child block starts."""
+        return next(cells for group, _, cells in self.groups if group == name)
+
+    @property
+    def state_size(self) -> int:
+        """Scalars retained, report-count cells excluded (the Table 1
+        figure: a composite's per-child counts are bookkeeping)."""
+        return self.size - sum(cells.size for _, _, cells in self.groups)
+
+    def check_counts(self, counts: np.ndarray, num_reports: int) -> None:
+        """Reject loaded ``counts`` whose report-count cells are negative
+        or do not add up to their parent's count."""
+        for name, parent, cells in self.groups:
+            held = counts[cells]
+            expected = num_reports if parent < 0 else int(counts[parent])
+            if int(held.sum()) != expected or (held < 0).any():
+                raise ValueError(f"snapshot {name} counts hold "
+                                 f"{held.tolist()} reports, expected "
+                                 f"{expected} in all, none negative")
+
+
 class ServerAggregator(abc.ABC):
     """Incremental, mergeable server-side aggregation of wire reports.
 
-    Aggregators keep exact integer state, so ``merge`` is commutative and
-    associative *bit for bit*: sharding a report stream across K workers and
-    merging their aggregators reproduces single-server ingestion exactly.
+    The whole state is one int64 vector ``counts`` laid out by
+    ``params.layout``; a protocol implements only :meth:`_report_cells`
+    (validated batch → flat cells and weights) and :meth:`finalize`.
+    Integer addition makes ``merge`` commutative and associative *bit for
+    bit*: sharding a report stream across K workers and merging their
+    aggregators reproduces single-server ingestion exactly.
     """
 
-    def __init__(self, params: PublicParams) -> None:
+    def __init__(self, params: PublicParams,
+                 counts: Optional[np.ndarray] = None) -> None:
         self.params = params
         self.num_reports = 0
+        self.counts = (np.zeros(params.layout.size, dtype=np.int64)
+                       if counts is None else counts)
 
     # ----- ingestion ----------------------------------------------------------------
 
@@ -425,7 +497,11 @@ class ServerAggregator(abc.ABC):
 
     def absorb_batch(self, reports: Union[ReportBatch, Iterable[Report]]
                      ) -> "ServerAggregator":
-        """Ingest a batch of reports (columnar fast path).  Returns ``self``."""
+        """Ingest a batch of reports (columnar fast path).  Returns ``self``.
+
+        Atomic: every column is validated (``ValueError``) before the one
+        ``np.add.at`` that mutates ``counts``.
+        """
         if not isinstance(reports, ReportBatch):
             reports = list(reports)
             if not reports:
@@ -436,18 +512,38 @@ class ServerAggregator(abc.ABC):
                              f"{self.params.protocol!r} aggregator")
         if len(reports) == 0:
             return self
-        self._absorb_columns(reports)
+        cells, weights = [], []
+        for part_cells, part_weights in self._report_cells(reports.columns):
+            if part_cells.shape[1] == 1 and part_weights.shape[1] != 1:
+                # every report touches the same cells: add the per-cell sums
+                part_weights = part_weights.sum(axis=1, dtype=np.int64,
+                                                keepdims=True)
+            cells.append(part_cells.ravel())
+            weights.append(part_weights.ravel())
+        # one part needs no concatenation copy; 1-D int64 operands keep
+        # np.add.at on its fast path
+        flat_cells = np.concatenate(cells) if len(cells) > 1 else cells[0]
+        flat_weights = (np.concatenate(weights) if len(weights) > 1
+                        else weights[0])
+        np.add.at(self.counts, flat_cells,
+                  flat_weights.astype(np.int64, copy=False))
         self.num_reports += len(reports)
         return self
 
     @abc.abstractmethod
-    def _absorb_columns(self, batch: ReportBatch) -> None:
-        """Subclass hook: fold a non-empty columnar batch into the state."""
+    def _report_cells(self, columns: Dict[str, np.ndarray]
+                      ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Subclass hook: a non-empty batch's cells, as ``(cells, weights)``
+        parts of int arrays of shape ``(c, n)`` — column i is report i's
+        flat cell indices and weights — or with ``cells`` one ``(c, 1)``
+        column all reports share and ``weights`` ``(c, n)`` or already
+        summed to ``(c, 1)``.  Must range-check every column it reads first
+        (``ValueError``): an in-bounds index can land in the wrong block."""
 
     # ----- merging ------------------------------------------------------------------
 
     def merge(self, other: "ServerAggregator") -> "ServerAggregator":
-        """Combine two shard aggregators into a new one (state is summed).
+        """Combine two shard aggregators into a new one (counts are summed).
 
         The operation is commutative and associative; both operands are left
         untouched.  Aggregators must have been built from equal public
@@ -459,13 +555,9 @@ class ServerAggregator(abc.ABC):
         if other.params != self.params:
             raise ValueError("cannot merge aggregators with different public "
                              "parameters")
-        merged = self._merge_impl(other)
+        merged = type(self)(self.params, self.counts + other.counts)
         merged.num_reports = self.num_reports + other.num_reports
         return merged
-
-    @abc.abstractmethod
-    def _merge_impl(self, other: "ServerAggregator") -> "ServerAggregator":
-        """Subclass hook: new aggregator whose state is the sum of both."""
 
     # ----- durable snapshots --------------------------------------------------------
 
@@ -473,17 +565,16 @@ class ServerAggregator(abc.ABC):
         """JSON-safe checkpoint of the full aggregator state.
 
         The payload carries the public parameters (``to_dict``), the report
-        count, and the exact integer state (``_state_dict``), so a server
-        can write it to disk, crash, and rebuild an aggregator that
-        finalizes **bit-identically** via :meth:`from_snapshot` — integers
-        survive JSON exactly, and no floating-point value is ever part of
-        the state.  This is the one place the state arrays become lists.
+        count, and the exact integer ``counts``, so a server can write it
+        to disk, crash, and rebuild an aggregator that finalizes
+        **bit-identically** via :meth:`from_snapshot` — integers survive
+        JSON exactly, and no floating-point value is ever part of the state.
         """
         return {"format": SNAPSHOT_FORMAT,
                 "version": SNAPSHOT_VERSION,
                 "params": self.params.to_dict(),
                 "num_reports": int(self.num_reports),
-                "state": json_safe(self._state_dict())}
+                "state": {"counts": self.counts.tolist()}}
 
     @staticmethod
     def from_snapshot(data: Dict[str, object]) -> "ServerAggregator":
@@ -492,8 +583,7 @@ class ServerAggregator(abc.ABC):
         Dispatches on the embedded parameters' ``protocol`` tag, so any
         registered protocol restores through this one entry point.
         """
-        params = snapshot_params(data, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
-                                 "an aggregator")
+        params = snapshot_params(data, SNAPSHOT_FORMAT, "an aggregator")
         return params.make_aggregator().restore(data)
 
     def restore(self, data: Dict[str, object]) -> "ServerAggregator":
@@ -503,24 +593,22 @@ class ServerAggregator(abc.ABC):
         state produced under different public randomness would silently
         decode garbage.  Returns ``self``.
         """
-        if snapshot_params(data, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
+        if snapshot_params(data, SNAPSHOT_FORMAT,
                            "an aggregator") != self.params:
             raise ValueError("cannot restore a snapshot taken under different "
                              "public parameters")
-        return _load_counted(self, data["state"], data["num_reports"])
+        return load_child_state(self, data)
 
-    @abc.abstractmethod
-    def _state_dict(self) -> Dict[str, object]:
-        """Subclass hook: the exact integer state as owned int64 array
-        copies — never views: a capture is packed later, absorbs go on."""
+    # ----- composite views ----------------------------------------------------------
 
-    @abc.abstractmethod
-    def _load_state(self, state: Dict[str, object]) -> None:
-        """Subclass hook: overwrite the state with :meth:`_state_dict` output."""
-
-    def _check_num_reports(self, num_reports: int) -> None:
-        """Hook: reject a loaded report count the loaded state contradicts
-        (composites: the children's counts must add up)."""
+    def _block(self, aggregator: Type["ServerAggregator"],
+               params: PublicParams, at: int) -> "ServerAggregator":
+        """Zero-copy child aggregator over the layout block whose count
+        cell is ``counts[at]`` (a composite's per-child state)."""
+        child = aggregator(params,
+                           self.counts[at + 1:at + 1 + params.layout.size])
+        child.num_reports = int(self.counts[at])
+        return child
 
     # ----- finalization -------------------------------------------------------------
 
@@ -536,9 +624,9 @@ class ServerAggregator(abc.ABC):
     # ----- accounting ---------------------------------------------------------------
 
     @property
-    @abc.abstractmethod
     def state_size(self) -> int:
-        """Number of scalars retained by this aggregator."""
+        """Number of scalars retained (report-count cells excluded)."""
+        return self.params.layout.state_size
 
 
 def merge_aggregators(aggregators: Sequence[ServerAggregator]) -> ServerAggregator:
@@ -551,7 +639,7 @@ def merge_aggregators(aggregators: Sequence[ServerAggregator]) -> ServerAggregat
     return merged
 
 
-def snapshot_params(data: Dict[str, object], format: str, version: int,
+def snapshot_params(data: Dict[str, object], format: str,
                     kind: str) -> PublicParams:
     """The parameters of a snapshot payload, once its format tag and
     version are checked (``ValueError`` otherwise)."""
@@ -559,41 +647,52 @@ def snapshot_params(data: Dict[str, object], format: str, version: int,
         raise ValueError(f"not {kind} snapshot: "
                          f"format={data.get('format')!r}")
     found = int(data.get("version", 0))
-    if found != version:
+    if found not in READABLE_VERSIONS:
         raise ValueError(f"unsupported {kind} snapshot version {found} "
-                         f"(expected {version})")
+                         f"(expected one of {list(READABLE_VERSIONS)})")
     return PublicParams.from_dict(dict(data["params"]))
 
 
 def child_state(aggregator: ServerAggregator) -> Dict[str, object]:
-    """Snapshot payload of a *nested* aggregator (state + count, no params).
-
-    Composite aggregators (Hashtogram's per-repetition inner accumulators,
-    the heavy-hitters stage-1 arrays) embed their children with this helper:
-    the children's parameters are derivable from the parent's, so only the
-    integer state (owned int64 array copies) and the report count are stored.
-    """
+    """Parameter-free payload of an aggregator: its report count and an
+    owned copy of its counts (a capture is packed later, absorbs go on)."""
     return {"num_reports": int(aggregator.num_reports),
-            "state": aggregator._state_dict()}
+            "state": {"counts": aggregator.counts.copy()}}
 
 
 def load_child_state(aggregator: ServerAggregator,
                      data: Dict[str, object]) -> ServerAggregator:
-    """Inverse of :func:`child_state`: load a nested payload in place."""
-    return _load_counted(aggregator, data["state"], data["num_reports"])
-
-
-def _load_counted(aggregator: ServerAggregator, state: object,
-                  num_reports: object) -> ServerAggregator:
-    """Load ``state`` and its report count into a fresh aggregator,
-    rejecting a negative count or one the state contradicts."""
-    count = int(num_reports)
+    """Inverse of :func:`child_state` (or the state half of a snapshot):
+    load ``data["state"]`` — ``{"counts": …}`` or a v1 nested payload —
+    and its ``num_reports`` into a fresh aggregator, rejecting a negative
+    count, a wrong-size vector, or report-count cells contradicting it."""
+    count = int(data["num_reports"])
     if count < 0:
         raise ValueError(f"snapshot num_reports={count} is negative")
-    aggregator._load_state(dict(state))
-    aggregator._check_num_reports(count)
+    state = dict(data["state"])
+    counts = integer_state(state["counts"] if set(state) == {"counts"}
+                           else flatten_state(state))
+    layout = aggregator.params.layout
+    if counts.shape != (layout.size,):
+        raise ValueError(f"snapshot counts have shape {counts.shape}, "
+                         f"expected ({layout.size},)")
+    layout.check_counts(counts, count)
+    aggregator.counts = counts
     aggregator.num_reports = count
     return aggregator
+
+
+def flatten_state(state: object) -> np.ndarray:
+    """The counts of a version-1 nested state payload, in layout order:
+    sorted keys, list items in order, each child's ``num_reports`` ahead
+    of its state (see :class:`CountLayout`)."""
+    if isinstance(state, dict):
+        parts = [flatten_state(state[key]) for key in sorted(state)]
+    elif isinstance(state, list) and state and isinstance(state[0], dict):
+        parts = [flatten_state(item) for item in state]
+    else:
+        return np.asarray(state).ravel()
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def json_safe(payload: object) -> object:
@@ -607,14 +706,37 @@ def json_safe(payload: object) -> object:
     return payload
 
 
-def check_assignment(column: object, count: int, name: str) -> np.ndarray:
-    """A composite's child-assignment column as int64, rejecting rows
-    outside ``0..count-1`` (the parent would count them, no child would)."""
-    assignment = np.asarray(column, dtype=np.int64)
-    if assignment.size and (assignment.min() < 0
-                            or assignment.max() >= count):
-        raise ValueError(f"{name} column has entries outside 0..{count - 1}")
-    return assignment
+def int_column(columns: Dict[str, np.ndarray], name: str, low: int,
+               high: int, width: Optional[int] = None) -> np.ndarray:
+    """Report column ``name``, rejecting (``ValueError``) a missing or
+    non-integer column, entries outside ``low..high-1``, and a shape other
+    than ``(n,)`` — or ``(n, width)`` for a bit-vector column, which keeps
+    its own dtype (index columns come back as int64 for cell arithmetic)."""
+    if name not in columns:
+        raise ValueError(f"batch has no {name} column")
+    column = np.asarray(columns[name])
+    shape = (column.shape[0],) if width is None else (column.shape[0], width)
+    if column.shape != shape or column.dtype.kind not in "biu":
+        raise ValueError(f"{name} column has shape {column.shape} and dtype "
+                         f"{column.dtype}, expected integers of shape {shape}")
+    if column.size and (column.min() < low or column.max() >= high):
+        raise ValueError(f"{name} column has entries outside "
+                         f"{low}..{high - 1}")
+    return column if width else column.astype(np.int64, copy=False)
+
+
+def nest_cells(starts: np.ndarray, blocks: np.ndarray,
+               parts: List[Tuple[np.ndarray, np.ndarray]]
+               ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """A composite's parts for reports routed into child blocks (report i
+    into block ``blocks[i]``, whose count cell is ``starts[blocks[i]]``):
+    the blocks' report counts, then the child's parts shifted past each
+    report's count cell.  Only a single block (one constant shift) may
+    hold already-summed child parts."""
+    counts = (starts[:, None],
+              np.bincount(blocks, minlength=starts.size)[:, None])
+    shift = starts[0] + 1 if starts.size == 1 else starts[blocks] + 1
+    return [counts] + [(cells + shift, weights) for cells, weights in parts]
 
 
 def integer_state(values: object) -> np.ndarray:

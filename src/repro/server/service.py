@@ -58,9 +58,6 @@ __all__ = ["AggregationServer", "ServerStats"]
 #: protocol identification string sent in every ``params`` reply
 SERVER_ID = "repro-aggregation-server/1"
 
-#: on-disk encoding of every checkpoint the server writes
-CHECKPOINT_FORMAT = "binary"
-
 
 @dataclass
 class ServerStats:
@@ -130,7 +127,7 @@ class AggregationServer:
         self.params = params
         self.windowed = WindowedAggregator(params, window)
         self.stats = ServerStats()
-        self.store = (SnapshotStore(snapshot_dir, format=CHECKPOINT_FORMAT)
+        self.store = (SnapshotStore(snapshot_dir)
                       if snapshot_dir is not None else None)
         self._queue_batches = queue_batches
         self._drain_reports = drain_reports
@@ -278,7 +275,7 @@ class AggregationServer:
                         batch = (items[0].batch if len(items) == 1 else
                                  ReportBatch.concat([i.batch for i in items],
                                                     consume=True))
-                        self.windowed.absorb_batch(batch, epoch, atomic=True)
+                        self.windowed.absorb_batch(batch, epoch)
                     except Exception as exc:  # noqa: BLE001 - accounted
                         self.stats.reports_rejected += size
                         self.stats.last_rejection = str(exc)

@@ -6,11 +6,11 @@ one of two encodings:
 
 * ``"binary"`` — the payload through the columnar state container of
   :mod:`repro.protocol.binary` (``pack_state``): integer arrays ship as
-  narrowed raw little-endian bytes behind a struct header.  Every server
-  checkpoint uses it (:data:`repro.server.service.CHECKPOINT_FORMAT`).
-* ``"json"`` (library default; the cluster's shard map) — one compact JSON
-  document of a JSON-safe payload: human-readable and integer-exact, but
-  several times larger and slower for large aggregators.
+  narrowed raw little-endian bytes behind a struct header.  Every
+  :class:`SnapshotStore` checkpoint uses it.
+* ``"json"`` (:func:`write_snapshot`'s default; the cluster's shard map) —
+  one compact JSON document of a JSON-safe payload: human-readable and
+  integer-exact, but several times larger and slower for large aggregators.
 
 Because every aggregator keeps exact integer state and integers survive
 both encodings exactly, ``restore → absorb more → finalize`` is
@@ -71,7 +71,6 @@ SNAPSHOT_MAGIC = 0x504E5352
 _CONTAINER_HEADER = struct.Struct("<III")
 
 _SNAPSHOT_NAME = re.compile(r"^snapshot-(\d{6})\.(json|bin)$")
-_SUFFIXES = {"json": ".json", "binary": ".bin"}
 
 
 class SnapshotCorruptError(ValueError):
@@ -186,25 +185,20 @@ def read_snapshot(path: Union[str, Path]) -> Dict[str, object]:
 class SnapshotStore:
     """A directory of numbered snapshots with bounded history.
 
-    ``save`` writes ``snapshot-000001.json`` / ``snapshot-000001.bin``
-    (depending on the configured ``format``) atomically and deletes
-    everything older than the newest ``keep`` files; ``latest`` /
-    ``load_latest`` pick the highest sequence number across both suffixes,
-    which — thanks to the atomic writes — is always a complete payload.
+    ``save`` writes ``snapshot-000001.bin`` (the binary container)
+    atomically and deletes everything older than the newest ``keep``
+    files; ``latest`` / ``load_latest`` pick the highest sequence number
+    across the ``.bin`` and older ``.json`` files, which — thanks to the
+    atomic writes — is always a complete payload.
     ``latest_valid`` additionally verifies checksums, walking past corrupt
     files to the newest restorable one.
     """
 
-    def __init__(self, directory: Union[str, Path], keep: int = 3,
-                 format: str = "json") -> None:
+    def __init__(self, directory: Union[str, Path], keep: int = 3) -> None:
         if keep < 1:
             raise ValueError("keep must be >= 1")
-        if format not in SNAPSHOT_FORMATS:
-            raise ValueError(f"snapshot format must be one of "
-                             f"{SNAPSHOT_FORMATS}, got {format!r}")
         self.directory = Path(directory)
         self.keep = keep
-        self.format = format
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def _numbered(self) -> List[Path]:
@@ -222,8 +216,8 @@ class SnapshotStore:
         next_seq = 1
         if existing:
             next_seq = int(_SNAPSHOT_NAME.match(existing[-1].name).group(1)) + 1
-        name = f"snapshot-{next_seq:06d}{_SUFFIXES[self.format]}"
-        path = write_snapshot(self.directory / name, payload, self.format)
+        path = write_snapshot(self.directory / f"snapshot-{next_seq:06d}.bin",
+                              payload, "binary")
         for stale in self._numbered()[:-self.keep]:
             stale.unlink(missing_ok=True)
         return path

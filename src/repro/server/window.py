@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.protocol.wire import (
+    SNAPSHOT_VERSION,
     PublicParams,
     ReportBatch,
     ServerAggregator,
@@ -38,9 +39,9 @@ from repro.protocol.wire import (
 
 __all__ = ["WindowedAggregator", "WINDOW_SNAPSHOT_FORMAT"]
 
-#: identifying tag of a windowed snapshot payload
+#: identifying tag of a windowed snapshot payload; its version follows the
+#: aggregator snapshot's (2: flat ``{"counts": …}`` epoch states; 1 restores)
 WINDOW_SNAPSHOT_FORMAT = "repro-windowed-snapshot"
-_WINDOW_SNAPSHOT_VERSION = 1
 
 
 class WindowedAggregator:
@@ -66,41 +67,26 @@ class WindowedAggregator:
 
     # ----- ingestion ----------------------------------------------------------------
 
-    def absorb_batch(self, batch: ReportBatch, epoch: int = 0,
-                     atomic: bool = False) -> None:
+    def absorb_batch(self, batch: ReportBatch, epoch: int = 0) -> None:
         """Fold one batch into its epoch's aggregator (creating it on demand).
 
-        With ``atomic=True`` the epoch's integer state is backed up first
-        and rolled back if ``absorb_batch`` raises partway through — a
-        malformed batch absorbed into a *composite* aggregator (Hashtogram's
-        per-repetition accumulators, the heavy-hitters stage-1 arrays) could
-        otherwise mutate some children before failing, silently corrupting
-        the aggregate.  The ingestion server always absorbs atomically;
-        trusted in-process pipelines can skip the backup cost.
+        Atomic without a backup: an aggregator validates every column
+        before its one integer add, so a rejected batch (``ValueError``)
+        leaves every epoch unchanged.
         """
         epoch = int(epoch)
         aggregator = self._epochs.get(epoch)
-        fresh = aggregator is None
-        if fresh:
+        if aggregator is None:
             if self.window is not None and self._epochs and \
                     epoch <= max(self._epochs) - self.window:
                 raise ValueError(
                     f"epoch {epoch} is outside the retention window "
                     f"(newest epoch {max(self._epochs)}, window {self.window})")
-            aggregator = self.params.make_aggregator()
-        backup = (child_state(aggregator)
-                  if atomic and not fresh else None)
-        try:
-            aggregator.absorb_batch(batch)
-        except Exception:
-            # A fresh aggregator was never registered, so only a pre-existing
-            # epoch needs its state rolled back.
-            if backup is not None:
-                load_child_state(aggregator, backup)
-            raise
-        if fresh:
+            aggregator = self.params.make_aggregator().absorb_batch(batch)
             self._epochs[epoch] = aggregator
             self._prune()
+        else:
+            aggregator.absorb_batch(batch)
 
     def _prune(self) -> None:
         if self.window is None:
@@ -193,7 +179,7 @@ class WindowedAggregator:
         array copies: later absorbs never change it, so it can be packed
         and written off the event loop while ingestion continues."""
         return {"format": WINDOW_SNAPSHOT_FORMAT,
-                "version": _WINDOW_SNAPSHOT_VERSION,
+                "version": SNAPSHOT_VERSION,
                 "params": self.params.to_dict(),
                 "window": self.window,
                 "epochs": [{"epoch": int(epoch),
@@ -217,8 +203,7 @@ class WindowedAggregator:
         payload leaves this aggregator unchanged.  Returns the number of
         reports folded in.
         """
-        params = snapshot_params(data, WINDOW_SNAPSHOT_FORMAT,
-                                 _WINDOW_SNAPSHOT_VERSION, "a windowed")
+        params = snapshot_params(data, WINDOW_SNAPSHOT_FORMAT, "a windowed")
         if params != self.params:
             raise ValueError("cannot merge a snapshot taken under different "
                              "public parameters")
@@ -243,8 +228,7 @@ class WindowedAggregator:
     @staticmethod
     def from_snapshot(data: Dict[str, object]) -> "WindowedAggregator":
         """Rebuild a windowed collection from :meth:`snapshot` output."""
-        params = snapshot_params(data, WINDOW_SNAPSHOT_FORMAT,
-                                 _WINDOW_SNAPSHOT_VERSION, "a windowed")
+        params = snapshot_params(data, WINDOW_SNAPSHOT_FORMAT, "a windowed")
         window = data.get("window")
         windowed = WindowedAggregator(
             params, int(window) if window is not None else None)

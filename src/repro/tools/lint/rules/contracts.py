@@ -46,17 +46,13 @@ _AGGREGATOR_SURFACE = {
     "snapshot": 0, "restore": 1, "from_snapshot": 1,
 }
 
-#: state hooks the base's public surface delegates to (abstract on base)
-_AGGREGATOR_HOOKS = {
-    "_absorb_columns": 1, "_merge_impl": 1, "_state_dict": 0,
-    "_load_state": 1,
-}
+#: the protocol hook the base's public surface delegates to (abstract on
+#: base): a validated batch -> flat cell indices and weights; merge,
+#: snapshot and restore act on the flat counts vector in the base alone
+_AGGREGATOR_HOOKS = {"_report_cells": 1}
 
 #: public method -> the abstract hook its base implementation delegates to
-_HOOK_FOR = {
-    "absorb_batch": "_absorb_columns", "merge": "_merge_impl",
-    "snapshot": "_state_dict", "restore": "_load_state",
-}
+_HOOK_FOR = {"absorb_batch": "_report_cells"}
 
 #: params contract for @register_protocol classes (call-site arities)
 _PARAMS_SURFACE = {

@@ -9,7 +9,8 @@ round trip, or journal replay reproduces the single-server state exactly
 "approximately equal" — and K-shard tests pass on small inputs where the
 rounding happens to cancel.
 
-Scope: methods named ``absorb*``, ``merge``/``_merge_impl``,
+Scope: methods named ``absorb*``, ``_report_cells`` (the per-protocol
+batch -> flat cells hook), ``merge``/``_merge_impl``,
 ``snapshot``/``_state_dict``, ``restore``/``_load_state`` of (direct or
 transitive) ``ServerAggregator`` subclasses under ``repro/protocol``.
 ``finalize`` is deliberately *outside* the zone — debiasing is float math
@@ -37,7 +38,7 @@ _BASE = "ServerAggregator"
 
 #: method names forming the bit-identity hot zone
 _HOT_EXACT = frozenset({"merge", "_merge_impl", "snapshot", "restore",
-                        "_state_dict", "_load_state"})
+                        "_state_dict", "_load_state", "_report_cells"})
 
 _NUMPY_FLOAT_ATTRS = frozenset({
     "float16", "float32", "float64", "float128", "float_", "single",

@@ -12,9 +12,14 @@ collects the invariants that tie several components together:
   deterministic (single-value) databases;
 * heavy-hitter scoring is consistent with exhaustive recomputation;
 * the exact integer Hadamard decode equals the old float transform bit for
-  bit, on every padded length up to 2^12 and on the benchmarked shape.
+  bit, on every padded length up to 2^12 and on the benchmarked shape;
+* every aggregator's flat ``counts`` vector equals the leaves of a
+  test-only reference that keeps the nested per-child state and absorbs
+  with per-child mask loops, across shard splits, merge orders and a
+  snapshot round trip.
 """
 
+import json
 import math
 
 import numpy as np
@@ -22,10 +27,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.metrics import score_heavy_hitters, true_frequencies
+from repro.baselines.single_hash import SingleHashHeavyHitters
 from repro.codes.list_recoverable import UniqueListRecoverableCode
 from repro.codes.reed_solomon import ReedSolomonCode
+from repro.core.heavy_hitters import PrivateExpanderSketch
 from repro.frequency.explicit import ExplicitHistogramOracle
 from repro.hashing.kwise import KWiseHashFamily
+from repro.protocol import (
+    CountMeanSketchParams,
+    HashtogramParams,
+    RapporParams,
+    ServerAggregator,
+    merge_aggregators,
+)
 from repro.protocol.explicit import ExplicitHistogramParams
 from repro.randomizers.hadamard import hadamard_outputs
 from repro.randomizers.randomized_response import KaryRandomizedResponse
@@ -391,7 +405,7 @@ def _assert_decode_bit_identical(accumulator, domain_size, epsilon=1.0):
     if domain_size:
         aggregator = ExplicitHistogramParams(domain_size,
                                              epsilon).make_aggregator()
-        aggregator._accumulator = accumulator
+        aggregator.counts = accumulator
         assert np.array_equal(aggregator.histogram(), old)
 
 
@@ -445,3 +459,158 @@ def test_integer_hadamard_decode_expander_sketch_shape():
 def test_integer_hadamard_decode_rejects_wrong_length():
     with pytest.raises(ValueError, match="next_power_of_two"):
         hadamard_outputs(np.zeros(16, dtype=np.int64), 7)
+
+
+# --------------------------------------------------------------------------------------
+# flat aggregator state == the nested mask-loop reference
+# --------------------------------------------------------------------------------------
+
+def _reference_state(params):
+    """Empty nested state of ``params``: one dict per (child) aggregator, as
+    the per-protocol aggregators kept it before the flat ``counts``."""
+    def child(sub):
+        return {"num_reports": 0, "state": _reference_state(sub)}
+    if params.protocol == "explicit_histogram":
+        size = (params.padded if params.randomizer == "hadamard"
+                else params.domain_size)
+        return {"accumulator": np.zeros(size, dtype=np.int64)}
+    if params.protocol == "rappor":
+        return {"bit_counts": np.zeros(params.num_bits, dtype=np.int64)}
+    if params.protocol == "count_mean_sketch":
+        return {"ones": np.zeros((params.num_hashes, params.num_buckets),
+                              dtype=np.int64),
+                "row_counts": np.zeros(params.num_hashes, dtype=np.int64)}
+    if params.protocol == "hashtogram":
+        return {"inner": [child(params.inner)
+                          for _ in range(params.num_repetitions)]}
+    groups = (params.params.num_coordinates
+              if params.protocol == "expander_sketch" else params.num_groups)
+    return {"final": child(params.final),
+            "stage1": [child(params.stage1) for _ in range(groups)]}
+
+
+def _reference_absorb(params, state, columns):
+    """Mask-loop absorb: route each report into its child's nested state."""
+    def into(child, sub_params, sub_columns, count):
+        child["num_reports"] += count
+        if count:
+            _reference_absorb(sub_params, child["state"], sub_columns)
+
+    if params.protocol == "explicit_histogram":
+        if params.randomizer == "hadamard":
+            np.add.at(state["accumulator"], columns["row"],
+                      np.asarray(columns["bit"], dtype=np.int64))
+        elif params.randomizer == "oue":
+            state["accumulator"] += columns["bits"].sum(axis=0,
+                                                        dtype=np.int64)
+        else:
+            state["accumulator"] += np.bincount(
+                columns["value"], minlength=params.domain_size)
+    elif params.protocol == "rappor":
+        state["bit_counts"] += columns["bits"].sum(axis=0, dtype=np.int64)
+    elif params.protocol == "count_mean_sketch":
+        np.add.at(state["ones"], columns["row"],
+                  np.asarray(columns["bits"], dtype=np.int64))
+        state["row_counts"] += np.bincount(columns["row"],
+                                           minlength=params.num_hashes)
+    elif params.protocol == "hashtogram":
+        inner = {k: c for k, c in columns.items() if k != "repetition"}
+        for t, child in enumerate(state["inner"]):
+            mask = columns["repetition"] == t
+            into(child, params.inner, {k: c[mask] for k, c in inner.items()},
+                 int(mask.sum()))
+    else:
+        key = "coordinate" if params.protocol == "expander_sketch" else "group"
+        stage = {k[3:]: c for k, c in columns.items() if k.startswith("s1_")}
+        final = {k[4:]: c for k, c in columns.items() if k.startswith("fin_")}
+        for g, child in enumerate(state["stage1"]):
+            mask = columns[key] == g
+            into(child, params.stage1, {k: c[mask] for k, c in stage.items()},
+                 int(mask.sum()))
+        into(state["final"], params.final, final, len(columns[key]))
+
+
+def _reference_merge(first, second):
+    """Merge two nested states: every count summed leaf by leaf."""
+    if isinstance(first, dict):
+        return {key: _reference_merge(first[key], second[key])
+                for key in first}
+    if isinstance(first, list):
+        return [_reference_merge(a, b) for a, b in zip(first, second,
+                                                       strict=True)]
+    return first + second
+
+
+def _reference_leaves(state):
+    """The nested state's counts in sorted-key, list-item order."""
+    if isinstance(state, dict):
+        return np.concatenate([_reference_leaves(state[key])
+                               for key in sorted(state)])
+    if isinstance(state, list):
+        return np.concatenate([_reference_leaves(item) for item in state])
+    return np.asarray(state, dtype=np.int64).ravel()
+
+
+def _reference_state_size(state):
+    """Scalars of the nested state, report counts (``num_reports``, CMS
+    ``row_counts``) excluded — the figure ``state_size`` always reported."""
+    if isinstance(state, dict):
+        return sum(_reference_state_size(state[key]) for key in state
+                   if key not in ("num_reports", "row_counts"))
+    if isinstance(state, list):
+        return sum(_reference_state_size(item) for item in state)
+    return int(np.asarray(state).size)
+
+
+_REFERENCE_CASES = {
+    "explicit/hadamard": ExplicitHistogramParams(64, 1.0, "hadamard"),
+    "explicit/oue": ExplicitHistogramParams(16, 1.0, "oue"),
+    "explicit/krr": ExplicitHistogramParams(16, 1.0, "krr"),
+    "hashtogram": HashtogramParams.create(256, 1.0, num_repetitions=3,
+                                          num_buckets=4, rng=0),
+    "hashtogram/oue": HashtogramParams.create(
+        256, 1.0, num_repetitions=2, num_buckets=4, inner_randomizer="oue",
+        assignment="uniform", rng=1),
+    "count_mean_sketch": CountMeanSketchParams.create(
+        256, 1.0, num_hashes=3, num_buckets=8, rng=0),
+    "rappor": RapporParams.create(256, 2.0, num_bits=16, rng=0),
+    "expander_sketch": PrivateExpanderSketch(
+        domain_size=1 << 8, epsilon=4.0, num_buckets=1, hash_range=4,
+        expander_degree=2, final_oracle_repetitions=2,
+        final_oracle_buckets=4).public_params(1000, rng=3),
+    "single_hash": SingleHashHeavyHitters(
+        domain_size=1 << 8, epsilon=4.0, num_repetitions=1,
+        hash_range=4).public_params(300, rng=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       num_users=st.integers(min_value=1, max_value=400),
+       num_shards=st.integers(min_value=1, max_value=4))
+@settings(max_examples=12, deadline=None)
+def test_flat_counts_equal_the_mask_loop_reference(name, seed, num_users,
+                                                   num_shards):
+    params = _REFERENCE_CASES[name]
+    gen = np.random.default_rng(seed)
+    values = gen.integers(0, params.domain_size, size=num_users)
+    batch = params.make_encoder().encode_batch(values, gen)
+    cuts = np.sort(gen.integers(0, num_users + 1, size=num_shards - 1))
+    shards, references = [], []
+    for rows in np.split(np.arange(num_users), cuts):
+        part = batch.select(rows)
+        shards.append(params.make_aggregator().absorb_batch(part))
+        references.append(_reference_state(params))
+        if len(part):
+            _reference_absorb(params, references[-1], part.columns)
+    order = gen.permutation(num_shards)
+    merged = merge_aggregators([shards[i] for i in order])
+    reference = references[order[0]]
+    for i in order[1:]:
+        reference = _reference_merge(reference, references[i])
+    restored = ServerAggregator.from_snapshot(
+        json.loads(json.dumps(merged.snapshot())))
+    assert restored.num_reports == num_users
+    assert np.array_equal(restored.counts, _reference_leaves(reference))
+    assert restored.state_size == _reference_state_size(reference)
+

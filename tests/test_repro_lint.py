@@ -168,6 +168,16 @@ class TestExactnessRules:
         assert codes(diags) == ["RPL201", "RPL202", "RPL204", "RPL203",
                                 "RPL203"]
 
+    def test_report_cells_hook_is_in_zone(self, tmp_path):
+        diags = run_lint(tmp_path, {"repro/protocol/cells.py": """\
+            from repro.protocol.wire import ServerAggregator
+
+            class CellAggregator(ServerAggregator):
+                def _report_cells(self, columns):
+                    return columns["row"] * 1.0, columns["bit"]
+        """})
+        assert codes(diags) == ["RPL201"]
+
     def test_transitive_subclass_is_in_zone(self, tmp_path):
         diags = run_lint(tmp_path, {"repro/protocol/deep.py": """\
             from repro.protocol.wire import ServerAggregator
@@ -472,17 +482,8 @@ CONTRACT_MODULE = """\
             return cls()
 
     class GoodAggregator(ServerAggregator):
-        def _absorb_columns(self, batch):
-            self.n += len(batch)
-
-        def _merge_impl(self, other):
-            return self
-
-        def _state_dict(self):
-            return {}
-
-        def _load_state(self, state):
-            self.n = state.get("n", 0)
+        def _report_cells(self, columns):
+            return columns["cell"], columns["weight"]
 
         def finalize(self):
             return self.n
@@ -512,23 +513,26 @@ class TestContractRules:
 
     def test_missing_delegate_hook_is_rpl501(self, tmp_path):
         doctored = CONTRACT_MODULE.replace(
-            "        def _merge_impl(self, other):\n            return self\n\n",
+            "        def _report_cells(self, columns):\n"
+            "            return columns[\"cell\"], columns[\"weight\"]\n\n",
             "")
         diags = run_lint(tmp_path, {"repro/protocol/impl.py": doctored})
         assert codes(diags) == ["RPL501"]
-        assert "_merge_impl" in diags[0].message
+        assert "_report_cells" in diags[0].message
 
     def test_overriding_public_method_excuses_hook(self, tmp_path):
         doctored = CONTRACT_MODULE.replace(
-            "        def _merge_impl(self, other):\n            return self\n\n",
-            "        def merge(self, other):\n            return self\n\n")
+            "def _report_cells(self, columns):",
+            "def absorb_batch(self, columns):")
         diags = run_lint(tmp_path, {"repro/protocol/impl.py": doctored})
         assert diags == []
 
     def test_signature_arity_mismatch_is_rpl502(self, tmp_path):
         doctored = CONTRACT_MODULE.replace(
-            "def _merge_impl(self, other):",
-            "def merge(self, other, strict):")
+            "        def finalize(self):",
+            "        def merge(self, other, strict):\n"
+            "            return self\n\n"
+            "        def finalize(self):")
         diags = run_lint(tmp_path, {"repro/protocol/impl.py": doctored})
         assert codes(diags) == ["RPL502"]
         assert "merge" in diags[0].message

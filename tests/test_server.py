@@ -423,8 +423,38 @@ class TestServerEndToEnd:
         assert stats["reports_absorbed"] == len(good)
         assert after["num_reports"] == before["num_reports"] == len(good)
         old, new = _state_leaves(before["state"]), _state_leaves(after["state"])
-        assert len(old) == len(new) > params.params.num_coordinates
+        assert len(old) == len(new)
+        assert old[-1].size == params.layout.size > \
+            params.params.num_coordinates
         assert all(np.array_equal(a, b) for a, b in zip(old, new))
+
+    def test_malformed_report_values_are_rejected_not_counted(self):
+        # A well-framed batch whose sign column carries 1000 for one
+        # report: absorb validates values, so the frame is rejected whole
+        # instead of that report being counted a thousand times.
+        params = ExplicitHistogramParams(64, 1.0)
+        encoder = params.make_encoder()
+        good = encoder.encode_batch(np.arange(100) % 64,
+                                    np.random.default_rng(0))
+        bad = encoder.encode_batch(np.arange(100) % 64,
+                                   np.random.default_rng(1))
+        bits = bad.columns["bit"].astype(np.int64)
+        bits[-1] = 1000
+        bad.columns["bit"] = bits
+        queries = list(range(64))
+        with running_server(params) as (_, host, port):
+            with AggregationClient(host, port) as client:
+                client.send_batch(good)
+                client.sync()
+                before = client.query(queries)
+                client.send_batch(bad)
+                client.sync()
+                after = client.query(queries)
+                stats = client.stats()
+        assert stats["reports_rejected"] == len(bad)
+        assert stats["reports_absorbed"] == len(good)
+        assert "bit column" in stats["last_rejection"]
+        assert np.array_equal(before, after)
 
     def test_sparse_epoch_query_window_is_value_based(self):
         params = ExplicitHistogramParams(16, 1.0, "krr")

@@ -11,6 +11,7 @@ collection built on the same state hooks, and the atomic on-disk store.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,16 +156,16 @@ class TestAggregatorSnapshotRoundTrip:
     def test_rejects_truncated_state(self):
         params = ExplicitHistogramParams(16, 1.0)
         payload = params.make_aggregator().snapshot()
-        payload["state"]["accumulator"] = payload["state"]["accumulator"][:3]
+        payload["state"]["counts"] = payload["state"]["counts"][:3]
         with pytest.raises(ValueError, match="shape"):
             ServerAggregator.from_snapshot(payload)
 
 
-def _with_fraction(payload, key):
-    """``payload`` with one entry of ``state[key]`` made non-integral."""
-    values = list(payload["state"][key])
+def _with_fraction(payload):
+    """``payload`` with one entry of its ``counts`` made non-integral."""
+    values = list(payload["state"]["counts"])
     values[0] = values[0] + 1.5
-    payload["state"][key] = values
+    payload["state"]["counts"] = values
     return payload
 
 
@@ -174,15 +175,13 @@ class TestRestoreRejectsNonIntegralState:
     @pytest.mark.parametrize("randomizer", ["hadamard", "oue", "krr"])
     def test_explicit(self, randomizer):
         params = ExplicitHistogramParams(16, 1.0, randomizer)
-        payload = _with_fraction(params.make_aggregator().snapshot(),
-                                 "accumulator")
+        payload = _with_fraction(params.make_aggregator().snapshot())
         with pytest.raises(ValueError, match="non-integral"):
             ServerAggregator.from_snapshot(payload)
 
     def test_rappor(self):
         params = RapporParams.create(64, 2.0, num_bits=16, rng=0)
-        payload = _with_fraction(params.make_aggregator().snapshot(),
-                                 "bit_counts")
+        payload = _with_fraction(params.make_aggregator().snapshot())
         with pytest.raises(ValueError, match="non-integral"):
             ServerAggregator.from_snapshot(payload)
 
@@ -191,8 +190,11 @@ class TestRestoreRejectsNonIntegralState:
         params = CountMeanSketchParams.create(DOMAIN, 1.0, num_hashes=4,
                                               num_buckets=16, rng=0)
         payload = params.make_aggregator().snapshot()
-        state = payload["state"]
-        state[key] = (np.asarray(state[key], dtype=float) + 0.25).tolist()
+        counts = np.asarray(payload["state"]["counts"], dtype=float)
+        table = params.num_hashes * params.num_buckets
+        cells = slice(0, table) if key == "ones" else slice(table, None)
+        counts[cells] += 0.25
+        payload["state"]["counts"] = counts.tolist()
         with pytest.raises(ValueError, match="non-integral"):
             ServerAggregator.from_snapshot(payload)
 
@@ -202,8 +204,8 @@ class TestRestoreRejectsNonIntegralState:
         aggregator.absorb_batch(params.make_encoder().encode_batch(
             np.arange(16), np.random.default_rng(0)))
         payload = aggregator.snapshot()
-        payload["state"]["accumulator"] = [
-            float(x) for x in payload["state"]["accumulator"]]
+        payload["state"]["counts"] = [
+            float(x) for x in payload["state"]["counts"]]
         restored = ServerAggregator.from_snapshot(payload)
         assert np.array_equal(restored.histogram(), aggregator.histogram())
 
@@ -228,11 +230,11 @@ class TestCapturedStateIsStableCopy:
     def test_windowed_capture_survives_later_absorbs(self, rng, name, params):
         first, second = _two_halves(params, 2_000, rng)
         windowed = WindowedAggregator(params)
-        windowed.absorb_batch(first, atomic=True)
+        windowed.absorb_batch(first)
         captured = windowed.capture()
         frozen = json_safe(captured)
         assert frozen == windowed.snapshot()
-        windowed.absorb_batch(second, atomic=True)
+        windowed.absorb_batch(second)
         assert json_safe(captured) == frozen
         assert windowed.snapshot() != frozen
 
@@ -250,11 +252,12 @@ class TestCapturedStateIsStableCopy:
 
 
 def _bump(payload, *path, by=1):
-    """``payload`` with the ``num_reports`` found at ``path`` shifted by ``by``."""
+    """``payload`` with the report count at ``path`` shifted by ``by``: a
+    ``num_reports`` entry, or one report-count cell of a ``counts`` vector."""
     node = payload
-    for key in path:
+    for key in path[:-1]:
         node = node[key]
-    node["num_reports"] += by
+    node[path[-1]] += by
     return payload
 
 
@@ -283,30 +286,31 @@ class TestRestoreRejectsImpossibleCounts:
 
     def test_hashtogram_inner_counts_must_add_up(self, rng):
         params = _frequency_cases()[3][1]
-        payload = _bump(self._absorbed(params, rng), "state", "inner", 0)
-        with pytest.raises(ValueError, match="repetitions hold"):
+        payload = _bump(self._absorbed(params, rng), "state", "counts", 0)
+        with pytest.raises(ValueError, match="repetition counts hold"):
             ServerAggregator.from_snapshot(payload)
 
     @pytest.mark.parametrize("index", [0, 1], ids=["expander", "single_hash"])
     def test_stage1_counts_must_add_up(self, rng, index):
         params = _heavy_hitter_cases(2_000)[index][1]
-        payload = _bump(self._absorbed(params, rng), "state", "stage1", 0)
-        with pytest.raises(ValueError, match="stages hold"):
+        payload = _bump(self._absorbed(params, rng), "state", "counts",
+                        params.final.layout.size + 1)
+        with pytest.raises(ValueError, match="counts hold"):
             ServerAggregator.from_snapshot(payload)
 
     @pytest.mark.parametrize("index", [0, 1], ids=["expander", "single_hash"])
     def test_final_count_must_equal_the_parent(self, rng, index):
         params = _heavy_hitter_cases(2_000)[index][1]
         # a self-consistent final oracle holding one report too many
-        payload = _bump(self._absorbed(params, rng), "state", "final")
-        _bump(payload, "state", "final", "state", "inner", 0)
-        with pytest.raises(ValueError, match="stages hold"):
+        payload = _bump(self._absorbed(params, rng), "state", "counts", 0)
+        _bump(payload, "state", "counts", 1)
+        with pytest.raises(ValueError, match="final counts hold"):
             ServerAggregator.from_snapshot(payload)
 
     def test_parent_count_must_match_its_children(self, rng):
         params = _heavy_hitter_cases(2_000)[0][1]
-        payload = _bump(self._absorbed(params, rng), by=-1)
-        with pytest.raises(ValueError, match="stages hold"):
+        payload = _bump(self._absorbed(params, rng), "num_reports", by=-1)
+        with pytest.raises(ValueError, match="counts hold"):
             ServerAggregator.from_snapshot(payload)
 
     def test_rejected_absorb_state_leaves_the_window_unchanged(self, rng):
@@ -318,9 +322,9 @@ class TestRestoreRejectsImpossibleCounts:
         drained.absorb_batch(first, epoch=0)
         drained.absorb_batch(second, epoch=1)
         payload = drained.capture()
-        _bump(payload, "epochs", 1, "state", "inner", 0)
+        _bump(payload, "epochs", 1, "state", "counts", 0)
         before = survivor.snapshot()
-        with pytest.raises(ValueError, match="repetitions hold"):
+        with pytest.raises(ValueError, match="repetition counts hold"):
             survivor.merge_snapshot(payload)
         assert survivor.snapshot() == before
 
@@ -347,6 +351,97 @@ class TestRestoreRejectsImpossibleCounts:
         with pytest.raises(ValueError, match=f"{column} column"):
             aggregator.absorb_batch(batch)
         assert aggregator.num_reports == 0
+
+
+def _malformed(params):
+    """``(column, bad value)`` pairs a well-formed batch must never carry:
+    out of range, off the ±1/0-1 alphabet, or inside a neighbouring block."""
+    if params.protocol == "explicit_histogram":
+        if params.randomizer == "hadamard":
+            return [("bit", 1000), ("bit", 0), ("row", -1),
+                    ("row", params.padded)]
+        if params.randomizer == "oue":
+            return [("bits", 2)]
+        return [("value", -1), ("value", params.domain_size)]
+    if params.protocol == "hashtogram":
+        return [("row", -1), ("row", 1 << 40), ("bit", 3),
+                ("repetition", params.num_repetitions)]
+    if params.protocol == "count_mean_sketch":
+        return [("bits", 9), ("row", params.num_hashes)]
+    if params.protocol == "rappor":
+        return [("bits", 200)]
+    if params.protocol == "expander_sketch":
+        return [("coordinate", params.params.num_coordinates),
+                ("s1_row", -1), ("s1_bit", 2), ("fin_bit", 5),
+                ("fin_repetition", params.final.num_repetitions)]
+    return [("group", params.num_groups), ("s1_bit", 0), ("fin_row", -1)]
+
+
+def _doctored(batch, column, value):
+    """``batch`` with the last report's ``column`` entry set to ``value``
+    (widened to int64 so any value fits)."""
+    doctored = {key: np.array(col, copy=True)
+                for key, col in batch.columns.items()}
+    bad = doctored[column].astype(np.int64)
+    bad[-1] = value
+    doctored[column] = bad
+    return type(batch)(batch.protocol, doctored)
+
+
+class TestAbsorbRejectsMalformedReports:
+    """Absorb validates every column before it adds a single count."""
+
+    @pytest.mark.parametrize("name,params", _all_cases(),
+                             ids=[name for name, _ in _all_cases()])
+    def test_doctored_batch_raises_and_changes_nothing(self, name, params):
+        # 10 reports: with hashtogram's 5 round-robin repetitions the last
+        # report belongs to the last repetition, after the other four
+        batch = params.make_encoder().encode_batch(
+            np.arange(10) % params.domain_size, np.random.default_rng(0))
+        for column, value in _malformed(params):
+            aggregator = params.make_aggregator()
+            before = json_safe(child_state(aggregator))
+            with pytest.raises(ValueError):
+                aggregator.absorb_batch(_doctored(batch, column, value))
+            assert json_safe(child_state(aggregator)) == before, column
+            assert aggregator.num_reports == 0
+
+
+FIXTURES = Path(__file__).parent / "data" / "snapshot_v1"
+
+
+class TestVersion1Fixtures:
+    """Windowed snapshots written by the nested-state (version 1) code
+    restore into the flat counts and finalize bit-identically."""
+
+    @pytest.mark.parametrize("name", sorted(
+        path.stem for path in FIXTURES.glob("*.bin")))
+    def test_v1_snapshot_restores_bit_identically(self, name):
+        payload = read_snapshot(FIXTURES / f"{name}.bin")
+        answer = json.loads((FIXTURES / f"{name}.answer.json").read_text())
+        assert payload["version"] == 1
+        windowed = WindowedAggregator.from_snapshot(payload)
+        assert windowed.epochs == answer["epochs"]
+        assert windowed.num_reports == answer["num_reports"]
+        assert windowed.merged().state_size == answer["state_size"]
+        # and once more through the flat (version 2) payload
+        again = WindowedAggregator.from_snapshot(
+            json.loads(json.dumps(windowed.snapshot())))
+        for restored in (windowed, again):
+            result = restored.finalize()
+            if "queries" in answer:
+                estimates = result.estimate_many(answer["queries"])
+            elif answer["protocol"] == "rappor":
+                estimates = result.estimate_candidates(answer["candidates"])
+            else:
+                assert list(result.candidates) == answer["candidates"]
+                assert result.metadata["server_state_size"] == \
+                    answer["server_state_size"]
+                estimates = [[x, result.estimates[x]]
+                             for x in result.candidates]
+            assert np.array_equal(np.asarray(estimates, dtype=float),
+                                  np.asarray(answer["estimates"],
+                                             dtype=float))
 
 
 class TestWindowedAggregator:
@@ -536,9 +631,9 @@ class TestSnapshotStore:
     def test_sequence_numbers_and_pruning(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=2)
         paths = [store.save({"seq": i}) for i in range(4)]
-        assert paths[-1].name == "snapshot-000004.json"
+        assert paths[-1].name == "snapshot-000004.bin"
         remaining = sorted(p.name for p in tmp_path.iterdir())
-        assert remaining == ["snapshot-000003.json", "snapshot-000004.json"]
+        assert remaining == ["snapshot-000003.bin", "snapshot-000004.bin"]
         assert store.load_latest() == {"seq": 3}
 
     def test_empty_store(self, tmp_path):

@@ -278,6 +278,28 @@ class TestStateContainer:
         assert restored["big_array"] == [2**63 + 5]
         assert np.array_equal(restored["small"], [1, 2, 3])
 
+    def test_few_wide_entries_ship_as_a_patch(self):
+        # a flat aggregator state: many small counters and a few report
+        # counts, which must not widen the whole column to int64
+        counts = np.random.default_rng(0).integers(-3, 4, size=1 << 16)
+        counts[[0, 17, 40_000]] = [200_000, -70_000, 1 << 40]
+        blob = pack_state({"counts": counts})
+        assert len(blob) < 2 * counts.size  # int8 bulk plus a small patch
+        restored = unpack_state(blob)["counts"]
+        assert restored.dtype == np.int64 and restored.flags.writeable
+        assert np.array_equal(restored, counts)
+        assert pack_state({"counts": counts.tolist()}) == blob
+
+    def test_patch_outside_its_column_rejected(self):
+        counts = np.zeros(1 << 13, dtype=np.int64)
+        counts[5] = 1 << 20
+        blob = pack_state({"counts": counts})
+        assert b'"__repro_patch__":[1,2]' in blob
+        doctored = blob.replace(b'"__repro_patch__":[1,2]',
+                                b'"__repro_patch__":[2,1]')
+        with pytest.raises(BinaryFormatError, match="patch"):
+            unpack_state(doctored)
+
     def test_reserved_column_key_rejected(self):
         with pytest.raises(ValueError, match="reserved key"):
             pack_state({"state": {"__repro_column__": 5}})
@@ -315,14 +337,15 @@ class TestStateContainer:
         params = ExplicitHistogramParams(64, 1.0, "krr")
         windowed = WindowedAggregator(params)
         windowed.absorb_batch(_batch(params))
-        store = SnapshotStore(tmp_path, keep=2, format="binary")
+        store = SnapshotStore(tmp_path, keep=2)
         path = store.save(windowed.snapshot())
         assert path.name == "snapshot-000001.bin"
         restored = WindowedAggregator.from_snapshot(store.load_latest())
         assert restored.num_reports == windowed.num_reports
-        # binary and json stores interleave; latest() spans both suffixes
-        SnapshotStore(tmp_path, keep=2, format="json").save(windowed.snapshot())
+        # a .json file from an older store interleaves; latest() spans both
+        write_snapshot(tmp_path / "snapshot-000002.json", windowed.snapshot())
         assert store.latest().name == "snapshot-000002.json"
+        assert store.save(windowed.snapshot()).name == "snapshot-000003.bin"
 
     def test_binary_restore_then_absorb_more(self):
         params = HashtogramParams.create(DOMAIN, 1.0, num_buckets=16, rng=0)
