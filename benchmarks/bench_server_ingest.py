@@ -20,8 +20,10 @@ payload carries a ``finalize`` section: PrivateExpanderSketch's server
 finalize at n=400k, D=2^20, ε=1, in decoded stage-1 cells per second, and
 a ``checkpoint`` section: the body of a shard checkpoint on the same
 aggregate (windowed array capture plus ``pack_state``), in state cells
-per second.  Both are gated by the same ``max_drop`` rule against the
-baseline's ``finalize`` and ``checkpoint`` floors.
+per second, and an ``encode`` section: the PrivateExpanderSketch client
+encode (``encode_stream``) of the same reports, in reports per second.
+All three are gated by the same ``max_drop`` rule against the baseline's
+``finalize``, ``checkpoint`` and ``encode`` floors.
 
 Client-side encoding and frame serialization are done *before* the clock
 starts (a deployment's clients encode on their own devices); the timed path
@@ -163,12 +165,10 @@ def run_server_ingest_bench(protocols: Sequence[str] = ("hashtogram",),
     }
 
 
-def _expander_aggregate():
-    """The finalize/checkpoint shape's params and windowed aggregate (one
-    epoch), built once by streaming the encoded reports (untimed)."""
+def _expander_workload():
+    """The finalize/checkpoint/encode shape: planted values, the sketch's
+    public params, and the generator positioned after both."""
     from repro.core.heavy_hitters import PrivateExpanderSketch
-    from repro.engine import encode_stream
-    from repro.server.window import WindowedAggregator
     from repro.workloads.distributions import planted_workload
 
     gen = np.random.default_rng(SEED)
@@ -176,6 +176,16 @@ def _expander_aggregate():
                               FINALIZE_HEAVY_FRACTIONS, rng=gen).values
     params = PrivateExpanderSketch(FINALIZE_DOMAIN, FINALIZE_EPSILON
                                    ).public_params(FINALIZE_USERS, rng=gen)
+    return params, values, gen
+
+
+def _expander_aggregate(workload):
+    """The workload's windowed aggregate (one epoch), built once by
+    streaming the encoded reports (untimed)."""
+    from repro.engine import encode_stream
+    from repro.server.window import WindowedAggregator
+
+    params, values, gen = workload
     windowed = WindowedAggregator(params)
     for batch in encode_stream(params, values, rng=gen):
         windowed.absorb_batch(batch)
@@ -224,6 +234,29 @@ def run_checkpoint_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
             "domain_size": FINALIZE_DOMAIN, "epsilon": FINALIZE_EPSILON,
             "state_cells": int(cells), "checkpoint_s": round(best, 4),
             "cells_per_s": int(cells / max(best, 1e-9))}
+
+
+def run_encode_bench(workload, repeats: int = 3) -> Dict[str, object]:
+    """Time the PrivateExpanderSketch client encode in reports/s.
+
+    Each repeat runs ``encode_stream`` over every report of the workload
+    (the engine's chunk plan, every chunk's encoder output materialized);
+    ``encode_s`` is the best of ``repeats``.
+    """
+    from repro.engine import encode_stream
+
+    params, values, _ = workload
+
+    def encode_all():
+        for _batch in encode_stream(params, values,
+                                    rng=np.random.default_rng(SEED)):
+            pass
+
+    best = _best_s(encode_all, repeats)
+    return {"protocol": "expander_sketch", "num_users": FINALIZE_USERS,
+            "domain_size": FINALIZE_DOMAIN, "epsilon": FINALIZE_EPSILON,
+            "encode_s": round(best, 4),
+            "reports_per_s": int(FINALIZE_USERS / max(best, 1e-9))}
 
 
 def _report_rows(payload: Dict[str, object]) -> List[Dict[str, object]]:
@@ -294,12 +327,14 @@ def check_engine_regression(payload: Dict[str, object],
     return failures
 
 
-def _check_cells_regression(section: str, payload: Dict[str, object],
-                            baseline: Dict[str, object],
-                            max_drop: Optional[float]) -> List[str]:
-    """Gate the payload's ``section`` rows (cells/s) against the baseline's
-    ``section`` floors.  A payload without the section is not gated on it;
-    :func:`main` always writes one."""
+def _check_section_regression(section: str, payload: Dict[str, object],
+                              baseline: Dict[str, object],
+                              max_drop: Optional[float],
+                              rate_key: str = "cells_per_s",
+                              unit: str = "cells/s") -> List[str]:
+    """Gate the payload's ``section`` rows (``rate_key``) against the
+    baseline's ``section`` floors.  A payload without the section is not
+    gated on it; :func:`main` always writes one."""
     if max_drop is None:
         max_drop = float(baseline.get("max_drop", MAX_THROUGHPUT_DROP))
     measured = dict(payload.get(section, {}))
@@ -311,11 +346,11 @@ def _check_cells_regression(section: str, payload: Dict[str, object],
         row = measured.get(protocol)
         if row is None:
             failures.append(f"{section}/{protocol}: no measured row "
-                            f"(baseline {float(reference):,.0f} cells/s)")
-        elif float(row["cells_per_s"]) < floor:
+                            f"(baseline {float(reference):,.0f} {unit})")
+        elif float(row[rate_key]) < floor:
             failures.append(
                 f"{section}/{protocol}: {section} throughput regressed to "
-                f"{float(row['cells_per_s']):,.0f} cells/s (< {floor:,.0f}; "
+                f"{float(row[rate_key]):,.0f} {unit} (< {floor:,.0f}; "
                 f"baseline {float(reference):,.0f}, max drop {max_drop:.0%})")
     return failures
 
@@ -324,14 +359,24 @@ def check_finalize_regression(payload: Dict[str, object],
                               baseline: Dict[str, object],
                               max_drop: float = None) -> List[str]:
     """Gate the ``finalize`` rows (decoded stage-1 cells/s)."""
-    return _check_cells_regression("finalize", payload, baseline, max_drop)
+    return _check_section_regression("finalize", payload, baseline, max_drop)
 
 
 def check_checkpoint_regression(payload: Dict[str, object],
                                 baseline: Dict[str, object],
                                 max_drop: float = None) -> List[str]:
     """Gate the ``checkpoint`` rows (captured and packed state cells/s)."""
-    return _check_cells_regression("checkpoint", payload, baseline, max_drop)
+    return _check_section_regression("checkpoint", payload, baseline,
+                                     max_drop)
+
+
+def check_encode_regression(payload: Dict[str, object],
+                            baseline: Dict[str, object],
+                            max_drop: float = None) -> List[str]:
+    """Gate the ``encode`` rows (client-encoded reports/s)."""
+    return _check_section_regression("encode", payload, baseline, max_drop,
+                                     rate_key="reports_per_s",
+                                     unit="reports/s")
 
 
 def check_transport_regression(payload: Dict[str, object],
@@ -466,6 +511,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         failures += check_throughput_regression(payload, baseline)
         failures += check_finalize_regression(payload, baseline)
         failures += check_checkpoint_regression(payload, baseline)
+        failures += check_encode_regression(payload, baseline)
         if args.engine is not None:
             engine_payload = json.loads(Path(args.engine).read_text())
             failures += check_engine_regression(engine_payload, baseline)
@@ -485,17 +531,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     payload = run_server_ingest_bench(
         protocols=[p.strip() for p in args.protocols.split(",") if p.strip()],
         num_users=args.num_users, repeats=args.repeats)
-    aggregate = _expander_aggregate()
+    workload = _expander_workload()
+    aggregate = _expander_aggregate(workload)
     finalize = run_finalize_bench(aggregate, args.repeats)
     checkpoint = run_checkpoint_bench(aggregate, args.repeats)
+    encode = run_encode_bench(workload, args.repeats)
     payload["finalize"] = {finalize["protocol"]: finalize}
     payload["checkpoint"] = {checkpoint["protocol"]: checkpoint}
+    payload["encode"] = {encode["protocol"]: encode}
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     print(format_table(_report_rows(payload),
                        title=f"server ingest, n={args.num_users}, "
                              f"cpu_count={payload['host']['cpu_count']}"))
     print(format_table([finalize], title="expander-sketch finalize"))
     print(format_table([checkpoint], title="expander-sketch checkpoint"))
+    print(format_table([encode], title="expander-sketch client encode"))
     print(f"\nwrote {args.output}")
     if not all(row["identical_to_offline_engine"]
                for row in payload["results"]):

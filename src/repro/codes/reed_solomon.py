@@ -127,32 +127,41 @@ class ReedSolomonCode:
         """Encode an integer in ``[0, p^k)`` into M codeword symbols."""
         return self.encode(self.message_from_int(value))
 
-    def encode_batch(self, values) -> "np.ndarray":
-        """Vectorised encoding of many integers at once.
+    def evaluate_at(self, values, points) -> "np.ndarray":
+        """Vectorised codeword symbols: ``encode_int(v)[point]`` elementwise.
 
-        Returns an ``(len(values), codeword_length)`` array whose row i is
-        ``encode_int(values[i])``.  Used by the heavy-hitters protocol to
-        compute every user's chunk in one numpy pass.
+        ``values`` and ``points`` broadcast against each other, so a client
+        batch asks for each user's own coordinate only, while
+        :meth:`encode_batch` asks for every point.  One Horner pass over the
+        values' base-p digits in int64; every intermediate is below ``p * M``.
         """
         import numpy as np
 
         values = np.asarray(values, dtype=np.int64)
+        points = np.asarray(points, dtype=np.int64)
         if values.size and (values.min() < 0 or values.max() >= self.max_domain_size):
             raise ValueError("values outside the representable domain")
-        # Base-p digits of every value (little-endian), shape (n, k).
-        digits = np.empty((values.size, self.message_length), dtype=np.int64)
-        remaining = values.copy()
-        for j in range(self.message_length):
-            digits[:, j] = remaining % self.prime
-            remaining //= self.prime
-        # Horner evaluation at each point, vectorised over values.
-        codewords = np.empty((values.size, self.codeword_length), dtype=np.int64)
-        for point in range(self.codeword_length):
-            acc = np.zeros(values.size, dtype=np.int64)
-            for j in range(self.message_length - 1, -1, -1):
-                acc = (acc * point + digits[:, j]) % self.prime
-            codewords[:, point] = acc
-        return codewords
+        if points.size and (points.min() < 0
+                            or points.max() >= self.codeword_length):
+            raise ValueError("evaluation points outside [0, codeword_length)")
+        # Base-p digits of every value, little-endian.
+        digits = []
+        remaining = values
+        for _ in range(self.message_length):
+            remaining, digit = np.divmod(remaining, self.prime)
+            digits.append(digit)
+        acc = np.zeros(np.broadcast_shapes(values.shape, points.shape),
+                       dtype=np.int64)
+        for digit in reversed(digits):
+            acc = (acc * points + digit) % self.prime
+        return acc
+
+    def encode_batch(self, values) -> "np.ndarray":
+        """Row i is ``encode_int(values[i])``: shape ``(len(values), M)``."""
+        import numpy as np
+
+        return self.evaluate_at(np.asarray(values, dtype=np.int64).reshape(-1, 1),
+                                np.arange(self.codeword_length))
 
     def decode(self, received: Sequence[Optional[int]],
                max_errors: Optional[int] = None) -> List[int]:

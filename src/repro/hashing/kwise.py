@@ -7,9 +7,13 @@ k-wise independent hash into ``[range_size]``.  This is the textbook
 construction the paper relies on for its pairwise independent hashes
 ``h_1, ..., h_M`` and the ``O(log |X|)``-wise independent partition hash ``g``.
 
-All evaluations are vectorised over numpy arrays using Python integers for the
-modular arithmetic when the modulus exceeds 63 bits (never the case for the
-domains used here, but guarded anyway).
+All evaluations are vectorised over numpy arrays.  Horner's rule runs in
+int64 whenever every intermediate ``value * x + coef`` fits, i.e. for primes
+with ``p * (p - 1) < 2^63`` (up to 3,037,000,493): that covers every domain
+used here, including the ``2^31 + 11`` field of the heavy-hitter protocols'
+user-index assignment hash.  Only larger primes fall back to Python integers
+in an object array.  :class:`StackedKWiseHash` evaluates many hashes that
+share a prime and range in one such pass, one hash chosen per input.
 """
 
 from __future__ import annotations
@@ -53,14 +57,13 @@ class KWiseHash:
 
     def __post_init__(self) -> None:
         # Horner state cached once per hash: the reversed coefficients as
-        # plain ints.  `_evaluate` used to walk `reversed(self.coefficients)`
-        # (rebuilding the reversed view and re-normalizing each coefficient
-        # on every call); with millions of per-chunk evaluations the cached
-        # tuple is measurably cheaper and also powers the allocation-free
-        # scalar path below.  (frozen dataclass: set via object.__setattr__;
-        # not a field, so eq/repr/asdict are unchanged.)
+        # plain ints reduced mod p (which leaves every value unchanged and
+        # keeps the int64 path's intermediates below p * (p - 1)).  (frozen
+        # dataclass: set via object.__setattr__; not a field, so
+        # eq/repr/asdict are unchanged.)
         object.__setattr__(self, "_rev_coefficients",
-                           tuple(int(c) for c in reversed(self.coefficients)))
+                           tuple(int(c) % self.prime
+                                 for c in reversed(self.coefficients)))
 
     @property
     def independence(self) -> int:
@@ -89,9 +92,8 @@ class KWiseHash:
         return out
 
     def _evaluate_scalar(self, x: int) -> int:
-        # Python ints are exact for any prime, so one code path serves both
-        # the word-sized and the >2^31 primes; results match `_evaluate`
-        # bit for bit (int64 arithmetic never overflows for p < 2^31).
+        # Python ints are exact for any prime; results match `_evaluate` bit
+        # for bit on both its int64 and its object path.
         p = self.prime
         x_mod = x % p
         value = 0
@@ -100,20 +102,68 @@ class KWiseHash:
         return value % self.range_size
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
-        p = self.prime
-        # Horner evaluation modulo p.  Use object dtype when p^2 could
-        # overflow int64; for the usual primes (< 2^31) int64 is exact.
-        if p < (1 << 31):
-            vals = np.zeros(arr.shape, dtype=np.int64)
-            x_mod = arr % p
-            for coef in self._rev_coefficients:
-                vals = (vals * x_mod + coef) % p
-            return (vals % self.range_size).astype(np.int64)
-        vals = np.zeros(arr.shape, dtype=object)
-        x_mod = arr.astype(object) % p
-        for coef in self._rev_coefficients:
-            vals = (vals * x_mod + coef) % p
-        return np.array([int(v) % self.range_size for v in vals], dtype=np.int64)
+        return _horner(self._rev_coefficients, arr, self.prime,
+                       self.range_size)
+
+
+def _int64_exact(prime: int) -> bool:
+    """Whether int64 Horner mod ``prime`` is exact: the largest intermediate,
+    ``(p - 1) * (p - 1) + (p - 1) = p * (p - 1)``, fits in 63 bits."""
+    return prime * (prime - 1) < (1 << 63)
+
+
+def _horner(columns: Sequence, x: np.ndarray, prime: int,
+            range_size: int) -> np.ndarray:
+    """``poly(x) mod prime mod range_size`` by Horner's rule.
+
+    ``columns`` are the coefficients, highest degree first and already
+    reduced mod ``prime``; each is a scalar or an array broadcastable
+    against ``x``.  Primes past :func:`_int64_exact` run on Python ints in
+    an object array.
+    """
+    x_mod = (x if _int64_exact(prime) else x.astype(object)) % prime
+    # The first step of 0 * x + c_top is c_top itself.
+    vals = columns[0] if columns else 0
+    for coef in columns[1:]:
+        vals = (vals * x_mod + coef) % prime
+    vals = np.broadcast_to(vals % range_size,
+                           np.broadcast_shapes(np.shape(vals), x.shape))
+    return vals.astype(np.int64)
+
+
+class StackedKWiseHash:
+    """Many k-wise hashes over one prime and range, evaluated in one pass.
+
+    ``stack(which, x)`` is ``hashes[which[i]](x[i])`` elementwise (``which``
+    and ``x`` broadcast), computed by a single Horner pass over gathered
+    coefficient columns instead of one call per hash.  Hashes of lower
+    independence are zero-padded at the high-degree end, which leaves their
+    values unchanged.
+    """
+
+    def __init__(self, hashes: Sequence[KWiseHash]) -> None:
+        hashes = list(hashes)
+        if not hashes:
+            raise ValueError("need at least one hash to stack")
+        if len({(h.prime, h.range_size) for h in hashes}) != 1:
+            raise ValueError("stacked hashes must share one prime and range")
+        self.prime = hashes[0].prime
+        self.range_size = hashes[0].range_size
+        depth = max(h.independence for h in hashes)
+        dtype = np.int64 if _int64_exact(self.prime) else object
+        # (depth, len(hashes)): row j holds every hash's j-th Horner
+        # coefficient, highest degree first.
+        self._table = np.zeros((depth, len(hashes)), dtype=dtype)
+        for i, h in enumerate(hashes):
+            self._table[depth - h.independence:, i] = h._rev_coefficients
+
+    def __call__(self, which: ArrayLike, x: ArrayLike) -> np.ndarray:
+        which = np.asarray(which, dtype=np.intp)
+        x = np.asarray(x, dtype=np.int64)
+        if x.size and x.min() < 0:
+            raise ValueError("hash inputs must be non-negative integers")
+        return _horner([row[which] for row in self._table], x, self.prime,
+                       self.range_size)
 
 
 @dataclass(frozen=True)

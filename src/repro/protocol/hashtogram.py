@@ -35,7 +35,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.hashing.kwise import KWiseHash, KWiseHashFamily, SignHash, sign_hash
+from repro.hashing.kwise import (
+    KWiseHash,
+    KWiseHashFamily,
+    SignHash,
+    StackedKWiseHash,
+    sign_hash,
+)
 from repro.protocol.explicit import (
     ExplicitHistogramAggregator,
     ExplicitHistogramParams,
@@ -165,15 +171,13 @@ class HashtogramParams(PublicParams):
         return CountLayout.blocks(self.num_repetitions, "repetition",
                                   self.inner.layout)
 
-    # ----- helpers ---------------------------------------------------------------
-
-    def cells_for(self, values: np.ndarray, repetition: int) -> np.ndarray:
-        """Map values to their (bucket, sign) cell index in one repetition."""
-        if values.size == 0:
-            return values
-        buckets = np.asarray(self.bucket_hashes[repetition](values))
-        signs = np.asarray(self.sign_hashes[repetition](values))
-        return (2 * buckets + (signs > 0).astype(np.int64)).astype(np.int64)
+    @functools.cached_property
+    def _hash_stacks(self) -> Tuple[StackedKWiseHash, StackedKWiseHash]:
+        """The per-repetition bucket hashes and sign hashes' binary bases,
+        each stacked for one-pass client evaluation (built on first encode,
+        not at setup)."""
+        return (StackedKWiseHash(self.bucket_hashes),
+                StackedKWiseHash([s.base for s in self.sign_hashes]))
 
 
 class HashtogramEncoder(ClientEncoder):
@@ -200,11 +204,10 @@ class HashtogramEncoder(ClientEncoder):
             assignment = (first_user_index + np.arange(n)) % reps
         else:
             assignment = gen.integers(0, reps, size=n)
-        cells = np.zeros(n, dtype=np.int64)
-        for t in range(reps):
-            mask = assignment == t
-            if mask.any():
-                cells[mask] = params.cells_for(values[mask], t)
+        # (bucket, sign) cell of each value in its own repetition.
+        buckets, signs = params._hash_stacks
+        cells = (2 * buckets(assignment, values)
+                 + (signs(assignment, values) == 1))
         inner = params.inner.make_encoder().encode_batch(cells, gen)
         columns = {"repetition": assignment.astype(np.int64)}
         columns.update(inner.columns)

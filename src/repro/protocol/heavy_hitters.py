@@ -41,7 +41,7 @@ from repro.codes.list_recoverable import (
 )
 from repro.core.params import ProtocolParameters
 from repro.core.results import HeavyHitterResult
-from repro.hashing.kwise import KWiseHash, KWiseHashFamily
+from repro.hashing.kwise import KWiseHash, KWiseHashFamily, StackedKWiseHash
 from repro.protocol.explicit import (
     ExplicitHistogramAggregator,
     ExplicitHistogramParams,
@@ -184,6 +184,45 @@ class _TwoStageAggregator(ServerAggregator):
         )
 
 
+class _TwoStageEncoder(ClientEncoder):
+    """What both heavy-hitter clients share: user i's group is the published
+    assignment hash of i; the user's stage-1 cell (:meth:`stage1_cells`)
+    goes through the stage-1 small-domain protocol at ε/2 and the value
+    itself through the final-stage Hashtogram at ε/2."""
+
+    params: _TwoStageParams
+
+    def _draw_user_index(self, gen: np.random.Generator) -> int:
+        return int(gen.integers(0, _ASSIGNMENT_DOMAIN))
+
+    def stage1_cells(self, values: np.ndarray, groups: np.ndarray
+                     ) -> np.ndarray:
+        """Each user's stage-1 cell given the user's group (one vectorized
+        pass)."""
+        raise NotImplementedError
+
+    def encode_batch(self, values: Sequence[int], rng: RandomState = None,
+                     first_user_index: int = 0) -> ReportBatch:
+        gen = as_generator(rng)
+        params = self.params
+        values = np.asarray(values, dtype=np.int64)
+        if values.size and (values.min() < 0 or values.max() >= params.domain_size):
+            raise ValueError("values outside the declared domain")
+        indices = (first_user_index + np.arange(values.size)) % _ASSIGNMENT_DOMAIN
+        groups = np.asarray(params.assignment_hash(indices))
+        stage1 = params.stage1.make_encoder().encode_batch(
+            self.stage1_cells(values, groups), gen)
+        final = params.final.make_encoder().encode_batch(
+            values, gen, first_user_index=first_user_index)
+        columns: Dict[str, np.ndarray] = {
+            params.group_column: groups.astype(np.int64)}
+        columns.update({_STAGE1_PREFIX + key: col
+                        for key, col in stage1.columns.items()})
+        columns.update({_FINAL_PREFIX + key: col
+                        for key, col in final.columns.items()})
+        return ReportBatch(params.protocol, columns)
+
+
 def append_coordinate_lists(oracle, group_size: int, coordinate: int,
                             code: UniqueListRecoverableCode,
                             params: ProtocolParameters,
@@ -216,26 +255,6 @@ def append_coordinate_lists(oracle, group_size: int, coordinate: int,
         lists[bucket][coordinate] = [
             (int(y), int(z)) for y, z in zip(order[bucket, :count],
                                              ranked_z[bucket, :count], strict=True)]
-
-
-def derive_expander_cells(values: np.ndarray, buckets: np.ndarray,
-                          chunks: np.ndarray, coordinate: int,
-                          code: UniqueListRecoverableCode,
-                          params: ProtocolParameters) -> np.ndarray:
-    """Map each member's value to its oracle cell ((b, y, z) flattened)."""
-    if values.size == 0:
-        return values
-    hash_range = params.hash_range
-    y_values = np.asarray(code.hashes[coordinate](values))
-    # Packed z = chunk + prime * (neighbour hashes in base Y), matching
-    # UniqueListRecoverableCode._pack_z.
-    neighbor_part = np.zeros(values.size, dtype=np.int64)
-    for neighbor in reversed(code.expander.neighbors(coordinate)):
-        neighbor_part = (neighbor_part * hash_range
-                         + np.asarray(code.hashes[neighbor](values)))
-    z_values = neighbor_part * code.outer_code.prime + chunks
-    cells = (buckets * hash_range + y_values) * code.z_alphabet_size + z_values
-    return cells.astype(np.int64)
 
 
 def decode_candidate_lists(code: UniqueListRecoverableCode,
@@ -379,8 +398,20 @@ class ExpanderSketchParams(_TwoStageParams):
         """Stage-1 groups: one per code coordinate."""
         return self.params.num_coordinates
 
+    # ----- client encode tables (built on first encode, not at setup) ------------
 
-class ExpanderSketchEncoder(ClientEncoder):
+    @functools.cached_property
+    def _coordinate_stack(self) -> StackedKWiseHash:
+        """``h_1, ..., h_M`` stacked: ``stack(m, x) = h_m(x)``."""
+        return StackedKWiseHash(self.coordinate_hashes)
+
+    @functools.cached_property
+    def _neighbor_table(self) -> np.ndarray:
+        """``(M, d)`` int64: row m is the ordered expander neighbourhood Γ(m)."""
+        return np.array(self.code.expander.neighbor_lists, dtype=np.int64)
+
+
+class ExpanderSketchEncoder(_TwoStageEncoder):
     """Stateless PrivateExpanderSketch client.
 
     User i (hashed coordinate ``a(i)``, with ``a`` the published assignment
@@ -391,38 +422,25 @@ class ExpanderSketchEncoder(ClientEncoder):
 
     params: ExpanderSketchParams
 
-    def _draw_user_index(self, gen: np.random.Generator) -> int:
-        return int(gen.integers(0, _ASSIGNMENT_DOMAIN))
-
-    def encode_batch(self, values: Sequence[int], rng: RandomState = None,
-                     first_user_index: int = 0) -> ReportBatch:
-        gen = as_generator(rng)
+    def stage1_cells(self, values: np.ndarray, groups: np.ndarray
+                     ) -> np.ndarray:
+        """``(g(x), h_m(x), E~nc(x)_m)`` flattened, for m each user's
+        coordinate; no loop over coordinates."""
         params = self.params
-        values = np.asarray(values, dtype=np.int64)
-        if values.size and (values.min() < 0 or values.max() >= params.domain_size):
-            raise ValueError("values outside the declared domain")
-        n = values.size
-        indices = (first_user_index + np.arange(n)) % _ASSIGNMENT_DOMAIN
-        assignment = np.asarray(params.assignment_hash(indices))
-        num_coordinates = params.params.num_coordinates
-        partition_values = np.asarray(params.partition_hash(values))
-        chunks = params.code.outer_code.encode_batch(values)  # (n, M)
-        cells = np.zeros(n, dtype=np.int64)
-        for m in range(num_coordinates):
-            mask = assignment == m
-            if mask.any():
-                cells[mask] = derive_expander_cells(
-                    values[mask], partition_values[mask], chunks[mask, m], m,
-                    params.code, params.params)
-        stage1 = params.stage1.make_encoder().encode_batch(cells, gen)
-        final = params.final.make_encoder().encode_batch(
-            values, gen, first_user_index=first_user_index)
-        columns: Dict[str, np.ndarray] = {"coordinate": assignment.astype(np.int64)}
-        columns.update({_STAGE1_PREFIX + key: col
-                        for key, col in stage1.columns.items()})
-        columns.update({_FINAL_PREFIX + key: col
-                        for key, col in final.columns.items()})
-        return ReportBatch(params.protocol, columns)
+        code = params.code
+        hash_range = params.params.hash_range
+        y_values = params._coordinate_stack(groups, values)
+        neighbor_hashes = params._coordinate_stack(
+            params._neighbor_table[groups], values[:, None])
+        # Packed z = chunk + prime * (neighbour hashes in base Y), matching
+        # UniqueListRecoverableCode._pack_z.
+        neighbor_part = np.zeros(values.size, dtype=np.int64)
+        for column in neighbor_hashes.T[::-1]:
+            neighbor_part = neighbor_part * hash_range + column
+        z_values = (neighbor_part * code.outer_code.prime
+                    + code.outer_code.evaluate_at(values, groups))
+        buckets = np.asarray(params.partition_hash(values))
+        return (buckets * hash_range + y_values) * code.z_alphabet_size + z_values
 
 
 class ExpanderSketchAggregator(_TwoStageAggregator):
@@ -564,6 +582,12 @@ class SingleHashParams(_TwoStageParams):
 
     # ----- helpers ---------------------------------------------------------------
 
+    @functools.cached_property
+    def _hash_stack(self) -> StackedKWiseHash:
+        """The shared hashes stacked: ``stack(r, x) = hashes[r](x)``
+        (built on first encode, not at setup)."""
+        return StackedKWiseHash(self.hashes)
+
     def symbols_of(self, values: np.ndarray) -> np.ndarray:
         """Decompose every value into its ``num_symbols`` base-W symbols."""
         symbols = np.empty((values.size, self.num_symbols), dtype=np.int64)
@@ -574,43 +598,20 @@ class SingleHashParams(_TwoStageParams):
         return symbols
 
 
-class SingleHashEncoder(ClientEncoder):
+class SingleHashEncoder(_TwoStageEncoder):
     """Stateless single-hash client: hash, pick your symbol, randomize."""
 
     params: SingleHashParams
 
-    def _draw_user_index(self, gen: np.random.Generator) -> int:
-        return int(gen.integers(0, _ASSIGNMENT_DOMAIN))
-
-    def encode_batch(self, values: Sequence[int], rng: RandomState = None,
-                     first_user_index: int = 0) -> ReportBatch:
-        gen = as_generator(rng)
+    def stage1_cells(self, values: np.ndarray, groups: np.ndarray
+                     ) -> np.ndarray:
+        """``(h_r(x), symbol_s(x))`` flattened, for (r, s) each user's group."""
         params = self.params
-        values = np.asarray(values, dtype=np.int64)
-        if values.size and (values.min() < 0 or values.max() >= params.domain_size):
-            raise ValueError("values outside the declared domain")
-        n = values.size
-        indices = (first_user_index + np.arange(n)) % _ASSIGNMENT_DOMAIN
-        groups = np.asarray(params.assignment_hash(indices))
-        repetition = groups // params.num_symbols
-        symbol_index = groups % params.num_symbols
-        symbols = params.symbols_of(values)
-        cells = np.zeros(n, dtype=np.int64)
-        for r in range(params.repetitions):
-            mask = repetition == r
-            if mask.any():
-                hash_values = np.asarray(params.hashes[r](values[mask]))
-                cells[mask] = (hash_values * params.alphabet_size
-                               + symbols[mask, symbol_index[mask]])
-        stage1 = params.stage1.make_encoder().encode_batch(cells, gen)
-        final = params.final.make_encoder().encode_batch(
-            values, gen, first_user_index=first_user_index)
-        columns: Dict[str, np.ndarray] = {"group": groups.astype(np.int64)}
-        columns.update({_STAGE1_PREFIX + key: col
-                        for key, col in stage1.columns.items()})
-        columns.update({_FINAL_PREFIX + key: col
-                        for key, col in final.columns.items()})
-        return ReportBatch(params.protocol, columns)
+        symbols = np.take_along_axis(params.symbols_of(values),
+                                     (groups % params.num_symbols)[:, None],
+                                     axis=1)[:, 0]
+        return (params._hash_stack(groups // params.num_symbols, values)
+                * params.alphabet_size + symbols)
 
 
 class SingleHashAggregator(_TwoStageAggregator):
@@ -671,7 +672,6 @@ __all__ = [
     "SingleHashEncoder",
     "SingleHashAggregator",
     "append_coordinate_lists",
-    "derive_expander_cells",
     "decode_candidate_lists",
     "stage1_subbatch",
     "final_subbatch",

@@ -20,9 +20,12 @@ one-counts; candidate-set regression decoding happens in ``finalize()``.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.hashing.kwise import StackedKWiseHash
 
 from repro.protocol.wire import (
     ClientEncoder,
@@ -104,6 +107,20 @@ class RapporParams(PublicParams):
         """One one-count per Bloom bit."""
         return CountLayout(self.num_bits)
 
+    @functools.cached_property
+    def _bloom_stack(self) -> StackedKWiseHash:
+        # built on first encode, not at setup
+        return StackedKWiseHash(self.randomizer._hashes)
+
+    def bloom_patterns(self, values: np.ndarray) -> np.ndarray:
+        """``(len(values), num_bits)`` bool: row i is
+        ``randomizer.bloom_bits(values[i])``, every hash in one pass."""
+        positions = self._bloom_stack(np.arange(self.num_hashes)[:, None],
+                                      values)
+        blooms = np.zeros((values.size, self.num_bits), dtype=bool)
+        blooms[np.arange(values.size), positions] = True
+        return blooms
+
 
 class RapporEncoder(ClientEncoder):
     """Stateless RAPPOR client: Bloom-encode, flip every bit."""
@@ -117,15 +134,9 @@ class RapporEncoder(ClientEncoder):
         values = np.asarray(values, dtype=np.int64)
         if values.size and (values.min() < 0 or values.max() >= params.domain_size):
             raise ValueError("values outside the declared domain")
-        randomizer = params.randomizer
-        if values.size == 0:
-            bits = np.zeros((0, params.num_bits), dtype=np.uint8)
-            return ReportBatch(params.protocol, {"bits": bits})
-        # Users sharing a value share a Bloom pattern; vectorize by value.
-        unique_values, inverse = np.unique(values, return_inverse=True)
-        blooms = np.stack([randomizer.bloom_bits(int(v)) for v in unique_values])
-        f = randomizer.flip_probability
-        prob_one = np.where(blooms[inverse] == 1, 1.0 - f / 2.0, f / 2.0)
+        f = params.randomizer.flip_probability
+        prob_one = np.where(params.bloom_patterns(values), 1.0 - f / 2.0,
+                            f / 2.0)
         bits = (gen.random((values.size, params.num_bits)) < prob_one
                 ).astype(np.uint8)
         return ReportBatch(params.protocol, {"bits": bits})

@@ -4,8 +4,8 @@ CI runs ``benchmarks/bench_server_ingest.py --check BENCH_server.json
 --baseline BENCH_baseline.json --engine BENCH_engine.json``; these tests
 pin down the gate logic itself — a payload matching baseline passes, a
 payload whose binary ingest throughput collapsed (or whose frames grew past
-the wire-bytes-per-report ceiling, or whose expander-sketch finalize or
-checkpoint rate collapsed) fails — and run the actual ``--check`` entry point
+the wire-bytes-per-report ceiling, or whose expander-sketch finalize,
+checkpoint or client-encode rate collapsed) fails — and run the actual ``--check`` entry point
 against a doctored file, exactly as the CI self-test step does.
 """
 
@@ -19,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 from bench_server_ingest import (  # noqa: E402 - path set up above
     check_checkpoint_regression,
+    check_encode_regression,
     check_engine_regression,
     check_finalize_regression,
     check_throughput_regression,
@@ -34,6 +35,7 @@ BASELINE = {
     "engine": {"hashtogram": 4_000_000},
     "finalize": {"expander_sketch": 14_000_000},
     "checkpoint": {"expander_sketch": 80_000_000},
+    "encode": {"expander_sketch": 2_500_000},
 }
 
 
@@ -162,6 +164,35 @@ class TestCheckpointGate:
         assert check_finalize_regression(payload, BASELINE) != []
 
 
+def _encode_payload(rate=2_500_000):
+    return dict(_server_payload(), encode={
+        "expander_sketch": {"protocol": "expander_sketch",
+                            "reports_per_s": rate}})
+
+
+class TestEncodeGate:
+    def test_matching_baseline_passes(self):
+        assert check_encode_regression(_encode_payload(), BASELINE) == []
+
+    def test_mask_loop_rate_fails(self):
+        # the per-coordinate mask loops this floor guards against encoded
+        # 0.76-1.1M reports/s
+        failures = check_encode_regression(_encode_payload(rate=1_100_000),
+                                           BASELINE)
+        assert len(failures) == 1
+        assert "encode/expander_sketch" in failures[0]
+        assert "reports/s" in failures[0]
+
+    def test_missing_protocol_row_fails(self):
+        payload = dict(_server_payload(), encode={"other": {
+            "protocol": "other", "reports_per_s": 1}})
+        failures = check_encode_regression(payload, BASELINE)
+        assert any("no measured row" in f for f in failures)
+
+    def test_payload_without_encode_section_is_not_gated(self):
+        assert check_encode_regression(_server_payload(), BASELINE) == []
+
+
 class TestWireShrinkGate:
     def test_healthy_shrink_passes(self):
         assert check_wire_shrink(_server_payload(), BASELINE) == []
@@ -200,6 +231,7 @@ class TestCheckEntryPoint:
         assert "hashtogram" in baseline["engine"]
         assert float(baseline["finalize"]["expander_sketch"]) > 0
         assert float(baseline["checkpoint"]["expander_sketch"]) > 0
+        assert float(baseline["encode"]["expander_sketch"]) > 0
 
     def test_doctored_payload_fails_check(self, tmp_path, committed_baseline,
                                           capsys):
@@ -259,6 +291,25 @@ class TestCheckEntryPoint:
         assert main(["--check", str(path),
                      "--baseline", str(committed_baseline)]) == 1
         assert "checkpoint/expander_sketch" in capsys.readouterr().err
+
+    def test_doctored_encode_fails_check(self, tmp_path, committed_baseline,
+                                         capsys):
+        baseline = json.loads(committed_baseline.read_text())
+        healthy = _server_payload(
+            binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])))
+        reference = float(baseline["encode"]["expander_sketch"])
+        healthy["encode"] = {"expander_sketch": {
+            "protocol": "expander_sketch", "reports_per_s": int(reference)}}
+        path = tmp_path / "BENCH_encode.json"
+        path.write_text(json.dumps(healthy))
+        assert main(["--check", str(path),
+                     "--baseline", str(committed_baseline)]) == 0
+        healthy["encode"]["expander_sketch"]["reports_per_s"] = int(
+            reference * 0.05)
+        path.write_text(json.dumps(healthy))
+        assert main(["--check", str(path),
+                     "--baseline", str(committed_baseline)]) == 1
+        assert "encode/expander_sketch" in capsys.readouterr().err
 
     def test_engine_requires_baseline(self, tmp_path):
         path = tmp_path / "BENCH.json"

@@ -110,6 +110,24 @@ class TestBatchEncoding:
         batch = CODE.encode_batch(np.array([], dtype=np.int64))
         assert batch.shape == (0, CODE.codeword_length)
 
+    def test_evaluate_at_picks_one_symbol_per_value(self):
+        values = np.random.default_rng(0).integers(0, 1 << 20, size=300)
+        points = np.random.default_rng(1).integers(0, CODE.codeword_length,
+                                                   size=300)
+        symbols = CODE.evaluate_at(values, points)
+        assert symbols.dtype == np.int64
+        assert np.array_equal(
+            symbols, CODE.encode_batch(values)[np.arange(300), points])
+        assert symbols[:5].tolist() == [CODE.encode_int(int(v))[int(m)]
+                                        for v, m in zip(values[:5], points[:5],
+                                                        strict=True)]
+
+    def test_evaluate_at_rejects_points_outside_codeword(self):
+        with pytest.raises(ValueError):
+            CODE.evaluate_at([1, 2], [0, CODE.codeword_length])
+        with pytest.raises(ValueError):
+            CODE.evaluate_at([1], [-1])
+
 
 class TestSmallCode:
     def test_rate_one_code_has_zero_budget(self):

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hashing.kwise import (
+    KWiseHash,
     KWiseHashFamily,
+    StackedKWiseHash,
+    _int64_exact,
     kwise_hash,
     pairwise_hash,
     sign_hash,
@@ -134,6 +137,88 @@ class TestKWiseHash:
         assert clone == h
         assert clone(12345) == h(12345)
         assert np.array_equal(clone(np.arange(100)), h(np.arange(100)))
+
+
+#: the heavy-hitter assignment hash's field (next prime above 2^31), the
+#: largest prime with p * (p - 1) < 2^63, and the next prime above that
+ASSIGNMENT_PRIME = next_prime(1 << 31)
+LARGEST_INT64_PRIME = 3_037_000_493
+SMALLEST_OBJECT_PRIME = 3_037_000_507
+
+
+class TestInt64HornerGuard:
+    def test_guard_boundary(self):
+        assert ASSIGNMENT_PRIME == (1 << 31) + 11
+        assert previous_prime(SMALLEST_OBJECT_PRIME - 1) == LARGEST_INT64_PRIME
+        assert next_prime(LARGEST_INT64_PRIME + 1) == SMALLEST_OBJECT_PRIME
+        assert _int64_exact(ASSIGNMENT_PRIME)
+        assert _int64_exact(LARGEST_INT64_PRIME)
+        assert not _int64_exact(SMALLEST_OBJECT_PRIME)
+
+    @pytest.mark.parametrize("prime", [ASSIGNMENT_PRIME, LARGEST_INT64_PRIME,
+                                       SMALLEST_OBJECT_PRIME])
+    def test_vector_equals_python_int_scalar_path(self, prime):
+        """Maximal coefficients and inputs drive every Horner intermediate
+        to p * (p - 1): an int64 path past the guard would wrap."""
+        rng = np.random.default_rng(prime)
+        xs = [0, 1, prime - 1, prime, prime + 13,
+              *rng.integers(0, 4 * prime, size=64).tolist()]
+        for coefficients in ((prime - 1,) * 4,
+                             tuple(int(c) for c in rng.integers(0, prime, 3))):
+            h = KWiseHash(coefficients=coefficients, prime=prime,
+                          range_size=1000)
+            vector = h(np.asarray(xs, dtype=np.int64))
+            assert vector.dtype == np.int64
+            assert vector.tolist() == [h._evaluate_scalar(x) for x in xs]
+            stacked = StackedKWiseHash([h])(np.zeros(len(xs), dtype=np.int64),
+                                           xs)
+            assert np.array_equal(stacked, vector)
+
+
+class TestStackedKWiseHash:
+    def _hashes(self, prime_domain=1 << 20, range_size=97):
+        pairwise = KWiseHashFamily.create(prime_domain, range_size, 2)
+        fourwise = KWiseHashFamily.create(prime_domain, range_size, 4)
+        return [pairwise.sample(1), fourwise.sample(2), pairwise.sample(3),
+                KWiseHashFamily.create(prime_domain, range_size, 1).sample(4)]
+
+    @pytest.mark.parametrize("prime_domain", [1 << 20, 1 << 40])
+    def test_matches_each_hash_with_mixed_independence(self, prime_domain):
+        hashes = self._hashes(prime_domain)
+        stack = StackedKWiseHash(hashes)
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, prime_domain, size=500)
+        which = rng.integers(0, len(hashes), size=500)
+        got = stack(which, x)
+        assert got.dtype == np.int64
+        expected = np.array([hashes[w](int(v)) for w, v in zip(which, x,
+                                                                  strict=True)])
+        assert np.array_equal(got, expected)
+
+    def test_broadcasts_which_against_x(self):
+        hashes = self._hashes()
+        x = np.arange(40)
+        table = StackedKWiseHash(hashes)(np.arange(len(hashes))[:, None], x)
+        assert table.shape == (len(hashes), 40)
+        for j, h in enumerate(hashes):
+            assert np.array_equal(table[j], h(x))
+
+    def test_empty_batch(self):
+        out = StackedKWiseHash(self._hashes())(np.zeros(0, dtype=np.int64),
+                                               np.zeros(0, dtype=np.int64))
+        assert out.shape == (0,) and out.dtype == np.int64
+
+    def test_rejects_mixed_prime_or_range(self):
+        with pytest.raises(ValueError, match="one prime and range"):
+            StackedKWiseHash(self._hashes() + self._hashes(range_size=96))
+        with pytest.raises(ValueError, match="one prime and range"):
+            StackedKWiseHash(self._hashes() + self._hashes(prime_domain=1 << 21))
+        with pytest.raises(ValueError):
+            StackedKWiseHash([])
+
+    def test_rejects_negative_inputs(self):
+        with pytest.raises(ValueError):
+            StackedKWiseHash(self._hashes())([0, 1], [3, -1])
 
 
 class TestSignHash:

@@ -16,7 +16,10 @@ collects the invariants that tie several components together:
 * every aggregator's flat ``counts`` vector equals the leaves of a
   test-only reference that keeps the nested per-child state and absorbs
   with per-child mask loops, across shard splits, merge orders and a
-  snapshot round trip.
+  snapshot round trip;
+* every vectorized client encoder (heavy hitters, Hashtogram, RAPPOR)
+  equals the per-group mask-loop reference it replaced, column for column
+  and dtype for dtype, with the RNG left in the same state.
 """
 
 import json
@@ -614,3 +617,189 @@ def test_flat_counts_equal_the_mask_loop_reference(name, seed, num_users,
     assert np.array_equal(restored.counts, _reference_leaves(reference))
     assert restored.state_size == _reference_state_size(reference)
 
+
+# --------------------------------------------------------------------------------------
+# vectorized client encoders == the per-group mask-loop reference
+# --------------------------------------------------------------------------------------
+#
+# The shipped encoders compute every user's cell in one gathered Horner pass.
+# The reference below is the per-coordinate / per-repetition mask loop they
+# replaced, kept test-only: same RNG draws in the same order, so for one
+# seed the encoded columns must match exactly, dtypes included.
+
+_ASSIGNMENT_DOMAIN = 1 << 31
+
+
+def _reference_rs_encode(code, values):
+    """Every codeword symbol of every value: ``(n, M)``, one point at a time."""
+    digits = np.empty((values.size, code.message_length), dtype=np.int64)
+    remaining = values.copy()
+    for j in range(code.message_length):
+        digits[:, j] = remaining % code.prime
+        remaining //= code.prime
+    codewords = np.empty((values.size, code.codeword_length), dtype=np.int64)
+    for point in range(code.codeword_length):
+        acc = np.zeros(values.size, dtype=np.int64)
+        for j in range(code.message_length - 1, -1, -1):
+            acc = (acc * point + digits[:, j]) % code.prime
+        codewords[:, point] = acc
+    return codewords
+
+
+def _reference_expander_cells(values, buckets, chunks, coordinate, code,
+                              pp):
+    """One coordinate's members mapped to their (b, y, z) cell."""
+    if values.size == 0:
+        return values
+    y_values = np.asarray(code.hashes[coordinate](values))
+    neighbor_part = np.zeros(values.size, dtype=np.int64)
+    for neighbor in reversed(code.expander.neighbors(coordinate)):
+        neighbor_part = (neighbor_part * pp.hash_range
+                         + np.asarray(code.hashes[neighbor](values)))
+    z_values = neighbor_part * code.outer_code.prime + chunks
+    cells = (buckets * pp.hash_range + y_values) * code.z_alphabet_size + z_values
+    return cells.astype(np.int64)
+
+
+def _reference_hashtogram_encode(params, values, gen, first_user_index):
+    n = values.size
+    reps = params.num_repetitions
+    if params.assignment == "round_robin":
+        assignment = (first_user_index + np.arange(n)) % reps
+    else:
+        assignment = gen.integers(0, reps, size=n)
+    cells = np.zeros(n, dtype=np.int64)
+    for t in range(reps):
+        mask = assignment == t
+        if mask.any():
+            buckets = np.asarray(params.bucket_hashes[t](values[mask]))
+            signs = np.asarray(params.sign_hashes[t](values[mask]))
+            cells[mask] = 2 * buckets + (signs > 0).astype(np.int64)
+    inner = params.inner.make_encoder().encode_batch(cells, gen)
+    return {"repetition": assignment.astype(np.int64), **inner.columns}
+
+
+def _reference_two_stage_encode(params, values, gen, first_user_index):
+    n = values.size
+    indices = (first_user_index + np.arange(n)) % _ASSIGNMENT_DOMAIN
+    groups = np.asarray(params.assignment_hash(indices))
+    cells = np.zeros(n, dtype=np.int64)
+    if params.protocol == "expander_sketch":
+        partition = np.asarray(params.partition_hash(values))
+        chunks = _reference_rs_encode(params.code.outer_code, values)
+        for m in range(params.params.num_coordinates):
+            mask = groups == m
+            if mask.any():
+                cells[mask] = _reference_expander_cells(
+                    values[mask], partition[mask], chunks[mask, m], m,
+                    params.code, params.params)
+    else:
+        repetition = groups // params.num_symbols
+        symbol_index = groups % params.num_symbols
+        symbols = params.symbols_of(values)
+        for r in range(params.repetitions):
+            mask = repetition == r
+            if mask.any():
+                hash_values = np.asarray(params.hashes[r](values[mask]))
+                cells[mask] = (hash_values * params.alphabet_size
+                               + symbols[mask, symbol_index[mask]])
+    stage1 = params.stage1.make_encoder().encode_batch(cells, gen)
+    final = _reference_hashtogram_encode(params.final, values, gen,
+                                         first_user_index)
+    columns = {params.group_column: groups.astype(np.int64)}
+    columns.update({"s1_" + key: col for key, col in stage1.columns.items()})
+    columns.update({"fin_" + key: col for key, col in final.items()})
+    return columns
+
+
+def _reference_rappor_encode(params, values, gen):
+    randomizer = params.randomizer
+    if values.size == 0:
+        return {"bits": np.zeros((0, params.num_bits), dtype=np.uint8)}
+    unique_values, inverse = np.unique(values, return_inverse=True)
+    blooms = np.stack([randomizer.bloom_bits(int(v)) for v in unique_values])
+    f = randomizer.flip_probability
+    prob_one = np.where(blooms[inverse] == 1, 1.0 - f / 2.0, f / 2.0)
+    return {"bits": (gen.random((values.size, params.num_bits)) < prob_one
+                     ).astype(np.uint8)}
+
+
+def _reference_encode(params, values, gen, first_user_index):
+    if params.protocol == "hashtogram":
+        return _reference_hashtogram_encode(params, values, gen,
+                                            first_user_index)
+    if params.protocol == "rappor":
+        return _reference_rappor_encode(params, values, gen)
+    return _reference_two_stage_encode(params, values, gen, first_user_index)
+
+
+_ENCODER_CASES = {
+    "expander_sketch": _REFERENCE_CASES["expander_sketch"],
+    "expander_sketch/2^20": PrivateExpanderSketch(1 << 20, 1.0).public_params(
+        20_000, rng=np.random.default_rng(3)),
+    "single_hash_bnst": _REFERENCE_CASES["single_hash"],
+    "single_hash_bnst/2^12": SingleHashHeavyHitters(
+        domain_size=1 << 12, epsilon=4.0,
+        num_repetitions=2).public_params(800, rng=np.random.default_rng(5)),
+    "rappor": RapporParams.create(4096, 2.0, num_bits=64, num_hashes=3,
+                                  rng=2),
+    **{f"hashtogram/{assignment}/{inner}": HashtogramParams.create(
+        1 << 12, 1.0, num_repetitions=3, num_buckets=8,
+        inner_randomizer=inner, assignment=assignment, rng=4)
+       for assignment in ("round_robin", "uniform")
+       for inner in ("hadamard", "oue")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENCODER_CASES))
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       num_users=st.one_of(st.just(0), st.integers(min_value=1,
+                                                   max_value=300)),
+       first_user_index=st.one_of(
+           st.integers(min_value=0, max_value=1000),
+           st.integers(min_value=_ASSIGNMENT_DOMAIN - 300,
+                       max_value=_ASSIGNMENT_DOMAIN + 300),
+           st.integers(min_value=0, max_value=1 << 40)))
+@settings(max_examples=15, deadline=None)
+def test_encoders_equal_the_mask_loop_reference(name, seed, num_users,
+                                                first_user_index):
+    params = _ENCODER_CASES[name]
+    values = np.random.default_rng(seed).integers(0, params.domain_size,
+                                                  size=num_users)
+    gen, reference_gen = (np.random.default_rng((seed, 1)) for _ in range(2))
+    batch = params.make_encoder().encode_batch(
+        values, gen, first_user_index=first_user_index)
+    expected = _reference_encode(params, values, reference_gen,
+                                 first_user_index)
+    assert list(batch.columns) == list(expected)
+    for key, column in expected.items():
+        assert batch.columns[key].dtype == column.dtype, key
+        assert batch.columns[key].shape == column.shape, key
+        assert np.array_equal(batch.columns[key], column), key
+    assert gen.bit_generator.state == reference_gen.bit_generator.state
+
+
+def test_expander_cells_match_the_pure_python_code():
+    """The encoder's reference shares its vector building blocks, so a few
+    users are also checked against ``code.encode(x)`` and the scalar
+    partition hash: cell = (g(x) * Y + h_m(x)) * Z + E~nc(x)_m."""
+    params = _ENCODER_CASES["expander_sketch/2^20"]
+    code, hash_range = params.code, params.params.hash_range
+    values = np.random.default_rng(8).integers(0, params.domain_size, size=6)
+    groups = np.arange(6) % params.params.num_coordinates
+    cells = params.make_encoder().stage1_cells(values, groups)
+    for x, m, cell in zip(values.tolist(), groups.tolist(), cells.tolist(),
+                          strict=True):
+        symbol = code.encode(x)[m]
+        assert cell == ((params.partition_hash(x) * hash_range + symbol.y)
+                        * code.z_alphabet_size + symbol.z)
+
+
+def test_rappor_bloom_patterns_match_bloom_bits():
+    params = _ENCODER_CASES["rappor"]
+    values = np.random.default_rng(9).integers(0, params.domain_size,
+                                               size=200)
+    blooms = params.bloom_patterns(values)
+    assert blooms.shape == (200, params.num_bits)
+    for row, x in zip(blooms, values.tolist(), strict=True):
+        assert np.array_equal(row, params.randomizer.bloom_bits(x) == 1)
