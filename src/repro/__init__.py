@@ -81,55 +81,39 @@ Quickstart::
     print(result.top(5))
 """
 
-from repro.accounting import (
-    GroupPrivacyAnalyzer,
-    advanced_grouposition,
-    advanced_grouposition_approximate,
-    ldp_max_information,
-)
-from repro.analysis import score_heavy_hitters, table1_rows
-from repro.applications import HierarchicalRangeOracle, PrivateQuantileEstimator
-from repro.baselines import (
-    DomainScanHeavyHitters,
-    RapporHeavyHitters,
-    SingleHashHeavyHitters,
-)
-from repro.core import (
-    HeavyHitterProtocol,
-    HeavyHitterResult,
-    PrivateExpanderSketch,
-    ProtocolParameters,
-)
-from repro.engine import EngineResult, run_simulation
-from repro.frequency import (
-    CountMeanSketchOracle,
-    ExplicitHistogramOracle,
-    FrequencyOracle,
-    HashtogramOracle,
-)
-from repro.lowerbounds import CountingLowerBoundExperiment
-from repro.protocol import (
-    ClientEncoder,
-    CountMeanSketchParams,
-    ExpanderSketchParams,
-    ExplicitHistogramParams,
-    HashtogramParams,
-    PublicParams,
-    RapporParams,
-    Report,
-    ReportBatch,
-    ServerAggregator,
-    SingleHashParams,
-    merge_aggregators,
-)
-from repro.structure import ApproximateComposedRandomizedResponse, GenProt
-from repro.workloads import (
-    planted_workload,
-    synthetic_url_dataset,
-    synthetic_word_dataset,
-    uniform_workload,
-    zipf_workload,
-)
+import importlib
+from typing import Dict, List
+
+#: where every public name lives; each module is imported on first access, so
+#: ``import repro.cli`` or ``import repro.server`` never pays for the
+#: accounting, structure or lower-bound layers (nor for scipy)
+_SOURCES = {
+    "repro.accounting": ("GroupPrivacyAnalyzer", "advanced_grouposition",
+                         "advanced_grouposition_approximate",
+                         "ldp_max_information"),
+    "repro.analysis": ("score_heavy_hitters", "table1_rows"),
+    "repro.applications": ("HierarchicalRangeOracle",
+                           "PrivateQuantileEstimator"),
+    "repro.baselines": ("DomainScanHeavyHitters", "RapporHeavyHitters",
+                        "SingleHashHeavyHitters"),
+    "repro.core": ("HeavyHitterProtocol", "HeavyHitterResult",
+                   "PrivateExpanderSketch", "ProtocolParameters"),
+    "repro.engine": ("EngineResult", "run_simulation"),
+    "repro.frequency": ("CountMeanSketchOracle", "ExplicitHistogramOracle",
+                        "FrequencyOracle", "HashtogramOracle"),
+    "repro.lowerbounds": ("CountingLowerBoundExperiment",),
+    "repro.protocol": ("ClientEncoder", "CountMeanSketchParams",
+                       "ExpanderSketchParams", "ExplicitHistogramParams",
+                       "HashtogramParams", "PublicParams", "RapporParams",
+                       "Report", "ReportBatch", "ServerAggregator",
+                       "SingleHashParams", "merge_aggregators"),
+    "repro.structure": ("ApproximateComposedRandomizedResponse", "GenProt"),
+    "repro.workloads": ("planted_workload", "synthetic_url_dataset",
+                        "synthetic_word_dataset", "uniform_workload",
+                        "zipf_workload"),
+}
+_EXPORTS: Dict[str, str] = {name: module for module, names in _SOURCES.items()
+                            for name in names}
 
 __version__ = "1.0.0"
 
@@ -177,3 +161,30 @@ __all__ = [
     "table1_rows",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve a public name, or a not-yet-imported subpackage, on first use.
+
+    So ``repro.engine`` works after a bare ``import repro``, and
+    ``from repro import *`` resolves every name in ``__all__``.
+    """
+    if name.startswith("_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    source = _EXPORTS.get(name)
+    if source is not None:
+        value = getattr(importlib.import_module(source), name)
+    else:
+        try:
+            value = importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute "
+                                 f"{name!r}") from None
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -76,36 +76,13 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments import (
-    ComposedRRConfig,
-    ErrorCurveConfig,
-    FrequencyOracleConfig,
-    GenProtConfig,
-    GroupositionConfig,
-    HashingAblationConfig,
-    HashtogramAblationConfig,
-    ListRecoveryConfig,
-    LowerBoundConfig,
-    MaxInformationConfig,
-    Table1Config,
-    format_table,
-    run_composed_rr,
-    run_error_vs_beta,
-    run_error_vs_epsilon,
-    run_error_vs_n,
-    run_frequency_oracle,
-    run_genprot,
-    run_grouposition,
-    run_hashing_ablation,
-    run_hashtogram_ablation,
-    run_list_recovery,
-    run_lower_bound,
-    run_max_information,
-    run_table1,
-)
+# Every verb imports what it runs when it is dispatched, so a `serve` or
+# `serve-cluster` process never loads the experiment drivers (nor scipy).
 
 
 def _table1(quick: bool):
+    from repro.experiments import Table1Config, run_table1
+
     config = Table1Config()
     if quick:
         config = Table1Config(num_users=15_000, domain_size=1 << 16,
@@ -115,6 +92,8 @@ def _table1(quick: bool):
 
 
 def _error_vs_beta(quick: bool):
+    from repro.experiments import ErrorCurveConfig, run_error_vs_beta
+
     config = ErrorCurveConfig()
     if quick:
         config = ErrorCurveConfig(num_users=15_000, domain_size=1 << 16,
@@ -124,6 +103,8 @@ def _error_vs_beta(quick: bool):
 
 
 def _error_vs_n(quick: bool):
+    from repro.experiments import ErrorCurveConfig, run_error_vs_n
+
     config = ErrorCurveConfig()
     if quick:
         config = ErrorCurveConfig(domain_size=1 << 16,
@@ -132,6 +113,8 @@ def _error_vs_n(quick: bool):
 
 
 def _error_vs_epsilon(quick: bool):
+    from repro.experiments import ErrorCurveConfig, run_error_vs_epsilon
+
     config = ErrorCurveConfig()
     if quick:
         config = ErrorCurveConfig(num_users=15_000, domain_size=1 << 16,
@@ -140,6 +123,8 @@ def _error_vs_epsilon(quick: bool):
 
 
 def _frequency_oracle(quick: bool):
+    from repro.experiments import FrequencyOracleConfig, run_frequency_oracle
+
     config = FrequencyOracleConfig()
     if quick:
         config = FrequencyOracleConfig(num_users=8_000,
@@ -149,6 +134,8 @@ def _frequency_oracle(quick: bool):
 
 
 def _grouposition(quick: bool):
+    from repro.experiments import GroupositionConfig, run_grouposition
+
     config = GroupositionConfig()
     if quick:
         config = GroupositionConfig(group_sizes=[4, 64, 256], num_samples=8_000)
@@ -156,6 +143,8 @@ def _grouposition(quick: bool):
 
 
 def _max_information(quick: bool):
+    from repro.experiments import MaxInformationConfig, run_max_information
+
     config = MaxInformationConfig()
     if quick:
         config = MaxInformationConfig(num_users_sweep=[100, 1_000],
@@ -165,6 +154,8 @@ def _max_information(quick: bool):
 
 
 def _composed_rr(quick: bool):
+    from repro.experiments import ComposedRRConfig, run_composed_rr
+
     config = ComposedRRConfig()
     if quick:
         config = ComposedRRConfig(num_bits_sweep=[8, 32, 128])
@@ -172,6 +163,8 @@ def _composed_rr(quick: bool):
 
 
 def _genprot(quick: bool):
+    from repro.experiments import GenProtConfig, run_genprot
+
     config = GenProtConfig()
     if quick:
         config = GenProtConfig(num_users=800, privacy_trials=800)
@@ -179,6 +172,8 @@ def _genprot(quick: bool):
 
 
 def _lower_bound(quick: bool):
+    from repro.experiments import LowerBoundConfig, run_lower_bound
+
     config = LowerBoundConfig()
     if quick:
         config = LowerBoundConfig(num_users=3_000, num_trials=80,
@@ -189,6 +184,8 @@ def _lower_bound(quick: bool):
 
 
 def _list_recovery(quick: bool):
+    from repro.experiments import ListRecoveryConfig, run_list_recovery
+
     config = ListRecoveryConfig()
     if quick:
         config = ListRecoveryConfig(num_coordinates=10, num_codewords=3,
@@ -198,6 +195,8 @@ def _list_recovery(quick: bool):
 
 
 def _ablation_hashing(quick: bool):
+    from repro.experiments import HashingAblationConfig, run_hashing_ablation
+
     config = HashingAblationConfig()
     if quick:
         config = HashingAblationConfig(num_users=15_000, domain_size=1 << 16,
@@ -207,6 +206,11 @@ def _ablation_hashing(quick: bool):
 
 
 def _ablation_hashtogram(quick: bool):
+    from repro.experiments import (
+        HashtogramAblationConfig,
+        run_hashtogram_ablation,
+    )
+
     config = HashtogramAblationConfig()
     if quick:
         config = HashtogramAblationConfig(num_users=6_000, domain_size=1 << 14,
@@ -247,6 +251,8 @@ def _cmd_run(args) -> int:
         print(f"unknown experiment {name!r}; use `list` to see the options",
               file=sys.stderr)
         return 2
+    from repro.experiments.reporting import format_table
+
     _, runner = EXPERIMENTS[name]
     for title, rows in runner(args.quick):
         print()
@@ -261,6 +267,7 @@ def _cmd_simulate(args) -> int:
     from repro.analysis.metrics import true_frequencies
     from repro.engine import run_simulation
     from repro.engine.bench import build_bench_params
+    from repro.experiments.reporting import format_table
     from repro.protocol import merge_aggregators
     from repro.utils.rng import as_generator
     from repro.workloads.distributions import zipf_workload
@@ -334,6 +341,7 @@ def _cmd_bench(args) -> int:
     from pathlib import Path
 
     from repro.engine.bench import BENCH_PROTOCOLS, run_engine_bench
+    from repro.experiments.reporting import format_table
 
     try:
         worker_counts = [int(w) for w in args.workers.split(",") if w.strip()]
@@ -376,6 +384,7 @@ def _cmd_serve(args) -> int:
     """Run the asyncio report-ingestion server until shutdown."""
     import asyncio
     import json
+    import signal
     from pathlib import Path
 
     from repro.engine.bench import build_bench_params
@@ -412,6 +421,10 @@ def _cmd_serve(args) -> int:
         shm_name = f"repro-serve-{os.getpid()}"
 
     async def main() -> None:
+        # SIGTERM (how a supervisor stops its shards) takes the graceful
+        # path of a `shutdown` frame: drain, close, unlink shm segments.
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM,
+                                                      server.request_stop)
         host, port = await server.start(args.host, args.port,
                                         transport=args.transport,
                                         shm_name=shm_name,
@@ -441,6 +454,7 @@ def _cmd_serve_cluster(args) -> int:
     """Run a router in front of N freshly spawned shard servers."""
     import asyncio
     import json
+    import signal
     import tempfile
     from pathlib import Path
 
@@ -478,6 +492,11 @@ def _cmd_serve_cluster(args) -> int:
                                transport=args.transport)
 
         async def main() -> None:
+            # SIGTERM takes the graceful path of a `shutdown` frame, so the
+            # `finally` below still stops the shards and removes the
+            # ephemeral base directory.
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, router.request_stop)
             host, port = await router.start(args.host, args.port)
             # Same parse-friendly readiness line as `serve`: `load-test
             # --cluster` and the tests wait for it.
@@ -583,6 +602,7 @@ def _cmd_load_test(args) -> int:
     from repro.analysis.metrics import true_frequencies
     from repro.engine import encode_stream, make_plan, run_simulation
     from repro.engine.bench import build_bench_params
+    from repro.experiments.reporting import format_table
     from repro.server import AggregationClient
     from repro.utils.rng import as_generator
     from repro.workloads.distributions import zipf_workload
@@ -857,6 +877,7 @@ def _cmd_chaos_test(args) -> int:
     import numpy as np
 
     from repro.chaos import ChaosRunner, FaultSchedule
+    from repro.experiments.reporting import format_table
 
     if args.cluster < 1:
         print("chaos-test: --cluster must be at least 1", file=sys.stderr)
@@ -933,6 +954,7 @@ def _cmd_chaos_test(args) -> int:
 
 def _cmd_cluster_status(args) -> int:
     """Render a live server's (or cluster router's) ``health`` reply."""
+    from repro.experiments.reporting import format_table
     from repro.server import AggregationClient
 
     host, sep, port_text = args.server.rpartition(":")
@@ -972,6 +994,7 @@ def _cmd_cluster_status(args) -> int:
 
 def _cmd_cluster_ctl(args) -> int:
     """Drive a live router's elastic-membership control frames."""
+    from repro.experiments.reporting import format_table
     from repro.server import AggregationClient
 
     host, sep, port_text = args.server.rpartition(":")
@@ -1094,6 +1117,7 @@ def _list_modules(check_path: Optional[str]) -> int:
 
 def _cmd_quickstart(args) -> int:
     from repro import PrivateExpanderSketch, planted_workload
+    from repro.experiments.reporting import format_table
 
     workload = planted_workload(num_users=args.num_users,
                                 domain_size=1 << 20,

@@ -565,6 +565,14 @@ class ClusterRouter:
         await self._stopping.wait()
         await self._shutdown()
 
+    def request_stop(self) -> None:
+        """Make :meth:`serve_until_stopped` shut down as on a ``shutdown`` frame.
+
+        Synchronous and idempotent, so it is safe as a signal handler
+        (``serve-cluster`` routes ``SIGTERM`` here).
+        """
+        self._stopping.set()
+
     async def stop(self) -> None:
         """Stop accepting clients and close the shard connections."""
         self._stopping.set()

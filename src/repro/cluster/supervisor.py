@@ -9,8 +9,12 @@ process-management half of that picture:
 * :func:`spawn_server_process` starts one ``python -m repro.cli`` server
   subprocess (``serve`` or ``serve-cluster``) and blocks until its
   parse-friendly ``LISTENING host port`` readiness line appears — the same
-  contract ``repro.cli load-test`` and the benchmarks rely on.
-* :class:`ClusterSupervisor` spawns the N shards of one cluster, each with
+  contract ``repro.cli load-test`` and the benchmarks rely on.  It is two
+  steps, :func:`launch_server_process` (the ``Popen``) and
+  :func:`await_listening` (the readiness line), which also serve many
+  children at once under one deadline.
+* :class:`ClusterSupervisor` spawns the N shards of one cluster — all
+  launched before any is awaited, so they start up in parallel — each with
   its own snapshot directory under a shared base directory, polls them for
   liveness, and — the crash-recovery half of the router's failure story —
   **restarts a dead shard from its newest snapshot**.  The router then
@@ -31,34 +35,32 @@ import select
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.server.snapshot import SnapshotStore
 
-__all__ = ["ClusterSupervisor", "ShardHandle", "spawn_server_process"]
+__all__ = ["ClusterSupervisor", "ShardHandle", "await_listening",
+           "launch_server_process", "reap_process", "spawn_server_process"]
 
 
 #: how long a spawned server may take to print its ``LISTENING`` line
 STARTUP_TIMEOUT = 30.0
 
 
-def spawn_server_process(
+def launch_server_process(
     verb: str = "serve",
     params_file: Optional[Union[str, Path]] = None,
     extra_args: Sequence[str] = (),
-    startup_timeout: float = STARTUP_TIMEOUT,
-) -> Tuple[subprocess.Popen, str, int]:
-    """Start a ``repro.cli`` server subprocess; returns ``(proc, host, port)``.
+) -> subprocess.Popen:
+    """Start a ``repro.cli`` server subprocess without waiting for it.
 
     The child gets ``PYTHONPATH`` pointing at this package's source tree, so
-    it works both installed and from a checkout.  The child binds port 0 and
-    announces the actual port on its ``LISTENING`` line, which this function
-    waits for — at most ``startup_timeout`` seconds (a wedged child is
-    killed and ``TimeoutError`` raised; the old behavior blocked forever on
-    a child that never printed).  On any other first line the child is
-    terminated and a ``RuntimeError`` carries the line for diagnosis.
+    it works both installed and from a checkout; it binds port 0 and
+    announces the actual port on its ``LISTENING`` line, which
+    :func:`await_listening` reads.
     """
     import repro
 
@@ -69,22 +71,85 @@ def spawn_server_process(
     if params_file is not None:
         argv += ["--params-file", str(params_file)]
     argv += ["--host", "127.0.0.1", "--port", "0", "--quiet", *extra_args]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env)
-    ready, _, _ = select.select([proc.stdout], [], [], startup_timeout)
-    if not ready:
-        proc.kill()
-        proc.wait(timeout=10)
-        proc.stdout.close()
-        raise TimeoutError(f"server did not print its LISTENING line within "
-                           f"{startup_timeout}s")
-    line = proc.stdout.readline()
-    if not line.startswith("LISTENING "):
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env)
+
+
+def await_listening(
+    procs: Sequence[subprocess.Popen],
+    startup_timeout: float = STARTUP_TIMEOUT,
+) -> List[Tuple[str, int]]:
+    """Wait for every launched server's ``LISTENING`` line, in launch order.
+
+    All children start up concurrently under one deadline of
+    ``startup_timeout`` seconds: this watches every stdout pipe with one
+    ``select``, so N servers cost about one start-up, not N.  If any child
+    misses the deadline (``TimeoutError``) or prints anything else first
+    (``RuntimeError`` carrying the line), every child in ``procs`` is
+    reaped before the error propagates.
+    """
+    endpoints: Dict[int, Tuple[str, int]] = {}
+    pending = {proc.stdout: index for index, proc in enumerate(procs)}
+    deadline = time.monotonic() + startup_timeout
+    try:
+        while pending:
+            remaining = deadline - time.monotonic()
+            ready = (select.select(list(pending), [], [], remaining)[0]
+                     if remaining > 0 else [])
+            if not ready:
+                raise TimeoutError(f"server did not print its LISTENING "
+                                   f"line within {startup_timeout}s")
+            for stream in ready:
+                index = pending.pop(stream)
+                line = stream.readline()
+                if not line.startswith("LISTENING "):
+                    raise RuntimeError(
+                        f"server failed to start (got {line!r})")
+                _, host, port = line.split()
+                endpoints[index] = (host, int(port))
+    except BaseException:
+        for proc in procs:
+            reap_process(proc)
+        raise
+    return [endpoints[index] for index in range(len(procs))]
+
+
+def spawn_server_process(
+    verb: str = "serve",
+    params_file: Optional[Union[str, Path]] = None,
+    extra_args: Sequence[str] = (),
+    startup_timeout: float = STARTUP_TIMEOUT,
+) -> Tuple[subprocess.Popen, str, int]:
+    """Start one ``repro.cli`` server subprocess; returns ``(proc, host, port)``.
+
+    :func:`launch_server_process` then :func:`await_listening`: blocks at
+    most ``startup_timeout`` seconds for the ``LISTENING`` line (a wedged
+    child is reaped and ``TimeoutError`` raised); on any other first line
+    the child is reaped and a ``RuntimeError`` carries the line.
+    """
+    proc = launch_server_process(verb, params_file, extra_args)
+    [(host, port)] = await_listening([proc], startup_timeout)
+    return proc, host, port
+
+
+def reap_process(proc: subprocess.Popen) -> None:
+    """Stop one server child gracefully (``SIGTERM``) and wait for it.
+
+    A stopped (``SIGSTOP``) child never handles ``SIGTERM``, so it is thawed
+    first; one that ignores the signal for 10 s is killed.
+    """
+    if proc.poll() is None:
+        try:
+            proc.send_signal(signal.SIGCONT)
+        except (ProcessLookupError, OSError):  # pragma: no cover - raced
+            pass
         proc.terminate()
-        proc.wait(timeout=10)
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
+            proc.kill()
+            proc.wait(timeout=10)
+    if proc.stdout is not None:
         proc.stdout.close()
-        raise RuntimeError(f"server failed to start (got {line!r})")
-    _, host, port = line.split()
-    return proc, host, int(port)
 
 
 @dataclass
@@ -195,23 +260,37 @@ class ClusterSupervisor:
 
     # ----- lifecycle ------------------------------------------------------------------
 
-    def _spawn(self, index: int) -> Tuple[subprocess.Popen, str, int]:
-        """Spawn one shard server, restoring its newest *valid* snapshot.
+    def _spawn(self, indices: Sequence[int],
+               ) -> List[Tuple[subprocess.Popen, str, int]]:
+        """Spawn shard servers, each restoring its newest *valid* snapshot.
 
-        A fresh shard directory has no snapshots and starts empty; on a
-        restart (or a cold cluster resume) the shard comes back at its last
-        intact checkpoint — corrupt snapshot files are walked past, never
+        Every shard is launched first and then all of them are awaited
+        together (:func:`await_listening`), so the shards start up in
+        parallel; if one fails, all of them are reaped.  A fresh shard
+        directory has no snapshots and starts empty; on a restart (or a
+        cold cluster resume) the shard comes back at its last intact
+        checkpoint — corrupt snapshot files are walked past, never
         restored (:meth:`SnapshotStore.latest_valid`).
         """
-        shard_dir = self.base_dir / f"shard-{index}"
-        latest = SnapshotStore(shard_dir).latest_valid()
-        if latest is not None:
-            extra = ["--restore", str(latest),
-                     *self._serve_args(index, shard_dir)]
-            return spawn_server_process("serve", None, extra)
-        return spawn_server_process(
-            "serve", self.params_file, self._serve_args(index, shard_dir)
-        )
+        procs = []
+        try:
+            for index in indices:
+                shard_dir = self.base_dir / f"shard-{index}"
+                args = self._serve_args(index, shard_dir)
+                latest = SnapshotStore(shard_dir).latest_valid()
+                if latest is not None:
+                    procs.append(launch_server_process(
+                        "serve", None, ["--restore", str(latest), *args]))
+                else:
+                    procs.append(launch_server_process(
+                        "serve", self.params_file, args))
+        except BaseException:
+            for proc in procs:
+                reap_process(proc)
+            raise
+        endpoints = await_listening(procs)
+        return [(proc, host, port)
+                for proc, (host, port) in zip(procs, endpoints)]
 
     def start(self, shard_ids: Optional[Sequence[int]] = None,
               ) -> List[Tuple[str, int]]:
@@ -231,10 +310,11 @@ class ClusterSupervisor:
             live = sorted(int(i) for i in shard_ids)
             if not live:
                 raise ValueError("shard_ids must name at least one shard")
+        spawned = dict(zip(live, self._spawn(live)))
         for index in range(max(live) + 1):
             shard_dir = self.base_dir / f"shard-{index}"
-            if index in live:
-                proc, host, port = self._spawn(index)
+            if index in spawned:
+                proc, host, port = spawned[index]
                 handle = ShardHandle(index=index, snapshot_dir=shard_dir,
                                      proc=proc, host=host, port=port)
             else:
@@ -255,7 +335,7 @@ class ClusterSupervisor:
             raise RuntimeError("supervisor not started")
         index = len(self.shards)
         shard_dir = self.base_dir / f"shard-{index}"
-        proc, host, port = self._spawn(index)
+        [(proc, host, port)] = self._spawn([index])
         self.shards.append(ShardHandle(index=index, snapshot_dir=shard_dir,
                                        proc=proc, host=host, port=port))
         return index, host, port
@@ -308,7 +388,7 @@ class ClusterSupervisor:
         # Bump the generation *before* spawning: on shm the replacement
         # must bind a fresh ring name, never its dead predecessor's.
         shard.restarts += 1
-        proc, host, port = self._spawn(index)
+        [(proc, host, port)] = self._spawn([index])
         shard.proc, shard.host, shard.port = proc, host, port
         return host, port
 
@@ -338,23 +418,8 @@ class ClusterSupervisor:
 
     @staticmethod
     def _reap(shard: ShardHandle) -> None:
-        if shard.proc is None:
-            return
-        if shard.alive:
-            try:
-                # A SIGSTOPped child never handles SIGTERM; thaw it first so
-                # the graceful path below works on frozen shards too.
-                shard.proc.send_signal(signal.SIGCONT)
-            except (ProcessLookupError, OSError):  # pragma: no cover - raced
-                pass
-            shard.proc.terminate()
-            try:
-                shard.proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
-                shard.proc.kill()
-                shard.proc.wait(timeout=10)
-        if shard.proc.stdout is not None:
-            shard.proc.stdout.close()
+        if shard.proc is not None:
+            reap_process(shard.proc)
 
     def __enter__(self) -> "ClusterSupervisor":
         return self

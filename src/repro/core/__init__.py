@@ -9,9 +9,13 @@
 * :mod:`repro.core.results` — the result object (Definition 3.1's ``Est`` list
   plus resource accounting).
 * :mod:`repro.core.heavy_hitters` — Algorithm PrivateExpanderSketch itself.
+
+The first three sit *below* :mod:`repro.protocol` (the wire form of the
+protocol is built from them); :mod:`repro.core.heavy_hitters` sits above it
+(it runs that wire form), so it is imported on first access to
+``PrivateExpanderSketch``, never when the package loads.
 """
 
-from repro.core.heavy_hitters import PrivateExpanderSketch
 from repro.core.params import ProtocolParameters
 from repro.core.protocol import HeavyHitterProtocol
 from repro.core.results import HeavyHitterResult
@@ -22,3 +26,10 @@ __all__ = [
     "HeavyHitterResult",
     "PrivateExpanderSketch",
 ]
+
+
+def __getattr__(name: str):
+    if name == "PrivateExpanderSketch":
+        from repro.core.heavy_hitters import PrivateExpanderSketch
+        return PrivateExpanderSketch
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,35 +23,29 @@ Experiment index (see DESIGN.md for the full mapping):
 ===========  ================================================================
 """
 
-from repro.experiments.ablations import (
-    HashingAblationConfig,
-    HashtogramAblationConfig,
-    run_hashing_ablation,
-    run_hashtogram_ablation,
-)
-from repro.experiments.composed_rr import ComposedRRConfig, run_composed_rr
-from repro.experiments.error_curves import (
-    ErrorCurveConfig,
-    run_error_vs_beta,
-    run_error_vs_epsilon,
-    run_error_vs_n,
-)
-from repro.experiments.frequency_oracle import (
-    FrequencyOracleConfig,
-    run_frequency_oracle,
-)
-from repro.experiments.genprot import GenProtConfig, run_genprot
-from repro.experiments.grouposition import GroupositionConfig, run_grouposition
-from repro.experiments.list_recovery import ListRecoveryConfig, run_list_recovery
-from repro.experiments.lower_bound import (
-    LowerBoundConfig,
-    run_anti_concentration,
-    run_counting_lower_bound,
-    run_lower_bound,
-)
-from repro.experiments.max_information import MaxInformationConfig, run_max_information
-from repro.experiments.reporting import format_markdown_table, format_table
-from repro.experiments.table1 import Table1Config, run_table1, theoretical_rows
+import importlib
+from typing import Dict, List
+
+#: where every public name lives, imported on first access: a CLI verb that
+#: only renders a table (``format_table``) loads no driver and no scipy
+_SOURCES = {
+    "ablations": ("HashingAblationConfig", "HashtogramAblationConfig",
+                  "run_hashing_ablation", "run_hashtogram_ablation"),
+    "composed_rr": ("ComposedRRConfig", "run_composed_rr"),
+    "error_curves": ("ErrorCurveConfig", "run_error_vs_beta",
+                     "run_error_vs_epsilon", "run_error_vs_n"),
+    "frequency_oracle": ("FrequencyOracleConfig", "run_frequency_oracle"),
+    "genprot": ("GenProtConfig", "run_genprot"),
+    "grouposition": ("GroupositionConfig", "run_grouposition"),
+    "list_recovery": ("ListRecoveryConfig", "run_list_recovery"),
+    "lower_bound": ("LowerBoundConfig", "run_anti_concentration",
+                    "run_counting_lower_bound", "run_lower_bound"),
+    "max_information": ("MaxInformationConfig", "run_max_information"),
+    "reporting": ("format_markdown_table", "format_table"),
+    "table1": ("Table1Config", "run_table1", "theoretical_rows"),
+}
+_EXPORTS: Dict[str, str] = {name: module for module, names in _SOURCES.items()
+                            for name in names}
 
 __all__ = [
     "format_table",
@@ -84,3 +78,16 @@ __all__ = [
     "run_hashing_ablation",
     "run_hashtogram_ablation",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -29,6 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.frequency.count_mean_sketch import CountMeanSketchOracle
 from repro.hashing.kwise import KWiseHash, KWiseHashFamily
 from repro.protocol.wire import (
     ClientEncoder,
@@ -180,7 +181,6 @@ class CountMeanSketchAggregator(ServerAggregator):
 
     def finalize(self):
         """Fitted :class:`~repro.frequency.count_mean_sketch.CountMeanSketchOracle`."""
-        from repro.frequency.count_mean_sketch import CountMeanSketchOracle
         oracle = CountMeanSketchOracle(self.params.domain_size,
                                        self.params.epsilon,
                                        num_hashes=self.params.num_hashes,

@@ -31,6 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.frequency.explicit import ExplicitHistogramOracle
 from repro.protocol.wire import (
     ClientEncoder,
     CountLayout,
@@ -189,7 +190,6 @@ class ExplicitHistogramAggregator(ServerAggregator):
 
     def finalize(self):
         """Fitted :class:`~repro.frequency.explicit.ExplicitHistogramOracle`."""
-        from repro.frequency.explicit import ExplicitHistogramOracle
         oracle = ExplicitHistogramOracle(self.params.domain_size,
                                          self.params.epsilon,
                                          randomizer=self.params.randomizer)

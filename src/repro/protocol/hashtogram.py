@@ -35,6 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.frequency.hashtogram import HashtogramOracle
 from repro.hashing.kwise import (
     KWiseHash,
     KWiseHashFamily,
@@ -237,7 +238,6 @@ class HashtogramAggregator(ServerAggregator):
 
     def finalize(self):
         """Fitted :class:`~repro.frequency.hashtogram.HashtogramOracle`."""
-        from repro.frequency.hashtogram import HashtogramOracle
         oracle = HashtogramOracle(self.params.domain_size, self.params.epsilon,
                                   num_repetitions=self.params.num_repetitions,
                                   num_buckets=self.params.num_buckets,

@@ -215,6 +215,14 @@ class AggregationServer:
         await self._stopping.wait()
         await self._shutdown()
 
+    def request_stop(self) -> None:
+        """Make :meth:`serve_until_stopped` shut down as on a ``shutdown`` frame.
+
+        Synchronous and idempotent, so it is safe as a signal handler
+        (``serve`` routes ``SIGTERM`` here).
+        """
+        self._stopping.set()
+
     async def stop(self) -> None:
         """Drain, stop accepting, and cancel the drain task."""
         self._stopping.set()

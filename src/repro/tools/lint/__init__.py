@@ -1,11 +1,12 @@
 """Repo-native static analysis (``python -m repro.tools.lint src/ tests/``).
 
-Five AST rule families enforce the invariants the test suite cannot see
+Six AST rule families enforce the invariants the test suite cannot see
 (they are properties of *code shape*, not of any one run): RPL1
 determinism, RPL2 exact-integer aggregator state, RPL3 async safety,
 RPL4 wire-schema agreement with ``docs/wire-protocol.md``, RPL5
-protocol-registry contracts.  The catalog, the suppression-pragma policy,
-and the guide to adding a rule live in ``docs/static-analysis.md``.
+protocol-registry contracts, RPL6 the layer DAG of module-level imports.
+The catalog, the suppression-pragma policy, and the guide to adding a rule
+live in ``docs/static-analysis.md``.
 """
 
 from repro.tools.lint.diagnostics import Diagnostic, Severity

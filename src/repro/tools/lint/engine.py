@@ -329,7 +329,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.tools.lint",
         description="repo-native static analysis: determinism (RPL1), "
                     "exact-integer state (RPL2), async safety (RPL3), "
-                    "wire-schema drift (RPL4), protocol contracts (RPL5)")
+                    "wire-schema drift (RPL4), protocol contracts (RPL5), "
+                    "layer DAG (RPL6)")
     parser.add_argument("paths", nargs="+", type=Path,
                         help="files or directories to lint")
     parser.add_argument("--select", default="",

@@ -22,6 +22,7 @@ _FAMILY_MODULES = (
     "async_safety",
     "wire_schema",
     "contracts",
+    "layers",
 )
 
 

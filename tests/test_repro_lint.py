@@ -554,6 +554,91 @@ class TestContractRules:
 
 
 # --------------------------------------------------------------------------------------
+# RPL6 — layer DAG
+# --------------------------------------------------------------------------------------
+
+SERVING_LAYERS = ("transport", "server", "cluster", "protocol", "engine")
+ANALYSIS_LAYERS = ("accounting", "structure", "lowerbounds", "experiments",
+                   "scipy")
+
+
+class TestLayerRules:
+    def test_upward_and_third_party_imports_flagged(self, tmp_path):
+        diags = run_lint(tmp_path, {
+            "repro/server/svc.py": """\
+                import scipy.special
+                from repro.experiments import run_table1
+            """,
+            "repro/server/rel.py": "from ..experiments import run_table1\n",
+            "repro/protocol/up.py": "from repro.cluster import router\n",
+            "repro/cli.py": "from repro.experiments import format_table\n",
+            "repro/core/__init__.py":
+                "from repro.core.heavy_hitters import PrivateExpanderSketch\n",
+        })
+        assert codes(diags) == ["RPL601"] * 6
+        flagged = sorted((Path(d.path).parent.name, Path(d.path).name, d.line)
+                         for d in diags)
+        assert flagged == [("core", "__init__.py", 1), ("protocol", "up.py", 1),
+                           ("repro", "cli.py", 1), ("server", "rel.py", 1),
+                           ("server", "svc.py", 1), ("server", "svc.py", 2)]
+        assert any("`scipy`" in d.message for d in diags)
+
+    def test_package_root_names_are_not_a_layer(self, tmp_path):
+        diags = run_lint(tmp_path, {
+            "repro/server/svc.py": "from repro import HashtogramParams\n",
+            "repro/cluster/ok.py": "from repro import transport\n",
+        })
+        assert codes(diags) == ["RPL601"]
+        assert Path(diags[0].path).name == "svc.py"
+
+    def test_near_misses_stay_clean(self, tmp_path):
+        diags = run_lint(tmp_path, {
+            "repro/server/svc.py": """\
+                from typing import TYPE_CHECKING
+
+                import numpy as np
+
+                from repro.protocol.wire import ReportBatch
+                from repro.utils.rng import as_generator
+
+                if TYPE_CHECKING:
+                    from repro.cluster.router import ClusterRouter
+
+                def run_experiment():
+                    import scipy
+                    from repro.experiments import run_table1
+                    return scipy, run_table1, np, ReportBatch, as_generator
+            """,
+            "repro/structure/rr.py": "from scipy.special import logsumexp\n",
+            "repro/core/heavy_hitters.py": "from repro.engine import engine\n",
+            "repro/newpkg/mod.py": "import scipy\n",
+            "elsewhere/script.py": "import scipy\nimport repro\n",
+        })
+        assert diags == []
+
+    def test_layer_table_is_a_dag(self):
+        from repro.tools.lint.rules.layers import BELOW, LAYERS
+
+        for layer, edges in LAYERS.items():
+            assert set(edges) <= set(LAYERS), layer
+            assert layer not in BELOW[layer], f"{layer} is on a cycle"
+
+    def test_serving_layers_never_reach_analysis_layers(self):
+        from repro.tools.lint.rules.layers import BELOW
+
+        for layer in SERVING_LAYERS:
+            assert not BELOW[layer] & set(ANALYSIS_LAYERS), layer
+
+    def test_every_subpackage_has_a_layer(self):
+        from repro.tools.lint.rules.layers import LAYERS
+
+        package = REPO / "src" / "repro"
+        subpackages = {path.parent.name
+                       for path in package.glob("*/__init__.py")}
+        assert subpackages <= set(LAYERS)
+
+
+# --------------------------------------------------------------------------------------
 # pragmas, selection, CLI
 # --------------------------------------------------------------------------------------
 
