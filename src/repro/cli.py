@@ -479,12 +479,24 @@ def _cmd_serve_cluster(args) -> int:
         params = build_bench_params(args.protocol, args.domain_size,
                                     args.epsilon, args.num_users,
                                     rng=args.seed)
+
+    def unwind_start(signum, frame):
+        # A repeat may not cut the unwind's clean-up short.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise SystemExit(0)
+
     ephemeral_base = args.base_dir is None
     base_dir = args.base_dir or tempfile.mkdtemp(prefix="repro-cluster-")
-    supervisor = ClusterSupervisor(params, args.shards, base_dir,
-                                   window=args.window,
-                                   transport=args.transport)
+    previous_sigterm = signal.getsignal(signal.SIGTERM)
+    supervisor = None
     try:
+        # Until the event loop below owns SIGTERM, it unwinds start-up
+        # through the `finally` (shards reaped, base dir removed) instead of
+        # taking the default action.
+        signal.signal(signal.SIGTERM, unwind_start)
+        supervisor = ClusterSupervisor(params, args.shards, base_dir,
+                                       window=args.window,
+                                       transport=args.transport)
         supervisor.start()
         router = ClusterRouter(params, supervisor=supervisor, rng=args.seed,
                                checkpoint_reports=args.checkpoint_reports,
@@ -519,13 +531,17 @@ def _cmd_serve_cluster(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        supervisor.stop()
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)  # clean-up runs whole
+        if supervisor is not None:
+            supervisor.stop()
         if ephemeral_base:
             # The default base dir is a fresh temp directory; snapshots in
             # it only serve intra-run crash recovery, so remove it on exit
             # (pass --base-dir to keep the cluster home across runs).
             import shutil
             shutil.rmtree(base_dir, ignore_errors=True)
+        if previous_sigterm is not None:
+            signal.signal(signal.SIGTERM, previous_sigterm)
     return 0
 
 

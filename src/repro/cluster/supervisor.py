@@ -29,12 +29,14 @@ are rare and take a server start-up, so the router calls it through
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.server.snapshot import SnapshotStore
 
 __all__ = ["ClusterSupervisor", "ShardHandle", "await_listening",
-           "launch_server_process", "reap_process", "spawn_server_process"]
+           "launch_server_process", "reap_processes", "spawn_server_process"]
 
 
 #: how long a spawned server may take to print its ``LISTENING`` line
@@ -107,8 +109,7 @@ def await_listening(
                 _, host, port = line.split()
                 endpoints[index] = (host, int(port))
     except BaseException:
-        for proc in procs:
-            reap_process(proc)
+        reap_processes(procs)
         raise
     return [endpoints[index] for index in range(len(procs))]
 
@@ -131,25 +132,58 @@ def spawn_server_process(
     return proc, host, port
 
 
-def reap_process(proc: subprocess.Popen) -> None:
-    """Stop one server child gracefully (``SIGTERM``) and wait for it.
+@contextlib.contextmanager
+def _sigterm_held():
+    """Hold a Python-level ``SIGTERM`` handler's call until the block ends.
 
-    A stopped (``SIGSTOP``) child never handles ``SIGTERM``, so it is thawed
-    first; one that ignores the signal for 10 s is killed.
+    A handler that unwinds (``serve-cluster`` raises ``SystemExit`` while
+    its shards start) must not land between a child's fork and the
+    supervisor recording it, or that child outlives the unwind.  A signal
+    caught inside the block reaches the handler when the block ends.  Off
+    the main thread (where no Python handler runs) or without a Python
+    handler this does nothing.
     """
-    if proc.poll() is None:
+    handler = signal.getsignal(signal.SIGTERM)
+    if (not callable(handler)
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+    caught = []
+    signal.signal(signal.SIGTERM, lambda signum, frame: caught.append(frame))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, handler)
+        if caught:
+            handler(signal.SIGTERM, caught[0])
+
+
+def reap_processes(procs: Sequence[subprocess.Popen],
+                   timeout: float = 10.0) -> None:
+    """Stop server children gracefully (``SIGTERM``) and wait for all.
+
+    Every child is signalled before any is awaited, so N children stop in
+    about the time of the slowest one; they share one deadline of
+    ``timeout`` seconds, after which the stragglers are killed.  A stopped
+    (``SIGSTOP``) child never handles ``SIGTERM``, so it is thawed first.
+    """
+    live = [proc for proc in procs if proc.poll() is None]
+    for proc in live:
         try:
             proc.send_signal(signal.SIGCONT)
-        except (ProcessLookupError, OSError):  # pragma: no cover - raced
+        except OSError:  # pragma: no cover - raced with the child's exit
             pass
         proc.terminate()
+    deadline = time.monotonic() + timeout
+    for proc in live:
         try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
+            proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
+        except subprocess.TimeoutExpired:
             proc.kill()
-            proc.wait(timeout=10)
-    if proc.stdout is not None:
-        proc.stdout.close()
+            proc.wait(timeout=timeout)
+    for proc in procs:
+        if proc.stdout is not None:
+            proc.stdout.close()
 
 
 @dataclass
@@ -232,6 +266,10 @@ class ClusterSupervisor:
         self._shm_prefix = (f"repro-{os.getpid()}"
                             f"-c{ClusterSupervisor._instances}")
         self.shards: List[ShardHandle] = []
+        #: every child ever launched, recorded as it forks: :meth:`stop`
+        #: reaps them all, also those of a start that unwound before it
+        #: recorded its shards
+        self._launched: List[subprocess.Popen] = []
         self.base_dir.mkdir(parents=True, exist_ok=True)
         self.params_file = self.base_dir / "params.json"
         self.params_file.write_text(json.dumps(params.to_dict()))
@@ -279,14 +317,14 @@ class ClusterSupervisor:
                 args = self._serve_args(index, shard_dir)
                 latest = SnapshotStore(shard_dir).latest_valid()
                 if latest is not None:
-                    procs.append(launch_server_process(
-                        "serve", None, ["--restore", str(latest), *args]))
+                    argv = ("serve", None, ["--restore", str(latest), *args])
                 else:
-                    procs.append(launch_server_process(
-                        "serve", self.params_file, args))
+                    argv = ("serve", self.params_file, args)
+                with _sigterm_held():
+                    procs.append(launch_server_process(*argv))
+                    self._launched.append(procs[-1])
         except BaseException:
-            for proc in procs:
-                reap_process(proc)
+            reap_processes(procs)
             raise
         endpoints = await_listening(procs)
         return [(proc, host, port)
@@ -412,14 +450,14 @@ class ClusterSupervisor:
             shard.proc.send_signal(signal.SIGCONT)
 
     def stop(self) -> None:
-        """Terminate and reap every shard."""
-        for shard in self.shards:
-            self._reap(shard)
+        """Terminate every launched shard at once, then reap them under
+        one deadline (:func:`reap_processes`)."""
+        reap_processes(self._launched)
 
     @staticmethod
     def _reap(shard: ShardHandle) -> None:
         if shard.proc is not None:
-            reap_process(shard.proc)
+            reap_processes([shard.proc])
 
     def __enter__(self) -> "ClusterSupervisor":
         return self

@@ -57,7 +57,9 @@ from repro.protocol.heavy_hitters import (
     ExpanderSketchParams,
     append_coordinate_lists,
     decode_candidate_lists,
+    detection_threshold,
     final_subbatch,
+    stage1_best,
     stage1_subbatch,
 )
 from repro.utils.rng import RandomState, as_generator
@@ -168,6 +170,8 @@ class PrivateExpanderSketch(HeavyHitterProtocol):
             [[] for _ in range(params.num_coordinates)]
             for _ in range(params.num_buckets)]
         peak_oracle_state = 0
+        shape = (params.num_buckets, params.hash_range,
+                 wire.code.z_alphabet_size)
         for m in range(params.num_coordinates):
             aggregator = wire.stage1.make_aggregator()
             with Timer() as ingest_timer:
@@ -178,9 +182,11 @@ class PrivateExpanderSketch(HeavyHitterProtocol):
             group_sizes.append(aggregator.num_reports)
             peak_oracle_state = max(peak_oracle_state, aggregator.state_size)
             with Timer() as list_timer:
-                append_coordinate_lists(aggregator.finalize(),
-                                        aggregator.num_reports, m, wire.code,
-                                        params, lists)
+                best_z, best_value = stage1_best(aggregator, shape)
+                append_coordinate_lists(
+                    best_z, best_value,
+                    detection_threshold(aggregator, params.threshold_std), m,
+                    params.list_size, lists)
             meter.add_server_time(list_timer.elapsed)
 
         # ----- step 4: decode every bucket --------------------------------------------------

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.frequency.base import FrequencyOracle
 from repro.randomizers.hadamard import fast_walsh_hadamard_transform
-from repro.utils.bits import next_power_of_two
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_domain_element, check_epsilon, check_positive_int
 
@@ -59,23 +58,9 @@ class ExplicitHistogramOracle(FrequencyOracle):
         self._num_users = 0
         self._histogram: Optional[np.ndarray] = None
 
-        exp_eps = math.exp(epsilon)
-        if randomizer == "hadamard":
-            self._padded = next_power_of_two(domain_size + 1)
-            self._keep_prob = exp_eps / (exp_eps + 1.0)
-            self._attenuation = (exp_eps - 1.0) / (exp_eps + 1.0)
-            self._report_bits = math.log2(self._padded) + 1.0
-            self._server_state_size = self._padded
-        elif randomizer == "oue":
-            self._p = 0.5
-            self._q = 1.0 / (exp_eps + 1.0)
-            self._report_bits = float(domain_size)
-            self._server_state_size = domain_size
-        else:  # krr
-            self._p = exp_eps / (exp_eps + domain_size - 1.0)
-            self._q = 1.0 / (exp_eps + domain_size - 1.0)
-            self._report_bits = max(math.log2(domain_size), 1.0)
-            self._server_state_size = domain_size
+        params = self.public_params()
+        self._report_bits = params.report_bits
+        self._server_state_size = params.layout.size
 
     # ----- wire protocol --------------------------------------------------------
 
@@ -137,10 +122,10 @@ class ExplicitHistogramOracle(FrequencyOracle):
 
     @property
     def estimator_variance_per_user(self) -> float:
-        """Per-user variance of the debiased estimator for a single cell."""
-        if self.randomizer == "hadamard":
-            return 1.0 / self._attenuation**2
-        return self._q * (1.0 - self._q) / (self._p - self._q) ** 2
+        """Per-user variance of the debiased estimator for a single cell
+        (:attr:`ExplicitHistogramParams.estimator_variance_per_user
+        <repro.protocol.explicit.ExplicitHistogramParams>`)."""
+        return self.public_params().estimator_variance_per_user
 
     def expected_error(self, beta: float) -> float:
         """High-probability error bound for a single query at failure probability β.

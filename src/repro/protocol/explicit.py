@@ -17,7 +17,7 @@ parameter/report format:
 **Server cost.** One integer accumulator of ``padded`` (hadamard) or ``k``
 (oue/krr) scalars regardless of n; ingestion is O(1) integer additions per
 report.  ``finalize()`` pays O(k) for oue/krr, and O(k log k) for hadamard's
-exact int64 decode :func:`~repro.randomizers.hadamard.hadamard_outputs`,
+exact integer decode :func:`~repro.randomizers.hadamard.hadamard_outputs`,
 whose only float step is the final division by the attenuation.
 Aggregation is exact integer accumulation (signed counts per Hadamard row,
 per-column one counts, or a value histogram); debiasing happens only in
@@ -108,6 +108,14 @@ class ExplicitHistogramParams(PublicParams):
         if self.randomizer == "oue":
             return float(self.domain_size)               # one bit per column
         return max(math.log2(self.domain_size), 1.0)     # the reported value
+
+    @property
+    def estimator_variance_per_user(self) -> float:
+        """Per-user variance of one debiased cell estimate, from the
+        parameters alone (the fitted oracle reports this same figure)."""
+        if self.randomizer == "hadamard":
+            return 1.0 / self.attenuation**2
+        return self.q * (1.0 - self.q) / (self.p - self.q) ** 2
 
     @property
     def layout(self) -> CountLayout:

@@ -17,6 +17,8 @@ one flat count vector (:class:`_TwoStageParams`); the incremental
 aggregators below hold all of them simultaneously (mergeable, snapshotable),
 while the one-shot simulation path in :mod:`repro.core.heavy_hitters`
 streams one coordinate at a time to keep the paper's peak-memory profile.
+Both reduce each stage-1 block with :func:`stage1_best`; the incremental
+aggregators map it over their blocks on one thread per usable CPU.
 
 Coordinate/group assignment is a published pairwise-independent hash of the
 public user index — the stateless counterpart of the paper's random user
@@ -31,6 +33,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +63,7 @@ from repro.protocol.wire import (
     nest_cells,
     register_protocol,
 )
+from repro.randomizers.hadamard import hadamard_outputs
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.timer import ResourceMeter
 
@@ -223,24 +228,52 @@ class _TwoStageEncoder(ClientEncoder):
         return ReportBatch(params.protocol, columns)
 
 
-def append_coordinate_lists(oracle, group_size: int, coordinate: int,
-                            code: UniqueListRecoverableCode,
-                            params: ProtocolParameters,
-                            lists: List[List[List[tuple]]]) -> None:
-    """Steps 2-3 of PrivateExpanderSketch for one coordinate.
+def _best_cells(outputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Arg-max over the last axis and the maxima it picks."""
+    best = outputs.argmax(axis=-1)
+    return best, np.take_along_axis(outputs, best[..., None], axis=-1)[..., 0]
 
-    For every (b, y) the arg-max over z is taken (step 3a); the pair is kept
-    if its estimate clears the detection threshold, largest estimates first,
-    up to the list budget ℓ (step 3b).  Fills ``lists[b][coordinate]``.
+
+def stage1_best(block: ExplicitHistogramAggregator, shape: Tuple[int, ...]
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Step 3a for one stage-1 block: ``(best_z, best_value)``, the arg-max
+    over the last axis of the block's decoded histogram, reshaped to
+    ``shape``, and its estimate.
+
+    A Hadamard block ranks its exact integer outputs and divides only the
+    chosen ``shape[:-1]`` cells by the attenuation.  That gives exactly the
+    floats and arg-maxes the division of the whole histogram gave: for
+    att ≤ 1, x ↦ x / att is strictly increasing on integers below 2^52 in
+    magnitude, and an output never exceeds the block's report count.  (Past
+    2^52, reachable only by a restored accumulator, the integer ranking is
+    the exact one.)  The decoded block never leaves this function, so a
+    pool mapping it over the blocks holds one decoded block per worker.
     """
-    num_buckets = params.num_buckets
-    hash_range = params.hash_range
-    z_size = code.z_alphabet_size
-    cell_std = math.sqrt(max(group_size, 1) * oracle.estimator_variance_per_user)
-    threshold = params.threshold_std * cell_std
-    histogram = oracle.histogram().reshape(num_buckets, hash_range, z_size)
-    best_z = histogram.argmax(axis=2)
-    best_value = np.take_along_axis(histogram, best_z[:, :, None], axis=2)[:, :, 0]
+    params = block.params
+    if params.randomizer != "hadamard":
+        return _best_cells(block.histogram().reshape(shape))
+    outputs = hadamard_outputs(block.counts, params.domain_size).reshape(shape)
+    best, value = _best_cells(outputs)
+    return best, value / params.attenuation
+
+
+def detection_threshold(block: ExplicitHistogramAggregator,
+                        threshold_std: float) -> float:
+    """``threshold_std`` standard deviations of one block's cell noise."""
+    return threshold_std * math.sqrt(max(block.num_reports, 1)
+                                     * block.params.estimator_variance_per_user)
+
+
+def append_coordinate_lists(best_z: np.ndarray, best_value: np.ndarray,
+                            threshold: float, coordinate: int,
+                            list_size: int,
+                            lists: List[List[List[tuple]]]) -> None:
+    """Step 3b of PrivateExpanderSketch for one coordinate.
+
+    Given the per-(b, y) arg-max of :func:`stage1_best`, the pair (y, z) is
+    kept if its estimate clears the detection threshold, largest estimates
+    first, up to the list budget ℓ.  Fills ``lists[b][coordinate]``.
+    """
     # One batched rank over every bucket at once (argsort of a row equals
     # argsort along axis=1, so tie order is unchanged).  The descending sort
     # makes the entries clearing the threshold a prefix of each row, so the
@@ -248,13 +281,21 @@ def append_coordinate_lists(oracle, group_size: int, coordinate: int,
     order = np.argsort(-best_value, axis=1)
     ranked_value = np.take_along_axis(best_value, order, axis=1)
     ranked_z = np.take_along_axis(best_z, order, axis=1)
-    keep = np.minimum((ranked_value >= threshold).sum(axis=1),
-                      params.list_size)
-    for bucket in range(num_buckets):
+    keep = np.minimum((ranked_value >= threshold).sum(axis=1), list_size)
+    for bucket in range(best_value.shape[0]):
         count = int(keep[bucket])
         lists[bucket][coordinate] = [
             (int(y), int(z)) for y, z in zip(order[bucket, :count],
                                              ranked_z[bucket, :count], strict=True)]
+
+
+def _map_blocks(function, blocks: Sequence) -> List:
+    """``[function(block) for block in blocks]`` on a thread pool of one
+    worker per usable CPU (numpy releases the GIL in the decode)."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)        # no affinity API off Linux
+    with ThreadPoolExecutor(min(cpus, len(blocks))) as pool:
+        return list(pool.map(function, blocks))
 
 
 def decode_candidate_lists(code: UniqueListRecoverableCode,
@@ -466,13 +507,16 @@ class ExpanderSketchAggregator(_TwoStageAggregator):
         lists: List[List[List[tuple]]] = [
             [[] for _ in range(pp.num_coordinates)]
             for _ in range(pp.num_buckets)]
-        group_sizes: List[int] = []
-        for m in range(pp.num_coordinates):
-            aggregator = self.stage1(m)
-            oracle = aggregator.finalize()
-            group_sizes.append(aggregator.num_reports)
-            append_coordinate_lists(oracle, aggregator.num_reports, m,
-                                    params.code, pp, lists)
+        blocks = [self.stage1(m) for m in range(pp.num_coordinates)]
+        shape = (pp.num_buckets, pp.hash_range, params.code.z_alphabet_size)
+        best = _map_blocks(lambda block: stage1_best(block, shape), blocks)
+        for m, (block, (best_z, best_value)) in enumerate(
+                zip(blocks, best, strict=True)):
+            append_coordinate_lists(
+                best_z, best_value,
+                detection_threshold(block, pp.threshold_std), m,
+                pp.list_size, lists)
+        group_sizes = [block.num_reports for block in blocks]
         candidates = decode_candidate_lists(params.code, lists, pp.num_buckets)
         return self._result(candidates, meter, protocol_name, {
             "parameters": pp.describe(),
@@ -626,20 +670,17 @@ class SingleHashAggregator(_TwoStageAggregator):
         params = self.params
         candidates: List[int] = []
         seen = set()
+        blocks = [self.stage1(g) for g in range(params.num_groups)]
+        shape = (params.hash_range, params.alphabet_size)
+        best = _map_blocks(lambda block: stage1_best(block, shape), blocks)
         for r in range(params.repetitions):
             reconstructed = np.zeros(params.hash_range, dtype=np.int64)
             passes_threshold = np.ones(params.hash_range, dtype=bool)
             for m in range(params.num_symbols):
-                aggregator = self.stage1(r * params.num_symbols + m)
-                oracle = aggregator.finalize()
-                size = aggregator.num_reports
-                cell_std = math.sqrt(max(size, 1)
-                                     * oracle.estimator_variance_per_user)
-                table = oracle.histogram().reshape(params.hash_range,
-                                                   params.alphabet_size)
-                best_symbol = table.argmax(axis=1)
-                best_value = table.max(axis=1)
-                passes_threshold &= best_value >= params.threshold_std * cell_std
+                group = r * params.num_symbols + m
+                best_symbol, best_value = best[group]
+                passes_threshold &= best_value >= detection_threshold(
+                    blocks[group], params.threshold_std)
                 reconstructed |= best_symbol << (m * params.symbol_bits)
             # Batched filter over all hash values at once; the survivors are
             # walked in hash-value order, matching the old scalar loop.
@@ -673,6 +714,8 @@ __all__ = [
     "SingleHashAggregator",
     "append_coordinate_lists",
     "decode_candidate_lists",
+    "detection_threshold",
+    "stage1_best",
     "stage1_subbatch",
     "final_subbatch",
 ]

@@ -58,10 +58,12 @@ def _butterflies(vec: np.ndarray) -> np.ndarray:
 
     Radix-4: each pass applies two butterfly levels to the quadruples at
     stride h, using one n/4 scratch buffer; an odd level count ends with
-    one radix-2 pass over the two halves.
+    one radix-2 pass over the two halves, a scratch-sized slice at a time.
+    Every value ever written is a signed sum of inputs, so no partial sum
+    exceeds ``sum(|vec|)``: the int32 decode relies on it.
     """
     n = vec.shape[0]
-    scratch = np.empty(n // 4, dtype=vec.dtype)
+    scratch = np.empty(max(n // 4, 1), dtype=vec.dtype)
     h = 1
     while 4 * h <= n:
         quad = vec.reshape(-1, 4, h)
@@ -77,10 +79,12 @@ def _butterflies(vec: np.ndarray) -> np.ndarray:
         np.subtract(diff01, x3, out=x3)  # x0 - x1 - x2 + x3 (final)
         h *= 4
     if 2 * h == n:
-        left, right = vec[:h], vec[h:]
-        left += right
-        right *= -2
-        right += left                   # (left + right) - 2 right
+        for start in range(0, h, scratch.size):
+            left = vec[start:start + scratch.size]
+            right = vec[h + start:h + start + scratch.size]
+            np.subtract(left, right, out=scratch)
+            left += right
+            right[...] = scratch
     return vec
 
 
@@ -96,27 +100,48 @@ def fast_walsh_hadamard_transform(vector: np.ndarray) -> np.ndarray:
     return _butterflies(vec)
 
 
+def _decode_dtype(bound: int) -> type:
+    """The narrowest exact decode dtype for partial sums within ``bound``."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
 def hadamard_outputs(accumulator: np.ndarray, count: int) -> np.ndarray:
-    """Exact int64 outputs ``1..count`` of the Walsh-Hadamard transform.
+    """Exact integer outputs ``1..count`` of the Walsh-Hadamard transform.
 
     ``accumulator`` (signed counts per Hadamard row) has length
     P = ``next_power_of_two(count + 1)``.  With halves a, b and Q = P/2,
     outputs 0..Q-1 are FWHT_Q(a + b), and outputs Q..count are FWHT_m of
     (a - b) summed over blocks of length m = next_power_of_two(count + 1 - Q).
-    Every partial sum is an integer bounded by ``sum(|accumulator|)``, so
-    the result is exact in any summation order.
+    Every partial sum is a signed sum of accumulator cells, so its magnitude
+    is at most ``sum(|accumulator|) <= P * max|accumulator|`` and the result
+    is exact in any summation order.  When that bound fits int32 the decode
+    runs in int32, half the memory traffic of int64.  The bound is read from
+    the cells themselves, never from a report count: a restored snapshot's
+    cells need not be bounded by its ``num_reports``.
+
+    Head and folded tail are transformed in one buffer of Q + m cells; the
+    result is the view of its outputs 1..count.
     """
-    if accumulator.shape[0] != next_power_of_two(count + 1):
-        raise ValueError(f"accumulator length {accumulator.shape[0]} is not "
+    size = accumulator.shape[0]
+    if size != next_power_of_two(count + 1):
+        raise ValueError(f"accumulator length {size} is not "
                          f"next_power_of_two({count} + 1)")
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    half = accumulator.shape[0] // 2
+    dtype = _decode_dtype(
+        size * max(int(accumulator.max()), -int(accumulator.min())))
+    half = size // 2
     a, b = accumulator[:half], accumulator[half:]
     upper = count + 1 - half
-    tail = _butterflies((a - b).reshape(-1, next_power_of_two(upper)).sum(axis=0))
-    head = _butterflies(a + b)
-    return np.concatenate((head[1:], tail[:upper]))
+    width = next_power_of_two(upper)
+    buffer = np.empty(half + width, dtype=dtype)
+    head, tail = buffer[:half], buffer[half:]
+    np.add(a, b, out=head)
+    np.subtract(a.reshape(-1, width).sum(axis=0, dtype=dtype),
+                b.reshape(-1, width).sum(axis=0, dtype=dtype), out=tail)
+    _butterflies(head)
+    _butterflies(tail)
+    return buffer[1:half + upper]
 
 
 class HadamardResponse(LocalRandomizer):

@@ -55,7 +55,7 @@ _BLOCKING_METHODS = frozenset({
 #: repo-native blocking entry points (module-level functions)
 _REPO_BLOCKING_FUNCS = frozenset({
     "read_snapshot", "write_snapshot", "spawn_server_process",
-    "launch_server_process", "await_listening", "reap_process",
+    "launch_server_process", "await_listening", "reap_processes",
 })
 
 #: repo-native blocking methods, keyed by a substring of the receiver chain

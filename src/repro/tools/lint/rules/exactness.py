@@ -15,6 +15,10 @@ batch -> flat cells hook), ``merge``/``_merge_impl``,
 transitive) ``ServerAggregator`` subclasses under ``repro/protocol``.
 ``finalize`` is deliberately *outside* the zone — debiasing is float math
 by design; the invariant is that floats appear only after the last merge.
+The zone also holds the module-level exact decode finalize runs first
+(:data:`_EXACT_FUNCTIONS`): the integer Walsh-Hadamard transform and the
+integer arg-max of the heavy-hitter reducer, whose outputs must equal the
+float path's bit for bit.
 
 Rules
 -----
@@ -39,6 +43,13 @@ _BASE = "ServerAggregator"
 #: method names forming the bit-identity hot zone
 _HOT_EXACT = frozenset({"merge", "_merge_impl", "snapshot", "restore",
                         "_state_dict", "_load_state", "_report_cells"})
+
+#: module-level exact-decode functions in the zone, by module file
+_EXACT_FUNCTIONS = {
+    "randomizers/hadamard.py": frozenset({"hadamard_outputs",
+                                          "_butterflies"}),
+    "protocol/heavy_hitters.py": frozenset({"_best_cells"}),
+}
 
 _NUMPY_FLOAT_ATTRS = frozenset({
     "float16", "float32", "float64", "float128", "float_", "single",
@@ -88,6 +99,11 @@ class ExactnessRule(Rule):
     # ----- zone test ------------------------------------------------------------------
 
     def _hot_method(self, ctx: ModuleContext) -> Optional[str]:
+        exact = _EXACT_FUNCTIONS.get(ctx.module_file)
+        if exact and len(ctx.stack) > 1 \
+                and isinstance(ctx.stack[1], ast.FunctionDef) \
+                and ctx.stack[1].name in exact:
+            return ctx.stack[1].name
         aggregators = ctx.facts.get(self.family)
         if not aggregators:
             return None

@@ -33,7 +33,7 @@ BASELINE = {
     "server": {"hashtogram": {"binary": 20_000_000}},
     "wire_bytes_per_report": {"hashtogram": 4.1},
     "engine": {"hashtogram": 4_000_000},
-    "finalize": {"expander_sketch": 14_000_000},
+    "finalize": {"expander_sketch": 50_000_000},
     "checkpoint": {"expander_sketch": 80_000_000},
     "encode": {"expander_sketch": 2_500_000},
 }
@@ -101,7 +101,7 @@ class TestEngineGate:
         assert any("no measured 1-worker row" in f for f in failures)
 
 
-def _finalize_payload(rate=14_000_000):
+def _finalize_payload(rate=50_000_000):
     return dict(_server_payload(), finalize={
         "expander_sketch": {"protocol": "expander_sketch",
                             "cells_per_s": rate}})
@@ -112,12 +112,25 @@ class TestFinalizeGate:
         assert check_finalize_regression(_finalize_payload(), BASELINE) == []
 
     def test_collapsed_throughput_fails(self):
-        # the float transform this floor guards against ran ~2.5x slower
+        # the float transform the integer decode replaced ran 6.5-10.7M
         failures = check_finalize_regression(
             _finalize_payload(rate=5_600_000), BASELINE)
         assert len(failures) == 1
         assert "finalize/expander_sketch" in failures[0]
         assert "regressed" in failures[0]
+
+    def test_committed_floor_separates_serial_from_parallel_decode(self):
+        # On the recording host the serial int64 decode peaked at 27.0M
+        # cells/s and the parallel int32 decode never measured under 51.7M:
+        # the committed floor must fail the first and pass the second.
+        committed = json.loads((Path(__file__).resolve().parent.parent
+                                / "BENCH_baseline.json").read_text())
+        failures = check_finalize_regression(
+            _finalize_payload(rate=27_000_000), committed)
+        assert len(failures) == 1
+        assert "finalize/expander_sketch" in failures[0]
+        assert check_finalize_regression(
+            _finalize_payload(rate=51_700_000), committed) == []
 
     def test_missing_protocol_row_fails(self):
         payload = dict(_server_payload(), finalize={"other": {

@@ -12,7 +12,12 @@ collects the invariants that tie several components together:
   deterministic (single-value) databases;
 * heavy-hitter scoring is consistent with exhaustive recomputation;
 * the exact integer Hadamard decode equals the old float transform bit for
-  bit, on every padded length up to 2^12 and on the benchmarked shape;
+  bit, on every padded length up to 2^12 and on the benchmarked shape, and
+  its int32 narrowing stays exact at the width boundary and on restored
+  rows far beyond any report count;
+* heavy-hitter finalize (the parallel integer reducer) equals the serial
+  float-histogram reference it replaced, candidates, estimates and list
+  sizes, and holds no more than one decoded block per pool worker;
 * every aggregator's flat ``counts`` vector equals the leaves of a
   test-only reference that keeps the nested per-child state and absorbs
   with per-child mask loops, across shard splits, merge orders and a
@@ -24,6 +29,8 @@ collects the invariants that tie several components together:
 
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +51,8 @@ from repro.protocol import (
     merge_aggregators,
 )
 from repro.protocol.explicit import ExplicitHistogramParams
-from repro.randomizers.hadamard import hadamard_outputs
+from repro.protocol.heavy_hitters import decode_candidate_lists
+from repro.randomizers.hadamard import _decode_dtype, hadamard_outputs
 from repro.randomizers.randomized_response import KaryRandomizedResponse
 from repro.structure.composed_rr import ApproximateComposedRandomizedResponse
 from repro.utils.bits import next_power_of_two
@@ -462,6 +470,222 @@ def test_integer_hadamard_decode_expander_sketch_shape():
 def test_integer_hadamard_decode_rejects_wrong_length():
     with pytest.raises(ValueError, match="next_power_of_two"):
         hadamard_outputs(np.zeros(16, dtype=np.int64), 7)
+
+
+# --------------------------------------------------------------------------------------
+# the int32-narrowed decode == the int64 reference at the width boundary
+# --------------------------------------------------------------------------------------
+
+def test_decode_width_boundary():
+    """Partial sums bounded by 2^31 - 1 fit int32; a bound of 2^31 does not."""
+    assert _decode_dtype(2**31 - 1) is np.int32
+    assert _decode_dtype(2**31) is np.int64
+
+
+def _column_pattern(size, column):
+    """``H[:, column]``: the accumulator whose output ``column`` is ``size``."""
+    parity = np.bitwise_count(np.arange(size) & column) & 1
+    return 1 - 2 * parity.astype(np.int64)
+
+
+@pytest.mark.parametrize("domain_size", [1, 2, 7, 8, 1023, 1024, 4095])
+@pytest.mark.parametrize("signs", ["column", "random"])
+def test_narrowed_decode_is_exact_at_the_width_boundary(domain_size, signs):
+    """P * max|acc| just below 2^31 decodes in int32, exactly 2^31 in int64;
+    both equal the reference transform, including an output of magnitude
+    P * max|acc| itself (the ``column`` pattern)."""
+    size = next_power_of_two(domain_size + 1)
+    pattern = (_column_pattern(size, domain_size) if signs == "column"
+               else 1 - 2 * np.random.default_rng(size).integers(0, 2, size))
+    for magnitude, dtype in (((2**31 - 1) // size, np.int32),
+                             (2**31 // size, np.int64)):
+        accumulator = magnitude * pattern
+        outputs = hadamard_outputs(accumulator, domain_size)
+        reference = _reference_fwht(accumulator)[1:domain_size + 1]
+        assert outputs.dtype == dtype
+        assert np.array_equal(outputs, reference)
+        if signs == "column":
+            assert outputs[-1] == size * magnitude
+
+
+def test_restored_huge_rows_take_the_int64_path():
+    """A snapshot's accumulator cells are not bounded by its num_reports:
+    rows of ~2^40 from a restore with 3 reports still decode exactly."""
+    params = ExplicitHistogramParams(1000, 1.0)
+    snapshot = params.make_aggregator().absorb_batch(
+        params.make_encoder().encode_batch([1, 2, 3], rng=0)).snapshot()
+    huge = np.random.default_rng(0).integers(-2**40, 2**40, size=params.padded)
+    snapshot["state"]["counts"] = huge.tolist()
+    restored = ServerAggregator.from_snapshot(snapshot)
+    assert restored.num_reports == 3
+    outputs = hadamard_outputs(restored.counts, params.domain_size)
+    reference = _reference_fwht(huge)[1:params.domain_size + 1]
+    assert outputs.dtype == np.int64
+    assert np.array_equal(outputs, reference)
+    assert np.array_equal(restored.histogram(),
+                          reference / params.attenuation)
+
+
+# --------------------------------------------------------------------------------------
+# the parallel integer reducer == the float-histogram finalize it replaced
+# --------------------------------------------------------------------------------------
+
+def _reference_coordinate_lists(block, coordinate, code, params, lists):
+    """Test-only reference for steps 2-3 of one coordinate: the whole float
+    histogram, ranked as the old finalize ranked it.  (That finalize read
+    it through the fitted oracle, which raised on a coordinate with no
+    reports; the aggregator's own histogram is the same array.)"""
+    cell_std = math.sqrt(max(block.num_reports, 1)
+                         * block.finalize().estimator_variance_per_user)
+    threshold = params.threshold_std * cell_std
+    histogram = block.histogram().reshape(
+        params.num_buckets, params.hash_range, code.z_alphabet_size)
+    best_z = histogram.argmax(axis=2)
+    best_value = np.take_along_axis(histogram, best_z[:, :, None],
+                                    axis=2)[:, :, 0]
+    order = np.argsort(-best_value, axis=1)
+    ranked_value = np.take_along_axis(best_value, order, axis=1)
+    ranked_z = np.take_along_axis(best_z, order, axis=1)
+    keep = np.minimum((ranked_value >= threshold).sum(axis=1),
+                      params.list_size)
+    for bucket in range(params.num_buckets):
+        count = int(keep[bucket])
+        lists[bucket][coordinate] = [
+            (int(y), int(z)) for y, z in zip(order[bucket, :count],
+                                             ranked_z[bucket, :count],
+                                             strict=True)]
+
+
+def _reference_candidates(aggregator):
+    """Candidates and list sizes of the serial float-histogram finalize."""
+    params = aggregator.params
+    if params.protocol == "expander_sketch":
+        pp = params.params
+        lists = [[[] for _ in range(pp.num_coordinates)]
+                 for _ in range(pp.num_buckets)]
+        for m in range(pp.num_coordinates):
+            _reference_coordinate_lists(aggregator.stage1(m), m,
+                                        params.code, pp, lists)
+        return (decode_candidate_lists(params.code, lists, pp.num_buckets),
+                [len(per_coord) for per_bucket in lists
+                 for per_coord in per_bucket])
+    candidates = []
+    for r in range(params.repetitions):
+        reconstructed = np.zeros(params.hash_range, dtype=np.int64)
+        passes = np.ones(params.hash_range, dtype=bool)
+        for m in range(params.num_symbols):
+            block = aggregator.stage1(r * params.num_symbols + m)
+            cell_std = math.sqrt(max(block.num_reports, 1)
+                                 * block.finalize().estimator_variance_per_user)
+            table = block.histogram().reshape(params.hash_range,
+                                               params.alphabet_size)
+            passes &= table.max(axis=1) >= params.threshold_std * cell_std
+            reconstructed |= table.argmax(axis=1) << (m * params.symbol_bits)
+        for candidate in reconstructed[
+                passes & (reconstructed < params.domain_size)].tolist():
+            if candidate not in candidates:
+                candidates.append(candidate)
+    return candidates, None
+
+
+_REDUCER_CASES = {
+    "expander_sketch": PrivateExpanderSketch(
+        domain_size=1 << 12, epsilon=4.0).public_params(
+            10_000, rng=np.random.default_rng(3)),
+    "single_hash_bnst": SingleHashHeavyHitters(
+        domain_size=1 << 12, epsilon=4.0, num_repetitions=2).public_params(
+            10_000, rng=np.random.default_rng(5)),
+}
+
+
+def _planted_values(domain_size, num_users, gen):
+    """A few heavy values over a uniform background, so lists fill up."""
+    heavy = gen.integers(0, domain_size, size=3)
+    values = gen.integers(0, domain_size, size=num_users)
+    mask = gen.random(num_users) < 0.6
+    values[mask] = heavy[gen.integers(0, 3, size=int(mask.sum()))]
+    return values
+
+
+def _sharded_aggregate(params, seed, num_users, num_shards):
+    gen = np.random.default_rng(seed)
+    values = _planted_values(params.domain_size, num_users, gen)
+    batch = params.make_encoder().encode_batch(values, gen)
+    cuts = np.sort(gen.integers(0, num_users + 1, size=num_shards - 1))
+    return merge_aggregators([
+        params.make_aggregator().absorb_batch(batch.select(rows))
+        for rows in np.split(np.arange(num_users), cuts)])
+
+
+@pytest.mark.parametrize("name", sorted(_REDUCER_CASES))
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       num_users=st.integers(min_value=1, max_value=10_000),
+       num_shards=st.integers(min_value=1, max_value=4))
+@settings(max_examples=10, deadline=None)
+def test_finalize_equals_the_float_histogram_reference(name, seed, num_users,
+                                                       num_shards):
+    params = _REDUCER_CASES[name]
+    aggregator = _sharded_aggregate(params, seed, num_users, num_shards)
+    result = aggregator.finalize()
+    candidates, list_sizes = _reference_candidates(aggregator)
+    assert result.candidates == candidates
+    if candidates:
+        estimated = aggregator.final().finalize().estimate_many(candidates)
+        assert result.estimates == {
+            int(x): float(a) for x, a in zip(candidates, estimated,
+                                             strict=True)}
+    else:
+        assert result.estimates == {}
+    if list_sizes is not None:
+        assert result.metadata["list_sizes"] == list_sizes
+
+
+@pytest.mark.parametrize("name", sorted(_REDUCER_CASES))
+def test_reducer_reference_is_not_vacuous(name):
+    """The planted workload gives the equality above candidates to compare."""
+    aggregator = _sharded_aggregate(_REDUCER_CASES[name], 1, 10_000, 3)
+    assert aggregator.finalize().candidates
+    assert _reference_candidates(aggregator)[0]
+
+
+@pytest.mark.parametrize("name", sorted(_REDUCER_CASES))
+def test_finalize_with_empty_groups(name):
+    """One report leaves every other stage-1 group empty: finalize answers
+    (no candidates) instead of raising on the empty groups' oracles."""
+    params = _REDUCER_CASES[name]
+    aggregator = params.make_aggregator().absorb_batch(
+        params.make_encoder().encode_batch([5], rng=0))
+    assert aggregator.finalize().candidates == _reference_candidates(
+        aggregator)[0] == []
+
+
+def test_finalize_holds_one_decoded_block_per_worker(monkeypatch):
+    """Every pool worker returns only its (B, Y) arg-max, never a decoded
+    block: with the pool pinned to 2 workers, finalize's traced peak stays
+    under 3 decode buffers (holding all M = 9 decodes would not)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    workers = 2
+    params = _ENCODER_CASES["expander_sketch/2^20"]
+    gen = np.random.default_rng(1)
+    aggregator = params.make_aggregator().absorb_batch(
+        params.make_encoder().encode_batch(
+            gen.integers(0, params.domain_size, size=20_000), gen))
+    block = aggregator.stage1(0)
+    # one decode's buffer: the padded length in the decode's own width
+    bytes_per_decode = (block.counts.size * hadamard_outputs(
+        block.counts, block.params.domain_size).dtype.itemsize)
+    assert params.params.num_coordinates >= 3 * (workers + 1)
+    aggregator.finalize()                    # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        aggregator.finalize()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < (workers + 1) * bytes_per_decode, peak
 
 
 # --------------------------------------------------------------------------------------

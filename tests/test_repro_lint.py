@@ -191,6 +191,30 @@ class TestExactnessRules:
         """})
         assert codes(diags) == ["RPL202"]
 
+    def test_exact_decode_functions_are_in_zone(self, tmp_path):
+        diags = run_lint(tmp_path, {
+            "repro/randomizers/hadamard.py": """\
+                def _butterflies(vec):
+                    return vec * 1.0
+
+                def hadamard_outputs(accumulator, count):
+                    return accumulator[1:count + 1] / 2
+
+                def fast_walsh_hadamard_transform(vector):
+                    return _butterflies(vector / 1.0)
+            """,
+            "repro/protocol/heavy_hitters.py": """\
+                def _best_cells(outputs):
+                    return outputs.argmax(axis=-1), float(outputs.max())
+
+                def stage1_best(block, shape):
+                    return _best_cells(block.counts.reshape(shape)) / 2.0
+            """,
+        })
+        assert sorted((Path(d.path).name, d.line, d.code) for d in diags) == [
+            ("hadamard.py", 2, "RPL201"), ("hadamard.py", 5, "RPL202"),
+            ("heavy_hitters.py", 2, "RPL204")]
+
     def test_near_misses_stay_clean(self, tmp_path):
         diags = run_lint(tmp_path, {"repro/protocol/fine.py": """\
             from repro.protocol.wire import ServerAggregator

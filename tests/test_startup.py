@@ -1,4 +1,5 @@
-"""Cold start: parallel shard spawn, SIGTERM clean-up, and the import closure.
+"""Cold start: parallel shard spawn and stop, SIGTERM clean-up (also while
+the shards are still starting), and the import closure.
 
 A cluster should start in about one router start plus one shard start, so
 :class:`ClusterSupervisor` launches every shard before it waits for any
@@ -38,15 +39,22 @@ SERVING_CLOSURE = ("import repro.cli, repro.server.service, "
                    "repro.cluster.router, repro.transport")
 
 
-def _stub_child(index: int, delay: float, first_line: str) -> subprocess.Popen:
-    """A stand-in shard: sleeps, prints ``first_line``, then idles."""
-    code = (f"import time; time.sleep({delay}); "
-            f"print({first_line!r}, flush=True); time.sleep(60)")
+def _stub_child(index: int, delay: float, first_line: str,
+                exit_delay: float = 0.0) -> subprocess.Popen:
+    """A stand-in shard: sleeps, prints ``first_line``, then idles; with
+    ``exit_delay`` it takes that long to exit on ``SIGTERM``."""
+    code = "import time\n"
+    if exit_delay:
+        code += ("import signal, sys\n"
+                 "signal.signal(signal.SIGTERM, lambda *_: "
+                 f"(time.sleep({exit_delay}), sys.exit(0)))\n")
+    code += (f"time.sleep({delay}); print({first_line!r}, flush=True); "
+             f"time.sleep(60)")
     return subprocess.Popen([sys.executable, "-c", code],
                             stdout=subprocess.PIPE, text=True)
 
 
-def _stub_launcher(children, bad_index=None, delay=1.0):
+def _stub_launcher(children, bad_index=None, delay=1.0, exit_delay=0.0):
     """A ``launch_server_process`` replacement recording every child."""
 
     def launch(verb="serve", params_file=None, extra_args=()):
@@ -56,7 +64,8 @@ def _stub_launcher(children, bad_index=None, delay=1.0):
             proc = _stub_child(index, 0.0, "Traceback: boom")
         else:
             proc = _stub_child(index, delay,
-                               f"LISTENING 127.0.0.1 {7000 + index}")
+                               f"LISTENING 127.0.0.1 {7000 + index}",
+                               exit_delay)
         children.append(proc)
         return proc
 
@@ -128,6 +137,71 @@ class TestParallelSpawn:
         assert all(child.poll() is not None for child in children)
 
 
+class TestParallelStop:
+    def test_three_slow_shards_stop_in_one_deadline(self, params, tmp_path,
+                                                    monkeypatch):
+        children = []
+        monkeypatch.setattr(supervisor_module, "launch_server_process",
+                            _stub_launcher(children, delay=0.0,
+                                           exit_delay=1.0))
+        supervisor = ClusterSupervisor(params, 3, tmp_path)
+        try:
+            supervisor.start()
+        finally:
+            start = time.perf_counter()
+            supervisor.stop()
+            elapsed = time.perf_counter() - start
+        # each stub takes 1 s to exit on SIGTERM: serial stop >= 3 s
+        assert elapsed < 2.0, elapsed
+        assert len(children) == 3
+        assert all(child.returncode == 0 for child in children)
+
+    def test_stragglers_are_killed_at_the_deadline(self):
+        children = [_stub_child(0, 0.0, "LISTENING 127.0.0.1 7000",
+                                exit_delay=30.0),
+                    _stub_child(1, 0.0, "LISTENING 127.0.0.1 7001")]
+        supervisor_module.await_listening(children)
+        start = time.perf_counter()
+        supervisor_module.reap_processes(children, timeout=1.0)
+        assert time.perf_counter() - start < 5.0
+        assert children[0].returncode == -signal.SIGKILL
+        assert children[1].returncode == -signal.SIGTERM
+
+
+class _Unwound(Exception):
+    pass
+
+
+def _unwind(signum, frame):
+    raise _Unwound
+
+
+class TestSigtermMidLaunch:
+    def test_sigterm_between_fork_and_record_reaps_the_child(
+            self, params, tmp_path, monkeypatch):
+        """A Python SIGTERM handler that unwinds runs only once the child
+        just forked is recorded, so the unwind reaps it."""
+        children = []
+        stub = _stub_launcher(children, delay=30.0)
+
+        def launch(*args):
+            proc = stub(*args)
+            os.kill(os.getpid(), signal.SIGTERM)   # lands before the return
+            return proc
+
+        monkeypatch.setattr(supervisor_module, "launch_server_process",
+                            launch)
+        previous = signal.signal(signal.SIGTERM, _unwind)
+        try:
+            supervisor = ClusterSupervisor(params, 3, tmp_path)
+            with pytest.raises(_Unwound):
+                supervisor.start()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert len(children) == 1
+        assert children[0].poll() is not None
+
+
 def _children(pid: int):
     """Pids of the live ``repro.cli`` children of ``pid``."""
     out = []
@@ -171,9 +245,62 @@ class TestSigtermCleanup:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=20) == 0
         finally:
-            supervisor_module.reap_process(proc)
+            supervisor_module.reap_processes([proc])
         assert all(_gone(pid) for pid in shards)
         assert list(tmp_path.glob("repro-cluster-*")) == []
+        assert [name for name in os.listdir("/dev/shm")
+                if name.startswith(prefix)] == []
+
+
+#: ``serve-cluster`` whose shards are stubs that never finish starting; each
+#: stub's pid is recorded as a ``stub-<pid>`` file in the directory argv[1]
+_STARTING_CLUSTER = textwrap.dedent("""\
+    import subprocess, sys
+    from pathlib import Path
+
+    import repro.cluster.supervisor as supervisor_module
+    from repro.cli import main
+
+    def launch(verb="serve", params_file=None, extra_args=()):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(60)"],
+            stdout=subprocess.PIPE, text=True)
+        Path(sys.argv[1], f"stub-{proc.pid}").touch()
+        return proc
+
+    supervisor_module.launch_server_process = launch
+    sys.exit(main(["serve-cluster", "--shards", "2", "--transport", "shm",
+                   "--protocol", "hashtogram", "--domain-size", "1024",
+                   "--num-users", "1000", "--port", "0", "--quiet"]))
+""")
+
+
+@pytest.mark.cluster
+@pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="needs /dev/shm")
+class TestSigtermDuringStart:
+    def test_sigterm_while_shards_start_reaps_them(self, tmp_path):
+        env = dict(os.environ, TMPDIR=str(tmp_path),
+                   PYTHONPATH=str(SRC) + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _STARTING_CLUSTER, str(tmp_path)],
+            env=env)
+        try:
+            deadline = time.monotonic() + 30
+            while (len(list(tmp_path.glob("stub-*"))) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            stubs = [int(path.name.split("-")[1])
+                     for path in tmp_path.glob("stub-*")]
+            assert len(stubs) == 2
+            assert len(list(tmp_path.glob("repro-cluster-*"))) == 1
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=20) == 0
+        finally:
+            supervisor_module.reap_processes([proc])
+        assert all(_gone(pid) for pid in stubs)
+        assert list(tmp_path.glob("repro-cluster-*")) == []
+        prefix = f"repro-{proc.pid}-"
         assert [name for name in os.listdir("/dev/shm")
                 if name.startswith(prefix)] == []
 
