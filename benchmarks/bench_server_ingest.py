@@ -20,10 +20,13 @@ payload carries a ``finalize`` section: PrivateExpanderSketch's server
 finalize at n=400k, D=2^20, ε=1, in decoded stage-1 cells per second, and
 a ``checkpoint`` section: the body of a shard checkpoint on the same
 aggregate (windowed array capture plus ``pack_state``), in state cells
-per second, and an ``encode`` section: the PrivateExpanderSketch client
-encode (``encode_stream``) of the same reports, in reports per second.
-All three are gated by the same ``max_drop`` rule against the baseline's
-``finalize``, ``checkpoint`` and ``encode`` floors.
+per second, an ``encode`` section: the PrivateExpanderSketch client
+encode (``encode_stream``) of the same reports, in reports per second,
+and a ``state_pull`` section: a two-shard state pull of the same
+aggregate (each shard's kind-2 ``state`` reply packed, then decoded and
+summed into the router's merged state), in state cells per second.  All
+four are gated by the same ``max_drop`` rule against the baseline's
+``finalize``, ``checkpoint``, ``encode`` and ``state_pull`` floors.
 
 Client-side encoding and frame serialization are done *before* the clock
 starts (a deployment's clients encode on their own devices); the timed path
@@ -236,6 +239,43 @@ def run_checkpoint_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
             "cells_per_s": int(cells / max(best, 1e-9))}
 
 
+#: shards whose replies one ``state_pull`` repeat packs, decodes and sums
+STATE_PULL_SHARDS = 2
+
+
+def run_state_pull_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
+    """Time a cluster state pull in state cells/s.
+
+    One repeat is the query path of a ``STATE_PULL_SHARDS``-shard cluster
+    whose shards each hold the aggregate: per shard, the ``state`` reply
+    packed into its kind-2 frame (what the shard runs) and the frame
+    decoded (what the router's read runs), then every reply loaded and
+    summed into the router's merged state.  ``state_pull_s`` is the best
+    of ``repeats``; cells are the state cells of every pulled reply.
+    """
+    from repro.cluster.router import sum_pulled_states
+    from repro.server.framing import decode_frame, encode_state_frame
+    from repro.server.service import state_reply
+
+    params, windowed = aggregate
+    merged = windowed.merged()
+    epochs = windowed.epochs
+
+    def pull():
+        replies = [decode_frame(encode_state_frame(
+            state_reply(merged, epochs))[4:])
+            for _ in range(STATE_PULL_SHARDS)]
+        return sum_pulled_states(params, replies)
+
+    best = _best_s(pull, repeats)
+    cells = windowed.state_size * STATE_PULL_SHARDS
+    return {"protocol": "expander_sketch", "num_users": FINALIZE_USERS,
+            "domain_size": FINALIZE_DOMAIN, "epsilon": FINALIZE_EPSILON,
+            "shards": STATE_PULL_SHARDS, "state_cells": int(cells),
+            "state_pull_s": round(best, 4),
+            "cells_per_s": int(cells / max(best, 1e-9))}
+
+
 def run_encode_bench(workload, repeats: int = 3) -> Dict[str, object]:
     """Time the PrivateExpanderSketch client encode in reports/s.
 
@@ -379,6 +419,15 @@ def check_encode_regression(payload: Dict[str, object],
                                      unit="reports/s")
 
 
+def check_state_pull_regression(payload: Dict[str, object],
+                                baseline: Dict[str, object],
+                                max_drop: float = None) -> List[str]:
+    """Gate the ``state_pull`` rows (packed, decoded and summed state
+    cells/s)."""
+    return _check_section_regression("state_pull", payload, baseline,
+                                     max_drop)
+
+
 def check_transport_regression(payload: Dict[str, object],
                                baseline: Dict[str, object],
                                max_drop: float = None) -> List[str]:
@@ -486,8 +535,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--baseline", metavar="BASELINE_JSON", default=None,
                         help="committed BENCH_baseline.json to gate --check "
                              "against: the wire-bytes ceiling, and "
-                             "throughput (fails on a drop larger than the "
-                             "baseline's max_drop, default 40%%)")
+                             "throughput, finalize, checkpoint, encode and "
+                             "state-pull rates (fails on a drop larger than "
+                             "the baseline's max_drop, default 40%%)")
     parser.add_argument("--engine", metavar="BENCH_ENGINE_JSON", default=None,
                         help="also gate this BENCH_engine.json payload "
                              "against the baseline's engine numbers "
@@ -512,6 +562,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         failures += check_finalize_regression(payload, baseline)
         failures += check_checkpoint_regression(payload, baseline)
         failures += check_encode_regression(payload, baseline)
+        failures += check_state_pull_regression(payload, baseline)
         if args.engine is not None:
             engine_payload = json.loads(Path(args.engine).read_text())
             failures += check_engine_regression(engine_payload, baseline)
@@ -536,9 +587,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finalize = run_finalize_bench(aggregate, args.repeats)
     checkpoint = run_checkpoint_bench(aggregate, args.repeats)
     encode = run_encode_bench(workload, args.repeats)
+    state_pull = run_state_pull_bench(aggregate, args.repeats)
     payload["finalize"] = {finalize["protocol"]: finalize}
     payload["checkpoint"] = {checkpoint["protocol"]: checkpoint}
     payload["encode"] = {encode["protocol"]: encode}
+    payload["state_pull"] = {state_pull["protocol"]: state_pull}
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     print(format_table(_report_rows(payload),
                        title=f"server ingest, n={args.num_users}, "
@@ -546,6 +599,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(format_table([finalize], title="expander-sketch finalize"))
     print(format_table([checkpoint], title="expander-sketch checkpoint"))
     print(format_table([encode], title="expander-sketch client encode"))
+    print(format_table([state_pull], title="expander-sketch state pull"))
     print(f"\nwrote {args.output}")
     if not all(row["identical_to_offline_engine"]
                for row in payload["results"]):

@@ -5,8 +5,9 @@ router↔shard — and forwards bytes untouched *except* at scheduled frame
 counts, where it injects one wire fault (``docs/chaos.md``).  It is
 frame-aware in the client→upstream direction: that leg is parsed with the
 production :func:`~repro.server.framing.read_frame_payload`, a monotone
-counter ticks once per ``reports`` frame — a binary payload, sniffed by
-its magic byte without a decode (control frames pass through uncounted),
+counter ticks once per ``reports`` frame — a kind-1 binary payload,
+sniffed by its header bytes without a decode (control frames and kind-2
+``absorb_state`` pushes pass through uncounted),
 and a :class:`~repro.chaos.schedule.FaultEvent` scheduled at count *n*
 fires exactly when frame *n* arrives — deterministic under a fixed
 schedule, independent of timing.  The upstream→client direction is a
@@ -52,7 +53,7 @@ import asyncio
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.chaos.schedule import WIRE_KINDS, FaultEvent
-from repro.protocol.binary import is_binary_payload
+from repro.protocol.binary import KIND_REPORTS, payload_kind
 from repro.server.framing import FrameError, frame_bytes, read_frame_payload
 from repro.transport import Listener
 from repro.transport import dial as transport_dial
@@ -235,7 +236,7 @@ class FaultyTransport:
                 if conn.blackhole:
                     continue  # swallow everything after a stall
                 event: Optional[FaultEvent] = None
-                if is_binary_payload(payload):
+                if payload_kind(payload) == KIND_REPORTS:
                     self.frames += 1
                     event = self.faults.pop(self.frames, None)
                 if event is not None:

@@ -84,7 +84,6 @@ replays exactly what an in-process recovery would have.
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,35 +107,38 @@ from repro.cluster.journal import FrameJournal, MembershipJournal
 from repro.cluster.shardmap import ShardMap, ShardMapError, ShardMapStore
 from repro.engine.partition import ShardPartition
 from repro.protocol.binary import (
+    KIND_STATE,
     decode_reports_payload,
     is_binary_payload,
-    pack_state,
+    payload_kind,
     peek_reports_header,
     stamp_sequence,
-    unpack_state,
 )
 from repro.protocol.wire import (
     PublicParams,
     ServerAggregator,
-    child_state,
     load_child_state,
-    merge_aggregators,
 )
 from repro.server.client import ShardUnavailable
+from repro.server.service import state_reply
 from repro.server.snapshot import read_snapshot, write_snapshot
 from repro.server.framing import (
     JSON_REPORTS_REJECTED,
     WIRE_FORMATS,
     FrameError,
+    encode_frame,
+    encode_state_frame,
     frame_bytes,
     read_frame,
     read_frame_payload,
     write_frame,
+    write_state_frame,
 )
 from repro.transport import dial as transport_dial
 from repro.utils.rng import RandomState, as_generator
 
-__all__ = ["ClusterError", "ClusterRouter", "RouterStats", "ROUTER_ID"]
+__all__ = ["ClusterError", "ClusterRouter", "RouterStats", "ROUTER_ID",
+           "sum_pulled_states"]
 
 #: protocol identification string sent in every router ``params`` reply
 ROUTER_ID = "repro-cluster-router/1"
@@ -155,6 +157,26 @@ _SHARD_FAILURES = (
 
 class ClusterError(RuntimeError):
     """A shard is unreachable and cannot be revived."""
+
+
+def sum_pulled_states(params: PublicParams,
+                      pulls: Sequence[Dict[str, object]]) -> ServerAggregator:
+    """Load the shards' ``state`` replies and sum them exactly.
+
+    Each reply's ``"state"`` arrived in a kind-2 frame, unpacked into an
+    int64 vector nothing else holds.  So the first shard's vector becomes
+    the sum, and every other shard's is added into it in place: the
+    integer sum ``merge`` computes, without a fresh vector per merge.
+    """
+    merged: Optional[ServerAggregator] = None
+    for pull in pulls:
+        shard = load_child_state(params.make_aggregator(), pull["state"])
+        if merged is None:
+            merged = shard
+        else:
+            merged.counts += shard.counts
+            merged.num_reports += shard.num_reports
+    return merged if merged is not None else params.make_aggregator()
 
 
 @dataclass
@@ -598,10 +620,13 @@ class ClusterRouter:
     async def _request_on_link(
         self,
         link: _ShardLink,
-        frame: Dict[str, object],
+        frame: Union[Dict[str, object], bytes],
         expected: str,
     ) -> Dict[str, object]:
         """One request/reply on an (assumed healthy) shard connection.
+
+        ``frame`` is a message (sent as a JSON frame) or an already
+        encoded frame (a kind-2 ``absorb_state``).
 
         The whole exchange runs under ``request_timeout``, so a stalled
         shard surfaces as ``asyncio.TimeoutError`` (a recoverable
@@ -615,8 +640,11 @@ class ClusterRouter:
         if reader is None or writer is None:
             raise FrameError(f"shard {link.index} link is not connected")
 
+        data = frame if isinstance(frame, bytes) else encode_frame(frame)
+
         async def exchange() -> Optional[Dict[str, object]]:
-            await write_frame(writer, frame)
+            writer.write(data)
+            await writer.drain()
             return await read_frame(reader)
 
         reply = await asyncio.wait_for(exchange(), self.request_timeout)
@@ -723,7 +751,7 @@ class ClusterRouter:
     async def _request(
         self,
         link: _ShardLink,
-        frame: Dict[str, object],
+        frame: Union[Dict[str, object], bytes],
         expected: str,
         revive: bool = True,
     ) -> Dict[str, object]:
@@ -902,6 +930,14 @@ class ClusterRouter:
 
     async def _dispatch(self, payload: bytes, writer: asyncio.StreamWriter) -> bool:
         """Handle one client frame; returns ``False`` to close the connection."""
+        if payload_kind(payload) == KIND_STATE:
+            # State travels between a router and its shards only; a client
+            # request must not be forwarded as, or mistaken for, a report.
+            await write_frame(writer, {
+                "type": "error",
+                "error": "unexpected kind-2 frame: a router accepts state "
+                         "only from its shards"})
+            return True
         # Reports frames: peek the routing header and forward the payload
         # bytes verbatim — fire-and-forget, like the single-server path.
         if is_binary_payload(payload):
@@ -1020,10 +1056,10 @@ class ClusterRouter:
             )
             return True
         if kind == "state":
-            # Cluster-level state pull: merge the shards' packed states and
-            # re-pack the merged exact-integer state — the same frame a
-            # shard answers, so clusters compose (a router can front
-            # routers) and protocols whose finalized estimator is not
+            # Cluster-level state pull: sum the shards' pulled states and
+            # re-pack the merged exact-integer state — the same kind-2
+            # frame a shard answers, so clusters compose (a router can
+            # front routers) and protocols whose finalized estimator is not
             # item-queryable (RAPPOR) still get exact cluster reads.
             window = message.get("window")
             window = int(window) if window is not None else None
@@ -1034,18 +1070,8 @@ class ClusterRouter:
             async with self._membership_lock:
                 merged, epochs = await self._merged_aggregator(window,
                                                                min_epoch)
-            blob = pack_state(child_state(merged))
             self.stats.queries_answered += 1
-            await write_frame(
-                writer,
-                {
-                    "type": "state",
-                    "protocol": self.params.protocol,
-                    "epochs": epochs,
-                    "num_reports": int(merged.num_reports),
-                    "state": base64.b64encode(blob).decode("ascii"),
-                },
-            )
+            await write_state_frame(writer, state_reply(merged, epochs))
             return True
         if kind == "stats":
             async with self._membership_lock:
@@ -1187,7 +1213,7 @@ class ClusterRouter:
         window: Optional[int],
         min_epoch: Optional[int],
     ) -> Tuple[ServerAggregator, List[int]]:
-        """Pull every shard's packed state and merge exactly.
+        """Pull every shard's state and sum it exactly.
 
         The shard-side ``state`` handler drains its ingestion queue first,
         and each shard connection delivers frames in order, so the pulled
@@ -1200,13 +1226,7 @@ class ClusterRouter:
             pulls = await self._pull_windowed(window)
         else:
             pulls = await self._pull_states(min_epoch)
-        shards = []
-        for pull in pulls:
-            aggregator = self.params.make_aggregator()
-            state = unpack_state(base64.b64decode(str(pull["state"])))
-            load_child_state(aggregator, state)
-            shards.append(aggregator)
-        merged = merge_aggregators(shards)
+        merged = sum_pulled_states(self.params, pulls)
         epochs = sorted({int(e) for pull in pulls for e in pull["epochs"]})
         return merged, epochs
 
@@ -1363,7 +1383,7 @@ class ClusterRouter:
     def _handoff_path(self, hid: int) -> Optional[Path]:
         if self.journal_dir is None:
             return None
-        return self.journal_dir / f"handoff-{hid:06d}.json"
+        return self.journal_dir / f"handoff-{hid:06d}.bin"
 
     async def add_shard(self) -> Dict[str, object]:
         """Grow the cluster by one shard at an epoch cut (``§7.4``).
@@ -1573,11 +1593,11 @@ class ClusterRouter:
                 "shard": sid,
                 "target": target,
                 "num_reports": int(reply["num_reports"]),
-                "state": str(reply["state"]),
+                "state": reply["state"],
             }
             if blob_path is not None:
                 await loop.run_in_executor(
-                    None, write_snapshot, blob_path, payload
+                    None, write_snapshot, blob_path, payload, "binary"
                 )
             self._journal_membership(
                 {"op": "drain", "step": "pulled", "shard": sid,
@@ -1586,8 +1606,8 @@ class ClusterRouter:
             )
         await self._request(
             target_link,
-            {"type": "absorb_state", "handoff": hid,
-             "state": str(payload["state"])},
+            encode_state_frame({"type": "absorb_state", "handoff": hid,
+                                "state": payload["state"]}),
             "absorbed",
         )
         # Checkpoint the survivor immediately: the absorbed state must not

@@ -21,8 +21,10 @@ here.  This module has no serialization layer at all:
   state**: a JSON skeleton in which every integer array is replaced by a
   reference into the binary column table.  The multiprocess engine uses it
   for the worker→parent result channel (avoiding a public-parameter
-  round-trip per worker) and :class:`~repro.server.snapshot.SnapshotStore`
-  for binary snapshot files.
+  round-trip per worker), :class:`~repro.server.snapshot.SnapshotStore`
+  for binary snapshot files, and :mod:`repro.server.framing` for the
+  ``state``, ``handoff_state`` and ``absorb_state`` frames, whose reply
+  fields ride in the skeleton and whose counts ride in the columns.
 
 Frame layout (normative; also specified in ``docs/wire-protocol.md`` §8)::
 
@@ -83,6 +85,7 @@ __all__ = [
     "encode_reports_payload",
     "is_binary_payload",
     "pack_state",
+    "payload_kind",
     "peek_reports_header",
     "stamp_sequence",
     "unpack_state",
@@ -94,7 +97,8 @@ BINARY_MAGIC = 0xB1
 BINARY_VERSION = 1
 #: payload kind: a ReportBatch frame
 KIND_REPORTS = 1
-#: payload kind: a packed state container (snapshots, engine results)
+#: payload kind: a packed state container (snapshots, engine results,
+#: and the state-carrying frames of ``docs/wire-protocol.md`` §7)
 KIND_STATE = 2
 #: header flag (kind=1 only): a shard-routing key (i64) follows the fixed
 #: reports header — see ``docs/wire-protocol.md`` §8.1
@@ -125,6 +129,14 @@ class BinaryFormatError(ValueError):
 def is_binary_payload(payload: bytes) -> bool:
     """True when ``payload`` opens with the binary magic byte."""
     return len(payload) >= 1 and payload[0] == BINARY_MAGIC
+
+
+def payload_kind(payload: bytes) -> Optional[int]:
+    """The header's kind byte of a binary payload; ``None`` when the
+    payload is not binary or too short to carry one."""
+    if not is_binary_payload(payload) or len(payload) < 3:
+        return None
+    return payload[2]
 
 
 # --------------------------------------------------------------------------------------
@@ -536,8 +548,9 @@ def _column_ref(arr: np.ndarray, columns: List[np.ndarray]) -> dict:
     return ref
 
 
-def _extract_arrays(obj, columns: List[np.ndarray]):
-    """Replace every integer array (or int list) with a column reference."""
+def _extract_arrays(obj, columns: List[np.ndarray], lists: bool):
+    """Replace every integer array (and, with ``lists``, every int list)
+    with a column reference."""
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "iu" and _fits_int64(obj):
             return _column_ref(np.ascontiguousarray(obj), columns)
@@ -548,11 +561,11 @@ def _extract_arrays(obj, columns: List[np.ndarray]):
         if _COLUMN_KEY in obj or _PATCH_KEY in obj:
             raise ValueError(f"state payloads must not use the reserved "
                              f"keys {_COLUMN_KEY!r} and {_PATCH_KEY!r}")
-        return {str(key): _extract_arrays(value, columns)
+        return {str(key): _extract_arrays(value, columns, lists)
                 for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         items = list(obj)
-        if items:
+        if items and lists:
             try:
                 arr = np.asarray(items)
             except (ValueError, OverflowError):  # ragged / oversized ints
@@ -561,25 +574,28 @@ def _extract_arrays(obj, columns: List[np.ndarray]):
                     and _fits_int64(arr):
                 return _column_ref(np.ascontiguousarray(
                     arr.astype(np.int64, copy=False)), columns)
-        return [_extract_arrays(item, columns) for item in items]
+        return [_extract_arrays(item, columns, lists) for item in items]
     raise TypeError(f"cannot pack {type(obj).__name__} into a state payload")
 
 
-def pack_state(payload) -> bytes:
+def pack_state(payload, *, lists: bool = True) -> bytes:
     """Serialize a (nested) state payload into one binary container.
 
     The payload is any JSON-ready structure, integer state as arrays or
-    lists — a ``child_state`` record, ``WindowedAggregator.capture()``, or
-    a ``snapshot()``.  Integer arrays and integer lists are pulled out
-    into the binary column table (narrowed to their value range, a few
-    wide entries patched, so an array and its ``tolist()`` pack alike);
-    the remaining skeleton ships as compact JSON.  :func:`unpack_state`
-    restores the structure with ``int64`` arrays in place of the extracted
-    columns — every consumer (``restore``, ``load_child_state``)
-    normalizes through ``np.asarray``, so the round trip is bit-exact.
+    lists — a ``child_state`` record, ``WindowedAggregator.capture()``, a
+    ``snapshot()``, or a whole state frame message.  Integer arrays (and,
+    with ``lists``, integer lists) are pulled out into the binary column
+    table, narrowed to their value range with a few wide entries patched,
+    so an array and its ``tolist()`` pack alike; the remaining skeleton
+    ships as compact JSON.  :func:`unpack_state` restores the structure
+    with ``int64`` arrays in place of the extracted columns — every state
+    consumer (``restore``, ``load_child_state``) normalizes through
+    ``np.asarray``, so the round trip is bit-exact.  A frame message packs
+    with ``lists=False``: its int lists (a reply's ``epochs``) stay in the
+    skeleton and come back as lists, only its arrays come back as arrays.
     """
     columns: List[np.ndarray] = []
-    skeleton = json.dumps(_extract_arrays(payload, columns),
+    skeleton = json.dumps(_extract_arrays(payload, columns, lists),
                           separators=(",", ":")).encode("utf-8")
     specs = [_ColumnSpec("", arr) for arr in columns]
     table_start = _HEADER.size + _STATE_FIXED.size + len(skeleton)
@@ -640,5 +656,5 @@ def unpack_state(payload: bytes):
 
     try:
         return json.loads(skeleton, object_hook=_hook)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise BinaryFormatError(f"invalid JSON state skeleton: {exc}") from exc

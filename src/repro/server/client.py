@@ -35,13 +35,11 @@ formats and the client raises if ``"binary"`` is not among them.
 from __future__ import annotations
 
 import asyncio
-import base64
 import socket
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.protocol.binary import unpack_state
 from repro.protocol.wire import PublicParams, ReportBatch
 from repro.server.framing import (
     FrameError,
@@ -185,20 +183,18 @@ class AggregationClient:
                    min_epoch: Optional[int] = None) -> Dict[str, object]:
         """Pull the merged exact-integer aggregator state (drains first).
 
-        Returns the reply dictionary with ``"state"`` already unpacked to a
-        ``child_state`` payload — load it with
-        ``load_child_state(params.make_aggregator(), reply["state"])``.
-        This is the cluster router's query primitive: pull every shard's
-        state, merge, finalize once.
+        Returns the reply dictionary; its ``"state"`` arrives in the
+        kind-2 frame already unpacked to a ``child_state`` payload — load
+        it with ``load_child_state(params.make_aggregator(),
+        reply["state"])``.  This is the cluster router's query primitive:
+        pull every shard's state, merge, finalize once.
         """
         frame: Dict[str, object] = {"type": "state"}
         if window is not None:
             frame["window"] = int(window)
         if min_epoch is not None:
             frame["min_epoch"] = int(min_epoch)
-        reply = self._request(frame, "state")
-        reply["state"] = unpack_state(base64.b64decode(str(reply["state"])))
-        return reply
+        return self._request(frame, "state")
 
     def snapshot(self) -> str:
         """Ask the server to write a durable snapshot; returns its path."""
@@ -357,9 +353,7 @@ class AsyncAggregationClient:
             frame["window"] = int(window)
         if min_epoch is not None:
             frame["min_epoch"] = int(min_epoch)
-        reply = await self._request(frame, "state")
-        reply["state"] = unpack_state(base64.b64decode(str(reply["state"])))
-        return reply
+        return await self._request(frame, "state")
 
     async def snapshot(self) -> str:
         reply = await self._request({"type": "snapshot"}, "snapshot_written")

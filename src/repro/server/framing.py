@@ -2,7 +2,8 @@
 
 Every message on a server connection — in either direction — is one *frame*:
 a 4-byte big-endian payload length followed by the payload.  Two frame
-classes share the prefix and are told apart by the payload's first byte:
+classes share the prefix and are told apart by the payload's first byte;
+binary payloads then by their kind byte:
 
 ```
 +----------------+---------------------------+
@@ -10,13 +11,13 @@ classes share the prefix and are told apart by the payload's first byte:
 | payload length | {"type": ..., ...}        |
 +----------------+---------------------------+
 | 4 bytes (!I)   | binary columnar payload   |   first byte 0xB1
-| payload length | (repro.protocol.binary)   |
+| payload length | (repro.protocol.binary)   |   kind 1 reports, 2 state
 +----------------+---------------------------+
 ```
 
 JSON frames carry the control vocabulary (``hello`` / ``sync`` /
 ``query`` / ``snapshot`` / ``stats`` / ``shutdown`` and their replies,
-specified in ``docs/wire-protocol.md`` §7).  Binary frames carry
+specified in ``docs/wire-protocol.md`` §7).  Kind-1 binary frames carry
 ``reports``, the only form a report batch can take on the wire: the batch
 columns travel as raw little-endian bytes behind a fixed struct header
 (``docs/wire-protocol.md`` §8) and decode to **read-only zero-copy** numpy
@@ -25,6 +26,13 @@ returns a binary ``reports`` message with an already-decoded
 :class:`~repro.protocol.wire.ReportBatch` under ``"batch"``.  A JSON frame
 of type ``reports`` (the retired pre-§8 form) still parses, and the
 server and router reject it with :data:`JSON_REPORTS_REJECTED`.
+
+Kind-2 binary frames carry the messages that hold aggregator state
+(``state``, ``handoff_state``, ``absorb_state``): one ``pack_state``
+container whose JSON skeleton is the message itself, its fields with
+their JSON types, and whose column table holds the message's integer
+arrays (:func:`encode_state_frame`).  ``decode_frame`` returns that
+message with its arrays already unpacked.
 
 Both an asyncio flavor (:func:`read_frame` / :func:`write_frame`, used by
 the server and the async client) and a blocking flavor
@@ -41,11 +49,15 @@ import struct
 from typing import BinaryIO, Dict, Optional
 
 from repro.protocol.binary import (
+    KIND_STATE,
     BinaryFormatError,
     decode_reports_payload,
     encode_reports_payload,
     is_binary_payload,
+    pack_state,
+    payload_kind,
     peek_reports_header,
+    unpack_state,
 )
 from repro.protocol.wire import ReportBatch
 
@@ -56,11 +68,13 @@ __all__ = [
     "WIRE_FORMATS",
     "encode_frame",
     "encode_reports_frame",
+    "encode_state_frame",
     "decode_frame",
     "frame_bytes",
     "read_frame",
     "read_frame_payload",
     "write_frame",
+    "write_state_frame",
     "read_frame_sync",
     "write_frame_sync",
 ]
@@ -82,8 +96,9 @@ _HEADER = struct.Struct("!I")
 
 
 class FrameError(ValueError):
-    """A malformed frame: bad length prefix, truncation, invalid JSON, or a
-    corrupted/oversized binary payload."""
+    """A malformed frame: bad length prefix, truncation, invalid JSON, a
+    corrupted/oversized binary payload, or a message without a string
+    ``type``."""
 
 
 def encode_frame(message: Dict[str, object]) -> bytes:
@@ -122,6 +137,21 @@ def encode_reports_frame(batch: ReportBatch, epoch: int = 0,
     return _HEADER.pack(len(payload)) + payload
 
 
+def encode_state_frame(message: Dict[str, object]) -> bytes:
+    """Serialize one kind-2 frame (``docs/wire-protocol.md`` §8.1).
+
+    ``message`` is a whole ``state`` / ``handoff_state`` /
+    ``absorb_state`` message: its fields travel in the container's JSON
+    skeleton with their JSON types, and its integer arrays (the counts)
+    as narrowed binary columns — no base64, no JSON number per cell.
+    Packing reads the arrays once, synchronously, so a caller may pass a
+    live aggregator's ``counts`` without copying them first.
+    """
+    if not isinstance(message.get("type"), str):
+        raise FrameError("a frame message needs a string 'type'")
+    return frame_bytes(pack_state(message, lists=False))
+
+
 def check_wire_format(wire_format: str) -> str:
     """``wire_format`` if it names an accepted ``reports`` frame format,
     else ``ValueError``."""
@@ -147,13 +177,25 @@ def frame_bytes(payload: bytes) -> bytes:
 def decode_frame(payload: bytes) -> Dict[str, object]:
     """Parse a frame payload of either class into one message dictionary.
 
-    JSON payloads must be JSON objects and are returned as-is.  Binary
-    payloads decode to ``{"type": "reports", "epoch": e, "batch": <batch>}``
-    where ``batch`` is a ready :class:`~repro.protocol.wire.ReportBatch`
-    whose columns are read-only zero-copy views over ``payload``; a
-    routed/sequenced payload also carries its ``"route"`` / ``"seq"``
-    header fields.
+    JSON payloads must be JSON objects and are returned as-is.  Kind-2
+    binary payloads decode to the message :func:`encode_state_frame`
+    packed, its integer arrays as writable int64 arrays.  Other binary
+    payloads decode as kind 1, to ``{"type": "reports", "epoch": e,
+    "batch": <batch>}`` where ``batch`` is a ready
+    :class:`~repro.protocol.wire.ReportBatch` whose columns are read-only
+    zero-copy views over ``payload``; a routed/sequenced payload also
+    carries its ``"route"`` / ``"seq"`` header fields.
     """
+    if payload_kind(payload) == KIND_STATE:
+        try:
+            message = unpack_state(payload)
+        except ValueError as exc:  # includes BinaryFormatError
+            raise FrameError(f"invalid binary frame: {exc}") from exc
+        if not isinstance(message, dict) or \
+                not isinstance(message.get("type"), str):
+            raise FrameError("a kind-2 frame must carry a JSON object with "
+                             "a string 'type'")
+        return message
     if is_binary_payload(payload):
         try:
             header = peek_reports_header(payload)
@@ -220,6 +262,13 @@ async def write_frame(writer: asyncio.StreamWriter,
                       message: Dict[str, object]) -> None:
     """Write one JSON frame and drain the transport (applies backpressure)."""
     writer.write(encode_frame(message))
+    await writer.drain()
+
+
+async def write_state_frame(writer: asyncio.StreamWriter,
+                            message: Dict[str, object]) -> None:
+    """Write one kind-2 frame (:func:`encode_state_frame`) and drain."""
+    writer.write(encode_state_frame(message))
     await writer.drain()
 
 

@@ -36,27 +36,45 @@ observe a half-absorbed batch.
 from __future__ import annotations
 
 import asyncio
-import base64
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.protocol.binary import pack_state, unpack_state
-from repro.protocol.wire import PublicParams, ReportBatch, child_state
+from repro.protocol.binary import KIND_STATE, payload_kind
+from repro.protocol.wire import PublicParams, ReportBatch, ServerAggregator
 from repro.server.framing import (
     JSON_REPORTS_REJECTED,
     WIRE_FORMATS,
     FrameError,
-    read_frame,
+    decode_frame,
+    read_frame_payload,
     write_frame,
+    write_state_frame,
 )
 from repro.server.snapshot import SnapshotStore, read_snapshot
 from repro.server.window import WindowedAggregator
 
-__all__ = ["AggregationServer", "ServerStats"]
+__all__ = ["AggregationServer", "ServerStats", "state_reply"]
 
 #: protocol identification string sent in every ``params`` reply
 SERVER_ID = "repro-aggregation-server/1"
+
+
+def state_reply(merged: ServerAggregator,
+                epochs: List[int]) -> Dict[str, object]:
+    """The ``state`` reply for a merged window, sent as a kind-2 frame.
+
+    Its ``"state"`` is the ``child_state`` payload over ``merged``'s live
+    ``counts``: :func:`~repro.server.framing.write_state_frame` packs the
+    message before its first await, so no copy is needed.
+    """
+    num_reports = int(merged.num_reports)
+    return {"type": "state",
+            "protocol": merged.params.protocol,
+            "epochs": epochs,
+            "num_reports": num_reports,
+            "state": {"num_reports": num_reports,
+                      "state": {"counts": merged.counts}}}
 
 
 @dataclass
@@ -303,13 +321,24 @@ class AggregationServer:
         try:
             while True:
                 try:
-                    frame = await read_frame(reader)
+                    payload = await read_frame_payload(reader)
+                    if payload is None:
+                        break
+                    frame = decode_frame(payload)
                 except FrameError as exc:
                     await write_frame(writer, {"type": "error",
                                                "error": str(exc)})
                     break
-                if frame is None:
-                    break
+                if payload_kind(payload) == KIND_STATE and \
+                        frame["type"] != "absorb_state":
+                    # Only a drain push carries state *to* a server; any
+                    # other kind-2 request is answered, never acted on.
+                    await write_frame(writer, {
+                        "type": "error",
+                        "error": f"unexpected kind-2 {frame['type']!r} "
+                                 f"frame: only absorb_state carries state "
+                                 f"to a server"})
+                    continue
                 if not await self._dispatch(frame, writer):
                     break
         except (ConnectionResetError, BrokenPipeError):
@@ -413,9 +442,9 @@ class AggregationServer:
             if kind == "state":
                 # State pull (the cluster router's query path): drain, merge
                 # the selected epochs, and ship the exact integer state as
-                # one packed binary blob.  The puller merges blobs from K
-                # shards and finalizes — bit-identical to one server that
-                # ingested everything, because merge is an integer sum.
+                # one kind-2 frame.  The puller sums K shards' counts and
+                # finalizes — bit-identical to one server that ingested
+                # everything, because merge is an integer sum.
                 await self._queue.join()
                 window = frame.get("window")
                 window = int(window) if window is not None else None
@@ -423,18 +452,12 @@ class AggregationServer:
                 min_epoch = int(min_epoch) if min_epoch is not None else None
                 epochs = self.windowed.select_epochs(window, min_epoch)
                 merged = self.windowed.merged(window, min_epoch)
-                blob = pack_state(child_state(merged))
                 self.stats.queries_answered += 1
-                await write_frame(writer, {
-                    "type": "state",
-                    "protocol": self.params.protocol,
-                    "epochs": epochs,
-                    "num_reports": merged.num_reports,
-                    "state": base64.b64encode(blob).decode("ascii")})
+                await write_state_frame(writer, state_reply(merged, epochs))
                 return True
             if kind == "handoff":
                 # Drain pull (spec §7.4): stop absorbing, then ship the
-                # full per-epoch exact state as one packed blob.  Draining
+                # full per-epoch exact state as one kind-2 frame.  Draining
                 # is set *before* the queue join so stragglers are rejected
                 # and the reply is idempotent — a retried pull (the router
                 # crashed mid-drain) reads the same frozen state.
@@ -444,14 +467,13 @@ class AggregationServer:
                 # harmless by design, not by timing
                 self._draining = True
                 await self._queue.join()
-                blob = pack_state(self.windowed.capture())
                 self.stats.queries_answered += 1
-                await write_frame(writer, {
+                await write_state_frame(writer, {
                     "type": "handoff_state",
                     "handoff": hid,
                     "protocol": self.params.protocol,
                     "num_reports": self.windowed.num_reports,
-                    "state": base64.b64encode(blob).decode("ascii")})
+                    "state": self.windowed.capture()})
                 return True
             if kind == "absorb_state":
                 # Drain push: fold a drained shard's windowed snapshot into
@@ -467,7 +489,10 @@ class AggregationServer:
                         "deduped": True,
                         "num_reports": self.windowed.num_reports})
                     return True
-                payload = unpack_state(base64.b64decode(str(frame["state"])))
+                payload = frame.get("state")
+                if not isinstance(payload, dict):
+                    raise ValueError("absorb_state must be a kind-2 frame "
+                                     "carrying a windowed snapshot object")
                 absorbed = self.windowed.merge_snapshot(payload)
                 self._handoffs.add(hid)
                 self.stats.reports_absorbed += absorbed

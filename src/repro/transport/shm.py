@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
+import traceback
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Optional, Set, Tuple
 
@@ -83,14 +84,12 @@ _CTL_HEADER = struct.Struct("<IIII")
 #: one connection slot: state, generation
 _SLOT = struct.Struct("<II")
 
-_U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 
-# byte offsets of the mutable ring header fields
+# byte offsets of the mutable ring header fields: the u64 pair head, tail
+# and the u32 pair producer_closed, consumer_closed
 _HEAD_OFF = 16
-_TAIL_OFF = 24
 _PRODUCER_CLOSED_OFF = 32
-_CONSUMER_CLOSED_OFF = 36
 
 # slot states
 _SLOT_FREE = 0
@@ -184,60 +183,75 @@ class _Ring:
         self._data: Optional[np.ndarray] = np.frombuffer(
             segment.buf, dtype=np.uint8, offset=_RING_HEADER.size,
             count=self.capacity)
+        # Word views of the mutable header fields.  A counter must reach
+        # the peer in one aligned store: ``struct.pack_into`` zeroes its
+        # target before writing it, and a peer reading ``head`` as 0 in
+        # between sees more than a full ring in flight.
+        self._counters: Optional[np.ndarray] = np.frombuffer(
+            segment.buf, dtype="<u8", offset=_HEAD_OFF, count=2)
+        self._flags: Optional[np.ndarray] = np.frombuffer(
+            segment.buf, dtype="<u4", offset=_PRODUCER_CLOSED_OFF, count=2)
 
     # -- header fields (aligned single-word loads/stores) ------------------------------
 
     @property
     def head(self) -> int:
-        return _U64.unpack_from(self._segment.buf, _HEAD_OFF)[0]
+        return self._counters.item(0)
 
     @head.setter
     def head(self, value: int) -> None:
-        _U64.pack_into(self._segment.buf, _HEAD_OFF, value)
+        self._counters[0] = value
 
     @property
     def tail(self) -> int:
-        return _U64.unpack_from(self._segment.buf, _TAIL_OFF)[0]
+        return self._counters.item(1)
 
     @tail.setter
     def tail(self, value: int) -> None:
-        _U64.pack_into(self._segment.buf, _TAIL_OFF, value)
+        self._counters[1] = value
 
     @property
     def producer_closed(self) -> bool:
-        return _U32.unpack_from(self._segment.buf,
-                                _PRODUCER_CLOSED_OFF)[0] != 0
+        return self._flags.item(0) != 0
 
     @property
     def consumer_closed(self) -> bool:
-        return _U32.unpack_from(self._segment.buf,
-                                _CONSUMER_CLOSED_OFF)[0] != 0
+        return self._flags.item(1) != 0
 
     def close_producer(self) -> None:
         # no-op after detach so abort() stays idempotent post-close
-        buf = self._segment.buf
-        if buf is not None:
-            _U32.pack_into(buf, _PRODUCER_CLOSED_OFF, 1)
+        if self._flags is not None:
+            self._flags[0] = 1
 
     def close_consumer(self) -> None:
-        buf = self._segment.buf
-        if buf is not None:
-            _U32.pack_into(buf, _CONSUMER_CLOSED_OFF, 1)
+        if self._flags is not None:
+            self._flags[1] = 1
 
     # -- data movement -----------------------------------------------------------------
 
-    def readable(self) -> int:
-        return self.tail - self.head
+    def _used(self, head: int, tail: int) -> int:
+        """Bytes in flight; :class:`TransportError` when the counters
+        cannot describe a ring of this capacity (a torn or foreign write),
+        before a copy could read or overwrite the wrong bytes."""
+        used = tail - head
+        if not 0 <= used <= self.capacity:
+            raise TransportError(
+                f"shm ring {self._segment.name!r} has inconsistent counters: "
+                f"head={head} tail={tail} capacity={self.capacity} "
+                f"(tail - head must lie in [0, capacity])")
+        return used
 
-    def writable(self) -> int:
-        return self.capacity - (self.tail - self.head)
+    def readable(self) -> int:
+        return self._used(self.head, self.tail)
 
     def push(self, view: np.ndarray) -> int:
         """Copy up to ``len(view)`` bytes in; returns the count (0 = full)."""
-        n = min(len(view), self.writable())
-        if n == 0 or self._data is None:
+        if self._data is None:
             return 0
         tail = self.tail
+        n = min(len(view), self.capacity - self._used(self.head, tail))
+        if n == 0:
+            return 0
         pos = tail % self.capacity
         first = min(n, self.capacity - pos)
         self._data[pos:pos + first] = view[:first]
@@ -248,10 +262,12 @@ class _Ring:
 
     def pull(self, limit: int) -> bytes:
         """Copy up to ``limit`` readable bytes out; ``b""`` when empty."""
-        n = min(limit, self.readable())
-        if n <= 0 or self._data is None:
+        if self._data is None:
             return b""
         head = self.head
+        n = min(limit, self._used(head, self.tail))
+        if n <= 0:
+            return b""
         pos = head % self.capacity
         first = min(n, self.capacity - pos)
         if n > first:
@@ -265,8 +281,8 @@ class _Ring:
         return data
 
     def detach(self) -> None:
-        """Drop the mapping (the numpy view must go first, see mmap docs)."""
-        self._data = None
+        """Drop the mapping (the numpy views must go first, see mmap docs)."""
+        self._data = self._counters = self._flags = None
         try:
             self._segment.close()
         except BufferError:  # a straggling view pins the mapping; leak it
@@ -399,8 +415,17 @@ class RingWriter:
     def _flush_some(self) -> int:
         if not self._buffer:
             return 0
-        pushed = self._link.out_ring.push(
-            np.frombuffer(self._buffer, dtype=np.uint8))
+        view = np.frombuffer(self._buffer, dtype=np.uint8)
+        try:
+            pushed = self._link.out_ring.push(view)
+        except BaseException as exc:
+            # push's frame in the traceback holds the view too; left
+            # alive, its export pins the buffer and every later write or
+            # close fails with BufferError instead of this error
+            traceback.clear_frames(exc.__traceback__)
+            raise
+        finally:
+            del view
         if pushed:
             del self._buffer[:pushed]
         return pushed
@@ -426,9 +451,14 @@ class RingWriter:
     def close(self) -> None:
         # best-effort final flush without blocking, then tear down: the
         # frame vocabulary drains after every reply, so the buffer is
-        # normally already empty here
-        self._flush_some()
-        self._link.close()
+        # normally already empty here, and a ring that already failed
+        # (its error went to the writer) must still be torn down
+        try:
+            self._flush_some()
+        except TransportError:
+            pass
+        finally:
+            self._link.close()
 
     async def wait_closed(self) -> None:
         return None

@@ -5,8 +5,9 @@ CI runs ``benchmarks/bench_server_ingest.py --check BENCH_server.json
 pin down the gate logic itself — a payload matching baseline passes, a
 payload whose binary ingest throughput collapsed (or whose frames grew past
 the wire-bytes-per-report ceiling, or whose expander-sketch finalize,
-checkpoint or client-encode rate collapsed) fails — and run the actual ``--check`` entry point
-against a doctored file, exactly as the CI self-test step does.
+checkpoint, client-encode or state-pull rate collapsed) fails — and run
+the actual ``--check`` entry point against a doctored file, exactly as the
+CI self-test step does.
 """
 
 import json
@@ -22,6 +23,7 @@ from bench_server_ingest import (  # noqa: E402 - path set up above
     check_encode_regression,
     check_engine_regression,
     check_finalize_regression,
+    check_state_pull_regression,
     check_throughput_regression,
     check_wire_shrink,
     main,
@@ -36,6 +38,7 @@ BASELINE = {
     "finalize": {"expander_sketch": 50_000_000},
     "checkpoint": {"expander_sketch": 80_000_000},
     "encode": {"expander_sketch": 2_500_000},
+    "state_pull": {"expander_sketch": 140_000_000},
 }
 
 
@@ -206,6 +209,41 @@ class TestEncodeGate:
         assert check_encode_regression(_server_payload(), BASELINE) == []
 
 
+def _state_pull_payload(rate=140_000_000):
+    return dict(_server_payload(), state_pull={
+        "expander_sketch": {"protocol": "expander_sketch",
+                            "cells_per_s": rate}})
+
+
+class TestStatePullGate:
+    def test_matching_baseline_passes(self):
+        assert check_state_pull_regression(_state_pull_payload(),
+                                           BASELINE) == []
+
+    def test_committed_floor_separates_json_wrapped_from_kind2_state(self):
+        # On the recording host a pull of base64 state inside JSON frames
+        # peaked at 50M cells/s and the kind-2 frames never measured under
+        # 122M: the committed floor must fail the first, pass the second.
+        committed = json.loads((Path(__file__).resolve().parent.parent
+                                / "BENCH_baseline.json").read_text())
+        failures = check_state_pull_regression(
+            _state_pull_payload(rate=50_000_000), committed)
+        assert len(failures) == 1
+        assert "state_pull/expander_sketch" in failures[0]
+        assert "regressed" in failures[0]
+        assert check_state_pull_regression(
+            _state_pull_payload(rate=122_000_000), committed) == []
+
+    def test_missing_protocol_row_fails(self):
+        payload = dict(_server_payload(), state_pull={"other": {
+            "protocol": "other", "cells_per_s": 1}})
+        failures = check_state_pull_regression(payload, BASELINE)
+        assert any("no measured row" in f for f in failures)
+
+    def test_payload_without_state_pull_section_is_not_gated(self):
+        assert check_state_pull_regression(_server_payload(), BASELINE) == []
+
+
 class TestWireShrinkGate:
     def test_healthy_shrink_passes(self):
         assert check_wire_shrink(_server_payload(), BASELINE) == []
@@ -245,6 +283,7 @@ class TestCheckEntryPoint:
         assert float(baseline["finalize"]["expander_sketch"]) > 0
         assert float(baseline["checkpoint"]["expander_sketch"]) > 0
         assert float(baseline["encode"]["expander_sketch"]) > 0
+        assert float(baseline["state_pull"]["expander_sketch"]) > 0
 
     def test_doctored_payload_fails_check(self, tmp_path, committed_baseline,
                                           capsys):
@@ -323,6 +362,25 @@ class TestCheckEntryPoint:
         assert main(["--check", str(path),
                      "--baseline", str(committed_baseline)]) == 1
         assert "encode/expander_sketch" in capsys.readouterr().err
+
+    def test_doctored_state_pull_fails_check(self, tmp_path,
+                                             committed_baseline, capsys):
+        baseline = json.loads(committed_baseline.read_text())
+        healthy = _server_payload(
+            binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])))
+        reference = float(baseline["state_pull"]["expander_sketch"])
+        healthy["state_pull"] = {"expander_sketch": {
+            "protocol": "expander_sketch", "cells_per_s": int(reference)}}
+        path = tmp_path / "BENCH_state_pull.json"
+        path.write_text(json.dumps(healthy))
+        assert main(["--check", str(path),
+                     "--baseline", str(committed_baseline)]) == 0
+        healthy["state_pull"]["expander_sketch"]["cells_per_s"] = int(
+            reference * 0.05)
+        path.write_text(json.dumps(healthy))
+        assert main(["--check", str(path),
+                     "--baseline", str(committed_baseline)]) == 1
+        assert "state_pull/expander_sketch" in capsys.readouterr().err
 
     def test_engine_requires_baseline(self, tmp_path):
         path = tmp_path / "BENCH.json"

@@ -48,7 +48,12 @@ from repro.server import (
     ShardUnavailable,
     decode_frame,
 )
-from repro.server.framing import encode_reports_frame, frame_bytes
+from repro.server.framing import (
+    encode_reports_frame,
+    encode_state_frame,
+    frame_bytes,
+    read_frame_sync,
+)
 from repro.server.window import WindowedAggregator
 
 from test_server import legacy_json_reports_frame
@@ -398,6 +403,33 @@ class TestRouterRejectsUndecodableFrames:
         assert stats["router"]["frames_rejected"] == 1
         assert stats["router"]["frames_forwarded"] == 1
         assert "JSON reports frames" in stats["router"]["last_rejection"]
+
+    def test_kind2_frame_answered_with_error_and_state_pulls_sum(self,
+                                                                 tmp_path):
+        # A client never sends state to a router: its kind-2 frame gets an
+        # error reply (not a silent report rejection), and the connection
+        # then pulls the shards' summed state as a kind-2 reply.
+        params, batch = _small_batch(200)
+        state = encode_state_frame({"type": "absorb_state", "handoff": 1,
+                                    "state": {"counts": np.arange(4)}})
+        with running_cluster(params, 2, tmp_path) as (_, _router, host, port):
+            with AggregationClient(host, port) as client:
+                client.send_batch(batch, epoch=2, route=0)
+                client.send_batch(batch, epoch=3, route=1)
+                client.sync()
+                client.send_raw(state)
+                error = read_frame_sync(client._stream)
+                pull = client.pull_state()
+                stats = client.stats()
+        assert error["type"] == "error" and "kind-2" in error["error"]
+        assert stats["router"]["frames_rejected"] == 0
+        assert pull["epochs"] == [2, 3]
+        assert all(type(e) is int for e in pull["epochs"])
+        assert type(pull["num_reports"]) is int
+        reference = params.make_aggregator().absorb_batch(batch) \
+                                            .absorb_batch(batch)
+        assert np.array_equal(pull["state"]["state"]["counts"],
+                              reference.counts)
 
 
 # --------------------------------------------------------------------------------------

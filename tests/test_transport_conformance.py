@@ -21,8 +21,11 @@ import itertools
 import json
 import os
 import struct
+import subprocess
+import sys
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Dict
 
 import numpy as np
@@ -32,10 +35,17 @@ from repro import transport
 from repro.cluster import ClusterRouter, ClusterSupervisor
 from repro.engine import encode_stream, run_simulation
 from repro.protocol import HashtogramParams
-from repro.server import AggregationClient, AggregationServer, FrameError
+from repro.server import (
+    AggregationClient,
+    AggregationServer,
+    FrameError,
+    WindowedAggregator,
+)
 from repro.server.framing import (
     MAX_FRAME_BYTES,
+    decode_frame,
     encode_reports_frame,
+    encode_state_frame,
     frame_bytes,
     read_frame_payload,
 )
@@ -70,6 +80,9 @@ class BackendCase:
     start_server: Callable[..., Any]
     #: dial options that shrink internal buffers far below one test frame
     small_buffers: Dict[str, Any] = field(default_factory=dict)
+    #: the per-direction buffer those options leave, bytes (``None``: the
+    #: backend's buffers are the kernel's, not chosen at dial time)
+    small_buffer_bytes: Any = None
 
 
 CASES = [
@@ -79,7 +92,8 @@ CASES = [
     BackendCase(name="shm",
                 bind=lambda: f"shm://{_fresh('bind')}",
                 start_server=_start_shm,
-                small_buffers={"ring_bytes": 1 << 16}),
+                small_buffers={"ring_bytes": 1 << 16},
+                small_buffer_bytes=1 << 16),
 ]
 
 
@@ -96,6 +110,34 @@ def _batch(params, seed=3, n=400):
     gen = np.random.default_rng(seed)
     values = gen.integers(0, params.domain_size, size=n)
     return params.make_encoder().encode_batch(values, gen)
+
+
+#: an echo peer in its own process: serves the address in argv[1], prints
+#: its dial address, and echoes every frame until its stdin closes
+_ECHO_PEER = """
+import asyncio, sys
+from repro import transport
+from repro.server.framing import frame_bytes, read_frame_payload
+
+async def echo(reader, writer):
+    try:
+        while (payload := await read_frame_payload(reader)) is not None:
+            writer.write(frame_bytes(payload))
+            await writer.drain()
+    except (OSError, asyncio.IncompleteReadError):
+        pass
+    finally:
+        writer.close()
+
+async def main():
+    listener = await transport.serve(echo, sys.argv[1])
+    print(listener.address, flush=True)
+    await asyncio.get_running_loop().run_in_executor(None, sys.stdin.read)
+    listener.close()
+    await listener.wait_closed()
+
+asyncio.run(main())
+"""
 
 
 @contextlib.asynccontextmanager
@@ -177,6 +219,53 @@ class TestFrameContract:
                     assert await conn.recv(timeout=30.0) == big
 
         asyncio.run(main())
+
+    def test_frames_over_twice_the_buffer_cross_processes_both_ways(self,
+                                                                  case):
+        """Frames larger than 2x the ring move between two processes.
+
+        The echo peer runs in its own process, so producer and consumer
+        of each ring really are two processes sharing the segment, and
+        the test sends while it receives: both directions stream frames
+        of 2-8x the ring capacity at once, as a shard flushing a state
+        reply bigger than its ring does.
+        """
+        ring = case.small_buffer_bytes or 1 << 16
+        gen = np.random.default_rng(2)
+        frames = [bytes([0xB1]) + gen.bytes(size)
+                  for size in (2 * ring + 1, 3 * ring + 5, 8 * ring)] * 3
+        src = Path(transport.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        peer = subprocess.Popen([sys.executable, "-c", _ECHO_PEER,
+                                 case.bind()], env=env,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+
+        async def main():
+            conn = await transport.dial(address, timeout=10.0,
+                                        **case.small_buffers)
+            try:
+                async def send_all():
+                    for frame in frames:
+                        await conn.send(frame, timeout=30.0)
+
+                async def recv_all():
+                    return [await conn.recv(timeout=30.0) for _ in frames]
+
+                _, echoed = await asyncio.gather(send_all(), recv_all())
+            finally:
+                conn.close()
+                await conn.wait_closed()
+            return echoed
+
+        try:
+            address = peer.stdout.readline().decode().strip()
+            assert address, "the echo peer did not start"
+            assert asyncio.run(main()) == frames
+        finally:
+            peer.stdin.close()
+            assert peer.wait(timeout=30) == 0
+            peer.stdout.close()
 
     def test_oversized_announced_frame_raises_frame_error(self, case):
         bogus_header = struct.pack("!I", MAX_FRAME_BYTES + 1)
@@ -313,6 +402,119 @@ class TestServerContract:
                 assert health["max_seq"] == 7
 
         asyncio.run(main())
+
+    def test_state_frames_keep_their_reply_types(self, case):
+        """``state``, ``handoff_state`` and ``absorb_state`` travel as
+        kind-2 frames; every reply field keeps the JSON type it had in a
+        JSON frame, and every state loads back bit for bit."""
+        from repro.protocol.wire import load_child_state
+        from repro.server import AsyncAggregationClient
+
+        params = _params()
+        batches = [_batch(params, seed=s) for s in (3, 4, 5)]
+        expected = WindowedAggregator(params)
+        for epoch, batch in enumerate(batches):
+            expected.absorb_batch(batch, epoch)
+
+        async def request(conn, frame: bytes):
+            conn.writer.write(frame)
+            await conn.writer.drain()
+            return decode_frame(await conn.recv(timeout=10.0))
+
+        async def main():
+            async with _serving(case, params) as source, \
+                    _serving(case, params) as target:
+                client = await AsyncAggregationClient.dial(source,
+                                                           timeout=10.0)
+                try:
+                    for epoch, batch in enumerate(batches):
+                        await client.send_batch(batch, epoch)
+                    pulled = await client.pull_state(min_epoch=0)
+                finally:
+                    await client.close()
+                conn = await transport.dial(source, timeout=10.0)
+                try:
+                    handed = await request(conn, frame_bytes(
+                        b'{"type": "handoff", "handoff": 4}'))
+                finally:
+                    conn.close()
+                    await conn.wait_closed()
+                conn = await transport.dial(target, timeout=10.0)
+                try:
+                    absorb = encode_state_frame({
+                        "type": "absorb_state", "handoff": 4,
+                        "state": handed["state"]})
+                    first = await request(conn, absorb)
+                    again = await request(conn, absorb)
+                finally:
+                    conn.close()
+                    await conn.wait_closed()
+                return pulled, handed, first, again
+
+        pulled, handed, first, again = asyncio.run(main())
+        assert pulled["type"] == "state" and pulled["epochs"] == [1, 2]
+        assert [type(e) for e in pulled["epochs"]] == [int, int]
+        assert type(pulled["num_reports"]) is int
+        assert type(pulled["state"]["num_reports"]) is int
+        counts = pulled["state"]["state"]["counts"]
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected.merged(min_epoch=0).counts)
+        rebuilt = load_child_state(params.make_aggregator(), pulled["state"])
+        assert rebuilt.num_reports == pulled["num_reports"]
+
+        assert handed["type"] == "handoff_state"
+        assert type(handed["handoff"]) is int and handed["handoff"] == 4
+        assert type(handed["num_reports"]) is int
+        assert handed["protocol"] == params.protocol
+        restored = WindowedAggregator.from_snapshot(handed["state"])
+        assert restored.epochs == [0, 1, 2]
+        for epoch in restored.epochs:
+            assert np.array_equal(restored.merged(min_epoch=epoch - 1).counts,
+                                  expected.merged(min_epoch=epoch - 1).counts)
+        assert first == {"type": "absorbed", "handoff": 4,
+                         "absorbed": handed["num_reports"], "deduped": False,
+                         "num_reports": handed["num_reports"]}
+        assert type(first["absorbed"]) is int
+        assert type(first["deduped"]) is bool
+        assert again["deduped"] is True and again["absorbed"] == 0
+
+    def test_unexpected_kind2_request_gets_an_error_frame(self, case):
+        """A kind-2 frame other than ``absorb_state`` is answered with an
+        ``error`` frame, and the connection and server keep serving."""
+        params = _params()
+        message = {"type": "state", "epochs": [0],
+                   "state": {"counts": np.arange(8)}}
+
+        async def main():
+            async with _serving(case, params) as address:
+                conn = await transport.dial(address, timeout=10.0)
+                try:
+                    replies = []
+                    for kind in ("state", "hello", "handoff_state"):
+                        conn.writer.write(encode_state_frame(
+                            dict(message, type=kind)))
+                        await conn.writer.drain()
+                        replies.append(json.loads(
+                            await conn.recv(timeout=10.0)))
+                    # a JSON-era absorb_state (base64 text state) is refused
+                    await conn.send(json.dumps({
+                        "type": "absorb_state", "handoff": 1,
+                        "state": "c3RhdGU="}).encode(), timeout=10.0)
+                    replies.append(json.loads(await conn.recv(timeout=10.0)))
+                    await conn.send(b'{"type": "hello"}', timeout=10.0)
+                    hello = json.loads(await conn.recv(timeout=10.0))
+                finally:
+                    conn.close()
+                    await conn.wait_closed()
+                return replies, hello
+
+        replies, hello = asyncio.run(main())
+        for reply in replies[:3]:
+            assert reply["type"] == "error"
+            assert "unexpected kind-2" in reply["error"]
+        assert replies[3]["type"] == "error"
+        assert "kind-2" in replies[3]["error"]
+        assert hello["type"] == "params"
 
     def test_half_duplex_interleave_on_one_link(self, case):
         """Regression: queries must not corrupt in-flight ingest.

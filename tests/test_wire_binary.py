@@ -6,7 +6,9 @@ reports, absorbs to the same exact integer state, and finalizes to the
 same estimates as the in-memory batch it was encoded from — bit for bit.
 Also covered: byte-level binary round trips, the oversized-frame error path on
 both the write and the read side, truncated/corrupted-frame fuzzing, the
-binary snapshot container, and the engine's binary worker-result channel.
+binary snapshot container, kind-2 state frames (their reply fields keep
+their JSON types; malformed ones fail as ``FrameError``), and the engine's
+binary worker-result channel.
 """
 
 import io
@@ -44,6 +46,7 @@ from repro.server import (
     encode_reports_frame,
     read_frame_sync,
 )
+from repro.server.framing import decode_frame, encode_state_frame
 from repro.server.snapshot import (
     SNAPSHOT_MAGIC,
     read_snapshot,
@@ -359,6 +362,147 @@ class TestStateContainer:
         queries = np.arange(256)
         assert np.array_equal(restored.finalize().estimate_many(queries),
                               straight.finalize().estimate_many(queries))
+
+
+def _state_message():
+    """A ``state`` reply as a shard sends it: JSON-typed reply fields, the
+    counts a long int64 array with a few wide entries (a patched column)."""
+    counts = np.random.default_rng(4).integers(-3, 4, size=1 << 13)
+    counts[[0, 9]] = [1 << 40, 70_000]
+    return {"type": "state", "protocol": "hashtogram", "epochs": [3, 5, 8],
+            "num_reports": 12, "window": None, "ratio": 0.5,
+            "state": {"num_reports": 12, "state": {"counts": counts}}}
+
+
+class TestStateFrames:
+    """Kind-2 frames (``docs/wire-protocol.md`` §8.1): one ``pack_state``
+    container whose skeleton is the whole message."""
+
+    def test_reply_fields_keep_their_json_types(self):
+        message = _state_message()
+        frame = encode_state_frame(message)
+        assert struct.unpack("!I", frame[:4])[0] == len(frame) - 4
+        decoded = decode_frame(frame[4:])
+        assert set(decoded) == set(message)
+        # lists of ints stay lists of ints, as in a JSON frame
+        assert decoded["epochs"] == [3, 5, 8]
+        assert type(decoded["epochs"]) is list
+        assert all(type(e) is int for e in decoded["epochs"])
+        assert type(decoded["num_reports"]) is int
+        assert decoded["window"] is None and decoded["ratio"] == 0.5
+        assert type(decoded["state"]["num_reports"]) is int
+        counts = decoded["state"]["state"]["counts"]
+        assert counts.dtype == np.int64 and counts.flags.writeable
+        assert np.array_equal(counts, message["state"]["state"]["counts"])
+
+    def test_counts_ship_as_narrow_columns(self):
+        message = _state_message()
+        frame = encode_state_frame(message)
+        # int8 bulk plus a patch: about a byte per cell, where JSON would
+        # spend several and base64 of the packed bytes 4/3 of one
+        assert len(frame) < 1.1 * message["state"]["state"]["counts"].size
+
+    def test_snapshot_packing_still_extracts_int_lists(self):
+        # snapshot files keep their bytes: pack_state's default still moves
+        # int lists (a params dict's hash coefficients) into columns
+        payload = {"coefficients": list(range(40))}
+        assert b"__repro_column__" in pack_state(payload)
+        assert b"__repro_column__" not in pack_state(payload, lists=False)
+
+    def test_message_without_a_string_type_is_not_encoded(self):
+        for message in ({"state": 1}, {"type": 3}):
+            with pytest.raises(FrameError, match="type"):
+                encode_state_frame(message)
+
+    def test_truncation_always_fails_loudly(self):
+        payload = encode_state_frame(_state_message())[4:]
+        for cut in list(range(0, 96)) + [len(payload) // 2, len(payload) - 1]:
+            with pytest.raises(FrameError):
+                decode_frame(payload[:cut])
+
+    def test_structure_corruption_fuzz(self):
+        # Flip every byte of the header, skeleton and column table: the
+        # frame layer must raise FrameError or still produce a message with
+        # a string type — never crash with anything else.
+        payload = bytearray(encode_state_frame(_state_message())[4:])
+        table_end = min(len(payload), 400)
+        rng = np.random.default_rng(0)
+        for pos in range(table_end):
+            for flip in (0xFF, rng.integers(1, 256)):
+                corrupted = bytearray(payload)
+                corrupted[pos] ^= int(flip)
+                try:
+                    message = decode_frame(bytes(corrupted))
+                except FrameError:
+                    continue
+                assert isinstance(message, dict)
+                assert isinstance(message["type"], str)
+
+    @staticmethod
+    def _with_skeleton(skeleton: bytes) -> bytes:
+        """A kind-2 payload whose skeleton is replaced (no columns)."""
+        return (bytes([BINARY_MAGIC, 1, 2, 0])
+                + struct.pack("<II", len(skeleton), 0) + skeleton)
+
+    @pytest.mark.parametrize("skeleton,match", [
+        (b'{"type": "state", ', "invalid binary frame"),
+        (b"\xff\xfe", "invalid binary frame"),
+        (b"[" * 100_000, "invalid binary frame"),
+        (b'[1, 2, 3]', "JSON object"),
+        (b'"state"', "JSON object"),
+        (b'{"epochs": [1]}', "string 'type'"),
+        (b'{"type": 7}', "string 'type'"),
+        (b'{"type": "state", "state": {"__repro_column__": 0}}',
+         "unknown column"),
+    ])
+    def test_bad_skeleton_is_a_frame_error(self, skeleton, match):
+        with pytest.raises(FrameError, match=match):
+            decode_frame(self._with_skeleton(skeleton))
+
+    def test_bad_column_table_is_a_frame_error(self):
+        payload = bytearray(encode_state_frame(_state_message())[4:])
+        skeleton_len, _ = struct.unpack_from("<II", payload, 4)
+        table = 12 + skeleton_len
+        # the first column's dtype string ("|i1"), then its announced size
+        payload[table + 1:table + 4] = b"|O8"[:3]
+        with pytest.raises(FrameError, match="dtype"):
+            decode_frame(bytes(payload))
+        payload = bytearray(encode_state_frame(_state_message())[4:])
+        struct.pack_into("<I", payload, 8, 99)  # more columns than exist
+        with pytest.raises(FrameError, match="invalid binary frame"):
+            decode_frame(bytes(payload))
+
+    def test_unknown_flags_rejected(self):
+        payload = bytearray(encode_state_frame(_state_message())[4:])
+        payload[3] = 0x01  # FLAG_ROUTED is a kind-1 flag
+        with pytest.raises(FrameError, match="flags"):
+            decode_frame(bytes(payload))
+
+    def test_server_and_cluster_never_import_base64(self):
+        # state rides in kind-2 frames: no layer that serves it wraps it in
+        # base64 text any more
+        import ast
+        from pathlib import Path
+
+        import repro.cluster
+        import repro.server
+
+        for package in (repro.server, repro.cluster):
+            for path in Path(package.__file__).parent.glob("*.py"):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    names = ([a.name for a in node.names]
+                             if isinstance(node, ast.Import) else
+                             [node.module] if isinstance(node, ast.ImportFrom)
+                             else [])
+                    assert "base64" not in names, path
+
+    def test_read_frame_sync_decodes_state_frames(self):
+        frame = encode_state_frame(_state_message())
+        decoded = read_frame_sync(io.BytesIO(frame))
+        assert decoded["epochs"] == [3, 5, 8]
+        with pytest.raises(FrameError, match="invalid binary frame"):
+            read_frame_sync(io.BytesIO(struct.pack("!I", len(frame) - 8)
+                                       + frame[4:-4]))
 
 
 class TestEngineResultChannel:
