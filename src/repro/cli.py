@@ -72,6 +72,7 @@ embedded in the architecture document has not drifted (CI runs this).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -380,11 +381,35 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@contextlib.asynccontextmanager
+async def _sigterm_stops(stop: Callable[[], None]):
+    """Route SIGTERM to ``stop`` (the graceful path of a ``shutdown`` frame)
+    while the block runs.
+
+    The loop's handler is removed, and SIGTERM ignored, before the block's
+    coroutine returns: ``loop.close()`` closes the loop's self-pipe before
+    it removes signal handlers, so a SIGTERM in between would write to a
+    closed fd.  The signal stays blocked between removing the handler
+    (which restores the default action) and ignoring it.
+    """
+    import asyncio
+    import signal
+
+    loop = asyncio.get_running_loop()
+    loop.add_signal_handler(signal.SIGTERM, stop)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        loop.remove_signal_handler(signal.SIGTERM)
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
 def _cmd_serve(args) -> int:
     """Run the asyncio report-ingestion server until shutdown."""
     import asyncio
     import json
-    import signal
     from pathlib import Path
 
     from repro.engine.bench import build_bench_params
@@ -423,22 +448,23 @@ def _cmd_serve(args) -> int:
     async def main() -> None:
         # SIGTERM (how a supervisor stops its shards) takes the graceful
         # path of a `shutdown` frame: drain, close, unlink shm segments.
-        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM,
-                                                      server.request_stop)
-        host, port = await server.start(args.host, args.port,
-                                        transport=args.transport,
-                                        shm_name=shm_name,
-                                        acceptors=args.acceptors)
-        # Parse-friendly readiness line: `load-test` and the tests wait for it.
-        print(f"LISTENING {host} {port}", flush=True)
-        if not args.quiet:
-            print(f"serve: protocol={server.params.protocol} "
-                  f"window={server.windowed.window} "
-                  f"transport={args.transport}"
-                  + (f" shm_name={shm_name}" if shm_name else "") +
-                  f" snapshot_dir={args.snapshot_dir} "
-                  f"restored_reports={server.windowed.num_reports}", flush=True)
-        await server.serve_until_stopped()
+        async with _sigterm_stops(server.request_stop):
+            host, port = await server.start(args.host, args.port,
+                                            transport=args.transport,
+                                            shm_name=shm_name,
+                                            acceptors=args.acceptors)
+            # Parse-friendly readiness line: `load-test` and the tests wait
+            # for it.
+            print(f"LISTENING {host} {port}", flush=True)
+            if not args.quiet:
+                print(f"serve: protocol={server.params.protocol} "
+                      f"window={server.windowed.window} "
+                      f"transport={args.transport}"
+                      + (f" shm_name={shm_name}" if shm_name else "") +
+                      f" snapshot_dir={args.snapshot_dir} "
+                      f"restored_reports={server.windowed.num_reports}",
+                      flush=True)
+            await server.serve_until_stopped()
         if not args.quiet:
             print(f"serve: stopped after absorbing "
                   f"{server.windowed.num_reports} reports", flush=True)
@@ -507,20 +533,19 @@ def _cmd_serve_cluster(args) -> int:
             # SIGTERM takes the graceful path of a `shutdown` frame, so the
             # `finally` below still stops the shards and removes the
             # ephemeral base directory.
-            asyncio.get_running_loop().add_signal_handler(
-                signal.SIGTERM, router.request_stop)
-            host, port = await router.start(args.host, args.port)
-            # Same parse-friendly readiness line as `serve`: `load-test
-            # --cluster` and the tests wait for it.
-            print(f"LISTENING {host} {port}", flush=True)
-            if not args.quiet:
-                endpoints = ",".join(f"{h}:{p}"
-                                     for h, p in supervisor.endpoints())
-                print(f"serve-cluster: protocol={params.protocol} "
-                      f"shards={args.shards} window={args.window} "
-                      f"transport={args.transport} "
-                      f"base_dir={base_dir} endpoints={endpoints}", flush=True)
-            await router.serve_until_stopped()
+            async with _sigterm_stops(router.request_stop):
+                host, port = await router.start(args.host, args.port)
+                # Same parse-friendly readiness line as `serve`: `load-test
+                # --cluster` and the tests wait for it.
+                print(f"LISTENING {host} {port}", flush=True)
+                if not args.quiet:
+                    endpoints = ",".join(f"{h}:{p}"
+                                         for h, p in supervisor.endpoints())
+                    print(f"serve-cluster: protocol={params.protocol} "
+                          f"shards={args.shards} window={args.window} "
+                          f"transport={args.transport} base_dir={base_dir} "
+                          f"endpoints={endpoints}", flush=True)
+                await router.serve_until_stopped()
             if not args.quiet:
                 print(f"serve-cluster: stopped after forwarding "
                       f"{router.stats.reports_forwarded} reports "

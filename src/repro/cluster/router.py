@@ -1,11 +1,13 @@
 """The cluster router: one endpoint fronting N shard aggregation servers.
 
 :class:`ClusterRouter` speaks the exact frame protocol of
-:mod:`repro.server` on its client side — ``hello`` / ``reports`` / ``sync``
-/ ``query`` / ``stats`` / ``snapshot`` / ``shutdown`` — so every existing
-client (:class:`~repro.server.client.AggregationClient`, the load
-generator, the benchmarks) works against a cluster unchanged.  Behind that
-endpoint:
+:mod:`repro.server` on its client side, so every existing client
+(:class:`~repro.server.client.AggregationClient`, the load generator, the
+benchmarks) works against a cluster unchanged.  It shares the server's
+connection loop (:class:`~repro.server.framing.MessageEndpoint`), which
+dispatches each request that :data:`~repro.server.framing.MESSAGES` gives
+a router to its ``on_<type>`` handler by name; the router answers the
+server's requests plus the membership verbs.  Behind that endpoint:
 
 * **Routing** — each ``reports`` frame is assigned to a shard by the
   published pairwise-independent
@@ -43,7 +45,7 @@ endpoint:
   converge to exactly the state the shard would have had without the
   fault, so cluster answers remain bit-identical through kills, resets,
   and stalls.  When the ladder is exhausted the failure surfaces as a
-  typed :class:`~repro.server.client.ShardUnavailable` within a bounded
+  typed :class:`~repro.server.framing.ShardUnavailable` within a bounded
   deadline — never a hang, never a silently partial result.
 
 Connections to shards are pooled: one persistent, ordered connection per
@@ -84,7 +86,6 @@ replays exactly what an in-process recovery would have.
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -107,10 +108,7 @@ from repro.cluster.journal import FrameJournal, MembershipJournal
 from repro.cluster.shardmap import ShardMap, ShardMapError, ShardMapStore
 from repro.engine.partition import ShardPartition
 from repro.protocol.binary import (
-    KIND_STATE,
     decode_reports_payload,
-    is_binary_payload,
-    payload_kind,
     peek_reports_header,
     stamp_sequence,
 )
@@ -119,21 +117,21 @@ from repro.protocol.wire import (
     ServerAggregator,
     load_child_state,
 )
-from repro.server.client import ShardUnavailable
-from repro.server.service import state_reply
-from repro.server.snapshot import read_snapshot, write_snapshot
 from repro.server.framing import (
-    JSON_REPORTS_REJECTED,
+    MESSAGES,
     WIRE_FORMATS,
     FrameError,
+    MessageEndpoint,
+    ServerError,
+    ShardUnavailable,
+    check_reply,
     encode_frame,
     encode_state_frame,
     frame_bytes,
     read_frame,
-    read_frame_payload,
-    write_frame,
-    write_state_frame,
 )
+from repro.server.service import estimates_reply, optional_int, state_reply
+from repro.server.snapshot import read_snapshot, write_snapshot
 from repro.transport import dial as transport_dial
 from repro.utils.rng import RandomState, as_generator
 
@@ -143,13 +141,15 @@ __all__ = ["ClusterError", "ClusterRouter", "RouterStats", "ROUTER_ID",
 #: protocol identification string sent in every router ``params`` reply
 ROUTER_ID = "repro-cluster-router/1"
 
-#: transport-level failures that trigger shard recovery on fan-out.
+#: failures that trigger shard recovery on fan-out: transport faults and
+#: ``error`` replies (:func:`~repro.server.framing.check_reply`).
 #: ``asyncio.TimeoutError`` is listed explicitly: on Python 3.10 it is not
 #: the builtin ``TimeoutError`` (an ``OSError`` subclass), and every shard
 #: exchange runs under an ``asyncio.wait_for`` deadline.
 _SHARD_FAILURES = (
     OSError,
     FrameError,
+    ServerError,
     asyncio.IncompleteReadError,
     asyncio.TimeoutError,
 )
@@ -267,7 +267,7 @@ class _ShardLink:
                 pass
 
 
-class ClusterRouter:
+class ClusterRouter(MessageEndpoint):
     """Route ``reports`` frames across shards; answer queries by exact merge.
 
     Parameters
@@ -309,7 +309,7 @@ class ClusterRouter:
         Size of the recovery ladder: attempt 0 reconnects and replays the
         journal; later attempts escalate to a supervisor restart (when one
         is attached).  Exhausting the ladder raises
-        :class:`~repro.server.client.ShardUnavailable`.
+        :class:`~repro.server.framing.ShardUnavailable`.
     journal_dir:
         Home of the durable membership state: ``shardmap.json``,
         ``membership.journal`` and the per-link ``journal-shard-K.bin``
@@ -324,6 +324,8 @@ class ClusterRouter:
         ``min(cap, base * 2**(attempt-1))`` plus seeded jitter drawn from
         ``rng`` — deterministic under a fixed seed, like everything else.
     """
+
+    side = "router"
 
     def __init__(
         self,
@@ -365,6 +367,7 @@ class ClusterRouter:
             raise ValueError("timeouts must be positive")
         if recovery_attempts < 1:
             raise ValueError("recovery_attempts must be >= 1")
+        super().__init__()
         self.params = params
         self.supervisor = supervisor
         self.partition = (
@@ -430,11 +433,6 @@ class ClusterRouter:
         self._newest_epoch = -1
         self._round_robin = 0
         self._server: Optional[asyncio.base_events.Server] = None
-        #: claimed synchronously at the top of start(), before its first
-        #: await, so concurrent start() calls cannot both pass the guard
-        self._started = False
-        self._connections: set = set()
-        self._stopping = asyncio.Event()
 
     @property
     def num_shards(self) -> int:
@@ -490,7 +488,7 @@ class ClusterRouter:
                 # past that snapshot before the router serves anyone.
                 async with link.lock:
                     await self._recover_locked(link, exc)
-            reply = await self._request_on_link(link, {"type": "hello"}, "params")
+            reply = await self._request_on_link(link, {"type": "hello"})
             published = PublicParams.from_dict(dict(reply["params"]))
             if published != self.params:
                 raise ClusterError(
@@ -502,9 +500,7 @@ class ClusterRouter:
                 # seen: the journal's own watermark covers frames journaled
                 # but never delivered, the shard's ``max_seq`` covers frames
                 # delivered but checkpoint-cleared from the journal.
-                health = await self._request_on_link(
-                    link, {"type": "health"}, "health"
-                )
+                health = await self._request_on_link(link, {"type": "health"})
                 link.seq = max(link.seq, int(health.get("max_seq") or 0))
                 if link.journal:
                     async with link.lock:
@@ -580,27 +576,8 @@ class ClusterRouter:
                         None, self.supervisor.retire, sid
                     )
 
-    async def serve_until_stopped(self) -> None:
-        """Serve until a ``shutdown`` frame arrives or :meth:`stop` is called."""
-        if self._server is None:
-            raise RuntimeError("call start() first")
-        await self._stopping.wait()
-        await self._shutdown()
-
-    def request_stop(self) -> None:
-        """Make :meth:`serve_until_stopped` shut down as on a ``shutdown`` frame.
-
-        Synchronous and idempotent, so it is safe as a signal handler
-        (``serve-cluster`` routes ``SIGTERM`` here).
-        """
-        self._stopping.set()
-
-    async def stop(self) -> None:
-        """Stop accepting clients and close the shard connections."""
-        self._stopping.set()
-        await self._shutdown()
-
     async def _shutdown(self) -> None:
+        """Stop accepting clients and close the shard connections."""
         if self._server is None:
             return
         server, self._server = self._server, None
@@ -618,15 +595,12 @@ class ClusterRouter:
     # ----- shard fan-out plumbing -----------------------------------------------------
 
     async def _request_on_link(
-        self,
-        link: _ShardLink,
-        frame: Union[Dict[str, object], bytes],
-        expected: str,
+        self, link: _ShardLink, message: Dict[str, object]
     ) -> Dict[str, object]:
         """One request/reply on an (assumed healthy) shard connection.
 
-        ``frame`` is a message (sent as a JSON frame) or an already
-        encoded frame (a kind-2 ``absorb_state``).
+        ``message`` goes out as a kind-2 frame when :data:`MESSAGES` says
+        its request is one (``absorb_state``), else as a JSON frame.
 
         The whole exchange runs under ``request_timeout``, so a stalled
         shard surfaces as ``asyncio.TimeoutError`` (a recoverable
@@ -639,8 +613,9 @@ class ClusterRouter:
         reader, writer = link.reader, link.writer
         if reader is None or writer is None:
             raise FrameError(f"shard {link.index} link is not connected")
-
-        data = frame if isinstance(frame, bytes) else encode_frame(frame)
+        kind = str(message["type"])
+        data = (encode_state_frame(message)
+                if MESSAGES[kind].kind2 == "request" else encode_frame(message))
 
         async def exchange() -> Optional[Dict[str, object]]:
             writer.write(data)
@@ -648,21 +623,7 @@ class ClusterRouter:
             return await read_frame(reader)
 
         reply = await asyncio.wait_for(exchange(), self.request_timeout)
-        if reply is None:
-            raise FrameError(
-                f"shard {link.index} closed the connection mid-request"
-            )
-        if reply.get("type") == "error":
-            raise FrameError(
-                f"shard {link.index} answered with an error: "
-                f"{reply.get('error')}"
-            )
-        if reply.get("type") != expected:
-            raise FrameError(
-                f"shard {link.index}: expected a {expected!r} reply, got "
-                f"{reply.get('type')!r}"
-            )
-        return reply
+        return check_reply(kind, reply, peer=f"shard {link.index}")
 
     async def _replay_locked(self, link: _ShardLink) -> None:
         """Replay the journal on a fresh connection (caller holds the lock).
@@ -681,7 +642,7 @@ class ClusterRouter:
             self.stats.journal_replayed_frames += 1
             self.stats.journal_replayed_reports += num_reports
         await asyncio.wait_for(writer.drain(), self.request_timeout)
-        await self._request_on_link(link, {"type": "sync"}, "synced")
+        await self._request_on_link(link, {"type": "sync"})
 
     async def _reconnect_locked(self, link: _ShardLink) -> None:
         """Dial the shard afresh and bring it up to date (lock held)."""
@@ -751,20 +712,19 @@ class ClusterRouter:
     async def _request(
         self,
         link: _ShardLink,
-        frame: Union[Dict[str, object], bytes],
-        expected: str,
+        message: Dict[str, object],
         revive: bool = True,
     ) -> Dict[str, object]:
         """Fan-out request with dead-shard detection and bounded recovery."""
         async with link.lock:
             if not revive:
-                return await self._request_on_link(link, frame, expected)
+                return await self._request_on_link(link, message)
             for _ in range(2):
                 try:
-                    return await self._request_on_link(link, frame, expected)
+                    return await self._request_on_link(link, message)
                 except _SHARD_FAILURES as exc:
                     await self._recover_locked(link, exc)
-            return await self._request_on_link(link, frame, expected)
+            return await self._request_on_link(link, message)
 
     async def _fan_out(self, coros: Iterable[Awaitable[Dict[str, object]]]
                        ) -> List[Dict[str, object]]:
@@ -788,9 +748,7 @@ class ClusterRouter:
         the shard before the ``snapshot`` frame; the acknowledged snapshot
         therefore covers the whole journal, and clearing it is exact.
         """
-        reply = await self._request_on_link(
-            link, {"type": "snapshot"}, "snapshot_written"
-        )
+        reply = await self._request_on_link(link, {"type": "snapshot"})
         link.journal.clear()
         link.journal_reports = 0
         if link.disk is not None:
@@ -885,37 +843,10 @@ class ClusterRouter:
                 await self._recover_locked(link, exc)
                 await self._checkpoint_locked(link)
 
-    # ----- client connection handling -------------------------------------------------
-
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.stats.connections_total += 1
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    payload = await read_frame_payload(reader)
-                except FrameError as exc:
-                    await write_frame(writer, {"type": "error", "error": str(exc)})
-                    break
-                if payload is None:
-                    break
-                if not await self._dispatch(payload, writer):
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    # ----- message handlers (MessageEndpoint dispatches by name) ---------------------
 
     def _reject(self, reason: str) -> None:
+        """Account a dropped ``reports`` frame."""
         self.stats.frames_rejected += 1
         self.stats.last_rejection = reason
 
@@ -928,238 +859,154 @@ class ClusterRouter:
         self._round_robin += 1
         return link
 
-    async def _dispatch(self, payload: bytes, writer: asyncio.StreamWriter) -> bool:
-        """Handle one client frame; returns ``False`` to close the connection."""
-        if payload_kind(payload) == KIND_STATE:
-            # State travels between a router and its shards only; a client
-            # request must not be forwarded as, or mistaken for, a report.
-            await write_frame(writer, {
-                "type": "error",
-                "error": "unexpected kind-2 frame: a router accepts state "
-                         "only from its shards"})
-            return True
-        # Reports frames: peek the routing header and forward the payload
-        # bytes verbatim — fire-and-forget, like the single-server path.
-        if is_binary_payload(payload):
-            try:
-                header = peek_reports_header(payload)
-                # The shard decodes every column and closes the link on a
-                # frame it cannot decode; journaled, such a frame would
-                # fail every replay, so it must never be forwarded.
-                decode_reports_payload(payload)
-            except ValueError as exc:  # includes BinaryFormatError
-                self._reject(str(exc))
-                return True
-            if header["protocol"] != self.params.protocol:
-                self._reject(
-                    f"cannot route {header['protocol']!r} reports through a "
-                    f"{self.params.protocol!r} cluster"
-                )
-                return True
-            route = header["route"]
-            await self._forward_routed(
-                payload, int(header["num_reports"]),
-                int(route) if route is not None else None,
-                int(header["epoch"]),
-            )
-            return True
+    async def on_reports(self, payload: bytes) -> None:
+        # Peek the routing header and forward the payload bytes verbatim —
+        # fire-and-forget, like the single-server path.
         try:
-            message = json.loads(payload)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            await write_frame(
-                writer, {"type": "error", "error": f"invalid JSON in frame: {exc}"}
+            header = peek_reports_header(payload)
+            # The shard decodes every column and closes the link on a frame
+            # it cannot decode; journaled, such a frame would fail every
+            # replay, so it must never be forwarded.
+            decode_reports_payload(payload)
+        except ValueError as exc:  # includes BinaryFormatError
+            self._reject(str(exc))
+            return
+        if header["protocol"] != self.params.protocol:
+            self._reject(
+                f"cannot route {header['protocol']!r} reports through a "
+                f"{self.params.protocol!r} cluster"
             )
-            return False
-        if not isinstance(message, dict):
-            await write_frame(
-                writer,
-                {"type": "error", "error": "frame payload must be a JSON object"},
-            )
-            return False
-        if message.get("type") == "reports":
-            self._reject(JSON_REPORTS_REJECTED)
-            return True
-        try:
-            return await self._dispatch_control(message, writer)
-        except Exception as exc:  # noqa: BLE001 - reported to the peer
-            reply: Dict[str, object] = {"type": "error", "error": str(exc)}
-            if isinstance(exc, ShardUnavailable):
-                # Typed so clients can tell "shard down mid-query" apart
-                # from a malformed request (docs/wire-protocol.md §7).
-                reply["code"] = "shard_unavailable"
-            await write_frame(writer, reply)
-            return True
+            return
+        route = header["route"]
+        await self._forward_routed(
+            payload, int(header["num_reports"]),
+            int(route) if route is not None else None,
+            int(header["epoch"]),
+        )
 
-    # ----- control frames -------------------------------------------------------------
+    async def on_hello(self, message: Dict[str, object]) -> Dict[str, object]:
+        return {
+            "type": "params",
+            "server": ROUTER_ID,
+            "params": self.params.to_dict(),
+            "window": self.window,
+            "wire_formats": list(WIRE_FORMATS),
+            "cluster": {
+                "num_shards": self.num_shards,
+                "partition": self.partition.to_dict(),
+                "map_version": self.shard_map.version,
+                "shards": list(self.shard_map.active_ids),
+            },
+        }
 
-    async def _dispatch_control(
-        self,
-        message: Dict[str, object],
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        kind = message.get("type")
-        if kind == "hello":
-            await write_frame(
-                writer,
-                {
-                    "type": "params",
-                    "server": ROUTER_ID,
-                    "params": self.params.to_dict(),
-                    "window": self.window,
-                    "wire_formats": list(WIRE_FORMATS),
-                    "cluster": {
-                        "num_shards": self.num_shards,
-                        "partition": self.partition.to_dict(),
-                        "map_version": self.shard_map.version,
-                        "shards": list(self.shard_map.active_ids),
-                    },
-                },
+    async def on_sync(self, message: Dict[str, object]) -> Dict[str, object]:
+        # Merged reads serialize against membership transitions: a sync
+        # total must never miss a shard whose state is mid-handoff.
+        async with self._membership_lock:
+            replies = await self._fan_out(
+                self._request(link, {"type": "sync"}) for link in self.links
             )
-            return True
-        if kind == "sync":
-            # Merged reads serialize against membership transitions: a
-            # sync total must never miss a shard whose state is mid-handoff.
-            async with self._membership_lock:
-                replies = await self._fan_out(
-                    self._request(link, {"type": "sync"}, "synced")
+        return {
+            "type": "synced",
+            "num_reports": sum(int(r["num_reports"]) for r in replies),
+        }
+
+    async def on_query(self, message: Dict[str, object]) -> Dict[str, object]:
+        items = [int(x) for x in message.get("items", [])]
+        window = optional_int(message, "window")
+        async with self._membership_lock:
+            merged, epochs = await self._merged_aggregator(window, None)
+        self.stats.queries_answered += 1
+        return estimates_reply(merged, items, epochs)
+
+    async def on_state(self, message: Dict[str, object]) -> Dict[str, object]:
+        # Cluster-level state pull: sum the shards' pulled states and
+        # re-pack the merged exact-integer state — the same kind-2 frame a
+        # shard answers, so clusters compose (a router can front routers)
+        # and protocols whose finalized estimator is not item-queryable
+        # (RAPPOR) still get exact cluster reads.
+        window = optional_int(message, "window")
+        min_epoch = optional_int(message, "min_epoch")
+        if window is not None and min_epoch is not None:
+            raise ValueError("window and min_epoch are mutually exclusive")
+        async with self._membership_lock:
+            merged, epochs = await self._merged_aggregator(window, min_epoch)
+        self.stats.queries_answered += 1
+        return state_reply(merged, epochs)
+
+    async def on_stats(self, message: Dict[str, object]) -> Dict[str, object]:
+        async with self._membership_lock:
+            return await self._merged_stats()
+
+    async def on_shard_map(self, message: Dict[str, object]
+                           ) -> Dict[str, object]:
+        return {
+            "type": "shard_map",
+            "map": self.shard_map.to_dict(),
+            "newest_epoch": self._newest_epoch,
+        }
+
+    async def on_add_shard(self, message: Dict[str, object]
+                           ) -> Dict[str, object]:
+        return await self.add_shard()
+
+    async def on_drain_shard(self, message: Dict[str, object]
+                             ) -> Dict[str, object]:
+        shard = optional_int(message, "shard")
+        if shard is None:
+            raise ValueError("drain_shard needs a 'shard' id")
+        return await self.drain_shard(shard, optional_int(message, "target"))
+
+    async def on_rolling_restart(self, message: Dict[str, object]
+                                 ) -> Dict[str, object]:
+        return await self.rolling_restart()
+
+    async def on_snapshot(self, message: Dict[str, object]
+                          ) -> Dict[str, object]:
+        async with self._membership_lock:
+            paths = []
+            for link in self.links:
+                async with link.lock:
+                    try:
+                        paths.append(await self._checkpoint_locked(link))
+                    except _SHARD_FAILURES as exc:
+                        await self._recover_locked(link, exc)
+                        paths.append(await self._checkpoint_locked(link))
+            num_reports = sum(
+                int(r["num_reports"])
+                for r in await self._fan_out(
+                    self._request(link, {"type": "sync"})
                     for link in self.links
                 )
-            await write_frame(
-                writer,
-                {
-                    "type": "synced",
-                    "num_reports": sum(int(r["num_reports"]) for r in replies),
-                },
             )
-            return True
-        if kind == "query":
-            items = [int(x) for x in message.get("items", [])]
-            window = message.get("window")
-            window = int(window) if window is not None else None
-            async with self._membership_lock:
-                merged, epochs = await self._merged_aggregator(window, None)
-            if merged.num_reports == 0:
-                estimates = [0.0] * len(items)
-            else:
-                estimator = merged.finalize()
-                estimates = [float(a) for a in estimator.estimate_many(items)]
-            self.stats.queries_answered += 1
-            await write_frame(
-                writer,
-                {
-                    "type": "estimates",
-                    "items": items,
-                    "estimates": estimates,
-                    "num_reports": int(merged.num_reports),
-                    "epochs": epochs,
-                },
-            )
-            return True
-        if kind == "state":
-            # Cluster-level state pull: sum the shards' pulled states and
-            # re-pack the merged exact-integer state — the same kind-2
-            # frame a shard answers, so clusters compose (a router can
-            # front routers) and protocols whose finalized estimator is not
-            # item-queryable (RAPPOR) still get exact cluster reads.
-            window = message.get("window")
-            window = int(window) if window is not None else None
-            min_epoch = message.get("min_epoch")
-            min_epoch = int(min_epoch) if min_epoch is not None else None
-            if window is not None and min_epoch is not None:
-                raise ValueError("window and min_epoch are mutually exclusive")
-            async with self._membership_lock:
-                merged, epochs = await self._merged_aggregator(window,
-                                                               min_epoch)
-            self.stats.queries_answered += 1
-            await write_state_frame(writer, state_reply(merged, epochs))
-            return True
-        if kind == "stats":
-            async with self._membership_lock:
-                merged_stats = await self._merged_stats()
-            await write_frame(writer, merged_stats)
-            return True
-        if kind == "health":
-            await write_frame(writer, await self._health())
-            return True
-        if kind == "shard_map":
-            await write_frame(
-                writer,
-                {
-                    "type": "shard_map",
-                    "map": self.shard_map.to_dict(),
-                    "newest_epoch": self._newest_epoch,
-                },
-            )
-            return True
-        if kind == "add_shard":
-            await write_frame(writer, await self.add_shard())
-            return True
-        if kind == "drain_shard":
-            shard = message.get("shard")
-            if shard is None:
-                raise ValueError("drain_shard needs a 'shard' id")
-            target = message.get("target")
-            await write_frame(
-                writer,
-                await self.drain_shard(
-                    int(shard),
-                    int(target) if target is not None else None,
-                ),
-            )
-            return True
-        if kind == "rolling_restart":
-            await write_frame(writer, await self.rolling_restart())
-            return True
-        if kind == "snapshot":
-            async with self._membership_lock:
-                paths = []
-                for link in self.links:
-                    async with link.lock:
-                        try:
-                            paths.append(await self._checkpoint_locked(link))
-                        except _SHARD_FAILURES as exc:
-                            await self._recover_locked(link, exc)
-                            paths.append(await self._checkpoint_locked(link))
-                num_reports = sum(
-                    int(r["num_reports"])
-                    for r in await self._fan_out(
-                        self._request(link, {"type": "sync"}, "synced")
-                        for link in self.links
-                    )
+        return {
+            "type": "snapshot_written",
+            "path": (
+                str(self.supervisor.base_dir)
+                if self.supervisor is not None
+                else paths[0]
+            ),
+            "paths": paths,
+            "num_reports": num_reports,
+        }
+
+    async def on_shutdown(self, message: Dict[str, object]
+                          ) -> Dict[str, object]:
+        total = 0
+        async with self._membership_lock:
+            links = list(self.links)
+        for link in links:
+            try:
+                reply = await self._request(
+                    link, {"type": "shutdown"}, revive=False
                 )
-            await write_frame(
-                writer,
-                {
-                    "type": "snapshot_written",
-                    "path": (
-                        str(self.supervisor.base_dir)
-                        if self.supervisor is not None
-                        else paths[0]
-                    ),
-                    "paths": paths,
-                    "num_reports": num_reports,
-                },
-            )
-            return True
-        if kind == "shutdown":
-            total = 0
-            async with self._membership_lock:
-                links = list(self.links)
-            for link in links:
-                try:
-                    reply = await self._request(
-                        link, {"type": "shutdown"}, "bye", revive=False
-                    )
-                    total += int(reply["num_reports"])
-                except (*_SHARD_FAILURES, ClusterError):
-                    pass  # already dead; the supervisor reaps it below
-            if self.supervisor is not None:
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(None, self.supervisor.stop)
-            await write_frame(writer, {"type": "bye", "num_reports": total})
-            self._stopping.set()
-            return False
-        raise ValueError(f"unknown frame type {kind!r}")
+                total += int(reply["num_reports"])
+            except (*_SHARD_FAILURES, ClusterError):
+                pass  # already dead; the supervisor reaps it below
+        if self.supervisor is not None:
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(None, self.supervisor.stop)
+        return {"type": "bye", "num_reports": total}
 
     # ----- merged queries -------------------------------------------------------------
 
@@ -1170,7 +1017,7 @@ class ClusterRouter:
         if min_epoch is not None:
             frame["min_epoch"] = int(min_epoch)
         return await self._fan_out(
-            self._request(link, frame, "state") for link in self.links
+            self._request(link, frame) for link in self.links
         )
 
     async def _pull_windowed(self, window: int) -> List[Dict[str, object]]:
@@ -1188,14 +1035,12 @@ class ClusterRouter:
         if window < 1:
             raise ValueError("query window must be >= 1")
         await self._fan_out(
-            self._request(link, {"type": "sync"}, "synced")
-            for link in self.links
+            self._request(link, {"type": "sync"}) for link in self.links
         )
         pulls: List[Dict[str, object]] = []
         for _ in range(3):
             replies = await self._fan_out(
-                self._request(link, {"type": "stats"}, "stats")
-                for link in self.links
+                self._request(link, {"type": "stats"}) for link in self.links
             )
             newest = [max(r["epochs"]) for r in replies if r["epochs"]]
             cutoff = max(newest) - window if newest else None
@@ -1233,7 +1078,7 @@ class ClusterRouter:
     async def _merged_stats(self) -> Dict[str, object]:
         """Sum the shard counters; attach per-shard and router detail."""
         replies = await self._fan_out(
-            self._request(link, {"type": "stats"}, "stats") for link in self.links
+            self._request(link, {"type": "stats"}) for link in self.links
         )
         summed = {
             key: sum(int(r.get(key, 0)) for r in replies)
@@ -1276,7 +1121,7 @@ class ClusterRouter:
         )
         return summed
 
-    async def _health(self) -> Dict[str, object]:
+    async def on_health(self, message: Dict[str, object]) -> Dict[str, object]:
         """Probe every shard without draining or recovering.
 
         Health is a *read* on the cluster's failure state, so an
@@ -1306,7 +1151,7 @@ class ClusterRouter:
             async with link.lock:
                 try:
                     reply = await self._request_on_link(
-                        link, {"type": "health"}, "health"
+                        link, {"type": "health"}
                     )
                 except _SHARD_FAILURES as exc:
                     degraded = True
@@ -1427,9 +1272,7 @@ class ClusterRouter:
                     # ids are never reused, so any file here is stale debris
                     await loop.run_in_executor(None, link.disk.delete)
                 await asyncio.wait_for(link.connect(), self.connect_timeout)
-                reply = await self._request_on_link(
-                    link, {"type": "hello"}, "params"
-                )
+                reply = await self._request_on_link(link, {"type": "hello"})
                 published = PublicParams.from_dict(dict(reply["params"]))
                 if published != self.params:
                     raise ClusterError(
@@ -1586,7 +1429,7 @@ class ClusterRouter:
                     f"handoff {hid} are both gone"
                 )
             reply = await self._request(
-                link, {"type": "handoff", "handoff": hid}, "handoff_state"
+                link, {"type": "handoff", "handoff": hid}
             )
             payload = {
                 "handoff": hid,
@@ -1606,9 +1449,8 @@ class ClusterRouter:
             )
         await self._request(
             target_link,
-            encode_state_frame({"type": "absorb_state", "handoff": hid,
-                                "state": payload["state"]}),
-            "absorbed",
+            {"type": "absorb_state", "handoff": hid,
+             "state": payload["state"]},
         )
         # Checkpoint the survivor immediately: the absorbed state must not
         # live only in its memory once the source shard is reaped.

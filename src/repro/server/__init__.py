@@ -9,12 +9,14 @@ collection.  The layer map (see ``docs/architecture.md``):
 * :mod:`repro.server.framing` — length-prefixed frames (the transport):
   JSON control frames plus zero-copy binary ``reports`` frames
   (``docs/wire-protocol.md`` §8), distinguished by the payload magic byte;
+  the ``MESSAGES`` table of the vocabulary, and ``MessageEndpoint``, the
+  connection loop that dispatches each request to its handler by name;
 * :mod:`repro.server.window`  — :class:`WindowedAggregator`, epoch-tagged
   aggregators with a rolling bit-exact merge;
 * :mod:`repro.server.snapshot` — atomic durable snapshot files
   (:class:`SnapshotStore`);
 * :mod:`repro.server.service` — :class:`AggregationServer`, the bounded-queue
-  ingestion loop and frame dispatcher;
+  ingestion loop and the server's message handlers;
 * :mod:`repro.server.client`  — :class:`AggregationClient` (blocking) and
   :class:`AsyncAggregationClient` (asyncio).
 

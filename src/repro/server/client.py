@@ -42,7 +42,9 @@ import numpy as np
 
 from repro.protocol.wire import PublicParams, ReportBatch
 from repro.server.framing import (
-    FrameError,
+    ServerError,
+    ShardUnavailable,
+    check_reply,
     check_wire_format,
     encode_reports_frame,
     read_frame,
@@ -58,36 +60,11 @@ __all__ = ["AggregationClient", "AsyncAggregationClient", "DEFAULT_TIMEOUT",
 DEFAULT_TIMEOUT = 60.0
 
 
-class ServerError(RuntimeError):
-    """The server answered a request with an ``error`` frame."""
-
-
-class ShardUnavailable(ServerError):
-    """A cluster router exhausted its bounded recovery deadline against a
-    dead or stalled shard (error frames carrying ``"code":
-    "shard_unavailable"``).  The query was refused whole — never answered
-    from a silently partial merge."""
-
-
 def _check_negotiated(reply: Dict[str, object]) -> None:
     advertised = tuple(reply.get("wire_formats", ()))
     if "binary" not in advertised:
         raise ServerError(f"server does not accept 'binary' reports frames "
                           f"(advertised: {advertised})")
-
-
-def _check_reply(reply: Optional[Dict[str, object]],
-                 expected: str) -> Dict[str, object]:
-    if reply is None:
-        raise FrameError("server closed the connection mid-request")
-    if reply.get("type") == "error":
-        if reply.get("code") == "shard_unavailable":
-            raise ShardUnavailable(str(reply.get("error")))
-        raise ServerError(str(reply.get("error")))
-    if reply.get("type") != expected:
-        raise FrameError(f"expected a {expected!r} reply, got "
-                         f"{reply.get('type')!r}")
-    return reply
 
 
 class AggregationClient:
@@ -114,10 +91,9 @@ class AggregationClient:
 
     # ----- plumbing ------------------------------------------------------------------
 
-    def _request(self, frame: Dict[str, object],
-                 expected: str) -> Dict[str, object]:
+    def _request(self, frame: Dict[str, object]) -> Dict[str, object]:
         write_frame_sync(self._stream, frame)
-        return _check_reply(read_frame_sync(self._stream), expected)
+        return check_reply(frame["type"], read_frame_sync(self._stream))
 
     def close(self) -> None:
         self._stream.close()
@@ -138,7 +114,7 @@ class AggregationClient:
         ``"binary"`` is not among them a :class:`ServerError` is raised up
         front instead of every later batch being silently rejected.
         """
-        reply = self._request({"type": "hello"}, "params")
+        reply = self._request({"type": "hello"})
         _check_negotiated(reply)
         return PublicParams.from_dict(dict(reply["params"]))
 
@@ -166,7 +142,7 @@ class AggregationClient:
         this connection beforehand is absorbed.  Batches other connections
         sent may still be in their sockets — each sender syncs for itself.
         """
-        reply = self._request({"type": "sync"}, "synced")
+        reply = self._request({"type": "sync"})
         return int(reply["num_reports"])
 
     def query(self, items: Sequence[int],
@@ -176,7 +152,7 @@ class AggregationClient:
                                     "items": [int(x) for x in items]}
         if window is not None:
             frame["window"] = int(window)
-        reply = self._request(frame, "estimates")
+        reply = self._request(frame)
         return np.asarray(reply["estimates"], dtype=float)
 
     def pull_state(self, window: Optional[int] = None,
@@ -194,30 +170,30 @@ class AggregationClient:
             frame["window"] = int(window)
         if min_epoch is not None:
             frame["min_epoch"] = int(min_epoch)
-        return self._request(frame, "state")
+        return self._request(frame)
 
     def snapshot(self) -> str:
         """Ask the server to write a durable snapshot; returns its path."""
-        reply = self._request({"type": "snapshot"}, "snapshot_written")
+        reply = self._request({"type": "snapshot"})
         return str(reply["path"])
 
     def stats(self) -> Dict[str, object]:
         """Server ingestion counters and window occupancy."""
-        return self._request({"type": "stats"}, "stats")
+        return self._request({"type": "stats"})
 
     def health(self) -> Dict[str, object]:
         """Liveness probe; a cluster router replies with per-shard status."""
-        return self._request({"type": "health"}, "health")
+        return self._request({"type": "health"})
 
     # ----- cluster membership (router peers only) ------------------------------------
 
     def shard_map(self) -> Dict[str, object]:
         """The router's current versioned shard map (plus its newest epoch)."""
-        return self._request({"type": "shard_map"}, "shard_map")
+        return self._request({"type": "shard_map"})
 
     def add_shard(self) -> Dict[str, object]:
         """Grow the cluster by one shard at the next epoch cut (§7.4)."""
-        return self._request({"type": "add_shard"}, "shard_added")
+        return self._request({"type": "add_shard"})
 
     def drain_shard(self, shard: int,
                     target: Optional[int] = None) -> Dict[str, object]:
@@ -226,15 +202,15 @@ class AggregationClient:
                                     "shard": int(shard)}
         if target is not None:
             frame["target"] = int(target)
-        return self._request(frame, "drained")
+        return self._request(frame)
 
     def rolling_restart(self) -> Dict[str, object]:
         """Checkpoint-restart every shard in sequence, zero data loss."""
-        return self._request({"type": "rolling_restart"}, "restarted")
+        return self._request({"type": "rolling_restart"})
 
     def shutdown(self) -> int:
         """Stop the server (drains first); returns the final report count."""
-        reply = self._request({"type": "shutdown"}, "bye")
+        reply = self._request({"type": "shutdown"})
         return int(reply["num_reports"])
 
 
@@ -288,14 +264,12 @@ class AsyncAggregationClient:
             raise TimeoutError(f"{what} timed out after "
                                f"{self.timeout}s") from None
 
-    async def _request(self, frame: Dict[str, object],
-                       expected: str) -> Dict[str, object]:
+    async def _request(self, frame: Dict[str, object]) -> Dict[str, object]:
         async def exchange() -> Optional[Dict[str, object]]:
             await write_frame(self._writer, frame)
             return await read_frame(self._reader)
-        reply = await self._deadline(exchange(),
-                                     f"{frame.get('type')!r} request")
-        return _check_reply(reply, expected)
+        reply = await self._deadline(exchange(), f"{frame['type']!r} request")
+        return check_reply(frame["type"], reply)
 
     async def close(self) -> None:
         self._writer.close()
@@ -311,7 +285,7 @@ class AsyncAggregationClient:
         await self.close()
 
     async def hello(self) -> PublicParams:
-        reply = await self._request({"type": "hello"}, "params")
+        reply = await self._request({"type": "hello"})
         _check_negotiated(reply)
         return PublicParams.from_dict(dict(reply["params"]))
 
@@ -334,7 +308,7 @@ class AsyncAggregationClient:
         return sent
 
     async def sync(self) -> int:
-        reply = await self._request({"type": "sync"}, "synced")
+        reply = await self._request({"type": "sync"})
         return int(reply["num_reports"])
 
     async def query(self, items: Sequence[int],
@@ -343,7 +317,7 @@ class AsyncAggregationClient:
                                     "items": [int(x) for x in items]}
         if window is not None:
             frame["window"] = int(window)
-        reply = await self._request(frame, "estimates")
+        reply = await self._request(frame)
         return np.asarray(reply["estimates"], dtype=float)
 
     async def pull_state(self, window: Optional[int] = None,
@@ -353,23 +327,23 @@ class AsyncAggregationClient:
             frame["window"] = int(window)
         if min_epoch is not None:
             frame["min_epoch"] = int(min_epoch)
-        return await self._request(frame, "state")
+        return await self._request(frame)
 
     async def snapshot(self) -> str:
-        reply = await self._request({"type": "snapshot"}, "snapshot_written")
+        reply = await self._request({"type": "snapshot"})
         return str(reply["path"])
 
     async def stats(self) -> Dict[str, object]:
-        return await self._request({"type": "stats"}, "stats")
+        return await self._request({"type": "stats"})
 
     async def health(self) -> Dict[str, object]:
-        return await self._request({"type": "health"}, "health")
+        return await self._request({"type": "health"})
 
     async def shard_map(self) -> Dict[str, object]:
-        return await self._request({"type": "shard_map"}, "shard_map")
+        return await self._request({"type": "shard_map"})
 
     async def add_shard(self) -> Dict[str, object]:
-        return await self._request({"type": "add_shard"}, "shard_added")
+        return await self._request({"type": "add_shard"})
 
     async def drain_shard(self, shard: int,
                           target: Optional[int] = None) -> Dict[str, object]:
@@ -377,11 +351,11 @@ class AsyncAggregationClient:
                                     "shard": int(shard)}
         if target is not None:
             frame["target"] = int(target)
-        return await self._request(frame, "drained")
+        return await self._request(frame)
 
     async def rolling_restart(self) -> Dict[str, object]:
-        return await self._request({"type": "rolling_restart"}, "restarted")
+        return await self._request({"type": "rolling_restart"})
 
     async def shutdown(self) -> int:
-        reply = await self._request({"type": "shutdown"}, "bye")
+        reply = await self._request({"type": "shutdown"})
         return int(reply["num_reports"])

@@ -15,9 +15,9 @@ binary payloads then by their kind byte:
 +----------------+---------------------------+
 ```
 
-JSON frames carry the control vocabulary (``hello`` / ``sync`` /
-``query`` / ``snapshot`` / ``stats`` / ``shutdown`` and their replies,
-specified in ``docs/wire-protocol.md`` §7).  Kind-1 binary frames carry
+JSON frames carry the control vocabulary: the requests and replies of
+:data:`MESSAGES`, the normative table of ``docs/wire-protocol.md`` §7.
+Kind-1 binary frames carry
 ``reports``, the only form a report batch can take on the wire: the batch
 columns travel as raw little-endian bytes behind a fixed struct header
 (``docs/wire-protocol.md`` §8) and decode to **read-only zero-copy** numpy
@@ -39,6 +39,14 @@ the server and the async client) and a blocking flavor
 (:func:`read_frame_sync` / :func:`write_frame_sync` over a socket file
 object, used by the sync client and the load generator) are provided; the
 bytes on the wire are identical.
+
+:class:`MessageEndpoint` is the connection loop a server and a router
+share: it reads frames, hands binary ``reports`` payloads to the side's
+``on_reports``, and dispatches every other request by name to an
+``on_<type>`` handler, with the unknown-type error, the kind-2 gate, the
+JSON ``reports`` rejection and the error reply derived from
+:data:`MESSAGES`.  Clients check replies against the same table
+(:func:`check_reply`).
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import BinaryIO, Dict, Optional
+from typing import BinaryIO, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.protocol.binary import (
     KIND_STATE,
@@ -65,7 +73,13 @@ __all__ = [
     "FrameError",
     "JSON_REPORTS_REJECTED",
     "MAX_FRAME_BYTES",
+    "MESSAGES",
+    "Message",
+    "MessageEndpoint",
+    "ServerError",
+    "ShardUnavailable",
     "WIRE_FORMATS",
+    "check_reply",
     "encode_frame",
     "encode_reports_frame",
     "encode_state_frame",
@@ -99,6 +113,89 @@ class FrameError(ValueError):
     """A malformed frame: bad length prefix, truncation, invalid JSON, a
     corrupted/oversized binary payload, or a message without a string
     ``type``."""
+
+
+class ServerError(RuntimeError):
+    """The peer answered a request with an ``error`` frame."""
+
+
+class ShardUnavailable(ServerError):
+    """A cluster router exhausted its bounded recovery deadline against a
+    dead or stalled shard (error frames carrying ``"code":
+    "shard_unavailable"``).  The query was refused whole — never answered
+    from a silently partial merge."""
+
+
+class Message(NamedTuple):
+    """What the code reads about one request type of the vocabulary."""
+
+    #: the reply's type; ``None`` for the fire-and-forget ``reports``
+    reply: Optional[str]
+    #: the endpoints that answer it: ``"server"``, ``"router"`` or both
+    sides: Tuple[str, ...]
+    #: the half of the exchange that travels as a kind-2 frame:
+    #: ``"request"``, ``"reply"``, or ``""`` for neither
+    kind2: str = ""
+
+
+_BOTH = ("server", "router")
+
+#: the service vocabulary, normative for ``docs/wire-protocol.md`` §7,
+#: §7.3 and §7.4: request type -> reply type, sides, kind-2 half
+MESSAGES: Dict[str, Message] = {
+    "hello": Message("params", _BOTH),
+    "reports": Message(None, _BOTH),
+    "sync": Message("synced", _BOTH),
+    "query": Message("estimates", _BOTH),
+    "state": Message("state", _BOTH, kind2="reply"),
+    "snapshot": Message("snapshot_written", _BOTH),
+    "stats": Message("stats", _BOTH),
+    "health": Message("health", _BOTH),
+    "shutdown": Message("bye", _BOTH),
+    "handoff": Message("handoff_state", ("server",), kind2="reply"),
+    "absorb_state": Message("absorbed", ("server",), kind2="request"),
+    "shard_map": Message("shard_map", ("router",)),
+    "add_shard": Message("shard_added", ("router",)),
+    "drain_shard": Message("drained", ("router",)),
+    "rolling_restart": Message("restarted", ("router",)),
+}
+
+
+def state_requests(side: str) -> List[str]:
+    """The request types ``side`` takes as kind-2 frames."""
+    return [kind for kind, entry in MESSAGES.items()
+            if entry.kind2 == "request" and side in entry.sides]
+
+
+def error_reply(exc: BaseException) -> Dict[str, object]:
+    """The ``error`` frame answering a request that raised ``exc``."""
+    reply: Dict[str, object] = {"type": "error", "error": str(exc)}
+    if isinstance(exc, ShardUnavailable):
+        # Typed so clients can tell "shard down mid-query" apart from a
+        # malformed request (docs/wire-protocol.md §7).
+        reply["code"] = "shard_unavailable"
+    return reply
+
+
+def check_reply(request: str, reply: Optional[Dict[str, object]],
+                peer: str = "server") -> Dict[str, object]:
+    """``reply`` if it is the :data:`MESSAGES` reply to ``request``.
+
+    A closed connection or a reply of another type raises
+    :class:`FrameError`; an ``error`` reply raises :class:`ServerError`,
+    or :class:`ShardUnavailable` when its ``code`` says so.
+    """
+    if reply is None:
+        raise FrameError(f"{peer} closed the connection mid-request")
+    if reply.get("type") == "error":
+        if reply.get("code") == "shard_unavailable":
+            raise ShardUnavailable(str(reply.get("error")))
+        raise ServerError(str(reply.get("error")))
+    expected = MESSAGES[request].reply
+    if reply.get("type") != expected:
+        raise FrameError(f"{peer}: expected a {expected!r} reply, got "
+                         f"{reply.get('type')!r}")
+    return reply
 
 
 def encode_frame(message: Dict[str, object]) -> bytes:
@@ -290,3 +387,121 @@ def write_frame_sync(stream: BinaryIO, message: Dict[str, object]) -> None:
     """Blocking :func:`write_frame` over a socket file object."""
     stream.write(encode_frame(message))
     stream.flush()
+
+
+class MessageEndpoint:
+    """The connection loop and message dispatch of a server and a router.
+
+    A subclass sets :attr:`side` and defines one ``on_<type>`` coroutine
+    for every :data:`MESSAGES` entry that side answers.  ``on_reports``
+    takes a binary ``reports`` payload and answers nothing; every other
+    handler takes the decoded request and returns its reply.  The subclass
+    also provides ``stats`` (with ``connections_total``), ``start``,
+    ``_shutdown``, and ``_reject(reason)``, which accounts a dropped
+    ``reports`` frame.
+    """
+
+    side: str
+
+    def __init__(self) -> None:
+        self._connections: set = set()
+        self._stopping = asyncio.Event()
+        #: claimed synchronously at the top of start(), before its first
+        #: await, so concurrent start() calls cannot both pass the guard
+        self._started = False
+
+    async def serve_until_stopped(self) -> None:
+        """Serve until a ``shutdown`` frame arrives or :meth:`stop` is called."""
+        if not self._started:
+            raise RuntimeError("call start() first")
+        await self._stopping.wait()
+        await self._shutdown()
+
+    def request_stop(self) -> None:
+        """Make :meth:`serve_until_stopped` shut down as on a ``shutdown`` frame.
+
+        Synchronous and idempotent, so it is safe as a signal handler
+        (``serve`` and ``serve-cluster`` route ``SIGTERM`` here).
+        """
+        self._stopping.set()
+
+    async def stop(self) -> None:
+        """Shut down now, as :meth:`serve_until_stopped` does on a stop."""
+        self._stopping.set()
+        await self._shutdown()
+
+    async def _handle_connection(self, reader: asyncio.StreamReader,
+                                 writer: asyncio.StreamWriter) -> None:
+        self.stats.connections_total += 1
+        self._connections.add(writer)
+        try:
+            while True:
+                try:
+                    payload = await read_frame_payload(reader)
+                    if payload is None:
+                        break
+                    state_frame = payload_kind(payload) == KIND_STATE
+                    if is_binary_payload(payload) and not state_frame:
+                        await self.on_reports(payload)
+                        continue
+                    if state_frame and not state_requests(self.side):
+                        # Refused by the kind byte: no state is unpacked
+                        # only to be refused.
+                        await write_frame(writer,
+                                          error_reply(self._refuse_state()))
+                        continue
+                    message = decode_frame(payload)
+                except FrameError as exc:
+                    await write_frame(writer, error_reply(exc))
+                    break
+                if not await self._dispatch(message, writer, state_frame):
+                    break
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        finally:
+            self._connections.discard(writer)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+
+    def _refuse_state(self, kind: Optional[str] = None) -> ValueError:
+        takes = state_requests(self.side)
+        what = f"only {' or '.join(takes)}" if takes else "no request"
+        name = "" if kind is None else f"{kind!r} "
+        return ValueError(f"unexpected kind-2 {name}frame: {what} carries "
+                          f"state to a {self.side}")
+
+    async def _dispatch(self, message: Dict[str, object],
+                        writer: asyncio.StreamWriter,
+                        state_frame: bool) -> bool:
+        """Answer one request; returns ``False`` to close the connection."""
+        kind = message.get("type")
+        entry = MESSAGES.get(kind) if isinstance(kind, str) else None
+        if entry is not None and entry.reply is None and not state_frame:
+            # A JSON `reports` frame is accounted, never answered: an error
+            # frame would take the next request's reply slot.
+            self._reject(JSON_REPORTS_REJECTED)
+            return True
+        try:
+            takes_state = kind in state_requests(self.side)
+            if state_frame and not takes_state:
+                raise self._refuse_state(kind)
+            if takes_state and not state_frame:
+                raise ValueError(f"{kind} must be a kind-2 frame: only a "
+                                 f"kind-2 frame carries state")
+            if entry is None or self.side not in entry.sides:
+                raise ValueError(f"unknown frame type {kind!r}")
+            reply = await getattr(self, f"on_{kind}")(message)
+            if entry.kind2 == "reply":
+                await write_state_frame(writer, reply)
+            else:
+                await write_frame(writer, reply)
+        except Exception as exc:  # noqa: BLE001 - reported to the peer
+            await write_frame(writer, error_reply(exc))
+            return True
+        if kind == "shutdown":
+            self._stopping.set()
+            return False
+        return True

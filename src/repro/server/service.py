@@ -19,6 +19,10 @@ protocol of :mod:`repro.server.framing` (``docs/wire-protocol.md`` §7):
   ``drain_reports`` rows), concatenates per epoch, and calls
   ``absorb_batch`` once per epoch — large-batch ingestion is what keeps the
   numpy fast path hot (see ``benchmarks/bench_server_ingest.py``).
+* **Dispatch** — :class:`~repro.server.framing.MessageEndpoint` runs the
+  connection loop and calls the ``on_<type>`` handler of each request that
+  :data:`~repro.server.framing.MESSAGES` gives a server; each handler
+  returns its reply.
 * **Live queries** — ``query`` frames merge the requested epoch window
   (bit-exact, pure) and ``finalize()`` the copy while ingestion continues;
   a client that needs every report it sent reflected first sends ``sync``,
@@ -40,24 +44,38 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.protocol.binary import KIND_STATE, payload_kind
 from repro.protocol.wire import PublicParams, ReportBatch, ServerAggregator
-from repro.server.framing import (
-    JSON_REPORTS_REJECTED,
-    WIRE_FORMATS,
-    FrameError,
-    decode_frame,
-    read_frame_payload,
-    write_frame,
-    write_state_frame,
-)
+from repro.server.framing import WIRE_FORMATS, MessageEndpoint, decode_frame
 from repro.server.snapshot import SnapshotStore, read_snapshot
 from repro.server.window import WindowedAggregator
 
-__all__ = ["AggregationServer", "ServerStats", "state_reply"]
+__all__ = ["AggregationServer", "ServerStats", "estimates_reply",
+           "optional_int", "state_reply"]
 
 #: protocol identification string sent in every ``params`` reply
 SERVER_ID = "repro-aggregation-server/1"
+
+
+def optional_int(message: Dict[str, object], key: str) -> Optional[int]:
+    """``message[key]`` as an int, or ``None`` when it is absent or null."""
+    value = message.get(key)
+    return int(value) if value is not None else None
+
+
+def estimates_reply(merged: ServerAggregator, items: List[int],
+                    epochs: List[int]) -> Dict[str, object]:
+    """The ``estimates`` reply: ``merged`` finalized and asked for ``items``."""
+    if merged.num_reports == 0:
+        # No data (fresh server or empty window): every count estimate is
+        # exactly zero; finalizing would raise.
+        estimates = [0.0] * len(items)
+    else:
+        estimates = [float(a) for a in merged.finalize().estimate_many(items)]
+    return {"type": "estimates",
+            "items": items,
+            "estimates": estimates,
+            "num_reports": int(merged.num_reports),
+            "epochs": epochs}
 
 
 def state_reply(merged: ServerAggregator,
@@ -111,7 +129,7 @@ class _QueuedBatch:
     batch: ReportBatch = field(repr=False)
 
 
-class AggregationServer:
+class AggregationServer(MessageEndpoint):
     """A long-lived ingestion endpoint for one protocol's reports.
 
     Parameters
@@ -134,6 +152,8 @@ class AggregationServer:
         calling ``absorb_batch``.
     """
 
+    side = "server"
+
     def __init__(self, params: PublicParams, *, window: Optional[int] = None,
                  snapshot_dir: Optional[Union[str, Path]] = None,
                  queue_batches: int = 256,
@@ -142,6 +162,7 @@ class AggregationServer:
             raise ValueError("queue_batches must be >= 1")
         if drain_reports < 1:
             raise ValueError("drain_reports must be >= 1")
+        super().__init__()
         self.params = params
         self.windowed = WindowedAggregator(params, window)
         self.stats = ServerStats()
@@ -156,11 +177,6 @@ class AggregationServer:
         #: the optional same-host shared-memory accept endpoint
         self._shm_listener = None
         self._drain_task: Optional[asyncio.Task] = None
-        self._connections: set = set()
-        self._stopping = asyncio.Event()
-        #: claimed synchronously at the top of start(), before its first
-        #: await, so concurrent start() calls cannot both pass the guard
-        self._started = False
         #: serializes snapshot captures with their executor-side disk write
         self._snapshot_lock = asyncio.Lock()
         #: highest delivery sequence number accepted (spec §7.1); in-memory
@@ -226,27 +242,8 @@ class AggregationServer:
                 transports.format_address("shm", str(shm_name)))
         return self._listener.host, self._listener.port
 
-    async def serve_until_stopped(self) -> None:
-        """Serve until a ``shutdown`` frame arrives or :meth:`stop` is called."""
-        if self._listener is None:
-            raise RuntimeError("call start() first")
-        await self._stopping.wait()
-        await self._shutdown()
-
-    def request_stop(self) -> None:
-        """Make :meth:`serve_until_stopped` shut down as on a ``shutdown`` frame.
-
-        Synchronous and idempotent, so it is safe as a signal handler
-        (``serve`` routes ``SIGTERM`` here).
-        """
-        self._stopping.set()
-
-    async def stop(self) -> None:
-        """Drain, stop accepting, and cancel the drain task."""
-        self._stopping.set()
-        await self._shutdown()
-
     async def _shutdown(self) -> None:
+        """Stop accepting, drain, and cancel the drain task."""
         if self._listener is None:
             return
         listener, self._listener = self._listener, None
@@ -312,251 +309,166 @@ class AggregationServer:
                 for _ in pending:
                     self._queue.task_done()
 
-    # ----- connection handling ------------------------------------------------------
+    # ----- message handlers (MessageEndpoint dispatches by name) -------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self.stats.connections_total += 1
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    payload = await read_frame_payload(reader)
-                    if payload is None:
-                        break
-                    frame = decode_frame(payload)
-                except FrameError as exc:
-                    await write_frame(writer, {"type": "error",
-                                               "error": str(exc)})
-                    break
-                if payload_kind(payload) == KIND_STATE and \
-                        frame["type"] != "absorb_state":
-                    # Only a drain push carries state *to* a server; any
-                    # other kind-2 request is answered, never acted on.
-                    await write_frame(writer, {
-                        "type": "error",
-                        "error": f"unexpected kind-2 {frame['type']!r} "
-                                 f"frame: only absorb_state carries state "
-                                 f"to a server"})
-                    continue
-                if not await self._dispatch(frame, writer):
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    def _reject(self, reason: str, reports: int = 0) -> None:
+        """Account a dropped ``reports`` frame of ``reports`` reports."""
+        self.stats.batches_received += 1
+        self.stats.reports_rejected += reports
+        self.stats.last_rejection = reason
 
-    async def _answer_query(self, writer: asyncio.StreamWriter,
-                            items: List[int], epochs: List[int],
-                            merged) -> bool:
-        """Finalize a merged window and reply with an ``estimates`` frame."""
-        if merged.num_reports == 0:
-            # No data (fresh server or empty window): every count
-            # estimate is exactly zero; finalizing would raise.
-            estimates = [0.0] * len(items)
-        else:
-            estimator = merged.finalize()
-            estimates = [float(a) for a in estimator.estimate_many(items)]
+    async def on_reports(self, payload: bytes) -> None:
+        # Fire-and-forget: a bad batch must be *accounted*, never answered —
+        # an error frame here would occupy the next request's reply slot
+        # and desynchronize the connection forever.  An undecodable payload
+        # raises FrameError: answered, and the connection closed.
+        message = decode_frame(payload)
+        batch: ReportBatch = message["batch"]
+        if batch.protocol != self.params.protocol:
+            self._reject(f"cannot ingest {batch.protocol!r} reports into a "
+                         f"{self.params.protocol!r} server", len(batch))
+            return
+        if self._draining:
+            # The state already left (or is leaving) wholesale: a report
+            # absorbed now would miss the handoff and vanish.
+            self._reject("this shard is draining: its state was handed off",
+                         len(batch))
+            return
+        self.stats.batches_received += 1
+        seq = message.get("seq")
+        if seq is not None:
+            # Exact redelivery detection (spec §7.1): the router stamps a
+            # strictly increasing per-link counter, so on journal replay a
+            # not-larger number means this exact batch was already
+            # absorbed — drop it, account it, stay silent.
+            seq = int(seq)
+            if self._max_seq is not None and seq <= self._max_seq:
+                self.stats.reports_deduped += len(batch)
+                return
+            self._max_seq = seq
+        self.stats.reports_received += len(batch)
+        if len(batch):
+            await self._queue.put(_QueuedBatch(int(message["epoch"]), batch))
+
+    async def on_hello(self, message: Dict[str, object]) -> Dict[str, object]:
+        return {"type": "params",
+                "server": SERVER_ID,
+                "params": self.params.to_dict(),
+                "window": self.windowed.window,
+                "wire_formats": list(WIRE_FORMATS)}
+
+    async def on_sync(self, message: Dict[str, object]) -> Dict[str, object]:
+        await self._queue.join()
+        return {"type": "synced", "num_reports": self.windowed.num_reports}
+
+    async def on_query(self, message: Dict[str, object]) -> Dict[str, object]:
+        items = [int(x) for x in message.get("items", [])]
+        window = optional_int(message, "window")
+        epochs = self.windowed.select_epochs(window)
+        merged = self.windowed.merged(window)
         self.stats.queries_answered += 1
-        await write_frame(writer, {
-            "type": "estimates",
-            "items": items,
-            "estimates": estimates,
-            "num_reports": merged.num_reports,
-            "epochs": epochs})
-        return True
+        return estimates_reply(merged, items, epochs)
 
-    async def _dispatch(self, frame: Dict[str, object],
-                        writer: asyncio.StreamWriter) -> bool:
-        """Handle one frame; returns ``False`` to close the connection."""
-        kind = frame.get("type")
-        if kind == "reports":
-            # Fire-and-forget: a bad batch must be *accounted*, never
-            # answered — an error frame here would occupy the next request's
-            # reply slot and desynchronize the connection forever.
-            self.stats.batches_received += 1
-            try:
-                # A binary frame arrives with its columns already decoded
-                # as zero-copy views; only a JSON frame can carry anything
-                # else here, and that form is retired.
-                batch = frame.get("batch")
-                if not isinstance(batch, ReportBatch):
-                    raise ValueError(JSON_REPORTS_REJECTED)
-                if batch.protocol != self.params.protocol:
-                    self.stats.reports_rejected += len(batch)
-                    raise ValueError(
-                        f"cannot ingest {batch.protocol!r} reports into a "
-                        f"{self.params.protocol!r} server")
-                if self._draining:
-                    # The state already left (or is leaving) wholesale: a
-                    # report absorbed now would miss the handoff and vanish.
-                    self.stats.reports_rejected += len(batch)
-                    raise ValueError("this shard is draining: its state "
-                                     "was handed off")
-            except Exception as exc:  # noqa: BLE001 - accounted in stats
-                self.stats.last_rejection = str(exc)
-                return True
-            seq = frame.get("seq")
-            if seq is not None:
-                # Exact redelivery detection (spec §7.1): the router stamps
-                # a strictly increasing per-link counter, so on journal
-                # replay a not-larger number means this exact batch was
-                # already absorbed — drop it, account it, stay silent.
-                seq = int(seq)
-                if self._max_seq is not None and seq <= self._max_seq:
-                    self.stats.reports_deduped += len(batch)
-                    return True
-                self._max_seq = seq
-            self.stats.reports_received += len(batch)
-            if len(batch):
-                await self._queue.put(
-                    _QueuedBatch(int(frame.get("epoch", 0)), batch))
-            return True
-        try:
-            if kind == "hello":
-                await write_frame(writer, {
-                    "type": "params",
-                    "server": SERVER_ID,
-                    "params": self.params.to_dict(),
-                    "window": self.windowed.window,
-                    "wire_formats": list(WIRE_FORMATS)})
-                return True
-            if kind == "sync":
-                await self._queue.join()
-                await write_frame(writer, {
-                    "type": "synced",
-                    "num_reports": self.windowed.num_reports})
-                return True
-            if kind == "query":
-                items = [int(x) for x in frame.get("items", [])]
-                window = frame.get("window")
-                window = int(window) if window is not None else None
-                epochs = self.windowed.select_epochs(window)
-                merged = self.windowed.merged(window)
-                return await self._answer_query(writer, items, epochs, merged)
-            if kind == "state":
-                # State pull (the cluster router's query path): drain, merge
-                # the selected epochs, and ship the exact integer state as
-                # one kind-2 frame.  The puller sums K shards' counts and
-                # finalizes — bit-identical to one server that ingested
-                # everything, because merge is an integer sum.
-                await self._queue.join()
-                window = frame.get("window")
-                window = int(window) if window is not None else None
-                min_epoch = frame.get("min_epoch")
-                min_epoch = int(min_epoch) if min_epoch is not None else None
-                epochs = self.windowed.select_epochs(window, min_epoch)
-                merged = self.windowed.merged(window, min_epoch)
-                self.stats.queries_answered += 1
-                await write_state_frame(writer, state_reply(merged, epochs))
-                return True
-            if kind == "handoff":
-                # Drain pull (spec §7.4): stop absorbing, then ship the
-                # full per-epoch exact state as one kind-2 frame.  Draining
-                # is set *before* the queue join so stragglers are rejected
-                # and the reply is idempotent — a retried pull (the router
-                # crashed mid-drain) reads the same frozen state.
-                hid = int(frame.get("handoff", 0))
-                # repro-lint: ignore[RPL302] the write is idempotent (True
-                # stays True across retried pulls), so the interleaving is
-                # harmless by design, not by timing
-                self._draining = True
-                await self._queue.join()
-                self.stats.queries_answered += 1
-                await write_state_frame(writer, {
-                    "type": "handoff_state",
-                    "handoff": hid,
-                    "protocol": self.params.protocol,
-                    "num_reports": self.windowed.num_reports,
-                    "state": self.windowed.capture()})
-                return True
-            if kind == "absorb_state":
-                # Drain push: fold a drained shard's windowed snapshot into
-                # this one.  Deduped on the handoff id — the set survives
-                # snapshots/restores — so a push retried across any crash
-                # absorbs exactly once.
-                hid = int(frame.get("handoff", 0))
-                if hid in self._handoffs:
-                    await write_frame(writer, {
-                        "type": "absorbed",
-                        "handoff": hid,
-                        "absorbed": 0,
-                        "deduped": True,
-                        "num_reports": self.windowed.num_reports})
-                    return True
-                payload = frame.get("state")
-                if not isinstance(payload, dict):
-                    raise ValueError("absorb_state must be a kind-2 frame "
-                                     "carrying a windowed snapshot object")
-                absorbed = self.windowed.merge_snapshot(payload)
-                self._handoffs.add(hid)
-                self.stats.reports_absorbed += absorbed
-                await write_frame(writer, {
-                    "type": "absorbed",
-                    "handoff": hid,
-                    "absorbed": absorbed,
-                    "deduped": False,
-                    "num_reports": self.windowed.num_reports})
-                return True
-            if kind == "snapshot":
-                if self.store is None:
-                    raise ValueError("server was started without a snapshot "
-                                     "directory")
-                await self._queue.join()
-                async with self._snapshot_lock:
-                    # capture array copies synchronously (atomic w.r.t. the
-                    # drain loop), then push pack + write off the event loop
-                    payload = self.windowed.capture()
-                    if self._handoffs:
-                        payload["handoffs"] = sorted(self._handoffs)
-                    path = await asyncio.get_running_loop().run_in_executor(
-                        None, self.store.save, payload)
-                self.stats.snapshots_written += 1
-                await write_frame(writer, {
-                    "type": "snapshot_written",
-                    "path": str(path),
-                    "num_reports": self.windowed.num_reports})
-                return True
-            if kind == "health":
-                # Liveness probe: answered from in-memory counters without
-                # touching the queue — must stay responsive while a `sync`
-                # would block behind a deep backlog.
-                await write_frame(writer, {
-                    "type": "health",
-                    "server": SERVER_ID,
-                    "status": "ok",
-                    "protocol": self.params.protocol,
-                    "queue_depth": self._queue.qsize(),
-                    "epochs": self.windowed.epochs,
-                    "num_reports": self.windowed.num_reports,
-                    "state_size": self.windowed.state_size,
-                    "max_seq": self._max_seq,
-                    "draining": self._draining})
-                return True
-            if kind == "stats":
-                payload = self.stats.to_dict()
-                payload.update({
-                    "type": "stats",
-                    "protocol": self.params.protocol,
-                    "epochs": self.windowed.epochs,
-                    "window": self.windowed.window,
-                    "state_size": self.windowed.state_size,
-                    "queue_depth": self._queue.qsize()})
-                await write_frame(writer, payload)
-                return True
-            if kind == "shutdown":
-                await self._queue.join()
-                await write_frame(writer, {
-                    "type": "bye",
-                    "num_reports": self.windowed.num_reports})
-                self._stopping.set()
-                return False
-            raise ValueError(f"unknown frame type {kind!r}")
-        except Exception as exc:  # noqa: BLE001 - reported to the peer
-            await write_frame(writer, {"type": "error", "error": str(exc)})
-            return True
+    async def on_state(self, message: Dict[str, object]) -> Dict[str, object]:
+        # State pull (the cluster router's query path): drain, merge the
+        # selected epochs, and ship the exact integer state as one kind-2
+        # frame.  The puller sums K shards' counts and finalizes —
+        # bit-identical to one server that ingested everything, because
+        # merge is an integer sum.
+        await self._queue.join()
+        window = optional_int(message, "window")
+        min_epoch = optional_int(message, "min_epoch")
+        epochs = self.windowed.select_epochs(window, min_epoch)
+        merged = self.windowed.merged(window, min_epoch)
+        self.stats.queries_answered += 1
+        return state_reply(merged, epochs)
+
+    async def on_handoff(self, message: Dict[str, object]) -> Dict[str, object]:
+        # Drain pull (spec §7.4): stop absorbing, then ship the full
+        # per-epoch exact state as one kind-2 frame.  Draining is set
+        # *before* the queue join so stragglers are rejected and the reply
+        # is idempotent — a retried pull (the router crashed mid-drain)
+        # reads the same frozen state.
+        hid = int(message.get("handoff", 0))
+        # repro-lint: ignore[RPL302] the write is idempotent (True stays
+        # True across retried pulls), so the interleaving is harmless by
+        # design, not by timing
+        self._draining = True
+        await self._queue.join()
+        self.stats.queries_answered += 1
+        return {"type": "handoff_state",
+                "handoff": hid,
+                "protocol": self.params.protocol,
+                "num_reports": self.windowed.num_reports,
+                "state": self.windowed.capture()}
+
+    async def on_absorb_state(self, message: Dict[str, object]
+                              ) -> Dict[str, object]:
+        # Drain push: fold a drained shard's windowed snapshot into this
+        # one.  Deduped on the handoff id — the set survives
+        # snapshots/restores — so a push retried across any crash absorbs
+        # exactly once.
+        hid = int(message.get("handoff", 0))
+        absorbed, deduped = 0, hid in self._handoffs
+        if not deduped:
+            payload = message.get("state")
+            if not isinstance(payload, dict):
+                raise ValueError("absorb_state must carry a windowed "
+                                 "snapshot object")
+            absorbed = self.windowed.merge_snapshot(payload)
+            self._handoffs.add(hid)
+            self.stats.reports_absorbed += absorbed
+        return {"type": "absorbed",
+                "handoff": hid,
+                "absorbed": absorbed,
+                "deduped": deduped,
+                "num_reports": self.windowed.num_reports}
+
+    async def on_snapshot(self, message: Dict[str, object]
+                          ) -> Dict[str, object]:
+        if self.store is None:
+            raise ValueError("server was started without a snapshot "
+                             "directory")
+        await self._queue.join()
+        async with self._snapshot_lock:
+            # capture array copies synchronously (atomic w.r.t. the drain
+            # loop), then push pack + write off the event loop
+            payload = self.windowed.capture()
+            if self._handoffs:
+                payload["handoffs"] = sorted(self._handoffs)
+            path = await asyncio.get_running_loop().run_in_executor(
+                None, self.store.save, payload)
+        self.stats.snapshots_written += 1
+        return {"type": "snapshot_written",
+                "path": str(path),
+                "num_reports": self.windowed.num_reports}
+
+    async def on_health(self, message: Dict[str, object]) -> Dict[str, object]:
+        # Liveness probe: answered from in-memory counters without touching
+        # the queue — must stay responsive while a `sync` would block
+        # behind a deep backlog.
+        return {"type": "health",
+                "server": SERVER_ID,
+                "status": "ok",
+                "protocol": self.params.protocol,
+                "queue_depth": self._queue.qsize(),
+                "epochs": self.windowed.epochs,
+                "num_reports": self.windowed.num_reports,
+                "state_size": self.windowed.state_size,
+                "max_seq": self._max_seq,
+                "draining": self._draining}
+
+    async def on_stats(self, message: Dict[str, object]) -> Dict[str, object]:
+        payload = self.stats.to_dict()
+        payload.update({"type": "stats",
+                        "protocol": self.params.protocol,
+                        "epochs": self.windowed.epochs,
+                        "window": self.windowed.window,
+                        "state_size": self.windowed.state_size,
+                        "queue_depth": self._queue.qsize()})
+        return payload
+
+    async def on_shutdown(self, message: Dict[str, object]
+                          ) -> Dict[str, object]:
+        await self._queue.join()
+        return {"type": "bye", "num_reports": self.windowed.num_reports}

@@ -193,3 +193,48 @@ class TestMembershipScript:
     def test_chaos_membership_requires_two_shards(self, capsys):
         assert main(["chaos-test", "--membership", "--cluster", "1"]) == 2
         assert "--cluster" in capsys.readouterr().err
+
+
+class TestServeSigterm:
+    """SIGTERM's loop handler is gone before ``loop.close()`` closes the
+    loop's self-pipe, so a late SIGTERM cannot write to a closed fd."""
+
+    @pytest.mark.parametrize("verb", ["serve", "serve-cluster"])
+    def test_handler_removed_before_loop_closes(self, monkeypatch, tmp_path,
+                                                verb):
+        import signal
+        from asyncio.unix_events import _UnixSelectorEventLoop
+
+        from repro.cluster import ClusterRouter
+        from repro.server import AggregationServer
+
+        handlers_at_close = []
+        close = _UnixSelectorEventLoop.close
+
+        def recording_close(loop):
+            handlers_at_close.append(set(loop._signal_handlers))
+            close(loop)
+
+        monkeypatch.setattr(_UnixSelectorEventLoop, "close", recording_close)
+        endpoint = AggregationServer if verb == "serve" else ClusterRouter
+        start = endpoint.start
+
+        async def start_then_stop(self, *args, **kwargs):
+            address = await start(self, *args, **kwargs)
+            self.request_stop()
+            return address
+
+        monkeypatch.setattr(endpoint, "start", start_then_stop)
+        argv = [verb, "--quiet", "--port", "0", "--domain-size", "1024",
+                "--num-users", "1000"]
+        if verb == "serve-cluster":
+            argv += ["--shards", "1", "--base-dir", str(tmp_path)]
+        previous = signal.getsignal(signal.SIGTERM)
+        try:
+            assert main(argv) == 0
+            assert signal.getsignal(signal.SIGTERM) == (
+                signal.SIG_IGN if verb == "serve" else previous)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert handlers_at_close
+        assert signal.SIGTERM not in handlers_at_close[-1]
