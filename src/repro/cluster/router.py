@@ -163,19 +163,17 @@ def sum_pulled_states(params: PublicParams,
                       pulls: Sequence[Dict[str, object]]) -> ServerAggregator:
     """Load the shards' ``state`` replies and sum them exactly.
 
-    Each reply's ``"state"`` arrived in a kind-2 frame, unpacked into an
-    int64 vector nothing else holds.  So the first shard's vector becomes
-    the sum, and every other shard's is added into it in place: the
-    integer sum ``merge`` computes, without a fresh vector per merge.
+    Each reply's ``"state"`` arrived in a kind-2 frame, unpacked into a
+    vector nothing else holds, int32 unless its cells need int64.  So the
+    first shard's vector becomes the sum, and every other shard's is added
+    into it in place (``merge_in_place``, which widens the sum only when
+    the shards' bounds need it): the integer sum ``merge`` computes,
+    without a fresh vector per merge.
     """
     merged: Optional[ServerAggregator] = None
     for pull in pulls:
         shard = load_child_state(params.make_aggregator(), pull["state"])
-        if merged is None:
-            merged = shard
-        else:
-            merged.counts += shard.counts
-            merged.num_reports += shard.num_reports
+        merged = shard if merged is None else merged.merge_in_place(shard)
     return merged if merged is not None else params.make_aggregator()
 
 

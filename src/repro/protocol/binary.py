@@ -143,14 +143,17 @@ def payload_kind(payload: bytes) -> Optional[int]:
 # column helpers
 # --------------------------------------------------------------------------------------
 
-def _wire_dtype(col: np.ndarray) -> np.dtype:
+def _wire_dtype(col: np.ndarray, source: Optional[np.dtype] = None
+                ) -> np.dtype:
     """Smallest little-endian dtype that holds the column's values.
 
-    The choice depends only on the values, so re-encoding a decoded batch
-    reproduces the original bytes exactly.  Non-integer and empty columns
-    keep their dtype (byte-swapped to little-endian if necessary).
+    The choice depends only on the values and ``source`` (default: the
+    column's dtype), never narrowing to ``source``'s own size, so
+    re-encoding a decoded batch reproduces the original bytes exactly.
+    Non-integer and empty columns keep ``source`` (byte-swapped to
+    little-endian if necessary).
     """
-    dtype = col.dtype
+    dtype = col.dtype if source is None else np.dtype(source)
     if dtype.byteorder == ">":  # pragma: no cover - big-endian hosts
         dtype = dtype.newbyteorder("<")
     if dtype.kind not in "iu" or col.size == 0:
@@ -174,10 +177,11 @@ class _ColumnSpec:
 
     __slots__ = ("name", "array", "dtype", "shape", "offset", "nbytes")
 
-    def __init__(self, name: str, array: np.ndarray) -> None:
+    def __init__(self, name: str, array: np.ndarray,
+                 source: Optional[np.dtype] = None) -> None:
         self.name = name
         self.array = array
-        self.dtype = _wire_dtype(array)
+        self.dtype = _wire_dtype(array, source)
         self.shape = tuple(int(s) for s in array.shape)
         self.nbytes = int(self.dtype.itemsize * array.size)
         self.offset = 0  # assigned once the table size is known
@@ -494,6 +498,7 @@ def decode_reports_payload(payload: bytes) -> Tuple[int, ReportBatch]:
 _COLUMN_KEY = "__repro_column__"
 _PATCH_KEY = "__repro_patch__"
 _INT64_MAX = np.iinfo(np.int64).max
+_INT32_MAX = np.iinfo(np.int32).max
 
 #: 1-D integer arrays at least this long may ship patched (see _column_ref)
 _PATCH_MIN_SIZE = 1 << 12
@@ -511,6 +516,25 @@ def _fits_int64(arr: np.ndarray) -> bool:
     if arr.dtype.kind == "i":
         return True
     return arr.size == 0 or int(arr.max()) <= _INT64_MAX
+
+
+def _fits_int32(column: np.ndarray) -> bool:
+    """True when every value of a decoded state column fits int32: read
+    from its dtype alone, or, for a ``<u4``/``<i8``/``<u8`` column, from
+    one min/max pass (a float column is False: it unpacks as int64)."""
+    if np.can_cast(column.dtype, np.int32):
+        return True
+    if column.dtype.kind not in "iu":
+        return False
+    return column.size == 0 or (int(column.max()) <= _INT32_MAX
+                                and int(column.min()) >= -_INT32_MAX - 1)
+
+
+def _writable(column: np.ndarray, *patch: np.ndarray) -> np.ndarray:
+    """A writable copy of a decoded state column: int32 when it and its
+    ``patch`` values all fit int32, int64 otherwise."""
+    fits = all(_fits_int32(arr) for arr in (column, *patch))
+    return np.array(column, dtype=np.int32 if fits else np.int64)
 
 
 def _column_ref(arr: np.ndarray, columns: List[np.ndarray]) -> dict:
@@ -587,17 +611,22 @@ def pack_state(payload, *, lists: bool = True) -> bytes:
     with ``lists``, integer lists) are pulled out into the binary column
     table, narrowed to their value range with a few wide entries patched,
     so an array and its ``tolist()`` pack alike; the remaining skeleton
-    ships as compact JSON.  :func:`unpack_state` restores the structure
-    with ``int64`` arrays in place of the extracted columns — every state
-    consumer (``restore``, ``load_child_state``) normalizes through
-    ``np.asarray``, so the round trip is bit-exact.  A frame message packs
-    with ``lists=False``: its int lists (a reply's ``epochs``) stay in the
-    skeleton and come back as lists, only its arrays come back as arrays.
+    ships as compact JSON.  An int32 array packs as its int64 widening
+    would, so a state's bytes do not depend on its width.
+    :func:`unpack_state` restores the structure with int32 (or, where the
+    values need it, int64) arrays in place of the extracted columns —
+    every state consumer (``restore``, ``load_child_state``) normalizes
+    through ``np.asarray``, so the round trip is bit-exact.  A frame
+    message packs with ``lists=False``: its int lists (a reply's
+    ``epochs``) stay in the skeleton and come back as lists, only its
+    arrays come back as arrays.
     """
     columns: List[np.ndarray] = []
     skeleton = json.dumps(_extract_arrays(payload, columns, lists),
                           separators=(",", ":")).encode("utf-8")
-    specs = [_ColumnSpec("", arr) for arr in columns]
+    specs = [_ColumnSpec("", arr, np.dtype(np.int64)
+                         if arr.dtype == np.int32 else None)
+             for arr in columns]
     table_start = _HEADER.size + _STATE_FIXED.size + len(skeleton)
     total = _layout(specs, table_start, named=False)
     out = bytearray(total)
@@ -612,18 +641,19 @@ def pack_state(payload, *, lists: bool = True) -> bytes:
 def unpack_state(payload: bytes):
     """Rebuild a state payload from :func:`pack_state` output.
 
-    Extracted columns come back as *writable* ``int64`` arrays (state
-    loading mutates aggregator accumulators in place, so zero-copy
-    read-only views would be a trap here; state blobs are small next to
-    report traffic).
+    Extracted columns come back as *writable* arrays (state loading
+    mutates aggregator accumulators in place, so zero-copy read-only views
+    would be a trap here): int32 when the column's wire dtype holds only
+    int32 values and every patch value fits int32, int64 otherwise — the
+    width an aggregator holds such cells at, so loading them copies
+    nothing more.
     """
     try:
         reader = _Reader(payload)
         _check_header(reader, KIND_STATE)
         skeleton_len, num_columns = reader.unpack(_STATE_FIXED)
         skeleton = reader.take(skeleton_len, "state skeleton").decode("utf-8")
-        columns = [np.array(_read_column(reader, named=False)[1],
-                            dtype=np.int64)
+        columns = [_read_column(reader, named=False)[1]
                    for _ in range(num_columns)]
     except struct.error as exc:  # pragma: no cover - guarded by _Reader
         raise BinaryFormatError(f"malformed binary payload: {exc}") from exc
@@ -641,17 +671,19 @@ def unpack_state(payload: bytes):
                                                      _PATCH_KEY}:
             return obj
         column = _column(obj[_COLUMN_KEY])
-        if _PATCH_KEY in obj:
-            patch = obj[_PATCH_KEY]
-            if not isinstance(patch, list) or len(patch) != 2:
-                raise BinaryFormatError(f"malformed column patch {patch!r}")
-            where, values = _column(patch[0]), _column(patch[1])
-            if column.ndim != 1 or where.shape != values.shape or (
-                    where.size and (where.min() < 0
-                                    or where.max() >= column.size)):
-                raise BinaryFormatError("column patch does not fit its "
-                                        "column")
-            column[where] = values
+        if _PATCH_KEY not in obj:
+            return _writable(column)
+        patch = obj[_PATCH_KEY]
+        if not isinstance(patch, list) or len(patch) != 2:
+            raise BinaryFormatError(f"malformed column patch {patch!r}")
+        where, values = _column(patch[0]), _column(patch[1])
+        if column.ndim != 1 or where.shape != values.shape or (
+                where.size and (where.min() < 0
+                                or where.max() >= column.size)):
+            raise BinaryFormatError("column patch does not fit its "
+                                    "column")
+        column = _writable(column, values)
+        column[where] = values
         return column
 
     try:

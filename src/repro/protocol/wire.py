@@ -14,7 +14,7 @@ ever sees the aggregate.  This module makes that boundary explicit:
   :class:`Report`; ``encode_batch`` is the vectorized path used by
   simulations.
 * :class:`ServerAggregator` — incremental ingestion (``absorb`` /
-  ``absorb_batch``) into one flat int64 count vector, plus a commutative
+  ``absorb_batch``) into one flat exact count vector, plus a commutative
   and associative ``merge`` so aggregation can be sharded across workers,
   and ``finalize()`` which turns the aggregate into a fitted estimator
   (a :class:`~repro.frequency.base.FrequencyOracle` or a heavy-hitters
@@ -80,6 +80,21 @@ SNAPSHOT_FORMAT = "repro-aggregator-snapshot"
 SNAPSHOT_VERSION = 2
 #: restorable versions: 1 is the nested per-protocol state (:func:`flatten_state`)
 READABLE_VERSIONS = (1, 2)
+#: the largest cell magnitude an int32 state holds; past it a state is int64
+INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def state_dtype(bound: int) -> type:
+    """The width of a state whose cells are at most ``bound`` in
+    magnitude: int32 while that fits, int64 past it."""
+    return np.int32 if bound <= INT32_MAX else np.int64
+
+
+def cell_bound(counts: np.ndarray) -> int:
+    """``max|cell|`` of ``counts``, read in one min/max pass (0 if empty)."""
+    if not counts.size:
+        return 0
+    return max(int(counts.max()), -int(counts.min()))
 
 
 # --------------------------------------------------------------------------------------
@@ -412,7 +427,8 @@ class ClientEncoder(abc.ABC):
 
 
 class CountLayout:
-    """The flat int64 cell layout of an aggregator's state.
+    """The flat cell layout of an aggregator's state (whose width, int32
+    or int64, is the aggregator's: see :class:`ServerAggregator`).
 
     ``size`` cells, some of them report counts: each ``(name, parent,
     cells)`` of ``groups`` says the counts at ``cells`` sum to the count at
@@ -473,20 +489,35 @@ class CountLayout:
 class ServerAggregator(abc.ABC):
     """Incremental, mergeable server-side aggregation of wire reports.
 
-    The whole state is one int64 vector ``counts`` laid out by
+    The whole state is one integer vector ``counts`` laid out by
     ``params.layout``; a protocol implements only :meth:`_report_cells`
     (validated batch → flat cells and weights) and :meth:`finalize`.
     Integer addition makes ``merge`` commutative and associative *bit for
     bit*: sharding a report stream across K workers and merging their
     aggregators reproduces single-server ingestion exactly.
+
+    ``counts`` is int32 until a proven bound on ``max|cell|`` needs int64.
+    ``bound`` starts at 0 (or one min/max pass over loaded cells); an
+    absorb adds the batch's largest possible per-cell change and a merge
+    adds the operands' bounds.  An absorb or merge that would take it past
+    :data:`INT32_MAX` first re-reads the bound from the cells, and promotes
+    the state to int64 by one copy only if the cells need it; a merge with
+    an int64 operand is int64.  The width is invisible outside: snapshots
+    and kind-2 frames narrow by value, and the finalizes pick their decode
+    width from the cells, so bytes and answers do not depend on it.
     """
 
     def __init__(self, params: PublicParams,
-                 counts: Optional[np.ndarray] = None) -> None:
+                 counts: Optional[np.ndarray] = None,
+                 bound: Optional[int] = None) -> None:
         self.params = params
         self.num_reports = 0
-        self.counts = (np.zeros(params.layout.size, dtype=np.int64)
-                       if counts is None else counts)
+        if counts is None:
+            counts, bound = np.zeros(params.layout.size, dtype=np.int32), 0
+        self.counts = counts
+        #: proven upper bound on ``max|cell|``; at most INT32_MAX while
+        #: ``counts`` is int32
+        self.bound = cell_bound(counts) if bound is None else int(bound)
 
     # ----- ingestion ----------------------------------------------------------------
 
@@ -500,7 +531,8 @@ class ServerAggregator(abc.ABC):
         """Ingest a batch of reports (columnar fast path).  Returns ``self``.
 
         Atomic: every column is validated (``ValueError``) before the one
-        ``np.add.at`` that mutates ``counts``.
+        ``np.add.at`` that mutates ``counts`` (a promotion to int64 before
+        it changes the width, not the values).
         """
         if not isinstance(reports, ReportBatch):
             reports = list(reports)
@@ -512,23 +544,54 @@ class ServerAggregator(abc.ABC):
                              f"{self.params.protocol!r} aggregator")
         if len(reports) == 0:
             return self
-        cells, weights = [], []
+        cells, weights, change = [], [], 0
         for part_cells, part_weights in self._report_cells(reports.columns):
             if part_cells.shape[1] == 1 and part_weights.shape[1] != 1:
                 # every report touches the same cells: add the per-cell sums
                 part_weights = part_weights.sum(axis=1, dtype=np.int64,
                                                 keepdims=True)
+            if part_weights.size:
+                # no cell moves by more than the part's weights at their
+                # largest: a bound on the part's sum of |weight|
+                change += part_weights.size * max(int(part_weights.max()),
+                                                  -int(part_weights.min()))
             cells.append(part_cells.ravel())
             weights.append(part_weights.ravel())
-        # one part needs no concatenation copy; 1-D int64 operands keep
-        # np.add.at on its fast path
+        self._reserve(change)
+        # one part needs no concatenation copy; 1-D operands, the weights
+        # in the counts' dtype, keep np.add.at on its fast path
+        dtype = self.counts.dtype
         flat_cells = np.concatenate(cells) if len(cells) > 1 else cells[0]
-        flat_weights = (np.concatenate(weights) if len(weights) > 1
-                        else weights[0])
-        np.add.at(self.counts, flat_cells,
-                  flat_weights.astype(np.int64, copy=False))
+        flat_weights = (np.concatenate(weights, dtype=dtype)
+                        if len(weights) > 1
+                        else weights[0].astype(dtype, copy=False))
+        np.add.at(self.counts, flat_cells, flat_weights)
         self.num_reports += len(reports)
         return self
+
+    def _reserve(self, change: int) -> None:
+        """Raise ``bound`` by ``change``, promoting ``counts`` to int64
+        (one copy) if the cells, re-read once, cannot take it at int32."""
+        if (self.bound + change > INT32_MAX and self.counts.dtype == np.int32
+                and self._tighten() + change > INT32_MAX):
+            self.counts = self.counts.astype(np.int64)
+        self.bound += change
+
+    def _tighten(self) -> int:
+        """Re-read ``bound`` from the cells (one min/max pass)."""
+        self.bound = cell_bound(self.counts)
+        return self.bound
+
+    def _sum_width(self, other: "ServerAggregator") -> Tuple[type, int]:
+        """The dtype and bound of ``self.counts + other.counts``: int64
+        if either operand is, else int32 unless the bounds — re-read from
+        the cells once their sum passes INT32_MAX — need int64."""
+        bound = self.bound + other.bound
+        if (bound > INT32_MAX and self.counts.dtype == np.int32
+                and other.counts.dtype == np.int32):
+            bound = self._tighten() + other._tighten()
+        return np.result_type(self.counts, other.counts,
+                              state_dtype(bound)).type, bound
 
     @abc.abstractmethod
     def _report_cells(self, columns: Dict[str, np.ndarray]
@@ -549,15 +612,34 @@ class ServerAggregator(abc.ABC):
         untouched.  Aggregators must have been built from equal public
         parameters.
         """
+        self._check_mergeable(other)
+        dtype, bound = self._sum_width(other)
+        merged = type(self)(self.params,
+                            np.add(self.counts, other.counts, dtype=dtype),
+                            bound)
+        merged.num_reports = self.num_reports + other.num_reports
+        return merged
+
+    def merge_in_place(self, other: "ServerAggregator") -> "ServerAggregator":
+        """:meth:`merge` into this aggregator's own vector (promoted
+        first if the sum needs int64), so no fresh vector is made; ``other``
+        is left untouched.  Returns ``self``."""
+        self._check_mergeable(other)
+        dtype, bound = self._sum_width(other)
+        if self.counts.dtype != dtype:
+            self.counts = self.counts.astype(dtype)
+        self.counts += other.counts
+        self.bound = bound
+        self.num_reports += other.num_reports
+        return self
+
+    def _check_mergeable(self, other: "ServerAggregator") -> None:
         if type(other) is not type(self):
             raise TypeError(f"cannot merge {type(other).__name__} into "
                             f"{type(self).__name__}")
         if other.params != self.params:
             raise ValueError("cannot merge aggregators with different public "
                              "parameters")
-        merged = type(self)(self.params, self.counts + other.counts)
-        merged.num_reports = self.num_reports + other.num_reports
-        return merged
 
     # ----- durable snapshots --------------------------------------------------------
 
@@ -604,9 +686,11 @@ class ServerAggregator(abc.ABC):
     def _block(self, aggregator: Type["ServerAggregator"],
                params: PublicParams, at: int) -> "ServerAggregator":
         """Zero-copy child aggregator over the layout block whose count
-        cell is ``counts[at]`` (a composite's per-child state)."""
+        cell is ``counts[at]`` (a composite's per-child state, read-only:
+        its bound is this aggregator's)."""
         child = aggregator(params,
-                           self.counts[at + 1:at + 1 + params.layout.size])
+                           self.counts[at + 1:at + 1 + params.layout.size],
+                           self.bound)
         child.num_reports = int(self.counts[at])
         return child
 
@@ -655,7 +739,8 @@ def snapshot_params(data: Dict[str, object], format: str,
 
 def child_state(aggregator: ServerAggregator) -> Dict[str, object]:
     """Parameter-free payload of an aggregator: its report count and an
-    owned copy of its counts (a capture is packed later, absorbs go on)."""
+    owned copy of its counts at their live width (a capture is packed
+    later, absorbs go on)."""
     return {"num_reports": int(aggregator.num_reports),
             "state": {"counts": aggregator.counts.copy()}}
 
@@ -665,19 +750,22 @@ def load_child_state(aggregator: ServerAggregator,
     """Inverse of :func:`child_state` (or the state half of a snapshot):
     load ``data["state"]`` — ``{"counts": …}`` or a v1 nested payload —
     and its ``num_reports`` into a fresh aggregator, rejecting a negative
-    count, a wrong-size vector, or report-count cells contradicting it."""
+    count, a wrong-size vector, or report-count cells contradicting it.
+    The counts load at the width :func:`integer_state` gives them, and the
+    aggregator's bound is their ``max|cell|``."""
     count = int(data["num_reports"])
     if count < 0:
         raise ValueError(f"snapshot num_reports={count} is negative")
     state = dict(data["state"])
-    counts = integer_state(state["counts"] if set(state) == {"counts"}
-                           else flatten_state(state))
+    counts, bound = integer_state(state["counts"] if set(state) == {"counts"}
+                                  else flatten_state(state))
     layout = aggregator.params.layout
     if counts.shape != (layout.size,):
         raise ValueError(f"snapshot counts have shape {counts.shape}, "
                          f"expected ({layout.size},)")
     layout.check_counts(counts, count)
     aggregator.counts = counts
+    aggregator.bound = bound
     aggregator.num_reports = count
     return aggregator
 
@@ -739,14 +827,17 @@ def nest_cells(starts: np.ndarray, blocks: np.ndarray,
     return [counts] + [(cells + shift, weights) for cells, weights in parts]
 
 
-def integer_state(values: object) -> np.ndarray:
-    """Snapshot counters as int64, rejecting (not truncating) ``1.5``-like
-    entries with ``ValueError``; integer input passes through uncopied."""
+def integer_state(values: object) -> Tuple[np.ndarray, int]:
+    """Snapshot counters and their ``max|cell|``, rejecting (not
+    truncating) ``1.5``-like entries with ``ValueError``.  The counters
+    come back int32 when every cell fits it, int64 otherwise; integer
+    input already at that width passes through uncopied."""
     state = np.asarray(values)
-    if state.dtype.kind in "iu":
-        return state.astype(np.int64, copy=False)
-    with np.errstate(invalid="ignore"):
-        exact = state.astype(np.int64)
-    if not np.array_equal(exact, state):
-        raise ValueError("snapshot state has a non-integral entry")
-    return exact
+    if state.dtype.kind not in "iu":
+        with np.errstate(invalid="ignore"):
+            exact = state.astype(np.int64)
+        if not np.array_equal(exact, state):
+            raise ValueError("snapshot state has a non-integral entry")
+        state = exact
+    bound = cell_bound(state)
+    return state.astype(state_dtype(bound), copy=False), bound

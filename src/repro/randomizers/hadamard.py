@@ -136,7 +136,7 @@ def hadamard_outputs(accumulator: np.ndarray, count: int) -> np.ndarray:
     width = next_power_of_two(upper)
     buffer = np.empty(half + width, dtype=dtype)
     head, tail = buffer[:half], buffer[half:]
-    np.add(a, b, out=head)
+    np.add(a, b, out=head, dtype=dtype)  # widen int32 cells before adding
     np.subtract(a.reshape(-1, width).sum(axis=0, dtype=dtype),
                 b.reshape(-1, width).sum(axis=0, dtype=dtype), out=tail)
     _butterflies(head)

@@ -276,8 +276,9 @@ def decode_frame(payload: bytes) -> Dict[str, object]:
 
     JSON payloads must be JSON objects and are returned as-is.  Kind-2
     binary payloads decode to the message :func:`encode_state_frame`
-    packed, its integer arrays as writable int64 arrays.  Other binary
-    payloads decode as kind 1, to ``{"type": "reports", "epoch": e,
+    packed, its integer arrays as writable int32 arrays (int64 where the
+    values need it: :func:`~repro.protocol.binary.unpack_state`).  Other
+    binary payloads decode as kind 1, to ``{"type": "reports", "epoch": e,
     "batch": <batch>}`` where ``batch`` is a ready
     :class:`~repro.protocol.wire.ReportBatch` whose columns are read-only
     zero-copy views over ``payload``; a routed/sequenced payload also

@@ -28,7 +28,7 @@ protocol of :mod:`repro.server.framing` (``docs/wire-protocol.md`` §7):
   a client that needs every report it sent reflected first sends ``sync``,
   which completes only once the queue has fully drained.
 * **Durable snapshots** — ``snapshot`` frames drain the queue, then write
-  the windowed state's int64 arrays to the configured
+  the windowed state's exact integer arrays to the configured
   :class:`~repro.server.snapshot.SnapshotStore` as a binary checkpoint; a
   restarted server restores from the newest file bit-identically.
 
@@ -390,9 +390,9 @@ class AggregationServer(MessageEndpoint):
         # is idempotent — a retried pull (the router crashed mid-drain)
         # reads the same frozen state.
         hid = int(message.get("handoff", 0))
-        # repro-lint: ignore[RPL302] the write is idempotent (True stays
-        # True across retried pulls), so the interleaving is harmless by
-        # design, not by timing
+        # The write is idempotent (True stays True across retried pulls),
+        # so its interleaving with on_reports' read is harmless by design,
+        # not by timing.
         self._draining = True
         await self._queue.join()
         self.stats.queries_answered += 1

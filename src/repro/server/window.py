@@ -175,9 +175,10 @@ class WindowedAggregator:
     # ----- durable snapshots --------------------------------------------------------
 
     def capture(self) -> Dict[str, object]:
-        """Checkpoint of every retained epoch, its state as owned int64
-        array copies: later absorbs never change it, so it can be packed
-        and written off the event loop while ingestion continues."""
+        """Checkpoint of every retained epoch, its state as owned array
+        copies at the live width (int32 unless a state was promoted):
+        later absorbs never change it, so it can be packed and written off
+        the event loop while ingestion continues."""
         return {"format": WINDOW_SNAPSHOT_FORMAT,
                 "version": SNAPSHOT_VERSION,
                 "params": self.params.to_dict(),

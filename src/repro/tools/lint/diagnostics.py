@@ -11,12 +11,17 @@ The bracket takes a comma-separated list of rule ids; a bare family prefix
 (``RPL1``) suppresses every rule of that family.  The free text after the
 bracket is the justification and is **mandatory** — a pragma without a
 reason is itself a finding (``RPL001``), so silencing a rule always leaves
-a paper trail (see ``docs/static-analysis.md`` for the policy).
+a paper trail (see ``docs/static-analysis.md`` for the policy).  So is a
+pragma that suppressed nothing: once every rule it names has run over the
+file, a pragma none of whose ids matched a diagnostic on the line it
+covers is stale, and ``RPL001`` reports it.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -28,7 +33,8 @@ __all__ = [
     "selected",
 ]
 
-#: pragma grammar: ``# repro-lint: ignore[RPL101,RPL2] <reason>``
+#: pragma grammar: ``# repro-lint: ignore[RPL101,RPL2] <reason>``, the
+#: start of a comment
 _PRAGMA = re.compile(
     r"#\s*repro-lint:\s*ignore\[(?P<codes>[A-Z0-9,\s]*)\]\s*(?P<reason>.*)$"
 )
@@ -94,6 +100,7 @@ class _Pragma:
     codes: Tuple[str, ...]
     reason: str
     standalone: bool  # a comment-only line applies to the next code line
+    used: bool = False  # suppressed at least one diagnostic
 
 
 @dataclass
@@ -108,8 +115,8 @@ class PragmaIndex:
     def parse(cls, source: str) -> "PragmaIndex":
         index = cls()
         lines = source.splitlines()
-        for lineno, text in enumerate(lines, start=1):
-            found = _PRAGMA.search(text)
+        for lineno, col, comment in _comments(source):
+            found = _PRAGMA.match(comment)
             if not found:
                 continue
             codes = tuple(c.strip() for c in found.group("codes").split(",")
@@ -118,7 +125,7 @@ class PragmaIndex:
                 line=lineno,
                 codes=codes,
                 reason=found.group("reason").strip(),
-                standalone=text.strip().startswith("#"),
+                standalone=not lines[lineno - 1][:col].strip(),
             )
             index.pragmas[lineno] = pragma
             if pragma.standalone:
@@ -132,14 +139,19 @@ class PragmaIndex:
         return index
 
     def suppresses(self, line: int, code: str) -> bool:
-        """Is a diagnostic of ``code`` on ``line`` pragma-suppressed?"""
+        """Is a diagnostic of ``code`` on ``line`` pragma-suppressed?
+        (Marks every pragma that suppresses it as used.)"""
+        suppressed = False
         for pragma in (self.pragmas.get(line), self.covered.get(line)):
             if pragma is not None and match_code(code, pragma.codes):
-                return True
-        return False
+                pragma.used = suppressed = True
+        return suppressed
 
-    def policy_findings(self, path: str) -> List[Diagnostic]:
-        """Pragmas violating the policy: every suppression needs a reason."""
+    def policy_findings(self, path: str, select: Sequence[str] = (),
+                        ignore: Sequence[str] = ()) -> List[Diagnostic]:
+        """Pragmas violating the policy: every suppression needs a reason,
+        and must suppress something once every rule it names has run
+        (``select``/``ignore`` are the run's filters)."""
         findings = []
         for pragma in self.pragmas.values():
             if not pragma.reason or not pragma.codes:
@@ -151,4 +163,33 @@ class PragmaIndex:
                     hint="append the rule id(s) and a short reason "
                          "explaining why the invariant does not apply here",
                 ))
+            elif not pragma.used and all(_ran(code, select, ignore)
+                                         for code in pragma.codes):
+                findings.append(Diagnostic(
+                    path=path, line=pragma.line, col=1, code="RPL001",
+                    message=f"suppression pragma "
+                            f"ignore[{','.join(pragma.codes)}] suppresses "
+                            f"nothing: no diagnostic of those rules on the "
+                            f"line it covers",
+                    hint="delete the stale pragma (keep its reasoning as a "
+                         "plain comment if it still explains the code)",
+                ))
         return findings
+
+
+def _ran(code: str, select: Sequence[str], ignore: Sequence[str]) -> bool:
+    """Did every rule ``code`` names (an id or a family) run, unfiltered
+    by ``--select`` and ``--ignore``?"""
+    if select and not match_code(code, select):
+        return False
+    return not any(pattern.strip() and (code.startswith(pattern.strip())
+                                        or pattern.strip().startswith(code))
+                   for pattern in ignore)
+
+
+def _comments(source: str) -> List[Tuple[int, int, str]]:
+    """``(line, column, text)`` of every comment in ``source`` (which
+    parsed, so it tokenizes) — never text inside a string."""
+    return [(token.start[0], token.start[1], token.string)
+            for token in tokenize.generate_tokens(io.StringIO(source).readline)
+            if token.type == tokenize.COMMENT]

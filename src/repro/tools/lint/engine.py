@@ -263,7 +263,8 @@ class LintEngine:
         diagnostics = list(self.errors)
         for ctx in self.contexts:
             diagnostics.extend(ctx.diagnostics)
-            diagnostics.extend(ctx.pragmas.policy_findings(str(ctx.path)))
+            diagnostics.extend(ctx.pragmas.policy_findings(
+                str(ctx.path), self.config.select, self.config.ignore))
         return sorted(
             (d for d in diagnostics
              if selected(d.code, self.config.select, self.config.ignore)),

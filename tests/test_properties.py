@@ -24,13 +24,19 @@ collects the invariants that tie several components together:
   snapshot round trip;
 * every vectorized client encoder (heavy hitters, Hashtogram, RAPPOR)
   equals the per-group mask-loop reference it replaced, column for column
-  and dtype for dtype, with the RNG left in the same state.
+  and dtype for dtype, with the RNG left in the same state;
+* aggregator state is int32 until its proven bound needs int64: absorbs
+  and merges across the bound equal an all-int64 reference, mixed widths
+  promote, and packed state — frames and committed snapshot fixtures —
+  has the same bytes at either width.
 """
 
+import importlib.util
 import json
 import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,10 +56,20 @@ from repro.protocol import (
     ServerAggregator,
     merge_aggregators,
 )
+from repro.protocol.binary import pack_state, unpack_state
 from repro.protocol.explicit import ExplicitHistogramParams
 from repro.protocol.heavy_hitters import decode_candidate_lists
+from repro.protocol.wire import (
+    INT32_MAX,
+    cell_bound,
+    child_state,
+    json_safe,
+    state_dtype,
+)
 from repro.randomizers.hadamard import _decode_dtype, hadamard_outputs
 from repro.randomizers.randomized_response import KaryRandomizedResponse
+from repro.server.snapshot import read_snapshot, write_snapshot
+from repro.server.window import WindowedAggregator
 from repro.structure.composed_rr import ApproximateComposedRandomizedResponse
 from repro.utils.bits import next_power_of_two
 
@@ -1027,3 +1043,193 @@ def test_rappor_bloom_patterns_match_bloom_bits():
     assert blooms.shape == (200, params.num_bits)
     for row, x in zip(blooms, values.tolist(), strict=True):
         assert np.array_equal(row, params.randomizer.bloom_bits(x) == 1)
+
+
+# --------------------------------------------------------------------------------------
+# state width: int32 until a proven bound needs int64, invisible outside
+# --------------------------------------------------------------------------------------
+
+#: P = 8 Hadamard rows, no report-count cells: any counts restore
+_WIDTH_PARAMS = ExplicitHistogramParams(7, 1.0, "hadamard")
+
+
+def _restored(counts, num_reports=3):
+    """A hadamard aggregator restored from a snapshot holding ``counts``."""
+    snapshot = _WIDTH_PARAMS.make_aggregator().snapshot()
+    snapshot["num_reports"] = num_reports
+    snapshot["state"]["counts"] = [int(c) for c in counts]
+    return ServerAggregator.from_snapshot(snapshot)
+
+
+def _answers(aggregator):
+    return aggregator.finalize().estimate_many(
+        np.arange(_WIDTH_PARAMS.domain_size))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       margin=st.integers(min_value=0, max_value=40),
+       num_users=st.integers(min_value=1, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_absorb_across_the_int32_bound_matches_an_int64_reference(
+        seed, margin, num_users):
+    """A restored state ``margin`` below INT32_MAX stays int32 through an
+    absorb that cannot cross, is promoted by one that can, and in both
+    cases equals an all-int64 reference: counts, snapshot, packed bytes
+    and every answer (the decode runs in int64 over int32 cells)."""
+    gen = np.random.default_rng(seed)
+    size = _WIDTH_PARAMS.padded
+    cells = (gen.integers(INT32_MAX - 80, INT32_MAX - margin, endpoint=True,
+                          size=size) * gen.choice([-1, 1], size=size))
+    cells[gen.integers(size)] = (INT32_MAX - margin) * gen.choice([-1, 1])
+    restored = _restored(cells)
+    assert restored.counts.dtype == np.int32
+    assert restored.bound == INT32_MAX - margin
+    reference = _restored(cells)
+    reference.counts = reference.counts.astype(np.int64)
+    batch = _WIDTH_PARAMS.make_encoder().encode_batch(
+        gen.integers(0, _WIDTH_PARAMS.domain_size, size=num_users), gen)
+    restored.absorb_batch(batch)
+    reference.absorb_batch(batch)
+    crossed = num_users > margin       # each report moves one cell by 1
+    assert restored.counts.dtype == (np.int64 if crossed else np.int32)
+    assert np.array_equal(restored.counts, reference.counts)
+    assert restored.snapshot() == reference.snapshot()
+    assert pack_state(child_state(restored)) == \
+        pack_state(child_state(reference))
+    assert np.array_equal(_answers(restored), _answers(reference))
+
+
+@pytest.mark.parametrize("name,params", PROTOCOL_CASES, ids=PROTOCOL_IDS)
+def test_a_large_batch_keeps_the_state_int32(name, params):
+    """One 2^16-report batch raises the bound by a small multiple of its
+    size (never its square), so ingest does not promote a state whose
+    cells fit int32."""
+    num_users = 1 << 16
+    aggregator = params.make_aggregator().absorb_batch(
+        _encoded_batches(params, [num_users], seed=0)[0])
+    assert aggregator.counts.dtype == np.int32
+    assert cell_bound(aggregator.counts) <= aggregator.bound
+    assert aggregator.bound <= 64 * num_users
+
+
+_CELL_CLASSES = {"small": (-5, 5), "near": (INT32_MAX - 10, INT32_MAX),
+                 "wide": (2**31, 2**40)}
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       left=st.sampled_from(sorted(_CELL_CLASSES)),
+       right=st.sampled_from(sorted(_CELL_CLASSES)),
+       loose=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_merges_promote_exactly_when_the_width_needs_it(seed, left, right,
+                                                        loose):
+    """``merge`` and ``merge_in_place`` equal the int64 sum; the result is
+    int64 iff an operand is (mixed widths promote) or the operands' cells
+    could reach past INT32_MAX — a loose bound is re-read, never trusted
+    into a promotion."""
+    gen = np.random.default_rng(seed)
+    operands = []
+    for name in (left, right):
+        low, high = _CELL_CLASSES[name]
+        cells = gen.integers(low, high, endpoint=True,
+                             size=_WIDTH_PARAMS.padded)
+        operands.append(_restored(cells * gen.choice([-1, 1], size=cells.size)))
+    a, b = operands
+    needs_int64 = (np.int64 in (a.counts.dtype, b.counts.dtype)
+                   or a.bound + b.bound > INT32_MAX)
+    for operand in operands:
+        if loose and operand.counts.dtype == np.int32:
+            operand.bound = INT32_MAX     # still a bound, just not a tight one
+    expected = a.counts.astype(np.int64) + b.counts.astype(np.int64)
+    merged = a.merge(b)
+    assert merged.counts.dtype == (np.int64 if needs_int64 else np.int32)
+    assert np.array_equal(merged.counts, expected)
+    assert merged.bound >= int(np.abs(expected).max())
+    in_place = _restored(a.counts).merge_in_place(b)
+    assert in_place.counts.dtype == merged.counts.dtype
+    assert np.array_equal(in_place.counts, expected)
+    assert in_place.num_reports == merged.num_reports == 6
+    assert np.array_equal(_answers(merged), _answers(in_place))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       size=st.sampled_from([0, 1, 17, 4095, 4096, 6000]),
+       scale=st.sampled_from([1, 127, 40_000, 2**20, INT32_MAX]),
+       wide=st.integers(min_value=0, max_value=40),
+       signed=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_pack_state_of_an_int32_state_equals_its_int64_widening(
+        seed, size, scale, wide, signed):
+    """Kind-2 frames and checkpoints do not depend on the state's width,
+    including unsigned (``<u4``) and patched columns; the unpack gives the
+    int32 state back."""
+    gen = np.random.default_rng(seed)
+    counts = gen.integers(-3 if signed else 0, 4, size=size)
+    if size:
+        where = gen.integers(0, size, size=wide)
+        counts[where] = gen.integers(-scale if signed else 0, scale,
+                                     endpoint=True, size=wide)
+    blobs = [pack_state({"num_reports": 3,
+                         "state": {"counts": counts.astype(dtype)}})
+             for dtype in (np.int32, np.int64)]
+    assert blobs[0] == blobs[1]
+    restored = unpack_state(blobs[0])["state"]["counts"]
+    assert restored.dtype == np.int32 and restored.flags.writeable
+    assert np.array_equal(restored, counts)
+
+
+def test_int32_cells_decode_like_int64_cells():
+    """The decode width comes from the cells, not their dtype: int32 cells
+    whose pairwise sums pass int32 decode like their int64 widening."""
+    cells = np.full(8, INT32_MAX, dtype=np.int64)
+    cells[1::2] *= -1
+    outputs = hadamard_outputs(cells.astype(np.int32), 7)
+    assert outputs.dtype == np.int64
+    assert np.array_equal(outputs, hadamard_outputs(cells, 7))
+    assert np.array_equal(outputs, _reference_fwht(cells)[1:8])
+
+
+SNAPSHOT_V1 = Path(__file__).parent / "data" / "snapshot_v1"
+SNAPSHOT_V2 = Path(__file__).parent / "data" / "snapshot_v2"
+
+
+def _v2_cases():
+    spec = importlib.util.spec_from_file_location(
+        "snapshot_v2_generate", SNAPSHOT_V2 / "generate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CASES
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.stem for path in SNAPSHOT_V2.glob("*.bin")))
+def test_v2_snapshot_fixture_bytes_are_unchanged(name, tmp_path):
+    """Files written while states were int64 are what this code writes for
+    the same input, and restore at int32 (int64 only past it) to a state
+    that writes the same bytes again."""
+    committed = (SNAPSHOT_V2 / f"{name}.bin").read_bytes()
+    fresh = write_snapshot(tmp_path / "fresh.bin", _v2_cases()[name]().capture(),
+                           format="binary")
+    assert fresh.read_bytes() == committed
+    restored = WindowedAggregator.from_snapshot(
+        read_snapshot(SNAPSHOT_V2 / f"{name}.bin"))
+    for epoch in restored.epochs:
+        counts = restored.merged(min_epoch=epoch).counts
+        assert counts.dtype == state_dtype(cell_bound(counts))
+    again = write_snapshot(tmp_path / "again.bin", restored.capture(),
+                           format="binary")
+    assert again.read_bytes() == committed
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.stem for path in SNAPSHOT_V1.glob("*.bin")))
+def test_v1_snapshot_fixture_restores_at_int32(name):
+    """The version-1 fixtures restore at int32, and their capture packs
+    exactly as its int64 widening does."""
+    capture = WindowedAggregator.from_snapshot(
+        read_snapshot(SNAPSHOT_V1 / f"{name}.bin")).capture()
+    widened = json.loads(json.dumps(json_safe(capture)))
+    for entry, wide in zip(capture["epochs"], widened["epochs"], strict=True):
+        assert entry["state"]["counts"].dtype == np.int32
+        wide["state"]["counts"] = entry["state"]["counts"].astype(np.int64)
+    assert pack_state(capture) == pack_state(widened)

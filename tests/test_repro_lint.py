@@ -699,6 +699,30 @@ class TestSuppressionAndCli:
         """})
         assert codes(diags) == ["RPL001"]
 
+    def test_pragma_that_suppresses_nothing_is_rpl001(self, tmp_path):
+        files = {"repro/protocol/quiet.py": """\
+            import numpy as np
+
+            def ordered(n):
+                # repro-lint: ignore[RPL102] nothing random here any more
+                return np.arange(n)
+        """}
+        diags = run_lint(tmp_path, dict(files))
+        assert codes(diags) == ["RPL001"]
+        assert "suppresses nothing" in diags[0].message
+        assert diags[0].line == 4
+        # a run that skips the named rule cannot call the pragma stale
+        assert run_lint(tmp_path, dict(files), select=["RPL2"]) == []
+        assert run_lint(tmp_path, dict(files), ignore=["RPL1"]) == []
+        assert codes(run_lint(tmp_path, dict(files),
+                              select=["RPL0", "RPL1"])) == ["RPL001"]
+
+    def test_pragma_text_inside_a_string_is_not_a_pragma(self, tmp_path):
+        diags = run_lint(tmp_path, {"repro/protocol/doc.py": """\
+            EXAMPLE = "x = 1  # repro-lint: ignore[RPL103] example text"
+        """})
+        assert diags == []
+
     def test_select_and_ignore_filtering(self, tmp_path):
         files = {"repro/protocol/mixed.py": """\
             import time

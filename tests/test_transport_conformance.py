@@ -457,7 +457,7 @@ class TestServerContract:
         assert type(pulled["num_reports"]) is int
         assert type(pulled["state"]["num_reports"]) is int
         counts = pulled["state"]["state"]["counts"]
-        assert counts.dtype == np.int64
+        assert counts.dtype == np.int32  # the width the shard holds it at
         assert np.array_equal(counts, expected.merged(min_epoch=0).counts)
         rebuilt = load_child_state(params.make_aggregator(), pulled["state"])
         assert rebuilt.num_reports == pulled["num_reports"]
