@@ -477,16 +477,17 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_serve_cluster(args) -> int:
-    """Run a router in front of N freshly spawned shard servers."""
-    import asyncio
-    import json
+    """Run a router in front of N freshly spawned shard servers.
+
+    The shards are launched first, from a params file in the cluster home
+    (the operator's ``--params-file`` copied byte for byte), and start up
+    while this process imports the router and the protocol layers.
+    """
     import signal
     import tempfile
     from pathlib import Path
 
-    from repro.cluster import ClusterRouter, ClusterSupervisor
-    from repro.engine.bench import build_bench_params
-    from repro.protocol import PublicParams
+    from repro.cluster.supervisor import ClusterSupervisor
 
     if args.shards < 1:
         print("serve-cluster: --shards must be at least 1", file=sys.stderr)
@@ -498,13 +499,6 @@ def _cmd_serve_cluster(args) -> int:
         print("serve-cluster: --checkpoint-reports must be at least 1",
               file=sys.stderr)
         return 2
-    if args.params_file is not None:
-        payload = json.loads(Path(args.params_file).read_text())
-        params = PublicParams.from_dict(payload)
-    else:
-        params = build_bench_params(args.protocol, args.domain_size,
-                                    args.epsilon, args.num_users,
-                                    rng=args.seed)
 
     def unwind_start(signum, frame):
         # A repeat may not cut the unwind's clean-up short.
@@ -512,7 +506,7 @@ def _cmd_serve_cluster(args) -> int:
         raise SystemExit(0)
 
     ephemeral_base = args.base_dir is None
-    base_dir = args.base_dir or tempfile.mkdtemp(prefix="repro-cluster-")
+    base_dir = args.base_dir
     previous_sigterm = signal.getsignal(signal.SIGTERM)
     supervisor = None
     try:
@@ -520,10 +514,33 @@ def _cmd_serve_cluster(args) -> int:
         # through the `finally` (shards reaped, base dir removed) instead of
         # taking the default action.
         signal.signal(signal.SIGTERM, unwind_start)
-        supervisor = ClusterSupervisor(params, args.shards, base_dir,
+        if ephemeral_base:
+            base_dir = tempfile.mkdtemp(prefix="repro-cluster-")
+        if args.params_file is not None:
+            params = None
+            source = Path(args.params_file).read_bytes()
+        else:
+            from repro.engine.bench import build_bench_params
+            params = build_bench_params(args.protocol, args.domain_size,
+                                        args.epsilon, args.num_users,
+                                        rng=args.seed)
+            source = params
+        supervisor = ClusterSupervisor(source, args.shards, base_dir,
                                        window=args.window,
                                        transport=args.transport)
-        supervisor.start()
+        supervisor.launch()
+
+        import asyncio
+        import json
+
+        from repro.cluster.router import ClusterRouter
+        from repro.protocol import PublicParams
+
+        if params is None:
+            # a file the shards reject fails here too: the error unwinds
+            # through the `finally`, which reaps the launched shards
+            params = PublicParams.from_dict(json.loads(source))
+        supervisor.await_started()
         router = ClusterRouter(params, supervisor=supervisor, rng=args.seed,
                                checkpoint_reports=args.checkpoint_reports,
                                window=args.window,
@@ -559,7 +576,7 @@ def _cmd_serve_cluster(args) -> int:
         signal.signal(signal.SIGTERM, signal.SIG_IGN)  # clean-up runs whole
         if supervisor is not None:
             supervisor.stop()
-        if ephemeral_base:
+        if ephemeral_base and base_dir is not None:
             # The default base dir is a fresh temp directory; snapshots in
             # it only serve intra-run crash recovery, so remove it on exit
             # (pass --base-dir to keep the cluster home across runs).

@@ -43,17 +43,20 @@ estimates bit for bit, for any shard count, any frame interleaving, and
 through a shard crash mid-ingest.
 """
 
-from repro.cluster.router import (
-    ROUTER_ID,
-    ClusterError,
-    ClusterRouter,
-    RouterStats,
-)
-from repro.cluster.supervisor import (
-    ClusterSupervisor,
-    ShardHandle,
-    spawn_server_process,
-)
+import importlib
+from typing import Dict, List
+
+#: where every public name lives, imported on first access: ``import
+#: repro.cluster.supervisor`` loads no router, protocol layer or numpy, so
+#: ``serve-cluster`` launches its shards before it loads them
+_SOURCES = {
+    "repro.cluster.router": ("ROUTER_ID", "ClusterError", "ClusterRouter",
+                             "RouterStats"),
+    "repro.cluster.supervisor": ("ClusterSupervisor", "ShardHandle",
+                                 "spawn_server_process"),
+}
+_EXPORTS: Dict[str, str] = {name: module for module, names in _SOURCES.items()
+                            for name in names}
 
 __all__ = [
     "ROUTER_ID",
@@ -64,3 +67,27 @@ __all__ = [
     "ShardHandle",
     "spawn_server_process",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve a public name, or a not-yet-imported submodule, on first use
+    (PEP 562, as the ``repro`` package root does)."""
+    if name.startswith("_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    source = _EXPORTS.get(name)
+    if source is not None:
+        value = getattr(importlib.import_module(source), name)
+    else:
+        try:
+            value = importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute "
+                                 f"{name!r}") from None
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

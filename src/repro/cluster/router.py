@@ -172,7 +172,7 @@ def sum_pulled_states(params: PublicParams,
     """
     merged: Optional[ServerAggregator] = None
     for pull in pulls:
-        shard = load_child_state(params.make_aggregator(), pull["state"])
+        shard = load_child_state(params, pull["state"])
         merged = shard if merged is None else merged.merge_in_place(shard)
     return merged if merged is not None else params.make_aggregator()
 

@@ -14,7 +14,8 @@ process-management half of that picture:
   :func:`await_listening` (the readiness line), which also serve many
   children at once under one deadline.
 * :class:`ClusterSupervisor` spawns the N shards of one cluster — all
-  launched before any is awaited, so they start up in parallel — each with
+  launched before any is awaited, so they start up in parallel (and
+  ``serve-cluster`` launches them before it loads its own layers) — each with
   its own snapshot directory under a shared base directory, polls them for
   liveness, and — the crash-recovery half of the router's failure story —
   **restarts a dead shard from its newest snapshot**.  The router then
@@ -25,6 +26,8 @@ process-management half of that picture:
 The supervisor is deliberately synchronous (plain ``subprocess``): restarts
 are rare and take a server start-up, so the router calls it through
 ``run_in_executor`` rather than complicating shard management with asyncio.
+It imports only the standard library at load time (lint rule RPL6), so a
+process can launch shards before it has loaded numpy or any protocol layer.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-from repro.server.snapshot import SnapshotStore
 
 __all__ = ["ClusterSupervisor", "ShardHandle", "await_listening",
            "launch_server_process", "reap_processes", "spawn_server_process"]
@@ -218,9 +219,11 @@ class ClusterSupervisor:
     Parameters
     ----------
     params:
-        Public parameters every shard serves (written once to
-        ``base_dir/params.json``; restarts without a usable snapshot reuse
-        it, so a shard always comes back with the exact same parameters).
+        Public parameters every shard serves, or the bytes of their JSON
+        file (``PublicParams.to_dict``), which are copied verbatim.  They
+        are written once to ``base_dir/params.json``; restarts without a
+        usable snapshot reuse it, so a shard always comes back with the
+        exact same parameters.
     num_shards:
         Number of shard servers.
     base_dir:
@@ -255,7 +258,6 @@ class ClusterSupervisor:
         if transport not in ("tcp", "shm"):
             raise ValueError(f"transport must be 'tcp' or 'shm', "
                              f"got {transport!r}")
-        self.params = params
         self.num_shards = int(num_shards)
         self.base_dir = Path(base_dir)
         self.window = window
@@ -270,9 +272,15 @@ class ClusterSupervisor:
         #: reaps them all, also those of a start that unwound before it
         #: recorded its shards
         self._launched: List[subprocess.Popen] = []
+        #: ids and processes :meth:`launch` started, until
+        #: :meth:`await_started` records them
+        self._starting: Optional[Tuple[List[int],
+                                       List[subprocess.Popen]]] = None
         self.base_dir.mkdir(parents=True, exist_ok=True)
         self.params_file = self.base_dir / "params.json"
-        self.params_file.write_text(json.dumps(params.to_dict()))
+        self.params_file.write_bytes(
+            params if isinstance(params, bytes)
+            else json.dumps(params.to_dict()).encode())
 
     def shm_name(self, index: int) -> Optional[str]:
         """Current shm control-segment name of one shard (``None`` on tcp).
@@ -298,49 +306,59 @@ class ClusterSupervisor:
 
     # ----- lifecycle ------------------------------------------------------------------
 
-    def _spawn(self, indices: Sequence[int],
-               ) -> List[Tuple[subprocess.Popen, str, int]]:
-        """Spawn shard servers, each restoring its newest *valid* snapshot.
+    def _argv(self, index: int) -> Tuple[str, Optional[Path], List[str]]:
+        """``launch_server_process`` arguments of one shard: restore its
+        newest *valid* snapshot, or start fresh from the params file.
 
-        Every shard is launched first and then all of them are awaited
-        together (:func:`await_listening`), so the shards start up in
-        parallel; if one fails, all of them are reaped.  A fresh shard
-        directory has no snapshots and starts empty; on a restart (or a
-        cold cluster resume) the shard comes back at its last intact
-        checkpoint — corrupt snapshot files are walked past, never
-        restored (:meth:`SnapshotStore.latest_valid`).
+        Corrupt snapshot files are walked past, never restored
+        (:meth:`SnapshotStore.latest_valid`).  A shard directory that does
+        not exist yet has nothing to restore, so a fresh cluster launches
+        without loading the snapshot layer (and numpy).
         """
-        procs = []
+        shard_dir = self.base_dir / f"shard-{index}"
+        args = self._serve_args(index, shard_dir)
+        if shard_dir.is_dir():
+            from repro.server.snapshot import SnapshotStore
+
+            latest = SnapshotStore(shard_dir).latest_valid()
+            if latest is not None:
+                return "serve", None, ["--restore", str(latest), *args]
+        return "serve", self.params_file, args
+
+    def _launch(self, indices: Sequence[int]) -> List[subprocess.Popen]:
+        """Launch shard servers without waiting for any (the first half of
+        a spawn); if a launch fails, the shards already launched are
+        reaped.  A fresh shard starts empty; on a restart (or a cold
+        cluster resume) the shard comes back at its last intact checkpoint
+        (:meth:`_argv`)."""
+        procs: List[subprocess.Popen] = []
         try:
             for index in indices:
-                shard_dir = self.base_dir / f"shard-{index}"
-                args = self._serve_args(index, shard_dir)
-                latest = SnapshotStore(shard_dir).latest_valid()
-                if latest is not None:
-                    argv = ("serve", None, ["--restore", str(latest), *args])
-                else:
-                    argv = ("serve", self.params_file, args)
+                argv = self._argv(index)
                 with _sigterm_held():
                     procs.append(launch_server_process(*argv))
                     self._launched.append(procs[-1])
         except BaseException:
             reap_processes(procs)
             raise
-        endpoints = await_listening(procs)
+        return procs
+
+    @staticmethod
+    def _listening(procs: Sequence[subprocess.Popen],
+                   ) -> List[Tuple[subprocess.Popen, str, int]]:
+        """Wait for launched shards together (the second half of a spawn,
+        :func:`await_listening`: if one fails, all of them are reaped)."""
         return [(proc, host, port)
-                for proc, (host, port) in zip(procs, endpoints)]
+                for proc, (host, port) in zip(procs, await_listening(procs))]
 
-    def start(self, shard_ids: Optional[Sequence[int]] = None,
-              ) -> List[Tuple[str, int]]:
-        """Spawn every shard; returns the live ``(host, port)`` endpoints.
+    def launch(self, shard_ids: Optional[Sequence[int]] = None) -> None:
+        """The first half of :meth:`start`: launch the shards, wait for none.
 
-        Without ``shard_ids`` this is the fresh-cluster path: shards
-        ``0..num_shards-1``.  With ``shard_ids`` (a cold resume from a
-        persisted shard map, possibly with drained gaps) only the named
-        ids get processes; the gaps become retired placeholder handles so
-        positional id lookups keep working.
+        ``serve-cluster`` calls it before it imports the router and the
+        protocol layers, so the shards start up while it does;
+        :meth:`await_started` is the second half.
         """
-        if self.shards:
+        if self.shards or self._starting is not None:
             raise RuntimeError("supervisor already started")
         if shard_ids is None:
             live = list(range(self.num_shards))
@@ -348,7 +366,17 @@ class ClusterSupervisor:
             live = sorted(int(i) for i in shard_ids)
             if not live:
                 raise ValueError("shard_ids must name at least one shard")
-        spawned = dict(zip(live, self._spawn(live)))
+        self._starting = (live, self._launch(live))
+
+    def await_started(self) -> List[Tuple[str, int]]:
+        """The second half of :meth:`start`: wait for every shard
+        :meth:`launch` started and record its handle; returns the live
+        ``(host, port)`` endpoints."""
+        if self._starting is None:
+            raise RuntimeError("supervisor not launched")
+        live, procs = self._starting
+        self._starting = None
+        spawned = dict(zip(live, self._listening(procs)))
         for index in range(max(live) + 1):
             shard_dir = self.base_dir / f"shard-{index}"
             if index in spawned:
@@ -360,6 +388,20 @@ class ClusterSupervisor:
                                      proc=None, host="", port=0, retired=True)
             self.shards.append(handle)
         return self.endpoints()
+
+    def start(self, shard_ids: Optional[Sequence[int]] = None,
+              ) -> List[Tuple[str, int]]:
+        """Spawn every shard; returns the live ``(host, port)`` endpoints.
+
+        :meth:`launch` then :meth:`await_started`.  Without ``shard_ids``
+        this is the fresh-cluster path: shards ``0..num_shards-1``.  With
+        ``shard_ids`` (a cold resume from a persisted shard map, possibly
+        with drained gaps) only the named ids get processes; the gaps
+        become retired placeholder handles so positional id lookups keep
+        working.
+        """
+        self.launch(shard_ids)
+        return self.await_started()
 
     def add_shard(self) -> Tuple[int, str, int]:
         """Spawn one additional shard; returns ``(shard_id, host, port)``.
@@ -373,7 +415,7 @@ class ClusterSupervisor:
             raise RuntimeError("supervisor not started")
         index = len(self.shards)
         shard_dir = self.base_dir / f"shard-{index}"
-        [(proc, host, port)] = self._spawn([index])
+        [(proc, host, port)] = self._listening(self._launch([index]))
         self.shards.append(ShardHandle(index=index, snapshot_dir=shard_dir,
                                        proc=proc, host=host, port=port))
         return index, host, port
@@ -426,7 +468,7 @@ class ClusterSupervisor:
         # Bump the generation *before* spawning: on shm the replacement
         # must bind a fresh ring name, never its dead predecessor's.
         shard.restarts += 1
-        [(proc, host, port)] = self._spawn([index])
+        [(proc, host, port)] = self._listening(self._launch([index]))
         shard.proc, shard.host, shard.port = proc, host, port
         return host, port
 

@@ -87,7 +87,7 @@ def _ingest_span_packed(params: PublicParams, values_span: np.ndarray,
 
 def _unpack_span(params: PublicParams, blob: bytes) -> ServerAggregator:
     """Parent body: rebuild a worker's shard aggregator from its state blob."""
-    return load_child_state(params.make_aggregator(), unpack_state(blob))
+    return load_child_state(params, unpack_state(blob))
 
 
 @dataclass

@@ -4,9 +4,16 @@ Appendix B of the paper uses a d-regular λ0-spectral expander F on M vertices
 with λ0 = α·d for a small constant α.  Footnote 7 observes that because
 spectral expansion is efficiently verifiable and random regular graphs are
 expanders with high probability, a Las-Vegas construction (sample, verify,
-retry) suffices.  That is exactly what :func:`random_regular_expander` does,
-using networkx to sample random regular graphs and numpy to compute the second
-adjacency eigenvalue.
+retry) suffices.  That is exactly what :func:`random_regular_expander` does:
+it samples random regular graphs with :func:`random_regular_graph` and
+computes the second adjacency eigenvalue with numpy.
+
+:func:`random_regular_graph` is a port of NetworkX 3.6.1's
+``random_regular_graph`` (Steger–Wormald stub pairing driven by
+``random.Random(seed)``): for every ``(d, n, seed)`` it returns the edge set
+NetworkX builds, so expanders, and the public parameters built on them, are
+the ones the NetworkX-based construction produced.  The committed fixture
+``tests/data/expander_graphs/`` pins that.
 
 For very small vertex counts (M <= d + 1) the complete graph is returned; it
 is the best possible expander on those sizes and keeps the decoder working for
@@ -15,22 +22,121 @@ toy parameters used in tests.
 
 from __future__ import annotations
 
+import random
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
 
+Edge = Tuple[int, int]
 
-def second_eigenvalue(graph: nx.Graph) -> float:
-    """Second largest eigenvalue (in magnitude) of the unnormalised adjacency matrix."""
-    if graph.number_of_nodes() < 2:
+
+def random_regular_graph(degree: int, num_vertices: int, seed: int) -> Set[Edge]:
+    """Edges ``(u, v)``, ``u < v``, of a random ``degree``-regular graph on
+    ``0..num_vertices-1`` with no self-loops or parallel edges.
+
+    Steger and Wormald's pairing: shuffle ``degree`` stubs per vertex, pair
+    them off, keep the pairs that make a new edge, and re-pair the stubs of
+    the rest; start over if no stub pair left can make an edge.  Every draw
+    comes from ``random.Random(seed)`` in NetworkX 3.6.1's order.
+    """
+    if (num_vertices * degree) % 2 != 0:
+        raise ValueError("num_vertices * degree must be even")
+    if not 0 <= degree < num_vertices:
+        raise ValueError("need 0 <= degree < num_vertices")
+    if degree == 0:
+        return set()
+    rng = random.Random(seed)
+    while True:
+        edges = _pair_stubs(degree, num_vertices, rng)
+        if edges is not None:
+            return edges
+
+
+def _pair_stubs(degree: int, num_vertices: int,
+                rng: random.Random) -> Optional[Set[Edge]]:
+    """One pairing attempt of :func:`random_regular_graph` (``None`` if it
+    got stuck)."""
+    edges: Set[Edge] = set()
+    stubs = list(range(num_vertices)) * degree
+    while stubs:
+        # insertion-ordered: the next round's stubs are listed in this order
+        leftover: Dict[int, int] = defaultdict(int)
+        rng.shuffle(stubs)
+        pairs = iter(stubs)
+        for s1, s2 in zip(pairs, pairs):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                leftover[s1] += 1
+                leftover[s2] += 1
+        if leftover and not _can_pair(leftover, edges):
+            return None
+        stubs = [node for node, count in leftover.items()
+                 for _ in range(count)]
+    return edges
+
+
+def _can_pair(leftover: Dict[int, int], edges: Set[Edge]) -> bool:
+    """NetworkX's test that some leftover stub pair can still make an edge,
+    kept literally: the swap rebinds ``s1`` for the rest of the inner loop,
+    so it skips some pairs, and which it skips decides when a pairing
+    starts over."""
+    for s1 in leftover:
+        for s2 in leftover:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
+def neighbor_lists_of(num_vertices: int,
+                      edges: Iterable[Edge]) -> Tuple[Tuple[int, ...], ...]:
+    """Each vertex's sorted neighbours in an undirected edge set."""
+    neighbors: List[List[int]] = [[] for _ in range(num_vertices)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return tuple(tuple(sorted(nbrs)) for nbrs in neighbors)
+
+
+def adjacency_matrix(neighbor_lists: Sequence[Sequence[int]]) -> np.ndarray:
+    """The float64 0/1 adjacency matrix of a simple graph."""
+    n = len(neighbor_lists)
+    adjacency = np.zeros((n, n))
+    rows = [u for u, nbrs in enumerate(neighbor_lists) for _ in nbrs]
+    cols = [v for nbrs in neighbor_lists for v in nbrs]
+    adjacency[rows, cols] = 1.0
+    return adjacency
+
+
+def is_connected(neighbor_lists: Sequence[Sequence[int]]) -> bool:
+    """Whether a graph with at least one vertex is connected (BFS)."""
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for v in neighbor_lists[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == len(neighbor_lists)
+
+
+def second_eigenvalue(neighbor_lists: Sequence[Sequence[int]]) -> float:
+    """Second largest eigenvalue (in magnitude) of the unnormalised adjacency
+    matrix of the graph with these neighbour lists."""
+    if len(neighbor_lists) < 2:
         return 0.0
-    adjacency = nx.to_numpy_array(graph)
-    eigenvalues = np.linalg.eigvalsh(adjacency)
+    eigenvalues = np.linalg.eigvalsh(adjacency_matrix(neighbor_lists))
     magnitudes = np.sort(np.abs(eigenvalues))[::-1]
     return float(magnitudes[1])
 
@@ -73,15 +179,6 @@ class ExpanderGraph:
         """Position of ``neighbor`` within Γ(vertex); raises ValueError if absent."""
         return self.neighbor_lists[vertex].index(neighbor)
 
-    def to_networkx(self) -> nx.Graph:
-        """Rebuild a networkx graph (mostly for inspection and tests)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_vertices))
-        for u, nbrs in enumerate(self.neighbor_lists):
-            for v in nbrs:
-                graph.add_edge(u, v)
-        return graph
-
     def edge_boundary_size(self, subset: Sequence[int]) -> int:
         """Number of edges with exactly one endpoint in ``subset``."""
         inside = set(int(v) for v in subset)
@@ -111,10 +208,8 @@ def _complete_graph_expander(num_vertices: int) -> ExpanderGraph:
     neighbor_lists = tuple(
         tuple(v for v in range(num_vertices) if v != u) for u in range(num_vertices)
     )
-    graph = nx.complete_graph(num_vertices)
-    lam = second_eigenvalue(graph)
     return ExpanderGraph(neighbor_lists=neighbor_lists, degree=num_vertices - 1,
-                         lambda2=lam)
+                         lambda2=second_eigenvalue(neighbor_lists))
 
 
 def random_regular_expander(num_vertices: int, degree: int,
@@ -128,9 +223,9 @@ def random_regular_expander(num_vertices: int, degree: int,
     num_vertices:
         Number of vertices M.
     degree:
-        Regular degree d; ``num_vertices * degree`` must be even (networkx
-        requirement).  If ``num_vertices <= degree + 1`` the complete graph is
-        returned instead.
+        Regular degree d; if ``num_vertices * degree`` is odd, which no
+        d-regular graph allows, d + 1 is used.  If ``num_vertices <= degree
+        + 1`` the complete graph is returned instead.
     spectral_ratio:
         Acceptance threshold α: the graph is accepted when λ2 <= α·d.  Random
         regular graphs have λ2 ≈ 2·sqrt(d-1) with high probability, so α = 0.5
@@ -155,17 +250,14 @@ def random_regular_expander(num_vertices: int, degree: int,
 
     for _ in range(max_attempts):
         seed = int(gen.integers(0, 2**31 - 1))
-        graph = nx.random_regular_graph(actual_degree, num_vertices, seed=seed)
-        lam = second_eigenvalue(graph)
-        candidate = ExpanderGraph(
-            neighbor_lists=tuple(tuple(sorted(graph.neighbors(u)))
-                                 for u in range(num_vertices)),
-            degree=actual_degree,
-            lambda2=lam,
-        )
+        neighbor_lists = neighbor_lists_of(
+            num_vertices, random_regular_graph(actual_degree, num_vertices, seed))
+        lam = second_eigenvalue(neighbor_lists)
+        candidate = ExpanderGraph(neighbor_lists=neighbor_lists,
+                                  degree=actual_degree, lambda2=lam)
         if best is None or candidate.lambda2 < best.lambda2:
             best = candidate
-        if lam <= spectral_ratio * actual_degree and nx.is_connected(graph):
+        if lam <= spectral_ratio * actual_degree and is_connected(neighbor_lists):
             return candidate
     assert best is not None
     return best

@@ -25,7 +25,7 @@ report counts; debiasing and the collision correction happen in
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,8 +98,9 @@ class CountMeanSketchParams(PublicParams):
     def make_encoder(self) -> "CountMeanSketchEncoder":
         return CountMeanSketchEncoder(self)
 
-    def make_aggregator(self) -> "CountMeanSketchAggregator":
-        return CountMeanSketchAggregator(self)
+    def make_aggregator(self, counts: Optional[np.ndarray] = None,
+                        bound: Optional[int] = None) -> "CountMeanSketchAggregator":
+        return CountMeanSketchAggregator(self, counts, bound)
 
     # ----- accounting ------------------------------------------------------------
 

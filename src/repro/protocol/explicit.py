@@ -27,7 +27,7 @@ per-column one counts, or a value histogram); debiasing happens only in
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,8 +95,9 @@ class ExplicitHistogramParams(PublicParams):
     def make_encoder(self) -> "ExplicitHistogramEncoder":
         return ExplicitHistogramEncoder(self)
 
-    def make_aggregator(self) -> "ExplicitHistogramAggregator":
-        return ExplicitHistogramAggregator(self)
+    def make_aggregator(self, counts: Optional[np.ndarray] = None,
+                        bound: Optional[int] = None) -> "ExplicitHistogramAggregator":
+        return ExplicitHistogramAggregator(self, counts, bound)
 
     # ----- accounting ------------------------------------------------------------
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,8 +141,9 @@ class HashtogramParams(PublicParams):
     def make_encoder(self) -> "HashtogramEncoder":
         return HashtogramEncoder(self)
 
-    def make_aggregator(self) -> "HashtogramAggregator":
-        return HashtogramAggregator(self)
+    def make_aggregator(self, counts: Optional[np.ndarray] = None,
+                        bound: Optional[int] = None) -> "HashtogramAggregator":
+        return HashtogramAggregator(self, counts, bound)
 
     # ----- accounting ------------------------------------------------------------
 

@@ -423,8 +423,9 @@ class ExpanderSketchParams(_TwoStageParams):
     def make_encoder(self) -> "ExpanderSketchEncoder":
         return ExpanderSketchEncoder(self)
 
-    def make_aggregator(self) -> "ExpanderSketchAggregator":
-        return ExpanderSketchAggregator(self)
+    def make_aggregator(self, counts: Optional[np.ndarray] = None,
+                        bound: Optional[int] = None) -> "ExpanderSketchAggregator":
+        return ExpanderSketchAggregator(self, counts, bound)
 
     # ----- accounting / geometry -------------------------------------------------
 
@@ -621,8 +622,9 @@ class SingleHashParams(_TwoStageParams):
     def make_encoder(self) -> "SingleHashEncoder":
         return SingleHashEncoder(self)
 
-    def make_aggregator(self) -> "SingleHashAggregator":
-        return SingleHashAggregator(self)
+    def make_aggregator(self, counts: Optional[np.ndarray] = None,
+                        bound: Optional[int] = None) -> "SingleHashAggregator":
+        return SingleHashAggregator(self, counts, bound)
 
     # ----- helpers ---------------------------------------------------------------
 

@@ -21,7 +21,7 @@ one-counts; candidate-set regression decoding happens in ``finalize()``.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,8 +88,9 @@ class RapporParams(PublicParams):
     def make_encoder(self) -> "RapporEncoder":
         return RapporEncoder(self)
 
-    def make_aggregator(self) -> "RapporAggregator":
-        return RapporAggregator(self)
+    def make_aggregator(self, counts: Optional[np.ndarray] = None,
+                        bound: Optional[int] = None) -> "RapporAggregator":
+        return RapporAggregator(self, counts, bound)
 
     # ----- accounting ------------------------------------------------------------
 

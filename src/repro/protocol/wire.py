@@ -363,8 +363,13 @@ class PublicParams(abc.ABC):
         """Build the stateless client-side encoder for these parameters."""
 
     @abc.abstractmethod
-    def make_aggregator(self) -> "ServerAggregator":
-        """Build an empty server-side aggregator for these parameters."""
+    def make_aggregator(self, counts: Optional[np.ndarray] = None,
+                        bound: Optional[int] = None) -> "ServerAggregator":
+        """Build a server-side aggregator for these parameters: empty, or
+        holding ``counts`` (a vector laid out by :attr:`layout`, which it
+        takes as its own; ``bound`` is a proven ``max|cell|`` or, if
+        ``None``, read from the cells).  :func:`load_child_state` is the
+        checked way to build one from a loaded state."""
 
     # ----- accounting ------------------------------------------------------------
 
@@ -665,8 +670,8 @@ class ServerAggregator(abc.ABC):
         Dispatches on the embedded parameters' ``protocol`` tag, so any
         registered protocol restores through this one entry point.
         """
-        params = snapshot_params(data, SNAPSHOT_FORMAT, "an aggregator")
-        return params.make_aggregator().restore(data)
+        return load_child_state(
+            snapshot_params(data, SNAPSHOT_FORMAT, "an aggregator"), data)
 
     def restore(self, data: Dict[str, object]) -> "ServerAggregator":
         """Load a snapshot into this (freshly built) aggregator in place.
@@ -745,27 +750,35 @@ def child_state(aggregator: ServerAggregator) -> Dict[str, object]:
             "state": {"counts": aggregator.counts.copy()}}
 
 
-def load_child_state(aggregator: ServerAggregator,
+def load_child_state(target: Union[PublicParams, ServerAggregator],
                      data: Dict[str, object]) -> ServerAggregator:
     """Inverse of :func:`child_state` (or the state half of a snapshot):
     load ``data["state"]`` — ``{"counts": …}`` or a v1 nested payload —
-    and its ``num_reports`` into a fresh aggregator, rejecting a negative
-    count, a wrong-size vector, or report-count cells contradicting it.
-    The counts load at the width :func:`integer_state` gives them, and the
+    and its ``num_reports``, rejecting a negative count, a wrong-size
+    vector, or report-count cells contradicting it.
+
+    Given parameters, this returns a new aggregator whose ``counts`` are
+    the loaded vector from the start, so no empty vector is made; given an
+    aggregator, it loads into that one in place (:meth:`restore`).  The
+    counts load at the width :func:`integer_state` gives them, and the
     aggregator's bound is their ``max|cell|``."""
+    params = target if isinstance(target, PublicParams) else target.params
     count = int(data["num_reports"])
     if count < 0:
         raise ValueError(f"snapshot num_reports={count} is negative")
     state = dict(data["state"])
     counts, bound = integer_state(state["counts"] if set(state) == {"counts"}
                                   else flatten_state(state))
-    layout = aggregator.params.layout
+    layout = params.layout
     if counts.shape != (layout.size,):
         raise ValueError(f"snapshot counts have shape {counts.shape}, "
                          f"expected ({layout.size},)")
     layout.check_counts(counts, count)
-    aggregator.counts = counts
-    aggregator.bound = bound
+    if isinstance(target, PublicParams):
+        aggregator = params.make_aggregator(counts, bound)
+    else:
+        aggregator = target
+        aggregator.counts, aggregator.bound = counts, bound
     aggregator.num_reports = count
     return aggregator
 

@@ -161,9 +161,9 @@ class AggregationClient:
 
         Returns the reply dictionary; its ``"state"`` arrives in the
         kind-2 frame already unpacked to a ``child_state`` payload — load
-        it with ``load_child_state(params.make_aggregator(),
-        reply["state"])``.  This is the cluster router's query primitive:
-        pull every shard's state, merge, finalize once.
+        it with ``load_child_state(params, reply["state"])``.  This is the
+        cluster router's query primitive: pull every shard's state, merge,
+        finalize once.
         """
         frame: Dict[str, object] = {"type": "state"}
         if window is not None:

@@ -209,7 +209,7 @@ class WindowedAggregator:
             raise ValueError("cannot merge a snapshot taken under different "
                              "public parameters")
         loaded = [(int(entry["epoch"]),
-                   load_child_state(self.params.make_aggregator(), entry))
+                   load_child_state(self.params, entry))
                   for entry in data["epochs"]]
         absorbed = 0
         for epoch, incoming in loaded:
@@ -234,7 +234,6 @@ class WindowedAggregator:
         windowed = WindowedAggregator(
             params, int(window) if window is not None else None)
         for entry in data["epochs"]:
-            aggregator = params.make_aggregator()
-            load_child_state(aggregator, entry)
-            windowed._epochs[int(entry["epoch"])] = aggregator
+            epoch = int(entry["epoch"])
+            windowed._epochs[epoch] = load_child_state(params, entry)
         return windowed

@@ -7,9 +7,11 @@ layer may import everything below it (the transitive closure of its
 edges), and the table is acyclic, so the import graph is too.  The serving
 layers (``transport``, ``server``, ``cluster``, ``protocol``, ``engine``)
 therefore never load ``accounting``, ``structure``, ``lowerbounds``,
-``experiments`` or scipy.  An import inside a function is not checked: it
-runs only when the function does, which is how ``cli.py`` dispatches its
-verbs and how the package root resolves its public names.
+``experiments`` or scipy, and ``cluster.supervisor``, which
+``serve-cluster`` uses to launch its shards first, loads no numpy.  An
+import inside a function is not checked: it runs only when the function
+does, which is how ``cli.py`` dispatches its verbs and how the package
+root resolves its public names.
 
 Scope: every module of the ``repro`` package whose layer is declared.
 Imports under ``if TYPE_CHECKING:`` never run and are not checked.
@@ -32,27 +34,29 @@ from repro.tools.lint.rules import register_rule
 #: layer -> the layers its modules may import at module level (and, through
 #: them, every layer below).  A layer is a ``repro`` subpackage, a single
 #: module declared as its own layer (``core.heavy_hitters`` runs the wire
-#: protocol, the rest of ``core`` is built into it), the package root
+#: protocol, the rest of ``core`` is built into it; ``cluster.supervisor``
+#: launches shards before its process loads numpy), the package root
 #: (``""``, which imports nothing at load), or a third-party package whose
-#: load time is budgeted here (``networkx``, ``scipy``).
+#: load time is budgeted here (``numpy``, ``scipy``).
 LAYERS: Dict[str, Tuple[str, ...]] = {
     "": (),
     "cli": (),
     "tools": (),
     "scipy": (),
-    "networkx": (),
-    "utils": (),
+    "numpy": (),
+    "utils": ("numpy",),
     "hashing": ("utils",),
     "randomizers": ("hashing",),
     "frequency": ("randomizers",),
-    "graphs": ("networkx", "utils"),
+    "graphs": ("utils",),
     "codes": ("graphs", "hashing"),
     "core": ("utils",),
     "protocol": ("codes", "core", "frequency"),
     "engine": ("protocol",),
     "server": ("protocol",),
     "transport": ("server",),
-    "cluster": ("engine", "transport"),
+    "cluster.supervisor": (),
+    "cluster": ("cluster.supervisor", "engine", "transport"),
     "chaos": ("cluster",),
     "core.heavy_hitters": ("engine",),
     "baselines": ("protocol",),
@@ -68,7 +72,7 @@ LAYERS: Dict[str, Tuple[str, ...]] = {
 }
 
 #: third-party packages that are layers of their own
-EXTERNAL = frozenset({"networkx", "scipy"})
+EXTERNAL = frozenset({"numpy", "scipy"})
 
 
 def _closure(layer: str) -> FrozenSet[str]:

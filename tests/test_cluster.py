@@ -596,7 +596,7 @@ class TestStatePull:
                 pull = client.pull_state()
         assert pull["num_reports"] == len(batch)
         assert pull["epochs"] == [4]
-        rebuilt = load_child_state(params.make_aggregator(), pull["state"])
+        rebuilt = load_child_state(params, pull["state"])
         reference = params.make_aggregator().absorb_batch(batch)
         assert np.array_equal(rebuilt.finalize().estimate_many(range(32)),
                               reference.finalize().estimate_many(range(32)))

@@ -1,31 +1,85 @@
 """Tests for repro.graphs.expanders: regular expander construction and mixing lemma."""
 
-import networkx as nx
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.graphs.expanders import (
+    adjacency_matrix,
     expander_mixing_lower_bound,
+    is_connected,
+    neighbor_lists_of,
     neighbor_map,
     random_regular_expander,
+    random_regular_graph,
     second_eigenvalue,
 )
+
+#: NetworkX 3.6.1's samples and expanders (tests/data/expander_graphs/generate.py)
+FIXTURE = json.loads((Path(__file__).parent / "data" / "expander_graphs"
+                      / "graphs.json").read_text())
+
+
+def complete_lists(n):
+    return [[v for v in range(n) if v != u] for u in range(n)]
 
 
 class TestSecondEigenvalue:
     def test_complete_graph(self):
         # K_n has eigenvalues n-1 and -1 (n-1 times): second largest magnitude is 1.
-        assert second_eigenvalue(nx.complete_graph(6)) == pytest.approx(1.0, abs=1e-8)
+        assert second_eigenvalue(complete_lists(6)) == pytest.approx(1.0, abs=1e-8)
 
     def test_disconnected_graph_has_large_lambda2(self):
-        graph = nx.disjoint_union(nx.complete_graph(4), nx.complete_graph(4))
+        k4 = complete_lists(4)
+        graph = k4 + [[v + 4 for v in nbrs] for nbrs in k4]
         # Two copies of K_4: eigenvalue 3 has multiplicity 2.
         assert second_eigenvalue(graph) == pytest.approx(3.0, abs=1e-8)
+        assert not is_connected(graph)
+        assert is_connected(k4)
 
     def test_single_vertex(self):
-        assert second_eigenvalue(nx.empty_graph(1)) == 0.0
+        assert second_eigenvalue([[]]) == 0.0
+
+    def test_adjacency_matrix(self):
+        path = [[1], [0, 2], [1]]
+        assert np.array_equal(adjacency_matrix(path),
+                              [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        assert adjacency_matrix(path).dtype == np.float64
+
+
+class TestRegularGraphSampler:
+    @pytest.mark.parametrize("case", FIXTURE["samples"],
+                             ids=lambda c: f"d{c['degree']}-n{c['num_vertices']}"
+                                           f"-s{c['seed']}")
+    def test_matches_networkx(self, case):
+        edges = random_regular_graph(case["degree"], case["num_vertices"],
+                                     case["seed"])
+        assert all(u < v for u, v in edges)
+        lists = neighbor_lists_of(case["num_vertices"], edges)
+        assert [list(nbrs) for nbrs in lists] == case["neighbor_lists"]
+
+    def test_rejects_impossible_degrees(self):
+        with pytest.raises(ValueError):
+            random_regular_graph(3, 5, 0)
+        with pytest.raises(ValueError):
+            random_regular_graph(4, 4, 0)
+        assert random_regular_graph(0, 4, 0) == set()
 
 
 class TestRandomRegularExpander:
+    @pytest.mark.parametrize("case", FIXTURE["expanders"],
+                             ids=lambda c: f"M{c['num_vertices']}-d{c['degree']}"
+                                           f"-s{c['seed']}")
+    def test_matches_networkx_construction(self, case):
+        expander = random_regular_expander(case["num_vertices"], case["degree"],
+                                           rng=case["seed"])
+        assert expander.degree == case["used_degree"]
+        assert float.hex(expander.lambda2) == case["lambda2"]
+        assert [list(nbrs) for nbrs in expander.neighbor_lists] \
+            == case["neighbor_lists"]
+
     def test_regularity_and_spectral_bound(self):
         expander = random_regular_expander(64, 8, spectral_ratio=0.7, rng=0)
         assert expander.num_vertices == 64
@@ -62,13 +116,6 @@ class TestRandomRegularExpander:
         expander = random_regular_expander(15, 3, rng=0)
         assert expander.degree in (3, 4)
         assert expander.num_vertices == 15
-
-    def test_to_networkx_round_trip(self):
-        expander = random_regular_expander(16, 4, rng=3)
-        graph = expander.to_networkx()
-        assert graph.number_of_nodes() == 16
-        degrees = [d for _, d in graph.degree()]
-        assert all(d == 4 for d in degrees)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

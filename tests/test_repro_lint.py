@@ -640,6 +640,19 @@ class TestLayerRules:
         })
         assert diags == []
 
+    def test_cluster_supervisor_loads_no_numpy(self, tmp_path):
+        diags = run_lint(tmp_path, {
+            "repro/cluster/supervisor.py": "import json\nimport numpy as np\n",
+            "repro/cluster/router.py": """\
+                import numpy as np
+
+                from repro.cluster.supervisor import ClusterSupervisor
+            """,
+        }, select=("RPL6",))
+        assert codes(diags) == ["RPL601"]
+        assert Path(diags[0].path).name == "supervisor.py"
+        assert "`numpy`" in diags[0].message
+
     def test_layer_table_is_a_dag(self):
         from repro.tools.lint.rules.layers import BELOW, LAYERS
 

@@ -1,7 +1,9 @@
 """Cold start: parallel shard spawn and stop, SIGTERM clean-up (also while
-the shards are still starting), and the import closure.
+the shards are still starting, or the router still importing), and the
+import closure.
 
-A cluster should start in about one router start plus one shard start, so
+A cluster should start in about one shard start, so ``serve-cluster``
+launches its shards before it imports its own layers, and
 :class:`ClusterSupervisor` launches every shard before it waits for any
 ``LISTENING`` line; the serving processes import only the layers they
 serve (``docs/architecture.md`` §"Start-up").  The spawn tests point the
@@ -32,8 +34,9 @@ from repro.protocol.binary import encode_reports_payload
 SRC = Path(repro.__file__).resolve().parent.parent
 
 #: layers a serving process (shard, router, client transport) must not load
-SERVING_FORBIDDEN = ("scipy", "repro.accounting", "repro.structure",
-                     "repro.lowerbounds", "repro.experiments")
+SERVING_FORBIDDEN = ("scipy", "networkx", "repro.accounting",
+                     "repro.structure", "repro.lowerbounds",
+                     "repro.experiments")
 
 SERVING_CLOSURE = ("import repro.cli, repro.server.service, "
                    "repro.cluster.router, repro.transport")
@@ -253,7 +256,8 @@ class TestSigtermCleanup:
 
 
 #: ``serve-cluster`` whose shards are stubs that never finish starting; each
-#: stub's pid is recorded as a ``stub-<pid>`` file in the directory argv[1]
+#: stub's pid is recorded as a ``stub-<pid>`` file in the directory argv[1],
+#: and argv[2:] are extra ``serve-cluster`` arguments
 _STARTING_CLUSTER = textwrap.dedent("""\
     import subprocess, sys
     from pathlib import Path
@@ -270,26 +274,60 @@ _STARTING_CLUSTER = textwrap.dedent("""\
 
     supervisor_module.launch_server_process = launch
     sys.exit(main(["serve-cluster", "--shards", "2", "--transport", "shm",
-                   "--protocol", "hashtogram", "--domain-size", "1024",
-                   "--num-users", "1000", "--port", "0", "--quiet"]))
+                   "--port", "0", "--quiet", *sys.argv[2:]]))
 """)
+
+#: ``serve-cluster --params-file argv[2]`` whose import of the router stalls
+#: (after it has touched ``argv[1]/importing``) until a signal ends it
+_IMPORTING_CLUSTER = textwrap.dedent("""\
+    import sys, time
+    from pathlib import Path
+
+    from repro.cli import main
+
+    class StallRouterImport:
+        def find_spec(self, name, path=None, target=None):
+            if name == "repro.cluster.router":
+                Path(sys.argv[1], "importing").touch()
+                time.sleep(60)
+            return None
+
+    sys.meta_path.insert(0, StallRouterImport())
+    sys.exit(main(["serve-cluster", "--params-file", sys.argv[2],
+                   "--shards", "2", "--transport", "shm", "--port", "0",
+                   "--quiet"]))
+""")
+
+
+def _start_cluster_script(script, tmp_path, *args):
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PYTHONPATH=str(SRC) + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    return subprocess.Popen([sys.executable, "-c", script, str(tmp_path),
+                             *map(str, args)], env=env)
+
+
+def _wait_for(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return condition()
+
+
+def _segments(pid: int):
+    return [name for name in os.listdir("/dev/shm")
+            if name.startswith(f"repro-{pid}-")]
 
 
 @pytest.mark.cluster
 @pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="needs /dev/shm")
 class TestSigtermDuringStart:
     def test_sigterm_while_shards_start_reaps_them(self, tmp_path):
-        env = dict(os.environ, TMPDIR=str(tmp_path),
-                   PYTHONPATH=str(SRC) + os.pathsep
-                   + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _STARTING_CLUSTER, str(tmp_path)],
-            env=env)
+        proc = _start_cluster_script(
+            _STARTING_CLUSTER, tmp_path, "--protocol", "hashtogram",
+            "--domain-size", "1024", "--num-users", "1000")
         try:
-            deadline = time.monotonic() + 30
-            while (len(list(tmp_path.glob("stub-*"))) < 2
-                   and time.monotonic() < deadline):
-                time.sleep(0.05)
+            _wait_for(lambda: len(list(tmp_path.glob("stub-*"))) >= 2)
             stubs = [int(path.name.split("-")[1])
                      for path in tmp_path.glob("stub-*")]
             assert len(stubs) == 2
@@ -300,9 +338,50 @@ class TestSigtermDuringStart:
             supervisor_module.reap_processes([proc])
         assert all(_gone(pid) for pid in stubs)
         assert list(tmp_path.glob("repro-cluster-*")) == []
-        prefix = f"repro-{proc.pid}-"
-        assert [name for name in os.listdir("/dev/shm")
-                if name.startswith(prefix)] == []
+        assert _segments(proc.pid) == []
+
+    def test_sigterm_while_router_imports_stops_shards(self, params,
+                                                       tmp_path):
+        """The shards are launched, and have bound their shm rings, before
+        the router's layers load; a SIGTERM in that window unwinds too."""
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(params.to_dict()))
+        proc = _start_cluster_script(_IMPORTING_CLUSTER, tmp_path,
+                                     params_file)
+        try:
+            assert _wait_for(lambda: (tmp_path / "importing").exists())
+            assert _wait_for(lambda: len(_children(proc.pid)) == 2)
+            shards = _children(proc.pid)
+            assert _wait_for(lambda: all(
+                any(name.startswith(f"repro-{proc.pid}-c1-s{index}")
+                    for name in _segments(proc.pid)) for index in (0, 1)))
+            assert len(list(tmp_path.glob("repro-cluster-*"))) == 1
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=20) == 0
+        finally:
+            supervisor_module.reap_processes([proc])
+        assert all(_gone(pid) for pid in shards)
+        assert list(tmp_path.glob("repro-cluster-*")) == []
+        assert _segments(proc.pid) == []
+
+    def test_rejected_params_file_reaps_launched_shards(self, tmp_path):
+        """A params file ``PublicParams.from_dict`` rejects fails the
+        router after its shards were launched: it exits non-zero and
+        leaves nothing behind."""
+        params_file = tmp_path / "bad-params.json"
+        params_file.write_text(json.dumps({"protocol": "no-such-protocol"}))
+        proc = _start_cluster_script(_STARTING_CLUSTER, tmp_path,
+                                     "--params-file", params_file)
+        try:
+            assert proc.wait(timeout=30) != 0
+        finally:
+            supervisor_module.reap_processes([proc])
+        stubs = [int(path.name.split("-")[1])
+                 for path in tmp_path.glob("stub-*")]
+        assert len(stubs) == 2
+        assert all(_gone(pid) for pid in stubs)
+        assert list(tmp_path.glob("repro-cluster-*")) == []
+        assert _segments(proc.pid) == []
 
 
 def _run_python(code: str) -> str:
@@ -324,10 +403,21 @@ class TestImportClosure:
         """)
         loaded = json.loads(out)
         leaked = [name for name in loaded
-                  if name.split(".")[0] == "scipy"
-                  or any(name == layer or name.startswith(layer + ".")
+                  if any(name == layer or name.startswith(layer + ".")
                          for layer in SERVING_FORBIDDEN)]
         assert leaked == []
+
+    def test_cluster_supervisor_loads_no_numpy(self):
+        """``serve-cluster`` launches its shards with only this loaded."""
+        out = _run_python("""
+            import json, sys
+            import repro.cluster.supervisor
+            print(json.dumps(sorted(sys.modules)))
+        """)
+        loaded = json.loads(out)
+        assert [name for name in loaded
+                if name.split(".")[0] in ("numpy", "repro")] == [
+            "repro", "repro.cluster", "repro.cluster.supervisor"]
 
     def test_absorb_and_finalize_import_nothing_new(self, tmp_path):
         from repro.core.heavy_hitters import PrivateExpanderSketch

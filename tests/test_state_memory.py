@@ -50,10 +50,9 @@ def shards():
 
 def test_state_pull_decodes_and_sums_at_int32(shards):
     """The router's pull: two kind-2 ``state`` replies decoded to int32
-    vectors and summed in place.  Besides the two decoded vectors the only
-    layout-sized buffer is the zero vector of the fresh aggregator each
-    reply loads into (calloc'd, never touched, dropped on load): 3 int32
-    vectors where int64 state took 3 int64 ones."""
+    vectors and summed in place.  The two decoded vectors are the only
+    layout-sized buffers: each becomes its aggregator's ``counts`` as it
+    loads, with no empty vector made first."""
     params, _, aggregators, expected = shards
     cells = params.layout.size
     frames = [encode_state_frame(state_reply(aggregator, [0]))[4:]
@@ -63,13 +62,13 @@ def test_state_pull_decodes_and_sums_at_int32(shards):
     assert merged.counts.dtype == np.int32
     assert np.array_equal(merged.counts, expected.counts)
     assert merged.num_reports == expected.num_reports == 8000
-    assert peak < 3.25 * 4 * cells, peak / cells
+    assert peak < 2.25 * 4 * cells, peak / cells
 
     replies = [decode_frame(frame) for frame in frames]
     merged, peak = _traced_peak(lambda: sum_pulled_states(params, replies))
     assert np.array_equal(merged.counts, expected.counts)
-    # in place: one fresh zero vector at a time, and no int64 temporary
-    assert peak < 1.25 * 4 * cells, peak / cells
+    # in place: no layout-sized buffer at all, int64 or empty
+    assert peak < 0.25 * 4 * cells, peak / cells
 
 
 def test_capture_copies_one_int32_vector(shards):

@@ -459,7 +459,7 @@ class TestServerContract:
         counts = pulled["state"]["state"]["counts"]
         assert counts.dtype == np.int32  # the width the shard holds it at
         assert np.array_equal(counts, expected.merged(min_epoch=0).counts)
-        rebuilt = load_child_state(params.make_aggregator(), pulled["state"])
+        rebuilt = load_child_state(params, pulled["state"])
         assert rebuilt.num_reports == pulled["num_reports"]
 
         assert handed["type"] == "handoff_state"
