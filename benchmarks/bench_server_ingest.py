@@ -26,7 +26,11 @@ and a ``state_pull`` section: a two-shard state pull of the same
 aggregate (each shard's kind-2 ``state`` reply packed, then decoded and
 summed into the router's merged state), in state cells per second.  All
 four are gated by the same ``max_drop`` rule against the baseline's
-``finalize``, ``checkpoint``, ``encode`` and ``state_pull`` floors.
+``finalize``, ``checkpoint``, ``encode`` and ``state_pull`` floors.  The
+``checkpoint`` and ``state_pull`` rows also carry ``peak_bytes``: the
+tracemalloc peak of one untimed repeat, gated per state cell against the
+baseline's ``peak_bytes_per_cell`` ceilings (no ``max_drop`` headroom:
+what a step allocates does not depend on the host's speed).
 
 Client-side encoding and frame serialization are done *before* the clock
 starts (a deployment's clients encode on their own devices); the timed path
@@ -204,6 +208,21 @@ def _best_s(fn, repeats: int) -> float:
     return best
 
 
+def _traced_peak_bytes(fn) -> int:
+    """Bytes ``fn()`` allocated at its worst moment (tracemalloc sees
+    numpy's array buffers); run untimed, tracing slows every allocation."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def run_finalize_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
     """Time ``ExpanderSketchAggregator.finalize`` in decoded cells/s.
 
@@ -224,19 +243,27 @@ def run_finalize_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
 def run_checkpoint_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
     """Time a shard checkpoint's body in state cells/s.
 
-    The body is what the server runs per ``snapshot`` frame before the
-    disk write: the windowed array capture plus ``pack_state`` into the
-    binary container.  ``checkpoint_s`` is the best of ``repeats``.
+    The body is what the server runs per ``snapshot`` frame, on its event
+    loop, before the disk write: the windowed capture of the live counts
+    plus ``pack_state`` into the binary container.  ``checkpoint_s`` is
+    the best of ``repeats``; ``peak_bytes`` is what one body allocates.
     """
     from repro.protocol.binary import pack_state
 
     _, windowed = aggregate
-    best = _best_s(lambda: pack_state(windowed.capture()), repeats)
+
+    def body():
+        return pack_state(windowed.capture())
+
+    best = _best_s(body, repeats)
     cells = windowed.state_size
+    peak = _traced_peak_bytes(body)
     return {"protocol": "expander_sketch", "num_users": FINALIZE_USERS,
             "domain_size": FINALIZE_DOMAIN, "epsilon": FINALIZE_EPSILON,
             "state_cells": int(cells), "checkpoint_s": round(best, 4),
-            "cells_per_s": int(cells / max(best, 1e-9))}
+            "cells_per_s": int(cells / max(best, 1e-9)),
+            "peak_bytes": int(peak),
+            "peak_bytes_per_cell": round(peak / max(cells, 1), 4)}
 
 
 #: shards whose replies one ``state_pull`` repeat packs, decodes and sums
@@ -248,10 +275,11 @@ def run_state_pull_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
 
     One repeat is the query path of a ``STATE_PULL_SHARDS``-shard cluster
     whose shards each hold the aggregate: per shard, the ``state`` reply
-    packed into its kind-2 frame (what the shard runs) and the frame
-    decoded (what the router's read runs), then every reply loaded and
-    summed into the router's merged state.  ``state_pull_s`` is the best
-    of ``repeats``; cells are the state cells of every pulled reply.
+    packed into its kind-2 frame (what the shard runs) and the frame read
+    with its counts left in the wire columns (what the router's read
+    runs), then every reply summed into the router's one merged vector.
+    ``state_pull_s`` is the best of ``repeats``; cells are the state cells
+    of every pulled reply; ``peak_bytes`` is what one pull allocates.
     """
     from repro.cluster.router import sum_pulled_states
     from repro.server.framing import decode_frame, encode_state_frame
@@ -263,17 +291,20 @@ def run_state_pull_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
 
     def pull():
         replies = [decode_frame(encode_state_frame(
-            state_reply(merged, epochs))[4:])
+            state_reply(merged, epochs))[4:], arrays=False)
             for _ in range(STATE_PULL_SHARDS)]
         return sum_pulled_states(params, replies)
 
     best = _best_s(pull, repeats)
     cells = windowed.state_size * STATE_PULL_SHARDS
+    peak = _traced_peak_bytes(pull)
     return {"protocol": "expander_sketch", "num_users": FINALIZE_USERS,
             "domain_size": FINALIZE_DOMAIN, "epsilon": FINALIZE_EPSILON,
             "shards": STATE_PULL_SHARDS, "state_cells": int(cells),
             "state_pull_s": round(best, 4),
-            "cells_per_s": int(cells / max(best, 1e-9))}
+            "cells_per_s": int(cells / max(best, 1e-9)),
+            "peak_bytes": int(peak),
+            "peak_bytes_per_cell": round(peak / max(cells, 1), 4)}
 
 
 def run_encode_bench(workload, repeats: int = 3) -> Dict[str, object]:
@@ -428,6 +459,33 @@ def check_state_pull_regression(payload: Dict[str, object],
                                      max_drop)
 
 
+def check_peak_memory(payload: Dict[str, object],
+                      baseline: Dict[str, object]) -> List[str]:
+    """Gate the traced peaks of the ``checkpoint`` and ``state_pull``
+    rows: ``peak_bytes`` per state cell may not pass the baseline's
+    ``peak_bytes_per_cell`` ceiling for that section.  A payload without
+    the section is not gated on it.  Like the wire ceiling it is absolute:
+    an allocation does not depend on the host's speed."""
+    failures = []
+    for section, ceilings in dict(
+            baseline.get("peak_bytes_per_cell", {})).items():
+        measured = dict(payload.get(section, {}))
+        if not measured:
+            continue
+        for protocol, ceiling in dict(ceilings).items():
+            row = measured.get(protocol)
+            if row is None or "peak_bytes" not in row:
+                failures.append(f"{section}/{protocol}: no traced peak_bytes "
+                                f"(ceiling {float(ceiling)} B per cell)")
+                continue
+            got = int(row["peak_bytes"]) / max(int(row["state_cells"]), 1)
+            if got > float(ceiling):
+                failures.append(
+                    f"{section}/{protocol}: traced peak of {got:.3f} B per "
+                    f"state cell (ceiling {float(ceiling)} B)")
+    return failures
+
+
 def check_transport_regression(payload: Dict[str, object],
                                baseline: Dict[str, object],
                                max_drop: float = None) -> List[str]:
@@ -537,7 +595,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "against: the wire-bytes ceiling, and "
                              "throughput, finalize, checkpoint, encode and "
                              "state-pull rates (fails on a drop larger than "
-                             "the baseline's max_drop, default 40%%)")
+                             "the baseline's max_drop, default 40%%), and "
+                             "the checkpoint and state-pull peak bytes per "
+                             "state cell")
     parser.add_argument("--engine", metavar="BENCH_ENGINE_JSON", default=None,
                         help="also gate this BENCH_engine.json payload "
                              "against the baseline's engine numbers "
@@ -563,6 +623,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         failures += check_checkpoint_regression(payload, baseline)
         failures += check_encode_regression(payload, baseline)
         failures += check_state_pull_regression(payload, baseline)
+        failures += check_peak_memory(payload, baseline)
         if args.engine is not None:
             engine_payload = json.loads(Path(args.engine).read_text())
             failures += check_engine_regression(engine_payload, baseline)

@@ -109,14 +109,11 @@ from repro.cluster.shardmap import ShardMap, ShardMapError, ShardMapStore
 from repro.engine.partition import ShardPartition
 from repro.protocol.binary import (
     decode_reports_payload,
+    fold_states,
     peek_reports_header,
     stamp_sequence,
 )
-from repro.protocol.wire import (
-    PublicParams,
-    ServerAggregator,
-    load_child_state,
-)
+from repro.protocol.wire import PublicParams, ServerAggregator
 from repro.server.framing import (
     MESSAGES,
     WIRE_FORMATS,
@@ -161,20 +158,18 @@ class ClusterError(RuntimeError):
 
 def sum_pulled_states(params: PublicParams,
                       pulls: Sequence[Dict[str, object]]) -> ServerAggregator:
-    """Load the shards' ``state`` replies and sum them exactly.
+    """Sum the shards' ``state`` replies exactly, into one vector.
 
-    Each reply's ``"state"`` arrived in a kind-2 frame, unpacked into a
-    vector nothing else holds, int32 unless its cells need int64.  So the
-    first shard's vector becomes the sum, and every other shard's is added
-    into it in place (``merge_in_place``, which widens the sum only when
-    the shards' bounds need it): the integer sum ``merge`` computes,
-    without a fresh vector per merge.
+    The router reads each reply's kind-2 frame with its counts left in
+    their narrow wire columns (``decode_frame(..., arrays=False)``).  The
+    first shard's state loads into the vector that becomes the sum; every
+    other shard's is checked as a load checks it, then added into that
+    vector straight from its column and patch, which is promoted to int64
+    only when the bounds need it (:func:`~repro.protocol.binary.fold_states`).
+    So the router never holds a second layout-sized vector.  Replies whose
+    counts are arrays sum the same way.
     """
-    merged: Optional[ServerAggregator] = None
-    for pull in pulls:
-        shard = load_child_state(params, pull["state"])
-        merged = shard if merged is None else merged.merge_in_place(shard)
-    return merged if merged is not None else params.make_aggregator()
+    return fold_states(params, [pull["state"] for pull in pulls])
 
 
 @dataclass
@@ -598,7 +593,9 @@ class ClusterRouter(MessageEndpoint):
         """One request/reply on an (assumed healthy) shard connection.
 
         ``message`` goes out as a kind-2 frame when :data:`MESSAGES` says
-        its request is one (``absorb_state``), else as a JSON frame.
+        its request is one (``absorb_state``), else as a JSON frame.  A
+        ``state`` reply keeps its counts in their wire columns, for
+        :func:`sum_pulled_states` to add into one vector.
 
         The whole exchange runs under ``request_timeout``, so a stalled
         shard surfaces as ``asyncio.TimeoutError`` (a recoverable
@@ -618,7 +615,7 @@ class ClusterRouter(MessageEndpoint):
         async def exchange() -> Optional[Dict[str, object]]:
             writer.write(data)
             await writer.drain()
-            return await read_frame(reader)
+            return await read_frame(reader, arrays=kind != "state")
 
         reply = await asyncio.wait_for(exchange(), self.request_timeout)
         return check_reply(kind, reply, peer=f"shard {link.index}")

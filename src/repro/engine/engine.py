@@ -11,8 +11,9 @@ states.  This engine exploits both facts to run the chunk-streamed
 2. the chunks are split into one contiguous span per worker; each worker
    process rebuilds the (pickle-stable) public parameters, encodes its chunks
    with their pre-drawn seeds, and absorbs them into a local aggregator;
-3. the per-worker aggregators are merged
-   (:func:`repro.protocol.merge_aggregators`) and finalized once.
+3. the per-worker states are summed exactly, the way a cluster router
+   sums its shards' (:func:`repro.protocol.binary.fold_states`), and
+   finalized once.
 
 Because the chunk plan and the chunk seeds never depend on the worker count,
 ``run_simulation(..., workers=N)`` is **bit-identical** to
@@ -22,9 +23,10 @@ the same plan through :func:`encode_stream`.
 
 The worker→parent result channel is the binary state container of
 :mod:`repro.protocol.binary`: each worker returns one packed blob of its
-exact integer state and the parent rebuilds the shard aggregator from the
-parameters it already holds, instead of unpickling — and therefore
-re-deriving — a full parameter object per worker result.
+exact integer state, and the parent loads the first blob with the
+parameters it already holds and adds the others into it straight from
+their packed columns, instead of unpickling — and therefore re-deriving —
+a full parameter object per worker result.
 """
 
 from __future__ import annotations
@@ -37,14 +39,12 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.engine.partition import Chunk, make_plan
-from repro.protocol.binary import pack_state, unpack_state
+from repro.protocol.binary import fold_states, pack_state, unpack_state
 from repro.protocol.wire import (
     PublicParams,
     ReportBatch,
     ServerAggregator,
     child_state,
-    load_child_state,
-    merge_aggregators,
 )
 from repro.utils.rng import RandomState
 
@@ -77,17 +77,12 @@ def _ingest_span_packed(params: PublicParams, values_span: np.ndarray,
     their ``to_dict()`` payload), so the parent re-runs parameter
     construction once *per worker result* — for the expander sketch that
     rebuilds the entire list-recoverable code each time.  The binary state
-    channel ships only the report count and the packed integer state; the
-    parent rebuilds each shard aggregator from the parameters it already
-    holds, bit-identically.
+    channel ships only the report count and the packed integer state,
+    packed from the worker's live counts; the parent sums the blobs with
+    the parameters it already holds, bit-identically.
     """
     aggregator = _ingest_span(params, values_span, chunks, span_start)
     return pack_state(child_state(aggregator))
-
-
-def _unpack_span(params: PublicParams, blob: bytes) -> ServerAggregator:
-    """Parent body: rebuild a worker's shard aggregator from its state blob."""
-    return load_child_state(params, unpack_state(blob))
 
 
 @dataclass
@@ -101,7 +96,7 @@ class EngineResult:
     num_chunks: int
     #: wall-clock seconds of the parallel encode+absorb phase
     ingest_s: float
-    #: wall-clock seconds spent merging the per-worker aggregators
+    #: wall-clock seconds spent loading and summing the per-worker states
     merge_s: float
 
     @property
@@ -220,12 +215,14 @@ def run_simulation(params: PublicParams, values: Sequence[int],
             futures.append(executor.submit(
                 _ingest_span_packed, params, values[span_start:span_stop],
                 span, span_start))
-        partials = [_unpack_span(params, future.result())
-                    for future in futures]
+        blobs = [future.result() for future in futures]
     ingest_s = time.perf_counter() - start
 
+    # the router's sum: the first blob loads, the others are added into it
+    # straight from their packed columns
     start = time.perf_counter()
-    merged = merge_aggregators(partials)
+    merged = fold_states(params, [unpack_state(blob, arrays=False)
+                                  for blob in blobs])
     merge_s = time.perf_counter() - start
     return EngineResult(aggregator=merged, params=params,
                         num_users=int(values.size), workers=workers,

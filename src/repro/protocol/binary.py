@@ -24,7 +24,10 @@ here.  This module has no serialization layer at all:
   round-trip per worker), :class:`~repro.server.snapshot.SnapshotStore`
   for binary snapshot files, and :mod:`repro.server.framing` for the
   ``state``, ``handoff_state`` and ``absorb_state`` frames, whose reply
-  fields ride in the skeleton and whose counts ride in the columns.
+  fields ride in the skeleton and whose counts ride in the columns.  A
+  consumer that only sums states (the cluster router's pull, the engine's
+  worker results) leaves each column where it arrived
+  (:class:`PackedColumn`) and adds it into one vector (:func:`fold_states`).
 
 Frame layout (normative; also specified in ``docs/wire-protocol.md`` §8)::
 
@@ -67,11 +70,17 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.protocol.wire import ReportBatch
+from repro.protocol.wire import (
+    PublicParams,
+    ReportBatch,
+    ServerAggregator,
+    cell_bound,
+    load_child_state,
+)
 
 __all__ = [
     "BINARY_MAGIC",
@@ -81,8 +90,11 @@ __all__ = [
     "FLAG_SEQUENCED",
     "KIND_REPORTS",
     "KIND_STATE",
+    "PackedColumn",
     "decode_reports_payload",
     "encode_reports_payload",
+    "fold_state",
+    "fold_states",
     "is_binary_payload",
     "pack_state",
     "payload_kind",
@@ -530,11 +542,90 @@ def _fits_int32(column: np.ndarray) -> bool:
                                 and int(column.min()) >= -_INT32_MAX - 1)
 
 
-def _writable(column: np.ndarray, *patch: np.ndarray) -> np.ndarray:
-    """A writable copy of a decoded state column: int32 when it and its
-    ``patch`` values all fit int32, int64 otherwise."""
-    fits = all(_fits_int32(arr) for arr in (column, *patch))
-    return np.array(column, dtype=np.int32 if fits else np.int64)
+#: the patch of a column that has none
+_NO_PATCH = np.zeros(0, dtype=np.int64)
+_NO_PATCH.flags.writeable = False
+
+
+class PackedColumn:
+    """One integer array of a packed state, left where it arrived: its
+    read-only wire column (a view over the payload, narrowed by value)
+    plus the patch, the exact values of the few entries the narrow dtype
+    wrapped.  ``unpack_state(..., arrays=False)`` returns these in place
+    of arrays.
+
+    ``np.asarray`` gives the writable array :func:`unpack_state` returns:
+    int32 when the column and its patch values all fit int32, int64
+    otherwise.  Indexing with integer positions gives exact int64 values,
+    so ``CountLayout.check_counts`` reads report-count cells straight
+    through it, and :meth:`add_to` adds the array into a vector without
+    ever making it.
+    """
+
+    __slots__ = ("column", "where", "values")
+
+    def __init__(self, column: np.ndarray, where: np.ndarray = _NO_PATCH,
+                 values: np.ndarray = _NO_PATCH) -> None:
+        if where.shape != values.shape or where.dtype.kind not in "iu" or (
+                where.size and (column.ndim != 1 or where.min() < 0
+                                or where.max() >= column.size)):
+            raise BinaryFormatError("column patch does not fit its column")
+        self.column, self.where, self.values = column, where, values
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return self.column.shape
+
+    def _parts(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.column, self.values
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The width the array loads at: int32 when the column and its
+        patch values all fit int32, int64 otherwise."""
+        fits = all(_fits_int32(part) for part in self._parts())
+        return np.dtype(np.int32 if fits else np.int64)
+
+    @property
+    def bound(self) -> int:
+        """``max|cell|``, read from the column and the patch values (exact
+        for :func:`pack_state` output, whose patch values are the entries
+        too wide for the column)."""
+        return max(cell_bound(part) for part in self._parts())
+
+    @property
+    def addable(self) -> bool:
+        """True when :meth:`add_to` is exact: every part is an integer
+        dtype that int64 holds."""
+        return all(np.can_cast(part.dtype, np.int64)
+                   for part in self._parts())
+
+    def __array__(self, dtype: Optional[np.dtype] = None,
+                  copy: Optional[bool] = None) -> np.ndarray:
+        array = np.array(self.column, dtype=self.dtype)
+        if self.where.size:
+            array[self.where] = self.values
+        return array if dtype is None else array.astype(dtype, copy=False)
+
+    def __getitem__(self, key: object) -> np.ndarray:
+        picked = self.column[key].astype(np.int64)
+        if not self.where.size:
+            return picked
+        # the last patch entry of a position wins, as in __array__
+        order = np.argsort(self.where, kind="stable")
+        ranked = self.where[order]
+        keys = np.asarray(key)
+        slot = np.maximum(np.searchsorted(ranked, keys, side="right") - 1, 0)
+        return np.where(ranked[slot] == keys, self.values[order][slot],
+                        picked)
+
+    def add_to(self, out: np.ndarray) -> None:
+        """``out += np.asarray(self)`` from the wire column, in place.
+        ``out`` must be wide enough for the sum (see ``addable``)."""
+        before = out[self.where].astype(np.int64)
+        np.add(out, self.column, out=out)
+        # the wrapped entries: their base plus the exact value
+        out[self.where] = before + self.values
 
 
 def _column_ref(arr: np.ndarray, columns: List[np.ndarray]) -> dict:
@@ -602,7 +693,7 @@ def _extract_arrays(obj, columns: List[np.ndarray], lists: bool):
     raise TypeError(f"cannot pack {type(obj).__name__} into a state payload")
 
 
-def pack_state(payload, *, lists: bool = True) -> bytes:
+def pack_state(payload, *, lists: bool = True, head: int = 0) -> bytearray:
     """Serialize a (nested) state payload into one binary container.
 
     The payload is any JSON-ready structure, integer state as arrays or
@@ -620,6 +711,12 @@ def pack_state(payload, *, lists: bool = True) -> bytes:
     message packs with ``lists=False``: its int lists (a reply's
     ``epochs``) stay in the skeleton and come back as lists, only its
     arrays come back as arrays.
+
+    The container is the one buffer the columns are cast into, returned
+    as is; ``head`` leading bytes are left zero before it for a caller's
+    own header (a kind-2 frame's length prefix), so neither packing nor
+    framing copies the packed state.  The arrays are read synchronously,
+    so a caller may pack live aggregator ``counts``.
     """
     columns: List[np.ndarray] = []
     skeleton = json.dumps(_extract_arrays(payload, columns, lists),
@@ -629,16 +726,18 @@ def pack_state(payload, *, lists: bool = True) -> bytes:
              for arr in columns]
     table_start = _HEADER.size + _STATE_FIXED.size + len(skeleton)
     total = _layout(specs, table_start, named=False)
-    out = bytearray(total)
-    _HEADER.pack_into(out, 0, BINARY_MAGIC, BINARY_VERSION, KIND_STATE, 0)
-    _STATE_FIXED.pack_into(out, _HEADER.size, len(skeleton), len(specs))
-    pos = _HEADER.size + _STATE_FIXED.size
-    out[pos:pos + len(skeleton)] = skeleton
-    _write_columns(out, table_start, specs, named=False)
-    return bytes(out)
+    out = bytearray(head + total)
+    with memoryview(out)[head:] as body:
+        _HEADER.pack_into(body, 0, BINARY_MAGIC, BINARY_VERSION, KIND_STATE,
+                          0)
+        _STATE_FIXED.pack_into(body, _HEADER.size, len(skeleton), len(specs))
+        pos = _HEADER.size + _STATE_FIXED.size
+        body[pos:pos + len(skeleton)] = skeleton
+        _write_columns(body, table_start, specs, named=False)
+    return out
 
 
-def unpack_state(payload: bytes):
+def unpack_state(payload: bytes, *, arrays: bool = True):
     """Rebuild a state payload from :func:`pack_state` output.
 
     Extracted columns come back as *writable* arrays (state loading
@@ -646,7 +745,9 @@ def unpack_state(payload: bytes):
     would be a trap here): int32 when the column's wire dtype holds only
     int32 values and every patch value fits int32, int64 otherwise — the
     width an aggregator holds such cells at, so loading them copies
-    nothing more.
+    nothing more.  With ``arrays=False`` they come back as
+    :class:`PackedColumn` views over ``payload`` instead, copying nothing;
+    either way a patch that does not fit its column is rejected here.
     """
     try:
         reader = _Reader(payload)
@@ -670,23 +771,57 @@ def unpack_state(payload: bytes):
         if _COLUMN_KEY not in obj or not set(obj) <= {_COLUMN_KEY,
                                                      _PATCH_KEY}:
             return obj
-        column = _column(obj[_COLUMN_KEY])
-        if _PATCH_KEY not in obj:
-            return _writable(column)
-        patch = obj[_PATCH_KEY]
-        if not isinstance(patch, list) or len(patch) != 2:
-            raise BinaryFormatError(f"malformed column patch {patch!r}")
-        where, values = _column(patch[0]), _column(patch[1])
-        if column.ndim != 1 or where.shape != values.shape or (
-                where.size and (where.min() < 0
-                                or where.max() >= column.size)):
-            raise BinaryFormatError("column patch does not fit its "
-                                    "column")
-        column = _writable(column, values)
-        column[where] = values
-        return column
+        where = values = _NO_PATCH
+        if _PATCH_KEY in obj:
+            patch = obj[_PATCH_KEY]
+            if not isinstance(patch, list) or len(patch) != 2:
+                raise BinaryFormatError(f"malformed column patch {patch!r}")
+            where, values = _column(patch[0]), _column(patch[1])
+        packed = PackedColumn(_column(obj[_COLUMN_KEY]), where, values)
+        return np.asarray(packed) if arrays else packed
 
     try:
         return json.loads(skeleton, object_hook=_hook)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise BinaryFormatError(f"invalid JSON state skeleton: {exc}") from exc
+
+
+def fold_state(aggregator: ServerAggregator,
+               data: Dict[str, object]) -> ServerAggregator:
+    """Add one ``child_state`` payload into ``aggregator``, in place.
+
+    The payload passes every check :func:`load_child_state` makes (report
+    count sign, vector shape, report-count cells) before anything is
+    added, so a rejected one (``ValueError``) leaves ``aggregator`` as it
+    was.  Counts still packed (``unpack_state(..., arrays=False)``) are
+    added straight from their wire column and patch, the sum promoted to
+    int64 only when the bounds need it (``ServerAggregator.add_in_place``);
+    any other payload loads first and merges in place.
+    """
+    state = data["state"]
+    packed = state.get("counts") if isinstance(state, dict) \
+        and set(state) == {"counts"} else None
+    if not (isinstance(packed, PackedColumn) and packed.addable):
+        return aggregator.merge_in_place(
+            load_child_state(aggregator.params, data))
+    count = int(data["num_reports"])
+    aggregator.params.layout.check_state(packed, count)
+    return aggregator.add_in_place(packed, count)
+
+
+def fold_states(params: PublicParams,
+                states: Iterable[Dict[str, object]]) -> ServerAggregator:
+    """The exact sum of ``child_state`` payloads as one aggregator.
+
+    The first payload loads as :func:`load_child_state` loads it, into the
+    one vector the sum is built in; every further one is checked and added
+    into that vector by :func:`fold_state`.  With packed payloads (a
+    cluster router's pulled ``state`` replies, the engine's worker results)
+    no second layout-sized vector is ever made.  No payloads sum to an
+    empty aggregator.
+    """
+    merged: Optional[ServerAggregator] = None
+    for data in states:
+        merged = (load_child_state(params, data) if merged is None
+                  else fold_state(merged, data))
+    return merged if merged is not None else params.make_aggregator()

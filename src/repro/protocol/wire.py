@@ -479,6 +479,19 @@ class CountLayout:
         figure: a composite's per-child counts are bookkeeping)."""
         return self.size - sum(cells.size for _, _, cells in self.groups)
 
+    def check_state(self, counts: np.ndarray, num_reports: int) -> None:
+        """Reject a loaded state: a negative ``num_reports``, ``counts``
+        not shaped ``(size,)``, or report-count cells failing
+        :meth:`check_counts`.  ``counts`` may be any vector that indexes
+        to exact values (an array, or a still-packed wire column)."""
+        if num_reports < 0:
+            raise ValueError(f"snapshot num_reports={num_reports} is "
+                             f"negative")
+        if counts.shape != (self.size,):
+            raise ValueError(f"snapshot counts have shape {counts.shape}, "
+                             f"expected ({self.size},)")
+        self.check_counts(counts, num_reports)
+
     def check_counts(self, counts: np.ndarray, num_reports: int) -> None:
         """Reject loaded ``counts`` whose report-count cells are negative
         or do not add up to their parent's count."""
@@ -587,16 +600,23 @@ class ServerAggregator(abc.ABC):
         self.bound = cell_bound(self.counts)
         return self.bound
 
-    def _sum_width(self, other: "ServerAggregator") -> Tuple[type, int]:
-        """The dtype and bound of ``self.counts + other.counts``: int64
-        if either operand is, else int32 unless the bounds — re-read from
-        the cells once their sum passes INT32_MAX — need int64."""
-        bound = self.bound + other.bound
-        if (bound > INT32_MAX and self.counts.dtype == np.int32
-                and other.counts.dtype == np.int32):
-            bound = self._tighten() + other._tighten()
-        return np.result_type(self.counts, other.counts,
-                              state_dtype(bound)).type, bound
+    def _sum_width(self, dtype: np.dtype, bound: int,
+                   tighten: Callable[[], int]) -> Tuple[type, int]:
+        """The dtype and bound of ``self.counts`` plus a vector of
+        ``dtype`` whose cells are at most ``bound`` (``tighten()`` re-reads
+        that from its cells): int64 if either operand is, else int32
+        unless the bounds — re-read from the cells once their sum passes
+        INT32_MAX — need int64."""
+        total = self.bound + bound
+        if (total > INT32_MAX and self.counts.dtype == np.int32
+                and dtype == np.int32):
+            total = self._tighten() + tighten()
+        return np.result_type(self.counts, dtype,
+                              state_dtype(total)).type, total
+
+    def _widen(self, dtype: type) -> None:
+        if self.counts.dtype != dtype:
+            self.counts = self.counts.astype(dtype)
 
     @abc.abstractmethod
     def _report_cells(self, columns: Dict[str, np.ndarray]
@@ -618,7 +638,8 @@ class ServerAggregator(abc.ABC):
         parameters.
         """
         self._check_mergeable(other)
-        dtype, bound = self._sum_width(other)
+        dtype, bound = self._sum_width(other.counts.dtype, other.bound,
+                                       other._tighten)
         merged = type(self)(self.params,
                             np.add(self.counts, other.counts, dtype=dtype),
                             bound)
@@ -630,12 +651,28 @@ class ServerAggregator(abc.ABC):
         first if the sum needs int64), so no fresh vector is made; ``other``
         is left untouched.  Returns ``self``."""
         self._check_mergeable(other)
-        dtype, bound = self._sum_width(other)
-        if self.counts.dtype != dtype:
-            self.counts = self.counts.astype(dtype)
+        dtype, bound = self._sum_width(other.counts.dtype, other.bound,
+                                       other._tighten)
+        self._widen(dtype)
         self.counts += other.counts
         self.bound = bound
         self.num_reports += other.num_reports
+        return self
+
+    def add_in_place(self, cells: Any, num_reports: int
+                     ) -> "ServerAggregator":
+        """:meth:`merge_in_place` of a loaded and checked state that was
+        never made into an array: ``cells`` (a
+        :class:`~repro.protocol.binary.PackedColumn`) gives the width it
+        would load at (``dtype``), its ``bound`` and ``add_to(counts)``.
+        The sum is promoted to int64 first only if the bounds need it.
+        Returns ``self``."""
+        bound = cells.bound
+        dtype, total = self._sum_width(cells.dtype, bound, lambda: bound)
+        self._widen(dtype)
+        cells.add_to(self.counts)
+        self.bound = total
+        self.num_reports += int(num_reports)
         return self
 
     def _check_mergeable(self, other: "ServerAggregator") -> None:
@@ -743,11 +780,11 @@ def snapshot_params(data: Dict[str, object], format: str,
 
 
 def child_state(aggregator: ServerAggregator) -> Dict[str, object]:
-    """Parameter-free payload of an aggregator: its report count and an
-    owned copy of its counts at their live width (a capture is packed
-    later, absorbs go on)."""
+    """Parameter-free payload of an aggregator: its report count and its
+    live ``counts`` at their width, not a copy.  Pack it (``pack_state``,
+    a kind-2 frame) before the aggregator's next absorb."""
     return {"num_reports": int(aggregator.num_reports),
-            "state": {"counts": aggregator.counts.copy()}}
+            "state": {"counts": aggregator.counts}}
 
 
 def load_child_state(target: Union[PublicParams, ServerAggregator],
@@ -764,16 +801,10 @@ def load_child_state(target: Union[PublicParams, ServerAggregator],
     aggregator's bound is their ``max|cell|``."""
     params = target if isinstance(target, PublicParams) else target.params
     count = int(data["num_reports"])
-    if count < 0:
-        raise ValueError(f"snapshot num_reports={count} is negative")
     state = dict(data["state"])
     counts, bound = integer_state(state["counts"] if set(state) == {"counts"}
                                   else flatten_state(state))
-    layout = params.layout
-    if counts.shape != (layout.size,):
-        raise ValueError(f"snapshot counts have shape {counts.shape}, "
-                         f"expected ({layout.size},)")
-    layout.check_counts(counts, count)
+    params.layout.check_state(counts, count)
     if isinstance(target, PublicParams):
         aggregator = params.make_aggregator(counts, bound)
     else:

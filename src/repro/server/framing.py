@@ -32,7 +32,9 @@ Kind-2 binary frames carry the messages that hold aggregator state
 container whose JSON skeleton is the message itself, its fields with
 their JSON types, and whose column table holds the message's integer
 arrays (:func:`encode_state_frame`).  ``decode_frame`` returns that
-message with its arrays already unpacked.
+message with its arrays already unpacked, or, with ``arrays=False``, left
+in their wire columns (the cluster router's state pull, which adds them
+into one vector).
 
 Both an asyncio flavor (:func:`read_frame` / :func:`write_frame`, used by
 the server and the async client) and a blocking flavor
@@ -234,7 +236,7 @@ def encode_reports_frame(batch: ReportBatch, epoch: int = 0,
     return _HEADER.pack(len(payload)) + payload
 
 
-def encode_state_frame(message: Dict[str, object]) -> bytes:
+def encode_state_frame(message: Dict[str, object]) -> bytearray:
     """Serialize one kind-2 frame (``docs/wire-protocol.md`` §8.1).
 
     ``message`` is a whole ``state`` / ``handoff_state`` /
@@ -242,11 +244,15 @@ def encode_state_frame(message: Dict[str, object]) -> bytes:
     skeleton with their JSON types, and its integer arrays (the counts)
     as narrowed binary columns — no base64, no JSON number per cell.
     Packing reads the arrays once, synchronously, so a caller may pass a
-    live aggregator's ``counts`` without copying them first.
+    live aggregator's ``counts`` without copying them first.  The frame
+    is the packed container itself, its length prefix written into the
+    head room :func:`~repro.protocol.binary.pack_state` leaves.
     """
     if not isinstance(message.get("type"), str):
         raise FrameError("a frame message needs a string 'type'")
-    return frame_bytes(pack_state(message, lists=False))
+    frame = pack_state(message, lists=False, head=_HEADER.size)
+    _HEADER.pack_into(frame, 0, _check_payload(len(frame) - _HEADER.size))
+    return frame
 
 
 def check_wire_format(wire_format: str) -> str:
@@ -265,19 +271,28 @@ def frame_bytes(payload: bytes) -> bytes:
     payload is re-framed and shipped to its shard byte-for-byte, without a
     decode/re-encode round trip.
     """
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame payload of {len(payload)} bytes exceeds the "
+    return _HEADER.pack(_check_payload(len(payload))) + payload
+
+
+def _check_payload(size: int) -> int:
+    if size > MAX_FRAME_BYTES:
+        raise FrameError(f"frame payload of {size} bytes exceeds the "
                          f"{MAX_FRAME_BYTES}-byte limit")
-    return _HEADER.pack(len(payload)) + payload
+    return size
 
 
-def decode_frame(payload: bytes) -> Dict[str, object]:
+def decode_frame(payload: bytes, *, arrays: bool = True
+                 ) -> Dict[str, object]:
     """Parse a frame payload of either class into one message dictionary.
 
     JSON payloads must be JSON objects and are returned as-is.  Kind-2
     binary payloads decode to the message :func:`encode_state_frame`
     packed, its integer arrays as writable int32 arrays (int64 where the
-    values need it: :func:`~repro.protocol.binary.unpack_state`).  Other
+    values need it: :func:`~repro.protocol.binary.unpack_state`); with
+    ``arrays=False``, as :class:`~repro.protocol.binary.PackedColumn`
+    views over ``payload``, so a state no one needs as an array is never
+    made into one (:func:`~repro.protocol.binary.fold_states` adds them
+    into one vector straight from the wire).  Other
     binary payloads decode as kind 1, to ``{"type": "reports", "epoch": e,
     "batch": <batch>}`` where ``batch`` is a ready
     :class:`~repro.protocol.wire.ReportBatch` whose columns are read-only
@@ -286,7 +301,7 @@ def decode_frame(payload: bytes) -> Dict[str, object]:
     """
     if payload_kind(payload) == KIND_STATE:
         try:
-            message = unpack_state(payload)
+            message = unpack_state(payload, arrays=arrays)
         except ValueError as exc:  # includes BinaryFormatError
             raise FrameError(f"invalid binary frame: {exc}") from exc
         if not isinstance(message, dict) or \
@@ -347,13 +362,14 @@ async def read_frame_payload(reader: asyncio.StreamReader) -> Optional[bytes]:
         raise FrameError("connection closed mid-frame") from exc
 
 
-async def read_frame(reader: asyncio.StreamReader
+async def read_frame(reader: asyncio.StreamReader, *, arrays: bool = True
                      ) -> Optional[Dict[str, object]]:
-    """Read one frame; ``None`` on clean EOF (peer closed between frames)."""
+    """Read one frame (:func:`decode_frame`); ``None`` on clean EOF (peer
+    closed between frames)."""
     payload = await read_frame_payload(reader)
     if payload is None:
         return None
-    return decode_frame(payload)
+    return decode_frame(payload, arrays=arrays)
 
 
 async def write_frame(writer: asyncio.StreamWriter,

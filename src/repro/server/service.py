@@ -27,10 +27,11 @@ protocol of :mod:`repro.server.framing` (``docs/wire-protocol.md`` §7):
   (bit-exact, pure) and ``finalize()`` the copy while ingestion continues;
   a client that needs every report it sent reflected first sends ``sync``,
   which completes only once the queue has fully drained.
-* **Durable snapshots** — ``snapshot`` frames drain the queue, then write
-  the windowed state's exact integer arrays to the configured
-  :class:`~repro.server.snapshot.SnapshotStore` as a binary checkpoint; a
-  restarted server restores from the newest file bit-identically.
+* **Durable snapshots** — ``snapshot`` frames drain the queue, pack the
+  windowed state's exact integer arrays into a binary checkpoint body on
+  the event loop, and write it to the configured
+  :class:`~repro.server.snapshot.SnapshotStore` off it; a restarted server
+  restores from the newest file bit-identically.
 
 The event loop is single-threaded: ``absorb_batch`` / ``finalize`` run
 atomically between awaits, so no locking is needed and queries can never
@@ -44,7 +45,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.protocol.wire import PublicParams, ReportBatch, ServerAggregator
+from repro.protocol.binary import pack_state
+from repro.protocol.wire import (
+    PublicParams,
+    ReportBatch,
+    ServerAggregator,
+    child_state,
+)
 from repro.server.framing import WIRE_FORMATS, MessageEndpoint, decode_frame
 from repro.server.snapshot import SnapshotStore, read_snapshot
 from repro.server.window import WindowedAggregator
@@ -82,17 +89,17 @@ def state_reply(merged: ServerAggregator,
                 epochs: List[int]) -> Dict[str, object]:
     """The ``state`` reply for a merged window, sent as a kind-2 frame.
 
-    Its ``"state"`` is the ``child_state`` payload over ``merged``'s live
-    ``counts``: :func:`~repro.server.framing.write_state_frame` packs the
-    message before its first await, so no copy is needed.
+    Its ``"state"`` is :func:`~repro.protocol.wire.child_state` of
+    ``merged``, which holds the live ``counts``:
+    :func:`~repro.server.framing.write_state_frame` packs the message
+    before its first await, so no absorb can come between.
     """
-    num_reports = int(merged.num_reports)
+    state = child_state(merged)
     return {"type": "state",
             "protocol": merged.params.protocol,
             "epochs": epochs,
-            "num_reports": num_reports,
-            "state": {"num_reports": num_reports,
-                      "state": {"counts": merged.counts}}}
+            "num_reports": state["num_reports"],
+            "state": state}
 
 
 @dataclass
@@ -396,6 +403,8 @@ class AggregationServer(MessageEndpoint):
         self._draining = True
         await self._queue.join()
         self.stats.queries_answered += 1
+        # the capture holds the live counts: the reply's kind-2 frame packs
+        # them before its first await
         return {"type": "handoff_state",
                 "handoff": hid,
                 "protocol": self.params.protocol,
@@ -431,13 +440,16 @@ class AggregationServer(MessageEndpoint):
                              "directory")
         await self._queue.join()
         async with self._snapshot_lock:
-            # capture array copies synchronously (atomic w.r.t. the drain
-            # loop), then push pack + write off the event loop
+            # Pack the checkpoint body from the live counts before the next
+            # await, so the drain loop cannot absorb between the capture and
+            # the pack; only the checksum, write and fsync of the packed
+            # bytes run off the event loop, while the drain goes on.
             payload = self.windowed.capture()
             if self._handoffs:
                 payload["handoffs"] = sorted(self._handoffs)
+            body = pack_state(payload)
             path = await asyncio.get_running_loop().run_in_executor(
-                None, self.store.save, payload)
+                None, self.store.save, body)
         self.stats.snapshots_written += 1
         return {"type": "snapshot_written",
                 "path": str(path),

@@ -98,19 +98,30 @@ def fsync_directory(directory: Union[str, Path]) -> None:
         os.close(fd)
 
 
-def _encode_body(payload: Dict[str, object], format: str) -> bytes:
+#: a snapshot payload, or the ``pack_state`` body of one already packed
+Payload = Union[Dict[str, object], bytes, bytearray]
+
+
+def _encode_body(payload: Payload, format: str) -> bytes:
+    if isinstance(payload, (bytes, bytearray)):
+        if format != "binary":
+            raise ValueError("a packed snapshot body is binary")
+        return payload
     if format == "binary":
         return pack_state(payload)
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def write_snapshot(path: Union[str, Path], payload: Dict[str, object],
+def write_snapshot(path: Union[str, Path], payload: Payload,
                    format: str = "json") -> Path:
     """Durably and atomically write one snapshot payload to ``path``.
 
     The payload body is framed in the checksummed container, the temp file
     is fsynced before the rename, and the directory entry is fsynced after
-    it — the write is all-or-nothing even across power loss.
+    it — the write is all-or-nothing even across power loss.  ``payload``
+    may be the binary body itself, packed by the caller
+    (``pack_state``): a server packs on its event loop, from live state,
+    and writes here off it.
     """
     if format not in SNAPSHOT_FORMATS:
         raise ValueError(f"snapshot format must be one of {SNAPSHOT_FORMATS}, "
@@ -210,8 +221,9 @@ class SnapshotStore:
                 entries.append((int(match.group(1)), path))
         return [path for _, path in sorted(entries)]
 
-    def save(self, payload: Dict[str, object]) -> Path:
-        """Write the next numbered snapshot and prune old history."""
+    def save(self, payload: Payload) -> Path:
+        """Write the next numbered snapshot (a payload, or its packed
+        binary body) and prune old history."""
         existing = self._numbered()
         next_seq = 1
         if existing:

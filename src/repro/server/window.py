@@ -175,10 +175,12 @@ class WindowedAggregator:
     # ----- durable snapshots --------------------------------------------------------
 
     def capture(self) -> Dict[str, object]:
-        """Checkpoint of every retained epoch, its state as owned array
-        copies at the live width (int32 unless a state was promoted):
-        later absorbs never change it, so it can be packed and written off
-        the event loop while ingestion continues."""
+        """Checkpoint of every retained epoch, its state the epochs' live
+        ``counts`` at their width (int32 unless a state was promoted), not
+        copies (:func:`~repro.protocol.wire.child_state`): pack it
+        (``pack_state``, a kind-2 frame) before the next absorb, as the
+        server's ``snapshot`` and ``handoff`` handlers do on the event
+        loop."""
         return {"format": WINDOW_SNAPSHOT_FORMAT,
                 "version": SNAPSHOT_VERSION,
                 "params": self.params.to_dict(),

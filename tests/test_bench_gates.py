@@ -5,9 +5,10 @@ CI runs ``benchmarks/bench_server_ingest.py --check BENCH_server.json
 pin down the gate logic itself — a payload matching baseline passes, a
 payload whose binary ingest throughput collapsed (or whose frames grew past
 the wire-bytes-per-report ceiling, or whose expander-sketch finalize,
-checkpoint, client-encode or state-pull rate collapsed) fails — and run
-the actual ``--check`` entry point against a doctored file, exactly as the
-CI self-test step does.
+checkpoint, client-encode or state-pull rate collapsed, or whose
+checkpoint or state-pull traced peak passed its bytes-per-cell ceiling)
+fails — and run the actual ``--check`` entry point against a doctored
+file, exactly as the CI self-test step does.
 """
 
 import json
@@ -23,6 +24,7 @@ from bench_server_ingest import (  # noqa: E402 - path set up above
     check_encode_regression,
     check_engine_regression,
     check_finalize_regression,
+    check_peak_memory,
     check_state_pull_regression,
     check_throughput_regression,
     check_wire_shrink,
@@ -39,6 +41,8 @@ BASELINE = {
     "checkpoint": {"expander_sketch": 80_000_000},
     "encode": {"expander_sketch": 2_500_000},
     "state_pull": {"expander_sketch": 140_000_000},
+    "peak_bytes_per_cell": {"checkpoint": {"expander_sketch": 3.0},
+                            "state_pull": {"expander_sketch": 3.75}},
 }
 
 
@@ -244,6 +248,47 @@ class TestStatePullGate:
         assert check_state_pull_regression(_server_payload(), BASELINE) == []
 
 
+def _peak_payload(section="checkpoint", peak=2.0, cells=1_000_000):
+    return dict(_server_payload(), **{section: {
+        "expander_sketch": {"protocol": "expander_sketch",
+                            "cells_per_s": 300_000_000, "state_cells": cells,
+                            "peak_bytes": int(peak * cells)}}})
+
+
+class TestPeakMemoryGate:
+    @pytest.mark.parametrize("section", ["checkpoint", "state_pull"])
+    def test_measured_peaks_pass(self, section):
+        # the live-state checkpoint and the one-vector pull read 2.0 and 3.0
+        assert check_peak_memory(_peak_payload(section, peak=3.0),
+                                 BASELINE) == []
+
+    def test_a_checkpoint_copying_its_state_fails(self):
+        # an int32 copy of the counts ahead of the pack read 7.0 B per cell
+        failures = check_peak_memory(_peak_payload("checkpoint", peak=7.0),
+                                     BASELINE)
+        assert len(failures) == 1
+        assert "checkpoint/expander_sketch: traced peak" in failures[0]
+
+    def test_a_pull_decoding_every_shard_to_an_array_fails(self):
+        # one int32 vector per pulled shard read 4.5 B per cell
+        failures = check_peak_memory(_peak_payload("state_pull", peak=4.5),
+                                     BASELINE)
+        assert len(failures) == 1
+        assert "state_pull/expander_sketch: traced peak" in failures[0]
+
+    def test_a_row_without_a_traced_peak_fails(self):
+        payload = _peak_payload()
+        del payload["checkpoint"]["expander_sketch"]["peak_bytes"]
+        failures = check_peak_memory(payload, BASELINE)
+        assert any("no traced peak_bytes" in f for f in failures)
+
+    def test_payload_without_the_sections_is_not_gated(self):
+        assert check_peak_memory(_server_payload(), BASELINE) == []
+
+    def test_ceiling_has_no_max_drop_headroom(self):
+        assert check_peak_memory(_peak_payload(peak=3.01), BASELINE) != []
+
+
 class TestWireShrinkGate:
     def test_healthy_shrink_passes(self):
         assert check_wire_shrink(_server_payload(), BASELINE) == []
@@ -261,6 +306,14 @@ class TestWireShrinkGate:
     def test_missing_wire_bytes_row_fails(self):
         failures = check_wire_shrink({"results": []}, BASELINE)
         assert any("no measured wire_bytes row" in f for f in failures)
+
+
+def _peak_row(baseline, section, cells_per_s, cells=1_000_000):
+    """A ``section`` row whose traced peak sits at the committed ceiling."""
+    ceiling = float(baseline["peak_bytes_per_cell"][section]
+                    ["expander_sketch"])
+    return {"protocol": "expander_sketch", "cells_per_s": cells_per_s,
+            "state_cells": cells, "peak_bytes": int(ceiling * cells)}
 
 
 class TestCheckEntryPoint:
@@ -284,6 +337,9 @@ class TestCheckEntryPoint:
         assert float(baseline["checkpoint"]["expander_sketch"]) > 0
         assert float(baseline["encode"]["expander_sketch"]) > 0
         assert float(baseline["state_pull"]["expander_sketch"]) > 0
+        for section in ("checkpoint", "state_pull"):
+            assert float(baseline["peak_bytes_per_cell"][section]
+                         ["expander_sketch"]) > 0
 
     def test_doctored_payload_fails_check(self, tmp_path, committed_baseline,
                                           capsys):
@@ -331,8 +387,8 @@ class TestCheckEntryPoint:
         healthy = _server_payload(
             binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])))
         reference = float(baseline["checkpoint"]["expander_sketch"])
-        healthy["checkpoint"] = {"expander_sketch": {
-            "protocol": "expander_sketch", "cells_per_s": int(reference)}}
+        healthy["checkpoint"] = {"expander_sketch": _peak_row(
+            baseline, "checkpoint", cells_per_s=int(reference))}
         path = tmp_path / "BENCH_checkpoint.json"
         path.write_text(json.dumps(healthy))
         assert main(["--check", str(path),
@@ -369,8 +425,8 @@ class TestCheckEntryPoint:
         healthy = _server_payload(
             binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])))
         reference = float(baseline["state_pull"]["expander_sketch"])
-        healthy["state_pull"] = {"expander_sketch": {
-            "protocol": "expander_sketch", "cells_per_s": int(reference)}}
+        healthy["state_pull"] = {"expander_sketch": _peak_row(
+            baseline, "state_pull", cells_per_s=int(reference))}
         path = tmp_path / "BENCH_state_pull.json"
         path.write_text(json.dumps(healthy))
         assert main(["--check", str(path),
@@ -381,6 +437,26 @@ class TestCheckEntryPoint:
         assert main(["--check", str(path),
                      "--baseline", str(committed_baseline)]) == 1
         assert "state_pull/expander_sketch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["checkpoint", "state_pull"])
+    def test_doctored_peak_fails_check(self, tmp_path, committed_baseline,
+                                       capsys, section):
+        baseline = json.loads(committed_baseline.read_text())
+        healthy = _server_payload(
+            binary_rate=int(float(baseline["server"]["hashtogram"]["binary"])))
+        healthy[section] = {"expander_sketch": _peak_row(
+            baseline, section, cells_per_s=int(
+                float(baseline[section]["expander_sketch"])))}
+        path = tmp_path / f"BENCH_{section}_peak.json"
+        path.write_text(json.dumps(healthy))
+        assert main(["--check", str(path),
+                     "--baseline", str(committed_baseline)]) == 0
+        healthy[section]["expander_sketch"]["peak_bytes"] *= 2
+        path.write_text(json.dumps(healthy))
+        assert main(["--check", str(path),
+                     "--baseline", str(committed_baseline)]) == 1
+        assert f"{section}/expander_sketch: traced peak" in \
+            capsys.readouterr().err
 
     def test_engine_requires_baseline(self, tmp_path):
         path = tmp_path / "BENCH.json"

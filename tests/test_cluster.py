@@ -24,6 +24,7 @@ import pytest
 
 from repro.baselines.single_hash import SingleHashHeavyHitters
 from repro.cluster import ClusterRouter, ClusterSupervisor
+import repro.cluster.router as router_module
 from repro.cluster.router import _ShardLink
 from repro.core.heavy_hitters import PrivateExpanderSketch
 from repro.engine import ShardPartition, encode_stream, make_plan, run_simulation
@@ -36,6 +37,7 @@ from repro.protocol import (
 )
 from repro.protocol.binary import (
     BinaryFormatError,
+    PackedColumn,
     decode_reports_payload,
     encode_reports_payload,
     peek_reports_header,
@@ -404,14 +406,24 @@ class TestRouterRejectsUndecodableFrames:
         assert stats["router"]["frames_forwarded"] == 1
         assert "JSON reports frames" in stats["router"]["last_rejection"]
 
-    def test_kind2_frame_answered_with_error_and_state_pulls_sum(self,
-                                                                 tmp_path):
+    def test_kind2_frame_answered_with_error_and_state_pulls_sum(
+            self, tmp_path, monkeypatch):
         # A client never sends state to a router: its kind-2 frame gets an
         # error reply (not a silent report rejection), and the connection
-        # then pulls the shards' summed state as a kind-2 reply.
+        # then pulls the shards' summed state as a kind-2 reply.  The router
+        # sums the pulled replies from their wire columns.
         params, batch = _small_batch(200)
         state = encode_state_frame({"type": "absorb_state", "handoff": 1,
                                     "state": {"counts": np.arange(4)}})
+        summed = []
+        real_sum = router_module.sum_pulled_states
+
+        def spying_sum(params_, pulls):
+            summed.extend(type(pull["state"]["state"]["counts"])
+                          for pull in pulls)
+            return real_sum(params_, pulls)
+
+        monkeypatch.setattr(router_module, "sum_pulled_states", spying_sum)
         with running_cluster(params, 2, tmp_path) as (_, _router, host, port):
             with AggregationClient(host, port) as client:
                 client.send_batch(batch, epoch=2, route=0)
@@ -422,6 +434,7 @@ class TestRouterRejectsUndecodableFrames:
                 pull = client.pull_state()
                 stats = client.stats()
         assert error["type"] == "error" and "kind-2" in error["error"]
+        assert summed == [PackedColumn, PackedColumn]
         assert stats["router"]["frames_rejected"] == 0
         assert pull["epochs"] == [2, 3]
         assert all(type(e) is int for e in pull["epochs"])

@@ -56,7 +56,7 @@ from repro.protocol import (
     ServerAggregator,
     merge_aggregators,
 )
-from repro.protocol.binary import pack_state, unpack_state
+from repro.protocol.binary import fold_states, pack_state, unpack_state
 from repro.protocol.explicit import ExplicitHistogramParams
 from repro.protocol.heavy_hitters import decode_candidate_lists
 from repro.protocol.wire import (
@@ -64,6 +64,7 @@ from repro.protocol.wire import (
     cell_bound,
     child_state,
     json_safe,
+    load_child_state,
     state_dtype,
 )
 from repro.randomizers.hadamard import _decode_dtype, hadamard_outputs
@@ -1176,6 +1177,97 @@ def test_pack_state_of_an_int32_state_equals_its_int64_widening(
     restored = unpack_state(blobs[0])["state"]["counts"]
     assert restored.dtype == np.int32 and restored.flags.writeable
     assert np.array_equal(restored, counts)
+
+
+#: a layout with one report-count group (the sketch rows) and room for
+#: patched columns (at least 4096 cells)
+FOLD_PARAMS = CountMeanSketchParams.create(1 << 12, 1.0, num_hashes=4,
+                                           num_buckets=2048, rng=0)
+
+
+def _shard_state(gen, scale, wide, signed):
+    """A ``child_state`` payload over FOLD_PARAMS: small cells, ``wide``
+    of them up to ``scale`` in magnitude, and row counts that add up."""
+    layout = FOLD_PARAMS.layout
+    counts = gen.integers(-3 if signed else 0, 4, size=layout.size)
+    where = gen.integers(0, layout.size, size=wide)
+    counts[where] = gen.integers(-scale if signed else 0, scale,
+                                 endpoint=True, size=wide)
+    num_reports = int(gen.integers(0, 100))
+    (_, _, rows), = layout.groups
+    counts[rows] = 0
+    counts[rows[0]] = num_reports
+    return {"num_reports": num_reports, "state": {"counts": counts}}
+
+
+def _fold_matches_merge(states):
+    """Fold the packed states and merge the loaded ones; both must agree
+    in counts, width and report count.  Returns the folded sum."""
+    blobs = [pack_state(state) for state in states]
+    expected = merge_aggregators([load_child_state(FOLD_PARAMS,
+                                                   unpack_state(blob))
+                                  for blob in blobs])
+    folded = fold_states(FOLD_PARAMS, [unpack_state(blob, arrays=False)
+                                       for blob in blobs])
+    assert folded.counts.dtype == expected.counts.dtype
+    assert np.array_equal(folded.counts, expected.counts)
+    assert folded.num_reports == expected.num_reports
+    assert folded.bound >= cell_bound(folded.counts)
+    return folded
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       shards=st.integers(min_value=1, max_value=4),
+       scale=st.sampled_from([1, 127, 40_000, 2**20, INT32_MAX, 2**40]),
+       wide=st.integers(min_value=0, max_value=80),
+       signed=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_folding_packed_states_equals_merging_loaded_states(
+        seed, shards, scale, wide, signed):
+    """The router's and the engine's fold (the first state loaded, the
+    rest added from their wire columns) is ``merge_aggregators`` of the
+    loaded states, over narrow, patched, ``<u4`` and ``<i8`` columns."""
+    gen = np.random.default_rng(seed)
+    _fold_matches_merge([_shard_state(gen, scale, wide, signed)
+                         for _ in range(shards)])
+
+
+@pytest.mark.parametrize("scale,wide,signed,form", [
+    (127, 0, True, "|i1"),
+    (40_000, 20, True, "patched"),
+    (2**31 - 1, 200, False, "<u4"),
+    (2**40, 20, True, "patched"),
+    (2**40, 200, True, "<i8"),
+])
+def test_fold_covers_each_column_form(scale, wide, signed, form):
+    """Each column form a packed state takes folds exactly: a plain narrow
+    column, a patched one (int32 and int64 patch values), ``<u4`` and
+    ``<i8``."""
+    states = [_shard_state(np.random.default_rng(seed), scale, wide, signed)
+              for seed in (1, 2, 3)]
+    packed = unpack_state(pack_state(states[1]),
+                          arrays=False)["state"]["counts"]
+    assert (packed.where.size > 0 if form == "patched"
+            else packed.column.dtype.str == form and packed.where.size == 0)
+    _fold_matches_merge(states)
+
+
+def test_fold_promotes_to_int64_only_when_the_sum_needs_it():
+    """Two int32 shards whose bounds sum past INT32_MAX fold to int64
+    (here one shared cell needs it); two whose sum fits stay int32."""
+    def state(cell, value):
+        data = _shard_state(np.random.default_rng(cell), 1, 0, False)
+        data["state"]["counts"][cell] = value
+        return data
+
+    near = INT32_MAX - 5
+    folded = _fold_matches_merge([state(4000, near), state(4000, near)])
+    assert folded.counts.dtype == np.int64
+    assert int(folded.counts[4000]) == 2 * near
+    folded = _fold_matches_merge([state(4000, near // 2),
+                                  state(4000, near // 2)])
+    assert folded.counts.dtype == np.int32
+    assert int(folded.counts[4000]) == near // 2 * 2
 
 
 def test_int32_cells_decode_like_int64_cells():

@@ -11,6 +11,7 @@ collection built on the same state hooks, and the atomic on-disk store.
 """
 
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.protocol import (
     ExplicitHistogramParams,
     HashtogramParams,
     RapporParams,
+    ReportBatch,
     ServerAggregator,
 )
 from repro.protocol.binary import pack_state
@@ -39,7 +41,9 @@ from repro.server.snapshot import (
     read_snapshot,
     write_snapshot,
 )
+from repro.server.client import AggregationClient
 from repro.server.window import WindowedAggregator
+from test_server import running_server
 
 DOMAIN = 1 << 12
 
@@ -73,6 +77,21 @@ def _all_cases():
     return [*_frequency_cases(),
             ("rappor", RapporParams.create(512, 2.0, num_bits=64, rng=0)),
             *_heavy_hitter_cases(2_000)]
+
+
+def _served_cases():
+    """A frequency oracle and a heavy-hitter sketch, served."""
+    cases = dict(_all_cases())
+    return [(name, cases[name]) for name in ("hashtogram", "expander_sketch")]
+
+
+def _split(batch, parts):
+    """``batch`` as ``parts`` consecutive row ranges."""
+    bounds = np.linspace(0, len(batch), parts + 1).astype(int)
+    return [ReportBatch(batch.protocol, {name: column[lo:hi]
+                                         for name, column in
+                                         batch.columns.items()})
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _two_halves(params, num_users, rng):
@@ -210,33 +229,52 @@ class TestRestoreRejectsNonIntegralState:
         assert np.array_equal(restored.histogram(), aggregator.histogram())
 
 
-class TestCapturedStateIsStableCopy:
-    """Captured state is owned: the server packs and writes it in an
-    executor thread while the drain keeps absorbing in place."""
+class TestCheckpointPacksLiveState:
+    """A capture holds the live counts, not copies: the server packs a
+    checkpoint body on the event loop before the drain can absorb again,
+    and only the disk write runs in an executor while absorbs go on."""
 
-    @pytest.mark.parametrize("name,params", _all_cases(),
-                             ids=[name for name, _ in _all_cases()])
-    def test_child_state_survives_later_absorbs(self, rng, name, params):
+    @pytest.mark.parametrize("name,params", _served_cases(),
+                             ids=[name for name, _ in _served_cases()])
+    def test_snapshot_holds_exactly_the_reports_before_it(self, rng, tmp_path,
+                                                          name, params):
         first, second = _two_halves(params, 2_000, rng)
-        aggregator = params.make_aggregator().absorb_batch(first)
-        captured = child_state(aggregator)
-        frozen = json_safe(captured)
-        aggregator.absorb_batch(second)
-        assert json_safe(captured) == frozen
-        assert json_safe(child_state(aggregator)) != frozen
+        gate, entered, streamed = (threading.Event(), threading.Event(),
+                                   {})
+        with running_server(params,
+                            snapshot_dir=tmp_path) as (server, host, port):
+            real_save = server.store.save
 
-    @pytest.mark.parametrize("name,params", _all_cases(),
-                             ids=[name for name, _ in _all_cases()])
-    def test_windowed_capture_survives_later_absorbs(self, rng, name, params):
-        first, second = _two_halves(params, 2_000, rng)
-        windowed = WindowedAggregator(params)
-        windowed.absorb_batch(first)
-        captured = windowed.capture()
-        frozen = json_safe(captured)
-        assert frozen == windowed.snapshot()
-        windowed.absorb_batch(second)
-        assert json_safe(captured) == frozen
-        assert windowed.snapshot() != frozen
+            def stalled_save(payload):
+                entered.set()
+                assert gate.wait(10), "test never released the save"
+                return real_save(payload)
+
+            server.store.save = stalled_save
+
+            def stream_while_writing():
+                # a second client: its reports arrive while the snapshot's
+                # write is in flight, and must all be absorbed
+                assert entered.wait(10), "the snapshot never reached save()"
+                with AggregationClient(host, port) as client:
+                    for part in _split(second, 4):
+                        client.send_batch(part)
+                    streamed["absorbed"] = client.sync()
+                gate.set()
+
+            with AggregationClient(host, port) as client:
+                client.send_batch(first)
+                client.sync()
+                sender = threading.Thread(target=stream_while_writing,
+                                          daemon=True)
+                sender.start()
+                path = client.snapshot()
+                sender.join(10)
+                assert client.sync() == 2_000
+        assert streamed["absorbed"] == 2_000
+        before = WindowedAggregator(params)
+        before.absorb_batch(first)
+        assert pack_state(read_snapshot(path)) == pack_state(before.capture())
 
     @pytest.mark.parametrize("name,params", _all_cases(),
                              ids=[name for name, _ in _all_cases()])

@@ -1,10 +1,11 @@
-"""Memory of the state path: aggregator state is int32, and no step of a
-state pull or a checkpoint capture makes a layout-sized int64 array.
+"""Memory of the state path: aggregator state is int32, a state pull
+sums the shards' packed replies into one vector, and a checkpoint packs
+from the live counts without copying them first.
 
 tracemalloc sees numpy's array buffers, so the traced peak of a call is
 what it allocated at its worst moment.  The state is a D = 2^14 expander
-sketch aggregate split across two shards; a layout-sized int64 array
-alone is 8 bytes per cell.
+sketch aggregate split across two shards; a layout-sized int32 array
+alone is 4 bytes per cell.
 """
 
 import tracemalloc
@@ -14,6 +15,7 @@ import pytest
 
 from repro.cluster.router import sum_pulled_states
 from repro.core.heavy_hitters import PrivateExpanderSketch
+from repro.protocol.binary import pack_state
 from repro.server.framing import decode_frame, encode_state_frame
 from repro.server.service import state_reply
 from repro.server.window import WindowedAggregator
@@ -48,37 +50,56 @@ def shards():
     return params, batches, aggregators, aggregators[0].merge(aggregators[1])
 
 
-def test_state_pull_decodes_and_sums_at_int32(shards):
-    """The router's pull: two kind-2 ``state`` replies decoded to int32
-    vectors and summed in place.  The two decoded vectors are the only
-    layout-sized buffers: each becomes its aggregator's ``counts`` as it
-    loads, with no empty vector made first."""
+def test_state_pull_sums_into_one_int32_vector(shards):
+    """The router's pull: two kind-2 ``state`` replies read with their
+    counts left in the wire columns, the first loaded into an int32
+    vector and the second added into it from its column.  That vector is
+    the only layout-sized buffer (measured: 1.0002 x 4 B/cell; decoding
+    both replies to int32 vectors first read 2.0003)."""
     params, _, aggregators, expected = shards
     cells = params.layout.size
     frames = [encode_state_frame(state_reply(aggregator, [0]))[4:]
               for aggregator in aggregators]
     merged, peak = _traced_peak(lambda: sum_pulled_states(
-        params, [decode_frame(frame) for frame in frames]))
+        params, [decode_frame(frame, arrays=False) for frame in frames]))
     assert merged.counts.dtype == np.int32
     assert np.array_equal(merged.counts, expected.counts)
     assert merged.num_reports == expected.num_reports == 8000
-    assert peak < 2.25 * 4 * cells, peak / cells
+    assert peak < 1.25 * 4 * cells, peak / cells
 
+    # replies already decoded to arrays still sum in place
     replies = [decode_frame(frame) for frame in frames]
     merged, peak = _traced_peak(lambda: sum_pulled_states(params, replies))
     assert np.array_equal(merged.counts, expected.counts)
-    # in place: no layout-sized buffer at all, int64 or empty
     assert peak < 0.25 * 4 * cells, peak / cells
 
 
-def test_capture_copies_one_int32_vector(shards):
-    """A checkpoint capture of one epoch is one int32 copy of the state."""
+def test_checkpoint_body_packs_from_the_live_counts(shards):
+    """A checkpoint body (capture plus ``pack_state``) of one epoch
+    allocates less than one int32 vector: the capture holds the live
+    counts, and the packed body narrows them to their value range."""
     params, batches, aggregators, _ = shards
     cells = params.layout.size
     windowed = WindowedAggregator(params)
     windowed.absorb_batch(batches[0], 0)
-    capture, peak = _traced_peak(windowed.capture)
-    counts = capture["epochs"][0]["state"]["counts"]
-    assert counts.dtype == np.int32
-    assert np.array_equal(counts, aggregators[0].counts)
-    assert 4 * cells <= peak < 1.25 * 4 * cells, peak / cells
+    capture = windowed.capture()
+    assert capture["epochs"][0]["state"]["counts"] is \
+        windowed.merged().counts
+    body, peak = _traced_peak(lambda: pack_state(windowed.capture()))
+    assert body == pack_state(windowed.snapshot())
+    assert peak < 4 * cells, peak / cells
+
+
+def test_state_frame_is_written_in_one_buffer():
+    """A kind-2 frame is the packed container itself, its length prefix
+    written into head room: encoding one allocates the frame once, not a
+    container and then a prefixed copy of it."""
+    counts = np.random.default_rng(5).integers(-100, 100, size=1 << 20,
+                                               dtype=np.int32)
+    message = {"type": "state",
+               "state": {"num_reports": 0, "state": {"counts": counts}}}
+    frame, peak = _traced_peak(lambda: encode_state_frame(message))
+    assert decode_frame(frame[4:])["state"]["state"]["counts"].dtype == \
+        np.int32
+    assert len(frame) > counts.size
+    assert peak < 1.25 * len(frame), peak / len(frame)

@@ -33,6 +33,7 @@ from repro.protocol.binary import (
     BinaryFormatError,
     decode_reports_payload,
     encode_reports_payload,
+    fold_state,
     is_binary_payload,
     pack_state,
     peek_reports_header,
@@ -46,7 +47,10 @@ from repro.server import (
     encode_reports_frame,
     read_frame_sync,
 )
+from repro.cluster.router import sum_pulled_states
+from repro.protocol.wire import load_child_state
 from repro.server.framing import decode_frame, encode_state_frame
+from repro.server.service import state_reply
 from repro.server.snapshot import (
     SNAPSHOT_MAGIC,
     read_snapshot,
@@ -503,6 +507,74 @@ class TestStateFrames:
         with pytest.raises(FrameError, match="invalid binary frame"):
             read_frame_sync(io.BytesIO(struct.pack("!I", len(frame) - 8)
                                        + frame[4:-4]))
+
+
+class TestPulledStateFold:
+    """The router sums pulled ``state`` replies with their counts left in
+    the wire columns; a doctored second shard is rejected, as a load
+    rejects it, before anything is added into the first one's vector."""
+
+    PARAMS = CountMeanSketchParams.create(DOMAIN, 1.0, num_hashes=4,
+                                          num_buckets=2048, rng=0)
+
+    def _payload(self, seed, num_reports=40, rows=None, size=None):
+        """A shard's ``state`` reply payload: small cells, ten wide ones
+        (a patched column), and its row counts."""
+        layout = self.PARAMS.layout
+        counts = np.random.default_rng(seed).integers(-3, 4,
+                                                      size=layout.size)
+        counts[100:1100:100] = 1_000
+        (_, _, cells), = layout.groups
+        counts[cells] = [num_reports, 0, 0, 0] if rows is None else rows
+        aggregator = self.PARAMS.make_aggregator(
+            counts[:size].astype(np.int32))
+        aggregator.num_reports = num_reports
+        return bytes(encode_state_frame(state_reply(aggregator, [0]))[4:])
+
+    def test_packed_replies_sum_like_loaded_ones(self):
+        payloads = [self._payload(seed) for seed in (1, 2, 3)]
+        packed = decode_frame(payloads[1], arrays=False)["state"]
+        assert packed["state"]["counts"].where.size
+        folded = sum_pulled_states(self.PARAMS, [
+            decode_frame(payload, arrays=False) for payload in payloads])
+        merged = sum_pulled_states(self.PARAMS, [
+            decode_frame(payload) for payload in payloads])
+        assert folded.counts.dtype == merged.counts.dtype == np.int32
+        assert np.array_equal(folded.counts, merged.counts)
+        assert folded.num_reports == merged.num_reports == 120
+
+    @pytest.mark.parametrize("doctor,match", [
+        (dict(rows=[40, 1, 0, 0]), "row counts hold"),
+        (dict(rows=[-40, 80, 0, 0]), "row counts hold"),
+        (dict(num_reports=-40, rows=[-40, 0, 0, 0]), "negative"),
+        (dict(size=8000), "shape"),
+    ])
+    def test_doctored_second_shard_adds_nothing(self, doctor, match):
+        first = load_child_state(self.PARAMS, decode_frame(
+            self._payload(1), arrays=False)["state"])
+        counts, bound = first.counts.copy(), first.bound
+        doctored = decode_frame(self._payload(2, **doctor), arrays=False)
+        with pytest.raises(ValueError, match=match):
+            fold_state(first, doctored["state"])
+        assert np.array_equal(first.counts, counts)
+        assert (first.bound, first.num_reports) == (bound, 40)
+        with pytest.raises(ValueError, match=match):
+            sum_pulled_states(self.PARAMS, [
+                decode_frame(self._payload(1), arrays=False), doctored])
+
+    def test_patch_index_out_of_range_is_rejected_at_decode(self):
+        payload = self._payload(2)
+        where = decode_frame(payload, arrays=False)[
+            "state"]["state"]["counts"].where
+        assert np.iinfo(where.dtype).max >= self.PARAMS.layout.size
+        offset = where.ctypes.data - np.frombuffer(payload,
+                                                   np.uint8).ctypes.data
+        doctored = bytearray(payload)
+        np.frombuffer(doctored, where.dtype, count=where.size,
+                      offset=offset)[-1] = np.iinfo(where.dtype).max
+        for arrays in (False, True):
+            with pytest.raises(FrameError, match="patch does not fit"):
+                decode_frame(bytes(doctored), arrays=arrays)
 
 
 class TestEngineResultChannel:
