@@ -3,8 +3,8 @@
 Measures what the service layer adds on top of raw ``absorb_batch``: a real
 TCP round through length-prefixed frames, the bounded ingestion queue, and
 the batched drain, over the binary ``reports`` frames of
-``docs/wire-protocol.md`` §8 (raw narrowed little-endian columns behind a
-struct header, decoded into read-only ``np.frombuffer`` views).
+``docs/wire-protocol.md`` §8 (columns bit-packed to their value widths
+behind a struct header, unpacked into read-only arrays).
 
 The protocol under test is the paper's workhorse (Hashtogram); the measured
 quantity is **sustained ingest** — reports/s from the first byte sent to
@@ -14,7 +14,9 @@ wire bytes and the throughput.  Against the committed
 ``BENCH_baseline.json`` (``--check ... --baseline ...``) CI fails if the
 frames carry more bytes per report than the baseline's
 ``wire_bytes_per_report`` ceiling — the paper's "communication per user"
-column — or if ingest throughput drops more than 40% below baseline
+column; a ``wire`` section holds the same row for the frames of the
+PrivateExpanderSketch aggregate below — or if ingest throughput drops
+more than 40% below baseline
 (engine numbers are gated the same way via ``--engine``).  The same
 payload carries a ``finalize`` section: PrivateExpanderSketch's server
 finalize at n=400k, D=2^20, ε=1, in decoded stage-1 cells per second, and
@@ -188,15 +190,30 @@ def _expander_workload():
 
 def _expander_aggregate(workload):
     """The workload's windowed aggregate (one epoch), built once by
-    streaming the encoded reports (untimed)."""
+    streaming the encoded reports (untimed), plus the bytes of those
+    reports as binary ``reports`` frames."""
     from repro.engine import encode_stream
+    from repro.server import encode_reports_frame
     from repro.server.window import WindowedAggregator
 
     params, values, gen = workload
     windowed = WindowedAggregator(params)
+    wire_bytes = 0
     for batch in encode_stream(params, values, rng=gen):
         windowed.absorb_batch(batch)
-    return params, windowed
+        wire_bytes += len(encode_reports_frame(batch, 0))
+    return params, windowed, wire_bytes
+
+
+def run_wire_bench(aggregate) -> Dict[str, object]:
+    """The expander sketch's row of the wire ceiling: the frames of the
+    aggregate's reports, in bytes per report, next to ``report_bits``."""
+    params, _, wire_bytes = aggregate
+    return {"protocol": "expander_sketch", "num_users": FINALIZE_USERS,
+            "domain_size": FINALIZE_DOMAIN, "epsilon": FINALIZE_EPSILON,
+            "report_bits": int(params.report_bits),
+            "wire_bytes": int(wire_bytes),
+            "wire_bytes_per_report": round(wire_bytes / FINALIZE_USERS, 4)}
 
 
 def _best_s(fn, repeats: int) -> float:
@@ -231,7 +248,7 @@ def run_finalize_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
     every stage-1 coordinate accumulator (``num_coordinates *
     num_cells``), the work that dominates finalize.
     """
-    params, windowed = aggregate
+    params, windowed, _ = aggregate
     best = _best_s(windowed.merged().finalize, repeats)
     cells = params.params.num_coordinates * params.num_cells
     return {"protocol": "expander_sketch", "num_users": FINALIZE_USERS,
@@ -250,7 +267,7 @@ def run_checkpoint_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
     """
     from repro.protocol.binary import pack_state
 
-    _, windowed = aggregate
+    _, windowed, _ = aggregate
 
     def body():
         return pack_state(windowed.capture())
@@ -285,7 +302,7 @@ def run_state_pull_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
     from repro.server.framing import decode_frame, encode_state_frame
     from repro.server.service import state_reply
 
-    params, windowed = aggregate
+    params, windowed, _ = aggregate
     merged = windowed.merged()
     epochs = windowed.epochs
 
@@ -540,14 +557,17 @@ def check_transport_regression(payload: Dict[str, object],
 def check_wire_shrink(payload: Dict[str, object],
                       baseline: Dict[str, object]) -> List[str]:
     """CI gate: per protocol, the frames may carry at most the baseline's
-    ``wire_bytes_per_report`` ceiling.  Returns the violations (empty = ok).
+    ``wire_bytes_per_report`` ceiling, read from the ingest ``results``
+    rows and the ``wire`` section (the expander sketch's frames).  Returns
+    the violations (empty = ok).
 
     A report's wire size is deterministic for a fixed workload, so the
     ceiling is absolute: no ``max_drop`` headroom applies.
     """
+    rows = [*payload["results"], *dict(payload.get("wire", {})).values()]
     measured = {str(row["protocol"]):
                 int(row["wire_bytes"]) / max(int(row["num_users"]), 1)
-                for row in payload["results"] if "wire_bytes" in row}
+                for row in rows if "wire_bytes" in row}
     failures = []
     for protocol, ceiling in dict(
             baseline.get("wire_bytes_per_report", {})).items():
@@ -572,6 +592,8 @@ def test_server_ingest(benchmark):
 
     payload = run_once(benchmark, run_server_ingest_bench,
                        num_users=200_000, repeats=1)
+    wire = run_wire_bench(_expander_aggregate(_expander_workload()))
+    payload["wire"] = {wire["protocol"]: wire}
     rows = _report_rows(payload)
     report(benchmark, "W3: server wire-ingest throughput", rows)
     for row in rows:
@@ -649,6 +671,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     checkpoint = run_checkpoint_bench(aggregate, args.repeats)
     encode = run_encode_bench(workload, args.repeats)
     state_pull = run_state_pull_bench(aggregate, args.repeats)
+    wire = run_wire_bench(aggregate)
+    payload["wire"] = {wire["protocol"]: wire}
     payload["finalize"] = {finalize["protocol"]: finalize}
     payload["checkpoint"] = {checkpoint["protocol"]: checkpoint}
     payload["encode"] = {encode["protocol"]: encode}
@@ -661,6 +685,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(format_table([checkpoint], title="expander-sketch checkpoint"))
     print(format_table([encode], title="expander-sketch client encode"))
     print(format_table([state_pull], title="expander-sketch state pull"))
+    print(format_table([wire], title="expander-sketch reports frames"))
     print(f"\nwrote {args.output}")
     if not all(row["identical_to_offline_engine"]
                for row in payload["results"]):

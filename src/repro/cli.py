@@ -21,6 +21,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli cluster-ctl drain-shard --shard 0 --server 127.0.0.1:7070
     python -m repro.cli cluster-ctl rolling-restart --server 127.0.0.1:7070
     python -m repro.cli chaos-test --membership --transport shm
+    python -m repro.cli decode-frame FRAME.bin  # read a binary frame or journal
     python -m repro.cli matrix list             # YAML experiment matrices
     python -m repro.cli matrix run experiments/configs/quick.yaml
     python -m repro.cli matrix render experiments/configs/paper.yaml --quick
@@ -53,7 +54,7 @@ checkpoints durable snapshots.  ``load-test`` spawns such a server, drives
 the engine's canonical chunk stream at it over ``--workers`` concurrent
 connections, and verifies the *served* estimates are bit-identical to the
 offline :func:`repro.engine.run_simulation` reference under the same seed.
-Reports travel as the zero-copy binary columnar frames of
+Reports travel as the bit-packed binary columnar frames of
 ``docs/wire-protocol.md`` §8.
 
 ``serve-cluster`` scales ``serve`` horizontally (:mod:`repro.cluster`): a
@@ -1173,6 +1174,47 @@ def _list_modules(check_path: Optional[str]) -> int:
     return 0
 
 
+def _cmd_decode_frame(args) -> int:
+    from repro.cluster.journal import frame_entry, scan_records
+    from repro.protocol.binary import describe_payload
+
+    data = Path(args.path).read_bytes()
+    # a frame journal (one CRC-checked record per forwarded frame) when at
+    # least one record is intact; anything else is one raw payload
+    records, valid = scan_records(data)
+    try:
+        frames = [("payload", data)]
+        if records:
+            frames = []
+            for index, record in enumerate(records):
+                num_reports, seq, frame = frame_entry(record, args.path)
+                if frame:  # an empty frame is a barrier entry
+                    frames.append((f"record {index} (seq {seq}, "
+                                   f"{num_reports} reports)", frame))
+        for label, payload in frames:
+            header, columns = describe_payload(payload)
+            count = header.get("num_reports")
+            print(f"{label}: {len(payload)} B" + (
+                f", {8 * len(payload) / count:.2f} bits per report"
+                if count else ""))
+            print("  " + "  ".join(f"{key}={value}"
+                                   for key, value in header.items()))
+            for column in columns:
+                values = column["array"]
+                span = (f"min {values.min()}  max {values.max()}"
+                        if values.size else "empty")
+                print(f"  {column['name']:<16} {column['code']:<5} "
+                      f"{column['bits']:>2} bits  shape "
+                      f"{column['shape']}  {span}")
+    except ValueError as exc:  # includes BinaryFormatError, JournalError
+        print(f"decode-frame: {exc}", file=sys.stderr)
+        return 1
+    if records and valid < len(data):
+        print(f"torn tail: {len(data) - valid} B past the last intact "
+              f"record")
+    return 0
+
+
 def _cmd_quickstart(args) -> int:
     from repro import PrivateExpanderSketch, planted_workload
     from repro.experiments.reporting import format_table
@@ -1208,6 +1250,15 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--quick", action="store_true",
                             help="use a smaller, faster configuration")
     run_parser.set_defaults(func=_cmd_run)
+
+    decode_parser = subparsers.add_parser(
+        "decode-frame",
+        help="print a binary frame payload (or every frame of a router's "
+             "frame journal): header fields and, per column, its code, "
+             "bits per value, shape and value range")
+    decode_parser.add_argument("path", help="a raw kind-1 or kind-2 "
+                                            "payload, or a frame journal")
+    decode_parser.set_defaults(func=_cmd_decode_frame)
 
     quickstart_parser = subparsers.add_parser(
         "quickstart", help="run the README quickstart end to end")

@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.server.snapshot import fsync_directory
 
 __all__ = ["FrameJournal", "JournalError", "MembershipJournal", "RecordLog",
-           "scan_records"]
+           "frame_entry", "scan_records"]
 
 #: record framing: payload length (u32) | payload crc32 (u32), little-endian
 _RECORD_HEADER = struct.Struct("<II")
@@ -91,6 +91,17 @@ def scan_records(raw: bytes) -> Tuple[List[bytes], int]:
         payloads.append(payload)
         offset = start + length
     return payloads, offset
+
+
+def frame_entry(payload: bytes, where: object = "frame journal"
+                ) -> Tuple[int, int, bytes]:
+    """``(num_reports, seq, frame)`` of one frame-journal record payload;
+    ``frame`` is empty for a barrier entry."""
+    if len(payload) < _ENTRY_FIXED.size:
+        raise JournalError(f"{where}: frame-journal entry of {len(payload)} "
+                           f"bytes is shorter than its fixed prefix")
+    num_reports, seq = _ENTRY_FIXED.unpack_from(payload, 0)
+    return int(num_reports), int(seq), payload[_ENTRY_FIXED.size:]
 
 
 class RecordLog:
@@ -182,15 +193,10 @@ class FrameJournal:
         entries: List[Tuple[bytes, int]] = []
         max_seq = 0
         for payload in self._log.load():
-            if len(payload) < _ENTRY_FIXED.size:
-                raise JournalError(f"{self.path}: frame-journal entry of "
-                                   f"{len(payload)} bytes is shorter than "
-                                   f"its fixed prefix")
-            num_reports, seq = _ENTRY_FIXED.unpack_from(payload, 0)
-            max_seq = max(max_seq, int(seq))
-            frame = payload[_ENTRY_FIXED.size:]
+            num_reports, seq, frame = frame_entry(payload, self.path)
+            max_seq = max(max_seq, seq)
             if frame:
-                entries.append((frame, int(num_reports)))
+                entries.append((frame, num_reports))
         return entries, max_seq
 
     def barrier(self, seq: int) -> None:

@@ -15,11 +15,11 @@ server's requests plus the membership verbs.  Behind that endpoint:
   shard-routing header (``docs/wire-protocol.md`` §8.1); frames without a
   routing key fall back to round-robin.  Either way the frame's *payload
   bytes are forwarded verbatim* (:func:`~repro.server.framing.frame_bytes`)
-  — the router checks the column table against the payload (a zero-copy
-  decode that copies no column) and never re-encodes, so the zero-copy
-  ingest pipeline of the binary wire format extends end-to-end through
-  the cluster tier.  A payload the shard could not decode is rejected at
-  the router, never journaled.
+  — the router checks the column table against the payload
+  (:func:`~repro.protocol.binary.check_reports_payload`: no column is
+  unpacked or copied) and never re-encodes; only the shards unpack.  A
+  payload the shard could not decode is rejected at the router, never
+  journaled.
 * **Exact merged queries** — ``query`` pulls every shard's packed
   exact-integer aggregator state (the ``state`` frame), merges the K states
   with the commutative integer-sum merge, and finalizes once.  A K-shard
@@ -108,9 +108,8 @@ from repro.cluster.journal import FrameJournal, MembershipJournal
 from repro.cluster.shardmap import ShardMap, ShardMapError, ShardMapStore
 from repro.engine.partition import ShardPartition
 from repro.protocol.binary import (
-    decode_reports_payload,
+    check_reports_payload,
     fold_states,
-    peek_reports_header,
     stamp_sequence,
 )
 from repro.protocol.wire import PublicParams, ServerAggregator
@@ -855,14 +854,14 @@ class ClusterRouter(MessageEndpoint):
         return link
 
     async def on_reports(self, payload: bytes) -> None:
-        # Peek the routing header and forward the payload bytes verbatim —
+        # Read the routing header and forward the payload bytes verbatim —
         # fire-and-forget, like the single-server path.
         try:
-            header = peek_reports_header(payload)
             # The shard decodes every column and closes the link on a frame
             # it cannot decode; journaled, such a frame would fail every
-            # replay, so it must never be forwarded.
-            decode_reports_payload(payload)
+            # replay, so it must never be forwarded.  The check reads the
+            # column table only: no packed column is unpacked here.
+            header = check_reports_payload(payload)
         except ValueError as exc:  # includes BinaryFormatError
             self._reject(str(exc))
             return

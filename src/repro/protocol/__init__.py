@@ -14,11 +14,11 @@ abstractions (see :mod:`repro.protocol.wire`):
   checkpoints that restore bit-identically, and ``finalize()`` into a
   fitted estimator.
 
-Report batches travel only in the zero-copy binary columnar codec of
-:mod:`repro.protocol.binary` (raw little-endian columns behind a struct
-header, decode-free on ingest); aggregator state travels in the same
-codec or as the JSON-safe snapshots above, and both restore to
-bit-identical aggregates.
+Report batches travel only in the binary columnar codec of
+:mod:`repro.protocol.binary` (columns bit-packed to their value widths
+behind a struct header, unpacked once on ingest); aggregator state
+travels in the same codec or as the JSON-safe snapshots above, and both
+restore to bit-identical aggregates.
 
 The layers above: :mod:`repro.engine` runs this API across a process pool
 for simulation; :mod:`repro.server` serves it over TCP as a long-lived

@@ -1,22 +1,25 @@
-"""Zero-copy binary columnar codec for report batches and aggregator state.
+"""Binary columnar codec for report batches and aggregator state.
 
 This is the only wire form of a :class:`~repro.protocol.wire.ReportBatch`.
 It replaced a JSON form (base64 columns inside a JSON object) that paid
 three taxes per batch: a ``json.dumps`` pass, a base64 inflation of 4/3 on
 every column, and a ``json.loads`` + base64 pass on the server before a
-single report was absorbed — 22.7 B per hashtogram report against 4.0 B
+single report was absorbed — 22.7 B per hashtogram report against 1.75 B
 here.  This module has no serialization layer at all:
 
-* **Encoding** writes each column as ``(name, dtype, shape, raw
+* **Encoding** writes each column as ``(name, code, shape, raw
   little-endian bytes)`` behind a fixed ``struct`` header — no JSON, no
-  base64.  Integer columns are first narrowed to the smallest integer dtype
-  that holds their value range (a hashtogram report shrinks from 17 raw
-  bytes to 4).
-* **Decoding** is a handful of ``struct.unpack_from`` calls plus one
-  ``np.frombuffer`` per column: every decoded column is a **read-only
-  zero-copy view** over the received buffer.  Aggregators absorb these
-  views directly (they only ever read report columns), so server-side
-  ingest is decode-free.
+  base64.  A report column of non-negative integers is bit-packed at the
+  bit length of its maximum, and a column of -1/+1 at one bit per value;
+  any other integer column is narrowed to the smallest integer dtype that
+  holds its value range (a hashtogram report shrinks from 17 raw bytes
+  to 14 bits).
+* **Decoding** is a handful of ``struct.unpack_from`` calls plus, per
+  column, one ``np.frombuffer`` (a read-only zero-copy view over the
+  received buffer) or one vectorized unpack of a packed column into a
+  fresh read-only array.  Aggregators absorb the columns as they come
+  (they only ever read report columns).  A cluster router checks the
+  column table only (:func:`check_reports_payload`) and forwards the bytes.
 * The same container (``pack_state`` / ``unpack_state``) ships **aggregator
   state**: a JSON skeleton in which every integer array is replaced by a
   reference into the binary column table.  The multiprocess engine uses it
@@ -40,18 +43,20 @@ Frame layout (normative; also specified in ``docs/wire-protocol.md`` §8)::
         seq (u64, present iff flags & FLAG_SEQUENCED)
         protocol (utf-8)
         column table: { name_len (u16) name (utf-8)
-                        dtype_len (u8) dtype (ascii, numpy form e.g. "<i8")
+                        dtype_len (u8) dtype (ascii: numpy form e.g. "|i1",
+                                              or "p<bits>" / "s1" packed)
                         ndim (u8) shape (u64 * ndim)
                         offset (u64) nbytes (u64) } * num_columns
         data region: one blob per column at its announced offset,
-                     8-byte aligned, little-endian C order
+                     8-byte aligned, little-endian C order; a packed
+                     column is ceil(count * bits / 8) bytes, LSB-first
 
     kind=2 (state) body:
         skeleton_len (u32) num_columns (u32)
         skeleton (utf-8 JSON; arrays replaced by {"__repro_column__": i},
                   or {"__repro_column__": i, "__repro_patch__": [j, k]}:
                   column i with entries at indices j set to values k)
-        column table (as above, without names)
+        column table (as above, without names; numpy dtype codes only)
         data region (as above)
 
 All multi-byte header fields are little-endian.  The magic byte ``0xB1``
@@ -69,8 +74,10 @@ rather than decoding garbage.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Literal, Optional, Sequence,
+                    Tuple, overload)
 
 import numpy as np
 
@@ -91,7 +98,9 @@ __all__ = [
     "KIND_REPORTS",
     "KIND_STATE",
     "PackedColumn",
+    "check_reports_payload",
     "decode_reports_payload",
+    "describe_payload",
     "encode_reports_payload",
     "fold_state",
     "fold_states",
@@ -131,6 +140,25 @@ _KNOWN_FLAGS = {KIND_REPORTS: FLAG_ROUTED | FLAG_SEQUENCED, KIND_STATE: 0}
 #: value-preserving narrowing ladder, smallest first; unsigned wins ties
 _NARROW_CANDIDATES = tuple(np.dtype(code) for code in
                            ("u1", "i1", "<u2", "<i2", "<u4", "<i4"))
+_UNSIGNED = tuple(np.dtype(code) for code in
+                  ("u1", "<u2", "<u4", "<u4", "<u8", "<u8", "<u8", "<u8"))
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U64 = struct.Struct("<Q")
+_OFFSET_NBYTES = struct.Struct("<QQ")
+
+#: kind-1 column codes of bit-packed columns (docs/wire-protocol.md §8.1):
+#: ``p<bits>`` holds non-negative integers at ``bits`` bits each, ``s1``
+#: holds -1/+1 at one bit each (1 for +1).  numpy parses neither, so a
+#: reader that predates packing rejects such a column as an invalid dtype.
+_PACKED_PREFIX = "p"
+_SIGN_CODE = "s1"
+_SIGN_CODE_BYTES = _SIGN_CODE.encode("ascii")
+_MAX_BITS = 64
+#: numpy's array limits, applied to every announced shape: the axis count
+#: of numpy 1.x (numpy 2 allows 64) and the largest byte size
+_MAX_NDIM = 32
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 class BinaryFormatError(ValueError):
@@ -155,22 +183,9 @@ def payload_kind(payload: bytes) -> Optional[int]:
 # column helpers
 # --------------------------------------------------------------------------------------
 
-def _wire_dtype(col: np.ndarray, source: Optional[np.dtype] = None
-                ) -> np.dtype:
-    """Smallest little-endian dtype that holds the column's values.
-
-    The choice depends only on the values and ``source`` (default: the
-    column's dtype), never narrowing to ``source``'s own size, so
-    re-encoding a decoded batch reproduces the original bytes exactly.
-    Non-integer and empty columns keep ``source`` (byte-swapped to
-    little-endian if necessary).
-    """
-    dtype = col.dtype if source is None else np.dtype(source)
-    if dtype.byteorder == ">":  # pragma: no cover - big-endian hosts
-        dtype = dtype.newbyteorder("<")
-    if dtype.kind not in "iu" or col.size == 0:
-        return dtype
-    lo, hi = int(col.min()), int(col.max())
+def _narrowest(lo: int, hi: int, dtype: np.dtype) -> np.dtype:
+    """Smallest dtype of the narrowing ladder holding ``[lo, hi]``, never
+    ``dtype``'s own size or wider (then ``dtype`` itself)."""
     for candidate in _NARROW_CANDIDATES:
         if candidate.itemsize >= dtype.itemsize:
             break
@@ -180,33 +195,88 @@ def _wire_dtype(col: np.ndarray, source: Optional[np.dtype] = None
     return dtype
 
 
+def _wire_dtype(col: np.ndarray, source: Optional[np.dtype] = None
+                ) -> np.dtype:
+    """Smallest little-endian dtype that holds the column's values.
+
+    The choice depends only on the values and ``source`` (default: the
+    column's dtype), never narrowing to ``source``'s own size, so
+    re-encoding a decoded column reproduces the original bytes exactly.
+    Non-integer and empty columns keep ``source`` (byte-swapped to
+    little-endian if necessary).
+    """
+    dtype = col.dtype if source is None else np.dtype(source)
+    if dtype.byteorder == ">":  # pragma: no cover - big-endian hosts
+        dtype = dtype.newbyteorder("<")
+    if dtype.kind not in "iu" or col.size == 0:
+        return dtype
+    return _narrowest(int(col.min()), int(col.max()), dtype)
+
+
+def _unpacked_dtype(bits: int) -> np.dtype:
+    """The smallest unsigned dtype holding ``bits``-bit values."""
+    return _UNSIGNED[(bits - 1) >> 3]
+
+
 def _align(offset: int) -> int:
     return (offset + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
 
 
 class _ColumnSpec:
-    """One column's announced layout, computed before any serialization."""
+    """One column's announced layout, computed before any serialization:
+    a plain column of ``dtype``, or (``bits`` > 0) a bit-packed one whose
+    values unpack to ``dtype``."""
 
-    __slots__ = ("name", "array", "dtype", "shape", "offset", "nbytes")
+    __slots__ = ("name", "array", "dtype", "bits", "code", "shape",
+                 "offset", "nbytes")
 
-    def __init__(self, name: str, array: np.ndarray,
-                 source: Optional[np.dtype] = None) -> None:
+    def __init__(self, name: str, array: np.ndarray, dtype: np.dtype,
+                 bits: int = 0, code: Optional[str] = None) -> None:
         self.name = name
         self.array = array
-        self.dtype = _wire_dtype(array, source)
+        self.dtype = dtype
+        self.bits = bits
+        self.code = (code or dtype.str).encode("ascii")
         self.shape = tuple(int(s) for s in array.shape)
-        self.nbytes = int(self.dtype.itemsize * array.size)
+        self.nbytes = ((array.size * bits + 7) // 8 if bits
+                       else int(dtype.itemsize * array.size))
         self.offset = 0  # assigned once the table size is known
 
-    @property
-    def dtype_bytes(self) -> bytes:
-        return self.dtype.str.encode("ascii")
-
     def table_size(self, named: bool) -> int:
-        size = 1 + len(self.dtype_bytes) + 1 + 8 * len(self.shape) + 16
+        size = 1 + len(self.code) + 1 + 8 * len(self.shape) + 16
         if named:
             size += 2 + len(self.name.encode("utf-8"))
         return size
+
+
+def _state_spec(arr: np.ndarray,
+                dtype: Optional[np.dtype] = None) -> _ColumnSpec:
+    """A kind-2 column: narrowed by value (to ``dtype`` when given), an
+    int32 array exactly as its int64 widening would be."""
+    if dtype is None:
+        dtype = _wire_dtype(arr, np.dtype(np.int64)
+                            if arr.dtype == np.int32 else None)
+    return _ColumnSpec("", arr, dtype)
+
+
+def _report_spec(name: str, col: np.ndarray) -> _ColumnSpec:
+    """A kind-1 column: bit-packed when its values allow it (§8.2).
+
+    A non-negative integer column ships at ``bit_length(max)`` bits (at
+    least 1), a column of only -1 and +1 at one bit; any other column is
+    narrowed as a state column is.  Like narrowing, the choice depends only
+    on the values, so a decoded batch re-encodes to the same bytes.
+    """
+    if col.dtype.kind in "iu" and col.size:
+        lo, hi = int(col.min()), int(col.max())
+        if lo >= 0:
+            bits = max(1, hi.bit_length())
+            return _ColumnSpec(name, col, _unpacked_dtype(bits), bits,
+                               f"{_PACKED_PREFIX}{bits}")
+        if lo == -1 and hi in (-1, 1) and (
+                hi == -1 or np.count_nonzero(col) == col.size):
+            return _ColumnSpec(name, col, np.dtype(np.int8), 1, _SIGN_CODE)
+    return _ColumnSpec(name, col, _wire_dtype(col))
 
 
 def _layout(specs: Sequence[_ColumnSpec], table_start: int,
@@ -220,6 +290,78 @@ def _layout(specs: Sequence[_ColumnSpec], table_start: int,
     return offset
 
 
+def _pack_bits(values: np.ndarray, bits: int, out: np.ndarray) -> None:
+    """Write non-negative ``values`` below ``2**bits`` into the zeroed byte
+    array ``out``, LSB-first: value ``i`` is bits ``[i*bits, (i+1)*bits)``
+    of the little-endian bit stream.
+
+    Runs in groups of ``8 / gcd(bits, 8)`` values, which fill a whole
+    number of bytes: one shift-and-or per (value slot, byte it touches),
+    each over every group at once.
+    """
+    if bits == 1:
+        out[...] = np.packbits(values, bitorder="little")
+        return
+    work = _unpacked_dtype(bits)
+    if bits == 8 * work.itemsize:  # whole bytes: a plain little-endian cast
+        out.view(work)[...] = values
+        return
+    per_group = 8 // math.gcd(bits, 8)
+    rows = -(-values.size // per_group)
+    slots = np.zeros(rows * per_group, dtype=work)
+    slots[:values.size] = values
+    slots = slots.reshape(rows, per_group)
+    grouped = np.zeros((rows, bits * per_group // 8), dtype=np.uint8)
+    for j in range(per_group):
+        first = j * bits
+        for k in range(first >> 3, ((first + bits - 1) >> 3) + 1):
+            shift = 8 * k - first
+            part = (slots[:, j] >> shift if shift >= 0
+                    else slots[:, j] << -shift)
+            np.bitwise_or(grouped[:, k], part, out=grouped[:, k],
+                          casting="unsafe")  # keeps the low byte
+    out[...] = grouped.reshape(-1)[:out.size]
+
+
+def _unpack_bits(data: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """The inverse of :func:`_pack_bits`: ``count`` values of ``bits``
+    bits from the byte array ``data``, as the smallest unsigned dtype that
+    holds them (a fresh array; whole-byte widths give a view of ``data``).
+    Any bit pattern unpacks to a value below ``2**bits``.
+
+    Each value lies inside one little-endian word read at its first byte
+    (4 bytes up to 25 bits, else 8 plus, past 57 bits, a spill byte), at
+    that byte's bit offset: per value slot of a group, one strided read
+    of every group's word, a shift and a mask.
+    """
+    if bits == 1:
+        return np.unpackbits(data, count=count, bitorder="little")
+    work = _unpacked_dtype(bits)
+    if bits == 8 * work.itemsize:
+        return data.view(work)
+    if not count:
+        return np.zeros(0, dtype=work)
+    word = np.dtype("<u4") if bits <= 25 else np.dtype("<u8")
+    per_group = 8 // math.gcd(bits, 8)
+    width = bits * per_group // 8
+    rows = -(-count // per_group)
+    padded = np.zeros(rows * width + word.itemsize + 1, dtype=np.uint8)
+    padded[:data.size] = data
+    slots = np.empty((rows, per_group), dtype=work)
+    for j in range(per_group):
+        start, shift = (j * bits) >> 3, (j * bits) & 7
+        value = slots[:, j]
+        np.right_shift(np.ndarray((rows,), dtype=word, buffer=padded,
+                                  offset=start, strides=(width,)),
+                       shift, out=value, casting="unsafe")
+        if shift + bits > 64:
+            spill = np.ndarray((rows,), dtype=np.uint8, buffer=padded,
+                               offset=start + 8, strides=(width,))
+            value |= spill.astype(work) << (64 - shift)
+        value &= (1 << bits) - 1
+    return slots.reshape(-1)[:count]
+
+
 def _write_columns(out: bytearray, pos: int, specs: Sequence[_ColumnSpec],
                    named: bool) -> None:
     for spec in specs:
@@ -229,11 +371,10 @@ def _write_columns(out: bytearray, pos: int, specs: Sequence[_ColumnSpec],
             pos += 2
             out[pos:pos + len(name)] = name
             pos += len(name)
-        dtype_bytes = spec.dtype_bytes
-        struct.pack_into("<B", out, pos, len(dtype_bytes))
+        struct.pack_into("<B", out, pos, len(spec.code))
         pos += 1
-        out[pos:pos + len(dtype_bytes)] = dtype_bytes
-        pos += len(dtype_bytes)
+        out[pos:pos + len(spec.code)] = spec.code
+        pos += len(spec.code)
         struct.pack_into("<B", out, pos, len(spec.shape))
         pos += 1
         for dim in spec.shape:
@@ -241,9 +382,17 @@ def _write_columns(out: bytearray, pos: int, specs: Sequence[_ColumnSpec],
             pos += 8
         struct.pack_into("<QQ", out, pos, spec.offset, spec.nbytes)
         pos += 16
-        # cast straight into the payload: no narrowed copy, no bytes copy
-        np.frombuffer(out, dtype=spec.dtype, count=spec.array.size,
-                      offset=spec.offset)[...] = spec.array.reshape(-1)
+        values = spec.array.reshape(-1)
+        if spec.bits:
+            if spec.code == _SIGN_CODE_BYTES:
+                values = values > 0
+            _pack_bits(values, spec.bits, np.frombuffer(
+                out, dtype=np.uint8, count=spec.nbytes, offset=spec.offset))
+        else:
+            # cast straight into the payload: no narrowed copy, no bytes
+            # copy (integer entries too wide for the dtype wrap)
+            np.frombuffer(out, dtype=spec.dtype, count=spec.array.size,
+                          offset=spec.offset)[...] = values
 
 
 class _Reader:
@@ -270,38 +419,95 @@ class _Reader:
         return data
 
 
-def _read_column(reader: _Reader, named: bool) -> Tuple[str, np.ndarray]:
-    name = ""
-    if named:
-        (name_len,) = reader.unpack(struct.Struct("<H"))
-        name = reader.take(name_len, "column name").decode("utf-8")
-    (dtype_len,) = reader.unpack(struct.Struct("<B"))
-    dtype_str = reader.take(dtype_len, "column dtype").decode("ascii")
-    try:
-        dtype = np.dtype(dtype_str)
-    except TypeError as exc:
-        raise BinaryFormatError(f"invalid column dtype {dtype_str!r}") from exc
-    if dtype.hasobject or dtype.kind not in "iufb":
-        raise BinaryFormatError(f"unsupported column dtype {dtype_str!r}")
-    (ndim,) = reader.unpack(struct.Struct("<B"))
-    shape = tuple(reader.unpack(struct.Struct("<Q"))[0] for _ in range(ndim))
-    offset, nbytes = reader.unpack(struct.Struct("<QQ"))
-    count = 1
-    for dim in shape:  # exact Python ints: announced dims cannot overflow
-        count *= dim
-    if count * dtype.itemsize != nbytes:
-        raise BinaryFormatError(
-            f"column {name or dtype_str!r}: announced {nbytes} bytes do not "
-            f"match shape {shape} of dtype {dtype_str}")
-    if offset + nbytes > len(reader.payload):
-        raise BinaryFormatError(
-            f"column {name or dtype_str!r}: announced data "
-            f"[{offset}, {offset + nbytes}) lies past the frame")
-    column = np.frombuffer(reader.payload, dtype=dtype, count=count,
-                           offset=offset).reshape(shape)
-    if column.flags.writeable:  # pragma: no cover - bytearray-backed buffers
+class _Entry:
+    """One column-table entry, checked against the payload: where its data
+    lies and how it decodes (``bits`` > 0: bit-packed, ``sign``: a ±1
+    column), without reading any data."""
+
+    __slots__ = ("name", "code", "dtype", "bits", "sign", "shape", "count",
+                 "offset", "nbytes")
+
+    def array(self, payload: bytes) -> np.ndarray:
+        """The decoded column: a read-only view over ``payload``, or, for a
+        packed column, a fresh read-only array."""
+        if self.bits:
+            data = _unpack_bits(np.frombuffer(
+                payload, dtype=np.uint8, count=self.nbytes,
+                offset=self.offset), self.bits, self.count)
+            if self.sign:  # 0/1 to -1/+1, in place
+                data = data.view(np.int8)
+                data <<= 1
+                data -= 1
+        else:
+            data = np.frombuffer(payload, dtype=self.dtype, count=self.count,
+                                 offset=self.offset)
+        column = data.reshape(self.shape)
         column.flags.writeable = False
-    return name, column
+        return column
+
+
+def _packed_width(code: str, name: str) -> int:
+    """The bit width a ``p<bits>`` code announces (1..64, no leading zero)."""
+    digits = code[len(_PACKED_PREFIX):]
+    bits = int(digits) if digits.isdigit() else 0
+    if not 1 <= bits <= _MAX_BITS or str(bits) != digits:
+        raise BinaryFormatError(f"column {name!r}: packed bit width "
+                                f"{digits!r} is not an integer in 1..64")
+    return bits
+
+
+def _read_entry(reader: _Reader, named: bool) -> _Entry:
+    """Read and check one column-table entry; bit-packed codes are valid
+    only in a named (kind-1) table."""
+    entry = _Entry()
+    entry.name = ""
+    if named:
+        (name_len,) = reader.unpack(_U16)
+        entry.name = reader.take(name_len, "column name").decode("utf-8")
+    (code_len,) = reader.unpack(_U8)
+    code = entry.code = reader.take(code_len, "column dtype").decode("ascii")
+    entry.bits, entry.sign = 0, False
+    if named and code == _SIGN_CODE:
+        entry.bits, entry.sign, entry.dtype = 1, True, np.dtype(np.int8)
+    elif named and code.startswith(_PACKED_PREFIX):
+        entry.bits = _packed_width(code, entry.name)
+        entry.dtype = _unpacked_dtype(entry.bits)
+    else:
+        try:
+            entry.dtype = np.dtype(code)
+        except (TypeError, ValueError, SyntaxError) as exc:
+            raise BinaryFormatError(f"invalid column dtype {code!r}") from exc
+        if entry.dtype.hasobject or entry.dtype.kind not in "iufb":
+            raise BinaryFormatError(f"unsupported column dtype {code!r}")
+    (ndim,) = reader.unpack(_U8)
+    entry.shape = tuple(reader.unpack(_U64)[0] for _ in range(ndim))
+    entry.offset, entry.nbytes = reader.unpack(_OFFSET_NBYTES)
+    label = entry.name or code
+    # numpy's own limits on a shape, checked here so that a table that
+    # passes (the router's whole check) never fails in the reshape: at most
+    # _MAX_NDIM axes, and the product of the non-zero dims times the
+    # itemsize within intp -- a zero-report column may announce any dims
+    # without any data to bound them.
+    count, span = 1, entry.dtype.itemsize
+    for dim in entry.shape:  # exact Python ints: announced dims cannot overflow
+        count *= dim
+        span *= dim or 1
+    if ndim > _MAX_NDIM or span > _INTP_MAX:
+        raise BinaryFormatError(f"column {label!r}: announced shape "
+                                f"{entry.shape} is beyond numpy's limits")
+    entry.count = count
+    expected = ((count * entry.bits + 7) // 8 if entry.bits
+                else count * entry.dtype.itemsize)
+    if expected != entry.nbytes:
+        raise BinaryFormatError(
+            f"column {label!r}: announced {entry.nbytes} bytes do not match "
+            f"shape {entry.shape} of dtype {code}")
+    if entry.offset + entry.nbytes > len(reader.payload):
+        raise BinaryFormatError(
+            f"column {label!r}: announced data "
+            f"[{entry.offset}, {entry.offset + entry.nbytes}) lies past the "
+            f"frame")
+    return entry
 
 
 # --------------------------------------------------------------------------------------
@@ -319,14 +525,14 @@ def encode_reports_payload(batch: ReportBatch, epoch: int = 0,
     computation, not a full serialization pass.  A non-``None`` ``route``
     sets :data:`FLAG_ROUTED` and appends the shard-routing key (i64) to the
     fixed header — a cluster router reads it with
-    :func:`peek_reports_header` and forwards the payload verbatim, without
-    decoding a single column.  A non-``None`` ``seq`` sets
+    :func:`check_reports_payload` and forwards the payload verbatim,
+    without unpacking a single column.  A non-``None`` ``seq`` sets
     :data:`FLAG_SEQUENCED` and appends the delivery sequence number (u64)
     the router uses for exact redelivery detection after journal replay;
     normal senders leave it unset and let the router stamp forwarded frames
     (:func:`stamp_sequence`).
     """
-    specs = [_ColumnSpec(name, col) for name, col in batch.columns.items()]
+    specs = [_report_spec(name, col) for name, col in batch.columns.items()]
     proto = batch.protocol.encode("utf-8")
     if len(proto) > 0xFFFF or len(specs) > 0xFFFF:
         raise BinaryFormatError("protocol tag or column count exceeds the "
@@ -400,19 +606,73 @@ def peek_reports_header(payload: bytes) -> Dict[str, object]:
     """Read only the fixed header of a binary reports payload.
 
     Returns ``{"epoch", "route", "seq", "num_reports", "protocol"}`` without
-    touching the column table or the data region — this is the routing fast
-    path: a cluster router peeks a few dozen bytes, picks a shard, and
-    forwards the payload bytes untouched.
+    touching the column table or the data region.
     """
     try:
         reader = _Reader(payload)
-        epoch, route, seq, num_reports, proto_len, _ = \
-            _read_reports_fixed(reader)
-        protocol = reader.take(proto_len, "protocol tag").decode("utf-8")
+        return _read_reports_head(reader)[0]
     except (struct.error, UnicodeDecodeError) as exc:
         raise BinaryFormatError(f"malformed binary payload: {exc}") from exc
-    return {"epoch": epoch, "route": route, "seq": seq,
-            "num_reports": num_reports, "protocol": protocol}
+
+
+def _read_reports_head(reader: _Reader) -> Tuple[Dict[str, object], int]:
+    """The header dict of a reports payload and its column count, leaving
+    ``reader`` at the column table."""
+    epoch, route, seq, num_reports, proto_len, num_columns = \
+        _read_reports_fixed(reader)
+    protocol = reader.take(proto_len, "protocol tag").decode("utf-8")
+    return ({"epoch": epoch, "route": route, "seq": seq,
+             "num_reports": num_reports, "protocol": protocol}, num_columns)
+
+
+def _read_reports_table(payload: bytes
+                        ) -> Tuple[Dict[str, object], List[_Entry]]:
+    """The header dict and the checked column table of a reports payload.
+
+    Everything a decode can reject is rejected here, before any column is
+    read: each entry's code, shape, ``nbytes`` and data range, duplicate
+    names, a column without a report axis, and column lengths that differ
+    from each other or from the declared ``num_reports``.
+    """
+    try:
+        reader = _Reader(payload)
+        header, num_columns = _read_reports_head(reader)
+        entries: List[_Entry] = []
+        names = set()
+        for _ in range(num_columns):
+            entry = _read_entry(reader, named=True)
+            if entry.name in names:
+                raise BinaryFormatError(f"duplicate column {entry.name!r}")
+            if not entry.shape:
+                raise BinaryFormatError(f"column {entry.name!r} has no "
+                                        f"report axis")
+            names.add(entry.name)
+            entries.append(entry)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise BinaryFormatError(f"malformed binary payload: {exc}") from exc
+    lengths = {entry.shape[0] for entry in entries}
+    if len(lengths) > 1:
+        raise BinaryFormatError(f"inconsistent column lengths: "
+                                f"{sorted(lengths)}")
+    length = lengths.pop() if lengths else 0
+    if length != header["num_reports"]:
+        raise BinaryFormatError(f"declared num_reports="
+                                f"{header['num_reports']} does not match the "
+                                f"column length {length}")
+    return header, entries
+
+
+def check_reports_payload(payload: bytes) -> Dict[str, object]:
+    """Check a reports payload as :func:`decode_reports_payload` would,
+    without unpacking a column; returns :func:`peek_reports_header`'s dict.
+
+    This is the cluster router's gate (``docs/wire-protocol.md`` §8.3): it
+    reads the header and the column table only, so a router forwards a
+    packed frame without paying for its unpack, and it accepts exactly the
+    payloads a shard decodes — any bit pattern of a checked packed column
+    unpacks to a valid value.
+    """
+    return _read_reports_table(payload)[0]
 
 
 def stamp_sequence(payload: bytes, seq: int) -> bytes:
@@ -469,38 +729,39 @@ def stamp_sequence(payload: bytes, seq: int) -> bytes:
     return bytes(out)
 
 
-def decode_reports_payload(payload: bytes) -> Tuple[int, ReportBatch]:
-    """Rebuild ``(epoch, batch)`` from :func:`encode_reports_payload` output.
+@overload
+def decode_reports_payload(payload: bytes, *, header: Literal[False] = ...
+                           ) -> Tuple[int, ReportBatch]:
+    ...
 
-    Every decoded column is a read-only zero-copy ``np.frombuffer`` view
-    over ``payload``; the caller must keep the buffer alive for as long as
-    the batch (aggregators copy into their own state on absorb, so the
-    normal ingest path never extends the buffer's lifetime).  A routed or
-    sequenced payload (:data:`FLAG_ROUTED` / :data:`FLAG_SEQUENCED`)
-    decodes identically — routing keys and sequence numbers are addressed
-    to routers and dedup logic, not aggregators; read them with
-    :func:`peek_reports_header`.
+
+@overload
+def decode_reports_payload(payload: bytes, *, header: Literal[True]
+                           ) -> Tuple[Dict[str, object], ReportBatch]:
+    ...
+
+
+def decode_reports_payload(payload: bytes, *, header: bool = False
+                           ) -> Tuple[object, ReportBatch]:
+    """Rebuild ``(epoch, batch)`` from :func:`encode_reports_payload` output
+    (``(header, batch)`` with ``header=True``: the whole
+    :func:`peek_reports_header` dict in place of the epoch).
+
+    Every decoded column is read-only.  A bit-packed column is unpacked
+    into a fresh array of the smallest dtype that holds it (``u1``/``u2``/
+    ``u4``/``u8``, or ``i1`` for a ±1 column); a whole-byte width and any
+    other column are zero-copy ``np.frombuffer`` views over ``payload``,
+    so the caller must keep the buffer alive for as long as the batch
+    (aggregators copy into their own state on absorb, so the normal ingest
+    path never extends the buffer's lifetime).  A routed or sequenced
+    payload (:data:`FLAG_ROUTED` / :data:`FLAG_SEQUENCED`) decodes
+    identically — routing keys and sequence numbers are addressed to
+    routers and dedup logic, not aggregators; read them from the header.
     """
-    try:
-        reader = _Reader(payload)
-        epoch, _route, _seq, num_reports, proto_len, num_columns = \
-            _read_reports_fixed(reader)
-        protocol = reader.take(proto_len, "protocol tag").decode("utf-8")
-        columns: Dict[str, np.ndarray] = {}
-        for _ in range(num_columns):
-            name, column = _read_column(reader, named=True)
-            if name in columns:
-                raise BinaryFormatError(f"duplicate column {name!r}")
-            columns[name] = column
-    except struct.error as exc:  # pragma: no cover - guarded by _Reader
-        raise BinaryFormatError(f"malformed binary payload: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise BinaryFormatError(f"malformed binary payload: {exc}") from exc
-    batch = ReportBatch(protocol, columns)
-    if len(batch) != num_reports:
-        raise BinaryFormatError(f"declared num_reports={num_reports} does "
-                                f"not match the column length {len(batch)}")
-    return int(epoch), batch
+    fields, entries = _read_reports_table(payload)
+    batch = ReportBatch(fields["protocol"], {
+        entry.name: entry.array(payload) for entry in entries})
+    return (fields if header else fields["epoch"]), batch
 
 
 # --------------------------------------------------------------------------------------
@@ -628,47 +889,58 @@ class PackedColumn:
         out[self.where] = before + self.values
 
 
-def _column_ref(arr: np.ndarray, columns: List[np.ndarray]) -> dict:
-    """Append integer array ``arr`` to ``columns``; its skeleton reference.
+def _probe_narrowing(arr: np.ndarray, candidate: np.dtype
+                     ) -> Tuple[np.ndarray, int, int]:
+    """Where ``arr`` cast to ``candidate`` wraps, and the min and max of
+    the cast values, probed in cache-sized slices: no array-sized mask and
+    no narrowed copy of ``arr``."""
+    scratch = np.empty(min(arr.size, _PATCH_SLICE), dtype=candidate)
+    found = []
+    lo, hi = np.iinfo(candidate).max, np.iinfo(candidate).min
+    for start in range(0, arr.size, _PATCH_SLICE):
+        part = arr[start:start + _PATCH_SLICE]
+        narrow = scratch[:part.size]
+        narrow[...] = part  # wide entries wrap
+        found.append(start + np.flatnonzero(narrow != part))
+        lo, hi = min(lo, int(narrow.min())), max(hi, int(narrow.max()))
+    return np.concatenate(found), lo, hi
+
+
+def _column_ref(arr: np.ndarray, specs: List[_ColumnSpec]) -> dict:
+    """Append integer array ``arr``'s column to ``specs``; its skeleton
+    reference.
 
     A few wide entries would widen a whole narrowed column — a flat
     aggregator state is millions of small counters plus a few report
     counts.  So a long 1-D array whose entries all but a 1/256 share fit
     int8 (or int16) ships as that narrow column, its wide entries wrapped,
-    plus a patch: their indices and exact values, restored on unpack.
+    plus a patch: their indices and exact values, restored on unpack.  The
+    narrowing is only probed here; :func:`_write_columns` casts ``arr``
+    straight into the container, so the narrow column is never held twice.
     """
-    columns.append(arr)
-    ref: Dict[str, object] = {_COLUMN_KEY: len(columns) - 1}
-    if arr.ndim != 1 or arr.size < _PATCH_MIN_SIZE:
-        return ref
-    for candidate in (np.dtype("i1"), np.dtype("<i2")):
-        if candidate.itemsize >= arr.dtype.itemsize:
-            break
-        narrow = np.empty(arr.shape, dtype=candidate)
-        found = []
-        # in cache-sized slices: faster, and no array-sized mask
-        for start in range(0, arr.size, _PATCH_SLICE):
-            part = arr[start:start + _PATCH_SLICE]
-            narrow[start:start + part.size] = part  # wide entries wrap
-            found.append(start + np.flatnonzero(
-                narrow[start:start + part.size] != part))
-        wide = np.concatenate(found)
-        if not wide.size:
-            break  # fits outright: plain narrowing does it
-        if wide.size <= arr.size >> 8:
-            columns[-1] = narrow
-            columns.extend([wide, arr[wide]])
-            ref[_PATCH_KEY] = [len(columns) - 2, len(columns) - 1]
-            break
+    ref: Dict[str, object] = {_COLUMN_KEY: len(specs)}
+    if arr.ndim == 1 and arr.size >= _PATCH_MIN_SIZE:
+        for candidate in (np.dtype("i1"), np.dtype("<i2")):
+            if candidate.itemsize >= arr.dtype.itemsize:
+                break
+            wide, lo, hi = _probe_narrowing(arr, candidate)
+            if not wide.size:
+                break  # fits outright: plain narrowing does it
+            if wide.size <= arr.size >> 8:
+                specs.append(_state_spec(arr, _narrowest(lo, hi, candidate)))
+                specs.extend([_state_spec(wide), _state_spec(arr[wide])])
+                ref[_PATCH_KEY] = [len(specs) - 2, len(specs) - 1]
+                return ref
+    specs.append(_state_spec(arr))
     return ref
 
 
-def _extract_arrays(obj, columns: List[np.ndarray], lists: bool):
+def _extract_arrays(obj, specs: List[_ColumnSpec], lists: bool):
     """Replace every integer array (and, with ``lists``, every int list)
     with a column reference."""
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "iu" and _fits_int64(obj):
-            return _column_ref(np.ascontiguousarray(obj), columns)
+            return _column_ref(np.ascontiguousarray(obj), specs)
         return obj.tolist()
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -676,7 +948,7 @@ def _extract_arrays(obj, columns: List[np.ndarray], lists: bool):
         if _COLUMN_KEY in obj or _PATCH_KEY in obj:
             raise ValueError(f"state payloads must not use the reserved "
                              f"keys {_COLUMN_KEY!r} and {_PATCH_KEY!r}")
-        return {str(key): _extract_arrays(value, columns, lists)
+        return {str(key): _extract_arrays(value, specs, lists)
                 for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         items = list(obj)
@@ -688,8 +960,8 @@ def _extract_arrays(obj, columns: List[np.ndarray], lists: bool):
             if arr is not None and arr.dtype.kind in "iu" \
                     and _fits_int64(arr):
                 return _column_ref(np.ascontiguousarray(
-                    arr.astype(np.int64, copy=False)), columns)
-        return [_extract_arrays(item, columns, lists) for item in items]
+                    arr.astype(np.int64, copy=False)), specs)
+        return [_extract_arrays(item, specs, lists) for item in items]
     raise TypeError(f"cannot pack {type(obj).__name__} into a state payload")
 
 
@@ -718,12 +990,9 @@ def pack_state(payload, *, lists: bool = True, head: int = 0) -> bytearray:
     framing copies the packed state.  The arrays are read synchronously,
     so a caller may pack live aggregator ``counts``.
     """
-    columns: List[np.ndarray] = []
-    skeleton = json.dumps(_extract_arrays(payload, columns, lists),
+    specs: List[_ColumnSpec] = []
+    skeleton = json.dumps(_extract_arrays(payload, specs, lists),
                           separators=(",", ":")).encode("utf-8")
-    specs = [_ColumnSpec("", arr, np.dtype(np.int64)
-                         if arr.dtype == np.int32 else None)
-             for arr in columns]
     table_start = _HEADER.size + _STATE_FIXED.size + len(skeleton)
     total = _layout(specs, table_start, named=False)
     out = bytearray(head + total)
@@ -735,6 +1004,42 @@ def pack_state(payload, *, lists: bool = True, head: int = 0) -> bytearray:
         body[pos:pos + len(skeleton)] = skeleton
         _write_columns(body, table_start, specs, named=False)
     return out
+
+
+def _read_state_table(payload: bytes) -> Tuple[str, List[_Entry]]:
+    """The JSON skeleton and the checked column table of a state payload."""
+    try:
+        reader = _Reader(payload)
+        _check_header(reader, KIND_STATE)
+        skeleton_len, num_columns = reader.unpack(_STATE_FIXED)
+        skeleton = reader.take(skeleton_len, "state skeleton").decode("utf-8")
+        entries = [_read_entry(reader, named=False)
+                   for _ in range(num_columns)]
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise BinaryFormatError(f"malformed binary payload: {exc}") from exc
+    return skeleton, entries
+
+
+def describe_payload(payload: bytes
+                     ) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
+    """A binary payload laid out for reading (``repro.cli decode-frame``).
+
+    Returns the header fields (a reports payload's
+    :func:`peek_reports_header` dict, or a state payload's JSON
+    ``skeleton``), each with its ``kind``, and per column its ``name``
+    (a state column's index), ``code``, ``bits`` per value, ``shape`` and
+    decoded ``array``, read exactly as the decoders read them.
+    """
+    if payload_kind(payload) == KIND_STATE:
+        skeleton, entries = _read_state_table(payload)
+        header: Dict[str, object] = {"skeleton": skeleton}
+    else:
+        header, entries = _read_reports_table(payload)
+    header = {"kind": payload_kind(payload), **header}
+    return header, [{"name": entry.name or str(index), "code": entry.code,
+                     "bits": entry.bits or 8 * entry.dtype.itemsize,
+                     "shape": entry.shape, "array": entry.array(payload)}
+                    for index, entry in enumerate(entries)]
 
 
 def unpack_state(payload: bytes, *, arrays: bool = True):
@@ -749,17 +1054,8 @@ def unpack_state(payload: bytes, *, arrays: bool = True):
     :class:`PackedColumn` views over ``payload`` instead, copying nothing;
     either way a patch that does not fit its column is rejected here.
     """
-    try:
-        reader = _Reader(payload)
-        _check_header(reader, KIND_STATE)
-        skeleton_len, num_columns = reader.unpack(_STATE_FIXED)
-        skeleton = reader.take(skeleton_len, "state skeleton").decode("utf-8")
-        columns = [_read_column(reader, named=False)[1]
-                   for _ in range(num_columns)]
-    except struct.error as exc:  # pragma: no cover - guarded by _Reader
-        raise BinaryFormatError(f"malformed binary payload: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise BinaryFormatError(f"malformed binary payload: {exc}") from exc
+    skeleton, entries = _read_state_table(payload)
+    columns = [entry.array(payload) for entry in entries]
 
     def _column(index: object) -> np.ndarray:
         if not isinstance(index, int) or not 0 <= index < len(columns):

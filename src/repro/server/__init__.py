@@ -7,7 +7,7 @@ live queries, durable crash-safe snapshots, and windowed (epoch-rolled)
 collection.  The layer map (see ``docs/architecture.md``):
 
 * :mod:`repro.server.framing` — length-prefixed frames (the transport):
-  JSON control frames plus zero-copy binary ``reports`` frames
+  JSON control frames plus bit-packed binary ``reports`` frames
   (``docs/wire-protocol.md`` §8), distinguished by the payload magic byte;
   the ``MESSAGES`` table of the vocabulary, and ``MessageEndpoint``, the
   connection loop that dispatches each request to its handler by name;

@@ -26,7 +26,7 @@ connect and to every request/reply exchange, so a stalled peer raises
 :class:`TimeoutError` instead of hanging the caller forever; pass
 ``timeout=None`` to opt back into unbounded blocking.
 
-Report batches ship as binary frames, the zero-copy columnar form of
+Report batches ship as binary frames, the bit-packed columnar form of
 ``docs/wire-protocol.md`` §8 and the only one a server accepts.  ``hello``
 doubles as format negotiation: the reply advertises the server's accepted
 formats and the client raises if ``"binary"`` is not among them.

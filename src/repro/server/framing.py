@@ -19,9 +19,9 @@ JSON frames carry the control vocabulary: the requests and replies of
 :data:`MESSAGES`, the normative table of ``docs/wire-protocol.md`` §7.
 Kind-1 binary frames carry
 ``reports``, the only form a report batch can take on the wire: the batch
-columns travel as raw little-endian bytes behind a fixed struct header
-(``docs/wire-protocol.md`` §8) and decode to **read-only zero-copy** numpy
-views — no JSON, no base64, no intermediate dict.  ``decode_frame``
+columns travel bit-packed to their value widths behind a fixed struct
+header (``docs/wire-protocol.md`` §8) and decode to **read-only** numpy
+arrays — no JSON, no base64, no intermediate dict.  ``decode_frame``
 returns a binary ``reports`` message with an already-decoded
 :class:`~repro.protocol.wire.ReportBatch` under ``"batch"``.  A JSON frame
 of type ``reports`` (the retired pre-§8 form) still parses, and the
@@ -66,7 +66,6 @@ from repro.protocol.binary import (
     is_binary_payload,
     pack_state,
     payload_kind,
-    peek_reports_header,
     unpack_state,
 )
 from repro.protocol.wire import ReportBatch
@@ -296,7 +295,8 @@ def decode_frame(payload: bytes, *, arrays: bool = True
     binary payloads decode as kind 1, to ``{"type": "reports", "epoch": e,
     "batch": <batch>}`` where ``batch`` is a ready
     :class:`~repro.protocol.wire.ReportBatch` whose columns are read-only
-    zero-copy views over ``payload``; a routed/sequenced payload also
+    (unpacked packed columns, views over ``payload`` otherwise); a
+    routed/sequenced payload also
     carries its ``"route"`` / ``"seq"`` header fields.
     """
     if payload_kind(payload) == KIND_STATE:
@@ -311,11 +311,11 @@ def decode_frame(payload: bytes, *, arrays: bool = True
         return message
     if is_binary_payload(payload):
         try:
-            header = peek_reports_header(payload)
-            epoch, batch = decode_reports_payload(payload)
+            header, batch = decode_reports_payload(payload, header=True)
         except ValueError as exc:  # includes BinaryFormatError
             raise FrameError(f"invalid binary frame: {exc}") from exc
-        message: Dict[str, object] = {"type": "reports", "epoch": epoch,
+        message: Dict[str, object] = {"type": "reports",
+                                      "epoch": header["epoch"],
                                       "batch": batch}
         if header["route"] is not None:
             message["route"] = header["route"]

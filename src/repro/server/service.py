@@ -12,7 +12,7 @@ protocol of :mod:`repro.server.framing` (``docs/wire-protocol.md`` §7):
   ``queue.put`` and the unread bytes back up the TCP window — natural
   backpressure, no dropped reports.  ``reports`` frames are binary
   (``docs/wire-protocol.md`` §8) and arrive from the frame layer as
-  already-decoded batches backed by zero-copy views, so the drain absorbs
+  already-decoded batches of read-only columns, so the drain absorbs
   their columns without ever materializing a dict payload; a JSON
   ``reports`` frame is dropped unanswered and named in ``last_rejection``.
 * **Batched drain** — one drain task pops everything queued (up to
@@ -443,8 +443,10 @@ class AggregationServer(MessageEndpoint):
             # Pack the checkpoint body from the live counts before the next
             # await, so the drain loop cannot absorb between the capture and
             # the pack; only the checksum, write and fsync of the packed
-            # bytes run off the event loop, while the drain goes on.
+            # bytes run off the event loop, while the drain goes on.  The
+            # reply's count is read with the capture: what the file holds.
             payload = self.windowed.capture()
+            num_reports = self.windowed.num_reports
             if self._handoffs:
                 payload["handoffs"] = sorted(self._handoffs)
             body = pack_state(payload)
@@ -453,7 +455,7 @@ class AggregationServer(MessageEndpoint):
         self.stats.snapshots_written += 1
         return {"type": "snapshot_written",
                 "path": str(path),
-                "num_reports": self.windowed.num_reports}
+                "num_reports": num_reports}
 
     async def on_health(self, message: Dict[str, object]) -> Dict[str, object]:
         # Liveness probe: answered from in-memory counters without touching

@@ -29,9 +29,14 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[3] / "src"))
 
-from repro.protocol import HashtogramParams  # noqa: E402
+from repro.protocol import (  # noqa: E402
+    ExplicitHistogramParams,
+    HashtogramParams,
+    RapporParams,
+)
 from repro.protocol.binary import (  # noqa: E402
     encode_reports_payload,
+    pack_state,
     stamp_sequence,
 )
 
@@ -43,6 +48,21 @@ def _batch(n=32, seed=0):
     gen = np.random.default_rng(seed)
     values = gen.integers(0, params.domain_size, size=n)
     return params.make_encoder().encode_batch(values, gen)
+
+
+def _encoded(params, n=32, seed=0):
+    gen = np.random.default_rng(seed)
+    values = gen.integers(0, params.domain_size, size=n)
+    return encode_reports_payload(
+        params.make_encoder().encode_batch(values, gen))
+
+
+def _recode(payload, entry, code):
+    """``payload`` with the column-table entry ``entry`` (name_len, name,
+    code_len, code bytes) announcing ``code`` instead, of the same length."""
+    at = payload.index(entry)
+    return payload[:at] + entry[:-len(code)] + code \
+        + payload[at + len(entry):]
 
 
 def _json_batch(batch):
@@ -65,6 +85,19 @@ def _cases():
         {"type": "reports", "epoch": 3, "batch": _json_batch(batch)},
         separators=(",", ":")).encode("utf-8")
     empty = encode_reports_payload(_batch(n=0, seed=1))
+    # hashtogram packs repetition at 3 bits, row (< 64) at 6 and bit as a
+    # sign column; a 1024-item Hadamard row needs 11 bits
+    row = b"\x03\x00row\x02p6"
+    wide = _encoded(ExplicitHistogramParams(1024, 1.0, "hadamard"))
+    # the row entry's nbytes field: after the entry, ndim (u8), one u64
+    # dim and the u64 offset
+    nbytes_at = binary.index(row) + len(row) + 1 + 8 + 8
+    (row_nbytes,) = struct.unpack_from("<Q", binary, nbytes_at)
+    # a zero-report RAPPOR frame: one |u1 column of shape (0, 16)
+    rappor = RapporParams.create(64, 2.0, num_bits=16, rng=0)
+    empty_2d = encode_reports_payload(rappor.make_encoder().encode_batch(
+        np.zeros(0, dtype=np.int64), np.random.default_rng(0)))
+    dims = struct.pack("<QQ", 0, 16)
 
     cases = [
         # ----- accepted frames --------------------------------------------------------
@@ -85,6 +118,10 @@ def _cases():
          "binary payload with route and seq header fields"),
         ("binary-empty-batch", empty, "accept",
          "zero-report binary payload round-trips"),
+        ("binary-packed-11-bit-column", wide, "accept",
+         "an 11-bit packed column next to a sign column"),
+        ("binary-packed-2d-bits", _encoded(rappor), "accept",
+         "a 2-D 0/1 column packed at one bit per cell"),
         # ----- rejected frames --------------------------------------------------------
         ("json-invalid-syntax", b"{nope", "reject",
          "malformed JSON must raise FrameError"),
@@ -118,6 +155,31 @@ def _cases():
          binary[:22] + struct.pack("<H", 0xFFFF) + binary[24:], "reject",
          "column count inflated: the table walk must stop at the frame "
          "edge, not read past it"),
+        ("binary-packed-nbytes-mismatch",
+         binary[:nbytes_at] + struct.pack("<Q", row_nbytes + 1)
+         + binary[nbytes_at + 8:], "reject",
+         "a packed column's nbytes must be ceil(count * bits / 8)"),
+        ("binary-packed-width-changed", _recode(binary, row, b"p7"),
+         "reject",
+         "a packed column re-announced at 7 bits no longer matches its "
+         "nbytes"),
+        ("binary-packed-zero-width", _recode(binary, row, b"p0"), "reject",
+         "bit width 0 is outside 1..64"),
+        ("binary-packed-width-past-64",
+         _recode(wide, b"\x03\x00row\x03p11", b"p65"), "reject",
+         "bit width 65 is outside 1..64"),
+        ("binary-packed-truncated-blob", binary[:-1], "reject",
+         "the last packed column's data ends past the frame"),
+        ("binary-zero-report-dim-past-intp",
+         empty_2d.replace(dims, struct.pack("<QQ", 0, 1 << 63)), "reject",
+         "a zero-report column carries no data, so only numpy's limits "
+         "bound its other dims: a dim of 2**63 must reject in the table "
+         "check, not in the reshape"),
+        ("state-frame-packed-code",
+         _recode(bytes(pack_state({"type": "state", "c": np.arange(5)},
+                                  lists=False)), b"\x03|u1", b"p11"),
+         "reject",
+         "packed codes are valid in kind-1 column tables only"),
         ("binary-data-corruption-is-invisible",
          binary[:-8] + struct.pack("<Q", 1 << 62), "accept",
          "flipping trailing *data* bytes decodes fine: there is no "

@@ -35,7 +35,7 @@ BASELINE = {
     "baseline": "bench-regression-baseline",
     "max_drop": 0.40,
     "server": {"hashtogram": {"binary": 20_000_000}},
-    "wire_bytes_per_report": {"hashtogram": 4.1},
+    "wire_bytes_per_report": {"hashtogram": 1.88, "expander_sketch": 5.15},
     "engine": {"hashtogram": 4_000_000},
     "finalize": {"expander_sketch": 50_000_000},
     "checkpoint": {"expander_sketch": 80_000_000},
@@ -46,12 +46,15 @@ BASELINE = {
 }
 
 
-def _server_payload(binary_rate=20_000_000, wire_bytes=4_002_368):
+def _server_payload(binary_rate=20_000_000, wire_bytes=1_877_368,
+                    expander_wire_bytes=2_056_900):
     return {"results": [
         {"protocol": "hashtogram", "wire_format": "binary",
          "num_users": 1_000_000, "reports_per_s": binary_rate,
          "wire_bytes": wire_bytes},
-    ]}
+    ], "wire": {"expander_sketch": {
+        "protocol": "expander_sketch", "num_users": 400_000,
+        "wire_bytes": expander_wire_bytes}}}
 
 
 def _engine_payload(rate=4_000_000, workers=1):
@@ -300,12 +303,19 @@ class TestWireShrinkGate:
         assert "10.0000 B per report" in failures[0]
 
     def test_ceiling_has_no_max_drop_headroom(self):
-        payload = _server_payload(wire_bytes=4_100_001)  # just over 4.1 B
+        payload = _server_payload(wire_bytes=1_880_001)  # just over 1.88 B
         assert check_wire_shrink(payload, BASELINE) != []
+
+    def test_expander_frames_are_gated_from_the_wire_section(self):
+        # 400k reports at the 10.02 B of whole-byte columns
+        payload = _server_payload(expander_wire_bytes=4_008_000)
+        failures = check_wire_shrink(payload, BASELINE)
+        assert failures == ["expander_sketch: frames carry 10.0200 B per "
+                            "report (ceiling 5.15 B)"]
 
     def test_missing_wire_bytes_row_fails(self):
         failures = check_wire_shrink({"results": []}, BASELINE)
-        assert any("no measured wire_bytes row" in f for f in failures)
+        assert sum("no measured wire_bytes row" in f for f in failures) == 2
 
 
 def _peak_row(baseline, section, cells_per_s, cells=1_000_000):
@@ -331,7 +341,9 @@ class TestCheckEntryPoint:
         assert 0.0 < float(baseline["max_drop"]) < 1.0
         assert "hashtogram" in baseline["server"]
         assert set(baseline["server"]["hashtogram"]) == {"binary"}
-        assert float(baseline["wire_bytes_per_report"]["hashtogram"]) == 4.1
+        assert float(baseline["wire_bytes_per_report"]["hashtogram"]) == 1.88
+        assert float(
+            baseline["wire_bytes_per_report"]["expander_sketch"]) == 5.15
         assert "hashtogram" in baseline["engine"]
         assert float(baseline["finalize"]["expander_sketch"]) > 0
         assert float(baseline["checkpoint"]["expander_sketch"]) > 0

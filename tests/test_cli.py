@@ -238,3 +238,47 @@ class TestServeSigterm:
             signal.signal(signal.SIGTERM, previous)
         assert handlers_at_close
         assert signal.SIGTERM not in handlers_at_close[-1]
+
+
+class TestDecodeFrameCommand:
+    def test_prints_packed_columns_of_a_payload_and_a_journal(
+            self, tmp_path, capsys):
+        import numpy as np
+
+        from repro.cluster.journal import FrameJournal, RecordLog
+        from repro.protocol import HashtogramParams
+        from repro.protocol.binary import encode_reports_payload
+
+        params = HashtogramParams.create(1 << 10, 1.0, num_buckets=16, rng=0)
+        batch = params.make_encoder().encode_batch(
+            np.arange(100), np.random.default_rng(0))
+        payload = encode_reports_payload(batch, epoch=3, seq=9)
+        (tmp_path / "frame.bin").write_bytes(payload)
+        journal = FrameJournal(tmp_path / "shard.journal", fsync=False)
+        journal.append(payload, len(batch), 9)
+        journal.close()
+        for name in ("frame.bin", "shard.journal"):
+            assert main(["decode-frame", str(tmp_path / name)]) == 0
+            out = capsys.readouterr().out
+            assert "epoch=3  route=None  seq=9  num_reports=100" in out
+            row = batch.columns["row"]
+            assert (f"row              p6     6 bits  shape (100,)  "
+                    f"min {row.min()}  max {row.max()}") in out
+            assert "bit              s1     1 bits" in out
+        (tmp_path / "cut.bin").write_bytes(payload[:-1])
+        assert main(["decode-frame", str(tmp_path / "cut.bin")]) == 1
+        assert "past the frame" in capsys.readouterr().err
+        # a crash leaves a torn tail: the intact records still print
+        torn = tmp_path / "torn.journal"
+        torn.write_bytes((tmp_path / "shard.journal").read_bytes()
+                         + b"\x10\x00\x00")
+        assert main(["decode-frame", str(torn)]) == 0
+        out = capsys.readouterr().out
+        assert "record 0 (seq 9, 100 reports)" in out
+        assert "torn tail: 3 B past the last intact record" in out
+        # an intact record too short for a journal entry is an error
+        short = RecordLog(tmp_path / "short.journal", fsync=False)
+        short.append(b"\x01\x02")
+        short.close()
+        assert main(["decode-frame", str(tmp_path / "short.journal")]) == 1
+        assert "shorter than its fixed prefix" in capsys.readouterr().err

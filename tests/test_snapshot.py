@@ -234,11 +234,11 @@ class TestCheckpointPacksLiveState:
     checkpoint body on the event loop before the drain can absorb again,
     and only the disk write runs in an executor while absorbs go on."""
 
-    @pytest.mark.parametrize("name,params", _served_cases(),
-                             ids=[name for name, _ in _served_cases()])
-    def test_snapshot_holds_exactly_the_reports_before_it(self, rng, tmp_path,
-                                                          name, params):
-        first, second = _two_halves(params, 2_000, rng)
+    @staticmethod
+    def _snapshot_while_streaming(params, first, second, tmp_path):
+        """Absorb ``first``, then request a snapshot whose disk write is
+        held until a second client has streamed ``second`` and seen it
+        absorbed; returns the snapshot reply."""
         gate, entered, streamed = (threading.Event(), threading.Event(),
                                    {})
         with running_server(params,
@@ -268,13 +268,34 @@ class TestCheckpointPacksLiveState:
                 sender = threading.Thread(target=stream_while_writing,
                                           daemon=True)
                 sender.start()
-                path = client.snapshot()
+                reply = client._request({"type": "snapshot"})
                 sender.join(10)
-                assert client.sync() == 2_000
-        assert streamed["absorbed"] == 2_000
+                total = len(first) + len(second)
+                assert client.sync() == total
+        assert streamed["absorbed"] == total
+        return reply
+
+    @pytest.mark.parametrize("name,params", _served_cases(),
+                             ids=[name for name, _ in _served_cases()])
+    def test_snapshot_holds_exactly_the_reports_before_it(self, rng, tmp_path,
+                                                          name, params):
+        first, second = _two_halves(params, 2_000, rng)
+        reply = self._snapshot_while_streaming(params, first, second,
+                                               tmp_path)
         before = WindowedAggregator(params)
         before.absorb_batch(first)
-        assert pack_state(read_snapshot(path)) == pack_state(before.capture())
+        assert pack_state(read_snapshot(reply["path"])) == \
+            pack_state(before.capture())
+
+    def test_reply_counts_the_reports_the_file_holds(self, rng, tmp_path):
+        # the reply's num_reports is read with the capture, not after the
+        # write, during which the second client's 1000 reports land
+        _, params = _served_cases()[0]
+        first, second = _two_halves(params, 2_000, rng)
+        reply = self._snapshot_while_streaming(params, first, second,
+                                               tmp_path)
+        held = WindowedAggregator.from_snapshot(read_snapshot(reply["path"]))
+        assert reply["num_reports"] == held.num_reports == len(first) == 1_000
 
     @pytest.mark.parametrize("name,params", _all_cases(),
                              ids=[name for name, _ in _all_cases()])

@@ -31,7 +31,9 @@ from repro.protocol import (
 from repro.protocol.binary import (
     BINARY_MAGIC,
     BinaryFormatError,
+    check_reports_payload,
     decode_reports_payload,
+    describe_payload,
     encode_reports_payload,
     fold_state,
     is_binary_payload,
@@ -48,7 +50,7 @@ from repro.server import (
     read_frame_sync,
 )
 from repro.cluster.router import sum_pulled_states
-from repro.protocol.wire import load_child_state
+from repro.protocol.wire import _PROTOCOL_REGISTRY, load_child_state
 from repro.server.framing import decode_frame, encode_state_frame
 from repro.server.service import state_reply
 from repro.server.snapshot import (
@@ -136,6 +138,53 @@ class TestCrossFormatMatrix:
         epoch, decoded = decode_reports_payload(encode_reports_payload(batch))
         assert len(decoded) == 0
         assert set(decoded.columns) == set(batch.columns)
+
+
+#: columns a server could derive from the user index (the coordinate or
+#: group, and the round-robin repetition): shipped, but outside report_bits
+INDEX_KEYED = ("coordinate", "group", "repetition", "fin_repetition")
+
+
+class TestPackedWire:
+    """Report columns ship at their value widths (§8.2): a frame carries
+    ``report_bits`` per report, plus its index-keyed columns and its table."""
+
+    N = 4096
+
+    def test_cases_cover_every_registered_protocol(self):
+        assert {params.protocol for _, params in CASES} == \
+            set(_PROTOCOL_REGISTRY)
+
+    @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
+    def test_frame_carries_at_most_report_bits(self, name, params):
+        batch = _batch(params, n=self.N)
+        payload = encode_reports_payload(batch)
+        _, columns = describe_payload(payload)
+        assert all(column["code"] in ("s1", f"p{column['bits']}")
+                   for column in columns), columns
+        index_bits = sum(column["bits"] for column in columns
+                         if column["name"] in INDEX_KEYED)
+        table = 4 + 20 + len(batch.protocol) + sum(
+            2 + len(column["name"]) + 1 + len(column["code"]) + 1
+            + 8 * len(column["shape"]) + 16 for column in columns)
+        # each blob rounds up to a whole byte and pads to 8-byte alignment
+        overhead = table + 8 * len(columns)
+        assert 8 * len(payload) <= \
+            self.N * (params.report_bits + index_bits) + 8 * overhead
+
+    @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)
+    def test_decode_reencodes_and_absorbs_identically(self, name, params):
+        batch = _batch(params, n=self.N)
+        payload = encode_reports_payload(batch, epoch=5, route=3, seq=8)
+        assert check_reports_payload(payload) == peek_reports_header(payload)
+        epoch, decoded = decode_reports_payload(payload)
+        assert epoch == 5
+        assert encode_reports_payload(decoded, epoch=5, route=3,
+                                      seq=8) == payload
+        wire = params.make_aggregator().absorb_batch(decoded)
+        memory = params.make_aggregator().absorb_batch(batch)
+        assert wire.num_reports == memory.num_reports == self.N
+        assert np.array_equal(wire.counts, memory.counts)
 
 
 class TestSequencedFrames:
@@ -249,12 +298,116 @@ class TestBinaryErrorPaths:
         with pytest.raises(FrameError, match="invalid binary frame"):
             read_frame_sync(io.BytesIO(frame))
 
+    def _row(self, domain=256):
+        """A Hadamard payload and its packed ``row`` column's table entry
+        (name_len, name, code_len, code)."""
+        params = ExplicitHistogramParams(domain, 1.0, "hadamard")
+        payload = encode_reports_payload(_batch(params, n=200), epoch=1)
+        code = f"p{(2 * domain - 1).bit_length()}".encode("ascii")
+        return payload, b"\x03\x00row" + bytes([len(code)]) + code
+
+    def test_packed_nbytes_mismatch_rejected(self):
+        payload, entry = self._row()
+        # nbytes follows the entry's ndim (u8), one u64 dim and its offset
+        at = payload.index(entry) + len(entry) + 1 + 8 + 8
+        (nbytes,) = struct.unpack_from("<Q", payload, at)
+        assert nbytes == (200 * 9 + 7) // 8
+        for wrong in (nbytes - 1, nbytes + 1, 200):
+            corrupted = bytearray(payload)
+            struct.pack_into("<Q", corrupted, at, wrong)
+            with pytest.raises(BinaryFormatError, match="do not match"):
+                decode_reports_payload(bytes(corrupted))
+            with pytest.raises(BinaryFormatError, match="do not match"):
+                check_reports_payload(bytes(corrupted))
+
+    @pytest.mark.parametrize("domain,code", [
+        (256, b"p0"), (1 << 10, b"p65"), (1 << 10, b"p99"),
+        (1 << 10, b"p07"), (1 << 10, b"px1")])
+    def test_packed_width_outside_1_to_64_rejected(self, domain, code):
+        # a 256-item row packs as "p9", a 1024-item one as "p11"
+        payload, entry = self._row(domain)
+        corrupted = payload.replace(entry, entry[:-len(code)] + code)
+        assert corrupted != payload
+        with pytest.raises(BinaryFormatError, match="packed bit width"):
+            decode_reports_payload(corrupted)
+        with pytest.raises(BinaryFormatError, match="packed bit width"):
+            check_reports_payload(corrupted)
+
+    def test_truncated_packed_blob_rejected(self):
+        payload, _ = self._row()
+        for cut in (1, 8, 20):
+            with pytest.raises(BinaryFormatError, match="past the frame"):
+                decode_reports_payload(payload[:-cut])
+
+    def test_packed_codes_rejected_in_state_frames(self):
+        blob = bytes(pack_state({"type": "state", "c": np.arange(9)},
+                                lists=False))
+        with pytest.raises(BinaryFormatError, match="invalid column dtype"):
+            unpack_state(blob.replace(b"\x03|u1", b"\x03p11"))
+
+    def test_table_check_accepts_exactly_what_decodes(self):
+        # the router's table-only gate against the shard's full decode,
+        # over every single-byte corruption of a packed frame's table
+        payload, _ = self._row()
+        for pos in range(len(payload) - 64):
+            for flip in (0x01, 0x80, 0xFF):
+                corrupted = bytearray(payload)
+                corrupted[pos] ^= flip
+                corrupted = bytes(corrupted)
+                try:
+                    decode_reports_payload(corrupted)
+                    decodes = True
+                except BinaryFormatError:
+                    decodes = False
+                try:
+                    check_reports_payload(corrupted)
+                    checks = True
+                except BinaryFormatError:
+                    checks = False
+                assert decodes == checks, (pos, flip)
+
+    @pytest.mark.parametrize("dims", [
+        (0, 1 << 63), (0, (1 << 63) - 1, 2), (0, 1 << 40, 1 << 40),
+        (0,) + (1,) * 40])
+    def test_zero_report_shape_beyond_numpy_rejected(self, dims):
+        # a zero-report column carries no data to bound its other dims:
+        # the table check must reject what numpy cannot reshape to
+        payload = _zero_report_frame(dims)
+        with pytest.raises(BinaryFormatError, match="beyond numpy"):
+            check_reports_payload(payload)
+        with pytest.raises(BinaryFormatError, match="beyond numpy"):
+            decode_reports_payload(payload)
+
+    def test_zero_report_shape_within_numpy_decodes(self):
+        payload = _zero_report_frame((0, (1 << 62) - 1))  # a 2-byte dtype
+        assert check_reports_payload(payload)["num_reports"] == 0
+        assert decode_reports_payload(payload)[1].columns["c"].shape == \
+            (0, (1 << 62) - 1)
+
+    @pytest.mark.parametrize("code", [b"7)|", b"1$0"])
+    def test_unparseable_dtype_code_rejected(self, code):
+        # numpy raises SyntaxError / ValueError on these, not TypeError
+        payload = _zero_report_frame((0, 2), code)
+        with pytest.raises(BinaryFormatError, match="invalid column dtype"):
+            check_reports_payload(payload)
+
     def test_declared_num_reports_must_match(self):
         payload = bytearray(self._payload())
         # num_reports is the i64 immediately after the 4-byte header + epoch
         struct.pack_into("<Q", payload, 4 + 8, 9999)
         with pytest.raises(BinaryFormatError, match="num_reports"):
             decode_reports_payload(bytes(payload))
+
+
+def _zero_report_frame(dims, code=b"<u2"):
+    """A hand-built zero-report payload: one column ``c`` of ``code`` with
+    the announced ``dims`` and no data."""
+    head = struct.pack("<BBBBqQHH", BINARY_MAGIC, 1, 1, 0, 0, 0, 1, 1) + b"x"
+    table = (struct.pack("<H", 1) + b"c" + bytes([len(code)]) + code
+             + bytes([len(dims)]) + b"".join(struct.pack("<Q", d)
+                                             for d in dims))
+    end = len(head) + len(table) + 16
+    return head + table + struct.pack("<QQ", end, 0)
 
 
 class TestStateContainer:

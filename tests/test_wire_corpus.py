@@ -21,6 +21,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.protocol.binary import (
+    KIND_STATE,
+    BinaryFormatError,
+    check_reports_payload,
+    is_binary_payload,
+    payload_kind,
+)
 from repro.server.framing import FrameError, decode_frame
 
 CORPUS_DIR = Path(__file__).parent / "data" / "wire_corpus"
@@ -42,6 +49,13 @@ def test_corpus_verdict(case):
         # and answers with an error frame; anything else kills the handler.
         with pytest.raises(FrameError):
             decode_frame(payload)
+    if is_binary_payload(payload) and payload_kind(payload) != KIND_STATE:
+        # the router's table-only check gives the shard's verdict
+        if case["expect"] == "accept":
+            check_reports_payload(payload)
+        else:
+            with pytest.raises(BinaryFormatError):
+                check_reports_payload(payload)
 
 
 def test_corpus_covers_both_verdicts_and_both_frame_classes():
