@@ -52,7 +52,7 @@ def run_cluster_ingest_bench(shard_counts: Sequence[int] = SHARD_COUNTS,
     """Measure cluster wire ingest per shard count (1 = single server)."""
     from repro.cli import _spawn_server
     from repro.engine import encode_stream, make_plan, run_simulation
-    from repro.engine.bench import build_bench_params
+    from repro.protocol.wire import protocol_class
     from repro.server import AggregationClient, encode_reports_frame
     from repro.utils.rng import as_generator
     from repro.workloads.distributions import zipf_workload
@@ -60,8 +60,8 @@ def run_cluster_ingest_bench(shard_counts: Sequence[int] = SHARD_COUNTS,
     setup_gen = as_generator(seed)
     values = zipf_workload(num_users, domain_size,
                            support=min(2_000, domain_size), rng=setup_gen)
-    params = build_bench_params("hashtogram", domain_size, epsilon, num_users,
-                                rng=setup_gen)
+    params = protocol_class("hashtogram").for_workload(
+        num_users, domain_size, epsilon, rng=setup_gen)
     plan_seed = int(setup_gen.integers(0, 2**63 - 1))
 
     batches = list(encode_stream(params, values,
@@ -270,7 +270,7 @@ def run_transport_matrix_bench(transports: Sequence[str] = TRANSPORTS,
 
     from repro.cli import _spawn_server
     from repro.engine import encode_stream, run_simulation
-    from repro.engine.bench import build_bench_params
+    from repro.protocol.wire import protocol_class
     from repro.server import AsyncAggregationClient, encode_reports_frame
     from repro.utils.rng import as_generator
     from repro.workloads.distributions import zipf_workload
@@ -278,8 +278,8 @@ def run_transport_matrix_bench(transports: Sequence[str] = TRANSPORTS,
     setup_gen = as_generator(seed)
     values = zipf_workload(num_users, domain_size,
                            support=min(2_000, domain_size), rng=setup_gen)
-    params = build_bench_params("hashtogram", domain_size, epsilon, num_users,
-                                rng=setup_gen)
+    params = protocol_class("hashtogram").for_workload(
+        num_users, domain_size, epsilon, rng=setup_gen)
     plan_seed = int(setup_gen.integers(0, 2**63 - 1))
     batches = list(encode_stream(params, values,
                                  rng=np.random.default_rng(plan_seed),

@@ -1,8 +1,9 @@
 """Benchmark W2: multiprocess engine scaling across worker counts.
 
-Sweeps :func:`repro.engine.run_engine_bench` over 1/2/4 workers for every
-bench protocol and prints the reports/s and speedup-vs-1-worker table — the
-same payload ``python -m repro.cli bench`` writes to ``BENCH_engine.json``.
+Sweeps :func:`repro.engine.run_engine_bench` over 1/2/4 workers for the
+three frequency oracles and prints the reports/s and speedup-vs-1-worker
+table — the same payload ``python -m repro.cli bench`` writes to
+``BENCH_engine.json``.
 
 The asserted invariant is correctness, not speed: parallel runs must produce
 estimates bit-identical to the 1-worker run (speedup is host-dependent — a
@@ -12,14 +13,14 @@ and visible in the recorded ``cpu_count``).
 
 from conftest import report, run_once
 
-from repro.engine.bench import BENCH_PROTOCOLS, run_engine_bench
+from repro.engine.bench import run_engine_bench
 
 NUM_USERS = 60_000
 SEED = 0
 
 
 def _measure():
-    payload = run_engine_bench(protocols=BENCH_PROTOCOLS,
+    payload = run_engine_bench(protocols=("hashtogram", "explicit", "cms"),
                                worker_counts=(1, 2, 4),
                                num_users=NUM_USERS, domain_size=1 << 16,
                                epsilon=1.0, seed=SEED)

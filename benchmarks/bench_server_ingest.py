@@ -91,7 +91,7 @@ def run_server_ingest_bench(protocols: Sequence[str] = ("hashtogram",),
     """
     from repro.cli import _spawn_server
     from repro.engine import encode_stream, run_simulation
-    from repro.engine.bench import build_bench_params
+    from repro.protocol.wire import protocol_class
     from repro.server import AggregationClient, encode_reports_frame
     from repro.utils.rng import as_generator
     from repro.workloads.distributions import zipf_workload
@@ -101,8 +101,8 @@ def run_server_ingest_bench(protocols: Sequence[str] = ("hashtogram",),
         setup_gen = as_generator(seed)
         values = zipf_workload(num_users, domain_size,
                                support=min(2_000, domain_size), rng=setup_gen)
-        params = build_bench_params(protocol, domain_size, epsilon, num_users,
-                                    rng=setup_gen)
+        params = protocol_class(protocol).for_workload(
+            num_users, domain_size, epsilon, rng=setup_gen)
         plan_seed = int(setup_gen.integers(0, 2**63 - 1))
 
         batches = list(encode_stream(params, values,

@@ -35,6 +35,7 @@ from typing import Sequence
 from repro.core.protocol import HeavyHitterProtocol
 from repro.core.results import HeavyHitterResult
 from repro.protocol.heavy_hitters import SingleHashParams
+from repro.protocol.wire import default_buckets
 from repro.utils.bits import bits_needed
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.timer import ResourceMeter, Timer
@@ -95,7 +96,7 @@ class SingleHashHeavyHitters(HeavyHitterProtocol):
     def public_params(self, num_users: int,
                       rng: RandomState = None) -> SingleHashParams:
         """Sample the serializable wire parameters for a ``num_users`` run."""
-        hash_range = self.hash_range or max(16, int(math.ceil(math.sqrt(num_users))))
+        hash_range = self.hash_range or default_buckets(num_users)
         return SingleHashParams.create(
             num_users, self.domain_size, self.epsilon,
             repetitions=self.repetitions_for_beta(),

@@ -35,7 +35,7 @@ import signal
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +48,13 @@ from repro.chaos.schedule import (
 from repro.chaos.transport import FaultyTransport
 from repro.cluster.router import ClusterRouter
 from repro.cluster.supervisor import ClusterSupervisor
+from repro.protocol.wire import (
+    PublicParams,
+    ReportBatch,
+    ServerAggregator,
+    load_child_state,
+    protocol_class,
+)
 from repro.server.client import AsyncAggregationClient, ServerError
 from repro.server.framing import FrameError
 from repro.utils.rng import as_generator
@@ -134,6 +141,17 @@ class ChaosSupervisor:
         self.inner.stop()
 
 
+class _Workload(NamedTuple):
+    """One run's derived inputs (:meth:`ChaosRunner._workload`)."""
+
+    values: np.ndarray
+    params: PublicParams
+    offline: ServerAggregator
+    batches: List[ReportBatch]
+    routes: List[int]
+    cum: np.ndarray
+
+
 @dataclass
 class ChaosResult:
     """Outcome of one chaos run (``identical`` is the acceptance bit)."""
@@ -148,6 +166,10 @@ class ChaosResult:
     restarts: int
     send_retries: int
     schedule: FaultSchedule
+    #: the pulled exact state (``counts`` and ``num_reports``) equals the
+    #: offline aggregator's — the check that still holds when every
+    #: queried estimate is 0 (a heavy-hitter run that lists nothing)
+    state_identical: bool = False
     health: Dict[str, object] = field(default_factory=dict)
     #: membership-mode detail (``chaos-test --membership``): the add/drain
     #: replies, the final shard map, and the per-transition assertions
@@ -173,14 +195,14 @@ class ChaosRunner:
         seed: int = 7,
         schedule: Optional[FaultSchedule] = None,
         base_dir: Optional[Union[str, Path]] = None,
-        request_timeout: float = 2.0,
-        client_timeout: float = 10.0,
+        deadline: float = 2.0,
         num_queries: int = 32,
         max_retries: int = 60,
         membership: bool = False,
         transport: str = "tcp",
     ) -> None:
         self.protocol = protocol
+        self.protocol_class = protocol_class(protocol)
         self.domain_size = int(domain_size)
         self.epsilon = float(epsilon)
         self.num_users = int(num_users)
@@ -188,8 +210,10 @@ class ChaosRunner:
         self.seed = int(seed)
         self.schedule = schedule
         self.base_dir = base_dir
-        self.request_timeout = float(request_timeout)
-        self.client_timeout = float(client_timeout)
+        # One knob: the router's per-request and connect deadline.  The
+        # client waits five of them (a stalled shard must time out at the
+        # router first), and both sides back off in fractions of it.
+        self.deadline = float(deadline)
         self.num_queries = int(num_queries)
         self.max_retries = int(max_retries)
         self.membership = bool(membership)
@@ -218,12 +242,12 @@ class ChaosRunner:
         for _ in range(8):
             try:
                 self._client = await AsyncAggregationClient.connect(
-                    host, port, timeout=self.client_timeout,
+                    host, port, timeout=5 * self.deadline,
                 )
                 return self._client
             except _RECOVERABLE as exc:
                 last = exc
-                await asyncio.sleep(0.1)
+                await asyncio.sleep(self.deadline / 20)
         raise RuntimeError(f"could not reconnect to the router: {last!r}")
 
     def _spend_retry(self, exc: BaseException) -> None:
@@ -248,26 +272,26 @@ class ChaosRunner:
 
     # ----- the run --------------------------------------------------------------------
 
-    async def _run(self) -> ChaosResult:
-        from repro.analysis.metrics import true_frequencies
+    def _workload(self) -> _Workload:
+        """The load-test seed discipline: one generator for the workload and
+        the parameters, one shared plan seed for the offline engine, the
+        chunk stream and the routing plan — with an explicit (smaller)
+        chunk size so the stream has enough frames for every scheduled
+        fault to land on one."""
         from repro.engine import encode_stream, make_plan, run_simulation
-        from repro.engine.bench import build_bench_params
         from repro.workloads.distributions import zipf_workload
 
-        # Workload + ground truth, exactly the load-test seed discipline —
-        # but with an explicit (smaller) chunk size so the stream has
-        # enough frames for every scheduled fault to land on one.
         gen = as_generator(self.seed)
         values = zipf_workload(self.num_users, self.domain_size,
                                support=min(2_000, self.domain_size), rng=gen)
-        params = build_bench_params(self.protocol, self.domain_size,
-                                    self.epsilon, self.num_users, rng=gen)
+        params = self.protocol_class.for_workload(
+            self.num_users, self.domain_size, self.epsilon, rng=gen)
         plan_seed = int(gen.integers(0, 2**63 - 1))
         chunk_size = max(1, self.num_users // max(1, self.num_shards * 10))
         offline = run_simulation(
             params, values, rng=np.random.default_rng(plan_seed),
             chunk_size=chunk_size,
-        ).finalize()
+        ).aggregator
         batches = list(encode_stream(
             params, values, rng=np.random.default_rng(plan_seed),
             chunk_size=chunk_size,
@@ -276,7 +300,53 @@ class ChaosRunner:
             params, self.num_users, rng=np.random.default_rng(plan_seed),
             chunk_size=chunk_size,
         )]
-        cum = np.cumsum([len(batch) for batch in batches])
+        return _Workload(values, params, offline, batches, routes,
+                         np.cumsum([len(batch) for batch in batches]))
+
+    def _router(self, params, supervisor, **kwargs) -> ClusterRouter:
+        return ClusterRouter(
+            params,
+            supervisor=supervisor,
+            rng=self.seed,
+            connect_timeout=self.deadline,
+            request_timeout=self.deadline,
+            checkpoint_reports=max(256, self.num_users // 4),
+            backoff_base=self.deadline / 100,
+            **kwargs,
+        )
+
+    async def _answers(self, work: _Workload) -> Dict[str, object]:
+        """Query, pull the exact state and read health through the router;
+        the fields :class:`ChaosResult` compares with the offline run."""
+        from repro.analysis.metrics import true_frequencies
+
+        truth = true_frequencies(work.values)
+        top = sorted(truth.items(), key=lambda kv: -kv[1])[:5]
+        probe = np.random.default_rng(0).integers(
+            0, self.domain_size, size=self.num_queries)
+        queries = [int(x) for x, _ in top] + [int(x) for x in probe]
+        served = await self._with_retry(lambda c: c.query(queries))
+        expected = work.offline.finalize().estimate_many(queries)
+        pull = await self._with_retry(lambda c: c.pull_state())
+        pulled = load_child_state(work.params, pull["state"])
+        health = await self._with_retry(lambda c: c.health())
+        return dict(
+            identical=bool(np.array_equal(served, expected)),
+            state_identical=bool(
+                pulled.num_reports == work.offline.num_reports
+                and np.array_equal(pulled.counts, work.offline.counts)),
+            num_users=self.num_users,
+            num_batches=len(work.batches),
+            queries=queries,
+            served=np.asarray(served, dtype=float),
+            expected=np.asarray(expected, dtype=float),
+            send_retries=self._retries,
+            health=health,
+        )
+
+    async def _run(self) -> ChaosResult:
+        work = self._workload()
+        params, batches = work.params, work.batches
 
         schedule = self.schedule
         if schedule is None:
@@ -307,16 +377,8 @@ class ChaosRunner:
                 await proxy.start()
                 shard_proxies.append(proxy)
             chaos_supervisor = ChaosSupervisor(supervisor, shard_proxies)
-            router = ClusterRouter(
-                params,
-                endpoints=chaos_supervisor.endpoints(),
-                supervisor=chaos_supervisor,  # type: ignore[arg-type]
-                rng=self.seed,
-                connect_timeout=2.0,
-                request_timeout=self.request_timeout,
-                checkpoint_reports=max(256, self.num_users // 4),
-                backoff_base=0.02,
-            )
+            router = self._router(params, chaos_supervisor,
+                                  endpoints=chaos_supervisor.endpoints())
             router_addr = await router.start()
             client_proxy = FaultyTransport(
                 "client", router_addr, faults=schedule.wire_faults("client"),
@@ -328,77 +390,25 @@ class ChaosRunner:
             if published != params:
                 raise RuntimeError("router published mismatched parameters")
 
-            # The send loop: ordered batches, process faults at their send
-            # indices, reconnect+resume-by-count on any failure.  The
-            # outer loop re-checks the absorbed count because a stalled
-            # proxy can swallow "successful" sends.
-            sent = 0
-            while True:
-                while sent < len(batches):
-                    for event in process_faults.pop(sent, []):
-                        shard = event.shard
-                        assert shard is not None
-                        if event.kind == "kill":
-                            await loop.run_in_executor(
-                                None, chaos_supervisor.kill, shard,
-                            )
-                        else:  # sigstop: freeze now, thaw after event.arg
-                            await loop.run_in_executor(
-                                None, chaos_supervisor.kill, shard,
-                                signal.SIGSTOP,
-                            )
-                            resume_tasks.append(loop.create_task(
-                                self._resume_later(
-                                    chaos_supervisor, shard, event.arg)
-                            ))
-                    try:
-                        assert self._client is not None
-                        await self._client.send_batch(
-                            batches[sent], epoch=0, route=routes[sent],
-                        )
-                        sent += 1
-                    except _RECOVERABLE as exc:
-                        self._spend_retry(exc)
-                        await self._fresh_client()
-                        absorbed = await self._synced_count()
-                        sent = int(np.searchsorted(cum, absorbed,
-                                                   side="right"))
-                absorbed = await self._synced_count()
-                if absorbed == self.num_users:
-                    break
-                self._spend_retry(RuntimeError(
-                    f"absorbed {absorbed} of {self.num_users} after full "
-                    f"send; resuming"
-                ))
-                sent = int(np.searchsorted(cum, absorbed, side="right"))
+            async def before(sent: int) -> int:
+                for event in process_faults.pop(sent, []):
+                    await self._process_fault(chaos_supervisor, event,
+                                              resume_tasks)
+                return sent
+
+            await self._send_all(work, [0] * len(batches), before)
 
             # Let every frozen shard thaw before the query phase.
             if resume_tasks:
                 await asyncio.gather(*resume_tasks, return_exceptions=True)
                 resume_tasks.clear()
 
-            truth = true_frequencies(values)
-            top = sorted(truth.items(), key=lambda kv: -kv[1])[:5]
-            probe = np.random.default_rng(0).integers(
-                0, self.domain_size, size=self.num_queries)
-            queries = [int(x) for x, _ in top] + [int(x) for x in probe]
-            served = await self._query_with_retry(queries)
-            expected = offline.estimate_many(queries)
-            health = await self._health_with_retry()
-
             return ChaosResult(
-                identical=bool(np.array_equal(served, expected)),
-                num_users=self.num_users,
-                num_batches=len(batches),
-                queries=queries,
-                served=np.asarray(served, dtype=float),
-                expected=np.asarray(expected, dtype=float),
+                **await self._answers(work),
                 fired=self._collect_fired(shard_proxies, client_proxy,
                                           schedule, process_faults),
                 restarts=sum(h.restarts for h in supervisor.shards),
-                send_retries=self._retries,
                 schedule=schedule,
-                health=health,
             )
         finally:
             for task in resume_tasks:
@@ -419,30 +429,73 @@ class ChaosRunner:
             if ephemeral:
                 shutil.rmtree(base_dir, ignore_errors=True)
 
+    async def _send_all(self, work: _Workload, epochs: List[int],
+                        before) -> None:
+        """Send every batch, in order, until the cluster absorbed them all.
+
+        ``await before(i)`` runs ahead of send index ``i`` (it fires the
+        faults due there) and returns the index to send, which a
+        resume-by-count inside it may move back.  Any failure reconnects,
+        syncs and resumes at the first unabsorbed batch; the outer loop
+        re-checks the absorbed count because a stalled proxy can swallow
+        "successful" sends.
+        """
+        sent = 0
+        while True:
+            while sent < len(work.batches):
+                sent = await before(sent)
+                try:
+                    assert self._client is not None
+                    await self._client.send_batch(
+                        work.batches[sent], epoch=epochs[sent],
+                        route=work.routes[sent],
+                    )
+                    sent += 1
+                except _RECOVERABLE as exc:
+                    self._spend_retry(exc)
+                    await self._fresh_client()
+                    absorbed = await self._synced_count()
+                    sent = int(np.searchsorted(work.cum, absorbed,
+                                               side="right"))
+            absorbed = await self._synced_count()
+            if absorbed == self.num_users:
+                return
+            self._spend_retry(RuntimeError(
+                f"absorbed {absorbed} of {self.num_users} after full "
+                f"send; resuming"
+            ))
+            sent = int(np.searchsorted(work.cum, absorbed, side="right"))
+
+    async def _process_fault(self, supervisor, event: FaultEvent,
+                             resume_tasks: List[asyncio.Task]) -> None:
+        """SIGKILL (``kill``, ``drain-race``) or SIGSTOP (``sigstop``,
+        thawed after ``event.arg`` seconds) an active shard."""
+        victim = int(event.shard or 0)
+        if victim not in supervisor.active_ids():
+            return
+        loop = asyncio.get_running_loop()
+        if event.kind == "sigstop":
+            await loop.run_in_executor(None, supervisor.kill, victim,
+                                       signal.SIGSTOP)
+            resume_tasks.append(loop.create_task(
+                self._resume_later(supervisor, victim, event.arg)))
+        else:
+            await loop.run_in_executor(None, supervisor.kill, victim)
+
     async def _resume_later(self, chaos_supervisor: ChaosSupervisor,
                             shard: int, delay: float) -> None:
         await asyncio.sleep(max(0.0, delay))
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, chaos_supervisor.resume, shard)
 
-    async def _query_with_retry(self, queries: List[int]) -> np.ndarray:
+    async def _with_retry(self, request):
+        """``await request(client)``, reconnecting on a recoverable failure."""
         while True:
             try:
                 if self._client is None:
                     await self._fresh_client()
                 assert self._client is not None
-                return await self._client.query(queries)
-            except _RECOVERABLE as exc:
-                self._spend_retry(exc)
-                await self._fresh_client()
-
-    async def _health_with_retry(self) -> Dict[str, object]:
-        while True:
-            try:
-                if self._client is None:
-                    await self._fresh_client()
-                assert self._client is not None
-                return await self._client.health()
+                return await request(self._client)
             except _RECOVERABLE as exc:
                 self._spend_retry(exc)
                 await self._fresh_client()
@@ -464,32 +517,8 @@ class ChaosRunner:
         finalized cluster answers must equal the offline engine's exactly,
         and the final shard map must show exactly the scripted membership.
         """
-        from repro.analysis.metrics import true_frequencies
-        from repro.engine import encode_stream, make_plan, run_simulation
-        from repro.engine.bench import build_bench_params
-        from repro.workloads.distributions import zipf_workload
-
-        gen = as_generator(self.seed)
-        values = zipf_workload(self.num_users, self.domain_size,
-                               support=min(2_000, self.domain_size), rng=gen)
-        params = build_bench_params(self.protocol, self.domain_size,
-                                    self.epsilon, self.num_users, rng=gen)
-        plan_seed = int(gen.integers(0, 2**63 - 1))
-        chunk_size = max(1, self.num_users // max(1, self.num_shards * 10))
-        offline = run_simulation(
-            params, values, rng=np.random.default_rng(plan_seed),
-            chunk_size=chunk_size,
-        ).finalize()
-        batches = list(encode_stream(
-            params, values, rng=np.random.default_rng(plan_seed),
-            chunk_size=chunk_size,
-        ))
-        routes = [chunk.route_key for chunk in make_plan(
-            params, self.num_users, rng=np.random.default_rng(plan_seed),
-            chunk_size=chunk_size,
-        )]
-        cum = np.cumsum([len(batch) for batch in batches])
-        n = len(batches)
+        work = self._workload()
+        params, n = work.params, len(work.batches)
         if n < 5:
             raise ValueError(
                 "membership mode needs >= 5 batches to place the add and "
@@ -524,16 +553,7 @@ class ChaosRunner:
                                        transport=self.transport)
 
         def make_router() -> ClusterRouter:
-            return ClusterRouter(
-                params,
-                supervisor=supervisor,
-                rng=self.seed,
-                transport=self.transport,
-                connect_timeout=2.0,
-                request_timeout=self.request_timeout,
-                checkpoint_reports=max(256, self.num_users // 4),
-                backoff_base=0.02,
-            )
+            return self._router(params, supervisor, transport=self.transport)
 
         router: Optional[ClusterRouter] = None
         fired: List[FaultEvent] = []
@@ -543,8 +563,6 @@ class ChaosRunner:
             "drain_frame": drain_frame,
             "drain_shard": drain_id,
         }
-        added = False
-        drained = False
         resume_tasks: List[asyncio.Task] = []
         try:
             await loop.run_in_executor(None, supervisor.start)
@@ -562,104 +580,58 @@ class ChaosRunner:
             # and slot ``add_frame`` is always processed before any later
             # slot's kill of the not-yet-existing new shard.
             cursor = 0
-            sent = 0
-            while True:
-                while sent < n:
-                    while cursor <= sent:
-                        slot_events = (faults.pop(cursor, [])
-                                       + process_faults.pop(cursor, []))
-                        for event in slot_events:
-                            if event.kind == "corrupt-snapshot":
-                                membership["corrupt_snapshot"] = (
-                                    await self._corrupt_snapshot(
-                                        loop, supervisor,
-                                        int(event.shard or 0), base_dir))
-                            elif event.kind == "torn-journal":
-                                assert router is not None
-                                # Sync first: the barrier guarantees every
-                                # journaled frame is absorbed shard-side,
-                                # so the record torn off the tail is a
-                                # *duplicate* of delivered state (the
-                                # crash window fsync=False journals have)
-                                # — torn-tail truncation must be loss-free
-                                # then, and the watermark resume proves it.
-                                await self._synced_count()
-                                router, torn = await self._tear_and_restart(
-                                    loop, router, make_router, base_dir)
-                                membership["torn_journal"] = torn
-                                absorbed = await self._synced_count()
-                                sent = int(np.searchsorted(cum, absorbed,
-                                                           side="right"))
-                                # Re-checkpoint so every later SIGKILL
-                                # recovers from a snapshot whose journal
-                                # tail is complete again.
-                                await self._snapshot_with_retry()
-                            elif event.kind == "drain-race":
-                                victim = int(event.shard or 0)
-                                if victim in supervisor.active_ids():
-                                    await loop.run_in_executor(
-                                        None, supervisor.kill, victim)
-                            elif event.kind == "kill":
-                                victim = int(event.shard or 0)
-                                if victim in supervisor.active_ids():
-                                    await loop.run_in_executor(
-                                        None, supervisor.kill, victim)
-                            else:  # sigstop: freeze now, thaw after arg
-                                victim = int(event.shard or 0)
-                                if victim in supervisor.active_ids():
-                                    await loop.run_in_executor(
-                                        None, supervisor.kill, victim,
-                                        signal.SIGSTOP)
-                                    resume_tasks.append(loop.create_task(
-                                        self._resume_later(
-                                            supervisor, victim, event.arg)))
-                            fired.append(event)
-                        if cursor == add_frame and not added:
-                            membership["add"] = await self._membership_op(
-                                lambda c: c.add_shard(),
-                                self._added_reply,
-                            )
-                            added = True
-                        if cursor == drain_frame and not drained:
-                            membership["drain"] = await self._membership_op(
-                                lambda c: c.drain_shard(drain_id), None)
-                            drained = True
-                        cursor += 1
-                    try:
-                        assert self._client is not None
-                        await self._client.send_batch(
-                            batches[sent], epoch=epochs[sent],
-                            route=routes[sent],
-                        )
-                        sent += 1
-                    except _RECOVERABLE as exc:
-                        self._spend_retry(exc)
-                        await self._fresh_client()
-                        absorbed = await self._synced_count()
-                        sent = int(np.searchsorted(cum, absorbed,
-                                                   side="right"))
-                absorbed = await self._synced_count()
-                if absorbed == self.num_users:
-                    break
-                self._spend_retry(RuntimeError(
-                    f"absorbed {absorbed} of {self.num_users} after full "
-                    f"send; resuming"
-                ))
-                sent = int(np.searchsorted(cum, absorbed, side="right"))
+
+            async def before(sent: int) -> int:
+                nonlocal cursor, router
+                while cursor <= sent:
+                    for event in (faults.pop(cursor, [])
+                                  + process_faults.pop(cursor, [])):
+                        if event.kind == "corrupt-snapshot":
+                            membership["corrupt_snapshot"] = (
+                                await self._corrupt_snapshot(
+                                    loop, supervisor,
+                                    int(event.shard or 0), base_dir))
+                        elif event.kind == "torn-journal":
+                            assert router is not None
+                            # Sync first: the barrier guarantees every
+                            # journaled frame is absorbed shard-side, so the
+                            # record torn off the tail is a *duplicate* of
+                            # delivered state (the crash window fsync=False
+                            # journals have) — torn-tail truncation must be
+                            # loss-free then, and the watermark resume
+                            # proves it.
+                            await self._synced_count()
+                            router, torn = await self._tear_and_restart(
+                                loop, router, make_router, base_dir)
+                            membership["torn_journal"] = torn
+                            sent = int(np.searchsorted(
+                                work.cum, await self._synced_count(),
+                                side="right"))
+                            # Re-checkpoint so every later SIGKILL recovers
+                            # from a snapshot whose journal tail is
+                            # complete again.
+                            await self._with_retry(lambda c: c.snapshot())
+                        else:  # drain-race, kill, sigstop
+                            await self._process_fault(supervisor, event,
+                                                      resume_tasks)
+                        fired.append(event)
+                    if cursor == add_frame:
+                        membership["add"] = await self._membership_op(
+                            lambda c: c.add_shard(), self._added_reply)
+                    if cursor == drain_frame:
+                        membership["drain"] = await self._membership_op(
+                            lambda c: c.drain_shard(drain_id), None)
+                    cursor += 1
+                return sent
+
+            await self._send_all(work, epochs, before)
 
             if resume_tasks:
                 await asyncio.gather(*resume_tasks, return_exceptions=True)
                 resume_tasks.clear()
 
-            truth = true_frequencies(values)
-            top = sorted(truth.items(), key=lambda kv: -kv[1])[:5]
-            probe = np.random.default_rng(0).integers(
-                0, self.domain_size, size=self.num_queries)
-            queries = [int(x) for x, _ in top] + [int(x) for x in probe]
-            served = await self._query_with_retry(queries)
-            expected = offline.estimate_many(queries)
-            health = await self._health_with_retry()
-            final_map = await self._shard_map_with_retry()
+            answers = await self._answers(work)
+            final_map = (await self._with_retry(lambda c: c.shard_map()))["map"]
             membership["final_map"] = final_map
 
             # The map itself is an invariant, not a measurement: anything
@@ -677,18 +649,11 @@ class ChaosRunner:
                 )
 
             return ChaosResult(
-                identical=bool(np.array_equal(served, expected)),
-                num_users=self.num_users,
-                num_batches=n,
-                queries=queries,
-                served=np.asarray(served, dtype=float),
-                expected=np.asarray(expected, dtype=float),
+                **answers,
                 fired=sorted(fired,
                              key=lambda e: (e.frame, e.target, e.kind)),
                 restarts=sum(h.restarts for h in supervisor.shards),
-                send_retries=self._retries,
                 schedule=schedule,
-                health=health,
                 membership=membership,
             )
         finally:
@@ -752,28 +717,6 @@ class ChaosRunner:
             }
         return None
 
-    async def _snapshot_with_retry(self) -> str:
-        while True:
-            try:
-                if self._client is None:
-                    await self._fresh_client()
-                assert self._client is not None
-                return await self._client.snapshot()
-            except _RECOVERABLE as exc:
-                self._spend_retry(exc)
-                await self._fresh_client()
-
-    async def _shard_map_with_retry(self) -> Dict[str, object]:
-        while True:
-            try:
-                if self._client is None:
-                    await self._fresh_client()
-                assert self._client is not None
-                reply = await self._client.shard_map()
-                return reply["map"]  # type: ignore[return-value]
-            except _RECOVERABLE as exc:
-                self._spend_retry(exc)
-                await self._fresh_client()
 
     async def _corrupt_snapshot(
         self,
@@ -792,8 +735,8 @@ class ChaosRunner:
         by construction — corrupting a *uniquely newest* snapshot would be
         genuine data loss, which is not what this fault tests.
         """
-        await self._snapshot_with_retry()
-        await self._snapshot_with_retry()
+        await self._with_retry(lambda c: c.snapshot())
+        await self._with_retry(lambda c: c.snapshot())
         shard_dir = Path(base_dir) / f"shard-{shard}"
         snapshots = sorted(shard_dir.glob("snapshot-*"))
         if not snapshots:

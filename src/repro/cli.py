@@ -81,6 +81,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 # Every verb imports what it runs when it is dispatched, so a `serve` or
 # `serve-cluster` process never loads the experiment drivers (nor scipy).
 
+#: the verb checks ``--protocol``, so building the parser loads no protocol
+_PROTOCOL_HELP = "a registered protocol (an unknown name lists them)"
+
+
+def _protocol(verb: str, name: str):
+    """The registered parameters class ``name`` resolves to, or ``None``
+    once it has printed why there is none."""
+    from repro.protocol.wire import protocol_class
+
+    try:
+        return protocol_class(name)
+    except ValueError as exc:
+        print(f"{verb}: {exc}", file=sys.stderr)
+        return None
+
 
 def _table1(quick: bool):
     from repro.experiments import Table1Config, run_table1
@@ -268,7 +283,6 @@ def _cmd_simulate(args) -> int:
 
     from repro.analysis.metrics import true_frequencies
     from repro.engine import run_simulation
-    from repro.engine.bench import build_bench_params
     from repro.experiments.reporting import format_table
     from repro.protocol import merge_aggregators
     from repro.utils.rng import as_generator
@@ -289,19 +303,22 @@ def _cmd_simulate(args) -> int:
         print("simulate: --num-users must be at least 1", file=sys.stderr)
         return 2
 
+    protocol = _protocol("simulate", args.protocol)
+    if protocol is None:
+        return 2
     gen = as_generator(args.seed)
     domain_size = args.domain_size
     values = zipf_workload(args.num_users, domain_size,
                            support=min(2_000, domain_size), rng=gen)
-    params = build_bench_params(args.protocol, domain_size, args.epsilon,
-                                args.num_users, rng=gen)
+    params = protocol.for_workload(args.num_users, domain_size, args.epsilon,
+                                   rng=gen)
 
     if args.workers is not None:
         # Multiprocess engine: the chunk plan and per-chunk seeds are drawn
         # from `gen` before any work is scheduled, so the estimates are
         # bit-identical for every --workers value.
         result = run_simulation(params, values, rng=gen, workers=args.workers)
-        oracle = result.finalize()
+        aggregator = result.aggregator
         mode = (f"{args.workers} engine worker(s), "
                 f"{result.num_chunks} chunk(s)")
         timing = (f"engine encode+ingest: {result.ingest_s:.3f}s; merge: "
@@ -316,7 +333,7 @@ def _cmd_simulate(args) -> int:
         for shard_agg, part in zip(shard_aggs, batch.split(shards), strict=True):
             shard_agg.absorb_batch(part)
         ingest_elapsed = time.perf_counter() - ingest_start
-        oracle = merge_aggregators(shard_aggs).finalize()
+        aggregator = merge_aggregators(shard_aggs)
         mode = f"{shards} shard(s)"
         throughput = args.num_users / max(ingest_elapsed, 1e-9)
         timing = (f"client encoding: {encode_elapsed:.3f}s; sharded ingestion: "
@@ -325,14 +342,14 @@ def _cmd_simulate(args) -> int:
     truth = true_frequencies(values)
     top = sorted(truth.items(), key=lambda kv: -kv[1])[:5]
     queries = [x for x, _ in top]
-    estimates = oracle.estimate_many(queries)
+    estimates = aggregator.finalize().estimate_many(queries)
     rows = [{"item": x, "true_count": truth[x], "estimate": round(float(a), 1)}
             for x, a in zip(queries, estimates, strict=True)]
     print(format_table(rows, title=(
         f"simulate: {args.protocol} over {mode}, "
         f"n={args.num_users}, |X|={domain_size}, eps={args.epsilon}")))
     print(f"\nreport size: {params.report_bits:.1f} bits/user; "
-          f"server state: {oracle.server_state_size} scalars")
+          f"server state: {aggregator.state_size} scalars")
     print(timing)
     return 0
 
@@ -342,7 +359,7 @@ def _cmd_bench(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.engine.bench import BENCH_PROTOCOLS, run_engine_bench
+    from repro.engine.bench import run_engine_bench
     from repro.experiments.reporting import format_table
 
     try:
@@ -354,13 +371,10 @@ def _cmd_bench(args) -> int:
     if not worker_counts or any(w < 1 for w in worker_counts):
         print("bench: worker counts must be positive", file=sys.stderr)
         return 2
-    protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    unknown = [p for p in protocols if p not in BENCH_PROTOCOLS]
-    if not protocols or unknown:
-        print(f"bench: --protocols must be a non-empty subset of "
-              f"{','.join(BENCH_PROTOCOLS)}" +
-              (f" (got {','.join(unknown)})" if unknown else ""),
-              file=sys.stderr)
+    # an empty list is checked as the empty name, which is not registered
+    protocols = ([p.strip() for p in args.protocols.split(",") if p.strip()]
+                 or [""])
+    if any(_protocol("bench", name) is None for name in protocols):
         return 2
 
     payload = run_engine_bench(protocols=protocols, worker_counts=worker_counts,
@@ -413,7 +427,6 @@ def _cmd_serve(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.engine.bench import build_bench_params
     from repro.protocol import PublicParams
     from repro.server import AggregationServer
 
@@ -435,9 +448,11 @@ def _cmd_serve(args) -> int:
             payload = json.loads(Path(args.params_file).read_text())
             params = PublicParams.from_dict(payload)
         else:
-            params = build_bench_params(args.protocol, args.domain_size,
-                                        args.epsilon, args.num_users,
-                                        rng=args.seed)
+            protocol = _protocol("serve", args.protocol)
+            if protocol is None:
+                return 2
+            params = protocol.for_workload(args.num_users, args.domain_size,
+                                           args.epsilon, rng=args.seed)
         server = AggregationServer(params, window=args.window,
                                    snapshot_dir=args.snapshot_dir)
 
@@ -521,10 +536,9 @@ def _cmd_serve_cluster(args) -> int:
             params = None
             source = Path(args.params_file).read_bytes()
         else:
-            from repro.engine.bench import build_bench_params
-            params = build_bench_params(args.protocol, args.domain_size,
-                                        args.epsilon, args.num_users,
-                                        rng=args.seed)
+            from repro.protocol.wire import protocol_class
+            params = protocol_class(args.protocol).for_workload(
+                args.num_users, args.domain_size, args.epsilon, rng=args.seed)
             source = params
         supervisor = ClusterSupervisor(source, args.shards, base_dir,
                                        window=args.window,
@@ -660,7 +674,6 @@ def _cmd_load_test(args) -> int:
 
     from repro.analysis.metrics import true_frequencies
     from repro.engine import encode_stream, make_plan, run_simulation
-    from repro.engine.bench import build_bench_params
     from repro.experiments.reporting import format_table
     from repro.server import AggregationClient
     from repro.utils.rng import as_generator
@@ -705,12 +718,14 @@ def _cmd_load_test(args) -> int:
     # Same parameter/workload derivation as `simulate`, then one shared seed
     # for the canonical chunk plan: the wire stream and the offline engine
     # replay identical per-chunk client randomness.
+    protocol = _protocol("load-test", args.protocol)
+    if protocol is None:
+        return 2
     gen = as_generator(args.seed)
     domain_size = args.domain_size
     values = zipf_workload(users, domain_size,
                            support=min(2_000, domain_size), rng=gen)
-    params = build_bench_params(args.protocol, domain_size, args.epsilon,
-                                users, rng=gen)
+    params = protocol.for_workload(users, domain_size, args.epsilon, rng=gen)
     plan_seed = int(gen.integers(0, 2**63 - 1))
 
     # Membership mode needs stream *granularity*: the scripted transitions
@@ -953,6 +968,8 @@ def _cmd_chaos_test(args) -> int:
     min_kinds = args.min_kinds
     if min_kinds is None:
         min_kinds = 4 if args.membership else 5
+    if _protocol("chaos-test", args.protocol) is None:
+        return 2
     runner = ChaosRunner(
         protocol=args.protocol, domain_size=args.domain_size,
         epsilon=args.epsilon, num_users=args.users,
@@ -997,6 +1014,10 @@ def _cmd_chaos_test(args) -> int:
             print(f"corrupted snapshot: {info['corrupt_snapshot']}")
     print(f"served == offline engine ({len(result.queries)} queries): "
           f"{'BIT-IDENTICAL' if result.identical else 'MISMATCH'}")
+    print(f"pulled state == offline engine (counts and num_reports): "
+          f"{'BIT-IDENTICAL' if result.state_identical else 'MISMATCH'}")
+    if not result.state_identical:
+        return 1
     if not result.identical:
         worst = int(np.argmax(np.abs(result.served - result.expected)))
         print(f"chaos-test: first divergence at item "
@@ -1270,7 +1291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate",
         help="drive the client/server wire API (sharded or multiprocess)")
     simulate_parser.add_argument("--protocol", default="hashtogram",
-                                 choices=["hashtogram", "explicit", "cms"])
+                                 help=_PROTOCOL_HELP)
     simulate_parser.add_argument("--shards", type=int, default=None,
                                  help="number of in-process shard aggregators "
                                       "(default 4; exclusive with --workers)")
@@ -1289,8 +1310,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="engine scaling benchmark; writes BENCH_engine.json")
     bench_parser.add_argument("--protocols", default="hashtogram",
-                              help="comma-separated subset of "
-                                   "hashtogram,explicit,cms")
+                              help="comma-separated registered protocol "
+                                   "names")
     bench_parser.add_argument("--workers", default="1,2,4",
                               help="comma-separated worker counts to sweep")
     bench_parser.add_argument("--num-users", type=int, default=200_000)
@@ -1310,7 +1331,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="TCP port (0 picks a free port; the bound "
                                    "port is printed on the LISTENING line)")
     serve_parser.add_argument("--protocol", default="hashtogram",
-                              choices=["hashtogram", "explicit", "cms"])
+                              help=_PROTOCOL_HELP)
     serve_parser.add_argument("--domain-size", type=int, default=1 << 16)
     serve_parser.add_argument("--epsilon", type=float, default=1.0)
     serve_parser.add_argument("--num-users", type=int, default=30_000,
@@ -1362,7 +1383,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="router TCP port (0 picks a free port; "
                                      "shards always bind free ports)")
     cluster_parser.add_argument("--protocol", default="hashtogram",
-                                choices=["hashtogram", "explicit", "cms"])
+                                help=_PROTOCOL_HELP)
     cluster_parser.add_argument("--domain-size", type=int, default=1 << 16)
     cluster_parser.add_argument("--epsilon", type=float, default=1.0)
     cluster_parser.add_argument("--num-users", type=int, default=30_000,
@@ -1404,7 +1425,7 @@ def build_parser() -> argparse.ArgumentParser:
     load_parser.add_argument("--workers", type=int, default=4,
                              help="concurrent sender connections")
     load_parser.add_argument("--protocol", default="hashtogram",
-                             choices=["hashtogram", "explicit", "cms"])
+                             help=_PROTOCOL_HELP)
     load_parser.add_argument("--domain-size", type=int, default=1 << 16)
     load_parser.add_argument("--epsilon", type=float, default=1.0)
     load_parser.add_argument("--seed", type=int, default=0)
@@ -1449,7 +1470,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="number of shard server subprocesses")
     chaos_parser.add_argument("--users", type=int, default=12_000)
     chaos_parser.add_argument("--protocol", default="hashtogram",
-                              choices=["hashtogram", "explicit", "cms"])
+                              help=_PROTOCOL_HELP)
     chaos_parser.add_argument("--domain-size", type=int, default=4096)
     chaos_parser.add_argument("--epsilon", type=float, default=1.0)
     chaos_parser.add_argument("--seed", type=int, default=7,

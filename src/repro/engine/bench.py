@@ -11,7 +11,6 @@ output, only the wall-clock.
 
 from __future__ import annotations
 
-import math
 import os
 import platform
 import sys
@@ -21,38 +20,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.engine.engine import run_simulation
+from repro.protocol.wire import protocol_class
 from repro.utils.rng import as_generator
 
-__all__ = ["build_bench_params", "run_engine_bench", "DEFAULT_WORKER_COUNTS"]
+__all__ = ["run_engine_bench", "DEFAULT_WORKER_COUNTS"]
 
 DEFAULT_WORKER_COUNTS = (1, 2, 4)
-BENCH_PROTOCOLS = ("hashtogram", "explicit", "cms")
-
-
-def build_bench_params(protocol: str, domain_size: int, epsilon: float,
-                       num_users: int, rng=None):
-    """Public parameters used by the scaling benchmark (and ``cli simulate``)."""
-    from repro.protocol import (
-        CountMeanSketchParams,
-        ExplicitHistogramParams,
-        HashtogramParams,
-    )
-    gen = as_generator(rng)
-    buckets = max(16, int(math.ceil(math.sqrt(max(num_users, 1)))))
-    if protocol == "explicit":
-        return ExplicitHistogramParams(domain_size, epsilon)
-    if protocol == "cms":
-        return CountMeanSketchParams.create(domain_size, epsilon,
-                                            num_buckets=buckets, rng=gen)
-    if protocol == "hashtogram":
-        return HashtogramParams.create(domain_size, epsilon,
-                                       num_buckets=buckets, rng=gen)
-    raise ValueError(f"unknown bench protocol {protocol!r}; "
-                     f"choose from {BENCH_PROTOCOLS}")
-
-
-def _sample_queries(domain_size: int, count: int = 64) -> np.ndarray:
-    return np.random.default_rng(0).integers(0, domain_size, size=count)
 
 
 def run_engine_bench(protocols: Sequence[str] = ("hashtogram",),
@@ -82,9 +55,9 @@ def run_engine_bench(protocols: Sequence[str] = ("hashtogram",),
         setup_gen = as_generator(seed)
         values = zipf_workload(num_users, domain_size,
                                support=min(2_000, domain_size), rng=setup_gen)
-        params = build_bench_params(protocol, domain_size, epsilon, num_users,
-                                    rng=setup_gen)
-        queries = _sample_queries(domain_size)
+        params = protocol_class(protocol).for_workload(
+            num_users, domain_size, epsilon, rng=setup_gen)
+        queries = np.random.default_rng(0).integers(0, domain_size, size=64)
         runs = []
         for workers in worker_counts:
             best: Optional[Dict[str, float]] = None

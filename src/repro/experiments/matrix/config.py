@@ -27,9 +27,6 @@ class ConfigError(ValueError):
     """A matrix config failed validation; the message names the offending key."""
 
 
-#: registered protocols (mirrors ``repro.engine.bench.BENCH_PROTOCOLS`` —
-#: kept literal so config validation does not import the engine stack)
-_PROTOCOLS = ("hashtogram", "explicit", "cms")
 _DISTRIBUTIONS = ("zipf", "uniform", "planted")
 #: reports frames are binary only (docs/wire-protocol.md §8); the axis stays
 #: because derive_cell_seed hashes every axis value
@@ -49,6 +46,13 @@ def _check_choice(axis: str, value, choices: Sequence[str]) -> str:
         raise ConfigError(f"matrix.{axis}: {value!r} is not one of "
                           f"{', '.join(choices)}")
     return value
+
+
+def _check_protocol(value) -> str:
+    """A registered protocol's short name (the name the cell seed hashes)."""
+    from repro.protocol.wire import protocol_names
+
+    return _check_choice("protocol", value, protocol_names())
 
 
 def _check_int(axis: str, value, minimum: int) -> int:
@@ -72,8 +76,7 @@ def _check_float(axis: str, value) -> float:
 #: canonical cell-expansion order (the rightmost axis varies fastest), so
 #: reordering axes in a YAML file never reorders the committed tables.
 AXES: Dict[str, Tuple[object, Tuple]] = {
-    "protocol": (lambda v: _check_choice("protocol", v, _PROTOCOLS),
-                 ("hashtogram",)),
+    "protocol": (_check_protocol, ("hashtogram",)),
     "epsilon": (lambda v: _check_float("epsilon", v), (1.0,)),
     "domain_size": (lambda v: _check_int("domain_size", v, 2), (4096,)),
     "users": (lambda v: _check_int("users", v, 1), (4000,)),

@@ -138,13 +138,13 @@ def run_cell(cell: Cell, num_queries: int = 32) -> Dict[str, Any]:
     """Execute one cell; returns the JSON-safe cached payload."""
     from repro.analysis.metrics import true_frequencies
     from repro.engine import encode_stream, make_plan, run_simulation
-    from repro.engine.bench import build_bench_params
+    from repro.protocol.wire import protocol_class
     from repro.utils.rng import as_generator
 
     gen = as_generator(cell.seed)
     values = _workload(cell, gen)
-    params = build_bench_params(cell.protocol, cell.domain_size, cell.epsilon,
-                                cell.users, rng=gen)
+    params = protocol_class(cell.protocol).for_workload(
+        cell.users, cell.domain_size, cell.epsilon, rng=gen)
     plan_seed = int(gen.integers(0, 2**63 - 1))
 
     offline = run_simulation(params, values,

@@ -72,10 +72,8 @@ class CountMeanSketchOracle(FrequencyOracle):
                       rng: RandomState = None):
         """Sample wire-level public parameters for this oracle configuration."""
         from repro.protocol.count_mean_sketch import CountMeanSketchParams
-        num_buckets = self.num_buckets
-        if num_buckets is None:
-            n = int(num_users) if num_users is not None else 1
-            num_buckets = max(16, int(math.ceil(math.sqrt(max(n, 1)))))
+        from repro.protocol.wire import default_buckets
+        num_buckets = self.num_buckets or default_buckets(num_users or 1)
         return CountMeanSketchParams.create(self.domain_size, self.epsilon,
                                             num_hashes=self.num_hashes,
                                             num_buckets=num_buckets, rng=rng)

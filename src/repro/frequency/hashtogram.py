@@ -85,10 +85,8 @@ class HashtogramOracle(FrequencyOracle):
         explicit bucket count was given.
         """
         from repro.protocol.hashtogram import HashtogramParams
-        num_buckets = self.num_buckets
-        if num_buckets is None:
-            n = int(num_users) if num_users is not None else 1
-            num_buckets = max(16, int(math.ceil(math.sqrt(max(n, 1)))))
+        from repro.protocol.wire import default_buckets
+        num_buckets = self.num_buckets or default_buckets(num_users or 1)
         return HashtogramParams.create(self.domain_size, self.epsilon,
                                        num_repetitions=self.num_repetitions,
                                        num_buckets=num_buckets,

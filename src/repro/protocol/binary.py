@@ -107,7 +107,6 @@ __all__ = [
     "is_binary_payload",
     "pack_state",
     "payload_kind",
-    "peek_reports_header",
     "stamp_sequence",
     "unpack_state",
 ]
@@ -602,19 +601,6 @@ def _read_reports_fixed(reader: _Reader) -> Tuple[int, Optional[int],
     return int(epoch), route, seq, int(num_reports), proto_len, num_columns
 
 
-def peek_reports_header(payload: bytes) -> Dict[str, object]:
-    """Read only the fixed header of a binary reports payload.
-
-    Returns ``{"epoch", "route", "seq", "num_reports", "protocol"}`` without
-    touching the column table or the data region.
-    """
-    try:
-        reader = _Reader(payload)
-        return _read_reports_head(reader)[0]
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise BinaryFormatError(f"malformed binary payload: {exc}") from exc
-
-
 def _read_reports_head(reader: _Reader) -> Tuple[Dict[str, object], int]:
     """The header dict of a reports payload and its column count, leaving
     ``reader`` at the column table."""
@@ -664,7 +650,8 @@ def _read_reports_table(payload: bytes
 
 def check_reports_payload(payload: bytes) -> Dict[str, object]:
     """Check a reports payload as :func:`decode_reports_payload` would,
-    without unpacking a column; returns :func:`peek_reports_header`'s dict.
+    without unpacking a column; returns the header dict
+    ``{"epoch", "route", "seq", "num_reports", "protocol"}``.
 
     This is the cluster router's gate (``docs/wire-protocol.md`` §8.3): it
     reads the header and the column table only, so a router forwards a
@@ -745,7 +732,7 @@ def decode_reports_payload(payload: bytes, *, header: bool = False
                            ) -> Tuple[object, ReportBatch]:
     """Rebuild ``(epoch, batch)`` from :func:`encode_reports_payload` output
     (``(header, batch)`` with ``header=True``: the whole
-    :func:`peek_reports_header` dict in place of the epoch).
+    :func:`check_reports_payload` dict in place of the epoch).
 
     Every decoded column is read-only.  A bit-packed column is unpacked
     into a fresh array of the smallest dtype that holds it (``u1``/``u2``/
@@ -1025,7 +1012,7 @@ def describe_payload(payload: bytes
     """A binary payload laid out for reading (``repro.cli decode-frame``).
 
     Returns the header fields (a reports payload's
-    :func:`peek_reports_header` dict, or a state payload's JSON
+    :func:`check_reports_payload` dict, or a state payload's JSON
     ``skeleton``), each with its ``kind``, and per column its ``name``
     (a state column's index), ``code``, ``bits`` per value, ``shape`` and
     decoded ``array``, read exactly as the decoders read them.

@@ -37,6 +37,7 @@ from repro.protocol.wire import (
     PublicParams,
     ReportBatch,
     ServerAggregator,
+    default_buckets,
     int_column,
     kwise_hash_from_dict,
     kwise_hash_to_dict,
@@ -51,6 +52,7 @@ class CountMeanSketchParams(PublicParams):
     """Public parameters of the Count-Mean-Sketch oracle."""
 
     protocol = "count_mean_sketch"
+    short_name = "cms"
 
     def __init__(self, domain_size: int, epsilon: float, num_hashes: int,
                  num_buckets: int, hashes: Sequence[KWiseHash]) -> None:
@@ -77,6 +79,13 @@ class CountMeanSketchParams(PublicParams):
         family = KWiseHashFamily.create(domain_size, num_buckets, independence=2)
         return cls(domain_size, epsilon, num_hashes, num_buckets,
                    family.sample_many(num_hashes, gen))
+
+    @classmethod
+    def for_workload(cls, num_users: int, domain_size: int, epsilon: float,
+                     rng: RandomState = None) -> "CountMeanSketchParams":
+        """Sixteen hash rows of √n buckets."""
+        return cls.create(domain_size, epsilon,
+                          num_buckets=default_buckets(num_users), rng=rng)
 
     # ----- serialization ---------------------------------------------------------
 

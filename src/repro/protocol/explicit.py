@@ -57,6 +57,7 @@ class ExplicitHistogramParams(PublicParams):
     """
 
     protocol = "explicit_histogram"
+    short_name = "explicit"
 
     def __init__(self, domain_size: int, epsilon: float,
                  randomizer: str = "hadamard") -> None:
@@ -77,6 +78,12 @@ class ExplicitHistogramParams(PublicParams):
         else:  # krr
             self.p = exp_eps / (exp_eps + domain_size - 1.0)
             self.q = 1.0 / (exp_eps + domain_size - 1.0)
+
+    @classmethod
+    def for_workload(cls, num_users: int, domain_size: int, epsilon: float,
+                     rng: RandomState = None) -> "ExplicitHistogramParams":
+        """Hadamard response; nothing to sample."""
+        return cls(domain_size, epsilon)
 
     # ----- serialization ---------------------------------------------------------
 

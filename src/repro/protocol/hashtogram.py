@@ -53,6 +53,7 @@ from repro.protocol.wire import (
     PublicParams,
     ReportBatch,
     ServerAggregator,
+    default_buckets,
     int_column,
     kwise_hash_from_dict,
     kwise_hash_to_dict,
@@ -72,6 +73,7 @@ class HashtogramParams(PublicParams):
     """Public parameters of the Hashtogram oracle: hashes + configuration."""
 
     protocol = "hashtogram"
+    short_name = "hashtogram"
 
     def __init__(self, domain_size: int, epsilon: float, num_repetitions: int,
                  num_buckets: int, bucket_hashes: Sequence[KWiseHash],
@@ -115,6 +117,13 @@ class HashtogramParams(PublicParams):
         sign_hashes = [sign_hash(domain_size, gen) for _ in range(num_repetitions)]
         return cls(domain_size, epsilon, num_repetitions, num_buckets,
                    bucket_hashes, sign_hashes, inner_randomizer, assignment)
+
+    @classmethod
+    def for_workload(cls, num_users: int, domain_size: int, epsilon: float,
+                     rng: RandomState = None) -> "HashtogramParams":
+        """Five repetitions of √n buckets."""
+        return cls.create(domain_size, epsilon,
+                          num_buckets=default_buckets(num_users), rng=rng)
 
     # ----- serialization ---------------------------------------------------------
 

@@ -57,6 +57,7 @@ from repro.protocol.wire import (
     PublicParams,
     ReportBatch,
     ServerAggregator,
+    default_buckets,
     int_column,
     kwise_hash_from_dict,
     kwise_hash_to_dict,
@@ -64,6 +65,7 @@ from repro.protocol.wire import (
     register_protocol,
 )
 from repro.randomizers.hadamard import hadamard_outputs
+from repro.utils.bits import bits_needed
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.timer import ResourceMeter
 
@@ -312,10 +314,6 @@ def decode_candidate_lists(code: UniqueListRecoverableCode,
     return candidates
 
 
-def _default_final_buckets(num_users: int) -> int:
-    return max(16, int(math.ceil(math.sqrt(max(num_users, 1)))))
-
-
 # --------------------------------------------------------------------------------------
 # PrivateExpanderSketch wire protocol
 # --------------------------------------------------------------------------------------
@@ -331,6 +329,7 @@ class ExpanderSketchParams(_TwoStageParams):
     """
 
     protocol = "expander_sketch"
+    short_name = "expander_sketch"
     group_column = "coordinate"
 
     def __init__(self, domain_size: int, epsilon: float,
@@ -389,10 +388,19 @@ class ExpanderSketchParams(_TwoStageParams):
             domain_size, params.epsilon_per_stage,
             num_repetitions=params.final_oracle_repetitions,
             num_buckets=(params.final_oracle_buckets
-                         or _default_final_buckets(num_users)),
+                         or default_buckets(num_users)),
             rng=gen)
         return cls(domain_size, epsilon, params, partition_hash,
                    coordinate_hashes, code_seed, final, assignment_hash)
+
+    @classmethod
+    def for_workload(cls, num_users: int, domain_size: int, epsilon: float,
+                     rng: RandomState = None) -> "ExpanderSketchParams":
+        """``PrivateExpanderSketch``'s defaults: Theorem 3.13 at β = 0.05."""
+        return cls.create(num_users, domain_size, epsilon,
+                          ProtocolParameters.derive(num_users, domain_size,
+                                                    epsilon, 0.05),
+                          rng=rng)
 
     # ----- serialization ---------------------------------------------------------
 
@@ -543,6 +551,7 @@ class SingleHashParams(_TwoStageParams):
     """
 
     protocol = "single_hash_bnst"
+    short_name = "single_hash"
     group_column = "group"
 
     def __init__(self, domain_size: int, epsilon: float, repetitions: int,
@@ -589,9 +598,19 @@ class SingleHashParams(_TwoStageParams):
         assignment_hash = _sample_assignment_hash(repetitions * num_symbols, gen)
         final = HashtogramParams.create(
             domain_size, epsilon / 2.0,
-            num_buckets=_default_final_buckets(num_users), rng=gen)
+            num_buckets=default_buckets(num_users), rng=gen)
         return cls(domain_size, epsilon, repetitions, num_symbols, symbol_bits,
                    hash_range, threshold_std, hashes, final, assignment_hash)
+
+    @classmethod
+    def for_workload(cls, num_users: int, domain_size: int, epsilon: float,
+                     rng: RandomState = None) -> "SingleHashParams":
+        """``SingleHashHeavyHitters``' defaults: β = 0.05 (four
+        repetitions), 4-bit symbols and a √n hash range."""
+        return cls.create(num_users, domain_size, epsilon, repetitions=4,
+                          num_symbols=max(1, -(-bits_needed(domain_size) // 4)),
+                          symbol_bits=4,
+                          hash_range=default_buckets(num_users), rng=rng)
 
     # ----- serialization ---------------------------------------------------------
 

@@ -47,6 +47,7 @@ class RapporParams(PublicParams):
     """Public parameters of basic RAPPOR: the Bloom hashes + configuration."""
 
     protocol = "rappor"
+    short_name = "rappor"
 
     def __init__(self, randomizer: BasicRappor) -> None:
         self.randomizer = randomizer
@@ -63,6 +64,12 @@ class RapporParams(PublicParams):
         """Sample fresh public randomness (the Bloom hash functions)."""
         return cls(BasicRappor(epsilon, domain_size, num_bits=num_bits,
                                num_hashes=num_hashes, rng=as_generator(rng)))
+
+    @classmethod
+    def for_workload(cls, num_users: int, domain_size: int, epsilon: float,
+                     rng: RandomState = None) -> "RapporParams":
+        """A 128-bit Bloom filter with two hashes."""
+        return cls.create(domain_size, epsilon, rng=rng)
 
     # ----- serialization ---------------------------------------------------------
 
@@ -182,3 +189,6 @@ class RapporAggregate:
     def estimate_candidates(self, candidates: Sequence[int]) -> np.ndarray:
         return self.params.randomizer.estimate_candidate_frequencies_from_counts(
             self.bit_counts, self.num_users, candidates)
+
+    #: a served ``query`` decodes over the queried items
+    estimate_many = estimate_candidates

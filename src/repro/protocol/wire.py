@@ -37,6 +37,7 @@ simulation conveniences implemented exactly as
 from __future__ import annotations
 
 import abc
+import math
 from typing import (
     Any,
     Callable,
@@ -65,6 +66,9 @@ __all__ = [
     "CountLayout",
     "merge_aggregators",
     "register_protocol",
+    "protocol_class",
+    "protocol_names",
+    "default_buckets",
     "kwise_hash_to_dict",
     "kwise_hash_from_dict",
     "sign_hash_to_dict",
@@ -280,11 +284,35 @@ def _unpickle_params(data: Dict[str, object]) -> "PublicParams":
 
 def register_protocol(cls: Type["PublicParams"]) -> Type["PublicParams"]:
     """Class decorator registering a :class:`PublicParams` subclass for
-    :meth:`PublicParams.from_dict` dispatch."""
+    :meth:`PublicParams.from_dict` dispatch and :func:`protocol_class`."""
     if not cls.protocol or cls.protocol == "abstract":
         raise ValueError("protocol classes must define a unique `protocol` name")
+    if not cls.short_name:
+        raise ValueError("protocol classes must define a `short_name`")
     _PROTOCOL_REGISTRY[cls.protocol] = cls
     return cls
+
+
+def protocol_names() -> List[str]:
+    """The short name of every registered protocol, sorted."""
+    import repro.protocol  # noqa: F401 — registers the built-in protocols
+    return sorted(cls.short_name for cls in _PROTOCOL_REGISTRY.values())
+
+
+def protocol_class(name: str) -> Type["PublicParams"]:
+    """The registered parameters class whose short name (``"cms"``) or
+    wire tag (``"count_mean_sketch"``) is ``name``."""
+    import repro.protocol  # noqa: F401 — registers the built-in protocols
+    for cls in _PROTOCOL_REGISTRY.values():
+        if name in (cls.short_name, cls.protocol):
+            return cls
+    raise ValueError(f"unknown protocol {name!r}; registered: "
+                     f"{', '.join(protocol_names())}")
+
+
+def default_buckets(num_users: int) -> int:
+    """The default hash range of a √n-sized sketch: ⌈√n⌉, at least 16."""
+    return max(16, int(math.ceil(math.sqrt(max(int(num_users), 1)))))
 
 
 class PublicParams(abc.ABC):
@@ -296,8 +324,10 @@ class PublicParams(abc.ABC):
     are interchangeable, which is what makes shard aggregators mergeable.
     """
 
-    #: registry key; subclasses override
+    #: registry key, the wire tag every frame and snapshot carries
     protocol: str = "abstract"
+    #: the name the CLI, the matrix and the chaos runner take
+    short_name: str = ""
 
     # ----- serialization ---------------------------------------------------------
 
@@ -357,6 +387,13 @@ class PublicParams(abc.ABC):
         return (_unpickle_params, (self.to_dict(),))
 
     # ----- factories -------------------------------------------------------------
+
+    @classmethod
+    @abc.abstractmethod
+    def for_workload(cls, num_users: int, domain_size: int, epsilon: float,
+                     rng: RandomState = None) -> "PublicParams":
+        """Sample parameters with this protocol's defaults for a run of
+        ``num_users`` users over ``domain_size`` at budget ``epsilon``."""
 
     @abc.abstractmethod
     def make_encoder(self) -> "ClientEncoder":

@@ -463,17 +463,36 @@ class TestFaultyTransportShm:
 @pytest.mark.chaos
 @pytest.mark.slow
 class TestChaosRunnerIntegration:
-    def test_seeded_run_is_bit_identical_under_faults(self, tmp_path):
-        runner = ChaosRunner(num_users=4_000, num_shards=2, seed=7,
-                             domain_size=1024, base_dir=tmp_path)
+    @pytest.mark.parametrize("protocol", ["hashtogram", "expander_sketch"])
+    def test_seeded_run_is_bit_identical_under_faults(self, tmp_path,
+                                                      protocol):
+        runner = ChaosRunner(protocol=protocol, num_users=4_000,
+                             num_shards=2, seed=7, domain_size=1024,
+                             base_dir=tmp_path, deadline=0.5)
         result = runner.run()
         assert result.identical
         assert np.array_equal(result.served, result.expected)
+        # the exact state, which still differs when every estimate is 0
+        assert result.state_identical
         # the acceptance bar: at least five distinct kinds actually fired
         assert len(result.fired_kinds) >= 5
         assert result.schedule.seed == 7
         assert result.health.get("status") == "ok"
         assert result.num_users == 4_000
+
+    def test_spurious_timeout_costs_only_a_retry(self, tmp_path):
+        # the router times out, reconnects and replays its journal; the
+        # shard dedupes what it sees twice (§7.1)
+        deadline = 0.3
+        schedule = FaultSchedule([FaultEvent("shard-0", 1, "delay",
+                                             4 * deadline)])
+        runner = ChaosRunner(num_users=2_000, num_shards=2, seed=7,
+                             domain_size=1024, base_dir=tmp_path,
+                             schedule=schedule, deadline=deadline)
+        result = runner.run()
+        assert result.fired_kinds == ("delay",)
+        assert result.identical and result.state_identical
+        assert "Timeout" in str(result.health["shards"][0]["last_fault"])
 
     @pytest.mark.parametrize("transport", ["tcp", "shm"])
     def test_membership_run_is_bit_identical(self, tmp_path, transport):
@@ -481,9 +500,10 @@ class TestChaosRunnerIntegration:
         # kinds plus a kill of the freshly added shard — still bit-exact
         runner = ChaosRunner(num_users=2_000, num_shards=2, seed=7,
                              domain_size=1024, base_dir=tmp_path,
-                             membership=True, transport=transport)
+                             membership=True, transport=transport,
+                             deadline=0.5)
         result = runner.run()
-        assert result.identical
+        assert result.identical and result.state_identical
         assert np.array_equal(result.served, result.expected)
         assert set(result.fired_kinds) == \
             {"kill", "drain-race", "torn-journal", "corrupt-snapshot"}

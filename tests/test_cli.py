@@ -88,6 +88,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_rejects_unknown_protocol_naming_the_registered_ones(self,
+                                                                 capsys):
+        assert main(["simulate", "--protocol", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown protocol 'nope'" in err
+        assert "expander_sketch" in err and "single_hash" in err
+
 
 class TestBenchCommand:
     def test_writes_bench_json(self, tmp_path, capsys):

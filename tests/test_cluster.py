@@ -22,25 +22,19 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.baselines.single_hash import SingleHashHeavyHitters
+from protocol_cases import protocol_cases
 from repro.cluster import ClusterRouter, ClusterSupervisor
 import repro.cluster.router as router_module
 from repro.cluster.router import _ShardLink
-from repro.core.heavy_hitters import PrivateExpanderSketch
 from repro.engine import ShardPartition, encode_stream, make_plan, run_simulation
 from repro.engine.partition import ROUTE_PRIME
-from repro.protocol import (
-    CountMeanSketchParams,
-    ExplicitHistogramParams,
-    HashtogramParams,
-    RapporParams,
-)
+from repro.protocol import ExplicitHistogramParams, HashtogramParams
 from repro.protocol.binary import (
     BinaryFormatError,
     PackedColumn,
+    check_reports_payload,
     decode_reports_payload,
     encode_reports_payload,
-    peek_reports_header,
 )
 from repro.protocol.wire import load_child_state
 from repro.server import (
@@ -113,7 +107,7 @@ class TestRoutedFrames:
     def test_binary_route_header_round_trip(self):
         params, batch = _small_batch()
         payload = encode_reports_payload(batch, epoch=5, route=4096)
-        header = peek_reports_header(payload)
+        header = check_reports_payload(payload)
         assert header == {"epoch": 5, "route": 4096, "seq": None,
                           "num_reports": len(batch),
                           "protocol": params.protocol}
@@ -126,14 +120,14 @@ class TestRoutedFrames:
 
     def test_binary_unrouted_header_peeks_none(self):
         _, batch = _small_batch()
-        header = peek_reports_header(encode_reports_payload(batch, epoch=2))
+        header = check_reports_payload(encode_reports_payload(batch, epoch=2))
         assert header["route"] is None
         assert header["num_reports"] == len(batch)
 
     def test_negative_route_keys_survive(self):
         _, batch = _small_batch()
         payload = encode_reports_payload(batch, route=-7)
-        assert peek_reports_header(payload)["route"] == -7
+        assert check_reports_payload(payload)["route"] == -7
 
     def test_unknown_flag_bits_rejected(self):
         _, batch = _small_batch()
@@ -142,7 +136,7 @@ class TestRoutedFrames:
         with pytest.raises(BinaryFormatError, match="unknown header flags"):
             decode_reports_payload(bytes(payload))
         with pytest.raises(BinaryFormatError, match="unknown header flags"):
-            peek_reports_header(bytes(payload))
+            check_reports_payload(bytes(payload))
 
     def test_decoded_frame_carries_route_field(self):
         _, batch = _small_batch()
@@ -214,37 +208,14 @@ def _workload(params, num_users, seed=3):
     return values
 
 
-def _cluster_case(name):
-    """Public parameters for every registered wire protocol."""
-    num_users = 600
-    if name == "explicit":
-        return ExplicitHistogramParams(64, 1.0, "hadamard")
-    if name == "hashtogram":
-        return HashtogramParams.create(DOMAIN, 1.0, num_buckets=16, rng=0)
-    if name == "cms":
-        return CountMeanSketchParams.create(DOMAIN, 1.0, num_hashes=4,
-                                            num_buckets=16, rng=0)
-    if name == "rappor":
-        return RapporParams.create(256, 2.0, num_bits=64, num_hashes=2, rng=0)
-    if name == "expander_sketch":
-        sketch = PrivateExpanderSketch(domain_size=1 << 16, epsilon=4.0)
-        return sketch.public_params(num_users, rng=np.random.default_rng(3))
-    if name == "single_hash":
-        single = SingleHashHeavyHitters(domain_size=1 << 16, epsilon=4.0,
-                                        num_repetitions=2)
-        return single.public_params(num_users, rng=np.random.default_rng(5))
-    raise AssertionError(name)
-
-
-CLUSTER_PROTOCOLS = ["explicit", "hashtogram", "cms", "rappor",
-                     "expander_sketch", "single_hash"]
+CLUSTER_CASES = dict(protocol_cases(num_users=600))
 
 
 @pytest.mark.cluster
 class TestClusterBitIdentity:
-    @pytest.mark.parametrize("name", CLUSTER_PROTOCOLS)
+    @pytest.mark.parametrize("name", sorted(CLUSTER_CASES))
     def test_cluster_matches_offline_engine(self, tmp_path, name):
-        params = _cluster_case(name)
+        params = CLUSTER_CASES[name]
         values = _workload(params, 600)
         plan_seed = 7
         offline = run_simulation(params, values,
@@ -261,22 +232,11 @@ class TestClusterBitIdentity:
                 for batch, route in zip(batches, routes, strict=True):
                     client.send_batch(batch, route=route)
                 assert client.sync() == len(values)
-                if hasattr(offline, "estimate_many"):
-                    served = client.query(queries)
-                    expected = offline.estimate_many(queries)
-                else:
-                    # RAPPOR finalizes to candidate-set estimation only, so
-                    # the cluster is read through the state-pull frame: the
-                    # router merges the shards' packed states exactly.
-                    pull = client.pull_state()
-                    merged = load_child_state(params.make_aggregator(),
-                                              pull["state"])
-                    served = merged.finalize().estimate_candidates(queries)
-                    expected = offline.estimate_candidates(queries)
-        assert np.array_equal(served, expected), name
+                served = client.query(queries)
+        assert np.array_equal(served, offline.estimate_many(queries)), name
 
     def test_binary_frames_and_three_shards(self, tmp_path):
-        params = _cluster_case("hashtogram")
+        params = CLUSTER_CASES["hashtogram"]
         values = _workload(params, 900)
         plan_seed = 11
         offline = run_simulation(params, values,
@@ -302,7 +262,7 @@ class TestClusterBitIdentity:
         assert stats["router"]["frames_forwarded"] == len(batches)
 
     def test_unrouted_frames_round_robin(self, tmp_path):
-        params = _cluster_case("explicit")
+        params = CLUSTER_CASES["explicit"]
         values = _workload(params, 400)
         plan_seed = 5
         offline = run_simulation(params, values,
@@ -321,7 +281,7 @@ class TestClusterBitIdentity:
         assert stats["router"]["frames_unrouted"] == len(batches)
 
     def test_windowed_query_exact_across_shards(self, tmp_path):
-        params = _cluster_case("explicit")
+        params = CLUSTER_CASES["explicit"]
         values = _workload(params, 480)
         plan_seed = 9
         batches, routes = _routed_stream(params, values, plan_seed, 60)
@@ -342,8 +302,8 @@ class TestClusterBitIdentity:
                     assert np.array_equal(served, expected), window
 
     def test_rejects_mismatched_protocol(self, tmp_path):
-        params = _cluster_case("explicit")
-        other = _cluster_case("hashtogram")
+        params = CLUSTER_CASES["explicit"]
+        other = CLUSTER_CASES["hashtogram"]
         _, batch = _small_batch()
         with running_cluster(params, 2, tmp_path) as (_, router, host, port):
             with AggregationClient(host, port) as client:
@@ -374,14 +334,15 @@ class TestRouterRejectsUndecodableFrames:
     @pytest.mark.parametrize("corrupt", [_cut_data, _false_count],
                              ids=["cut_data", "false_count"])
     def test_corrupt_frame_rejected_shard_stays_up(self, tmp_path, corrupt):
-        params = _cluster_case("hashtogram")
+        params = CLUSTER_CASES["hashtogram"]
         values = _workload(params, 600)
         offline = run_simulation(params, values,
                                  rng=np.random.default_rng(19),
                                  chunk_size=600).finalize()
         (batch,), _ = _routed_stream(params, values, 19, 600)
         payload = encode_reports_payload(batch, route=0)
-        peek_reports_header(corrupt(payload))  # the header alone looks fine
+        with pytest.raises(BinaryFormatError):  # the router's table check
+            check_reports_payload(corrupt(payload))
         queries = list(range(32))
         with running_cluster(params, 2, tmp_path) as (_, _router, host, port):
             with AggregationClient(host, port) as client:
@@ -452,7 +413,7 @@ class TestRouterRejectsUndecodableFrames:
 @pytest.mark.cluster
 class TestShardFailure:
     def test_kill_one_shard_mid_ingest_converges(self, tmp_path):
-        params = _cluster_case("hashtogram")
+        params = CLUSTER_CASES["hashtogram"]
         values = _workload(params, 4000)
         plan_seed = 13
         offline = run_simulation(params, values,
@@ -488,7 +449,7 @@ class TestShardFailure:
         assert np.array_equal(served, offline.estimate_many(queries))
 
     def test_kill_then_explicit_snapshot_barrier(self, tmp_path):
-        params = _cluster_case("explicit")
+        params = CLUSTER_CASES["explicit"]
         values = _workload(params, 600)
         plan_seed = 17
         offline = run_simulation(params, values,
@@ -518,7 +479,7 @@ class TestShardUnavailableAndHealth:
         # No supervisor: the ladder can only reconnect, never restart, so a
         # SIGKILL-ed shard must surface as a typed ShardUnavailable reply —
         # within a bounded time, not a hang.
-        params = _cluster_case("hashtogram")
+        params = CLUSTER_CASES["hashtogram"]
         supervisor = ClusterSupervisor(params, 2, tmp_path)
         supervisor.start()
         try:
@@ -556,7 +517,7 @@ class TestShardUnavailableAndHealth:
             supervisor.stop()
 
     def test_health_fanout_and_recovery(self, tmp_path):
-        params = _cluster_case("hashtogram")
+        params = CLUSTER_CASES["hashtogram"]
         values = _workload(params, 800)
         batches, routes = _routed_stream(params, values, 19, 100)
         with running_cluster(params, 2, tmp_path) as cluster:

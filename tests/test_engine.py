@@ -72,13 +72,8 @@ def _values_for(params, size=3_000):
 
 def _finalized_estimates(params, result):
     """Protocol-agnostic fingerprint of a finalized engine result."""
-    fitted = result.finalize()
-    if params.protocol == "rappor":
-        return fitted.estimate_candidates(list(range(16)))
-    if hasattr(fitted, "estimate_many"):
-        queries = np.arange(min(params.domain_size, 64))
-        return np.asarray(fitted.estimate_many(queries))
-    raise AssertionError(f"unexpected finalize() result for {params.protocol}")
+    queries = np.arange(min(params.domain_size, 64))
+    return np.asarray(result.finalize().estimate_many(queries))
 
 
 # --------------------------------------------------------------------------------------

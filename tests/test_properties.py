@@ -42,6 +42,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from protocol_cases import protocol_cases
 from repro.analysis.metrics import score_heavy_hitters, true_frequencies
 from repro.baselines.single_hash import SingleHashHeavyHitters
 from repro.codes.list_recoverable import UniqueListRecoverableCode
@@ -176,34 +177,7 @@ def test_score_heavy_hitters_consistency(data, threshold):
 # state bit for bit.  These properties pin that algebra for every
 # registered protocol, with hypothesis choosing the partition.
 
-def _protocol_cases():
-    from repro.baselines.single_hash import SingleHashHeavyHitters
-    from repro.core.heavy_hitters import PrivateExpanderSketch
-    from repro.protocol import (
-        CountMeanSketchParams,
-        ExplicitHistogramParams,
-        HashtogramParams,
-        RapporParams,
-    )
-
-    expander = PrivateExpanderSketch(domain_size=1 << 12, epsilon=4.0)
-    single = SingleHashHeavyHitters(domain_size=1 << 12, epsilon=4.0,
-                                    num_repetitions=2)
-    return [
-        ("explicit", ExplicitHistogramParams(64, 1.0, "hadamard")),
-        ("hashtogram",
-         HashtogramParams.create(1 << 10, 1.0, num_buckets=16, rng=0)),
-        ("cms", CountMeanSketchParams.create(1 << 10, 1.0, num_hashes=4,
-                                             num_buckets=16, rng=0)),
-        ("rappor", RapporParams.create(256, 2.0, num_bits=64, rng=0)),
-        ("expander_sketch",
-         expander.public_params(800, rng=np.random.default_rng(3))),
-        ("single_hash",
-         single.public_params(800, rng=np.random.default_rng(5))),
-    ]
-
-
-PROTOCOL_CASES = _protocol_cases()
+PROTOCOL_CASES = protocol_cases()
 PROTOCOL_IDS = [name for name, _ in PROTOCOL_CASES]
 
 

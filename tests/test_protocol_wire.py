@@ -366,3 +366,46 @@ class TestResultEstimateMany:
         # Unlisted queries flow through the retained oracle's batch path.
         assert via_oracle[1] == pytest.approx(result.oracle.estimate(1))
         assert result.estimate_many([]).size == 0
+
+
+# --------------------------------------------------------------------------------------
+# the protocol registry: the one list of protocols every surface reads
+# --------------------------------------------------------------------------------------
+
+class TestProtocolRegistry:
+    def test_shared_cases_cover_every_registered_protocol(self):
+        from protocol_cases import protocol_cases
+        from repro.protocol.wire import _PROTOCOL_REGISTRY, protocol_names
+
+        cases = protocol_cases()
+        assert [name for name, _ in cases] == protocol_names()
+        assert {p.protocol for _, p in cases} == set(_PROTOCOL_REGISTRY)
+
+    def test_lookup_takes_a_short_name_or_a_wire_tag(self):
+        from repro.protocol.wire import protocol_class, protocol_names
+
+        assert protocol_class("cms") is CountMeanSketchParams
+        assert protocol_class("count_mean_sketch") is CountMeanSketchParams
+        with pytest.raises(ValueError, match="unknown protocol 'nope'") as err:
+            protocol_class("nope")
+        assert all(name in str(err.value) for name in protocol_names())
+
+    @pytest.mark.parametrize("oracle", [
+        PrivateExpanderSketch(1 << 12, 4.0),
+        SingleHashHeavyHitters(1 << 12, 4.0),
+        HashtogramOracle(1 << 12, 1.0)],
+        ids=["expander_sketch", "single_hash", "hashtogram"])
+    def test_for_workload_holds_the_oracle_defaults(self, oracle):
+        params = oracle.public_params(800, rng=np.random.default_rng(3))
+        assert params == type(params).for_workload(
+            800, 1 << 12, oracle.epsilon, rng=np.random.default_rng(3))
+
+    def test_rappor_estimate_many_is_the_candidate_decode(self):
+        params = RapporParams.for_workload(2_000, 512, 2.0, rng=0)
+        values = np.random.default_rng(1).integers(0, 512, size=2_000)
+        values[:500] = 77
+        aggregate = params.make_aggregator().absorb_batch(
+            params.make_encoder().encode_batch(values, rng=2)).finalize()
+        queries = [77, 5, 300, 77]
+        assert np.array_equal(aggregate.estimate_many(queries),
+                              aggregate.estimate_candidates(queries))

@@ -419,6 +419,17 @@ class TestImportClosure:
                 if name.split(".")[0] in ("numpy", "repro")] == [
             "repro", "repro.cluster", "repro.cluster.supervisor"]
 
+    def test_cli_parser_loads_no_protocol(self):
+        """Every ``serve`` builds the parser before it starts; the verb,
+        not the parser, checks ``--protocol``."""
+        loaded = json.loads(_run_python("""
+            import json, sys
+            from repro.cli import build_parser
+            build_parser().parse_args(["serve-cluster", "--protocol", "nope"])
+            print(json.dumps(sorted(sys.modules)))
+        """))
+        assert "numpy" not in loaded and "repro.protocol" not in loaded
+
     def test_absorb_and_finalize_import_nothing_new(self, tmp_path):
         from repro.core.heavy_hitters import PrivateExpanderSketch
 

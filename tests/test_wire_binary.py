@@ -17,14 +17,12 @@ import struct
 import numpy as np
 import pytest
 
-from repro.baselines.single_hash import SingleHashHeavyHitters
-from repro.core.heavy_hitters import PrivateExpanderSketch
+from protocol_cases import protocol_cases
 from repro.engine import run_simulation
 from repro.protocol import (
     CountMeanSketchParams,
     ExplicitHistogramParams,
     HashtogramParams,
-    RapporParams,
     ReportBatch,
     ServerAggregator,
 )
@@ -38,7 +36,6 @@ from repro.protocol.binary import (
     fold_state,
     is_binary_payload,
     pack_state,
-    peek_reports_header,
     stamp_sequence,
     unpack_state,
 )
@@ -62,27 +59,12 @@ from repro.server.snapshot import (
 DOMAIN = 1 << 12
 
 
-def _cases():
-    expander = PrivateExpanderSketch(domain_size=1 << 16, epsilon=4.0)
-    single = SingleHashHeavyHitters(domain_size=1 << 16, epsilon=4.0,
-                                    num_repetitions=2)
-    return [
-        ("explicit/hadamard", ExplicitHistogramParams(256, 1.0, "hadamard")),
-        ("explicit/oue", ExplicitHistogramParams(64, 1.0, "oue")),
-        ("explicit/krr", ExplicitHistogramParams(64, 1.0, "krr")),
-        ("hashtogram",
-         HashtogramParams.create(DOMAIN, 1.0, num_buckets=16, rng=0)),
-        ("cms", CountMeanSketchParams.create(DOMAIN, 1.0, num_hashes=4,
-                                             num_buckets=16, rng=0)),
-        ("rappor", RapporParams.create(512, 2.0, num_bits=64, rng=0)),
-        ("expander_sketch",
-         expander.public_params(3_000, rng=np.random.default_rng(3))),
-        ("single_hash",
-         single.public_params(3_000, rng=np.random.default_rng(5))),
-    ]
-
-
-CASES = _cases()
+#: every registered protocol, plus the explicit oracle's other randomizers
+CASES = [("explicit/hadamard" if name == "explicit" else name, params)
+         for name, params in protocol_cases()] + [
+    ("explicit/oue", ExplicitHistogramParams(64, 1.0, "oue")),
+    ("explicit/krr", ExplicitHistogramParams(64, 1.0, "krr")),
+]
 CASE_IDS = [name for name, _ in CASES]
 
 
@@ -176,7 +158,8 @@ class TestPackedWire:
     def test_decode_reencodes_and_absorbs_identically(self, name, params):
         batch = _batch(params, n=self.N)
         payload = encode_reports_payload(batch, epoch=5, route=3, seq=8)
-        assert check_reports_payload(payload) == peek_reports_header(payload)
+        assert check_reports_payload(payload) == \
+            decode_reports_payload(payload, header=True)[0]
         epoch, decoded = decode_reports_payload(payload)
         assert epoch == 5
         assert encode_reports_payload(decoded, epoch=5, route=3,
@@ -198,7 +181,7 @@ class TestSequencedFrames:
         plain = encode_reports_payload(batch, epoch=3)
         stamped = stamp_sequence(plain, 17)
         assert stamped == encode_reports_payload(batch, epoch=3, seq=17)
-        header = peek_reports_header(stamped)
+        header = check_reports_payload(stamped)
         assert header["seq"] == 17
         assert header["route"] is None
         # the stamped frame still decodes to the identical batch
@@ -213,7 +196,7 @@ class TestSequencedFrames:
         stamped = stamp_sequence(plain, 2**63)
         assert stamped == encode_reports_payload(batch, epoch=1, route=-9,
                                                  seq=2**63)
-        header = peek_reports_header(stamped)
+        header = check_reports_payload(stamped)
         assert header == {"epoch": 1, "route": -9, "seq": 2**63,
                           "num_reports": 400, "protocol": "hashtogram"}
 
@@ -226,7 +209,7 @@ class TestSequencedFrames:
 
     def test_unsequenced_frames_peek_none(self):
         payload = encode_reports_payload(_batch(self._params(), n=50))
-        assert peek_reports_header(payload)["seq"] is None
+        assert check_reports_payload(payload)["seq"] is None
 
     def test_seq_out_of_u64_range_rejected(self):
         payload = encode_reports_payload(_batch(self._params(), n=50))
