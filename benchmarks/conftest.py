@@ -1,16 +1,18 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the host-performance benchmarks.
 
-Every benchmark runs its experiment driver exactly once (rounds=1) under
-pytest-benchmark — the quantity of interest is the experiment's *output table*
-(printed to stdout and attached to ``benchmark.extra_info``), with the timing
-as a secondary, host-dependent figure.
+A benchmark runs its measurement exactly once (rounds=1) under
+pytest-benchmark — the quantity of interest is the *output table* (printed
+to stdout and attached to ``benchmark.extra_info``), with the timing as a
+secondary, host-dependent figure.
 
 Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-The ``-s`` flag shows the regenerated tables inline; they are also echoed into
-``EXPERIMENTS.md`` by ``benchmarks/generate_experiments_md.py``.
+The ``-s`` flag shows the tables inline.  The paper's experiments are not
+here: they live in ``repro.experiments.registry`` and render into
+EXPERIMENTS.md (``python -m repro.cli matrix render
+experiments/configs/paper.yaml --quick``).
 """
 
 from __future__ import annotations

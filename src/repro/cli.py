@@ -27,10 +27,12 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli matrix render experiments/configs/paper.yaml --quick
     python -m repro.cli --list-modules          # module map (checked against docs)
 
-``run`` prints the same tables that ``pytest benchmarks/ --benchmark-only``
-produces; the quick configurations (``--quick``) are what the matrix
-runner's paper config (``matrix render experiments/configs/paper.yaml
---quick``) records in EXPERIMENTS.md at the repository root.
+``list`` and ``run`` read the experiment registry
+(:mod:`repro.experiments.registry`): ``run X`` prints experiment X's tables
+at its full configuration, ``run X --quick`` at its quick one, and the
+matrix runner's paper config renders the same tables (``matrix render
+experiments/configs/paper.yaml --quick`` writes EXPERIMENTS.md at the
+repository root) and checks the paper's claims on them.
 
 ``matrix`` is the YAML-driven sweep harness (:mod:`repro.experiments.matrix`):
 a config declares axes (protocol x epsilon x domain size x distribution x
@@ -97,181 +99,26 @@ def _protocol(verb: str, name: str):
         return None
 
 
-def _table1(quick: bool):
-    from repro.experiments import Table1Config, run_table1
-
-    config = Table1Config()
-    if quick:
-        config = Table1Config(num_users=15_000, domain_size=1 << 16,
-                              scan_domain_size=1 << 10,
-                              heavy_fractions=[0.35, 0.25])
-    return [("T1: Table 1 (measured)", run_table1(config))]
-
-
-def _error_vs_beta(quick: bool):
-    from repro.experiments import ErrorCurveConfig, run_error_vs_beta
-
-    config = ErrorCurveConfig()
-    if quick:
-        config = ErrorCurveConfig(num_users=15_000, domain_size=1 << 16,
-                                  betas=[0.2, 0.01],
-                                  probe_fractions=[0.12, 0.2, 0.3])
-    return [("E1: detection threshold vs beta", run_error_vs_beta(config))]
-
-
-def _error_vs_n(quick: bool):
-    from repro.experiments import ErrorCurveConfig, run_error_vs_n
-
-    config = ErrorCurveConfig()
-    if quick:
-        config = ErrorCurveConfig(domain_size=1 << 16,
-                                  num_users_sweep=[8_000, 16_000])
-    return [("E2: error vs n", run_error_vs_n(config))]
-
-
-def _error_vs_epsilon(quick: bool):
-    from repro.experiments import ErrorCurveConfig, run_error_vs_epsilon
-
-    config = ErrorCurveConfig()
-    if quick:
-        config = ErrorCurveConfig(num_users=15_000, domain_size=1 << 16,
-                                  epsilon_sweep=[2.0, 8.0])
-    return [("E3: error vs epsilon", run_error_vs_epsilon(config))]
-
-
-def _frequency_oracle(quick: bool):
-    from repro.experiments import FrequencyOracleConfig, run_frequency_oracle
-
-    config = FrequencyOracleConfig()
-    if quick:
-        config = FrequencyOracleConfig(num_users=8_000,
-                                       domain_sizes=[1 << 8, 1 << 14],
-                                       num_queries=60)
-    return [("E4: frequency-oracle error", run_frequency_oracle(config))]
-
-
-def _grouposition(quick: bool):
-    from repro.experiments import GroupositionConfig, run_grouposition
-
-    config = GroupositionConfig()
-    if quick:
-        config = GroupositionConfig(group_sizes=[4, 64, 256], num_samples=8_000)
-    return [("E5: advanced grouposition", run_grouposition(config))]
-
-
-def _max_information(quick: bool):
-    from repro.experiments import MaxInformationConfig, run_max_information
-
-    config = MaxInformationConfig()
-    if quick:
-        config = MaxInformationConfig(num_users_sweep=[100, 1_000],
-                                      empirical_users=60,
-                                      empirical_samples=500)
-    return [("E6: max-information", run_max_information(config))]
-
-
-def _composed_rr(quick: bool):
-    from repro.experiments import ComposedRRConfig, run_composed_rr
-
-    config = ComposedRRConfig()
-    if quick:
-        config = ComposedRRConfig(num_bits_sweep=[8, 32, 128])
-    return [("E7: composed randomized response", run_composed_rr(config))]
-
-
-def _genprot(quick: bool):
-    from repro.experiments import GenProtConfig, run_genprot
-
-    config = GenProtConfig()
-    if quick:
-        config = GenProtConfig(num_users=800, privacy_trials=800)
-    return [("E8: GenProt transformation", run_genprot(config))]
-
-
-def _lower_bound(quick: bool):
-    from repro.experiments import LowerBoundConfig, run_lower_bound
-
-    config = LowerBoundConfig()
-    if quick:
-        config = LowerBoundConfig(num_users=3_000, num_trials=80,
-                                  betas=[0.3, 0.1], anticoncentration_bits=200)
-    results = run_lower_bound(config)
-    return [("E9a: counting lower bound", results["counting"]),
-            ("E9b: anti-concentration", results["anti_concentration"])]
-
-
-def _list_recovery(quick: bool):
-    from repro.experiments import ListRecoveryConfig, run_list_recovery
-
-    config = ListRecoveryConfig()
-    if quick:
-        config = ListRecoveryConfig(num_coordinates=10, num_codewords=3,
-                                    corrupted_fractions=[0.0, 0.2, 0.5],
-                                    num_trials=2)
-    return [("E10: list recovery", run_list_recovery(config))]
-
-
-def _ablation_hashing(quick: bool):
-    from repro.experiments import HashingAblationConfig, run_hashing_ablation
-
-    config = HashingAblationConfig()
-    if quick:
-        config = HashingAblationConfig(num_users=15_000, domain_size=1 << 16,
-                                       betas=[0.2, 0.02],
-                                       heavy_fractions=[0.35, 0.25])
-    return [("A1: hashing-structure ablation", run_hashing_ablation(config))]
-
-
-def _ablation_hashtogram(quick: bool):
-    from repro.experiments import (
-        HashtogramAblationConfig,
-        run_hashtogram_ablation,
-    )
-
-    config = HashtogramAblationConfig()
-    if quick:
-        config = HashtogramAblationConfig(num_users=6_000, domain_size=1 << 14,
-                                          bucket_counts=[32, 256],
-                                          repetition_counts=[1, 5],
-                                          num_queries=40)
-    return [("A2: Hashtogram ablation", run_hashtogram_ablation(config))]
-
-
-#: experiment name -> (description, runner)
-EXPERIMENTS: Dict[str, Tuple[str, Callable[[bool], List[Tuple[str, list]]]]] = {
-    "table1": ("Table 1 protocol comparison (T1)", _table1),
-    "error-vs-beta": ("Detection threshold vs failure probability (E1)", _error_vs_beta),
-    "error-vs-n": ("Estimation error vs number of users (E2)", _error_vs_n),
-    "error-vs-epsilon": ("Estimation error vs privacy parameter (E3)", _error_vs_epsilon),
-    "frequency-oracle": ("Frequency-oracle accuracy (E4)", _frequency_oracle),
-    "grouposition": ("Advanced grouposition (E5)", _grouposition),
-    "max-information": ("Max-information bounds (E6)", _max_information),
-    "composed-rr": ("Composition for randomized response (E7)", _composed_rr),
-    "genprot": ("GenProt approximate-to-pure transformation (E8)", _genprot),
-    "lower-bound": ("Error lower bound and anti-concentration (E9)", _lower_bound),
-    "list-recovery": ("Unique list recovery under corruption (E10)", _list_recovery),
-    "ablation-hashing": ("Hashing-structure ablation (A1)", _ablation_hashing),
-    "ablation-hashtogram": ("Hashtogram bucket/repetition ablation (A2)", _ablation_hashtogram),
-}
-
-
 def _cmd_list(_args) -> int:
+    from repro.experiments.registry import EXPERIMENTS
+
     print("available experiments:")
-    for name, (description, _) in EXPERIMENTS.items():
-        print(f"  {name:<22s} {description}")
+    for name, experiment in EXPERIMENTS.items():
+        print(f"  {name:<22s} {experiment.description}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    name = args.experiment
-    if name not in EXPERIMENTS:
-        print(f"unknown experiment {name!r}; use `list` to see the options",
-              file=sys.stderr)
-        return 2
+    from repro.experiments.registry import EXPERIMENTS
     from repro.experiments.reporting import format_table
 
-    _, runner = EXPERIMENTS[name]
-    for title, rows in runner(args.quick):
+    experiment = EXPERIMENTS.get(args.experiment)
+    if experiment is None:
+        print(f"unknown experiment {args.experiment!r}; use `list` to see the "
+              "options", file=sys.stderr)
+        return 2
+    config = experiment.quick if args.quick else experiment.full
+    for title, rows in experiment.tables(config):
         print()
         print(format_table(rows, title=title))
     return 0
@@ -1571,7 +1418,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the host-dependent timing columns")
     matrix_parser.add_argument(
         "-o", "--output", default=None,
-        help="override the output path of a paper config")
+        help="output path of a paper config (default: its `output`, and "
+             "required without --quick)")
     matrix_parser.set_defaults(func=_cmd_matrix)
 
     return parser

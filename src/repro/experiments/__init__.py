@@ -1,13 +1,13 @@
 """Experiment drivers: one module per table/figure reproduced from the paper.
 
 Each module exposes a small configuration dataclass and a ``run_*`` function
-returning plain dictionaries/lists of rows, so that
+returning plain dictionaries/lists of rows, so users can call them from
+notebooks or scripts.  :mod:`repro.experiments.registry` declares each
+experiment once (its tables, full and quick configurations, and the paper's
+claims checked on them); ``python -m repro.cli run`` and the EXPERIMENTS.md
+render (``matrix render experiments/configs/paper.yaml``) read it.
 
-* the ``benchmarks/`` harness can time and print them under pytest-benchmark,
-* ``EXPERIMENTS.md`` can be regenerated from the same code, and
-* users can call them programmatically from notebooks or scripts.
-
-Experiment index (see DESIGN.md for the full mapping):
+Experiment index (the registry names each one):
 
 ===========  ================================================================
 ``table1``   T1 — the resource/error comparison of Table 1
@@ -39,7 +39,7 @@ _SOURCES = {
     "grouposition": ("GroupositionConfig", "run_grouposition"),
     "list_recovery": ("ListRecoveryConfig", "run_list_recovery"),
     "lower_bound": ("LowerBoundConfig", "run_anti_concentration",
-                    "run_counting_lower_bound", "run_lower_bound"),
+                    "run_counting_lower_bound"),
     "max_information": ("MaxInformationConfig", "run_max_information"),
     "reporting": ("format_markdown_table", "format_table"),
     "table1": ("Table1Config", "run_table1", "theoretical_rows"),
@@ -70,7 +70,6 @@ __all__ = [
     "LowerBoundConfig",
     "run_counting_lower_bound",
     "run_anti_concentration",
-    "run_lower_bound",
     "ListRecoveryConfig",
     "run_list_recovery",
     "HashingAblationConfig",

@@ -74,11 +74,3 @@ def run_anti_concentration(config: LowerBoundConfig | None = None
         })
     return rows
 
-
-def run_lower_bound(config: LowerBoundConfig | None = None) -> Dict[str, List[Dict]]:
-    """Both parts of E9, keyed by sub-experiment."""
-    config = config or LowerBoundConfig()
-    return {
-        "counting": run_counting_lower_bound(config),
-        "anti_concentration": run_anti_concentration(config),
-    }

@@ -10,7 +10,10 @@ config is ``committed`` and the full cell set ran, they go to
 a ``committed: false`` config writes them under the cache directory
 instead, so a partial run can never overwrite a committed artifact.  The
 host-dependent ``<name>_timing.csv`` always stays in the cache directory.
-A ``kind: paper`` config renders to its ``output`` path (EXPERIMENTS.md).
+A ``kind: paper`` config renders its ``--quick`` tables to its ``output``
+path (EXPERIMENTS.md); a full render needs ``--output``, so host-dependent
+tables never overwrite the committed file.  A paper render exits 1, after
+writing, when a table breaks one of the paper's claims (``CLAIM FAILED:``).
 """
 
 from __future__ import annotations
@@ -91,12 +94,18 @@ def _run_serving(config: MatrixConfig, args) -> int:
 
 
 def _run_paper(config: MatrixConfig, args) -> int:
+    if not args.quick and args.output is None:
+        print(f"matrix {args.verb}: a full render is host-dependent and would "
+              f"overwrite {config.output}; pass --output PATH (or --quick)",
+              file=sys.stderr)
+        return 2
     from repro.experiments.matrix.paper import render_paper_md
 
-    text = render_paper_md(config, quick=args.quick, progress=print)
-    output = Path(args.output) if args.output else Path(config.output)
-    _write(output, text)
-    return 0
+    text, failures = render_paper_md(config, quick=args.quick, progress=print)
+    _write(Path(args.output or config.output), text)
+    for failure in failures:
+        print(f"CLAIM FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_matrix(args) -> int:

@@ -1,173 +1,42 @@
 """Render EXPERIMENTS.md from a ``kind: paper`` matrix config.
 
 The ordered sections (experiment name, title, paper-vs-measured commentary)
-live in ``experiments/configs/paper.yaml``; this module holds the two ways
-to materialize each section's tables:
+live in ``experiments/configs/paper.yaml``; each section's tables, its two
+configurations and its claim check come from the experiment registry
+(:mod:`repro.experiments.registry`):
 
-* **quick** — the exact tables ``python -m repro.cli run <experiment>
-  --quick`` prints, with host-dependent timing columns stripped.  Seeded
-  and deterministic: this is what the committed EXPERIMENTS.md records and
-  what CI regenerates to fail on drift.
-* **full** — the benchmark-harness configurations (the same drivers run
-  under ``pytest benchmarks/ --benchmark-only``), registered in
-  :data:`FULL_RUNNERS` below.  These take minutes and include
-  host-dependent columns, so their output is for local reading, not for
-  committing.
+* **quick** — the tables ``python -m repro.cli run <experiment> --quick``
+  prints, with host-dependent timing columns stripped.  Seeded and
+  deterministic: this is what the committed EXPERIMENTS.md records and what
+  CI regenerates to fail on drift.
+* **full** — the tables ``python -m repro.cli run <experiment>`` prints.
+  They include host-dependent columns, so they are for local reading and
+  go to an explicit ``--output``, never over the committed file.
 
-``benchmarks/generate_experiments_md.py`` is a thin shim over this module.
+Either way every section's ``check`` runs on its tables, and the claims
+they break come back next to the text.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.experiments.matrix.config import ConfigError, MatrixConfig
-
-#: full (benchmark-harness) table builders, keyed by ``repro.cli run`` name
-FULL_RUNNERS: Dict[str, Callable[[], List[Tuple[str, list]]]] = {}
-
-
-def _full(name: str):
-    def decorator(func):
-        FULL_RUNNERS[name] = func
-        return func
-    return decorator
-
-
-@_full("table1")
-def _table1():
-    from repro.experiments import Table1Config, run_table1, theoretical_rows
-    config = Table1Config(num_users=60_000, domain_size=1 << 20, epsilon=4.0,
-                          beta=0.05, heavy_fractions=[0.3, 0.22, 0.15],
-                          scan_domain_size=1 << 14, rng=0)
-    return [("Measured", run_table1(config)),
-            ("Asymptotic formulas at these parameters", theoretical_rows(config))]
-
-
-@_full("error-vs-beta")
-def _error_vs_beta():
-    from repro.experiments import ErrorCurveConfig, run_error_vs_beta
-    config = ErrorCurveConfig(num_users=40_000, domain_size=1 << 20, epsilon=4.0,
-                              betas=[0.2, 0.05, 0.01, 1e-3, 1e-5], rng=0)
-    return [("Detection threshold vs β", run_error_vs_beta(config))]
-
-
-@_full("error-vs-n")
-def _error_vs_n():
-    from repro.experiments import ErrorCurveConfig, run_error_vs_n
-    config = ErrorCurveConfig(domain_size=1 << 20, epsilon=4.0, beta=0.05,
-                              num_users_sweep=[10_000, 20_000, 40_000, 80_000],
-                              rng=1)
-    return [("Error vs n", run_error_vs_n(config))]
-
-
-@_full("error-vs-epsilon")
-def _error_vs_epsilon():
-    from repro.experiments import ErrorCurveConfig, run_error_vs_epsilon
-    config = ErrorCurveConfig(num_users=40_000, domain_size=1 << 20, beta=0.05,
-                              epsilon_sweep=[2.0, 4.0, 8.0], rng=2)
-    return [("Error vs ε", run_error_vs_epsilon(config))]
-
-
-@_full("frequency-oracle")
-def _frequency_oracle():
-    from repro.experiments import FrequencyOracleConfig, run_frequency_oracle
-    config = FrequencyOracleConfig(num_users=30_000, epsilon=1.0, beta=0.05,
-                                   domain_sizes=[1 << 8, 1 << 12, 1 << 16, 1 << 20],
-                                   num_queries=200, rng=0)
-    return [("Oracle error vs domain size", run_frequency_oracle(config))]
-
-
-@_full("grouposition")
-def _grouposition():
-    from repro.experiments import GroupositionConfig, run_grouposition
-    config = GroupositionConfig(epsilon=0.2, delta=0.05,
-                                group_sizes=[1, 4, 16, 64, 256, 1024],
-                                num_samples=30_000, rng=0)
-    return [("Group privacy loss vs k", run_grouposition(config))]
-
-
-@_full("max-information")
-def _max_information():
-    from repro.experiments import MaxInformationConfig, run_max_information
-    config = MaxInformationConfig(epsilon=0.1, beta=0.05,
-                                  num_users_sweep=[100, 1_000, 10_000],
-                                  empirical_users=200, empirical_samples=4_000,
-                                  rng=0)
-    return [("Max-information bounds", run_max_information(config))]
-
-
-@_full("composed-rr")
-def _composed_rr():
-    from repro.experiments import ComposedRRConfig, run_composed_rr
-    config = ComposedRRConfig(epsilon=0.05, beta=0.05,
-                              num_bits_sweep=[4, 8, 16, 32, 64, 128, 256])
-    return [("M̃ vs the composition of RR", run_composed_rr(config))]
-
-
-@_full("genprot")
-def _genprot():
-    from repro.experiments import GenProtConfig, run_genprot
-    config = GenProtConfig(epsilon=0.25, delta=1e-9, beta=0.05, num_users=3_000,
-                           privacy_trials=3_000, rng=0)
-    return [("GenProt privacy and utility", run_genprot(config))]
-
-
-@_full("lower-bound")
-def _lower_bound():
-    from repro.experiments import (
-        LowerBoundConfig,
-        run_anti_concentration,
-        run_counting_lower_bound,
-    )
-    config = LowerBoundConfig(num_users=8_000, epsilon=1.0,
-                              betas=[0.3, 0.1, 0.03, 0.01], num_trials=300,
-                              anticoncentration_bits=400, rng=0)
-    return [("Counting error vs the Theorem 7.2 curve", run_counting_lower_bound(config)),
-            ("Corollary 7.6 escape probabilities", run_anti_concentration(config))]
-
-
-@_full("list-recovery")
-def _list_recovery():
-    from repro.experiments import ListRecoveryConfig, run_list_recovery
-    config = ListRecoveryConfig(domain_size=1 << 16, num_coordinates=12,
-                                hash_range=128, list_size=16, alpha=0.25,
-                                num_codewords=6, noise_entries_per_list=4,
-                                corrupted_fractions=[0.0, 0.1, 0.2, 0.3, 0.5],
-                                num_trials=5, rng=0)
-    return [("Recovery vs corrupted fraction", run_list_recovery(config))]
-
-
-@_full("ablation-hashing")
-def _ablation_hashing():
-    from repro.experiments import HashingAblationConfig, run_hashing_ablation
-    config = HashingAblationConfig(num_users=40_000, domain_size=1 << 20,
-                                   epsilon=4.0, betas=[0.2, 0.02, 0.002],
-                                   heavy_fractions=[0.3, 0.2], rng=0)
-    return [("Hashing-structure ablation", run_hashing_ablation(config))]
-
-
-@_full("ablation-hashtogram")
-def _ablation_hashtogram():
-    from repro.experiments import HashtogramAblationConfig, run_hashtogram_ablation
-    config = HashtogramAblationConfig(num_users=30_000, domain_size=1 << 18,
-                                      epsilon=1.0, bucket_counts=[32, 128, 512],
-                                      repetition_counts=[1, 3, 7],
-                                      num_queries=100, rng=0)
-    return [("Hashtogram ablation", run_hashtogram_ablation(config))]
-
+from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.reporting import format_markdown_table
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
 This file is rendered by the matrix runner from its section config:
-``python -m repro.cli matrix render experiments/configs/paper.yaml``
-(``benchmarks/generate_experiments_md.py`` is a shim over the same
-renderer).  The paper is a theory paper: its quantitative content is
-Table 1 plus the theorem statements, so "paper value" below means the
-asymptotic formula evaluated at the experiment's parameters (unit
-constants unless stated), and the check is on *shape* — who wins, how
-quantities scale in n, β, ε, k — not on absolute constants (see the scope
-note in README.md).
+``python -m repro.cli matrix render experiments/configs/paper.yaml
+--output PATH``; every table below is what ``python -m repro.cli run
+<experiment>`` prints, and the render fails when a table breaks one of the
+paper's claims its experiment checks.  The paper is a theory paper: its
+quantitative content is Table 1 plus the theorem statements, so "paper
+value" below means the asymptotic formula evaluated at the experiment's
+parameters (unit constants unless stated), and the check is on *shape* —
+who wins, how quantities scale in n, β, ε, k — not on absolute constants
+(see the scope note in README.md).
 
 All measurements below come from the in-process simulator (users are
 simulated locally and the server aggregation is real); timings are
@@ -180,10 +49,10 @@ This file is rendered by the matrix runner from its section config —
 ``python -m repro.cli matrix render experiments/configs/paper.yaml --quick``
 — and checked for drift in CI; every table below is exactly what
 ``python -m repro.cli run <experiment> --quick`` prints (deterministic
-seeds; host-dependent timing columns are omitted).  For the larger
-benchmark-harness configuration, render without ``--quick`` — the same
-drivers also run under ``pytest benchmarks/ --benchmark-only``.  Schema
-and determinism policy: docs/experiments.md.
+seeds; host-dependent timing columns are omitted).  The render fails when a
+table breaks one of the paper's claims its experiment checks.  For the
+larger configuration, render without ``--quick`` to an ``--output`` path.
+Schema and determinism policy: docs/experiments.md.
 
 The paper is a theory paper: its quantitative content is Table 1 plus the
 theorem statements, so "paper value" below means the asymptotic formula
@@ -208,28 +77,19 @@ def strip_host_dependent(rows):
     return [{k: v for k, v in row.items() if k not in drop} for row in rows]
 
 
-def known_experiments() -> List[str]:
-    """Section names a paper config may reference (the CLI registry)."""
-    from repro.cli import EXPERIMENTS
-    return list(EXPERIMENTS)
-
-
 def render_paper_md(config: MatrixConfig, quick: bool = False,
-                    progress: Optional[Callable[[str], None]] = None) -> str:
-    """Render the EXPERIMENTS.md text for a paper config."""
-    from repro.cli import EXPERIMENTS
-    from repro.experiments import format_markdown_table
-
+                    progress: Optional[Callable[[str], None]] = None
+                    ) -> Tuple[str, List[str]]:
+    """The EXPERIMENTS.md text for a paper config, and the claims its
+    tables break as ``"<experiment>: <claim>"`` (empty when all hold)."""
     parts = [QUICK_HEADER if quick else HEADER]
+    failures: List[str] = []
     for section in config.sections:
         name = section.experiment
-        if name not in EXPERIMENTS:
+        experiment = EXPERIMENTS.get(name)
+        if experiment is None:
             raise ConfigError(
                 f"paper config {config.name!r}: unknown experiment {name!r}")
-        if not quick and name not in FULL_RUNNERS:
-            raise ConfigError(
-                f"paper config {config.name!r}: experiment {name!r} has no "
-                f"registered full configuration")
         if progress is not None:
             progress(f"running: {section.title} ...")
         parts.append(f"\n## {section.title}\n")
@@ -237,13 +97,11 @@ def render_paper_md(config: MatrixConfig, quick: bool = False,
         if quick:
             parts.append(f"\nReproduce: ``python -m repro.cli run {name} "
                          "--quick``\n")
-            _, runner = EXPERIMENTS[name]
-            tables = runner(True)
-        else:
-            tables = FULL_RUNNERS[name]()
+        tables = experiment.tables(experiment.quick if quick else experiment.full)
+        failures += [f"{name}: {claim}" for claim in experiment.check(tables)]
         for subtitle, rows in tables:
             if quick:
                 rows = strip_host_dependent(rows)
             parts.append(f"\n**{subtitle}**\n")
             parts.append(format_markdown_table(rows) + "\n")
-    return "\n".join(parts)
+    return "\n".join(parts), failures

@@ -6,7 +6,7 @@ helpers render them consistently for benchmark stdout and for EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 
 def _format_value(value) -> str:
@@ -64,12 +64,8 @@ def format_markdown_table(rows: Sequence[Mapping[str, object]],
     lines = ["| " + " | ".join(cols) + " |",
              "|" + "|".join("---" for _ in cols) + "|"]
     for row in rows:
-        lines.append("| " + " | ".join(_format_value(row.get(c, "")) for c in cols) + " |")
+        # a literal pipe (``|X|`` in a formula) would end the cell
+        cells = (_format_value(row.get(c, "")).replace("|", "\\|") for c in cols)
+        lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
-
-def merge_row(base: Dict[str, object], extra: Mapping[str, object]) -> Dict[str, object]:
-    """Return a copy of ``base`` updated with ``extra`` (for building rows)."""
-    merged = dict(base)
-    merged.update(extra)
-    return merged

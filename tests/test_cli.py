@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.registry import EXPERIMENTS
 
 
 class TestParser:
@@ -50,9 +51,11 @@ class TestRunCommand:
         assert "hashtogram" in out
 
     def test_every_experiment_is_registered_with_description(self):
-        for name, (description, runner) in EXPERIMENTS.items():
-            assert description
-            assert callable(runner)
+        for experiment in EXPERIMENTS.values():
+            assert experiment.description
+            assert callable(experiment.tables) and callable(experiment.check)
+            assert experiment.full is not experiment.quick
+            assert type(experiment.full) is type(experiment.quick)
 
 
 class TestQuickstartCommand:

@@ -1,39 +1,18 @@
-"""Tests for the experiment drivers (small configurations).
+"""Tests for the experiment registry and the claim checks it carries.
 
-These run every experiment end to end at reduced scale and check the
-*structure* of the outputs plus the qualitative relationships the paper
-predicts (who is smaller than whom).  The benchmark harness runs the same
-drivers at full scale.
+Every registered experiment runs at its quick configuration (the tables
+EXPERIMENTS.md records) and its ``check`` must find every paper claim
+holding; the render paths must report a broken claim and refuse to put a
+full render over the committed file.
 """
 
-from repro.experiments import (
-    ComposedRRConfig,
-    ErrorCurveConfig,
-    FrequencyOracleConfig,
-    GenProtConfig,
-    GroupositionConfig,
-    HashingAblationConfig,
-    HashtogramAblationConfig,
-    ListRecoveryConfig,
-    LowerBoundConfig,
-    MaxInformationConfig,
-    Table1Config,
-    format_markdown_table,
-    format_table,
-    run_composed_rr,
-    run_error_vs_epsilon,
-    run_error_vs_n,
-    run_frequency_oracle,
-    run_genprot,
-    run_grouposition,
-    run_hashing_ablation,
-    run_hashtogram_ablation,
-    run_list_recovery,
-    run_lower_bound,
-    run_max_information,
-    run_table1,
-    theoretical_rows,
-)
+import dataclasses
+
+import pytest
+
+from repro.cli import main
+from repro.experiments import format_markdown_table, format_table
+from repro.experiments.registry import EXPERIMENTS
 
 
 class TestReporting:
@@ -49,152 +28,81 @@ class TestReporting:
         text = format_markdown_table(rows)
         assert text.startswith("| x")
         assert "| 2 | z |" in text
+        assert "| (1/eps) log(\\|X\\|) |" in format_markdown_table(
+            [{"formula": "(1/eps) log(|X|)"}])
 
     def test_empty(self):
         assert "(no rows)" in format_table([])
         assert "(no rows)" in format_markdown_table([])
 
 
-class TestTable1:
-    def test_measured_rows(self):
-        config = Table1Config(num_users=12_000, domain_size=1 << 16, epsilon=4.0,
-                              heavy_fractions=[0.35, 0.25], scan_domain_size=1 << 10,
-                              rng=0)
-        rows = run_table1(config)
-        assert [r["protocol"] for r in rows] == [
-            "private_expander_sketch", "single_hash_bnst", "domain_scan_bs"]
-        ours = rows[0]
-        assert ours["recall"] == 1.0
-        assert ours["comm_bits_per_user"] < 200
-        # The domain-scan baseline retains at least |X| scalars.
-        assert rows[2]["server_memory_items"] >= 1 << 10
-
-    def test_theoretical_rows(self):
-        rows = theoretical_rows(Table1Config(num_users=1_000, domain_size=1 << 10))
-        assert len(rows) == 3
-        assert rows[0]["error_value"] < rows[1]["error_value"] < rows[2]["error_value"]
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_quick_tables_hold_the_paper_claims(name):
+    experiment = EXPERIMENTS[name]
+    tables = experiment.tables(experiment.quick)
+    assert tables and all(rows for _, rows in tables)
+    assert experiment.check(tables) == []
 
 
-class TestErrorCurves:
-    def test_error_vs_n_shape(self):
-        config = ErrorCurveConfig(domain_size=1 << 16, epsilon=4.0,
-                                  num_users_sweep=[8_000, 16_000], rng=1)
-        rows = run_error_vs_n(config)
-        assert len(rows) == 2
-        assert rows[0]["formula"] < rows[1]["formula"]
-        assert all(r["recovered"] >= 1 for r in rows)
-
-    def test_error_vs_epsilon_shape(self):
-        config = ErrorCurveConfig(num_users=16_000, domain_size=1 << 16,
-                                  epsilon_sweep=[2.0, 8.0], rng=2)
-        rows = run_error_vs_epsilon(config)
-        assert len(rows) == 2
-        assert rows[0]["formula"] > rows[1]["formula"]
+def _paper_config(tmp_path, name):
+    path = tmp_path / "paper.yaml"
+    path.write_text("kind: paper\nsections:\n"
+                    f"  - {{experiment: {name}, title: {name}, commentary: c}}\n")
+    return path
 
 
-class TestFrequencyOracle:
-    def test_rows_and_bounds(self):
-        config = FrequencyOracleConfig(num_users=8_000,
-                                       domain_sizes=[1 << 8, 1 << 14],
-                                       num_queries=60, rng=3)
-        rows = run_frequency_oracle(config)
-        oracles = {(r["domain_size"], r["oracle"]) for r in rows}
-        assert (1 << 8, "hashtogram") in oracles
-        assert (1 << 8, "explicit") in oracles
-        assert (1 << 14, "hashtogram") in oracles
-        for row in rows:
-            bound = row.get("bound_thm37", row.get("bound_thm38"))
-            assert row["max_error"] < 4 * bound
+def test_registry_names_are_the_paper_sections():
+    pytest.importorskip("yaml")
+    from repro.experiments.matrix import load_config
+
+    paper = load_config("experiments/configs/paper.yaml")
+    assert [section.experiment for section in paper.sections] == list(EXPERIMENTS)
 
 
-class TestGrouposition:
-    def test_sqrt_scaling_visible(self):
-        config = GroupositionConfig(group_sizes=[4, 256], num_samples=8_000, rng=4)
-        rows = run_grouposition(config)
-        assert rows[0]["measured_quantile"] <= rows[0]["advanced_grouposition_bound"]
-        assert rows[1]["measured_quantile"] <= rows[1]["advanced_grouposition_bound"]
-        # the advantage over the central bound grows with k
-        assert rows[1]["advantage"] > rows[0]["advantage"]
+def test_a_doctored_table_fails_its_check_and_the_render(tmp_path, capsys,
+                                                         monkeypatch):
+    pytest.importorskip("yaml")
+    table1 = EXPERIMENTS["table1"]
+
+    def doctored(config):
+        tables = table1.tables(config)
+        tables[0][1][0]["recall"] = 0.5
+        return tables
+
+    monkeypatch.setitem(EXPERIMENTS, "table1",
+                        dataclasses.replace(table1, tables=doctored))
+    output = tmp_path / "out.md"
+    assert main(["matrix", "render", str(_paper_config(tmp_path, "table1")),
+                 "--quick", "--output", str(output)]) == 1
+    assert output.is_file()
+    assert ("CLAIM FAILED: table1: the expander sketch recovers every planted "
+            "heavy hitter (recall 1.0)") in capsys.readouterr().err
 
 
-class TestMaxInformation:
-    def test_rows(self):
-        config = MaxInformationConfig(num_users_sweep=[100, 1_000],
-                                      empirical_users=60, empirical_samples=400,
-                                      rng=5)
-        rows = run_max_information(config)
-        assert len(rows) == 3
-        for row in rows[:2]:
-            assert row["ldp_bound_nats"] < row["central_bound_nats"]
-        empirical = rows[2]
-        assert empirical["empirical_max_information_nats"] <= (
-            empirical["ldp_bound_nats"] + 1e-9)
+def test_run_and_the_full_render_pass_the_same_full_config(tmp_path,
+                                                           monkeypatch):
+    pytest.importorskip("yaml")
+    experiment = EXPERIMENTS["composed-rr"]
+    seen = []
+
+    def spy(config):
+        seen.append(config)
+        return experiment.tables(config)
+
+    monkeypatch.setitem(EXPERIMENTS, "composed-rr",
+                        dataclasses.replace(experiment, tables=spy))
+    assert main(["run", "composed-rr"]) == 0
+    assert main(["matrix", "render",
+                 str(_paper_config(tmp_path, "composed-rr")),
+                 "--output", str(tmp_path / "full.md")]) == 0
+    assert len(seen) == 2
+    assert all(config is experiment.full for config in seen)
 
 
-class TestComposedRR:
-    def test_sqrt_versus_linear(self):
-        rows = run_composed_rr(ComposedRRConfig(num_bits_sweep=[8, 64]))
-        for row in rows:
-            assert row["worst_case_loss"] <= row["theorem_bound"] + 1e-9
-            assert row["tv_distance"] <= row["beta"]
-        # at k = 64 the surrogate beats basic composition
-        assert rows[1]["worst_case_loss"] < rows[1]["basic_composition"]
-
-
-class TestGenProt:
-    def test_privacy_and_utility_rows(self):
-        config = GenProtConfig(num_users=800, privacy_trials=800, rng=6)
-        rows = run_genprot(config)
-        assert {r["base"] for r in rows} == {"randomized_response",
-                                             "gaussian_histogram"}
-        for row in rows:
-            assert row["empirical_index_loss"] < row["transformed_epsilon"]
-            assert row["report_bits"] <= 8
-
-
-class TestLowerBound:
-    def test_both_parts(self):
-        config = LowerBoundConfig(num_users=3_000, num_trials=60,
-                                  betas=[0.3, 0.1], anticoncentration_bits=200,
-                                  rng=7)
-        results = run_lower_bound(config)
-        counting = results["counting"]
-        for row in counting:
-            assert row["measured_quantile_error"] >= 0.4 * row["lower_bound"]
-        anti = results["anti_concentration"]
-        assert all(row["escape_at_least_beta"] for row in anti)
-
-
-class TestListRecovery:
-    def test_recovery_collapses_past_alpha(self):
-        config = ListRecoveryConfig(num_coordinates=10, num_codewords=3,
-                                    corrupted_fractions=[0.0, 0.2, 0.6],
-                                    num_trials=2, rng=8)
-        rows = run_list_recovery(config)
-        assert rows[0]["recovery_rate"] == 1.0
-        assert rows[-1]["recovery_rate"] < rows[0]["recovery_rate"]
-
-
-class TestAblations:
-    def test_hashing_ablation(self):
-        config = HashingAblationConfig(num_users=16_000, domain_size=1 << 16,
-                                       epsilon=4.0, betas=[0.2, 0.02],
-                                       heavy_fractions=[0.35, 0.25], rng=9)
-        rows = run_hashing_ablation(config)
-        assert len(rows) == 2
-        # repetitions grow as beta shrinks for the baseline
-        assert rows[1]["baseline_repetitions"] > rows[0]["baseline_repetitions"]
-        assert all(r["ours_recall"] == 1.0 for r in rows)
-
-    def test_hashtogram_ablation(self):
-        config = HashtogramAblationConfig(num_users=6_000, domain_size=1 << 14,
-                                          bucket_counts=[32, 256],
-                                          repetition_counts=[1, 5],
-                                          num_queries=40, rng=10)
-        rows = run_hashtogram_ablation(config)
-        assert len(rows) == 4
-        by_key = {(r["num_buckets"], r["num_repetitions"]): r for r in rows}
-        assert by_key[(256, 5)]["server_memory_items"] > (
-            by_key[(32, 1)]["server_memory_items"])
-        assert by_key[(256, 5)]["public_randomness_bits"] > (
-            by_key[(32, 1)]["public_randomness_bits"])
+def test_a_full_render_requires_an_output_path(tmp_path, capsys, monkeypatch):
+    pytest.importorskip("yaml")
+    monkeypatch.chdir(tmp_path)
+    assert main(["matrix", "render",
+                 str(_paper_config(tmp_path, "composed-rr"))]) == 2
+    assert "--output" in capsys.readouterr().err
+    assert not (tmp_path / "EXPERIMENTS.md").exists()
