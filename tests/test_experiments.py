@@ -36,12 +36,38 @@ class TestReporting:
         assert "(no rows)" in format_markdown_table([])
 
 
-@pytest.mark.parametrize("name", list(EXPERIMENTS))
-def test_quick_tables_hold_the_paper_claims(name):
+def _quick_tables(name):
     experiment = EXPERIMENTS[name]
     tables = experiment.tables(experiment.quick)
     assert tables and all(rows for _, rows in tables)
-    assert experiment.check(tables) == []
+    return tables
+
+
+@pytest.mark.parametrize("name", [name for name in EXPERIMENTS
+                                  if name != "table1"])
+def test_quick_tables_hold_the_paper_claims(name):
+    assert EXPERIMENTS[name].check(_quick_tables(name)) == []
+
+
+class TestTable1:
+    """T1 has two tables, the measured rows and the asymptotic formulas."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return _quick_tables("table1")
+
+    def test_measured_rows(self, tables):
+        assert EXPERIMENTS["table1"].check(tables) == []
+
+    def test_theoretical_rows(self, tables):
+        check = EXPERIMENTS["table1"].check
+        measured, (subtitle, formulas) = tables
+        assert subtitle == "T1: Table 1 (asymptotic formulas)"
+        assert len(formulas) == 3
+        assert check([measured, (subtitle, formulas[::-1])]) == [
+            "the formula errors order this work < [3] < [4]"]
+        assert check([measured, (subtitle, formulas[:2])]) == [
+            "Table 1 has three formula rows"]
 
 
 def _paper_config(tmp_path, name):
