@@ -8,7 +8,8 @@ and — in the simpler variant the paper's introduction alludes to — a runtime
 domains.
 
 This baseline reproduces that cost/accuracy profile in the simplest faithful
-way (see DESIGN.md, substitution 4): it builds a Hashtogram frequency oracle
+way, since Table 1's comparison needs only its error and its |X|-scan cost,
+not the original construction: it builds a Hashtogram frequency oracle
 with the full privacy budget, *scans every domain element*, and keeps elements
 whose estimate clears the noise floor.  Success amplification uses
 ``R = Θ(log(1/β))`` repetitions over disjoint user groups with a median

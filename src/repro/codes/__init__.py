@@ -7,8 +7,8 @@ Layers, bottom-up:
 * :mod:`repro.codes.reed_solomon` — a constant-rate Reed-Solomon code with a
   Berlekamp-Welch decoder; this plays the role of the "standard error
   correcting code with constant rate correcting an Ω(1) fraction of errors"
-  required by Appendix B (substituting for linear-time Spielman codes — see
-  DESIGN.md, substitution 1).
+  required by Appendix B (substituting for linear-time Spielman codes: only
+  polynomial-time decoding matters for the statistical claims reproduced).
 * :mod:`repro.codes.list_recoverable` — the (α, ℓ, L)-unique-list-recoverable
   code (Enc, Dec) of Theorem 3.6 / Appendix B: the encoder interleaves
   Reed-Solomon chunks with expander-neighbourhood hash values, and the decoder

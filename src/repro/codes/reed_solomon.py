@@ -10,7 +10,7 @@ one chunk per coordinate: each chunk is a single field symbol, the rate is
 ``(M - k) / 2`` symbol errors, i.e. a constant fraction of the coordinates.
 This substitutes for the linear-time Spielman/Guruswami codes cited by the
 paper; only polynomial-time decoding matters for the statistical claims being
-reproduced (see DESIGN.md, substitution 1).
+reproduced, and Reed-Solomon decodes exactly up to its error budget.
 """
 
 from __future__ import annotations
@@ -132,10 +132,16 @@ class ReedSolomonCode:
 
         ``values`` and ``points`` broadcast against each other, so a client
         batch asks for each user's own coordinate only, while
-        :meth:`encode_batch` asks for every point.  One Horner pass over the
-        values' base-p digits in int64; every intermediate is below ``p * M``.
+        :meth:`encode_batch` asks for every point.  The base-p digits of
+        the values come from floor divisions (``d = q - (q // p) * p``),
+        then one :func:`~repro.hashing.kwise.horner_mod` pass over them in
+        int64 with the points as ``x <= M - 1``: it reduces mod p only when
+        the next step could pass 2^63, so once at the end whenever
+        ``p * M^k`` fits, and otherwise before each step that needs it.
         """
         import numpy as np
+
+        from repro.hashing.kwise import horner_mod
 
         values = np.asarray(values, dtype=np.int64)
         points = np.asarray(points, dtype=np.int64)
@@ -144,17 +150,19 @@ class ReedSolomonCode:
         if points.size and (points.min() < 0
                             or points.max() >= self.codeword_length):
             raise ValueError("evaluation points outside [0, codeword_length)")
-        # Base-p digits of every value, little-endian.
+        # Base-p digits of every value, highest first; the top one needs no
+        # reduction, since every value is below p^k.
         digits = []
         remaining = values
-        for _ in range(self.message_length):
-            remaining, digit = np.divmod(remaining, self.prime)
+        for _ in range(self.message_length - 1):
+            quotient = remaining // self.prime
+            digit = np.multiply(quotient, self.prime)
+            np.subtract(remaining, digit, out=digit)
             digits.append(digit)
-        acc = np.zeros(np.broadcast_shapes(values.shape, points.shape),
-                       dtype=np.int64)
-        for digit in reversed(digits):
-            acc = (acc * points + digit) % self.prime
-        return acc
+            remaining = quotient
+        digits.append(remaining)
+        return horner_mod(digits[::-1], points, self.prime,
+                          self.codeword_length - 1, self.prime)
 
     def encode_batch(self, values) -> "np.ndarray":
         """Row i is ``encode_int(values[i])``: shape ``(len(values), M)``."""

@@ -166,7 +166,8 @@ class ProtocolParameters:
         The implementation reports one uniformly chosen component of
         ``(chunk, neighbour hashes)`` per user — the chunk plus ``d``
         neighbour hash values — rather than the full packed symbol, so the
-        per-coordinate oracle domain stays enumerable.  See DESIGN.md.
+        per-coordinate oracle domain stays enumerable (the full packed
+        symbol would make it exponential in ``d``).
         """
         return self.expander_degree + 1
 

@@ -1,4 +1,4 @@
-"""Ablation experiments A1 and A2 (design choices called out in DESIGN.md).
+"""Ablation experiments A1 and A2: per-coordinate hashing and Hashtogram sizing.
 
 A1 — hashing structure: PrivateExpanderSketch uses *independent per-coordinate
 hashes* combined by a list-recoverable code, versus the single shared hash of

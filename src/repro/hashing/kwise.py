@@ -7,19 +7,41 @@ k-wise independent hash into ``[range_size]``.  This is the textbook
 construction the paper relies on for its pairwise independent hashes
 ``h_1, ..., h_M`` and the ``O(log |X|)``-wise independent partition hash ``g``.
 
-All evaluations are vectorised over numpy arrays.  Horner's rule runs in
-int64 whenever every intermediate ``value * x + coef`` fits, i.e. for primes
-with ``p * (p - 1) < 2^63`` (up to 3,037,000,493): that covers every domain
-used here, including the ``2^31 + 11`` field of the heavy-hitter protocols'
-user-index assignment hash.  Only larger primes fall back to Python integers
-in an object array.  :class:`StackedKWiseHash` evaluates many hashes that
-share a prime and range in one such pass, one hash chosen per input.
+All evaluations are vectorised over numpy arrays.  :class:`StackedKWiseHash`
+evaluates many hashes that share a prime and range in one pass, one hash
+chosen per input.
+
+The exact int64 kernel
+----------------------
+:func:`horner_mod` is the Horner loop every client encoder runs (here and
+in :meth:`repro.codes.reed_solomon.ReedSolomonCode.evaluate_at`).  It
+works in place on two int64 buffers, the values and one scratch (made at
+the first reduction), and reduces lazily.  The loop carries ``bound``, an
+upper bound on every value: a coefficient is below ``p``, so after a step
+``v <- v * x + c`` with ``x <= x_max`` the bound becomes
+``bound * x_max + (p - 1)``.  Before a step whose new bound would pass
+``2^63 - 1`` the values are reduced mod ``p`` (the bound falls back to
+``p - 1``); so no intermediate ever wraps, and since reducing mod ``p``
+commutes with ``+`` and ``*``, the result equals reducing at every step.
+For a hash, ``x_max = p - 1`` and the first step's bound is
+``(p - 1)^2 + (p - 1) = p (p - 1)``, which fits in 63 bits exactly when
+:func:`_int64_exact` holds (primes up to 3,037,000,493).  At
+``p = 1,048,583`` (the ``2^20`` domain) a reduction falls on every second
+step; at the ``2^31 + 11`` assignment field, on every step.
+
+A reduction is ``v - (v // p) * p``, not numpy's ``%``: numpy divides by
+a scalar through a precomputed multiply, several times faster than its
+int64 remainder, and every value is non-negative, so both agree.
+The final reduction into the range is a mask ``v & (r - 1)`` when ``r``
+is a power of two, and skipped when ``r >= p``.  Inputs ``x >= p`` are
+reduced mod ``p`` first (one ``max`` pass tells).  Primes past
+:func:`_int64_exact` run on Python ints in an object array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,7 +80,7 @@ class KWiseHash:
     def __post_init__(self) -> None:
         # Horner state cached once per hash: the reversed coefficients as
         # plain ints reduced mod p (which leaves every value unchanged and
-        # keeps the int64 path's intermediates below p * (p - 1)).  (frozen
+        # is the coefficient bound `horner_mod` relies on).  (frozen
         # dataclass: set via object.__setattr__; not a field, so
         # eq/repr/asdict are unchanged.)
         object.__setattr__(self, "_rev_coefficients",
@@ -112,6 +134,58 @@ def _int64_exact(prime: int) -> bool:
     return prime * (prime - 1) < (1 << 63)
 
 
+#: the largest value an int64 holds
+_INT64_MAX = (1 << 63) - 1
+
+
+def _reduce(vals: np.ndarray, modulus: int,
+            scratch: Optional[np.ndarray]) -> np.ndarray:
+    """``vals %= modulus`` in place for non-negative ``vals``, as
+    ``vals - (vals // modulus) * modulus``; returns the scratch buffer
+    (allocated on first use)."""
+    if scratch is None:
+        scratch = np.empty_like(vals)
+    np.floor_divide(vals, modulus, out=scratch)
+    np.multiply(scratch, modulus, out=scratch)
+    np.subtract(vals, scratch, out=vals)
+    return scratch
+
+
+def horner_mod(columns: Sequence, x: np.ndarray, prime: int, x_max: int,
+               range_size: int) -> np.ndarray:
+    """``poly(x) mod prime mod range_size`` in int64, reducing lazily.
+
+    ``columns`` are the coefficients, highest degree first, each a scalar
+    or an array broadcastable against ``x`` with every entry in
+    ``[0, prime)``; ``x`` is non-negative int64 with no entry above
+    ``x_max``.  ``(prime - 1) * (x_max + 1)`` must fit in int64.  Returns
+    a fresh array of the broadcast shape; see the module docstring for
+    the reduction schedule and why it is exact.
+    """
+    shape = np.broadcast_shapes(x.shape, *(np.shape(c) for c in columns))
+    vals = np.empty(shape, dtype=np.int64)
+    scratch = None
+    top = prime - 1
+    # The first step of 0 * x + c_top is c_top itself.
+    vals[...] = columns[0] if columns else 0
+    bound = top
+    for coef in columns[1:]:
+        if bound * x_max + top > _INT64_MAX:
+            scratch = _reduce(vals, prime, scratch)
+            bound = top
+        np.multiply(vals, x, out=vals)
+        np.add(vals, coef, out=vals)
+        bound = bound * x_max + top
+    if bound > top:
+        scratch = _reduce(vals, prime, scratch)
+    if top >= range_size:
+        if range_size & (range_size - 1):
+            _reduce(vals, range_size, scratch)
+        else:
+            np.bitwise_and(vals, range_size - 1, out=vals)
+    return vals
+
+
 def _horner(columns: Sequence, x: np.ndarray, prime: int,
             range_size: int) -> np.ndarray:
     """``poly(x) mod prime mod range_size`` by Horner's rule.
@@ -121,7 +195,11 @@ def _horner(columns: Sequence, x: np.ndarray, prime: int,
     against ``x``.  Primes past :func:`_int64_exact` run on Python ints in
     an object array.
     """
-    x_mod = (x if _int64_exact(prime) else x.astype(object)) % prime
+    if _int64_exact(prime):
+        if x.size and x.max() >= prime:
+            x = x % prime
+        return horner_mod(columns, x, prime, prime - 1, range_size)
+    x_mod = x.astype(object) % prime
     # The first step of 0 * x + c_top is c_top itself.
     vals = columns[0] if columns else 0
     for coef in columns[1:]:

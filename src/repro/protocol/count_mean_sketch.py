@@ -167,9 +167,12 @@ class CountMeanSketchAggregator(ServerAggregator):
         k, m = self.params.num_hashes, self.params.num_buckets
         rows = int_column(columns, "row", 0, k)
         bits = int_column(columns, "bits", 0, 2, width=m)
-        # a leaf, never nested: ship this batch's summed table as one part
-        ones = np.zeros((k, m), dtype=np.int64)
-        np.add.at(ones, rows, bits.astype(np.int64))
+        # a leaf, never nested: ship this batch's summed table as one part,
+        # one masked column sum per hash row (a row with no reports sums
+        # to zeros)
+        ones = np.empty((k, m), dtype=np.int64)
+        for j in range(k):
+            bits[rows == j].sum(axis=0, dtype=np.int64, out=ones[j])
         return [(np.arange(k * m + k)[:, None],
                  np.concatenate([ones.ravel(),
                                  np.bincount(rows, minlength=k)])[:, None])]

@@ -2,7 +2,8 @@
 
 The paper's motivating applications are Chrome URL telemetry and iOS new-word
 discovery; neither dataset is public, so the benchmarks use synthetic
-equivalents (DESIGN.md, substitution 3):
+equivalents, whose frequencies are known exactly, so recall and error
+against the truth are measurable:
 
 * :func:`zipf_workload` — Zipf-distributed values over a large domain, the
   standard model of URL/word popularity;

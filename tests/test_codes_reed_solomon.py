@@ -129,6 +129,70 @@ class TestBatchEncoding:
             CODE.evaluate_at([1], [-1])
 
 
+class TestEvaluateAtKernel:
+    """``evaluate_at`` (floor-division digits, one lazily reduced Horner
+    pass) against ``encode_int``'s Python-int polynomial evaluation."""
+
+    @pytest.mark.parametrize("k, m, p", [
+        (4, 9, 37),                  # the expander's D = 2^20 outer code
+        (5, 10, CODE.prime),         # reduced once at the end
+        (1, 1, 2),                   # a single point, a single digit
+        (3, 5, (1 << 31) + 11),      # digits near 2^31
+        (8, 1000, 1048583),          # p * M^k past 2^63: reduce per step
+    ])
+    def test_matches_encode_int(self, k, m, p):
+        code = ReedSolomonCode(message_length=k, codeword_length=m, prime=p)
+        top = min(code.max_domain_size, 1 << 63) - 1
+        rng = np.random.default_rng(k * m)
+        values = np.array([0, 1, p - 1, min(p, top), top,
+                           *rng.integers(0, top, size=12, endpoint=True)],
+                          dtype=np.int64)
+        table = code.encode_batch(values)
+        assert table.dtype == np.int64 and table.shape == (values.size, m)
+        for row, value in zip(table, values.tolist(), strict=True):
+            assert row.tolist() == code.encode_int(value)
+        points = rng.integers(0, m, size=values.size)
+        assert np.array_equal(code.evaluate_at(values, points),
+                              table[np.arange(values.size), points])
+
+    @pytest.mark.parametrize("k, m, p, reductions", [
+        (4, 9, 37, 1),               # p * M^k fits: once, at the end
+        (8, 1000, 1048583, 2),       # once mid-loop, once at the end
+    ])
+    def test_reduction_schedule(self, monkeypatch, k, m, p, reductions):
+        import repro.hashing.kwise as kwise
+
+        moduli = []
+        reduce = kwise._reduce
+
+        def counting(vals, modulus, scratch):
+            moduli.append(modulus)
+            return reduce(vals, modulus, scratch)
+
+        monkeypatch.setattr(kwise, "_reduce", counting)
+        code = ReedSolomonCode(message_length=k, codeword_length=m, prime=p)
+        code.encode_batch(np.arange(50))
+        assert moduli == [p] * reductions
+
+    def test_per_step_reduction_keeps_maximal_digits_exact(self):
+        """Every digit p - 1 and every point M - 1 drive each intermediate
+        to its bound; p = 2,097,143 is the largest prime with p^3 < 2^63."""
+        code = ReedSolomonCode(message_length=3, codeword_length=1 << 20,
+                               prime=2_097_143)
+        value = code.max_domain_size - 1
+        assert value < 1 << 63 <= code.prime * code.codeword_length ** 3
+        points = np.array([0, 1, code.codeword_length - 1])
+        expected = [code.field.poly_eval(code.message_from_int(value), int(x))
+                    for x in points]
+        assert code.evaluate_at(np.full(3, value), points).tolist() == expected
+
+    def test_empty_values_broadcast_against_points(self):
+        out = CODE.evaluate_at(np.zeros((0, 1), dtype=np.int64),
+                               np.arange(CODE.codeword_length))
+        assert out.shape == (0, CODE.codeword_length)
+        assert out.dtype == np.int64
+
+
 class TestSmallCode:
     def test_rate_one_code_has_zero_budget(self):
         code = ReedSolomonCode.for_domain(16, 4, rate=1.0)

@@ -175,6 +175,105 @@ class TestInt64HornerGuard:
             assert np.array_equal(stacked, vector)
 
 
+#: the 2^20 domain's field, where the partition and coordinate hashes live
+DOMAIN_PRIME = next_prime(1 << 20)
+
+
+def _maximal_hash(prime, independence, range_size, seed):
+    """A hash with random coefficients, or every coefficient ``p - 1`` (the
+    values that drive each Horner intermediate to its bound) for seed 0."""
+    if seed == 0:
+        coefficients = (prime - 1,) * independence
+    else:
+        rng = np.random.default_rng(seed)
+        coefficients = tuple(int(c) for c in
+                             rng.integers(0, prime, size=independence))
+    return KWiseHash(coefficients=coefficients, prime=prime,
+                     range_size=range_size)
+
+
+def _boundary_inputs(prime, size=200):
+    """Zero, one, p - 1, multiples of p and inputs up to 4p (x >= p is
+    reduced mod p before the Horner loop)."""
+    rng = np.random.default_rng(prime % 1000)
+    return np.array([0, 1, prime - 1, prime, prime + 1, 2 * prime - 1,
+                     3 * prime, *rng.integers(0, 4 * prime, size=size)],
+                    dtype=np.int64)
+
+
+class TestLazyReductionKernel:
+    """The int64 kernel against the Python-int scalar path, bit for bit."""
+
+    @pytest.mark.parametrize("independence", [2, 4, 8, 20])
+    @pytest.mark.parametrize("range_size", [2, 16, 1024, 7, 633, 97,
+                                            DOMAIN_PRIME - 1, DOMAIN_PRIME,
+                                            1 << 21])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_domain_prime(self, independence, range_size, seed):
+        h = _maximal_hash(DOMAIN_PRIME, independence, range_size, seed)
+        xs = _boundary_inputs(DOMAIN_PRIME)
+        got = h(xs)
+        assert got.dtype == np.int64
+        assert got.tolist() == [h._evaluate_scalar(int(x)) for x in xs]
+
+    @pytest.mark.parametrize("prime", [ASSIGNMENT_PRIME, LARGEST_INT64_PRIME,
+                                       SMALLEST_OBJECT_PRIME])
+    @pytest.mark.parametrize("independence", [1, 2, 4, 8])
+    @pytest.mark.parametrize("range_size", [9, 1 << 10, 1 << 40])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_wide_primes(self, prime, independence, range_size, seed):
+        """Past 2^31 every step needs a reduction; past the guard the
+        object path runs."""
+        h = _maximal_hash(prime, independence, range_size, seed)
+        xs = _boundary_inputs(prime, size=50)
+        assert h(xs).tolist() == [h._evaluate_scalar(int(x)) for x in xs]
+        stacked = StackedKWiseHash([h])(np.zeros(xs.size, dtype=np.intp), xs)
+        assert stacked.tolist() == h(xs).tolist()
+
+    def test_empty_batch(self):
+        for prime in (DOMAIN_PRIME, ASSIGNMENT_PRIME, SMALLEST_OBJECT_PRIME):
+            h = _maximal_hash(prime, 4, 7, 1)
+            out = h(np.zeros(0, dtype=np.int64))
+            assert out.shape == (0,) and out.dtype == np.int64
+
+    @pytest.mark.parametrize("prime", [DOMAIN_PRIME, ASSIGNMENT_PRIME])
+    def test_broadcast_neighbour_shape(self, prime):
+        """``stack(table[groups], x[:, None])``: an ``(n, d)`` table of hash
+        indices against one input per row, as the expander client asks."""
+        hashes = [_maximal_hash(prime, k, 16, seed)
+                  for seed, k in enumerate((2, 2, 4, 8, 2, 20))]
+        rng = np.random.default_rng(3)
+        xs = _boundary_inputs(prime, size=60)
+        which = rng.integers(0, len(hashes), size=(xs.size, 2))
+        got = StackedKWiseHash(hashes)(which, xs[:, None])
+        assert got.shape == (xs.size, 2) and got.dtype == np.int64
+        for i, x in enumerate(xs.tolist()):
+            for j in range(2):
+                assert got[i, j] == hashes[which[i, j]]._evaluate_scalar(x)
+
+    @pytest.mark.parametrize("prime, independence, reductions", [
+        (DOMAIN_PRIME, 2, 1), (DOMAIN_PRIME, 8, 4), (DOMAIN_PRIME, 20, 10),
+        (ASSIGNMENT_PRIME, 2, 1), (ASSIGNMENT_PRIME, 8, 7)])
+    def test_reduction_schedule(self, monkeypatch, prime, independence,
+                                reductions):
+        """Reductions mod p fall on every second step at p = 1,048,583 and
+        on every step at 2^31 + 11 (the last one after the loop)."""
+        import repro.hashing.kwise as kwise
+
+        moduli = []
+        reduce = kwise._reduce
+
+        def counting(vals, modulus, scratch):
+            moduli.append(modulus)
+            return reduce(vals, modulus, scratch)
+
+        monkeypatch.setattr(kwise, "_reduce", counting)
+        h = _maximal_hash(prime, independence, 7, 0)
+        xs = _boundary_inputs(prime, size=10)
+        assert h(xs).tolist() == [h._evaluate_scalar(int(x)) for x in xs]
+        assert moduli == [prime] * reductions + [7]
+
+
 class TestStackedKWiseHash:
     def _hashes(self, prime_domain=1 << 20, range_size=97):
         pairwise = KWiseHashFamily.create(prime_domain, range_size, 2)

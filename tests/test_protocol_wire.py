@@ -292,6 +292,25 @@ class TestStreamingIngestion:
         assert np.array_equal(streamed.finalize().estimate_many(queries),
                               batched.finalize().estimate_many(queries))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64, bool])
+    def test_cms_absorb_equals_add_at_table(self, dtype):
+        """The per-row masked column sums give exactly the table the 2-D
+        ``np.add.at`` scatter gives, rows without a report included."""
+        params = CountMeanSketchParams.create(1 << 10, 1.0, num_hashes=6,
+                                              num_buckets=24, rng=0)
+        gen = np.random.default_rng(5)
+        rows = gen.choice([0, 2, 3, 5], size=300)   # rows 1 and 4 stay empty
+        bits = gen.integers(0, 2, size=(300, 24)).astype(dtype)
+        ones = np.zeros((6, 24), dtype=np.int64)
+        np.add.at(ones, rows, bits.astype(np.int64))
+        expected = np.concatenate([ones.ravel(), np.bincount(rows,
+                                                             minlength=6)])
+        aggregator = params.make_aggregator()
+        aggregator.absorb_batch(ReportBatch(params.protocol,
+                                            {"row": rows, "bits": bits}))
+        assert np.array_equal(aggregator.counts, expected)
+        assert not expected[24:48].any() and not expected[96:120].any()
+
     def test_absorb_rejects_foreign_reports(self):
         params = ExplicitHistogramParams(16, 1.0)
         other = CountMeanSketchParams.create(16, 1.0, num_hashes=2,
