@@ -50,59 +50,38 @@ def run_cluster_ingest_bench(shard_counts: Sequence[int] = SHARD_COUNTS,
                              chunk_size: int = CHUNK_SIZE,
                              verify_queries: int = 64) -> Dict[str, object]:
     """Measure cluster wire ingest per shard count (1 = single server)."""
-    from repro.cli import _spawn_server
-    from repro.engine import encode_stream, make_plan, run_simulation
-    from repro.protocol.wire import protocol_class
+    from repro.cluster.supervisor import spawned_server
+    from repro.engine import routed_stream, run_simulation, seeded_inputs
     from repro.server import AggregationClient, encode_reports_frame
-    from repro.utils.rng import as_generator
-    from repro.workloads.distributions import zipf_workload
 
-    setup_gen = as_generator(seed)
-    values = zipf_workload(num_users, domain_size,
-                           support=min(2_000, domain_size), rng=setup_gen)
-    params = protocol_class("hashtogram").for_workload(
-        num_users, domain_size, epsilon, rng=setup_gen)
-    plan_seed = int(setup_gen.integers(0, 2**63 - 1))
-
-    batches = list(encode_stream(params, values,
-                                 rng=np.random.default_rng(plan_seed),
-                                 chunk_size=chunk_size))
-    # canonical routing keys: replay the same plan the stream encoded
-    routes = [chunk.route_key for chunk in
-              make_plan(params, num_users, rng=np.random.default_rng(plan_seed),
-                        chunk_size=chunk_size)]
+    values, params, plan_seed = seeded_inputs("hashtogram", num_users,
+                                              domain_size, epsilon, seed)
+    batches, routes = routed_stream(params, values, rng=plan_seed,
+                                    chunk_size=chunk_size)
     frames = b"".join(
         encode_reports_frame(batch, 0, route=route)
         for batch, route in zip(batches, routes, strict=True))
     queries = [int(x) for x in np.random.default_rng(0).integers(
         0, domain_size, size=verify_queries)]
     expected = run_simulation(
-        params, values, rng=np.random.default_rng(plan_seed),
+        params, values, rng=plan_seed,
         chunk_size=chunk_size).finalize().estimate_many(queries)
 
     results: List[Dict[str, object]] = []
     for shards in shard_counts:
-        if shards == 1:
-            proc, host, port = _spawn_server(params)
-        else:
-            proc, host, port = _spawn_server(
-                params, ("--shards", str(shards)), verb="serve-cluster")
-        try:
-            with AggregationClient(host, port) as client:
-                start_t = time.perf_counter()
-                client.send_raw(frames)
-                absorbed = client.sync()
-                ingest_s = time.perf_counter() - start_t
-                query_start = time.perf_counter()
-                served = client.query(queries)
-                query_s = time.perf_counter() - query_start
-                client.shutdown()
-            proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.terminate()
-                proc.wait(timeout=10)
-            proc.stdout.close()
+        verb, extra = (("serve", ()) if shards == 1
+                       else ("serve-cluster", ("--shards", str(shards))))
+        with spawned_server(params, verb, extra) as server, \
+                AggregationClient(server.host, server.port) as client:
+            start_t = time.perf_counter()
+            client.send_raw(frames)
+            absorbed = client.sync()
+            ingest_s = time.perf_counter() - start_t
+            query_start = time.perf_counter()
+            served = client.query(queries)
+            query_s = time.perf_counter() - query_start
+            client.shutdown()
+            server.stopping = True
         if absorbed != num_users:
             raise RuntimeError(f"{shards} shard(s): absorbed {absorbed} of "
                                f"{num_users} reports")
@@ -268,27 +247,19 @@ def run_transport_matrix_bench(transports: Sequence[str] = TRANSPORTS,
     """
     import asyncio
 
-    from repro.cli import _spawn_server
-    from repro.engine import encode_stream, run_simulation
-    from repro.protocol.wire import protocol_class
+    from repro.cluster.supervisor import spawned_server
+    from repro.engine import encode_stream, run_simulation, seeded_inputs
     from repro.server import AsyncAggregationClient, encode_reports_frame
-    from repro.utils.rng import as_generator
-    from repro.workloads.distributions import zipf_workload
 
-    setup_gen = as_generator(seed)
-    values = zipf_workload(num_users, domain_size,
-                           support=min(2_000, domain_size), rng=setup_gen)
-    params = protocol_class("hashtogram").for_workload(
-        num_users, domain_size, epsilon, rng=setup_gen)
-    plan_seed = int(setup_gen.integers(0, 2**63 - 1))
-    batches = list(encode_stream(params, values,
-                                 rng=np.random.default_rng(plan_seed),
+    values, params, plan_seed = seeded_inputs("hashtogram", num_users,
+                                              domain_size, epsilon, seed)
+    batches = list(encode_stream(params, values, rng=plan_seed,
                                  chunk_size=chunk_size))
     frames = b"".join(encode_reports_frame(batch, 0) for batch in batches)
     queries = [int(x) for x in np.random.default_rng(0).integers(
         0, domain_size, size=verify_queries)]
     expected = run_simulation(
-        params, values, rng=np.random.default_rng(plan_seed),
+        params, values, rng=plan_seed,
         chunk_size=chunk_size).finalize().estimate_many(queries)
     copies = max(1, -(-int(target_wire_mb * 1e6) // len(frames)))
     blob = frames * copies
@@ -306,25 +277,17 @@ def run_transport_matrix_bench(transports: Sequence[str] = TRANSPORTS,
 
     results: List[Dict[str, object]] = []
     for transport in transports:
-        if transport == "shm":
-            name = f"repro-bench-{os.getpid()}-{len(results)}"
-            proc, _host, _port = _spawn_server(
-                params, ("--transport", "shm", "--shm-name", name))
-            address = f"shm://{name}"
-        elif transport == "tcp":
-            proc, host, port = _spawn_server(params)
-            address = f"tcp://{host}:{port}"
-        else:
+        if transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {transport!r} "
                              f"(expected one of {TRANSPORTS})")
-        try:
+        name = f"repro-bench-{os.getpid()}-{len(results)}"
+        extra = (("--transport", "shm", "--shm-name", name)
+                 if transport == "shm" else ())
+        with spawned_server(params, "serve", extra) as server:
+            address = (f"shm://{name}" if transport == "shm"
+                       else f"tcp://{server.host}:{server.port}")
             absorbed, served = asyncio.run(verify(address))
-            proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.terminate()
-                proc.wait(timeout=10)
-            proc.stdout.close()
+            server.stopping = True
         if absorbed != num_users:
             raise RuntimeError(f"{transport}: absorbed {absorbed} of "
                                f"{num_users} reports")

@@ -89,51 +89,36 @@ def run_server_ingest_bench(protocols: Sequence[str] = ("hashtogram",),
     the offline engine, bit for bit — throughput that corrupts the aggregate
     would be meaningless.
     """
-    from repro.cli import _spawn_server
-    from repro.engine import encode_stream, run_simulation
-    from repro.protocol.wire import protocol_class
+    from repro.cluster.supervisor import spawned_server
+    from repro.engine import encode_stream, run_simulation, seeded_inputs
     from repro.server import AggregationClient, encode_reports_frame
-    from repro.utils.rng import as_generator
-    from repro.workloads.distributions import zipf_workload
 
     results: List[Dict[str, object]] = []
     for protocol in protocols:
-        setup_gen = as_generator(seed)
-        values = zipf_workload(num_users, domain_size,
-                               support=min(2_000, domain_size), rng=setup_gen)
-        params = protocol_class(protocol).for_workload(
-            num_users, domain_size, epsilon, rng=setup_gen)
-        plan_seed = int(setup_gen.integers(0, 2**63 - 1))
-
-        batches = list(encode_stream(params, values,
-                                     rng=np.random.default_rng(plan_seed),
+        values, params, plan_seed = seeded_inputs(protocol, num_users,
+                                                  domain_size, epsilon, seed)
+        batches = list(encode_stream(params, values, rng=plan_seed,
                                      chunk_size=chunk_size))
         queries = [int(x) for x in np.random.default_rng(0).integers(
             0, domain_size, size=verify_queries)]
         expected = run_simulation(
-            params, values, rng=np.random.default_rng(plan_seed),
+            params, values, rng=plan_seed,
             chunk_size=chunk_size).finalize().estimate_many(queries)
 
         frames = b"".join(encode_reports_frame(batch, 0) for batch in batches)
         best: Optional[Dict[str, float]] = None
         identical = True
         for _ in range(max(1, repeats)):
-            proc, host, port = _spawn_server(params)
-            try:
-                with AggregationClient(host, port) as client:
-                    start = time.perf_counter()
-                    client.send_raw(frames)
-                    absorbed = client.sync()
-                    elapsed = time.perf_counter() - start
-                    served = client.query(queries)
-                    stats = client.stats()
-                    client.shutdown()
-                proc.wait(timeout=10)
-            finally:
-                if proc.poll() is None:
-                    proc.terminate()
-                    proc.wait(timeout=10)
-                proc.stdout.close()
+            with spawned_server(params) as server, \
+                    AggregationClient(server.host, server.port) as client:
+                start = time.perf_counter()
+                client.send_raw(frames)
+                absorbed = client.sync()
+                elapsed = time.perf_counter() - start
+                served = client.query(queries)
+                stats = client.stats()
+                client.shutdown()
+                server.stopping = True
             if absorbed != num_users:
                 raise RuntimeError(f"server absorbed {absorbed} of "
                                    f"{num_users} reports")

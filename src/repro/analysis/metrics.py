@@ -19,6 +19,8 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.rng import RandomState, as_generator
+
 
 def true_frequencies(data: Sequence[int]) -> Dict[int, int]:
     """Exact multiplicities ``f_S(x)`` of every element appearing in ``data``."""
@@ -40,6 +42,17 @@ def frequency_estimation_errors(estimates: Mapping[int, float],
     """Absolute error of each estimate against the true multiplicity in ``data``."""
     freq = true_frequencies(data)
     return {int(x): abs(float(a) - freq.get(int(x), 0)) for x, a in estimates.items()}
+
+
+def probe_queries(values: Sequence[int], domain_size: int, count: int,
+                  rng: RandomState) -> List[int]:
+    """The items a served-vs-offline check queries: the five most frequent
+    items of ``values`` (count ties broken on the smaller item), then
+    ``count`` uniform probes of ``[0, domain_size)`` drawn from ``rng``."""
+    top = sorted(true_frequencies(values).items(),
+                 key=lambda kv: (-kv[1], kv[0]))[:5]
+    probes = as_generator(rng).integers(0, domain_size, size=count)
+    return [int(x) for x, _ in top] + [int(x) for x in probes]
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 :class:`ChaosRunner` is the harness behind ``python -m repro.cli
 chaos-test``.  One run:
 
-1. derives the canonical workload exactly like ``load-test`` (same seed
-   discipline: one generator for workload + params, one shared plan seed
-   for the offline engine, the chunk stream, and the routing plan);
+1. derives its inputs with :func:`repro.engine.seeded_inputs`, the
+   seeded run ``load-test`` and the experiment matrix replay too, and its
+   routed chunk stream with :func:`repro.engine.routed_stream`;
 2. computes the ground truth offline via
    :func:`repro.engine.run_simulation`;
 3. starts a real cluster — :class:`~repro.cluster.ClusterSupervisor`
@@ -57,7 +57,6 @@ from repro.protocol.wire import (
 )
 from repro.server.client import AsyncAggregationClient, ServerError
 from repro.server.framing import FrameError
-from repro.utils.rng import as_generator
 
 __all__ = ["ChaosResult", "ChaosRunner", "ChaosSupervisor"]
 
@@ -201,8 +200,8 @@ class ChaosRunner:
         membership: bool = False,
         transport: str = "tcp",
     ) -> None:
+        protocol_class(protocol)  # an unknown name fails here, not mid-run
         self.protocol = protocol
-        self.protocol_class = protocol_class(protocol)
         self.domain_size = int(domain_size)
         self.epsilon = float(epsilon)
         self.num_users = int(num_users)
@@ -273,33 +272,19 @@ class ChaosRunner:
     # ----- the run --------------------------------------------------------------------
 
     def _workload(self) -> _Workload:
-        """The load-test seed discipline: one generator for the workload and
-        the parameters, one shared plan seed for the offline engine, the
-        chunk stream and the routing plan — with an explicit (smaller)
-        chunk size so the stream has enough frames for every scheduled
-        fault to land on one."""
-        from repro.engine import encode_stream, make_plan, run_simulation
-        from repro.workloads.distributions import zipf_workload
+        """The seeded run of :func:`repro.engine.seeded_inputs`, with an
+        explicit (smaller) chunk size so the stream has enough frames for
+        every scheduled fault to land on one."""
+        from repro.engine import routed_stream, run_simulation, seeded_inputs
 
-        gen = as_generator(self.seed)
-        values = zipf_workload(self.num_users, self.domain_size,
-                               support=min(2_000, self.domain_size), rng=gen)
-        params = self.protocol_class.for_workload(
-            self.num_users, self.domain_size, self.epsilon, rng=gen)
-        plan_seed = int(gen.integers(0, 2**63 - 1))
+        values, params, plan_seed = seeded_inputs(
+            self.protocol, self.num_users, self.domain_size, self.epsilon,
+            self.seed)
         chunk_size = max(1, self.num_users // max(1, self.num_shards * 10))
-        offline = run_simulation(
-            params, values, rng=np.random.default_rng(plan_seed),
-            chunk_size=chunk_size,
-        ).aggregator
-        batches = list(encode_stream(
-            params, values, rng=np.random.default_rng(plan_seed),
-            chunk_size=chunk_size,
-        ))
-        routes = [chunk.route_key for chunk in make_plan(
-            params, self.num_users, rng=np.random.default_rng(plan_seed),
-            chunk_size=chunk_size,
-        )]
+        offline = run_simulation(params, values, rng=plan_seed,
+                                 chunk_size=chunk_size).aggregator
+        batches, routes = routed_stream(params, values, rng=plan_seed,
+                                        chunk_size=chunk_size)
         return _Workload(values, params, offline, batches, routes,
                          np.cumsum([len(batch) for batch in batches]))
 
@@ -318,13 +303,10 @@ class ChaosRunner:
     async def _answers(self, work: _Workload) -> Dict[str, object]:
         """Query, pull the exact state and read health through the router;
         the fields :class:`ChaosResult` compares with the offline run."""
-        from repro.analysis.metrics import true_frequencies
+        from repro.analysis.metrics import probe_queries
 
-        truth = true_frequencies(work.values)
-        top = sorted(truth.items(), key=lambda kv: -kv[1])[:5]
-        probe = np.random.default_rng(0).integers(
-            0, self.domain_size, size=self.num_queries)
-        queries = [int(x) for x, _ in top] + [int(x) for x in probe]
+        queries = probe_queries(work.values, self.domain_size,
+                                self.num_queries, 0)
         served = await self._with_retry(lambda c: c.query(queries))
         expected = work.offline.finalize().estimate_many(queries)
         pull = await self._with_retry(lambda c: c.pull_state())

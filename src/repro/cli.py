@@ -449,32 +449,6 @@ def _cmd_serve_cluster(args) -> int:
     return 0
 
 
-def _spawn_server(params, extra_args: Sequence[str] = (),
-                  verb: str = "serve") -> Tuple[object, str, int]:
-    """Start a ``repro.cli`` server subprocess; returns (proc, host, port).
-
-    ``verb`` selects the service flavor (``serve`` or ``serve-cluster``);
-    either way the child is waited on until its ``LISTENING`` line appears
-    (see :func:`repro.cluster.supervisor.spawn_server_process`).
-    """
-    import json
-    import os
-    import tempfile
-
-    from repro.cluster.supervisor import spawn_server_process
-
-    with tempfile.NamedTemporaryFile("w", suffix="-params.json",
-                                     delete=False) as handle:
-        json.dump(params.to_dict(), handle)
-        params_file = handle.name
-    try:
-        return spawn_server_process(verb, params_file, extra_args)
-    finally:
-        # The LISTENING line is printed after the child loaded the
-        # parameters, so the file is safe to remove on every path.
-        os.unlink(params_file)
-
-
 def _parse_membership_script(text: str) -> List[Tuple[float, str, int]]:
     """Parse ``add:FRAC`` / ``drain:FRAC[:SHARD]`` comma lists.
 
@@ -513,18 +487,17 @@ def _parse_membership_script(text: str) -> List[Tuple[float, str, int]]:
 
 def _cmd_load_test(args) -> int:
     """Drive a live server with the engine's chunk stream; verify bit-identity."""
-    import os
+    import contextlib
     import threading
     import time
 
     import numpy as np
 
-    from repro.analysis.metrics import true_frequencies
-    from repro.engine import encode_stream, make_plan, run_simulation
+    from repro.analysis.metrics import probe_queries, true_frequencies
+    from repro.cluster.supervisor import spawned_server
+    from repro.engine import routed_stream, run_simulation, seeded_inputs
     from repro.experiments.reporting import format_table
     from repro.server import AggregationClient
-    from repro.utils.rng import as_generator
-    from repro.workloads.distributions import zipf_workload
 
     users = args.users
     workers = args.workers
@@ -546,6 +519,13 @@ def _cmd_load_test(args) -> int:
     if args.cluster is not None and args.cluster < 1:
         print("load-test: --cluster must be at least 1", file=sys.stderr)
         return 2
+    if args.server is not None:
+        host, sep, port_text = args.server.rpartition(":")
+        if not sep or not host or not port_text.isdigit():
+            print(f"load-test: --server must be HOST:PORT "
+                  f"(got {args.server!r})", file=sys.stderr)
+            return 2
+        port = int(port_text)
     membership_script: Optional[List[Tuple[float, str, int]]] = None
     if args.membership is not None:
         if args.cluster is None:
@@ -562,65 +542,45 @@ def _cmd_load_test(args) -> int:
             # keeps "which frames saw which map" deterministic.
             workers = 1
 
-    # Same parameter/workload derivation as `simulate`, then one shared seed
-    # for the canonical chunk plan: the wire stream and the offline engine
-    # replay identical per-chunk client randomness.
-    protocol = _protocol("load-test", args.protocol)
-    if protocol is None:
+    if _protocol("load-test", args.protocol) is None:
         return 2
-    gen = as_generator(args.seed)
-    domain_size = args.domain_size
-    values = zipf_workload(users, domain_size,
-                           support=min(2_000, domain_size), rng=gen)
-    params = protocol.for_workload(users, domain_size, args.epsilon, rng=gen)
-    plan_seed = int(gen.integers(0, 2**63 - 1))
+    values, params, plan_seed = seeded_inputs(
+        args.protocol, users, args.domain_size, args.epsilon, args.seed)
 
     # Membership mode needs stream *granularity*: the scripted transitions
     # land between two batches, so a handful of engine-default megabatches
     # would degenerate "mid-stream" to "before everything".  The explicit
-    # chunk size is shared by all three derivations below, which is all
+    # chunk size is shared by the stream and the offline run, which is all
     # bit-identity requires.
     chunk_size = max(1, users // 24) if membership_script is not None else None
 
-    offline = run_simulation(params, values,
-                             rng=np.random.default_rng(plan_seed),
+    offline = run_simulation(params, values, rng=plan_seed,
                              chunk_size=chunk_size).finalize()
+    queries = probe_queries(values, args.domain_size, args.queries, 0)
 
     encode_start = time.perf_counter()
-    batches = list(encode_stream(params, values,
-                                 rng=np.random.default_rng(plan_seed),
-                                 chunk_size=chunk_size))
+    # A cluster router partitions on the routes; a single server ignores them.
+    batches, routes = routed_stream(params, values, rng=plan_seed,
+                                    chunk_size=chunk_size)
     encode_s = time.perf_counter() - encode_start
-    # Shard-routing keys from the canonical plan (one batch per chunk; a
-    # fresh generator with the same seed replays the identical plan the
-    # stream used).  A cluster router partitions on them; a single server
-    # ignores them.
-    routes = [chunk.route_key for chunk in
-              make_plan(params, users, rng=np.random.default_rng(plan_seed),
-                        chunk_size=chunk_size)]
 
-    proc = None
-    if args.server is not None:
-        host, sep, port_text = args.server.rpartition(":")
-        if not sep or not host or not port_text.isdigit():
-            print(f"load-test: --server must be HOST:PORT "
-                  f"(got {args.server!r})", file=sys.stderr)
-            return 2
-        port = int(port_text)
-    elif args.cluster is not None:
-        # The transport flag selects how the router reaches its shards
-        # (shm rings vs TCP loopback); this client always drives the
-        # router's TCP endpoint — the answers must be identical either way.
-        proc, host, port = _spawn_server(
-            params, ("--shards", str(args.cluster),
-                     "--transport", args.transport), verb="serve-cluster")
-    else:
-        extra: Tuple[str, ...] = ()
-        if args.transport != "tcp":
-            extra = ("--transport", args.transport)
-        proc, host, port = _spawn_server(params, extra)
-    server_stopped = False
-    try:
+    with contextlib.ExitStack() as stack:
+        server = None
+        if args.server is None:
+            if args.cluster is not None:
+                # The transport flag selects how the router reaches its
+                # shards (shm rings vs TCP loopback); this client always
+                # drives the router's TCP endpoint — the answers must be
+                # identical either way.
+                verb = "serve-cluster"
+                extra: Tuple[str, ...] = ("--shards", str(args.cluster),
+                                          "--transport", args.transport)
+            else:
+                verb = "serve"
+                extra = (("--transport", args.transport)
+                         if args.transport != "tcp" else ())
+            server = stack.enter_context(spawned_server(params, verb, extra))
+            host, port = server.host, server.port
         # hello doubles as wire-format negotiation: a server that does not
         # accept binary frames fails here, not batch by silent batch.
         with AggregationClient(host, port) as probe:
@@ -692,34 +652,28 @@ def _cmd_load_test(args) -> int:
                 thread.start()
             for thread in threads:
                 thread.join()
-        client = AggregationClient(host, port)
-        absorbed = client.sync()
-        ingest_s = time.perf_counter() - ingest_start
-        if failures:
-            print("load-test: " + "; ".join(failures), file=sys.stderr)
-            return 1
-        if absorbed != users:
-            print(f"load-test: server absorbed {absorbed} of {users} reports",
-                  file=sys.stderr)
-            return 1
-
-        truth = true_frequencies(values)
-        top = sorted(truth.items(), key=lambda kv: -kv[1])[:5]
-        probe = np.random.default_rng(0).integers(0, domain_size,
-                                                  size=args.queries)
-        queries = [int(x) for x, _ in top] + [int(x) for x in probe]
-        served = client.query(queries)
+        final_map: Optional[Dict[str, object]] = None
+        with AggregationClient(host, port) as client:
+            absorbed = client.sync()
+            ingest_s = time.perf_counter() - ingest_start
+            if failures:
+                print("load-test: " + "; ".join(failures), file=sys.stderr)
+                return 1
+            if absorbed != users:
+                print(f"load-test: server absorbed {absorbed} of {users} "
+                      f"reports", file=sys.stderr)
+                return 1
+            served = client.query(queries)
+            stats = client.stats()
+            if membership_script is not None:
+                final_map = dict(client.shard_map()["map"])
+            if server is not None:
+                client.shutdown()
+                server.stopping = True
         expected = offline.estimate_many(queries)
         identical = bool(np.array_equal(served, expected))
-        stats = client.stats()
-        final_map: Optional[Dict[str, object]] = None
-        if membership_script is not None:
-            final_map = dict(client.shard_map()["map"])
-        if proc is not None:
-            client.shutdown()
-            server_stopped = True
-        client.close()
 
+        truth = true_frequencies(values)
         rows = [{"item": x, "true_count": truth.get(x, 0),
                  "served_estimate": round(float(a), 1)}
                 for x, a in list(zip(queries, served, strict=True))[:5]]
@@ -774,23 +728,6 @@ def _cmd_load_test(args) -> int:
                       f"map activates {new_ids}", file=sys.stderr)
                 return 1
         return 0
-    finally:
-        if proc is not None:
-            # After an acknowledged `shutdown` frame, give the child a
-            # grace period to exit on its own: `serve-cluster` still has
-            # to stop its shards and remove its ephemeral base dir, and an
-            # immediate SIGTERM would race that cleanup.
-            import subprocess
-            try:
-                if server_stopped:
-                    proc.wait(timeout=10)
-                else:
-                    proc.terminate()
-                    proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                proc.wait(timeout=10)
-            proc.stdout.close()
 
 
 def _cmd_chaos_test(args) -> int:

@@ -12,7 +12,9 @@ process-management half of that picture:
   contract ``repro.cli load-test`` and the benchmarks rely on.  It is two
   steps, :func:`launch_server_process` (the ``Popen``) and
   :func:`await_listening` (the readiness line), which also serve many
-  children at once under one deadline.
+  children at once under one deadline.  :func:`spawned_server` wraps it
+  for the drivers that start a server from a parameters object: it writes
+  the parameters file and tears the child down on the way out.
 * :class:`ClusterSupervisor` spawns the N shards of one cluster — all
   launched before any is awaited, so they start up in parallel (and
   ``serve-cluster`` launches them before it loads its own layers) — each with
@@ -39,18 +41,22 @@ import select
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["ClusterSupervisor", "ShardHandle", "await_listening",
-           "launch_server_process", "reap_processes", "spawn_server_process"]
+__all__ = ["ClusterSupervisor", "ShardHandle", "SpawnedServer",
+           "await_listening", "launch_server_process", "reap_processes",
+           "spawn_server_process", "spawned_server"]
 
 
 #: how long a spawned server may take to print its ``LISTENING`` line
 STARTUP_TIMEOUT = 30.0
+#: how long a server that acknowledged ``shutdown`` may take to exit
+SHUTDOWN_GRACE = 30.0
 
 
 def launch_server_process(
@@ -131,6 +137,52 @@ def spawn_server_process(
     proc = launch_server_process(verb, params_file, extra_args)
     [(host, port)] = await_listening([proc], startup_timeout)
     return proc, host, port
+
+
+@dataclass
+class SpawnedServer:
+    """A server child of :func:`spawned_server` and its TCP endpoint."""
+
+    proc: subprocess.Popen
+    host: str
+    port: int
+    #: set once the server acknowledged a ``shutdown`` frame: it is then
+    #: exiting on its own and gets :data:`SHUTDOWN_GRACE` before any signal
+    stopping: bool = False
+
+
+@contextlib.contextmanager
+def spawned_server(params, verb: str = "serve",
+                   extra_args: Sequence[str] = ()) -> Iterator[SpawnedServer]:
+    """Run one ``repro.cli`` server started from ``params`` for a block.
+
+    ``params`` is any public-parameters object (its ``to_dict()`` payload
+    becomes the child's ``--params-file``); ``verb`` and ``extra_args`` are
+    as for :func:`spawn_server_process`.  On the way out a child whose
+    handle is marked :attr:`~SpawnedServer.stopping` is first given
+    :data:`SHUTDOWN_GRACE` to exit by itself (``serve-cluster`` still stops
+    its shards and removes its ephemeral base directory after the
+    acknowledgement, and a ``SIGTERM`` would race that cleanup); whatever
+    is still alive then is reaped (:func:`reap_processes`).
+    """
+    with tempfile.NamedTemporaryFile("w", suffix="-params.json",
+                                     delete=False) as handle:
+        json.dump(params.to_dict(), handle)
+    try:
+        proc, host, port = spawn_server_process(verb, handle.name,
+                                                extra_args)
+    finally:
+        # The LISTENING line is printed after the child loaded the
+        # parameters, so the file is safe to remove on every path.
+        os.unlink(handle.name)
+    server = SpawnedServer(proc, host, port)
+    try:
+        yield server
+    finally:
+        if server.stopping:
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                proc.wait(timeout=SHUTDOWN_GRACE)
+        reap_processes([proc])
 
 
 @contextlib.contextmanager

@@ -30,7 +30,9 @@ from repro.engine.engine import (
     EngineResult,
     encode_concat,
     encode_stream,
+    routed_stream,
     run_simulation,
+    seeded_inputs,
 )
 from repro.engine.partition import (
     Chunk,
@@ -51,6 +53,8 @@ __all__ = [
     "encode_stream",
     "make_plan",
     "plan_chunks",
+    "routed_stream",
     "run_engine_bench",
     "run_simulation",
+    "seeded_inputs",
 ]

@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,11 +45,12 @@ from repro.protocol.wire import (
     ReportBatch,
     ServerAggregator,
     child_state,
+    protocol_class,
 )
-from repro.utils.rng import RandomState
+from repro.utils.rng import RandomState, as_generator
 
 __all__ = ["EngineResult", "run_simulation", "encode_stream",
-           "encode_concat"]
+           "encode_concat", "routed_stream", "seeded_inputs"]
 
 
 def _ingest_span(params: PublicParams, values_span: np.ndarray,
@@ -128,12 +129,71 @@ def encode_stream(params: PublicParams, values: Sequence[int],
     per-chunk seeds.
     """
     values = np.asarray(values, dtype=np.int64)
-    plan = make_plan(params, values.size, rng, chunk_size)
+    yield from _encode_plan(params, values,
+                            make_plan(params, values.size, rng, chunk_size))
+
+
+def _encode_plan(params: PublicParams, values: np.ndarray,
+                 plan: Sequence[Chunk]) -> Iterator[ReportBatch]:
     encoder = params.make_encoder()
     for chunk in plan:
         yield encoder.encode_batch(values[chunk.start:chunk.stop],
                                    chunk.generator(),
                                    first_user_index=chunk.start)
+
+
+def routed_stream(params: PublicParams, values: Sequence[int],
+                  rng: RandomState = None, chunk_size: Optional[int] = None
+                  ) -> Tuple[List[ReportBatch], List[int]]:
+    """:func:`encode_stream` plus each batch's shard-routing key.
+
+    Both come from one plan, so ``routes[i]`` is the
+    :attr:`~repro.engine.partition.Chunk.route_key` of the chunk that
+    ``batches[i]`` encodes: the stream a client sends to a cluster router.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    plan = make_plan(params, values.size, rng, chunk_size)
+    return (list(_encode_plan(params, values, plan)),
+            [chunk.route_key for chunk in plan])
+
+
+def seeded_inputs(protocol: str, num_users: int, domain_size: int,
+                  epsilon: float, seed: RandomState,
+                  distribution: str = "zipf"
+                  ) -> Tuple[np.ndarray, PublicParams, int]:
+    """The seeded run every served-vs-offline check replays: one generator
+    draws the values, then the parameters, then the 63-bit plan seed.
+
+    ``distribution`` is ``zipf`` (support capped at 2000 items),
+    ``uniform``, or ``planted`` (heavy hitters at 30%, 20% and 10% of the
+    users over a uniform background).  ``protocol`` names a registered
+    protocol, whose ``for_workload`` builds the parameters.  The plan seed
+    is the ``rng`` to give :func:`run_simulation` and
+    :func:`routed_stream` alike, so the served and offline runs draw
+    identical per-chunk client randomness.
+    """
+    from repro.workloads.distributions import (
+        planted_workload,
+        uniform_workload,
+        zipf_workload,
+    )
+
+    gen = as_generator(seed)
+    if distribution == "zipf":
+        values = zipf_workload(num_users, domain_size,
+                               support=min(2_000, domain_size), rng=gen)
+    elif distribution == "uniform":
+        values = uniform_workload(num_users, domain_size, rng=gen)
+    elif distribution == "planted":
+        values = planted_workload(num_users, domain_size,
+                                  heavy_fractions=[0.3, 0.2, 0.1],
+                                  rng=gen).values
+    else:
+        raise ValueError(f"unknown distribution {distribution!r} "
+                         f"(expected zipf, uniform or planted)")
+    params = protocol_class(protocol).for_workload(num_users, domain_size,
+                                                   epsilon, rng=gen)
+    return values, params, int(gen.integers(0, 2**63 - 1))
 
 
 def encode_concat(params: PublicParams, values: Sequence[int],

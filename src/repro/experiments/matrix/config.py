@@ -28,9 +28,6 @@ class ConfigError(ValueError):
 
 
 _DISTRIBUTIONS = ("zipf", "uniform", "planted")
-#: reports frames are binary only (docs/wire-protocol.md §8); the axis stays
-#: because derive_cell_seed hashes every axis value
-_WIRE_FORMATS = ("binary",)
 _TRANSPORTS = ("tcp", "shm")
 
 #: hard ceiling on ``max_cells`` itself (a config cannot lift the lid off)
@@ -84,8 +81,6 @@ AXES: Dict[str, Tuple[object, Tuple]] = {
                                              _DISTRIBUTIONS), ("zipf",)),
     "workers": (lambda v: _check_int("workers", v, 1), (1,)),
     "shards": (lambda v: _check_int("shards", v, 0), (0,)),
-    "wire_format": (lambda v: _check_choice("wire_format", v, _WIRE_FORMATS),
-                    ("binary",)),
     "transport": (lambda v: _check_choice("transport", v, _TRANSPORTS),
                   ("tcp",)),
 }
@@ -109,7 +104,6 @@ class Cell:
     distribution: str
     workers: int
     shards: int
-    wire_format: str
     transport: str
     #: deterministic per-cell seed (derive_cell_seed)
     seed: int
@@ -133,7 +127,7 @@ class Cell:
                 else f"cluster:{self.shards}")
         return (f"{self.protocol} eps={self.epsilon:g} n={self.users} "
                 f"|X|={self.domain_size} {self.distribution} "
-                f"w={self.workers} {mode} {self.wire_format}/{self.transport}")
+                f"w={self.workers} {mode} {self.transport}")
 
 
 @dataclass(frozen=True)
@@ -357,7 +351,9 @@ def expand_cells(config: MatrixConfig, quick: bool = False) -> List[Cell]:
     cells: List[Cell] = []
     for index, combo in enumerate(itertools.product(*axes_values)):
         axes = dict(zip(AXES, combo, strict=True))
-        cells.append(Cell(**axes,
-                          seed=derive_cell_seed(config.seed, axes),
-                          index=index))
+        # The retired one-value wire_format axis stays in the hash, so no
+        # committed cell's seed (and workload) moves.
+        seed = derive_cell_seed(config.seed,
+                                {**axes, "wire_format": "binary"})
+        cells.append(Cell(**axes, seed=seed, index=index))
     return cells

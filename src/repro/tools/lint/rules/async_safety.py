@@ -21,7 +21,8 @@ RPL301  blocking call on the event loop: ``time.sleep``, synchronous file
         blocking surfaces (``SnapshotStore.save`` via ``self.store.save``,
         ``read_snapshot``/``write_snapshot``, ``ClusterSupervisor``
         methods, ``spawn_server_process`` and its two steps
-        ``launch_server_process``/``await_listening``).  Fix: hand the call to
+        ``launch_server_process``/``await_listening``, and the
+        ``spawned_server`` block around it).  Fix: hand the call to
         ``loop.run_in_executor`` / ``asyncio.to_thread``.
 RPL302  check-then-act across an await: an instance attribute is read,
         an ``await`` yields the loop, and the attribute is then written —
@@ -55,7 +56,7 @@ _BLOCKING_METHODS = frozenset({
 #: repo-native blocking entry points (module-level functions)
 _REPO_BLOCKING_FUNCS = frozenset({
     "read_snapshot", "write_snapshot", "spawn_server_process",
-    "launch_server_process", "await_listening", "reap_processes",
+    "spawned_server", "launch_server_process", "await_listening", "reap_processes",
 })
 
 #: repo-native blocking methods, keyed by a substring of the receiver chain

@@ -205,6 +205,59 @@ class TestMembershipScript:
         assert "--cluster" in capsys.readouterr().err
 
 
+class TestLoadTest:
+    """``load-test`` end to end: the served estimates must equal the
+    offline engine bit for bit."""
+
+    def _bit_identical(self, capsys, *argv):
+        assert main(["load-test", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "BIT-IDENTICAL" in out
+        return out
+
+    def test_single_server(self, capsys):
+        self._bit_identical(capsys, "--quick", "--users", "3000")
+
+    @pytest.mark.cluster
+    def test_cluster_of_expander_sketch(self, capsys):
+        self._bit_identical(capsys, "--quick", "--users", "3000",
+                            "--cluster", "2", "--protocol", "expander_sketch",
+                            "--domain-size", "1024")
+
+    @pytest.mark.cluster
+    def test_membership_transitions_mid_stream(self, capsys):
+        out = self._bit_identical(
+            capsys, "--cluster", "2", "--users", "4000", "--epochs", "4",
+            "--domain-size", "4096", "--membership", "add:0.33,drain:0.66")
+        assert "membership transitions mid-stream" in out
+
+    def test_lost_batch_fails_and_closes_every_client(self, monkeypatch,
+                                                      capsys):
+        import gc
+        import sys
+        import warnings
+
+        from repro.server import AggregationClient
+
+        send_batch = AggregationClient.send_batch
+
+        def drop_first_chunk(self, batch, epoch=0, route=None):
+            if route != 0:
+                send_batch(self, batch, epoch=epoch, route=route)
+
+        monkeypatch.setattr(AggregationClient, "send_batch", drop_first_chunk)
+        # An unclosed socket warns from its finalizer, where the error the
+        # filter makes of the warning reaches sys.unraisablehook.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert main(["load-test", "--quick", "--users", "3000"]) == 1
+            gc.collect()
+        assert "absorbed" in capsys.readouterr().err
+        assert [str(u.exc_value) for u in unraisable] == []
+
+
 class TestServeSigterm:
     """SIGTERM's loop handler is gone before ``loop.close()`` closes the
     loop's self-pipe, so a late SIGTERM cannot write to a closed fd."""

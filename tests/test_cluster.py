@@ -26,7 +26,7 @@ from protocol_cases import protocol_cases
 from repro.cluster import ClusterRouter, ClusterSupervisor
 import repro.cluster.router as router_module
 from repro.cluster.router import _ShardLink
-from repro.engine import ShardPartition, encode_stream, make_plan, run_simulation
+from repro.engine import ShardPartition, make_plan, routed_stream, run_simulation
 from repro.engine.partition import ROUTE_PRIME
 from repro.protocol import ExplicitHistogramParams, HashtogramParams
 from repro.protocol.binary import (
@@ -189,18 +189,6 @@ def running_cluster(params, num_shards, base_dir, **router_kwargs):
         supervisor.stop()
 
 
-def _routed_stream(params, values, plan_seed, chunk_size):
-    """The canonical chunk stream plus each chunk's published route key."""
-    batches = list(encode_stream(params, values,
-                                 rng=np.random.default_rng(plan_seed),
-                                 chunk_size=chunk_size))
-    routes, start = [], 0
-    for batch in batches:
-        routes.append(start)
-        start += len(batch)
-    return batches, routes
-
-
 def _workload(params, num_users, seed=3):
     gen = np.random.default_rng(seed)
     values = gen.integers(0, params.domain_size, size=num_users)
@@ -221,7 +209,7 @@ class TestClusterBitIdentity:
         offline = run_simulation(params, values,
                                  rng=np.random.default_rng(plan_seed),
                                  chunk_size=128).finalize()
-        batches, routes = _routed_stream(params, values, plan_seed, 128)
+        batches, routes = routed_stream(params, values, plan_seed, 128)
         queries = [int(x) for x in
                    np.random.default_rng(1).integers(0, params.domain_size,
                                                      size=32)]
@@ -242,7 +230,7 @@ class TestClusterBitIdentity:
         offline = run_simulation(params, values,
                                  rng=np.random.default_rng(plan_seed),
                                  chunk_size=128).finalize()
-        batches, routes = _routed_stream(params, values, plan_seed, 128)
+        batches, routes = routed_stream(params, values, plan_seed, 128)
         queries = list(range(40))
         with running_cluster(params, 3, tmp_path) as (_, router, host, port):
             with AggregationClient(host, port) as client:
@@ -268,7 +256,7 @@ class TestClusterBitIdentity:
         offline = run_simulation(params, values,
                                  rng=np.random.default_rng(plan_seed),
                                  chunk_size=64).finalize()
-        batches, _ = _routed_stream(params, values, plan_seed, 64)
+        batches, _ = routed_stream(params, values, plan_seed, 64)
         queries = list(range(20))
         with running_cluster(params, 2, tmp_path) as (_, router, host, port):
             with AggregationClient(host, port) as client:
@@ -284,7 +272,7 @@ class TestClusterBitIdentity:
         params = CLUSTER_CASES["explicit"]
         values = _workload(params, 480)
         plan_seed = 9
-        batches, routes = _routed_stream(params, values, plan_seed, 60)
+        batches, routes = routed_stream(params, values, plan_seed, 60)
         assert len(batches) >= 4
         # single-server reference over the same epoch tagging
         reference = WindowedAggregator(params)
@@ -339,7 +327,7 @@ class TestRouterRejectsUndecodableFrames:
         offline = run_simulation(params, values,
                                  rng=np.random.default_rng(19),
                                  chunk_size=600).finalize()
-        (batch,), _ = _routed_stream(params, values, 19, 600)
+        (batch,), _ = routed_stream(params, values, 19, 600)
         payload = encode_reports_payload(batch, route=0)
         with pytest.raises(BinaryFormatError):  # the router's table check
             check_reports_payload(corrupt(payload))
@@ -419,7 +407,7 @@ class TestShardFailure:
         offline = run_simulation(params, values,
                                  rng=np.random.default_rng(plan_seed),
                                  chunk_size=256).finalize()
-        batches, routes = _routed_stream(params, values, plan_seed, 256)
+        batches, routes = routed_stream(params, values, plan_seed, 256)
         assert len(batches) >= 8
         queries = [int(x) for x in
                    np.random.default_rng(2).integers(0, params.domain_size,
@@ -455,7 +443,7 @@ class TestShardFailure:
         offline = run_simulation(params, values,
                                  rng=np.random.default_rng(plan_seed),
                                  chunk_size=100).finalize()
-        batches, routes = _routed_stream(params, values, plan_seed, 100)
+        batches, routes = routed_stream(params, values, plan_seed, 100)
         queries = list(range(16))
         with running_cluster(params, 2, tmp_path) as cluster:
             supervisor, router, host, port = cluster
@@ -519,7 +507,7 @@ class TestShardUnavailableAndHealth:
     def test_health_fanout_and_recovery(self, tmp_path):
         params = CLUSTER_CASES["hashtogram"]
         values = _workload(params, 800)
-        batches, routes = _routed_stream(params, values, 19, 100)
+        batches, routes = routed_stream(params, values, 19, 100)
         with running_cluster(params, 2, tmp_path) as cluster:
             supervisor, router, host, port = cluster
             with AggregationClient(host, port) as client:

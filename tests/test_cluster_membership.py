@@ -26,7 +26,7 @@ from repro.cluster.shardmap import (
     ShardMapError,
     ShardMapStore,
 )
-from repro.engine import ShardPartition, encode_stream, run_simulation
+from repro.engine import ShardPartition, routed_stream, run_simulation
 from repro.protocol import ExplicitHistogramParams, HashtogramParams
 from repro.server import AggregationClient
 from repro.server.snapshot import SnapshotCorruptError
@@ -227,16 +227,9 @@ def _stream(params, num_users, plan_seed, chunk_size, epochs=4):
     gen = np.random.default_rng(3)
     values = gen.integers(0, params.domain_size, size=num_users)
     values[: num_users // 4] = params.domain_size // 2
-    offline = run_simulation(params, values,
-                             rng=np.random.default_rng(plan_seed),
+    offline = run_simulation(params, values, rng=plan_seed,
                              chunk_size=chunk_size).finalize()
-    batches = list(encode_stream(params, values,
-                                 rng=np.random.default_rng(plan_seed),
-                                 chunk_size=chunk_size))
-    routes, start = [], 0
-    for batch in batches:
-        routes.append(start)
-        start += len(batch)
+    batches, routes = routed_stream(params, values, plan_seed, chunk_size)
     tags = [(i * epochs) // len(batches) for i in range(len(batches))]
     return values, offline, batches, routes, tags
 

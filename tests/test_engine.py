@@ -17,6 +17,7 @@ import pickle
 
 import numpy as np
 import pytest
+from protocol_cases import protocol_cases
 
 from repro.baselines.rappor_hh import RapporHeavyHitters
 from repro.baselines.single_hash import SingleHashHeavyHitters
@@ -24,9 +25,12 @@ from repro.core.heavy_hitters import PrivateExpanderSketch
 from repro.engine import (
     default_chunk_size,
     derive_chunk_seeds,
+    encode_stream,
     make_plan,
     plan_chunks,
+    routed_stream,
     run_simulation,
+    seeded_inputs,
 )
 from repro.frequency.count_mean_sketch import CountMeanSketchOracle
 from repro.frequency.explicit import ExplicitHistogramOracle
@@ -118,6 +122,35 @@ class TestPartition:
         wide = default_chunk_size(ExplicitHistogramParams(1 << 14, 1.0, "oue"))
         assert narrow > wide
         assert wide >= 1_024
+
+    @pytest.mark.parametrize("name,params", protocol_cases(),
+                             ids=[name for name, _ in protocol_cases()])
+    def test_routed_stream_is_the_stream_and_its_plan(self, name, params):
+        values = _values_for(params, size=1_000)
+        batches, routes = routed_stream(params, values, SEED, CHUNK)
+        assert routes == [c.route_key
+                          for c in make_plan(params, 1_000, SEED, CHUNK)]
+        reference = list(encode_stream(params, values, SEED, CHUNK))
+        assert len(batches) == len(reference) == len(routes)
+        for got, want in zip(batches, reference, strict=True):
+            assert got.protocol == want.protocol
+            assert got.columns.keys() == want.columns.keys()
+            for key, column in want.columns.items():
+                assert np.array_equal(got.columns[key], column), (name, key)
+
+    def test_seeded_inputs_draw_values_params_then_plan_seed(self):
+        # the draw order every committed served-vs-offline output rests on
+        from repro.workloads.distributions import zipf_workload
+
+        gen = np.random.default_rng(3)
+        values = zipf_workload(500, 1 << 10, support=1 << 10, rng=gen)
+        params = HashtogramParams.for_workload(500, 1 << 10, 1.0, rng=gen)
+        plan_seed = int(gen.integers(0, 2**63 - 1))
+        got = seeded_inputs("hashtogram", 500, 1 << 10, 1.0, 3)
+        assert np.array_equal(got[0], values)
+        assert got[1:] == (params, plan_seed)
+        with pytest.raises(ValueError, match="distribution"):
+            seeded_inputs("hashtogram", 500, 1 << 10, 1.0, 3, "pareto")
 
     def test_empty_population(self):
         params = ExplicitHistogramParams(64, 1.0)

@@ -1,9 +1,9 @@
 """Matrix harness tests: config parsing, expansion, seeds, caching, CLI.
 
-The execution tests stay on the engine path (``shards: [0]``) with tiny
-cells so they run in tier-1 time; the live serving path is exercised by
-the `matrix-smoke` CI step (and shares all its plumbing with the
-load-test path covered in test_cluster/test_server).
+The execution tests use tiny cells so they run in tier-1 time: the
+caching and rendering tests stay on the engine path (``shards: [0]``),
+and one 2-shard serving cell checks the live path end to end.  The
+`matrix-smoke` CI step runs the committed config's smoke slice.
 """
 
 from __future__ import annotations
@@ -85,11 +85,6 @@ def test_invalid_axis_value_rejected(tmp_path):
         load_config(write_config(tmp_path, """
             matrix:
               epsilon: [-1.0]
-        """))
-    with pytest.raises(ConfigError, match="matrix.wire_format"):
-        load_config(write_config(tmp_path, """
-            matrix:
-              wire_format: [json, binary]
         """))
 
 
@@ -265,6 +260,25 @@ def test_rendered_outputs_carry_no_timing_columns(tmp_path):
     for text in (md, csv):
         assert "reports_per_s" not in text and "ingest" not in text
     assert "| yes |" in md
+
+
+@pytest.mark.cluster
+def test_serving_cell_is_bit_identical(tmp_path):
+    from repro.experiments.matrix.runner import run_cell
+    config = load_config(write_config(tmp_path, """
+        name: serving
+        kind: serving
+        seed: 7
+        matrix:
+          protocol: [hashtogram]
+          domain_size: [256]
+          users: [400]
+          shards: [2]
+    """))
+    [cell] = expand_cells(config)
+    deterministic = run_cell(cell, num_queries=8)["deterministic"]
+    assert deterministic["check"] == "served==offline"
+    assert deterministic["bit_identical"] is True
 
 
 def test_matrix_cli_run_and_render(tmp_path, capsys):

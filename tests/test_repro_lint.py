@@ -252,6 +252,20 @@ class TestAsyncSafetyRules:
         """})
         assert codes(diags) == ["RPL301", "RPL301", "RPL301"]
 
+    def test_spawned_server_block_flagged(self, tmp_path):
+        # spawning waits for the child's LISTENING line and the teardown
+        # waits for its exit: both would stall the loop
+        diags = run_lint(tmp_path, {"repro/cluster/grow.py": """\
+            from repro.cluster.supervisor import spawned_server
+
+            class Router:
+                async def grow(self, params):
+                    with spawned_server(params) as server:
+                        return server.port
+        """})
+        assert codes(diags) == ["RPL301"]
+        assert "spawned_server" in diags[0].message
+
     def test_check_then_act_race_flagged(self, tmp_path):
         diags = run_lint(tmp_path, {"repro/cluster/boot.py": """\
             class Router:

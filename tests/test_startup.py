@@ -255,6 +255,40 @@ class TestSigtermCleanup:
                 if name.startswith(prefix)] == []
 
 
+class TestSpawnedServer:
+    def test_grace_after_shutdown_and_reap_on_error(self, tmp_path,
+                                                    monkeypatch):
+        import tempfile
+
+        from repro.server import AggregationClient
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        alive_at_reap = []
+        reap = supervisor_module.reap_processes
+
+        def recording_reap(procs, timeout=10.0):
+            alive_at_reap.extend(proc.poll() is None for proc in procs)
+            reap(procs, timeout)
+
+        monkeypatch.setattr(supervisor_module, "reap_processes",
+                            recording_reap)
+        params = HashtogramParams.create(1 << 10, 1.0, num_buckets=16, rng=0)
+        with supervisor_module.spawned_server(params) as server:
+            with AggregationClient(server.host, server.port) as client:
+                assert client.hello() == params
+                client.shutdown()
+            server.stopping = True
+        assert server.proc.returncode == 0
+        with pytest.raises(RuntimeError, match="body failed"):
+            with supervisor_module.spawned_server(params) as failed:
+                raise RuntimeError("body failed")
+        assert failed.proc.returncode is not None
+        # the acknowledged shutdown exited within its grace period; the
+        # failed block's child was still running and had to be signalled
+        assert alive_at_reap == [False, True]
+        assert list(tmp_path.iterdir()) == []  # no params file left behind
+
+
 #: ``serve-cluster`` whose shards are stubs that never finish starting; each
 #: stub's pid is recorded as a ``stub-<pid>`` file in the directory argv[1],
 #: and argv[2:] are extra ``serve-cluster`` arguments

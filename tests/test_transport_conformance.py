@@ -33,7 +33,7 @@ import pytest
 
 from repro import transport
 from repro.cluster import ClusterRouter, ClusterSupervisor
-from repro.engine import encode_stream, run_simulation
+from repro.engine import routed_stream, run_simulation
 from repro.protocol import HashtogramParams
 from repro.server import (
     AggregationClient,
@@ -616,13 +616,7 @@ class TestClusterBitIdentity:
         offline = run_simulation(params, values,
                                  rng=np.random.default_rng(plan_seed),
                                  chunk_size=128).finalize()
-        batches = list(encode_stream(params, values,
-                                     rng=np.random.default_rng(plan_seed),
-                                     chunk_size=128))
-        routes, start = [], 0
-        for batch in batches:
-            routes.append(start)
-            start += len(batch)
+        batches, routes = routed_stream(params, values, plan_seed, 128)
         queries = [int(x) for x in
                    np.random.default_rng(1).integers(
                        0, params.domain_size, size=32)]
