@@ -346,6 +346,65 @@ class TestOnlineMembership:
             assert all(shard.restarts >= 1 for shard in supervisor.shards)
         assert np.array_equal(served, offline.estimate_many(queries))
 
+    def test_rolling_restart_over_a_killed_shard(self, tmp_path):
+        # Shard 1 is SIGKILLed before the rolling restart reaches it: its
+        # checkpoint fails, recovery restarts it from its snapshot and
+        # replays the journal, the checkpoint is retried, and only then
+        # does the planned restart run.
+        params = ExplicitHistogramParams(64, 1.0, "hadamard")
+        values, offline, batches, routes, tags = _stream(params, 480, 23, 48)
+        queries = list(range(32))
+        with running_cluster(params, 2, tmp_path) as cluster:
+            supervisor, _router, host, port = cluster
+            with AggregationClient(host, port) as client:
+                half = len(batches) // 2
+                for i in range(half):
+                    client.send_batch(batches[i], epoch=tags[i],
+                                      route=routes[i])
+                client.sync()
+                supervisor.kill(1)
+                reply = client.rolling_restart()
+                assert reply["type"] == "restarted"
+                assert reply["shards"] == [0, 1]
+                for i in range(half, len(batches)):
+                    client.send_batch(batches[i], epoch=tags[i],
+                                      route=routes[i])
+                assert client.sync() == len(values)
+                served = client.query(queries)
+            assert supervisor.shards[0].restarts == 1
+            assert supervisor.shards[1].restarts >= 2
+        assert np.array_equal(served, offline.estimate_many(queries))
+
+    def test_drain_into_a_killed_survivor(self, tmp_path):
+        # The drain target is SIGKILLed first: the state push recovers it
+        # (restart from snapshot, journal replay) before it absorbs the
+        # handoff and is checkpointed.
+        params = ExplicitHistogramParams(64, 1.0, "hadamard")
+        values, offline, batches, routes, tags = _stream(params, 480, 29, 48)
+        queries = list(range(32))
+        with running_cluster(params, 3, tmp_path) as cluster:
+            supervisor, _router, host, port = cluster
+            with AggregationClient(host, port) as client:
+                half = len(batches) // 2
+                for i in range(half):
+                    client.send_batch(batches[i], epoch=tags[i],
+                                      route=routes[i])
+                client.sync()
+                supervisor.kill(2)
+                reply = client.drain_shard(1, target=2)
+                assert reply["type"] == "drained"
+                assert (reply["shard"], reply["target"]) == (1, 2)
+                for i in range(half, len(batches)):
+                    client.send_batch(batches[i], epoch=tags[i],
+                                      route=routes[i])
+                assert client.sync() == len(values)
+                served = client.query(queries)
+                document = client.shard_map()["map"]
+            assert supervisor.shards[2].restarts >= 1
+            assert not supervisor.shards[1].alive
+        assert np.array_equal(served, offline.estimate_many(queries))
+        assert ShardMap.from_dict(document).active_ids == (0, 2)
+
 
 # --------------------------------------------------------------------------------------
 # a full router restart between transitions (journals + persisted map)
