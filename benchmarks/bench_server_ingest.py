@@ -283,7 +283,7 @@ def run_state_pull_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
     ``state_pull_s`` is the best of ``repeats``; cells are the state cells
     of every pulled reply; ``peak_bytes`` is what one pull allocates.
     """
-    from repro.cluster.router import sum_pulled_states
+    from repro.protocol.binary import fold_states
     from repro.server.framing import decode_frame, encode_state_frame
     from repro.server.service import state_reply
 
@@ -292,10 +292,10 @@ def run_state_pull_bench(aggregate, repeats: int = 3) -> Dict[str, object]:
     epochs = windowed.epochs
 
     def pull():
-        replies = [decode_frame(encode_state_frame(
-            state_reply(merged, epochs))[4:], arrays=False)
+        states = [decode_frame(encode_state_frame(
+            state_reply(merged, epochs))[4:], arrays=False)["state"]
             for _ in range(STATE_PULL_SHARDS)]
-        return sum_pulled_states(params, replies)
+        return fold_states(params, states)
 
     best = _best_s(pull, repeats)
     cells = windowed.state_size * STATE_PULL_SHARDS

@@ -71,73 +71,34 @@ _RECOVERABLE = (
 )
 
 
-class ChaosSupervisor:
-    """A :class:`ClusterSupervisor` facade that keeps shards behind proxies.
+class ChaosSupervisor(ClusterSupervisor):
+    """A :class:`ClusterSupervisor` whose first shards sit behind proxies.
 
-    The router talks to shard *proxies*; a restart moves the real shard to
-    a fresh port, so this wrapper retargets the shard's proxy after the
-    inner restart and hands the router back the (stable) proxy endpoint.
-    Everything else delegates, including the ``shards`` handle list the
-    router's health report reads restart counts from.
+    The router talks to shard *proxies* (:attr:`proxies`, one per shard
+    the cluster started with); a restart moves the real shard to a fresh
+    port, so :meth:`restart` retargets the shard's proxy and hands the
+    router back the (stable) proxy endpoint.  Shards added later run
+    unproxied — wire faults stay aimed at the original shard set.
     """
 
-    def __init__(self, inner: ClusterSupervisor,
-                 proxies: List[FaultyTransport]) -> None:
-        self.inner = inner
-        self.proxies = proxies
-
-    @property
-    def shards(self):
-        return self.inner.shards
-
-    @property
-    def base_dir(self):
-        return self.inner.base_dir
-
-    @property
-    def transport(self):
-        return self.inner.transport
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.proxies: List[FaultyTransport] = []
 
     def endpoints(self) -> List[Tuple[str, int]]:
-        return [proxy.endpoint for proxy in self.proxies]
+        return [self.endpoint_of(index) for index in self.active_ids()]
 
     def endpoint_of(self, index: int) -> Tuple[str, int]:
-        # Shards added after the proxies were built run unproxied — wire
-        # faults stay aimed at the original shard set.
         if index < len(self.proxies):
             return self.proxies[index].endpoint
-        return self.inner.endpoint_of(index)
-
-    def shm_name(self, index: int):
-        return self.inner.shm_name(index)
-
-    def add_shard(self) -> Tuple[int, str, int]:
-        return self.inner.add_shard()
-
-    def retire(self, index: int) -> None:
-        self.inner.retire(index)
-
-    def active_ids(self) -> List[int]:
-        return self.inner.active_ids()
+        return super().endpoint_of(index)
 
     def restart(self, index: int) -> Tuple[str, int]:
-        host, port = self.inner.restart(index)
+        host, port = super().restart(index)
         if index < len(self.proxies):
             self.proxies[index].retarget(host, port)
             return self.proxies[index].endpoint
         return host, port
-
-    def kill(self, index: int, sig: int = signal.SIGKILL) -> None:
-        self.inner.kill(index, sig)
-
-    def resume(self, index: int) -> None:
-        self.inner.resume(index)
-
-    def poll(self) -> List[int]:
-        return self.inner.poll()
-
-    def stop(self) -> None:
-        self.inner.stop()
 
 
 class _Workload(NamedTuple):
@@ -344,8 +305,7 @@ class ChaosRunner:
             if ephemeral else self.base_dir  # type: ignore[arg-type]
         )
         loop = asyncio.get_running_loop()
-        supervisor = ClusterSupervisor(params, self.num_shards, base_dir)
-        shard_proxies: List[FaultyTransport] = []
+        supervisor = ChaosSupervisor(params, self.num_shards, base_dir)
         client_proxy: Optional[FaultyTransport] = None
         router: Optional[ClusterRouter] = None
         resume_tasks: List[asyncio.Task] = []
@@ -357,10 +317,8 @@ class ChaosRunner:
                     faults=schedule.wire_faults(f"shard-{k}"),
                 )
                 await proxy.start()
-                shard_proxies.append(proxy)
-            chaos_supervisor = ChaosSupervisor(supervisor, shard_proxies)
-            router = self._router(params, chaos_supervisor,
-                                  endpoints=chaos_supervisor.endpoints())
+                supervisor.proxies.append(proxy)
+            router = self._router(params, supervisor)
             router_addr = await router.start()
             client_proxy = FaultyTransport(
                 "client", router_addr, faults=schedule.wire_faults("client"),
@@ -374,7 +332,7 @@ class ChaosRunner:
 
             async def before(sent: int) -> int:
                 for event in process_faults.pop(sent, []):
-                    await self._process_fault(chaos_supervisor, event,
+                    await self._process_fault(supervisor, event,
                                               resume_tasks)
                 return sent
 
@@ -387,7 +345,7 @@ class ChaosRunner:
 
             return ChaosResult(
                 **await self._answers(work),
-                fired=self._collect_fired(shard_proxies, client_proxy,
+                fired=self._collect_fired(supervisor.proxies, client_proxy,
                                           schedule, process_faults),
                 restarts=sum(h.restarts for h in supervisor.shards),
                 schedule=schedule,
@@ -405,7 +363,7 @@ class ChaosRunner:
                 await client_proxy.stop()
             if router is not None:
                 await router.stop()
-            for proxy in shard_proxies:
+            for proxy in supervisor.proxies:
                 await proxy.stop()
             await loop.run_in_executor(None, supervisor.stop)
             if ephemeral:

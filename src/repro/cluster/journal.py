@@ -3,10 +3,11 @@
 Two journals keep the router's elastic-membership machinery recoverable
 (``docs/wire-protocol.md`` §6.3):
 
-* **Frame journals** (:class:`FrameJournal`) — one per shard link — mirror
-  every forwarded ``reports`` frame to disk between snapshot barriers, so
-  a *router* restart can replay exactly what an in-process recovery would
-  have replayed from memory.
+* **Frame journals** (:class:`FrameJournal`) — one per shard link — hold
+  every forwarded ``reports`` frame between snapshot barriers and, when
+  the router has a journal directory, mirror them to disk, so a *router*
+  restart can replay exactly what an in-process recovery would have
+  replayed from memory.
 * The **membership journal** (:class:`MembershipJournal`) records every
   step of an add/drain/rolling-restart transition as a JSON entry, so a
   SIGKILL at any point leaves enough on disk to resume or roll back to a
@@ -171,25 +172,44 @@ class RecordLog:
 
 
 class FrameJournal:
-    """Durable mirror of one shard link's in-memory replay journal."""
+    """One shard link's replay journal.
 
-    def __init__(self, path: Union[str, Path], fsync: bool = True) -> None:
-        self._log = RecordLog(path, fsync=fsync)
+    It holds the ``(payload, num_reports)`` frames forwarded since the
+    shard's last acknowledged snapshot barrier, in order, and their report
+    total.  Given a ``path``, it mirrors every append and barrier to a
+    CRC32-framed file, so a *router* restart replays the same frames an
+    in-process recovery would have; without one it lives in memory only.
+    """
+
+    def __init__(self, path: Optional[Union[str, Path]] = None,
+                 fsync: bool = True) -> None:
+        self._log = RecordLog(path, fsync=fsync) if path is not None else None
+        #: stamped frame payloads and their report counts, oldest first
+        self.frames: List[Tuple[bytes, int]] = []
+        #: reports held in :attr:`frames`
+        self.num_reports = 0
 
     @property
-    def path(self) -> Path:
-        return self._log.path
+    def path(self) -> Optional[Path]:
+        return self._log.path if self._log is not None else None
 
     def append(self, frame: bytes, num_reports: int, seq: int) -> None:
-        self._log.append(_ENTRY_FIXED.pack(int(num_reports), int(seq))
-                         + frame)
+        self.frames.append((frame, num_reports))
+        self.num_reports += num_reports
+        if self._log is not None:
+            self._log.append(_ENTRY_FIXED.pack(int(num_reports), int(seq))
+                             + frame)
 
     def load(self) -> Tuple[List[Tuple[bytes, int]], int]:
-        """Replay the journal: ``([(frame, num_reports), ...], max_seq)``.
+        """Replay the file into memory: ``([(frame, num_reports), ...],
+        max_seq)``.
 
         Barrier entries (empty frame payload) contribute only their
-        sequence watermark.  ``max_seq`` is 0 for an empty journal.
+        sequence watermark.  ``max_seq`` is 0 for an empty journal; a
+        journal without a path has no file and keeps its frames.
         """
+        if self._log is None:
+            return list(self.frames), 0
         entries: List[Tuple[bytes, int]] = []
         max_seq = 0
         for payload in self._log.load():
@@ -197,18 +217,25 @@ class FrameJournal:
             max_seq = max(max_seq, seq)
             if frame:
                 entries.append((frame, num_reports))
+        self.frames = list(entries)
+        self.num_reports = sum(n for _, n in entries)
         return entries, max_seq
 
     def barrier(self, seq: int) -> None:
-        """Checkpoint: drop replayed frames, keep the sequence watermark."""
-        self._log.clear()
-        self._log.append(_ENTRY_FIXED.pack(0, int(seq)))
+        """Checkpoint: drop the frames, keep the sequence watermark on disk."""
+        self.frames.clear()
+        self.num_reports = 0
+        if self._log is not None:
+            self._log.clear()
+            self._log.append(_ENTRY_FIXED.pack(0, int(seq)))
 
     def close(self) -> None:
-        self._log.close()
+        if self._log is not None:
+            self._log.close()
 
     def delete(self) -> None:
-        self._log.delete()
+        if self._log is not None:
+            self._log.delete()
 
 
 class MembershipJournal:
@@ -239,12 +266,12 @@ class MembershipJournal:
             out.append(entry)
         return out
 
-    def last(self, op: Optional[str] = None) -> Optional[Dict[str, object]]:
-        """Newest entry (optionally of one ``op``), or ``None``."""
-        entries = self.entries()
-        if op is not None:
-            entries = [e for e in entries if e.get("op") == op]
-        return entries[-1] if entries else None
+    def last(self, **match: object) -> Optional[Dict[str, object]]:
+        """Newest entry whose fields equal every ``match`` item, or ``None``."""
+        for entry in reversed(self.entries()):
+            if all(entry.get(key) == value for key, value in match.items()):
+                return entry
+        return None
 
     def close(self) -> None:
         self._log.close()

@@ -31,11 +31,13 @@ server's requests plus the membership verbs.  Behind that endpoint:
   first and passes every shard the same absolute ``min_epoch`` cutoff.
 * **Failure handling** — every frame forwarded to a shard is stamped with
   a per-link delivery sequence number (``docs/wire-protocol.md`` §7.1) and
-  kept in that shard's *journal* until the shard acknowledges a snapshot
-  barrier (auto-checkpoint after ``checkpoint_reports`` journaled reports,
-  or an explicit client ``snapshot``).  When a fan-out or forward fails,
-  recovery runs a bounded escalation ladder under seeded exponential
-  backoff: reconnect and replay the journal first, then — when a
+  kept in that link's :class:`~repro.cluster.journal.FrameJournal` until
+  the shard acknowledges a snapshot barrier (auto-checkpoint after
+  ``checkpoint_reports`` journaled reports, or an explicit client
+  ``snapshot``; a checkpoint that fails recovers once and is retried).
+  When a fan-out or forward fails, recovery runs a bounded escalation
+  ladder under seeded exponential backoff: reconnect and replay the
+  journal first, then — when a
   :class:`~repro.cluster.supervisor.ClusterSupervisor` is attached —
   restart the shard from its newest snapshot and replay.  Replays are
   idempotent: the shard dedupes already-absorbed frames on the sequence
@@ -77,23 +79,21 @@ MembershipJournal`) and the persisted map write is the commit point, so a
 SIGKILL at *any* step resumes (roll forward) or rolls back to a consistent
 map on the next start — and because the aggregator algebra is a
 commutative integer sum, a cluster that grows and drains mid-ingest still
-finalizes **bit-identically** to the offline engine.  When a supervisor
-(and hence a base directory) is attached, per-link frame journals are
-additionally mirrored to CRC32-framed on-disk logs so a *router* restart
-replays exactly what an in-process recovery would have.
+finalizes **bit-identically** to the offline engine.  When the router
+has a journal directory (a supervisor's base directory, by default), each
+link's journal also mirrors its frames to a CRC32-framed on-disk log, so
+a *router* restart replays exactly what an in-process recovery would have.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
-    Awaitable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -131,8 +131,7 @@ from repro.server.snapshot import read_snapshot, write_snapshot
 from repro.transport import dial as transport_dial
 from repro.utils.rng import RandomState, as_generator
 
-__all__ = ["ClusterError", "ClusterRouter", "RouterStats", "ROUTER_ID",
-           "sum_pulled_states"]
+__all__ = ["ClusterError", "ClusterRouter", "RouterStats", "ROUTER_ID"]
 
 #: protocol identification string sent in every router ``params`` reply
 ROUTER_ID = "repro-cluster-router/1"
@@ -155,22 +154,6 @@ class ClusterError(RuntimeError):
     """A shard is unreachable and cannot be revived."""
 
 
-def sum_pulled_states(params: PublicParams,
-                      pulls: Sequence[Dict[str, object]]) -> ServerAggregator:
-    """Sum the shards' ``state`` replies exactly, into one vector.
-
-    The router reads each reply's kind-2 frame with its counts left in
-    their narrow wire columns (``decode_frame(..., arrays=False)``).  The
-    first shard's state loads into the vector that becomes the sum; every
-    other shard's is checked as a load checks it, then added into that
-    vector straight from its column and patch, which is promoted to int64
-    only when the bounds need it (:func:`~repro.protocol.binary.fold_states`).
-    So the router never holds a second layout-sized vector.  Replies whose
-    counts are arrays sum the same way.
-    """
-    return fold_states(params, [pull["state"] for pull in pulls])
-
-
 @dataclass
 class RouterStats:
     """Router-side counters, served inside the ``stats`` reply."""
@@ -188,26 +171,15 @@ class RouterStats:
     last_rejection: str = ""
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "connections_total": self.connections_total,
-            "frames_forwarded": self.frames_forwarded,
-            "reports_forwarded": self.reports_forwarded,
-            "frames_unrouted": self.frames_unrouted,
-            "frames_rejected": self.frames_rejected,
-            "queries_answered": self.queries_answered,
-            "shard_restarts": self.shard_restarts,
-            "journal_replayed_frames": self.journal_replayed_frames,
-            "journal_replayed_reports": self.journal_replayed_reports,
-            "checkpoints": self.checkpoints,
-            "last_rejection": self.last_rejection,
-        }
+        return asdict(self)
 
 
 class _ShardLink:
     """One pooled, ordered connection to a shard, plus its frame journal."""
 
     def __init__(self, index: int, host: str, port: int,
-                 shm_name: Optional[str] = None) -> None:
+                 shm_name: Optional[str] = None,
+                 journal: Optional[FrameJournal] = None) -> None:
         self.index = index
         self.host = host
         self.port = int(port)
@@ -221,11 +193,13 @@ class _ShardLink:
         self.reader: Optional[Any] = None
         self.writer: Optional[Any] = None
         self.lock = asyncio.Lock()
-        #: raw frame payloads (and their report counts) forwarded since the
-        #: shard's last acknowledged snapshot barrier; payloads are stored
-        #: *after* sequence stamping so a replay redelivers identical bytes
-        self.journal: List[Tuple[bytes, int]] = []
-        self.journal_reports = 0
+        #: frame payloads (and their report counts) forwarded since the
+        #: shard's last acknowledged snapshot barrier, stored *after*
+        #: sequence stamping so a replay redelivers identical bytes; with a
+        #: journal directory the journal mirrors them to disk, so a
+        #: *router* restart replays the same frames an in-process recovery
+        #: would have
+        self.journal = journal if journal is not None else FrameJournal()
         self.reports_forwarded = 0
         #: delivery sequence number of the last ``reports`` frame stamped
         #: for this shard (``docs/wire-protocol.md`` §7.1); the router is
@@ -233,12 +207,6 @@ class _ShardLink:
         self.seq = 0
         #: ``repr`` of the most recent transport failure on this link
         self.last_fault: Optional[str] = None
-        #: durable mirror of :attr:`journal` (attached when the router has
-        #: a journal directory): every stamped frame is appended to a
-        #: CRC32-framed on-disk log and every checkpoint writes a barrier,
-        #: so a *router* restart replays the same frames an in-process
-        #: recovery would have
-        self.disk: Optional[FrameJournal] = None
 
     async def connect(self) -> None:
         await self.close()
@@ -384,23 +352,6 @@ class ClusterRouter(MessageEndpoint):
         self._backoff_rng = as_generator(rng)
         self.transport = transport
         self.stats = RouterStats()
-        self.links = [
-            _ShardLink(
-                i, host, port,
-                shm_name=(supervisor.shm_name(i) if transport == "shm"
-                          and supervisor is not None else None),
-            )
-            for i, (host, port) in enumerate(endpoints)
-        ]
-        #: every link the router knows, keyed by shard id — includes a
-        #: draining shard mid-handoff, which :attr:`links` (the fan-out
-        #: set) no longer does
-        self._links_by_id: Dict[int, _ShardLink] = {
-            link.index: link for link in self.links
-        }
-        #: the routing authority: every reports frame asks the current map
-        #: which shard owns its (route key, epoch)
-        self.shard_map = ShardMap.initial(len(self.links), self.partition)
         if journal_dir is None and supervisor is not None:
             journal_dir = supervisor.base_dir
         self.journal_dir = Path(journal_dir) if journal_dir is not None \
@@ -412,6 +363,15 @@ class ClusterRouter(MessageEndpoint):
                                             / "shardmap.json")
             self._membership_journal = MembershipJournal(
                 self.journal_dir / "membership.journal")
+        #: every link the router knows, keyed by shard id — includes a
+        #: draining shard mid-handoff, which :attr:`links` (the fan-out
+        #: set) no longer does
+        self._links_by_id: Dict[int, _ShardLink] = {
+            i: self._new_link(i, host, port)
+            for i, (host, port) in enumerate(endpoints)
+        }
+        self.links: List[_ShardLink] = []
+        self._use_map(ShardMap.initial(len(endpoints), self.partition))
         #: serializes membership transitions against each other and against
         #: merged reads (query/state/stats/sync/snapshot) — a query never
         #: observes a half-moved shard.  Per-frame forwarding does NOT take
@@ -430,9 +390,25 @@ class ClusterRouter(MessageEndpoint):
     def num_shards(self) -> int:
         return len(self.links)
 
-    def _frame_journal_path(self, shard_id: int) -> Path:
-        assert self.journal_dir is not None
-        return self.journal_dir / f"journal-shard-{shard_id}.bin"
+    def _new_link(self, sid: int, host: str, port: int) -> _ShardLink:
+        """A link to shard ``sid``: its shm ring name (on shm) and its
+        journal, mirrored to ``journal-shard-K.bin`` when the router has a
+        journal directory."""
+        shm_name = (self.supervisor.shm_name(sid)
+                    if self.supervisor is not None and self.transport == "shm"
+                    else None)
+        path = (self.journal_dir / f"journal-shard-{sid}.bin"
+                if self.journal_dir is not None else None)
+        return _ShardLink(sid, host, port, shm_name,
+                          FrameJournal(path, fsync=False))
+
+    def _use_map(self, shard_map: ShardMap) -> None:
+        """Route on ``shard_map``: the routing authority every reports
+        frame asks which shard owns its (route key, epoch).  :attr:`links`,
+        the fan-out set, becomes the links of its active shards."""
+        self.shard_map = shard_map
+        self.partition = shard_map.newest_partition
+        self.links = [self._links_by_id[sid] for sid in shard_map.active_ids]
 
     # ----- lifecycle ------------------------------------------------------------------
 
@@ -459,16 +435,10 @@ class ClusterRouter(MessageEndpoint):
                     None, self._map_store.save, self.shard_map
                 )
         for link in list(self._links_by_id.values()):
-            if self.journal_dir is not None and link.disk is None:
-                link.disk = FrameJournal(
-                    self._frame_journal_path(link.index), fsync=False
+            if self.journal_dir is not None:
+                _, link.seq = await loop.run_in_executor(
+                    None, link.journal.load
                 )
-                entries, journal_seq = await loop.run_in_executor(
-                    None, link.disk.load
-                )
-                link.journal = list(entries)
-                link.journal_reports = sum(n for _, n in entries)
-                link.seq = journal_seq
             try:
                 await asyncio.wait_for(link.connect(), self.connect_timeout)
             except _SHARD_FAILURES as exc:
@@ -480,13 +450,7 @@ class ClusterRouter(MessageEndpoint):
                 # past that snapshot before the router serves anyone.
                 async with link.lock:
                     await self._recover_locked(link, exc)
-            reply = await self._request_on_link(link, {"type": "hello"})
-            published = PublicParams.from_dict(dict(reply["params"]))
-            if published != self.params:
-                raise ClusterError(
-                    f"shard {link.index} at {link.host}:{link.port} serves "
-                    f"different public parameters than this router"
-                )
+            await self._check_params(link)
             if self.journal_dir is not None:
                 # Resume sequencing above everything this shard has ever
                 # seen: the journal's own watermark covers frames journaled
@@ -494,7 +458,7 @@ class ClusterRouter(MessageEndpoint):
                 # delivered but checkpoint-cleared from the journal.
                 health = await self._request_on_link(link, {"type": "health"})
                 link.seq = max(link.seq, int(health.get("max_seq") or 0))
-                if link.journal:
+                if link.journal.frames:
                     async with link.lock:
                         await self._replay_locked(link)
         await self._recover_membership()
@@ -513,11 +477,7 @@ class ClusterRouter(MessageEndpoint):
                 if existing is not None and (existing.host, existing.port) \
                         == (host, port):
                     return existing
-                return _ShardLink(
-                    sid, host, port,
-                    shm_name=(self.supervisor.shm_name(sid)
-                              if self.transport == "shm" else None),
-                )
+                return self._new_link(sid, host, port)
         else:
             if list(shard_map.live_ids) != list(range(len(self.links))):
                 raise ClusterError(
@@ -531,10 +491,7 @@ class ClusterRouter(MessageEndpoint):
                 return self._links_by_id[sid]
         self._links_by_id = {sid: link_for(sid)
                              for sid in shard_map.live_ids}
-        self.links = [self._links_by_id[sid]
-                      for sid in shard_map.active_ids]
-        self.shard_map = shard_map
-        self.partition = shard_map.newest_partition
+        self._use_map(shard_map)
 
     async def _recover_membership(self) -> None:
         """Finish (or undo) a membership transition cut short by a crash.
@@ -560,13 +517,10 @@ class ClusterRouter(MessageEndpoint):
             elif status == "draining":
                 await self._resume_drain(sid)
         if self.supervisor is not None:
-            loop = asyncio.get_running_loop()
             known = set(self.shard_map.shard_ids)
-            for sid in list(self.supervisor.active_ids()):
+            for sid in self.supervisor.active_ids():
                 if sid not in known:
-                    await loop.run_in_executor(
-                        None, self.supervisor.retire, sid
-                    )
+                    await self._retire_process(sid)
 
     async def _shutdown(self) -> None:
         """Stop accepting clients and close the shard connections."""
@@ -579,8 +533,7 @@ class ClusterRouter(MessageEndpoint):
         await server.wait_closed()
         for link in self._links_by_id.values():
             await link.close()
-            if link.disk is not None:
-                link.disk.close()
+            link.journal.close()
         if self._membership_journal is not None:
             self._membership_journal.close()
 
@@ -594,7 +547,7 @@ class ClusterRouter(MessageEndpoint):
         ``message`` goes out as a kind-2 frame when :data:`MESSAGES` says
         its request is one (``absorb_state``), else as a JSON frame.  A
         ``state`` reply keeps its counts in their wire columns, for
-        :func:`sum_pulled_states` to add into one vector.
+        :func:`~repro.protocol.binary.fold_states` to add into one vector.
 
         The whole exchange runs under ``request_timeout``, so a stalled
         shard surfaces as ``asyncio.TimeoutError`` (a recoverable
@@ -619,6 +572,15 @@ class ClusterRouter(MessageEndpoint):
         reply = await asyncio.wait_for(exchange(), self.request_timeout)
         return check_reply(kind, reply, peer=f"shard {link.index}")
 
+    async def _check_params(self, link: _ShardLink) -> None:
+        """Refuse a shard whose ``hello`` publishes other parameters."""
+        reply = await self._request_on_link(link, {"type": "hello"})
+        if PublicParams.from_dict(dict(reply["params"])) != self.params:
+            raise ClusterError(
+                f"shard {link.index} at {link.host}:{link.port} serves "
+                f"different public parameters than this router"
+            )
+
     async def _replay_locked(self, link: _ShardLink) -> None:
         """Replay the journal on a fresh connection (caller holds the lock).
 
@@ -631,7 +593,7 @@ class ClusterRouter(MessageEndpoint):
         writer = link.writer
         if writer is None:
             raise FrameError(f"shard {link.index} link is not connected")
-        for payload, num_reports in link.journal:
+        for payload, num_reports in link.journal.frames:
             writer.write(frame_bytes(payload))
             self.stats.journal_replayed_frames += 1
             self.stats.journal_replayed_reports += num_reports
@@ -704,15 +666,10 @@ class ClusterRouter(MessageEndpoint):
         ) from last
 
     async def _request(
-        self,
-        link: _ShardLink,
-        message: Dict[str, object],
-        revive: bool = True,
+        self, link: _ShardLink, message: Dict[str, object]
     ) -> Dict[str, object]:
         """Fan-out request with dead-shard detection and bounded recovery."""
         async with link.lock:
-            if not revive:
-                return await self._request_on_link(link, message)
             for _ in range(2):
                 try:
                     return await self._request_on_link(link, message)
@@ -720,16 +677,20 @@ class ClusterRouter(MessageEndpoint):
                     await self._recover_locked(link, exc)
             return await self._request_on_link(link, message)
 
-    async def _fan_out(self, coros: Iterable[Awaitable[Dict[str, object]]]
+    async def _fan_out(self, message: Dict[str, object]
                        ) -> List[Dict[str, object]]:
-        """Gather shard requests without cancelling the stragglers.
+        """Send ``message`` to every active shard; gather the replies
+        without cancelling the stragglers.
 
         A plain ``gather`` cancels in-flight requests when one fails, which
         would abandon pooled connections mid-reply and desynchronize them;
         here every request runs to completion and the first failure is
         raised only afterwards.
         """
-        results = await asyncio.gather(*coros, return_exceptions=True)
+        results = await asyncio.gather(
+            *(self._request(link, message) for link in self.links),
+            return_exceptions=True,
+        )
         for result in results:
             if isinstance(result, BaseException):
                 raise result
@@ -740,16 +701,18 @@ class ClusterRouter(MessageEndpoint):
 
         The shard connection is ordered, so every journaled frame reaches
         the shard before the ``snapshot`` frame; the acknowledged snapshot
-        therefore covers the whole journal, and clearing it is exact.
+        therefore covers the whole journal, and clearing it is exact.  A
+        failed snapshot runs the recovery ladder (which replays the
+        journal) and is tried once more.  The on-disk mirror keeps the
+        sequence watermark as a barrier entry, so a restarted router never
+        re-stamps below what the shard has already seen.
         """
-        reply = await self._request_on_link(link, {"type": "snapshot"})
-        link.journal.clear()
-        link.journal_reports = 0
-        if link.disk is not None:
-            # The on-disk mirror drops its frames too, but keeps the
-            # sequence watermark as a barrier entry so a restarted router
-            # never re-stamps below what the shard has already seen.
-            link.disk.barrier(link.seq)
+        try:
+            reply = await self._request_on_link(link, {"type": "snapshot"})
+        except _SHARD_FAILURES as exc:
+            await self._recover_locked(link, exc)
+            reply = await self._request_on_link(link, {"type": "snapshot"})
+        link.journal.barrier(link.seq)
         self.stats.checkpoints += 1
         return str(reply["path"])
 
@@ -813,11 +776,8 @@ class ClusterRouter(MessageEndpoint):
         """
         link.seq += 1
         payload = stamp_sequence(payload, link.seq)
-        link.journal.append((payload, num_reports))
-        link.journal_reports += num_reports
+        link.journal.append(payload, num_reports, link.seq)
         link.reports_forwarded += num_reports
-        if link.disk is not None:
-            link.disk.append(payload, num_reports, link.seq)
         try:
             writer = link.writer
             if writer is None:
@@ -830,12 +790,8 @@ class ClusterRouter(MessageEndpoint):
             # The failed frame is already journaled, so recovery's
             # replay delivers it along with everything else pending.
             await self._recover_locked(link, exc)
-        if link.journal_reports >= self.checkpoint_reports:
-            try:
-                await self._checkpoint_locked(link)
-            except _SHARD_FAILURES as exc:
-                await self._recover_locked(link, exc)
-                await self._checkpoint_locked(link)
+        if link.journal.num_reports >= self.checkpoint_reports:
+            await self._checkpoint_locked(link)
 
     # ----- message handlers (MessageEndpoint dispatches by name) ---------------------
 
@@ -897,9 +853,7 @@ class ClusterRouter(MessageEndpoint):
         # Merged reads serialize against membership transitions: a sync
         # total must never miss a shard whose state is mid-handoff.
         async with self._membership_lock:
-            replies = await self._fan_out(
-                self._request(link, {"type": "sync"}) for link in self.links
-            )
+            replies = await self._fan_out({"type": "sync"})
         return {
             "type": "synced",
             "num_reports": sum(int(r["num_reports"]) for r in replies),
@@ -961,18 +915,9 @@ class ClusterRouter(MessageEndpoint):
             paths = []
             for link in self.links:
                 async with link.lock:
-                    try:
-                        paths.append(await self._checkpoint_locked(link))
-                    except _SHARD_FAILURES as exc:
-                        await self._recover_locked(link, exc)
-                        paths.append(await self._checkpoint_locked(link))
-            num_reports = sum(
-                int(r["num_reports"])
-                for r in await self._fan_out(
-                    self._request(link, {"type": "sync"})
-                    for link in self.links
-                )
-            )
+                    paths.append(await self._checkpoint_locked(link))
+            num_reports = sum(int(r["num_reports"])
+                              for r in await self._fan_out({"type": "sync"}))
         return {
             "type": "snapshot_written",
             "path": (
@@ -991,9 +936,10 @@ class ClusterRouter(MessageEndpoint):
             links = list(self.links)
         for link in links:
             try:
-                reply = await self._request(
-                    link, {"type": "shutdown"}, revive=False
-                )
+                async with link.lock:
+                    reply = await self._request_on_link(
+                        link, {"type": "shutdown"}
+                    )
                 total += int(reply["num_reports"])
             except (*_SHARD_FAILURES, ClusterError):
                 pass  # already dead; the supervisor reaps it below
@@ -1010,9 +956,7 @@ class ClusterRouter(MessageEndpoint):
         frame: Dict[str, object] = {"type": "state"}
         if min_epoch is not None:
             frame["min_epoch"] = int(min_epoch)
-        return await self._fan_out(
-            self._request(link, frame) for link in self.links
-        )
+        return await self._fan_out(frame)
 
     async def _pull_windowed(self, window: int) -> List[Dict[str, object]]:
         """Resolve a relative window to one absolute cutoff, then pull.
@@ -1028,14 +972,10 @@ class ClusterRouter(MessageEndpoint):
         """
         if window < 1:
             raise ValueError("query window must be >= 1")
-        await self._fan_out(
-            self._request(link, {"type": "sync"}) for link in self.links
-        )
+        await self._fan_out({"type": "sync"})
         pulls: List[Dict[str, object]] = []
         for _ in range(3):
-            replies = await self._fan_out(
-                self._request(link, {"type": "stats"}) for link in self.links
-            )
+            replies = await self._fan_out({"type": "stats"})
             newest = [max(r["epochs"]) for r in replies if r["epochs"]]
             cutoff = max(newest) - window if newest else None
             pulls = await self._pull_states(cutoff)
@@ -1065,15 +1005,13 @@ class ClusterRouter(MessageEndpoint):
             pulls = await self._pull_windowed(window)
         else:
             pulls = await self._pull_states(min_epoch)
-        merged = sum_pulled_states(self.params, pulls)
+        merged = fold_states(self.params, [pull["state"] for pull in pulls])
         epochs = sorted({int(e) for pull in pulls for e in pull["epochs"]})
         return merged, epochs
 
     async def _merged_stats(self) -> Dict[str, object]:
         """Sum the shard counters; attach per-shard and router detail."""
-        replies = await self._fan_out(
-            self._request(link, {"type": "stats"}) for link in self.links
-        )
+        replies = await self._fan_out({"type": "stats"})
         summed = {
             key: sum(int(r.get(key, 0)) for r in replies)
             for key in (
@@ -1107,7 +1045,7 @@ class ClusterRouter(MessageEndpoint):
                         "host": link.host,
                         "port": link.port,
                         "reports_absorbed": int(r.get("reports_absorbed", 0)),
-                        "journal_reports": link.journal_reports,
+                        "journal_reports": link.journal.num_reports,
                     }
                     for link, r in zip(self.links, replies, strict=True)
                 ],
@@ -1132,8 +1070,8 @@ class ClusterRouter(MessageEndpoint):
                 "host": link.host,
                 "port": link.port,
                 "membership": self.shard_map.status_of(link.index),
-                "journal_frames": len(link.journal),
-                "journal_reports": link.journal_reports,
+                "journal_frames": len(link.journal.frames),
+                "journal_reports": link.journal.num_reports,
                 "reports_forwarded": link.reports_forwarded,
                 "seq": link.seq,
                 "last_fault": link.last_fault,
@@ -1183,22 +1121,6 @@ class ClusterRouter(MessageEndpoint):
         if self._membership_journal is not None:
             self._membership_journal.append(dict(entry))
 
-    async def _last_membership(
-        self, op: str, shard: int
-    ) -> Optional[Dict[str, object]]:
-        """Newest journaled ``begin`` entry for ``op`` on ``shard``."""
-        if self._membership_journal is None:
-            return None
-        loop = asyncio.get_running_loop()
-        entries = await loop.run_in_executor(
-            None, self._membership_journal.entries
-        )
-        for entry in reversed(entries):
-            if (entry.get("op") == op and entry.get("shard") == shard
-                    and entry.get("step") == "begin"):
-                return entry
-        return None
-
     async def _commit_map(self, new_map: ShardMap) -> None:
         """Persist then adopt a new shard map — the transition commit point.
 
@@ -1209,8 +1131,7 @@ class ClusterRouter(MessageEndpoint):
         if self._map_store is not None:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, self._map_store.save, new_map)
-        self.shard_map = new_map
-        self.partition = new_map.newest_partition
+        self._use_map(new_map)
 
     async def _retire_process(self, sid: int) -> None:
         """Reap and tombstone a shard process (idempotent, may be absent)."""
@@ -1254,25 +1175,11 @@ class ClusterRouter(MessageEndpoint):
                         f"supervisor spawned shard {spawned} but the map "
                         f"allocated id {new_id}"
                     )
-                link = _ShardLink(
-                    new_id, host, port,
-                    shm_name=(self.supervisor.shm_name(new_id)
-                              if self.transport == "shm" else None),
-                )
-                if self.journal_dir is not None:
-                    link.disk = FrameJournal(
-                        self._frame_journal_path(new_id), fsync=False
-                    )
-                    # ids are never reused, so any file here is stale debris
-                    await loop.run_in_executor(None, link.disk.delete)
+                link = self._new_link(new_id, host, port)
+                # ids are never reused, so any journal file is stale debris
+                await loop.run_in_executor(None, link.journal.delete)
                 await asyncio.wait_for(link.connect(), self.connect_timeout)
-                reply = await self._request_on_link(link, {"type": "hello"})
-                published = PublicParams.from_dict(dict(reply["params"]))
-                if published != self.params:
-                    raise ClusterError(
-                        f"new shard {new_id} serves different public "
-                        f"parameters than this router"
-                    )
+                await self._check_params(link)
                 last_cut = self.shard_map.entries[-1].cut_epoch
                 cut = max(
                     self._newest_epoch + 1,
@@ -1291,8 +1198,6 @@ class ClusterRouter(MessageEndpoint):
                 await self._commit_map(
                     self.shard_map.with_activated(new_id, cut, partition)
                 )
-                self.links = [self._links_by_id[sid]
-                              for sid in self.shard_map.active_ids]
                 self._journal_membership(
                     {"op": "add", "step": "done", "shard": new_id}
                 )
@@ -1369,13 +1274,12 @@ class ClusterRouter(MessageEndpoint):
                  "target": target, "handoff": hid}
             )
             self._pending_drains[sid] = (target, hid)
+            # The commit takes it out of the fan-out set (merged reads
+            # would double-count its reports once absorbed); it stays
+            # reachable by id for the pull.
             await self._commit_map(
                 self.shard_map.with_drained_routing(sid, target)
             )
-            # Out of the fan-out set (merged reads would double-count its
-            # reports once absorbed), still reachable by id for the pull.
-            self.links = [self._links_by_id[s]
-                          for s in self.shard_map.active_ids]
             return await self._drain_locked(sid, target, hid)
 
     async def _resume_drain(self, sid: int) -> Dict[str, object]:
@@ -1384,13 +1288,16 @@ class ClusterRouter(MessageEndpoint):
         if pending is not None:
             target, hid = pending
         else:
-            begin = await self._last_membership("drain", sid)
-            target = (int(begin["target"])
-                      if begin is not None and "target" in begin
-                      else min(self.shard_map.active_ids))
-            hid = (int(begin["handoff"])
-                   if begin is not None and "handoff" in begin
-                   else self.shard_map.version)
+            begin: Dict[str, object] = {}
+            journal = self._membership_journal
+            if journal is not None:
+                loop = asyncio.get_running_loop()
+                begin = await loop.run_in_executor(
+                    None, lambda: journal.last(op="drain", shard=sid,
+                                               step="begin")
+                ) or {}
+            target = int(begin.get("target", min(self.shard_map.active_ids)))
+            hid = int(begin.get("handoff", self.shard_map.version))
         return await self._drain_locked(sid, target, hid)
 
     async def _drain_locked(
@@ -1449,11 +1356,7 @@ class ClusterRouter(MessageEndpoint):
         # Checkpoint the survivor immediately: the absorbed state must not
         # live only in its memory once the source shard is reaped.
         async with target_link.lock:
-            try:
-                await self._checkpoint_locked(target_link)
-            except _SHARD_FAILURES as exc:
-                await self._recover_locked(target_link, exc)
-                await self._checkpoint_locked(target_link)
+            await self._checkpoint_locked(target_link)
         self._journal_membership(
             {"op": "drain", "step": "merged", "shard": sid, "handoff": hid}
         )
@@ -1461,11 +1364,8 @@ class ClusterRouter(MessageEndpoint):
         await self._retire_process(sid)
         if link is not None:
             await link.close()
-            if link.disk is not None:
-                await loop.run_in_executor(None, link.disk.delete)
+            await loop.run_in_executor(None, link.journal.delete)
         self._links_by_id.pop(sid, None)
-        self.links = [self._links_by_id[s]
-                      for s in self.shard_map.active_ids]
         if blob_path is not None:
             await loop.run_in_executor(
                 None, lambda: blob_path.unlink(missing_ok=True)
@@ -1502,11 +1402,7 @@ class ClusterRouter(MessageEndpoint):
                     {"op": "restart", "step": "begin", "shard": link.index}
                 )
                 async with link.lock:
-                    try:
-                        await self._checkpoint_locked(link)
-                    except _SHARD_FAILURES as exc:
-                        await self._recover_locked(link, exc)
-                        await self._checkpoint_locked(link)
+                    await self._checkpoint_locked(link)
                     await self._restart_locked(link)
                 self._journal_membership(
                     {"op": "restart", "step": "done", "shard": link.index}

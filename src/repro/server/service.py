@@ -41,7 +41,7 @@ observe a half-absorbed batch.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -118,16 +118,7 @@ class ServerStats:
     last_rejection: str = ""
 
     def to_dict(self) -> Dict[str, object]:
-        return {"batches_received": self.batches_received,
-                "reports_received": self.reports_received,
-                "reports_absorbed": self.reports_absorbed,
-                "reports_rejected": self.reports_rejected,
-                "reports_deduped": self.reports_deduped,
-                "queries_answered": self.queries_answered,
-                "snapshots_written": self.snapshots_written,
-                "connections_total": self.connections_total,
-                "drain_s": round(self.drain_s, 6),
-                "last_rejection": self.last_rejection}
+        return {**asdict(self), "drain_s": round(self.drain_s, 6)}
 
 
 @dataclass

@@ -65,7 +65,8 @@ _REPO_BLOCKING_METHODS = (
     ("store", frozenset({"save", "load_latest"})),
     # ClusterSupervisor: spawns/waits on subprocesses synchronously
     ("supervisor", frozenset({"start", "stop", "restart", "poll",
-                              "terminate", "kill", "wait"})),
+                              "terminate", "kill", "wait", "add_shard",
+                              "retire", "launch", "await_started"})),
 )
 
 

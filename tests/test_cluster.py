@@ -365,14 +365,13 @@ class TestRouterRejectsUndecodableFrames:
         state = encode_state_frame({"type": "absorb_state", "handoff": 1,
                                     "state": {"counts": np.arange(4)}})
         summed = []
-        real_sum = router_module.sum_pulled_states
+        real_fold = router_module.fold_states
 
-        def spying_sum(params_, pulls):
-            summed.extend(type(pull["state"]["state"]["counts"])
-                          for pull in pulls)
-            return real_sum(params_, pulls)
+        def spying_fold(params_, states):
+            summed.extend(type(state["state"]["counts"]) for state in states)
+            return real_fold(params_, states)
 
-        monkeypatch.setattr(router_module, "sum_pulled_states", spying_sum)
+        monkeypatch.setattr(router_module, "fold_states", spying_fold)
         with running_cluster(params, 2, tmp_path) as (_, _router, host, port):
             with AggregationClient(host, port) as client:
                 client.send_batch(batch, epoch=2, route=0)

@@ -177,6 +177,35 @@ class TestFrameJournal:
         assert max_seq == 8
         journal.close()
 
+    def test_memory_only_journal(self, tmp_path):
+        # without a path the journal holds the frames in memory only
+        journal = FrameJournal()
+        assert journal.path is None
+        journal.append(b"frame-one", num_reports=100, seq=1)
+        journal.append(b"frame-two", num_reports=50, seq=2)
+        assert journal.frames == [(b"frame-one", 100), (b"frame-two", 50)]
+        assert journal.num_reports == 150
+        journal.barrier(seq=2)
+        assert (journal.frames, journal.num_reports) == ([], 0)
+        journal.append(b"later", num_reports=5, seq=3)
+        assert journal.frames == [(b"later", 5)]
+        assert journal.num_reports == 5
+        journal.close()
+        journal.delete()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load_fills_the_memory_journal(self, tmp_path):
+        journal = FrameJournal(tmp_path / "frames.bin", fsync=False)
+        journal.append(b"old", num_reports=7, seq=1)
+        journal.barrier(seq=1)
+        journal.append(b"kept", num_reports=3, seq=2)
+        journal.close()
+        reopened = FrameJournal(tmp_path / "frames.bin", fsync=False)
+        assert reopened.load() == ([(b"kept", 3)], 2)
+        assert reopened.frames == [(b"kept", 3)]
+        assert reopened.num_reports == 3
+        reopened.close()
+
     def test_empty_journal_watermark_is_zero(self, tmp_path):
         assert FrameJournal(tmp_path / "frames.bin").load() == ([], 0)
 
@@ -220,6 +249,9 @@ class TestMembershipJournal:
         assert journal.entries() == steps
         assert journal.last() == steps[-1]
         assert journal.last(op="add") == steps[1]
+        assert journal.last(op="add", step="spawned") == steps[0]
+        assert journal.last(op="drain", shard=0, target=1) == steps[2]
+        assert journal.last(op="drain", shard=1) is None
         assert journal.last(op="rolling-restart") is None
         journal.close()
 

@@ -266,6 +266,21 @@ class TestAsyncSafetyRules:
         assert codes(diags) == ["RPL301"]
         assert "spawned_server" in diags[0].message
 
+    def test_supervisor_spawn_and_reap_flagged(self, tmp_path):
+        # each spawns or reaps shard processes and waits for them
+        diags = run_lint(tmp_path, {"repro/cluster/grow.py": """\
+            class Router:
+                async def grow(self):
+                    self.supervisor.launch()
+                    self.supervisor.await_started()
+                    self.supervisor.add_shard()
+                    self.supervisor.retire(0)
+        """})
+        assert codes(diags) == ["RPL301"] * 4
+        assert [d.message.split("(")[0] for d in diags] == [
+            f"`self.supervisor.{name}" for name in
+            ("launch", "await_started", "add_shard", "retire")]
+
     def test_check_then_act_race_flagged(self, tmp_path):
         diags = run_lint(tmp_path, {"repro/cluster/boot.py": """\
             class Router:

@@ -13,9 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.cluster.router import sum_pulled_states
 from repro.core.heavy_hitters import PrivateExpanderSketch
-from repro.protocol.binary import pack_state
+from repro.protocol.binary import fold_states, pack_state
 from repro.server.framing import decode_frame, encode_state_frame
 from repro.server.service import state_reply
 from repro.server.window import WindowedAggregator
@@ -60,16 +59,17 @@ def test_state_pull_sums_into_one_int32_vector(shards):
     cells = params.layout.size
     frames = [encode_state_frame(state_reply(aggregator, [0]))[4:]
               for aggregator in aggregators]
-    merged, peak = _traced_peak(lambda: sum_pulled_states(
-        params, [decode_frame(frame, arrays=False) for frame in frames]))
+    merged, peak = _traced_peak(lambda: fold_states(
+        params, [decode_frame(frame, arrays=False)["state"]
+                 for frame in frames]))
     assert merged.counts.dtype == np.int32
     assert np.array_equal(merged.counts, expected.counts)
     assert merged.num_reports == expected.num_reports == 8000
     assert peak < 1.25 * 4 * cells, peak / cells
 
     # replies already decoded to arrays still sum in place
-    replies = [decode_frame(frame) for frame in frames]
-    merged, peak = _traced_peak(lambda: sum_pulled_states(params, replies))
+    states = [decode_frame(frame)["state"] for frame in frames]
+    merged, peak = _traced_peak(lambda: fold_states(params, states))
     assert np.array_equal(merged.counts, expected.counts)
     assert peak < 0.25 * 4 * cells, peak / cells
 

@@ -34,6 +34,7 @@ from repro.protocol.binary import (
     describe_payload,
     encode_reports_payload,
     fold_state,
+    fold_states,
     is_binary_payload,
     pack_state,
     stamp_sequence,
@@ -46,7 +47,6 @@ from repro.server import (
     encode_reports_frame,
     read_frame_sync,
 )
-from repro.cluster.router import sum_pulled_states
 from repro.protocol.wire import _PROTOCOL_REGISTRY, load_child_state
 from repro.server.framing import decode_frame, encode_state_frame
 from repro.server.service import state_reply
@@ -671,10 +671,11 @@ class TestPulledStateFold:
         payloads = [self._payload(seed) for seed in (1, 2, 3)]
         packed = decode_frame(payloads[1], arrays=False)["state"]
         assert packed["state"]["counts"].where.size
-        folded = sum_pulled_states(self.PARAMS, [
-            decode_frame(payload, arrays=False) for payload in payloads])
-        merged = sum_pulled_states(self.PARAMS, [
-            decode_frame(payload) for payload in payloads])
+        folded = fold_states(self.PARAMS, [
+            decode_frame(payload, arrays=False)["state"]
+            for payload in payloads])
+        merged = fold_states(self.PARAMS, [
+            decode_frame(payload)["state"] for payload in payloads])
         assert folded.counts.dtype == merged.counts.dtype == np.int32
         assert np.array_equal(folded.counts, merged.counts)
         assert folded.num_reports == merged.num_reports == 120
@@ -695,8 +696,9 @@ class TestPulledStateFold:
         assert np.array_equal(first.counts, counts)
         assert (first.bound, first.num_reports) == (bound, 40)
         with pytest.raises(ValueError, match=match):
-            sum_pulled_states(self.PARAMS, [
-                decode_frame(self._payload(1), arrays=False), doctored])
+            fold_states(self.PARAMS, [
+                decode_frame(self._payload(1), arrays=False)["state"],
+                doctored["state"]])
 
     def test_patch_index_out_of_range_is_rejected_at_decode(self):
         payload = self._payload(2)
